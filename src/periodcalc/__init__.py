@@ -4,7 +4,7 @@ period invariants, and formal period-relation replay."""
 
 __version__ = "1.0.0"
 
-from . import arch_l, cli, formal, infinity_types, period_algebra, weil_real, yoshida
+from . import arch_l, formal, infinity_types, period_algebra, weil_real, yoshida
 
 __all__ = ["weil_real", "infinity_types", "arch_l", "formal", "yoshida",
-           "period_algebra", "cli", "__version__"]
+           "period_algebra", "__version__"]

@@ -30,21 +30,8 @@ class GammaProduct:
             norm.append((kind, as_fraction(shift)))
         object.__setattr__(self, "factors", tuple(sorted(norm)))
 
-    def __mul__(self, other: "GammaProduct") -> "GammaProduct":
-        return GammaProduct(self.factors + other.factors)
-
     def to_json(self) -> list:
         return [{"kind": k, "shift": str(s)} for k, s in self.factors]
-
-
-@dataclass(frozen=True)
-class IClass:
-    """The class of i^parity in C^x modulo Q^x (i^2 = -1 lies in Q^x)."""
-
-    parity: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "parity", self.parity % 2)
 
 
 def l_factor(a: ArchRep) -> GammaProduct:
@@ -68,11 +55,12 @@ def is_holomorphic_at(g: GammaProduct, s0) -> bool:
     return True
 
 
-def epsilon_class(a: ArchRep) -> IClass:
+def epsilon_class(a: ArchRep) -> int:
+    """The parity p with epsilon(a) in i^p Q^x (i^2 = -1 lies in Q^x)."""
     parity = 0
     for c in a:
         parity += c.sign_parity if isinstance(c, ArchCharacter) else c.kappa
-    return IClass(parity)
+    return parity % 2
 
 
 def _tensor_parameter(pi: InfinityType, sigma: InfinityType) -> ArchRep:

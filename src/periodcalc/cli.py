@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import arch_l, period_algebra, weil_real, yoshida
 from .formal import char_inv, char_mul, char_pow
 from .infinity_types import (DominantWeight, InfinityType, infinity_to_weight,
-                             regularity, to_arch_rep, weight_to_infinity)
+                             to_arch_rep, weight_to_infinity)
 from .weil_real import as_fraction
 
 
@@ -32,20 +32,20 @@ def _parse_json(text: str):
         raise SchemaError(f"invalid payload: {exc}") from exc
 
 
-def _parse_type(text: str) -> InfinityType:
+def _parse_payload(text: str, cls):
+    """An InfinityType (or a MotiveShape) from its JSON payload."""
     data = _parse_json(text)
     try:
-        return InfinityType.from_json(data)
+        return cls.from_json(data)
     except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad infinity-type payload: {exc}") from exc
+        raise SchemaError(f"bad {cls.__name__} payload: {exc}") from exc
 
 
-def _parse_motive(text: str) -> yoshida.MotiveShape:
-    data = _parse_json(text)
+def _parse_fraction(text: str, flag: str) -> Fraction:
     try:
-        return yoshida.MotiveShape.from_json(data)
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"bad motive payload: {exc}") from exc
+        return as_fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{flag} is not a fraction: {text!r}") from exc
 
 
 def _emit(args, payload: dict, human: str):
@@ -73,7 +73,7 @@ def cmd_infinity_type(args) -> int:
             payload["weight"] = list(back.entries)
             human += f"; back to weight {back.entries}"
     else:
-        t = _parse_type(args.type)
+        t = _parse_payload(args.type, InfinityType)
         mu = infinity_to_weight(t)
         payload = {"weight": list(mu.entries)}
         human = f"infinity type {t.to_json()} -> weight {mu.entries}"
@@ -86,8 +86,8 @@ def cmd_infinity_type(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    pi = _parse_type(args.pi)
-    sigma = _parse_type(args.sigma)
+    pi = _parse_payload(args.pi, InfinityType)
+    sigma = _parse_payload(args.sigma, InfinityType)
     points = arch_l.critical_points(pi, sigma)
     center = arch_l.central_point(pi, sigma)
     central_ok = arch_l.central_point_is_critical(pi, sigma)
@@ -109,8 +109,8 @@ def cmd_critical(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    pi = _parse_type(args.pi)
-    u = as_fraction(args.u)
+    pi = _parse_payload(args.pi, InfinityType)
+    u = _parse_fraction(args.u, "--u")
     chi = weil_real.char(args.delta % 2, u)
     param = to_arch_rep(pi)
     d_sym = weil_real.hom_dim(weil_real.sym2(param), chi)
@@ -133,55 +133,66 @@ def cmd_classify(args) -> int:
 
 
 def cmd_deligne(args) -> int:
-    M = _parse_motive(args.motive)
-    N = _parse_motive(args.aux)
+    M = _parse_payload(args.motive, yoshida.MotiveShape)
+    N = _parse_payload(args.aux, yoshida.MotiveShape)
     rel = yoshida.tensor_deligne(M, N, args.sign)
     payload = {"name": rel.name, "lhs": repr(rel.lhs), "rhs": repr(rel.rhs)}
     _emit(args, payload, f"{rel.name}: {rel.lhs!r} = {rel.rhs!r}")
     return 0
 
 
-def _builtin_check(args) -> period_algebra.CheckResult:
-    name = args.builtin
-    if args.n is None:
-        raise SchemaError("builtin checks require --n")
-    if name == "main1":
-        m0 = as_fraction(args.m)
-        # --m is the critical point m0 = m + 1/2 on the half-integer lattice
-        m = m0 - Fraction(1, 2)
-        delta = args.delta if args.delta is not None else args.n % 2
-        return period_algebra.check_main1_step(args.n, args.w, delta, m,
-                                               corrupt=args.corrupt)
-    if name == "corollary-main":
-        chi = {args.chi: 1} if args.chi else None
-        return period_algebra.check_corollary_main(
-            args.n, orthogonal=not args.symplectic, chi_expr=chi,
-            corrupt=args.corrupt)
-    if name == "main2":
-        return period_algebra.check_theorem_main2(
-            args.n, args.nprime, include_i_power=not args.no_i_power,
-            eps_num=args.eps_num, corrupt=args.corrupt)
-    if name == "motivic-dual":
-        return period_algebra.check_motivic_dual(args.n, i=args.i,
-                                                 corrupt=args.corrupt)
-    raise SchemaError(f"unknown builtin check: {name!r}")
+def _check_main1(args) -> period_algebra.CheckResult:
+    # --m is the critical point m0 = m + 1/2 on the half-integer lattice
+    m = _parse_fraction(args.m, "--m") - Fraction(1, 2)
+    delta = args.delta if args.delta is not None else args.n % 2
+    return period_algebra.check_main1_step(args.n, args.w, delta, m,
+                                           corrupt=args.corrupt)
+
+
+def _check_corollary_main(args) -> period_algebra.CheckResult:
+    chi = {args.chi: 1} if args.chi else None
+    return period_algebra.check_corollary_main(
+        args.n, orthogonal=not args.symplectic, chi_expr=chi,
+        corrupt=args.corrupt)
+
+
+def _check_main2(args) -> period_algebra.CheckResult:
+    return period_algebra.check_theorem_main2(
+        args.n, args.nprime, include_i_power=not args.no_i_power,
+        eps_num=args.eps_num, corrupt=args.corrupt)
+
+
+def _check_motivic_dual(args) -> period_algebra.CheckResult:
+    if args.i is not None and not 1 <= args.i < args.n // 2:
+        raise SchemaError(f"--i must lie in 1..{args.n // 2 - 1}")
+    return period_algebra.check_motivic_dual(args.n, i=args.i,
+                                             corrupt=args.corrupt)
+
+
+BUILTINS = {"main1": _check_main1, "corollary-main": _check_corollary_main,
+            "main2": _check_main2, "motivic-dual": _check_motivic_dual}
 
 
 def cmd_check(args) -> int:
     if args.script is not None:
         if args.db is None:
             raise SchemaError("--script requires --db")
-        db = period_algebra.RelationDB.load(args.db)
         script = _parse_json(args.script if args.script.startswith(("[", "-"))
                              else open(args.script).read())
         if not isinstance(script, list):
             raise SchemaError("script must be a list of relation entries")
-        residual = period_algebra.check_script(db, script)
+        try:
+            db = period_algebra.RelationDB.load(args.db)
+            residual = period_algebra.check_script(db, script)
+        except (KeyError, ValueError) as exc:
+            raise SchemaError(exc.args[0]) from exc
         result = period_algebra.CheckResult(residual)
     else:
         if args.builtin is None:
             raise SchemaError("give a builtin check name or --script")
-        result = _builtin_check(args)
+        if args.n is None:
+            raise SchemaError("builtin checks require --n")
+        result = BUILTINS[args.builtin](args)
         if args.db is not None:
             db = period_algebra.RelationDB()
             result.register(db)
@@ -267,9 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_deligne)
 
     s = sub.add_parser("check", help="replay a derivation")
-    s.add_argument("builtin", nargs="?",
-                   choices=("main1", "corollary-main", "main2",
-                            "motivic-dual"))
+    s.add_argument("builtin", nargs="?", choices=tuple(BUILTINS))
     s.add_argument("--script", help="script JSON, path, or - for stdin")
     s.add_argument("--db", help="relation database path")
     s.add_argument("--n", type=int)
@@ -301,6 +310,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,12 +18,11 @@ Atoms carry a kind tag and a payload:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .weil_real import as_fraction
-
-_KINDS = ("BW", "Gauss", "ArchZ", "LVal", "Delta", "DC", "DCi", "TwoPiI", "I")
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ class PeriodAtom:
     payload: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _ATOMS:
             raise ValueError(f"unknown atom kind: {self.kind!r}")
 
     def render(self) -> str:
@@ -87,6 +86,19 @@ def atom_dci(label: str, i: int) -> PeriodAtom:
     return PeriodAtom("DCi", (label, int(i)))
 
 
+# kind -> (constructor, payload types as read from JSON)
+_ATOMS = {
+    "BW": (atom_bw, (str, int)),
+    "Gauss": (atom_gauss, (str,)),
+    "ArchZ": (atom_archz, (as_fraction, str)),
+    "LVal": (atom_lval, (as_fraction, str)),
+    "Delta": (atom_delta, (str,)),
+    "DC": (atom_dc, (str, int)),
+    "DCi": (atom_dci, (str, int)),
+    "TwoPiI": (lambda: ATOM_TWO_PI_I, ()),
+    "I": (lambda: ATOM_I, ()),
+}
+
 ATOM_TWO_PI_I = PeriodAtom("TwoPiI")
 ATOM_I = PeriodAtom("I")
 
@@ -96,16 +108,15 @@ class FormalPeriod:
 
     __slots__ = ("_exp",)
 
-    def __init__(self, exponents=None):
+    def __init__(self, pairs=()):
+        """Accumulate (atom, exponent) pairs; repeated atoms add up."""
         exp = {}
-        for atom, e in (exponents or {}).items():
+        for atom, e in pairs:
             if not isinstance(atom, PeriodAtom):
                 raise TypeError(f"not an atom: {atom!r}")
-            e = int(e)
-            if atom == ATOM_I:
-                e %= 2
-            if e:
-                exp[atom] = exp.get(atom, 0) + e
+            exp[atom] = exp.get(atom, 0) + int(e)
+        if ATOM_I in exp:
+            exp[ATOM_I] %= 2
         self._exp = {a: e for a, e in exp.items() if e}
 
     @classmethod
@@ -114,14 +125,11 @@ class FormalPeriod:
 
     @classmethod
     def atom(cls, atom: PeriodAtom, e: int = 1) -> "FormalPeriod":
-        return cls({atom: e})
+        return cls(((atom, e),))
 
     @classmethod
     def of(cls, *pairs) -> "FormalPeriod":
-        out = cls()
-        for atom, e in pairs:
-            out = out * cls.atom(atom, e)
-        return out
+        return cls(pairs)
 
     def exponent(self, atom: PeriodAtom) -> int:
         return self._exp.get(atom, 0)
@@ -137,17 +145,14 @@ class FormalPeriod:
         return self._exp.get(ATOM_I, 0)
 
     def __mul__(self, other: "FormalPeriod") -> "FormalPeriod":
-        exp = dict(self._exp)
-        for a, e in other._exp.items():
-            exp[a] = exp.get(a, 0) + e
-        return FormalPeriod(exp)
+        return FormalPeriod(chain(self._exp.items(), other._exp.items()))
 
     def inv(self) -> "FormalPeriod":
-        return FormalPeriod({a: -e for a, e in self._exp.items()})
+        return self ** -1
 
     def __pow__(self, k: int) -> "FormalPeriod":
         k = int(k)
-        return FormalPeriod({a: k * e for a, e in self._exp.items()})
+        return FormalPeriod((a, k * e) for a, e in self._exp.items())
 
     @property
     def is_trivial(self) -> bool:
@@ -174,7 +179,7 @@ class FormalPeriod:
 def gauss_fp(expr: dict) -> FormalPeriod:
     """Gauss-sum class of a character written multiplicatively over base
     labels, e.g. {"chi": n, "omega_Pi": -1} for G(chi^n omega_Pi^{-1})."""
-    return FormalPeriod({atom_gauss(lbl): e for lbl, e in expr.items()})
+    return FormalPeriod((atom_gauss(lbl), e) for lbl, e in expr.items())
 
 
 def char_mul(a: dict, b: dict) -> dict:
@@ -204,7 +209,16 @@ class Relation:
             raise ValueError("relation needs a name and a citation")
 
     def quotient(self) -> FormalPeriod:
-        return self.lhs * self.rhs.inv()
+        return replay(((self, 1),))
+
+
+def replay(steps) -> FormalPeriod:
+    """The product of the quotients lhs/rhs of (relation, exponent) steps,
+    summed in one pass; a valid derivation leaves the identity."""
+    return FormalPeriod((atom, sign * e * k)
+                        for rel, e in steps
+                        for sign, side in ((1, rel.lhs), (-1, rel.rhs))
+                        for atom, k in side._exp.items())
 
 
 # ---------------------------------------------------------------------------
@@ -219,27 +233,14 @@ def atom_to_json(atom: PeriodAtom) -> dict:
 
 
 def atom_from_json(data: dict) -> PeriodAtom:
-    kind = data["kind"]
-    p = list(data.get("payload", []))
-    if kind == "BW":
-        return atom_bw(str(p[0]), int(p[1]))
-    if kind == "Gauss":
-        return atom_gauss(str(p[0]))
-    if kind == "ArchZ":
-        return atom_archz(as_fraction(p[0]), str(p[1]))
-    if kind == "LVal":
-        return atom_lval(as_fraction(p[0]), str(p[1]))
-    if kind == "Delta":
-        return atom_delta(str(p[0]))
-    if kind == "DC":
-        return atom_dc(str(p[0]), int(p[1]))
-    if kind == "DCi":
-        return atom_dci(str(p[0]), int(p[1]))
-    if kind == "TwoPiI":
-        return ATOM_TWO_PI_I
-    if kind == "I":
-        return ATOM_I
-    raise ValueError(f"unknown atom kind: {kind!r}")
+    kind, payload = data["kind"], data.get("payload", [])
+    if kind not in _ATOMS:
+        raise ValueError(f"unknown atom kind: {kind!r}")
+    make, types = _ATOMS[kind]
+    if len(payload) != len(types):
+        raise ValueError(f"{kind} atom needs {len(types)} payload entries, "
+                         f"got {len(payload)}")
+    return make(*(t(p) for t, p in zip(types, payload)))
 
 
 def period_to_json(p: FormalPeriod) -> list:
@@ -247,11 +248,7 @@ def period_to_json(p: FormalPeriod) -> list:
 
 
 def period_from_json(data) -> FormalPeriod:
-    out = FormalPeriod.unit()
-    for entry in data:
-        atom, e = entry
-        out = out * FormalPeriod.atom(atom_from_json(atom), int(e))
-    return out
+    return FormalPeriod((atom_from_json(atom), int(e)) for atom, e in data)
 
 
 def relation_to_json(r: Relation) -> dict:
@@ -260,8 +257,12 @@ def relation_to_json(r: Relation) -> dict:
 
 
 def relation_from_json(data: dict) -> Relation:
-    return Relation(data["name"], data["citation"],
-                    period_from_json(data["lhs"]), period_from_json(data["rhs"]))
+    try:
+        return Relation(data["name"], data["citation"],
+                        period_from_json(data["lhs"]),
+                        period_from_json(data["rhs"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed relation record: {exc!r}") from exc
 
 
 class RelationDB:
@@ -295,24 +296,26 @@ class RelationDB:
     def load(cls, path: str) -> "RelationDB":
         with open(path) as fh:
             data = json.load(fh)
+        entries = data.get("relations", []) if isinstance(data, dict) else None
+        if not isinstance(entries, list):
+            raise ValueError(f"{path} does not hold a relation database")
         db = cls()
-        for entry in data.get("relations", []):
+        for entry in entries:
             db.add(relation_from_json(entry))
         return db
 
 
 def check_script(db: RelationDB, script) -> FormalPeriod:
-    """Multiply quotients of named relations with exponents; the residual
-    of a valid derivation is the identity.
-
-    Script entries are {"relation": name, "exponent": int} records (an
-    optional "bindings" field is accepted for forward compatibility and must
-    be empty: stored relations are fully instantiated).
-    """
-    residual = FormalPeriod.unit()
+    """Replay {"relation": name, "exponent": int} entries against the
+    relations stored in db; the residual of a valid derivation is the
+    identity."""
+    steps = []
     for entry in script:
-        if entry.get("bindings"):
-            raise ValueError("bindings are not supported on stored relations")
-        rel = db.get(entry["relation"])
-        residual = residual * rel.quotient() ** int(entry.get("exponent", 1))
-    return residual
+        if (not isinstance(entry, dict)
+                or set(entry) != {"relation", "exponent"}
+                or not isinstance(entry["relation"], str)
+                or type(entry["exponent"]) is not int):
+            raise ValueError("a script entry needs exactly a str 'relation' "
+                             f"and an int 'exponent', got {entry!r}")
+        steps.append((db.get(entry["relation"]), entry["exponent"]))
+    return replay(steps)

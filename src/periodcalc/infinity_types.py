@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .weil_real import ArchCharacter, ArchDiscrete, ArchRep, char, disc
+from .weil_real import ArchRep, char, disc
 
 
 @dataclass(frozen=True)
@@ -62,19 +62,21 @@ class InfinityType:
     def r(self) -> int:
         return self.n // 2
 
-    @property
-    def b_n(self) -> int:
-        # bottom cuspidal cohomology degree
-        return self.n * self.n // 4
-
     def to_json(self) -> dict:
         return {"n": self.n, "kappa": list(self.kappa), "w": self.w,
                 "sign": self.sign_choice}
 
     @classmethod
     def from_json(cls, data: dict) -> "InfinityType":
-        return cls(int(data["n"]), tuple(data["kappa"]), int(data["w"]),
-                   int(data.get("sign", 0)))
+        return cls(json_int(data["n"]), tuple(map(json_int, data["kappa"])),
+                   json_int(data["w"]), json_int(data.get("sign", 0)))
+
+
+def json_int(x) -> int:
+    """An integer field of a JSON payload; any other value is a TypeError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 def is_pure(mu: DominantWeight) -> bool:
@@ -114,21 +116,21 @@ def signature(t: InfinityType) -> int:
     return -1 if (t.r + t.w // 2 + t.sign_choice) % 2 else 1
 
 
+def interlaces(kappa: tuple, ell: tuple) -> bool:
+    """kappa_1 > ell_1 > kappa_2 > ell_2 > ..., for len(ell) <= len(kappa)."""
+    return (all(k > l for k, l in zip(kappa, ell))
+            and all(l > k for l, k in zip(ell, kappa[1:])))
+
+
 def is_balanced(pi: InfinityType, sigma: InfinityType) -> bool:
-    """Interlacing kappa_1 > ell_1 > kappa_2 > ... for adjacent ranks."""
+    """Interlacing of the infinity types of a pair of adjacent ranks."""
     if pi.n != sigma.n + 1:
         raise ValueError("ranks must differ by exactly 1 (pi = sigma + 1)")
-    chain = []
-    for i in range(len(pi.kappa)):
-        chain.append(pi.kappa[i])
-        if i < len(sigma.kappa):
-            chain.append(sigma.kappa[i])
-    return all(chain[i] > chain[i + 1] for i in range(len(chain) - 1))
+    return interlaces(pi.kappa, sigma.kappa)
 
 
 @dataclass(frozen=True)
 class Regularity:
-    n: int
     kappa: tuple
     min_kappa_ok: bool
 
@@ -141,7 +143,7 @@ class Regularity:
 def regularity(t: InfinityType) -> Regularity:
     bound = 3 if t.n % 2 == 0 else 5
     ok = (not t.kappa) or min(t.kappa) >= bound
-    return Regularity(t.n, t.kappa, ok)
+    return Regularity(t.kappa, ok)
 
 
 def required_gap(t: InfinityType) -> int:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import arch_l, weil_real
+from . import arch_l
 from .formal import (ATOM_I, FormalPeriod, PeriodAtom, Relation, RelationDB,
                      atom_archz, atom_bw, atom_dc, atom_dci, atom_delta,
                      atom_lval, char_inv, char_mul, char_pow, check_script,
-                     gauss_fp)
+                     gauss_fp, replay)
 from .infinity_types import (InfinityType, is_balanced, regularity,
                              required_gap, signature, twist)
 from .weil_real import as_fraction
@@ -30,8 +30,9 @@ __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
     "GlobalRep", "pair_label", "rel_raghuram", "rel_duality_ratio",
     "rel_arch_iparity", "rel_twist", "rel_rs_twist", "rel_main1",
-    "rel_gauss_pair", "rel_quadratic", "CheckResult", "check_main1_step",
-    "check_corollary_main", "check_theorem_main2", "check_motivic_dual",
+    "rel_corollary_main", "rel_gauss_pair", "rel_quadratic", "CheckResult",
+    "check_main1_step", "check_corollary_main", "check_theorem_main2",
+    "check_motivic_dual",
 ]
 
 
@@ -69,7 +70,8 @@ def _char_render(expr: dict) -> str:
     return "*".join(f"{k}^{v}" for k, v in sorted(expr.items()))
 
 
-@lru_cache(maxsize=None)
+# one check asks for two pairs: (Pi, Sigma) and its dual
+@lru_cache(maxsize=16)
 def _critical_set(pi: InfinityType, sigma: InfinityType) -> frozenset:
     return frozenset(arch_l.critical_points(pi, sigma))
 
@@ -123,9 +125,7 @@ def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     """
     m0 = as_fraction(m0)
     _require_critical(m0, pi, sigma)
-    param = weil_real.tensor(arch_l.to_arch_rep(pi.inf),
-                             arch_l.to_arch_rep(sigma.inf))
-    parity = arch_l.epsilon_class(param).parity
+    parity = arch_l.epsilon_class(arch_l._tensor_parameter(pi.inf, sigma.inf))
     pair = pair_label(pi, sigma)
     dual_pair = pair_label(pi.dual(), sigma.dual())
     lhs = FormalPeriod.atom(atom_lval(m0, pair))
@@ -202,6 +202,15 @@ def rel_main1(pi: GlobalRep, eps: int) -> Relation:
                     "period relation under duality", lhs, rhs)
 
 
+def rel_corollary_main(label: str, gexp: dict) -> Relation:
+    """p(Pi, +) = G(chi^n omega_Pi^{-1}) p(Pi, -), with gexp the character
+    chi^n omega_Pi^{-1} over base labels."""
+    return Relation(f"corollary-main[{label}]",
+                    "sign change of Betti-Whittaker periods",
+                    FormalPeriod.atom(atom_bw(label, 1)),
+                    gauss_fp(gexp) * FormalPeriod.atom(atom_bw(label, -1)))
+
+
 def rel_gauss_pair(label: str) -> Relation:
     """G(chi) G(chi^{-1}) = 1 modulo algebraic units.
 
@@ -242,14 +251,17 @@ class CheckResult:
 
     def register(self, db: RelationDB):
         for rel, _ in self.relations:
-            db.add(rel, replace=True)
+            db.add(rel)
 
 
-def _compose(steps) -> CheckResult:
-    residual = FormalPeriod.unit()
-    for rel, e in steps:
-        residual = residual * rel.quotient() ** e
-    return CheckResult(residual, tuple(steps))
+def _compose(steps, **fields) -> CheckResult:
+    return CheckResult(replay(steps), tuple(steps), **fields)
+
+
+def _corrupted(rel: Relation, factor: FormalPeriod) -> Relation:
+    """Negative control: rel with one atom power multiplied into its rhs."""
+    return Relation(rel.name + "[corrupted]", rel.citation, rel.lhs,
+                    rel.rhs * factor)
 
 
 def _main1_pair(n: int, w: int, delta: int, m: int):
@@ -309,12 +321,8 @@ def check_main1_step(n: int, w: int, delta: int, m,
     q7 = rel_gauss_pair("omega_Sigma")
     target = rel_main1(pi, eps)
     if corrupt:
-        # negative control: Gauss exponent n-1 -> n-2 on the target
-        target = Relation(target.name + "[corrupted]", target.citation,
-                          target.lhs,
-                          gauss_fp(char_pow(pi.omega_expr, n - 2))
-                          * FormalPeriod.atom(atom_bw(dual_label(pi.label),
-                                                      eps)))
+        # Gauss exponent n-1 -> n-2 on the target
+        target = _corrupted(target, gauss_fp(char_inv(pi.omega_expr)))
     return _compose([(q1, 1), (q2, -1), (q3, -1), (q4, -1), (q5, 1),
                      (q6, 1), (q7, 1), (target, 1)])
 
@@ -337,15 +345,11 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
     q_a = rel_main1(pi, 1)
     q_b = rel_rs_twist(pi, char_inv(chi), eta_delta, 0, 1,
                        twisted_label=dual_label(pi.label))
-    q_quad = rel_quadratic(char_mul(char_pow(chi, n),
-                                    char_inv(pi.omega_expr)))
-    target_exp = char_mul(char_pow(chi, n + 1 if corrupt else n),
-                          char_inv(pi.omega_expr))
-    target = Relation(f"corollary-main[{pi.label}]",
-                      "sign change of Betti-Whittaker periods",
-                      FormalPeriod.atom(atom_bw(pi.label, 1)),
-                      gauss_fp(target_exp)
-                      * FormalPeriod.atom(atom_bw(pi.label, -1)))
+    gexp = char_mul(char_pow(chi, n), char_inv(pi.omega_expr))
+    q_quad = rel_quadratic(gexp)
+    target = rel_corollary_main(pi.label, gexp)
+    if corrupt:
+        target = _corrupted(target, gauss_fp(chi))
     return _compose([(q_a, 1), (q_b, 1), (target, -1), (q_quad, -n)])
 
 
@@ -376,25 +380,20 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
                     FormalPeriod.atom(atom_lval(m0 + 1, pair))
                     * rel_period ** nprime)
     gexp = char_mul(char_pow(chi, n), char_inv(omega))
-    q_c = Relation("corollary-main[Pi]",
-                   "sign change of Betti-Whittaker periods",
-                   FormalPeriod.atom(atom_bw("Pi", 1)),
-                   gauss_fp(gexp) * FormalPeriod.atom(atom_bw("Pi", -1)))
+    q_c = rel_corollary_main("Pi", gexp)
     q_quad = rel_quadratic(gexp)
     target_rhs = (FormalPeriod.atom(ATOM_I, ipow * nprime)
                   * gauss_fp(char_pow(gexp, nprime))
                   * FormalPeriod.atom(atom_lval(m0 + 1, pair)))
-    if corrupt:
-        target_rhs = target_rhs * gauss_fp(chi)
     target = Relation(f"theorem-main2[{pair}]",
                       "ratio of successive critical values",
                       FormalPeriod.atom(atom_lval(m0, pair)), target_rhs)
+    if corrupt:
+        target = _corrupted(target, gauss_fp(chi))
     steps = [(q_hr, 1), (target, -1), (q_c, eps_num * nprime)]
     if eps_num == -1:
         steps.append((q_quad, -nprime))
-    result = _compose(steps)
-    return CheckResult(result.residual, result.relations,
-                       i_parity=(ipow * nprime) % 2)
+    return _compose(steps, i_parity=(ipow * nprime) % 2)
 
 
 def _motivic_pair(n: int, i: int):
@@ -416,10 +415,10 @@ def check_motivic_dual(n: int, i: int = None,
     if n < 2:
         raise ValueError("rank must be at least 2")
     r = n // 2
-    indices = [i] if i is not None else list(range(1, r))
-    residual = FormalPeriod.unit()
+    if i is not None and not 1 <= i <= r - 1:
+        raise ValueError("i must lie in 1..floor(n/2)-1")
     steps, per_index = [], []
-    for idx in indices:
+    for idx in [i] if i is not None else range(1, r):
         M, N = _motivic_pair(n, idx)
         Md, Nd = dual_motive(M), dual_motive(N)
         mn = tensor_label(M, N)
@@ -432,11 +431,9 @@ def check_motivic_dual(n: int, i: int = None,
                       * FormalPeriod.atom(atom_dc(mn, 1)))
         q_delta = delta_tensor(M, N)
         if corrupt:
-            # negative control: delta(M x N) exponent on delta(N) off by one
-            q_delta = Relation(q_delta.name + "[corrupted]", q_delta.citation,
-                               q_delta.lhs,
-                               FormalPeriod.of((atom_delta(M.label), N.n),
-                                               (atom_delta(N.label), M.n - 1)))
+            # delta(M x N) exponent on delta(N) off by one
+            q_delta = _corrupted(q_delta,
+                                 FormalPeriod.atom(atom_delta(N.label), -1))
         fp = FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
         fm = FundamentalMonomial(2, 1, 1, 0, (), 0, 1)
         fdet = FundamentalMonomial(2, 1, 1, 1, (), 0, 0)
@@ -454,8 +451,6 @@ def check_motivic_dual(n: int, i: int = None,
             eps = M.dplus - M.dminus
             sub.append((q_dp if eps == 1 else q_dm, -1))
         sub.append((target, -1))
-        part = _compose(sub)
-        per_index.append((idx, part.residual))
+        per_index.append((idx, replay(sub)))
         steps.extend(sub)
-        residual = residual * part.residual
-    return CheckResult(residual, tuple(steps), per_index=tuple(per_index))
+    return _compose(steps, per_index=tuple(per_index))

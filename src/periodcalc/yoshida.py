@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .formal import (ATOM_TWO_PI_I, FormalPeriod, Relation, atom_dc, atom_dci,
                      atom_delta)
-from .infinity_types import InfinityType, signature
+from .infinity_types import InfinityType, interlaces, json_int, signature
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,10 @@ class MotiveShape:
 
     @classmethod
     def from_json(cls, data: dict) -> "MotiveShape":
-        return cls(str(data["label"]), int(data["n"]), int(data["weight"]),
-                   tuple(data["kappa"]), int(data["dplus"]), int(data["dminus"]))
+        return cls(str(data["label"]), json_int(data["n"]),
+                   json_int(data["weight"]),
+                   tuple(map(json_int, data["kappa"])),
+                   json_int(data["dplus"]), json_int(data["dminus"]))
 
 
 def motive_from_infinity(t: InfinityType, label: str) -> MotiveShape:
@@ -193,18 +195,6 @@ def tensor_label(M: MotiveShape, N: MotiveShape) -> str:
     return f"{M.label}(x){N.label}"
 
 
-def good_position(M: MotiveShape, N: MotiveShape) -> bool:
-    """Hodge interlacing kappa_1 > ell_1 > kappa_2 > ... for adjacent ranks."""
-    if M.n != N.n + 1:
-        raise ValueError("ranks must differ by exactly 1 (M = N + 1)")
-    chain = []
-    for i in range(len(M.kappa)):
-        chain.append(M.kappa[i])
-        if i < len(N.kappa):
-            chain.append(N.kappa[i])
-    return all(chain[i] > chain[i + 1] for i in range(len(chain) - 1))
-
-
 def monomial_atoms(m: FundamentalMonomial, M: MotiveShape) -> FormalPeriod:
     """Evaluate a generator monomial at the period matrix of M, as atoms."""
     pairs = [(atom_delta(M.label), m.m0),
@@ -218,7 +208,9 @@ def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
     """c^sign(M (x) N) = delta(N) * f_BW^eps(X_M) * f_BW^eps'(X_N)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not good_position(M, N):
+    if M.n != N.n + 1:
+        raise ValueError("ranks must differ by exactly 1 (M = N + 1)")
+    if not interlaces(M.kappa, N.kappa):
         raise ValueError("motives are not in good position")
     n = M.n
     if n % 2:
@@ -245,8 +237,9 @@ def dual_relation(m: FundamentalMonomial, M: MotiveShape) -> Relation:
     lhs = monomial_atoms(dual_monomial(m), dual_motive(M))
     rhs = (FormalPeriod.atom(atom_delta(M.label), -(tag.kplus + tag.kminus))
            * monomial_atoms(m, M))
-    return Relation(f"dual[{M.label}]", "duality of fundamental periods",
-                    lhs, rhs)
+    exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
+    return Relation(f"dual[{M.label},{exps}]",
+                    "duality of fundamental periods", lhs, rhs)
 
 
 def tate_twist_relation(m: FundamentalMonomial, M: MotiveShape,

@@ -90,7 +90,7 @@ def test_criterion_3_epsilon_class_parity():
         assert is_balanced(pi, sigma)
         param = wr.tensor(to_arch_rep(pi), to_arch_rep(sigma))
         expected = ((pi.w + sigma.w) * n * (n - 1) // 2) % 2
-        assert arch_l.epsilon_class(param).parity == expected
+        assert arch_l.epsilon_class(param) == expected
 
 
 def _random_rep(rng, max_dim=8):

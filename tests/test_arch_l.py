@@ -70,8 +70,8 @@ def test_central_point_criticality():
 
 def test_epsilon_class_from_parameter():
     a = wr.rep(wr.disc(5, 0), wr.char(1, 2))
-    assert arch_l.epsilon_class(a).parity == 0  # 5 + 1 mod 2
-    assert arch_l.epsilon_class(wr.rep(wr.char(1, 0))).parity == 1
+    assert arch_l.epsilon_class(a) == 0  # 5 + 1 mod 2
+    assert arch_l.epsilon_class(wr.rep(wr.char(1, 0))) == 1
 
 
 @settings(max_examples=150, deadline=None)

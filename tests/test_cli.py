@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -127,6 +130,51 @@ def test_check_script_round_trip(tmp_path, capsys):
     code, data, _ = run_json(capsys, "check", "--script", script,
                              "--db", db_path)
     assert code == 0 and data["ok"]
+
+
+def test_motivic_dual_steps_replay_from_db(tmp_path, capsys):
+    db_path = str(tmp_path / "rel.json")
+    code, data, _ = run_json(capsys, "--verbose", "check", "motivic-dual",
+                             "--n", "6", "--db", db_path)
+    assert code == 0
+    code, data, _ = run_json(capsys, "check", "--db", db_path,
+                             "--script", json.dumps(data["steps"]))
+    assert code == 0 and data["ok"]
+
+
+# an argument "@name" stands for the file tmp_path/name
+MALFORMED = {
+    "index-out-of-range": ["check", "motivic-dual", "--n", "6", "--i", "9"],
+    "no-citation": ["check", "--db", "@no_citation.json", "--script",
+                    '[{"relation": "r", "exponent": 1}]'],
+    "missing-db": ["check", "--db", "@missing.json", "--script", "[]"],
+    "non-integer-kappa": ["critical", "--pi", '{"n":2,"kappa":["x"],"w":0}',
+                          "--sigma", '{"n":1,"kappa":[],"w":0}'],
+    "non-record-step": ["check", "--db", "@empty.json", "--script", "[1]"],
+    "non-fraction-m": ["check", "main1", "--n", "8", "--m", "abc"],
+    "zero-denominator-m": ["check", "main1", "--n", "8", "--m", "1/0"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "no_citation.json").write_text(
+        '{"relations": [{"name": "r", "lhs": [], "rhs": []}]}')
+    (tmp_path / "empty.json").write_text('{"relations": []}')
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_module_entry_point_prints_no_warning():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "periodcalc.cli", "--json", "check", "main2",
+         "--n", "2"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 def test_check_script_without_db_is_schema_error(capsys):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodcalc import period_algebra as pa
-from periodcalc.formal import (ATOM_I, FormalPeriod, atom_bw, atom_gauss,
-                               atom_lval, gauss_fp, period_from_json,
-                               period_to_json, relation_from_json,
-                               relation_to_json)
+from periodcalc.formal import (ATOM_I, FormalPeriod, atom_bw, atom_from_json,
+                               atom_gauss, atom_lval, gauss_fp,
+                               period_from_json, period_to_json,
+                               relation_from_json, relation_to_json)
 from periodcalc.infinity_types import InfinityType
 
 atoms = st.one_of(
@@ -195,6 +195,8 @@ def test_motivic_dual_per_index():
     assert all(r.is_trivial for _, r in res.per_index)
     assert pa.check_motivic_dual(6, i=2).is_ok
     assert not pa.check_motivic_dual(6, corrupt=True).is_ok
+    with pytest.raises(ValueError):
+        pa.check_motivic_dual(6, i=3)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +221,44 @@ def test_script_detects_corruption(tmp_path):
     script = res.to_script()
     script[0]["exponent"] += 1
     assert not pa.check_script(db, script).is_trivial
+
+
+BUILTINS = {
+    "main1": lambda n, c: pa.check_main1_step(n, 0, n % 2, 1, corrupt=c),
+    "corollary-main": lambda n, c: pa.check_corollary_main(n, corrupt=c),
+    "main2": lambda n, c: pa.check_theorem_main2(n, 3, eps_num=-1, corrupt=c),
+    "motivic-dual": lambda n, c: pa.check_motivic_dual(n, corrupt=c),
+}
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_db_replay_matches_in_memory(tmp_path, builtin, corrupt):
+    path = str(tmp_path / "relations.json")
+    for n in range(2, 12):
+        res = BUILTINS[builtin](n, corrupt)
+        db = pa.RelationDB()
+        res.register(db)
+        db.save(path)
+        replayed = pa.check_script(pa.RelationDB.load(path), res.to_script())
+        assert replayed == res.residual, n
+
+
+def test_register_rejects_a_name_collision():
+    rel = pa.rel_gauss_pair("chi")
+    other = pa.Relation(rel.name, "different", FormalPeriod.unit(),
+                        gauss_fp({"chi": 1}))
+    res = pa.CheckResult(FormalPeriod.unit(), ((rel, 1), (other, 1)))
+    with pytest.raises(ValueError):
+        res.register(pa.RelationDB())
+
+
+@pytest.mark.parametrize("data", [{"kind": "BW", "payload": ["Pi"]},
+                                  {"kind": "DCi", "payload": ["M", "x"]},
+                                  {"kind": "Nope", "payload": []}])
+def test_atom_from_json_rejects_bad_payloads(data):
+    with pytest.raises(ValueError):
+        atom_from_json(data)
 
 
 def test_script_rejects_bindings():
