@@ -19,8 +19,25 @@ from .infinity_types import (DominantWeight, InfinityType, infinity_to_weight,
 from .weil_real import as_fraction
 
 
+# the largest rank any flag or payload may ask for; every check at this rank
+# runs in a few seconds
+MAX_RANK = 256
+
+
 class SchemaError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line (exit 2)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _check_rank(n: int, what: str):
+    if n > MAX_RANK:
+        raise SchemaError(f"{what} = {n} exceeds the largest rank {MAX_RANK}")
 
 
 def _parse_json(text: str):
@@ -36,9 +53,11 @@ def _parse_payload(text: str, cls):
     """An InfinityType (or a MotiveShape) from its JSON payload."""
     data = _parse_json(text)
     try:
-        return cls.from_json(data)
+        obj = cls.from_json(data)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad {cls.__name__} payload: {exc}") from exc
+    _check_rank(obj.n, f"{cls.__name__} n")
+    return obj
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -64,6 +83,7 @@ def cmd_infinity_type(args) -> int:
             entries = tuple(int(x) for x in args.weight.split(","))
         except ValueError as exc:
             raise SchemaError(f"bad weight vector: {exc}") from exc
+        _check_rank(len(entries), "weight length")
         t = weight_to_infinity(DominantWeight(entries))
         payload = {"infinity_type": t.to_json()}
         human = (f"weight {entries} -> kappa={list(t.kappa)}, w={t.w}, "
@@ -192,6 +212,8 @@ def cmd_check(args) -> int:
             raise SchemaError("give a builtin check name or --script")
         if args.n is None:
             raise SchemaError("builtin checks require --n")
+        _check_rank(args.n, "--n")
+        _check_rank(args.nprime, "--nprime")
         result = BUILTINS[args.builtin](args)
         if args.db is not None:
             db = period_algebra.RelationDB()
@@ -245,8 +267,7 @@ def cmd_asai(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="periodcalc",
-                                description=__doc__.splitlines()[0])
+    p = _Parser(prog="periodcalc", description=__doc__.splitlines()[0])
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
     p.add_argument("--verbose", action="store_true")

@@ -18,6 +18,7 @@ Atoms carry a kind tag and a payload:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -286,11 +287,18 @@ class RelationDB:
         return sorted(self._relations)
 
     def save(self, path: str):
+        """Write the database to path; a failed write leaves path as it was."""
         data = {"relations": [relation_to_json(self._relations[n])
                               for n in self.names()]}
-        with open(path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(data, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     @classmethod
     def load(cls, path: str) -> "RelationDB":

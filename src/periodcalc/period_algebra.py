@@ -72,12 +72,16 @@ def _char_render(expr: dict) -> str:
 
 # one check asks for two pairs: (Pi, Sigma) and its dual
 @lru_cache(maxsize=16)
-def _critical_set(pi: InfinityType, sigma: InfinityType) -> frozenset:
-    return frozenset(arch_l.critical_points(pi, sigma))
+def _pair_arch(pi: InfinityType, sigma: InfinityType) -> tuple:
+    """The critical set and the epsilon-class parity of a pair, both read
+    from one tensor parameter."""
+    param = arch_l._tensor_parameter(pi, sigma)
+    return (arch_l.critical_set(pi, sigma, param),
+            arch_l.epsilon_class(param))
 
 
 def _require_critical(s0, pi: GlobalRep, sigma: GlobalRep):
-    if as_fraction(s0) not in _critical_set(pi.inf, sigma.inf):
+    if s0 not in _pair_arch(pi.inf, sigma.inf)[0]:
         raise ValueError(
             f"{s0} is not a critical point of {pair_label(pi, sigma)}")
 
@@ -125,7 +129,7 @@ def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     """
     m0 = as_fraction(m0)
     _require_critical(m0, pi, sigma)
-    parity = arch_l.epsilon_class(arch_l._tensor_parameter(pi.inf, sigma.inf))
+    parity = _pair_arch(pi.inf, sigma.inf)[1]
     pair = pair_label(pi, sigma)
     dual_pair = pair_label(pi.dual(), sigma.dual())
     lhs = FormalPeriod.atom(atom_lval(m0, pair))

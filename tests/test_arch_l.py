@@ -1,5 +1,6 @@
 """Tests for Gamma products, epsilon classes and critical points."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,31 @@ from hypothesis import strategies as st
 from periodcalc import arch_l, weil_real as wr
 from periodcalc.infinity_types import InfinityType, to_arch_rep
 from tests.test_infinity_types import infinity_types
+
+
+def _scan_critical_points(pi, sigma, param=None) -> list:
+    """The reference for critical_set: test every lattice point between the
+    Gamma_C pole ladders (with a slack of 2 on each side) for a pole of L(s)
+    or of the dual L(1-s).  param defaults to the pair's tensor parameter."""
+    if param is None:
+        param = wr.tensor(to_arch_rep(pi), to_arch_rep(sigma))
+    g, g_dual = arch_l.l_factor(param), arch_l.l_factor(wr.dual(param))
+    c_shifts = [s for k, s in g.factors if k == "C"]
+    c_shifts_dual = [s for k, s in g_dual.factors if k == "C"]
+    if not c_shifts or not c_shifts_dual:
+        raise ValueError("critical set may be infinite: no Gamma_C factor")
+    lo = -min(c_shifts) - 2
+    hi = 1 + min(c_shifts_dual) + 2
+    offset = Fraction(pi.n + sigma.n, 2)
+    out = []
+    k = math.ceil(lo - offset)
+    while k + offset <= hi:
+        m0 = k + offset
+        if (arch_l.is_holomorphic_at(g, m0)
+                and arch_l.is_holomorphic_at(g_dual, 1 - m0)):
+            out.append(m0)
+        k += 1
+    return out
 
 
 def test_l_factor_shifts():
@@ -105,3 +131,47 @@ def test_criticality_definition_holds_pointwise(pi, sigma):
     for m0 in arch_l.critical_points(pi, sigma):
         assert arch_l.is_holomorphic_at(g, m0)
         assert arch_l.is_holomorphic_at(g_dual, 1 - m0)
+
+
+def _signed(t, sign):
+    """t with the given sign_choice when its rank is odd."""
+    return InfinityType(t.n, t.kappa, t.w, sign * (t.n % 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(infinity_types(max_n=6), infinity_types(max_n=5),
+       st.integers(0, 1), st.integers(0, 1))
+def test_critical_points_equal_the_scan(pi, sigma, s1, s2):
+    if pi.n == 1 and sigma.n == 1:
+        return
+    pi, sigma = _signed(pi, s1), _signed(sigma, s2)
+    assert arch_l.critical_points(pi, sigma) == _scan_critical_points(pi,
+                                                                      sigma)
+
+
+# the infinity types drawn here have kappa <= 27 and |w| <= 6, so every
+# scan window lies well inside [-60, 60]
+@settings(max_examples=150, deadline=None)
+@given(infinity_types(max_n=6), infinity_types(max_n=5),
+       st.integers(0, 1), st.integers(0, 1),
+       st.sampled_from([None, Fraction(1, 2), Fraction(1, 3), Fraction(-5, 2)]))
+def test_membership_equals_the_scan(pi, sigma, s1, s2, off):
+    """off, if given, twists two extra constituents of the parameter off the
+    lattice of the pair (or onto its other coset)."""
+    if pi.n == 1 and sigma.n == 1:
+        return
+    pi, sigma = _signed(pi, s1), _signed(sigma, s2)
+    param = wr.tensor(to_arch_rep(pi), to_arch_rep(sigma))
+    if off is not None:
+        param = wr.rep(*param, wr.char(1, off), wr.disc(3, off - 4))
+    scan = set(_scan_critical_points(pi, sigma, param))
+    cs = arch_l.critical_set(pi, sigma, param)
+    # both cosets of Z/2 (one on the lattice, one off it), thirds off the
+    # lattice, and points far outside the window
+    points = ([Fraction(h, 2) for h in range(-120, 121)]
+              + [Fraction(h, 3) for h in range(-30, 31)]
+              + [Fraction(h, 2) for h in (-2 * 10**6 - 1, 2 * 10**6 + 1)]
+              + [Fraction(10**6), Fraction(-10**6)])
+    for m0 in points:
+        assert (m0 in cs) == (m0 in scan), m0
+    assert cs.points() == sorted(scan)

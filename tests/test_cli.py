@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -11,7 +12,10 @@ from periodcalc import cli
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -107,6 +111,20 @@ def test_check_main1_off_lattice_rejected(capsys):
     assert code == 1 and "integer" in err
 
 
+def test_check_main1_far_from_the_center_is_fast(capsys):
+    start = time.monotonic()
+    code, data, _ = run_json(capsys, "check", "main1", "--n", "8",
+                             "--m", "1000001/2")
+    assert code == 0 and data["ok"] and data["residual"] == "1"
+    assert time.monotonic() - start < 5
+
+
+def test_check_accepts_the_largest_rank(capsys):
+    code, data, _ = run_json(capsys, "check", "motivic-dual", "--n",
+                             str(cli.MAX_RANK))
+    assert code == 0 and data["ok"]
+
+
 def test_check_corrupt_names_offending_atom(capsys):
     code, data, _ = run_json(capsys, "check", "main1", "--n", "6",
                              "--w", "2", "--m", "3/2", "--corrupt")
@@ -153,6 +171,15 @@ MALFORMED = {
     "non-record-step": ["check", "--db", "@empty.json", "--script", "[1]"],
     "non-fraction-m": ["check", "main1", "--n", "8", "--m", "abc"],
     "zero-denominator-m": ["check", "main1", "--n", "8", "--m", "1/0"],
+    "non-integer-n": ["check", "main1", "--n", "abc"],
+    "unknown-builtin": ["check", "no-such-check", "--n", "2"],
+    "rank-above-cap": ["check", "motivic-dual", "--n", "20000"],
+    "nprime-above-cap": ["check", "main2", "--n", "2", "--nprime", "257"],
+    "payload-rank-above-cap": [
+        "critical", "--pi", json.dumps({"n": 258, "w": 0,
+                                        "kappa": list(range(260, 2, -2))}),
+        "--sigma", '{"n":1,"kappa":[],"w":0}'],
+    "weight-longer-than-cap": ["infinity-type", "--weight", "0" + ",0" * 256],
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from periodcalc import formal
 from periodcalc import period_algebra as pa
 from periodcalc.formal import (ATOM_I, FormalPeriod, atom_bw, atom_from_json,
                                atom_gauss, atom_lval, gauss_fp,
@@ -212,6 +213,24 @@ def test_relation_db_round_trip_and_script(tmp_path):
     assert loaded.names() == db.names()
     residual = pa.check_script(loaded, res.to_script())
     assert residual.is_trivial
+
+
+def test_failed_save_leaves_the_db_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "relations.json"
+    db = pa.RelationDB()
+    pa.check_corollary_main(2).register(db)
+    db.save(str(path))
+    before = path.read_bytes()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"relations": [')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(formal.json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        db.save(str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["relations.json"]
 
 
 def test_script_detects_corruption(tmp_path):
