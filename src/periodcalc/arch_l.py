@@ -16,37 +16,25 @@ from .infinity_types import InfinityType, to_arch_rep
 from .weil_real import ArchCharacter, ArchRep, as_fraction
 
 
-@dataclass(frozen=True)
-class GammaProduct:
-    """A formal product of Gamma_R(s + shift) / Gamma_C(s + shift) factors."""
-
-    factors: tuple  # of ("R"|"C", Fraction)
-
-    def __post_init__(self):
-        norm = []
-        for kind, shift in self.factors:
-            if kind not in ("R", "C"):
-                raise ValueError(f"bad Gamma kind: {kind!r}")
-            norm.append((kind, as_fraction(shift)))
-        object.__setattr__(self, "factors", tuple(sorted(norm)))
-
-    def to_json(self) -> list:
-        return [{"kind": k, "shift": str(s)} for k, s in self.factors]
+def _gamma(c) -> tuple:
+    """The Gamma factor of a constituent c as (kind, b, b_dual): it is
+    Gamma_kind(s + b) in L(s, c) and Gamma_kind(s + b_dual) in L(s, dual c).
+    The two shifts differ only in the sign of the twist."""
+    if isinstance(c, ArchCharacter):
+        return "R", c.sign_parity + c.twist, c.sign_parity - c.twist
+    h = Fraction(c.kappa - 1, 2)
+    return "C", h + c.twist, h - c.twist
 
 
-def l_factor(a: ArchRep) -> GammaProduct:
-    fs = []
-    for c in a:
-        if isinstance(c, ArchCharacter):
-            fs.append(("R", c.twist + c.sign_parity))
-        else:
-            fs.append(("C", c.twist + Fraction(c.kappa - 1, 2)))
-    return GammaProduct(tuple(fs))
+def l_factor(a: ArchRep) -> tuple:
+    """The Gamma factors of L(s, a), a sorted tuple of ("R"|"C", shift)."""
+    return tuple(sorted((kind, b) for kind, b, _ in map(_gamma, a)))
 
 
-def is_holomorphic_at(g: GammaProduct, s0) -> bool:
+def is_holomorphic_at(g: tuple, s0) -> bool:
+    """Whether the Gamma factors g (as from l_factor) are pole-free at s0."""
     s0 = as_fraction(s0)
-    for kind, shift in g.factors:
+    for kind, shift in g:
         x = s0 + shift
         if x.denominator != 1 or x > 0:
             continue
@@ -101,39 +89,37 @@ def critical_set(pi: InfinityType, sigma: InfinityType,
                  param: ArchRep = None) -> CriticalSet:
     """All m0 in Z+(n+n')/2 where L(s) and L(1-s) of the pair are pole-free.
 
-    param, if given, is the pair's tensor parameter.  Write m0 = k + offset.
-    A factor with shift b of L(s) has a pole at m0 when c + k <= 0 for the
-    integer c = offset + b (and c + k is even, for Gamma_R); a factor with
-    shift b' of the dual L(1-s) has one when c' - k <= 0 for the integer
-    c' = 1 - offset + b' (and c' - k is even, for Gamma_R).  A factor whose
-    c or c' is not an integer lies off the lattice and has no pole on it.
-    The window is derived from the Gamma_C pole ladders, which bound the
-    critical set on both sides; a pair with no Gamma_C factor at all (only
-    possible for rank (1,1)) can have an infinite critical set and is
-    rejected.
+    param, if given, is the pair's tensor parameter; one pass over its
+    constituents reads the shifts b and b' of each Gamma factor (_gamma).
+    Write m0 = k + offset.  A factor with shift b of L(s) has a pole at m0
+    when c + k <= 0 for the integer c = offset + b (and c + k is even, for
+    Gamma_R); its shift b' in the dual L(1-s) gives one when c' - k <= 0 for
+    the integer c' = 1 - offset + b' (and c' - k is even, for Gamma_R).
+    A factor whose c or c' is not an integer lies off the lattice and has no
+    pole on it.  The window is derived from the Gamma_C pole ladders, which
+    bound the critical set on both sides; a pair with no Gamma_C factor at
+    all (only possible for rank (1,1)) can have an infinite critical set
+    and is rejected.
     """
     if param is None:
         param = _tensor_parameter(pi, sigma)
-    g, g_dual = l_factor(param), l_factor(weil_real.dual(param))
-    c_shifts = [s for k, s in g.factors if k == "C"]
-    c_shifts_dual = [s for k, s in g_dual.factors if k == "C"]
-    if not c_shifts or not c_shifts_dual:
+    factors = [_gamma(c) for c in param]
+    c_shifts = [(b, b_dual) for kind, b, b_dual in factors if kind == "C"]
+    if not c_shifts:
         raise ValueError("critical set may be infinite: no Gamma_C factor")
     n_sum = pi.n + sigma.n
     offset = Fraction(n_sum, 2)
-    # necessary conditions: m0 > -b for every C-shift b of g, and
-    # 1-m0 > -b' for every C-shift b' of g_dual
-    lo = [math.ceil(-min(c_shifts) - 2 - offset)] * 2
-    hi = [math.floor(1 + min(c_shifts_dual) + 2 - offset)] * 2
-    for kind, shift in g.factors:
-        c = _on_lattice(shift, n_sum)
+    # necessary conditions: m0 > -b and 1-m0 > -b' for every Gamma_C factor
+    lo = [math.ceil(-min(b for b, _ in c_shifts) - 2 - offset)] * 2
+    hi = [math.floor(1 + min(b for _, b in c_shifts) + 2 - offset)] * 2
+    for kind, b, b_dual in factors:
+        c = _on_lattice(b, n_sum)
         if c is not None:
             for p in (0, 1) if kind == "C" else (c % 2,):
                 lo[p] = max(lo[p], 1 - c)
-    for kind, shift in g_dual.factors:
-        c = _on_lattice(shift, n_sum)
+        c = _on_lattice(b_dual, n_sum)
         if c is not None:
-            c += 1 - n_sum  # 1 - offset + shift
+            c += 1 - n_sum  # 1 - offset + b'
             for p in (0, 1) if kind == "C" else (c % 2,):
                 hi[p] = min(hi[p], c - 1)
     return CriticalSet(offset, tuple(lo), tuple(hi))
@@ -182,7 +168,5 @@ def critical_range_closed_form(pi: InfinityType, sigma: InfinityType) -> list:
 
 
 def central_point_is_critical(pi: InfinityType, sigma: InfinityType) -> bool:
-    if pi.n % 2 == 0:
-        d = _interlacing_distance(pi, sigma)
-        return d >= 1 and (pi.w + sigma.w) % 2 == (pi.n + sigma.n + 1) % 2
+    """Whether the central point is in the critical set, at every rank."""
     return central_point(pi, sigma) in critical_set(pi, sigma)

@@ -22,6 +22,9 @@ from .weil_real import as_fraction
 # the largest rank any flag or payload may ask for; every check at this rank
 # runs in a few seconds
 MAX_RANK = 256
+# the largest kappa entry a payload may give; a critical set has fewer
+# points than its pair's largest kappa, and `critical` prints them all
+MAX_KAPPA = 10_000
 
 
 class SchemaError(Exception):
@@ -45,7 +48,7 @@ def _parse_json(text: str):
         text = sys.stdin.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise SchemaError(f"invalid payload: {exc}") from exc
 
 
@@ -57,6 +60,9 @@ def _parse_payload(text: str, cls):
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad {cls.__name__} payload: {exc}") from exc
     _check_rank(obj.n, f"{cls.__name__} n")
+    if obj.kappa and obj.kappa[0] > MAX_KAPPA:
+        raise SchemaError(f"{cls.__name__} kappa {obj.kappa[0]} exceeds "
+                          f"the largest kappa {MAX_KAPPA}")
     return obj
 
 
@@ -110,7 +116,7 @@ def cmd_critical(args) -> int:
     sigma = _parse_payload(args.sigma, InfinityType)
     points = arch_l.critical_points(pi, sigma)
     center = arch_l.central_point(pi, sigma)
-    central_ok = arch_l.central_point_is_critical(pi, sigma)
+    central_ok = center in points
     payload = {"critical": [str(m) for m in points],
                "central_point": str(center),
                "central_is_critical": central_ok}

@@ -272,8 +272,8 @@ class RelationDB:
     def __init__(self):
         self._relations = {}
 
-    def add(self, relation: Relation, replace: bool = False):
-        if not replace and relation.name in self._relations:
+    def add(self, relation: Relation):
+        if relation.name in self._relations:
             if self._relations[relation.name] != relation:
                 raise ValueError(f"relation {relation.name!r} already present")
         self._relations[relation.name] = relation

@@ -37,16 +37,7 @@ class InfinityType:
     sign_choice: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa", tuple(int(k) for k in self.kappa))
-        if self.n < 1:
-            raise ValueError("rank must be positive")
-        r = self.n // 2
-        if len(self.kappa) != r:
-            raise ValueError(f"kappa must have {r} entries for rank {self.n}")
-        if any(self.kappa[i] <= self.kappa[i + 1] for i in range(r - 1)):
-            raise ValueError("kappa must be strictly decreasing")
-        if r and self.kappa[-1] < 2:
-            raise ValueError("kappa entries must be >= 2")
+        object.__setattr__(self, "kappa", checked_kappa(self.n, self.kappa))
         if self.n % 2 == 0:
             if any((k - self.w) % 2 for k in self.kappa):
                 raise ValueError("kappa_i must have the parity of w for even rank")
@@ -70,6 +61,23 @@ class InfinityType:
     def from_json(cls, data: dict) -> "InfinityType":
         return cls(json_int(data["n"]), tuple(map(json_int, data["kappa"])),
                    json_int(data["w"]), json_int(data.get("sign", 0)))
+
+
+def checked_kappa(n: int, kappa) -> tuple:
+    """kappa as a tuple of ints, checked against the rules that infinity
+    types and motive shapes share: a positive rank n, floor(n/2) entries,
+    strictly decreasing, each >= 2."""
+    kappa = tuple(int(k) for k in kappa)
+    if n < 1:
+        raise ValueError("rank must be positive")
+    r = n // 2
+    if len(kappa) != r:
+        raise ValueError(f"kappa must have {r} entries for rank {n}")
+    if any(kappa[i] <= kappa[i + 1] for i in range(r - 1)):
+        raise ValueError("kappa must be strictly decreasing")
+    if r and kappa[-1] < 2:
+        raise ValueError("kappa entries must be >= 2")
+    return kappa
 
 
 def json_int(x) -> int:

@@ -240,7 +240,6 @@ class CheckResult:
     residual: FormalPeriod
     relations: tuple = ()
     i_parity: int = 0
-    per_index: tuple = ()
 
     @property
     def is_ok(self) -> bool:
@@ -421,7 +420,7 @@ def check_motivic_dual(n: int, i: int = None,
     r = n // 2
     if i is not None and not 1 <= i <= r - 1:
         raise ValueError("i must lie in 1..floor(n/2)-1")
-    steps, per_index = [], []
+    steps = []
     for idx in [i] if i is not None else range(1, r):
         M, N = _motivic_pair(n, idx)
         Md, Nd = dual_motive(M), dual_motive(N)
@@ -455,6 +454,5 @@ def check_motivic_dual(n: int, i: int = None,
             eps = M.dplus - M.dminus
             sub.append((q_dp if eps == 1 else q_dm, -1))
         sub.append((target, -1))
-        per_index.append((idx, replay(sub)))
         steps.extend(sub)
-    return _compose(steps, per_index=tuple(per_index))
+    return _compose(steps)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .formal import (ATOM_TWO_PI_I, FormalPeriod, Relation, atom_dc, atom_dci,
                      atom_delta)
-from .infinity_types import InfinityType, interlaces, json_int, signature
+from .infinity_types import (InfinityType, checked_kappa, interlaces, json_int,
+                             signature)
 
 
 @dataclass(frozen=True)
@@ -119,14 +120,11 @@ class MotiveShape:
     dminus: int
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa", tuple(int(k) for k in self.kappa))
         if not self.label:
             raise ValueError("motive needs a label")
-        r = self.n // 2
-        if len(self.kappa) != r:
-            raise ValueError(f"kappa must have {r} entries for rank {self.n}")
-        if any(self.kappa[i] <= self.kappa[i + 1] for i in range(r - 1)):
-            raise ValueError("kappa must be strictly decreasing")
+        object.__setattr__(self, "kappa", checked_kappa(self.n, self.kappa))
+        if self.n % 2 and self.weight % 2:
+            raise ValueError("weight must be even for odd rank")
         if any((k - self.weight - 1) % 2 for k in self.kappa):
             raise ValueError("kappa_i must have parity opposite to the weight")
         if self.dplus + self.dminus != self.n or abs(self.dplus - self.dminus) > 1:

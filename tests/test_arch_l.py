@@ -19,8 +19,8 @@ def _scan_critical_points(pi, sigma, param=None) -> list:
     if param is None:
         param = wr.tensor(to_arch_rep(pi), to_arch_rep(sigma))
     g, g_dual = arch_l.l_factor(param), arch_l.l_factor(wr.dual(param))
-    c_shifts = [s for k, s in g.factors if k == "C"]
-    c_shifts_dual = [s for k, s in g_dual.factors if k == "C"]
+    c_shifts = [s for k, s in g if k == "C"]
+    c_shifts_dual = [s for k, s in g_dual if k == "C"]
     if not c_shifts or not c_shifts_dual:
         raise ValueError("critical set may be infinite: no Gamma_C factor")
     lo = -min(c_shifts) - 2
@@ -37,19 +37,24 @@ def _scan_critical_points(pi, sigma, param=None) -> list:
     return out
 
 
+def _signed(t, sign):
+    """t with the given sign_choice when its rank is odd."""
+    return InfinityType(t.n, t.kappa, t.w, sign * (t.n % 2))
+
+
 def test_l_factor_shifts():
     a = wr.rep(wr.disc(12, 0), wr.char(1, 2))
     g = arch_l.l_factor(a)
-    assert g.factors == (("C", Fraction(11, 2)), ("R", Fraction(3)))
+    assert g == (("C", Fraction(11, 2)), ("R", Fraction(3)))
 
 
 def test_holomorphy_pole_ladders():
-    g = arch_l.GammaProduct((("C", 0),))
+    g = (("C", Fraction(0)),)
     assert arch_l.is_holomorphic_at(g, 1)
     assert not arch_l.is_holomorphic_at(g, 0)
     assert not arch_l.is_holomorphic_at(g, -3)
     assert arch_l.is_holomorphic_at(g, Fraction(1, 2))
-    gr = arch_l.GammaProduct((("R", 0),))
+    gr = (("R", Fraction(0)),)
     assert not arch_l.is_holomorphic_at(gr, -2)
     assert arch_l.is_holomorphic_at(gr, -1)
 
@@ -85,13 +90,23 @@ def test_closed_form_requires_even_rank():
                                           InfinityType(2, (3,), 1))
 
 
-def test_central_point_criticality():
+def test_central_point():
     pi = InfinityType(4, (9, 5), 1)
     sigma = InfinityType(3, (7,), 0)
+    assert arch_l.central_point(pi, sigma) == Fraction(1 - 1 - 0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(infinity_types(max_n=6), infinity_types(max_n=5),
+       st.integers(0, 1), st.integers(0, 1))
+def test_central_point_criticality(pi, sigma, s1, s2):
+    """pi of either parity; the scan decides whether the center is critical."""
+    if pi.n == 1 and sigma.n == 1:
+        return
+    pi, sigma = _signed(pi, s1), _signed(sigma, s2)
     center = arch_l.central_point(pi, sigma)
-    assert center == Fraction(1 - 1 - 0, 2)
     assert (arch_l.central_point_is_critical(pi, sigma)
-            == (center in arch_l.critical_points(pi, sigma)))
+            == (center in _scan_critical_points(pi, sigma)))
 
 
 def test_epsilon_class_from_parameter():
@@ -131,11 +146,6 @@ def test_criticality_definition_holds_pointwise(pi, sigma):
     for m0 in arch_l.critical_points(pi, sigma):
         assert arch_l.is_holomorphic_at(g, m0)
         assert arch_l.is_holomorphic_at(g_dual, 1 - m0)
-
-
-def _signed(t, sign):
-    """t with the given sign_choice when its rank is odd."""
-    return InfinityType(t.n, t.kappa, t.w, sign * (t.n % 2))
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from periodcalc import cli
+from periodcalc import cli, weil_real
 
 
 def run(capsys, *argv):
@@ -63,6 +63,23 @@ def test_critical_gl2(capsys):
     assert data["central_point"] == "1/2" and data["central_is_critical"]
 
 
+def test_critical_builds_the_tensor_parameter_once(capsys, monkeypatch):
+    calls = []
+    tensor = weil_real.tensor
+
+    def counted(a, b):
+        calls.append((a, b))
+        return tensor(a, b)
+
+    monkeypatch.setattr(weil_real, "tensor", counted)
+    code, data, _ = run_json(capsys, "critical",
+                             "--pi", '{"n":3,"kappa":[7],"w":0}',
+                             "--sigma", '{"n":2,"kappa":[4],"w":0}')
+    assert code == 0 and len(calls) == 1
+    assert data["critical"] == ["-1/2", "1/2", "3/2"]
+    assert data["central_point"] == "1/2" and data["central_is_critical"]
+
+
 def test_critical_rank_one_pair_rejected(capsys):
     code, _, err = run(capsys, "critical",
                        "--pi", '{"n":1,"kappa":[],"w":0}',
@@ -99,6 +116,29 @@ def test_deligne_renders_relation(capsys):
     assert "Delta(N)" in data["rhs"]
 
 
+def _motive(label, n, weight, kappa):
+    dplus = (n + 1) // 2
+    return json.dumps({"label": label, "n": n, "weight": weight,
+                       "kappa": kappa, "dplus": dplus, "dminus": n - dplus})
+
+
+# (motive, a valid auxiliary motive of the next lower rank in good position)
+INVALID_MOTIVES = {
+    "kappa-below-2": (_motive("M", 2, 0, [1]), _motive("N", 1, 0, [])),
+    "negative-kappa": (_motive("M", 2, 0, [-3]), _motive("N", 1, 0, [])),
+    "odd-weight-at-odd-rank": (_motive("M", 3, 1, [4]),
+                               _motive("N", 2, 1, [2])),
+}
+
+
+@pytest.mark.parametrize("motive,aux", INVALID_MOTIVES.values(),
+                         ids=INVALID_MOTIVES)
+def test_deligne_rejects_an_invalid_motive(capsys, motive, aux):
+    code, out, err = run(capsys, "deligne", "--motive", motive, "--aux", aux)
+    assert code == 1 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_check_main1_builtin(capsys):
     code, data, _ = run_json(capsys, "check", "main1", "--n", "6",
                              "--w", "2", "--m", "3/2")
@@ -109,6 +149,13 @@ def test_check_main1_off_lattice_rejected(capsys):
     code, _, err = run(capsys, "check", "main1", "--n", "6", "--w", "2",
                        "--m", "2")
     assert code == 1 and "integer" in err
+
+
+def test_check_main1_at_a_negative_point(capsys):
+    # argparse reads "--m -5/2" as two options; the point is given as --m=
+    code, data, _ = run_json(capsys, "check", "main1", "--n", "8",
+                             "--m=-5/2")
+    assert code == 0 and data["ok"] and data["residual"] == "1"
 
 
 def test_check_main1_far_from_the_center_is_fast(capsys):
@@ -180,6 +227,22 @@ MALFORMED = {
                                         "kappa": list(range(260, 2, -2))}),
         "--sigma", '{"n":1,"kappa":[],"w":0}'],
     "weight-longer-than-cap": ["infinity-type", "--weight", "0" + ",0" * 256],
+    "kappa-above-cap": [
+        "critical", "--pi", json.dumps({"n": 2, "w": 0,
+                                        "kappa": [cli.MAX_KAPPA + 2]}),
+        "--sigma", '{"n":1,"kappa":[],"w":0}'],
+    "motive-kappa-above-cap": [
+        "deligne", "--motive", json.dumps({"label": "M", "n": 2, "weight": 0,
+                                           "kappa": [cli.MAX_KAPPA + 1],
+                                           "dplus": 1, "dminus": 1}),
+        "--aux", '{"label":"N","n":1,"weight":0,"kappa":[],'
+                 '"dplus":1,"dminus":0}'],
+    "payload-integer-too-long": [
+        "critical", "--pi", '{"n":2,"kappa":[1' + "0" * 5000 + '],"w":0}',
+        "--sigma", '{"n":1,"kappa":[],"w":0}'],
+    "script-integer-too-long": [
+        "check", "--db", "@empty.json", "--script",
+        '[{"relation": "r", "exponent": 1' + "0" * 5000 + '}]'],
 }
 
 

@@ -62,6 +62,14 @@ def test_motive_shape_validation():
         y.MotiveShape("M", 4, 0, (8, 4), 2, 2)   # kappa parity vs weight
     with pytest.raises(ValueError):
         y.MotiveShape("M", 4, 0, (9, 5), 3, 1)   # d+ != d- for even rank
+    with pytest.raises(ValueError):
+        y.MotiveShape("M", 2, 0, (1,), 1, 1)     # kappa < 2
+    with pytest.raises(ValueError):
+        y.MotiveShape("M", 2, 0, (-3,), 1, 1)    # negative kappa
+    with pytest.raises(ValueError):
+        y.MotiveShape("M", 3, 1, (2,), 2, 1)     # odd weight at odd rank
+    with pytest.raises(ValueError):
+        y.MotiveShape("M", 0, 0, (), 0, 0)       # rank below 1
 
 
 def test_hodge_types_are_pure():
