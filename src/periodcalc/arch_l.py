@@ -7,12 +7,10 @@ Gamma_R / Gamma_C factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import weil_real
-from .infinity_types import InfinityType, to_arch_rep
+from .infinity_types import InfinityType
 from .weil_real import ArchCharacter, ArchRep, as_fraction
 
 
@@ -51,10 +49,6 @@ def epsilon_class(a: ArchRep) -> int:
     return parity % 2
 
 
-def _tensor_parameter(pi: InfinityType, sigma: InfinityType) -> ArchRep:
-    return weil_real.tensor(to_arch_rep(pi), to_arch_rep(sigma))
-
-
 def central_point(pi: InfinityType, sigma: InfinityType) -> Fraction:
     return Fraction(1 - pi.w - sigma.w, 2)
 
@@ -85,88 +79,76 @@ class CriticalSet:
                 if self.lo[k % 2] <= k <= self.hi[k % 2]]
 
 
-def critical_set(pi: InfinityType, sigma: InfinityType,
-                 param: ArchRep = None) -> CriticalSet:
-    """All m0 in Z+(n+n')/2 where L(s) and L(1-s) of the pair are pole-free.
+def _least_gap(kappa: tuple, ell: tuple) -> tuple:
+    """The least nonzero |k - l| over k in kappa and l in ell (None when
+    there is none), and whether some k = l: one merge of the two strictly
+    decreasing lists, which tests each k against its nearest l on either
+    side."""
+    gaps, shared, j = [], False, 0
+    for k in kappa:
+        while j < len(ell) and ell[j] > k:
+            j += 1
+        if j:
+            gaps.append(ell[j - 1] - k)
+        below = j
+        if j < len(ell) and ell[j] == k:
+            shared, below = True, j + 1
+        if below < len(ell):
+            gaps.append(k - ell[below])
+    return min(gaps, default=None), shared
 
-    param, if given, is the pair's tensor parameter; one pass over its
-    constituents reads the shifts b and b' of each Gamma factor (_gamma).
-    Write m0 = k + offset.  A factor with shift b of L(s) has a pole at m0
-    when c + k <= 0 for the integer c = offset + b (and c + k is even, for
-    Gamma_R); its shift b' in the dual L(1-s) gives one when c' - k <= 0 for
-    the integer c' = 1 - offset + b' (and c' - k is even, for Gamma_R).
-    A factor whose c or c' is not an integer lies off the lattice and has no
-    pole on it.  The window is derived from the Gamma_C pole ladders, which
-    bound the critical set on both sides; a pair with no Gamma_C factor at
-    all (only possible for rank (1,1)) can have an infinite critical set
-    and is rejected.
+
+def critical_set(pi: InfinityType, sigma: InfinityType) -> CriticalSet:
+    """All m0 = k + (n+n')/2, k an integer, where L(s) and L(1-s) of the
+    pair are pole-free, read from the two types in O(r + r') int operations.
+
+    Every constituent of the pair's tensor parameter has the twist (w+u)/2.
+    With a = w + u + n + n', a Gamma_C factor phi_K has poles at
+    k <= (1 - K - a)/2 and, in the dual, at k >= (K + 1 - a)/2, so the least
+    such K bounds both parities of k: the least of kappa_min + ell_min - 1,
+    the least nonzero |k - l| + 1, and kappa_min (ell_min) when sigma (pi)
+    has odd rank.  A Gamma_R factor sgn^p has poles on the ladders
+    k = -p - a/2, -p - a/2 - 2, ... and, in the dual, k = p + 1 - a/2,
+    p + 3 - a/2, ..., so it bounds one parity of k on each side.  Its
+    characters are 1 and sgn where some k = l, and sgn^(s1+s2) when both
+    ranks are odd.  The parity rules of infinity types put every pole on the
+    lattice.  A pair with no Gamma_C factor (rank (1,1)) is rejected: its
+    critical set may be infinite.
     """
-    if param is None:
-        param = _tensor_parameter(pi, sigma)
-    factors = [_gamma(c) for c in param]
-    c_shifts = [(b, b_dual) for kind, b, b_dual in factors if kind == "C"]
-    if not c_shifts:
+    gap, shared = _least_gap(pi.kappa, sigma.kappa)
+    kappa_c = [] if gap is None else [gap + 1]
+    if pi.kappa and sigma.kappa:
+        kappa_c.append(pi.kappa[-1] + sigma.kappa[-1] - 1)
+    if sigma.n % 2 and pi.kappa:
+        kappa_c.append(pi.kappa[-1])
+    if pi.n % 2 and sigma.kappa:
+        kappa_c.append(sigma.kappa[-1])
+    if not kappa_c:
         raise ValueError("critical set may be infinite: no Gamma_C factor")
-    n_sum = pi.n + sigma.n
-    offset = Fraction(n_sum, 2)
-    # necessary conditions: m0 > -b and 1-m0 > -b' for every Gamma_C factor
-    lo = [math.ceil(-min(b for b, _ in c_shifts) - 2 - offset)] * 2
-    hi = [math.floor(1 + min(b for _, b in c_shifts) + 2 - offset)] * 2
-    for kind, b, b_dual in factors:
-        c = _on_lattice(b, n_sum)
-        if c is not None:
-            for p in (0, 1) if kind == "C" else (c % 2,):
-                lo[p] = max(lo[p], 1 - c)
-        c = _on_lattice(b_dual, n_sum)
-        if c is not None:
-            c += 1 - n_sum  # 1 - offset + b'
-            for p in (0, 1) if kind == "C" else (c % 2,):
-                hi[p] = min(hi[p], c - 1)
-    return CriticalSet(offset, tuple(lo), tuple(hi))
+    kc, a = min(kappa_c), pi.w + sigma.w + pi.n + sigma.n
+    lo = [(3 - kc - a) // 2] * 2
+    hi = [(kc - 1 - a) // 2] * 2
+    chars = {0, 1} if shared else set()
+    if pi.n % 2 and sigma.n % 2:
+        chars.add((pi.sign_choice + sigma.sign_choice) % 2)
+    for p in chars:
+        c = p + a // 2
+        lo[c % 2] = max(lo[c % 2], 1 - c)
+        hi[(c + 1) % 2] = min(hi[(c + 1) % 2], p - a // 2)
+    return CriticalSet(Fraction(pi.n + sigma.n, 2), tuple(lo), tuple(hi))
 
 
-def _on_lattice(shift: Fraction, n_sum: int):
-    """shift + n_sum/2 as an int, or None when it is not an integer.
-
-    Only a shift with denominator 1 or 2 can qualify; the test uses int
-    arithmetic because Fraction addition would cost most of the pass."""
-    if shift.denominator > 2:
-        return None
-    twice = 2 // shift.denominator * shift.numerator + n_sum
-    return None if twice % 2 else twice // 2
+def pair_epsilon_class(pi: InfinityType, sigma: InfinityType) -> int:
+    """epsilon_class of the pair's tensor parameter, read from the types:
+    phi_k (x) phi_l adds the even parity (k+l-1) + (|k-l|+1), so only
+    phi_k (x) character (parity k) and character (x) character (parity
+    s1 + s2) count."""
+    parity = (sigma.n % 2) * sum(pi.kappa) + (pi.n % 2) * sum(sigma.kappa)
+    if pi.n % 2 and sigma.n % 2:
+        parity += pi.sign_choice + sigma.sign_choice
+    return parity % 2
 
 
 def critical_points(pi: InfinityType, sigma: InfinityType) -> list:
     """The critical set of the pair as a sorted list; see critical_set."""
     return critical_set(pi, sigma).points()
-
-
-def _interlacing_distance(pi: InfinityType, sigma: InfinityType) -> int:
-    vals = [abs(k - l) for k in pi.kappa for l in sigma.kappa]
-    if sigma.n % 2:
-        vals += [abs(k - 1) for k in pi.kappa]
-    if not vals:
-        raise ValueError("distance d is undefined without kappa entries")
-    return min(vals)
-
-
-def critical_range_closed_form(pi: InfinityType, sigma: InfinityType) -> list:
-    """The closed-form critical interval; defined for even rank pi only."""
-    if pi.n % 2:
-        raise ValueError("closed form requires even rank")
-    d = _interlacing_distance(pi, sigma)
-    w, u = pi.w, sigma.w
-    lo = Fraction(2 - w - u - d, 2)
-    hi = Fraction(-w - u + d, 2)
-    offset = Fraction(sigma.n, 2)
-    out = []
-    k = math.ceil(lo - offset)
-    while k + offset <= hi:
-        out.append(k + offset)
-        k += 1
-    return out
-
-
-def central_point_is_critical(pi: InfinityType, sigma: InfinityType) -> bool:
-    """Whether the central point is in the critical set, at every rank."""
-    return central_point(pi, sigma) in critical_set(pi, sigma)

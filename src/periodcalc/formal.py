@@ -303,7 +303,10 @@ class RelationDB:
     @classmethod
     def load(cls, path: str) -> "RelationDB":
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError(f"{path} is nested too deeply") from exc
         entries = data.get("relations", []) if isinstance(data, dict) else None
         if not isinstance(entries, list):
             raise ValueError(f"{path} does not hold a relation database")

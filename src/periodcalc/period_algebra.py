@@ -70,18 +70,13 @@ def _char_render(expr: dict) -> str:
     return "*".join(f"{k}^{v}" for k, v in sorted(expr.items()))
 
 
-# one check asks for two pairs: (Pi, Sigma) and its dual
-@lru_cache(maxsize=16)
-def _pair_arch(pi: InfinityType, sigma: InfinityType) -> tuple:
-    """The critical set and the epsilon-class parity of a pair, both read
-    from one tensor parameter."""
-    param = arch_l._tensor_parameter(pi, sigma)
-    return (arch_l.critical_set(pi, sigma, param),
-            arch_l.epsilon_class(param))
+# one check asks five times for the critical set of (Pi, Sigma) and once
+# for that of its dual
+_critical_set = lru_cache(maxsize=16)(arch_l.critical_set)
 
 
 def _require_critical(s0, pi: GlobalRep, sigma: GlobalRep):
-    if s0 not in _pair_arch(pi.inf, sigma.inf)[0]:
+    if s0 not in _critical_set(pi.inf, sigma.inf):
         raise ValueError(
             f"{s0} is not a critical point of {pair_label(pi, sigma)}")
 
@@ -124,12 +119,12 @@ def rel_raghuram(m, pi: GlobalRep, sigma: GlobalRep) -> Relation:
 def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     """L(m0) = i^{eps-class} G(omega_Pi)^{n'} G(omega_Sigma)^n L(1-m0, duals).
 
-    The i-parity is computed from the actual tensor parameter, never stored
-    symbolically.
+    The i-parity is the epsilon class of the pair's tensor parameter, read
+    from its infinity types, never stored symbolically.
     """
     m0 = as_fraction(m0)
     _require_critical(m0, pi, sigma)
-    parity = _pair_arch(pi.inf, sigma.inf)[1]
+    parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
     pair = pair_label(pi, sigma)
     dual_pair = pair_label(pi.dual(), sigma.dual())
     lhs = FormalPeriod.atom(atom_lval(m0, pair))

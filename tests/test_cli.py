@@ -63,7 +63,7 @@ def test_critical_gl2(capsys):
     assert data["central_point"] == "1/2" and data["central_is_critical"]
 
 
-def test_critical_builds_the_tensor_parameter_once(capsys, monkeypatch):
+def test_critical_builds_no_tensor_parameter(capsys, monkeypatch):
     calls = []
     tensor = weil_real.tensor
 
@@ -75,9 +75,11 @@ def test_critical_builds_the_tensor_parameter_once(capsys, monkeypatch):
     code, data, _ = run_json(capsys, "critical",
                              "--pi", '{"n":3,"kappa":[7],"w":0}',
                              "--sigma", '{"n":2,"kappa":[4],"w":0}')
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and not calls
     assert data["critical"] == ["-1/2", "1/2", "3/2"]
     assert data["central_point"] == "1/2" and data["central_is_critical"]
+    # the closed form is reported for an even-rank pi only
+    assert "closed_form" not in data
 
 
 def test_critical_rank_one_pair_rejected(capsys):
@@ -243,6 +245,25 @@ MALFORMED = {
     "script-integer-too-long": [
         "check", "--db", "@empty.json", "--script",
         '[{"relation": "r", "exponent": 1' + "0" * 5000 + '}]'],
+    "payload-w-above-cap": [
+        "critical", "--pi", '{"n":2,"kappa":[10000],"w":2' + "0" * 1000 + "}",
+        "--sigma", '{"n":1,"kappa":[],"w":0}'],
+    "motive-weight-above-cap": [
+        "deligne", "--motive", json.dumps({"label": "M", "n": 1,
+                                           "weight": cli.MAX_W + 2,
+                                           "kappa": [], "dplus": 1,
+                                           "dminus": 0}),
+        "--aux", '{"label":"N","n":1,"weight":0,"kappa":[],'
+                 '"dplus":1,"dminus":0}'],
+    "check-w-above-cap": ["check", "main1", "--n", "8",
+                          f"--w={-cli.MAX_W - 2}"],
+    "m-too-long": ["check", "main1", "--n", "8",
+                   "--m", "1" * cli.MAX_FRACTION_CHARS + "/2"],
+    "m-exponent": ["check", "main1", "--n", "8", "--m", "1e99999999"],
+    "u-too-long": ["classify", "--pi", '{"n":2,"kappa":[4],"w":0}',
+                   "--delta", "0", "--u", "1" * (cli.MAX_FRACTION_CHARS + 1)],
+    "nested-payload": ["critical", "--pi", "[" * 100_000, "--sigma", "{}"],
+    "nested-db": ["check", "--db", "@nested.json", "--script", "[]"],
 }
 
 
@@ -251,6 +272,7 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "no_citation.json").write_text(
         '{"relations": [{"name": "r", "lhs": [], "rhs": []}]}')
     (tmp_path / "empty.json").write_text('{"relations": []}')
+    (tmp_path / "nested.json").write_text("[" * 100_000)
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2

@@ -1,5 +1,6 @@
 """Tests for the formal period group, relation constructors and replays."""
 
+import time
 import warnings
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodcalc import formal
+from periodcalc import formal, weil_real
 from periodcalc import period_algebra as pa
 from periodcalc.formal import (ATOM_I, FormalPeriod, atom_bw, atom_from_json,
                                atom_gauss, atom_lval, gauss_fp,
@@ -166,6 +167,17 @@ def test_main1_step_negative_control():
     res = pa.check_main1_step(6, 0, 0, 1, corrupt=True)
     assert not res.is_ok
     assert res.offending_atom() == "Gauss(omega_Pi)"
+
+
+def test_main1_step_at_rank_255_is_fast_and_builds_no_tensor(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("the tensor parameter was built")
+
+    monkeypatch.setattr(weil_real, "tensor", refuse)
+    pa._critical_set.cache_clear()  # as cold as in a fresh process
+    start = time.monotonic()
+    assert pa.check_main1_step(255, 0, 1, 1).is_ok
+    assert time.monotonic() - start < 0.5
 
 
 def test_corollary_branches():
