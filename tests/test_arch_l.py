@@ -75,7 +75,8 @@ def _raghuram_interval(pi, sigma) -> list:
     Z + n'/2 in [(2 - w - u - d)/2, (d - w - u)/2], where d is the least
     |k - l| over the kappa of pi and the kappa of sigma (with l = 1 added
     for an odd-rank sigma)."""
-    assert pi.n % 2 == 0
+    if pi.n % 2:
+        raise ValueError("Raghuram's interval needs an even-rank pi")
     d = min([abs(k - l) for k in pi.kappa for l in sigma.kappa]
             + [k - 1 for k in pi.kappa if sigma.n % 2])
     lo = Fraction(2 - pi.w - sigma.w - d, 2)
@@ -130,6 +131,18 @@ def test_closed_form_matches_brute_force_examples():
     for pi, sigma in pairs:
         assert _raghuram_interval(pi, sigma) == arch_l.critical_points(pi,
                                                                       sigma)
+
+
+def test_closed_form_requires_even_rank():
+    """At an odd rank of pi the critical points lie on Z + (n + n')/2, the
+    other coset from the Z + n'/2 of Raghuram's interval, so the interval
+    is refused there."""
+    pi, sigma = InfinityType(3, (5,), 0), InfinityType(2, (3,), 1)
+    with pytest.raises(ValueError):
+        _raghuram_interval(pi, sigma)
+    pts = arch_l.critical_points(pi, sigma)
+    assert pts == [Fraction(-1, 2), Fraction(1, 2)]
+    assert all((m - Fraction(sigma.n, 2)).denominator == 2 for m in pts)
 
 
 def test_central_point():

@@ -63,7 +63,9 @@ def test_critical_gl2(capsys):
     assert data["central_point"] == "1/2" and data["central_is_critical"]
 
 
-def test_critical_builds_no_tensor_parameter(capsys, monkeypatch):
+def test_critical_builds_the_tensor_parameter_once(capsys, monkeypatch):
+    """critical builds the pair's tensor parameter at most once; reading the
+    critical set from the types, it now builds it not at all."""
     calls = []
     tensor = weil_real.tensor
 
