@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+from .infinity_types import json_int, json_str
 from .weil_real import as_fraction
 
 
@@ -87,15 +88,16 @@ def atom_dci(label: str, i: int) -> PeriodAtom:
     return PeriodAtom("DCi", (label, int(i)))
 
 
-# kind -> (constructor, payload types as read from JSON)
+# kind -> (constructor, payload types as read from JSON); the constructors
+# of ArchZ and LVal read their str point with as_fraction
 _ATOMS = {
-    "BW": (atom_bw, (str, int)),
-    "Gauss": (atom_gauss, (str,)),
-    "ArchZ": (atom_archz, (as_fraction, str)),
-    "LVal": (atom_lval, (as_fraction, str)),
-    "Delta": (atom_delta, (str,)),
-    "DC": (atom_dc, (str, int)),
-    "DCi": (atom_dci, (str, int)),
+    "BW": (atom_bw, (json_str, json_int)),
+    "Gauss": (atom_gauss, (json_str,)),
+    "ArchZ": (atom_archz, (json_str, json_str)),
+    "LVal": (atom_lval, (json_str, json_str)),
+    "Delta": (atom_delta, (json_str,)),
+    "DC": (atom_dc, (json_str, json_int)),
+    "DCi": (atom_dci, (json_str, json_int)),
     "TwoPiI": (lambda: ATOM_TWO_PI_I, ()),
     "I": (lambda: ATOM_I, ()),
 }
@@ -147,9 +149,6 @@ class FormalPeriod:
 
     def __mul__(self, other: "FormalPeriod") -> "FormalPeriod":
         return FormalPeriod(chain(self._exp.items(), other._exp.items()))
-
-    def inv(self) -> "FormalPeriod":
-        return self ** -1
 
     def __pow__(self, k: int) -> "FormalPeriod":
         k = int(k)
@@ -209,9 +208,6 @@ class Relation:
         if not self.name or not self.citation:
             raise ValueError("relation needs a name and a citation")
 
-    def quotient(self) -> FormalPeriod:
-        return replay(((self, 1),))
-
 
 def replay(steps) -> FormalPeriod:
     """The product of the quotients lhs/rhs of (relation, exponent) steps,
@@ -241,7 +237,10 @@ def atom_from_json(data: dict) -> PeriodAtom:
     if len(payload) != len(types):
         raise ValueError(f"{kind} atom needs {len(types)} payload entries, "
                          f"got {len(payload)}")
-    return make(*(t(p) for t, p in zip(types, payload)))
+    try:
+        return make(*(t(p) for t, p in zip(types, payload)))
+    except TypeError as exc:
+        raise ValueError(f"bad {kind} payload: {exc}") from exc
 
 
 def period_to_json(p: FormalPeriod) -> list:
@@ -249,7 +248,7 @@ def period_to_json(p: FormalPeriod) -> list:
 
 
 def period_from_json(data) -> FormalPeriod:
-    return FormalPeriod((atom_from_json(atom), int(e)) for atom, e in data)
+    return FormalPeriod((atom_from_json(a), json_int(e)) for a, e in data)
 
 
 def relation_to_json(r: Relation) -> dict:
@@ -259,7 +258,7 @@ def relation_to_json(r: Relation) -> dict:
 
 def relation_from_json(data: dict) -> Relation:
     try:
-        return Relation(data["name"], data["citation"],
+        return Relation(json_str(data["name"]), json_str(data["citation"]),
                         period_from_json(data["lhs"]),
                         period_from_json(data["rhs"]))
     except (KeyError, TypeError) as exc:

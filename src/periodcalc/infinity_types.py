@@ -87,6 +87,13 @@ def json_int(x) -> int:
     return x
 
 
+def json_str(x) -> str:
+    """A string field of a JSON payload; any other value is a TypeError."""
+    if not isinstance(x, str):
+        raise TypeError(f"expected a string, got {x!r}")
+    return x
+
+
 def is_pure(mu: DominantWeight) -> bool:
     e, n = mu.entries, mu.n
     s = e[0] + e[-1]
@@ -99,9 +106,6 @@ def weight_to_infinity(mu: DominantWeight) -> InfinityType:
         raise ValueError("weight is not pure")
     e, n = mu.entries, mu.n
     w = -e[0] - e[-1]
-    if n % 2 and w % 2:
-        # cannot happen for an integral pure weight, kept as a guard
-        raise ValueError("w must be even for odd rank")
     r = n // 2
     kappa = tuple(2 * e[i] + n + 2 - 2 * (i + 1) + w for i in range(r))
     if r and kappa[-1] < 2:
@@ -137,26 +141,12 @@ def is_balanced(pi: InfinityType, sigma: InfinityType) -> bool:
     return interlaces(pi.kappa, sigma.kappa)
 
 
-@dataclass(frozen=True)
-class Regularity:
-    kappa: tuple
-    min_kappa_ok: bool
-
-    def gap_regular(self, k: int) -> bool:
-        gaps = [self.kappa[i] - self.kappa[i + 1]
-                for i in range(len(self.kappa) - 1)]
-        return all(g >= k for g in gaps)
-
-
-def regularity(t: InfinityType) -> Regularity:
-    bound = 3 if t.n % 2 == 0 else 5
-    ok = (not t.kappa) or min(t.kappa) >= bound
-    return Regularity(t.kappa, ok)
-
-
-def required_gap(t: InfinityType) -> int:
-    """Gap-regularity needed by the duality theorem: 4, or 6 when n, w both even."""
-    return 6 if (t.n % 2 == 0 and t.w % 2 == 0) else 4
+def is_regular(t: InfinityType) -> bool:
+    """The duality theorem's regularity: kappa_r >= 3 (n even) or 5 (n odd),
+    and every gap kappa_i - kappa_{i+1} >= 4, or 6 when n and w are even."""
+    gap = 6 if t.n % 2 == 0 and t.w % 2 == 0 else 4
+    return ((not t.kappa or t.kappa[-1] >= (3 if t.n % 2 == 0 else 5))
+            and all(a - b >= gap for a, b in zip(t.kappa, t.kappa[1:])))
 
 
 def to_arch_rep(t: InfinityType) -> ArchRep:

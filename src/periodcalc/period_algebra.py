@@ -19,8 +19,8 @@ from .formal import (ATOM_I, FormalPeriod, PeriodAtom, Relation, RelationDB,
                      atom_archz, atom_bw, atom_dc, atom_dci, atom_delta,
                      atom_lval, char_inv, char_mul, char_pow, check_script,
                      gauss_fp, replay)
-from .infinity_types import (InfinityType, is_balanced, regularity,
-                             required_gap, signature, twist)
+from .infinity_types import (InfinityType, is_balanced, is_regular,
+                             signature, twist)
 from .weil_real import as_fraction
 from .yoshida import (FundamentalMonomial, MotiveShape, delta_tensor,
                       dual_label, dual_motive, dual_relation,
@@ -156,13 +156,11 @@ def rel_arch_iparity(m1, m2, pi: GlobalRep, sigma: GlobalRep) -> Relation:
 
 
 def rel_twist(m, pi: GlobalRep, sigma: GlobalRep, w1: int, w2: int,
-              twisted_label: str = None) -> Relation:
+              twisted_label: str) -> Relation:
     """p(m, twisted pair) = p(m + w1 + w2, pair) up to rationals."""
     m = as_fraction(m)
     _require_critical(m + w1 + w2 + Fraction(1, 2), pi, sigma)
     pair = pair_label(pi, sigma)
-    if twisted_label is None:
-        twisted_label = f"({pi.label}(x)|.|^{w1})x({sigma.label}(x)|.|^{w2})"
     lhs = FormalPeriod.atom(atom_archz(m, twisted_label))
     rhs = FormalPeriod.atom(atom_archz(m + w1 + w2, pair))
     return Relation(f"arch-twist[{m},{twisted_label}]",
@@ -171,15 +169,13 @@ def rel_twist(m, pi: GlobalRep, sigma: GlobalRep, w1: int, w2: int,
 
 
 def rel_rs_twist(pi: GlobalRep, eta_expr: dict, eta_delta: int, eta_u: int,
-                 eps: int, twisted_label: str = None) -> Relation:
+                 eps: int, twisted_label: str) -> Relation:
     """p(Pi (x) eta, eps) = G(eta)^{n(2n-1)} p(Pi, eps * eps(eta_inf))."""
     rank = pi.inf.n
     if rank % 2:
         raise ValueError("character-twist relation requires even rank")
     n = rank // 2
     eps_eta = -1 if (eta_u + eta_delta) % 2 else 1
-    if twisted_label is None:
-        twisted_label = f"{pi.label}(x){_char_render(eta_expr)}"
     lhs = FormalPeriod.atom(atom_bw(twisted_label, eps))
     rhs = (gauss_fp(char_pow(eta_expr, n * (2 * n - 1)))
            * FormalPeriod.atom(atom_bw(pi.label, eps * eps_eta)))
@@ -189,8 +185,7 @@ def rel_rs_twist(pi: GlobalRep, eta_expr: dict, eta_delta: int, eta_u: int,
 
 def rel_main1(pi: GlobalRep, eps: int) -> Relation:
     """p(Pi, eps) = G(omega_Pi)^{n-1} p(Pi^v, eps)."""
-    reg = regularity(pi.inf)
-    if not (reg.min_kappa_ok and reg.gap_regular(required_gap(pi.inf))):
+    if not is_regular(pi.inf):
         warnings.warn(f"regularity hypotheses unmet for {pi.label}",
                       stacklevel=2)
     n = pi.inf.n
@@ -394,18 +389,6 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
     return _compose(steps, i_parity=(ipow * nprime) % 2)
 
 
-def _motivic_pair(n: int, i: int):
-    r = n // 2
-    kappa = tuple(4 * (r - j) + 5 for j in range(r))
-    if n % 2 == 0:
-        dplus = dminus = r
-    else:
-        dplus, dminus = r + 1, r
-    M = MotiveShape("M", n, 0, kappa, dplus, dminus)
-    N = MotiveShape(f"N{i}", 2, 0, (kappa[i] + 2,), 1, 1)
-    return M, N
-
-
 def check_motivic_dual(n: int, i: int = None,
                        corrupt: bool = False) -> CheckResult:
     """Replay c_i(M^v) = delta(M)^{-2} c_i(M) through a rank-2 auxiliary N
@@ -415,13 +398,19 @@ def check_motivic_dual(n: int, i: int = None,
     r = n // 2
     if i is not None and not 1 <= i <= r - 1:
         raise ValueError("i must lie in 1..floor(n/2)-1")
+    kappa = tuple(4 * (r - j) + 5 for j in range(r))
+    dplus = r + n % 2
+    M = MotiveShape("M", n, 0, kappa, dplus, n - dplus)
+    Md = dual_motive(M)
+    fp = FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
+    fm = FundamentalMonomial(2, 1, 1, 0, (), 0, 1)
+    fdet = FundamentalMonomial(2, 1, 1, 1, (), 0, 0)
     steps = []
     for idx in [i] if i is not None else range(1, r):
-        M, N = _motivic_pair(n, idx)
-        Md, Nd = dual_motive(M), dual_motive(N)
+        N = MotiveShape(f"N{idx}", 2, 0, (kappa[idx] + 2,), 1, 1)
         mn = tensor_label(M, N)
         q1 = rank2_tensor_expansion(M, N, idx, 1)
-        q2 = rank2_tensor_expansion(Md, Nd, idx, -1)
+        q2 = rank2_tensor_expansion(Md, dual_motive(N), idx, -1)
         q3 = Relation(f"deligne-dual[{mn}]",
                       "duality of c^{+-} for the tensor product",
                       FormalPeriod.atom(atom_dc(dual_label(mn), -1)),
@@ -432,9 +421,6 @@ def check_motivic_dual(n: int, i: int = None,
             # delta(M x N) exponent on delta(N) off by one
             q_delta = _corrupted(q_delta,
                                  FormalPeriod.atom(atom_delta(N.label), -1))
-        fp = FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
-        fm = FundamentalMonomial(2, 1, 1, 0, (), 0, 1)
-        fdet = FundamentalMonomial(2, 1, 1, 1, (), 0, 0)
         q_dp = dual_relation(fp, N)   # rewrites c^-(N^v)
         q_dm = dual_relation(fm, N)   # rewrites c^+(N^v)
         q_ddet = dual_relation(fdet, N)
@@ -443,11 +429,9 @@ def check_motivic_dual(n: int, i: int = None,
                           FormalPeriod.atom(atom_dci(Md.label, idx)),
                           FormalPeriod.atom(atom_delta(M.label), -2)
                           * FormalPeriod.atom(atom_dci(M.label, idx)))
-        sub = [(q1, 1), (q2, -1), (q3, 1), (q_delta, -1), (q_ddet, -idx),
-               (q_dp, -(r - idx)), (q_dm, -(r - idx))]
-        if n % 2:
-            eps = M.dplus - M.dminus
-            sub.append((q_dp if eps == 1 else q_dm, -1))
-        sub.append((target, -1))
-        steps.extend(sub)
+        steps += [(q1, 1), (q2, -1), (q3, 1), (q_delta, -1), (q_ddet, -idx),
+                  (q_dp, -(r - idx)), (q_dm, -(r - idx))]
+        if n % 2:  # eps = d+ - d- = +1 for this M
+            steps.append((q_dp, -1))
+        steps.append((target, -1))
     return _compose(steps)

@@ -11,15 +11,23 @@ point anywhere.  Every value is immutable and every operation is pure.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
+
+
+_FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions and strings p or p/q (q nonzero, as
+    str(Fraction) writes them) to an exact Fraction; a string with a decimal
+    point, exponent, blank or '+' is a ValueError."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and not _FRACTION.fullmatch(x):
+        raise ValueError(f"not a fraction p/q: {x!r}")
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
@@ -224,29 +232,3 @@ def restrict_to_C(a: ArchRep) -> tuple:
             pairs.append((c.twist + h, c.twist - h))
             pairs.append((c.twist - h, c.twist + h))
     return tuple(sorted(pairs))
-
-
-def to_json(a: ArchRep) -> list:
-    out = []
-    for c in a:
-        if isinstance(c, ArchCharacter):
-            out.append({"char": {"sgn": c.sign_parity, "twist": str(c.twist)}})
-        else:
-            out.append({"disc": {"kappa": c.kappa, "twist": str(c.twist)}})
-    return out
-
-
-def from_json(data: Iterable) -> ArchRep:
-    out = []
-    for entry in data:
-        if not isinstance(entry, dict) or len(entry) != 1:
-            raise ValueError(f"bad constituent entry: {entry!r}")
-        if "char" in entry:
-            d = entry["char"]
-            out.append(ArchCharacter(int(d["sgn"]), as_fraction(d["twist"])))
-        elif "disc" in entry:
-            d = entry["disc"]
-            out.append(ArchDiscrete(int(d["kappa"]), as_fraction(d["twist"])))
-        else:
-            raise ValueError(f"bad constituent entry: {entry!r}")
-    return ArchRep(tuple(out))

@@ -23,39 +23,6 @@ class AdmissibleTypeTag:
     kplus: int
     kminus: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-
-    def __add__(self, other: "AdmissibleTypeTag") -> "AdmissibleTypeTag":
-        if len(self.a) != len(other.a):
-            raise ValueError("type tags of different ranks")
-        return AdmissibleTypeTag(tuple(x + y for x, y in zip(self.a, other.a)),
-                                 self.kplus + other.kplus,
-                                 self.kminus + other.kminus)
-
-    def scale(self, c: int) -> "AdmissibleTypeTag":
-        return AdmissibleTypeTag(tuple(c * x for x in self.a),
-                                 c * self.kplus, c * self.kminus)
-
-
-def generator_type(g: str, n: int, dplus: int = None, dminus: int = None,
-                   i: int = None) -> AdmissibleTypeTag:
-    if g == "det":
-        return AdmissibleTypeTag((1,) * n, 1, 1)
-    if g == "f_plus":
-        if dplus is None:
-            raise ValueError("f_plus needs dplus")
-        return AdmissibleTypeTag((1,) * dplus + (0,) * (n - dplus), 1, 0)
-    if g == "f_minus":
-        if dminus is None:
-            raise ValueError("f_minus needs dminus")
-        return AdmissibleTypeTag((1,) * dminus + (0,) * (n - dminus), 0, 1)
-    if g == "f_i":
-        if i is None or not 1 <= i <= n // 2 - 1:
-            raise ValueError("f_i needs 1 <= i <= floor(n/2)-1")
-        return AdmissibleTypeTag((2,) * i + (1,) * (n - 2 * i) + (0,) * i, 1, 1)
-    raise ValueError(f"unknown generator: {g!r}")
-
 
 @dataclass(frozen=True)
 class FundamentalMonomial:
@@ -78,12 +45,20 @@ class FundamentalMonomial:
 
 
 def monomial_type(m: FundamentalMonomial) -> AdmissibleTypeTag:
-    tag = generator_type("det", m.n).scale(m.m0)
-    for idx, e in enumerate(m.mi, start=1):
-        tag = tag + generator_type("f_i", m.n, i=idx).scale(e)
-    tag = tag + generator_type("f_plus", m.n, dplus=m.dplus).scale(m.mplus)
-    tag = tag + generator_type("f_minus", m.n, dminus=m.dminus).scale(m.mminus)
-    return tag
+    """The type (a; k+, k-) of m, summed in one pass over its exponents;
+    the generators have the types
+        det    (1^n; 1, 1)
+        f^+    (1^{d+} 0^{n-d+}; 1, 0)
+        f^-    (1^{d-} 0^{n-d-}; 0, 1)
+        f_i    (2^i 1^{n-2i} 0^i; 1, 1)
+    so f_i^e adds e to a_j (j from 0) for j < i, and again for j < n - i.
+    """
+    a = tuple(m.m0 + m.mplus * (j < m.dplus) + m.mminus * (j < m.dminus)
+              + sum(e * ((j < i) + (j < m.n - i))
+                    for i, e in enumerate(m.mi, start=1))
+              for j in range(m.n))
+    k = m.m0 + sum(m.mi)
+    return AdmissibleTypeTag(a, k + m.mplus, k + m.mminus)
 
 
 def dual_monomial(m: FundamentalMonomial) -> FundamentalMonomial:
@@ -132,17 +107,13 @@ class MotiveShape:
         if self.n % 2 == 0 and self.dplus != self.dminus:
             raise ValueError("d+ = d- for even rank")
 
-    @property
-    def has_middle(self) -> bool:
-        return self.n % 2 == 1
-
     def hodge_types(self) -> tuple:
         out = []
         for k in self.kappa:
             p = (1 - k + self.weight) // 2
             q = (k - 1 + self.weight) // 2
             out.extend([(p, q), (q, p)])
-        if self.has_middle:
+        if self.n % 2:
             out.append((self.weight // 2, self.weight // 2))
         return tuple(sorted(out))
 

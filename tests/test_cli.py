@@ -107,6 +107,18 @@ def test_classify_branches(capsys):
     assert data["hom_sym2"] == 0 and data["hom_wedge2"] == 0
 
 
+def test_classify_rejects_a_fractional_u_before_any_work(capsys,
+                                                        monkeypatch):
+    def refuse(param):
+        raise AssertionError("Sym^2 built for a rejected --u")
+    monkeypatch.setattr(weil_real, "sym2", refuse)
+    code, out, err = run(capsys, "classify", "--pi",
+                         '{"n":4,"kappa":[9,5],"w":1}', "--delta", "0",
+                         "--u", "1/2")
+    assert (code, out) == (1, "")
+    assert err == "error: chi twist must be integral for the sign epsilon\n"
+
+
 def test_deligne_renders_relation(capsys):
     code, data, _ = run_json(
         capsys, "deligne",
@@ -269,12 +281,41 @@ MALFORMED = {
 }
 
 
+def _db_file(lhs=(), name="r"):
+    return json.dumps({"relations": [{"name": name, "citation": "c",
+                                      "lhs": list(lhs), "rhs": []}]})
+
+
+def _atom(kind, *payload):
+    return {"kind": kind, "payload": list(payload)}
+
+
+# --db files that each hold one bad field; the file name is the case id
+MALFORMED_DB = {
+    "db-infinite-exponent": _db_file([[_atom("TwoPiI"), float("inf")]]),
+    "db-infinite-index": _db_file([[_atom("DCi", "M", float("inf")), 1]]),
+    "db-zero-denominator-lval": _db_file([[_atom("LVal", "1/0", "P"), 1]]),
+    "db-zero-denominator-archz": _db_file([[_atom("ArchZ", "1/0", "P"), 1]]),
+    "db-list-name": _db_file(name=["r"]),
+    "db-exponent-notation": _db_file(
+        [[_atom("ArchZ", "1e999999999", "P"), 1]]),
+    "db-float-exponent": _db_file([[_atom("TwoPiI"), 1.9]]),
+    "db-float-sign": _db_file([[_atom("BW", "P", 1.9), 1]]),
+    "db-string-exponent": _db_file([[_atom("TwoPiI"), "3"]]),
+}
+MALFORMED.update({case: ["check", "--db", f"@{case}.json", "--script",
+                         '[{"relation": "r", "exponent": 1}]']
+                  for case in MALFORMED_DB})
+
+
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "no_citation.json").write_text(
         '{"relations": [{"name": "r", "lhs": [], "rhs": []}]}')
     (tmp_path / "empty.json").write_text('{"relations": []}')
     (tmp_path / "nested.json").write_text("[" * 100_000)
+    for case, text in MALFORMED_DB.items():
+        (tmp_path / f"{case}.json").write_text(text)
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2

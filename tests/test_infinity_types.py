@@ -118,9 +118,16 @@ def test_twist_shifts_w(t):
 
 
 def test_regularity_and_required_gap():
-    t = it.InfinityType(4, (9, 3), 1)
-    reg = it.regularity(t)
-    assert reg.min_kappa_ok and reg.gap_regular(6) and not reg.gap_regular(7)
-    assert it.required_gap(t) == 4
-    assert it.required_gap(it.InfinityType(4, (8, 2), 0)) == 6
-    assert not it.regularity(it.InfinityType(2, (2,), 0)).min_kappa_ok
+    def regular(n, kappa, w):
+        return it.is_regular(it.InfinityType(n, kappa, w))
+    # kappa_r >= 3 at even rank
+    assert regular(2, (3,), 1) and not regular(2, (2,), 0)
+    # kappa_r >= 5 at odd rank
+    assert regular(3, (5,), 0) and not regular(3, (3,), 0)
+    # gap 4 for odd w, and at odd rank
+    assert regular(4, (7, 3), 1) and not regular(4, (5, 3), 1)
+    assert regular(5, (9, 5), 0) and not regular(5, (7, 5), 0)
+    # gap 6 when n and w are both even
+    assert regular(4, (10, 4), 0) and not regular(4, (8, 4), 0)
+    # rank 1 has no kappa and is regular
+    assert regular(1, (), 0)

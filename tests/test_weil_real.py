@@ -149,12 +149,6 @@ def test_dual_is_involutive(a):
 
 
 @settings(max_examples=100, deadline=None)
-@given(reps)
-def test_json_round_trip(a):
-    assert wr.from_json(wr.to_json(a)) == a
-
-
-@settings(max_examples=100, deadline=None)
 @given(st.lists(constituents, min_size=0, max_size=4))
 def test_canonical_form_is_order_independent(cs):
     assert wr.rep(*cs) == wr.rep(*reversed(cs))

@@ -1,22 +1,58 @@
 """Tests for admissible-polynomial types, motives and period relations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodcalc import yoshida as y
 from periodcalc.formal import FormalPeriod, atom_dc, atom_dci, atom_delta
 from periodcalc.infinity_types import InfinityType
 
 
+def _reference_type(m):
+    """The type of m as the sum of its generators' types, each scaled by
+    its exponent: the generator table, kept here as the reference."""
+    n = m.n
+    table = [((1,) * n, 1, 1, m.m0),
+             ((1,) * m.dplus + (0,) * (n - m.dplus), 1, 0, m.mplus),
+             ((1,) * m.dminus + (0,) * (n - m.dminus), 0, 1, m.mminus)]
+    table += [((2,) * i + (1,) * (n - 2 * i) + (0,) * i, 1, 1, e)
+              for i, e in enumerate(m.mi, start=1)]
+    return y.AdmissibleTypeTag(
+        tuple(sum(e * a[j] for a, _, _, e in table) for j in range(n)),
+        sum(e * kp for _, kp, _, e in table),
+        sum(e * km for _, _, km, e in table))
+
+
 def test_generator_types():
-    assert y.generator_type("det", 4) == y.AdmissibleTypeTag((1, 1, 1, 1), 1, 1)
-    assert (y.generator_type("f_plus", 4, dplus=2)
+    mono = y.FundamentalMonomial
+    assert (y.monomial_type(mono(4, 2, 2, m0=1, mi=(0,)))
+            == y.AdmissibleTypeTag((1, 1, 1, 1), 1, 1))
+    assert (y.monomial_type(mono(4, 2, 2, mi=(0,), mplus=1))
             == y.AdmissibleTypeTag((1, 1, 0, 0), 1, 0))
-    assert (y.generator_type("f_minus", 5, dminus=2)
+    assert (y.monomial_type(mono(5, 3, 2, mi=(0,), mminus=1))
             == y.AdmissibleTypeTag((1, 1, 0, 0, 0), 0, 1))
-    assert (y.generator_type("f_i", 6, i=2)
+    assert (y.monomial_type(mono(6, 3, 3, mi=(0, 1)))
             == y.AdmissibleTypeTag((2, 2, 1, 1, 0, 0), 1, 1))
     with pytest.raises(ValueError):
-        y.generator_type("f_i", 4, i=2)
+        mono(4, 2, 2, mi=(0, 1))  # rank 4 has f_1 only
+
+
+@st.composite
+def monomials(draw):
+    n = draw(st.integers(1, 12))
+    dplus = n // 2 + n % 2 * draw(st.integers(0, 1))
+    exps = st.integers(-3, 3)
+    r = max(n // 2 - 1, 0)
+    mi = draw(st.lists(exps, min_size=r, max_size=r))
+    return y.FundamentalMonomial(n, dplus, n - dplus, draw(exps), tuple(mi),
+                                 draw(exps), draw(exps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials())
+def test_monomial_type_is_the_sum_of_generator_types(m):
+    assert y.monomial_type(m) == _reference_type(m)
 
 
 def test_f_bw_type_at_rank_4():
