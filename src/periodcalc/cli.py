@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import arch_l, period_algebra, weil_real, yoshida
-from .formal import char_inv, char_mul, char_pow
+from .formal import gauss_fp
 from .infinity_types import (DominantWeight, InfinityType, infinity_to_weight,
                              to_arch_rep, weight_to_infinity)
 from .weil_real import as_fraction
@@ -151,7 +151,7 @@ def cmd_classify(args) -> int:
     u = _parse_fraction(args.u, "--u")
     if u.denominator != 1:
         raise ValueError("chi twist must be integral for the sign epsilon")
-    chi = weil_real.char(args.delta % 2, u)
+    chi = weil_real.char(args.delta, u)
     param = to_arch_rep(pi)
     d_sym = weil_real.hom_dim(weil_real.sym2(param), chi)
     d_wedge = weil_real.hom_dim(weil_real.wedge2(param), chi)
@@ -266,19 +266,18 @@ def cmd_asai(args) -> int:
     hyp_ok = regular and min(k1, k2) >= bound
     # central character of the transfer: omega_pi0^2 * omega_F/Q * |.|^2;
     # the orthogonality character chi = omega_pi0 * |.| gives
-    # chi^2 * omega^-1 = omega_F/Q^-1, quadratic, so its Gauss class is
-    # Gauss(omega_F/Q)
-    omega = {"omega_pi0": 2, "omega_F/Q": 1}
-    chi = {"omega_pi0": 1}
-    quad = char_mul(char_pow(chi, 2), char_inv(omega))
-    gauss = {k: -v % 2 for k, v in quad.items() if v % 2}
+    # chi^2 * omega^-1 = omega_F/Q^-1, quadratic, so its Gauss atoms are
+    # the labels of odd exponent: Gauss(omega_F/Q)
+    quad = (gauss_fp({"omega_pi0": 1}) ** 2
+            * gauss_fp({"omega_pi0": 2, "omega_F/Q": 1}) ** -1)
+    gauss = [a.payload[0] for a, e in quad.items() if e % 2]
     payload = {"kappa": list(kappa), "w": w, "n": 4, "regular": regular,
                "hypotheses_met": hyp_ok, "verdict": "orthogonal",
-               "gauss_atoms": sorted(gauss)}
+               "gauss_atoms": gauss}
     human = (f"transfer type (kappa={list(kappa)}; w={w}) on GL(4); "
              f"{'regular' if regular else 'NOT regular'}, hypotheses "
              f"{'met' if hyp_ok else 'unmet'}; orthogonal with Gauss atom(s) "
-             f"{', '.join(sorted(gauss))}")
+             f"{', '.join(gauss)}")
     _emit(args, payload, human)
     return 0
 
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("classify", help="orthogonal/symplectic verdict")
     s.add_argument("--pi", required=True, help="infinity-type JSON")
-    s.add_argument("--delta", type=int, required=True,
+    s.add_argument("--delta", type=int, choices=(0, 1), required=True,
                    help="sign parity of chi_inf")
     s.add_argument("--u", default="0", help="twist exponent of chi_inf")
     s.set_defaults(func=cmd_classify)

@@ -177,24 +177,10 @@ class FormalPeriod:
 
 
 def gauss_fp(expr: dict) -> FormalPeriod:
-    """Gauss-sum class of a character written multiplicatively over base
-    labels, e.g. {"chi": n, "omega_Pi": -1} for G(chi^n omega_Pi^{-1})."""
+    """Gauss-sum class of a character over base labels, e.g. {"chi": n,
+    "omega_Pi": -1} for G(chi^n omega_Pi^{-1}); G is multiplicative, so
+    characters multiply, invert and take powers as their classes do."""
     return FormalPeriod((atom_gauss(lbl), e) for lbl, e in expr.items())
-
-
-def char_mul(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def char_inv(a: dict) -> dict:
-    return {k: -v for k, v in a.items()}
-
-
-def char_pow(a: dict, n: int) -> dict:
-    return {k: n * v for k, v in a.items() if n * v}
 
 
 @dataclass(frozen=True)

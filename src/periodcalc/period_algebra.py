@@ -17,8 +17,7 @@ from functools import lru_cache
 from . import arch_l
 from .formal import (ATOM_I, FormalPeriod, PeriodAtom, Relation, RelationDB,
                      atom_archz, atom_bw, atom_dc, atom_dci, atom_delta,
-                     atom_lval, char_inv, char_mul, char_pow, check_script,
-                     gauss_fp, replay)
+                     atom_lval, check_script, gauss_fp, replay)
 from .infinity_types import (InfinityType, is_balanced, is_regular,
                              signature, twist)
 from .weil_real import as_fraction
@@ -38,36 +37,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GlobalRep:
-    """A labeled cuspidal representation: archimedean data plus the central
-    character written multiplicatively over base character labels."""
+    """A labeled cuspidal representation: archimedean data plus the Gauss
+    class of its central character (see formal.gauss_fp)."""
 
     label: str
     inf: InfinityType
-    omega: tuple  # frozen dict items of the central-character expression
-
-    def __post_init__(self):
-        if isinstance(self.omega, dict):
-            object.__setattr__(self, "omega",
-                               tuple(sorted(self.omega.items())))
-
-    @property
-    def omega_expr(self) -> dict:
-        return dict(self.omega)
+    omega: FormalPeriod
 
     def dual(self) -> "GlobalRep":
         return GlobalRep(dual_label(self.label),
-                         twist(self.inf, 0, -self.inf.w),
-                         char_inv(self.omega_expr))
+                         twist(self.inf, 0, -self.inf.w), self.omega ** -1)
 
 
 def pair_label(pi: GlobalRep, sigma: GlobalRep) -> str:
     return f"{pi.label}x{sigma.label}"
 
 
-def _char_render(expr: dict) -> str:
-    if not expr:
+def _char_render(g: FormalPeriod) -> str:
+    """The character of a Gauss class, e.g. chi^1*omega_Pi^-1."""
+    if g.is_trivial:
         return "1"
-    return "*".join(f"{k}^{v}" for k, v in sorted(expr.items()))
+    return "*".join(f"{a.payload[0]}^{e}" for a, e in g.items())
 
 
 # one check asks five times for the critical set of (Pi, Sigma) and once
@@ -108,7 +98,7 @@ def rel_raghuram(m, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     pair = pair_label(pi, sigma)
     lhs = FormalPeriod.atom(atom_lval(m + Fraction(1, 2), pair))
     rhs = (FormalPeriod.atom(atom_archz(m, pair))
-           * gauss_fp(sigma.omega_expr)
+           * sigma.omega
            * FormalPeriod.atom(atom_bw(pi.label, eps))
            * FormalPeriod.atom(atom_bw(sigma.label, eps_prime)))
     return Relation(f"raghuram[m={m},{pair}]",
@@ -129,8 +119,8 @@ def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     dual_pair = pair_label(pi.dual(), sigma.dual())
     lhs = FormalPeriod.atom(atom_lval(m0, pair))
     rhs = (FormalPeriod.atom(ATOM_I, parity)
-           * gauss_fp(char_pow(pi.omega_expr, sigma.inf.n))
-           * gauss_fp(char_pow(sigma.omega_expr, pi.inf.n))
+           * pi.omega ** sigma.inf.n
+           * sigma.omega ** pi.inf.n
            * FormalPeriod.atom(atom_lval(1 - m0, dual_pair)))
     return Relation(f"duality-ratio[m0={m0},{pair}]",
                     "functional-equation ratio under duality", lhs, rhs)
@@ -168,8 +158,8 @@ def rel_twist(m, pi: GlobalRep, sigma: GlobalRep, w1: int, w2: int,
                     lhs, rhs)
 
 
-def rel_rs_twist(pi: GlobalRep, eta_expr: dict, eta_delta: int, eta_u: int,
-                 eps: int, twisted_label: str) -> Relation:
+def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
+                 eta_u: int, eps: int, twisted_label: str) -> Relation:
     """p(Pi (x) eta, eps) = G(eta)^{n(2n-1)} p(Pi, eps * eps(eta_inf))."""
     rank = pi.inf.n
     if rank % 2:
@@ -177,7 +167,7 @@ def rel_rs_twist(pi: GlobalRep, eta_expr: dict, eta_delta: int, eta_u: int,
     n = rank // 2
     eps_eta = -1 if (eta_u + eta_delta) % 2 else 1
     lhs = FormalPeriod.atom(atom_bw(twisted_label, eps))
-    rhs = (gauss_fp(char_pow(eta_expr, n * (2 * n - 1)))
+    rhs = (eta ** (n * (2 * n - 1))
            * FormalPeriod.atom(atom_bw(pi.label, eps * eps_eta)))
     return Relation(f"rs-twist[{twisted_label},{eps:+d}]",
                     "character twist of Betti-Whittaker periods", lhs, rhs)
@@ -190,19 +180,19 @@ def rel_main1(pi: GlobalRep, eps: int) -> Relation:
                       stacklevel=2)
     n = pi.inf.n
     lhs = FormalPeriod.atom(atom_bw(pi.label, eps))
-    rhs = (gauss_fp(char_pow(pi.omega_expr, n - 1))
+    rhs = (pi.omega ** (n - 1)
            * FormalPeriod.atom(atom_bw(dual_label(pi.label), eps)))
     return Relation(f"main1[{pi.label},{eps:+d}]",
                     "period relation under duality", lhs, rhs)
 
 
-def rel_corollary_main(label: str, gexp: dict) -> Relation:
-    """p(Pi, +) = G(chi^n omega_Pi^{-1}) p(Pi, -), with gexp the character
-    chi^n omega_Pi^{-1} over base labels."""
+def rel_corollary_main(label: str, gexp: FormalPeriod) -> Relation:
+    """p(Pi, +) = G(chi^n omega_Pi^{-1}) p(Pi, -), with gexp the Gauss class
+    of chi^n omega_Pi^{-1}."""
     return Relation(f"corollary-main[{label}]",
                     "sign change of Betti-Whittaker periods",
                     FormalPeriod.atom(atom_bw(label, 1)),
-                    gauss_fp(gexp) * FormalPeriod.atom(atom_bw(label, -1)))
+                    gexp * FormalPeriod.atom(atom_bw(label, -1)))
 
 
 def rel_gauss_pair(label: str) -> Relation:
@@ -217,12 +207,11 @@ def rel_gauss_pair(label: str) -> Relation:
                     lhs, FormalPeriod.unit())
 
 
-def rel_quadratic(expr: dict) -> Relation:
+def rel_quadratic(g: FormalPeriod) -> Relation:
     """G(chi) class is 2-torsion for a quadratic character chi."""
-    lhs = gauss_fp(char_pow(expr, 2))
-    return Relation(f"central-character-quadratic[{_char_render(expr)}]",
+    return Relation(f"central-character-quadratic[{_char_render(g)}]",
                     "Gauss sum of a quadratic character is algebraic",
-                    lhs, FormalPeriod.unit())
+                    g ** 2, FormalPeriod.unit())
 
 
 @dataclass(frozen=True)
@@ -270,9 +259,10 @@ def _main1_pair(n: int, w: int, delta: int, m: int):
     gprime = gap if kap_par == 1 else gap + 1  # keeps ell odd
     n_ell = r if n % 2 else r - 1
     ell = tuple(kappa[j] - gprime for j in range(n_ell))
-    pi = GlobalRep("Pi", InfinityType(n, kappa, w, 0), {"omega_Pi": 1})
+    pi = GlobalRep("Pi", InfinityType(n, kappa, w, 0),
+                   gauss_fp({"omega_Pi": 1}))
     sigma = GlobalRep("Sigma", InfinityType(n - 1, ell, delta, 0),
-                      {"omega_Sigma": 1})
+                      gauss_fp({"omega_Sigma": 1}))
     return pi, sigma
 
 
@@ -315,7 +305,7 @@ def check_main1_step(n: int, w: int, delta: int, m,
     target = rel_main1(pi, eps)
     if corrupt:
         # Gauss exponent n-1 -> n-2 on the target
-        target = _corrupted(target, gauss_fp(char_inv(pi.omega_expr)))
+        target = _corrupted(target, pi.omega ** -1)
     return _compose([(q1, 1), (q2, -1), (q3, -1), (q4, -1), (q5, 1),
                      (q6, 1), (q7, 1), (target, 1)])
 
@@ -332,17 +322,18 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
     if n < 1:
         raise ValueError("n must be positive")
     kappa = tuple(8 + 6 * j for j in range(n, 0, -1))
-    pi = GlobalRep("Pi", InfinityType(2 * n, kappa, 0, 0), {"omega_Pi": 1})
-    chi = dict(chi_expr) if chi_expr else {"chi": 1}
+    pi = GlobalRep("Pi", InfinityType(2 * n, kappa, 0, 0),
+                   gauss_fp({"omega_Pi": 1}))
+    chi = gauss_fp(chi_expr or {"chi": 1})
     eta_delta = 1 if orthogonal else 0
     q_a = rel_main1(pi, 1)
-    q_b = rel_rs_twist(pi, char_inv(chi), eta_delta, 0, 1,
+    q_b = rel_rs_twist(pi, chi ** -1, eta_delta, 0, 1,
                        twisted_label=dual_label(pi.label))
-    gexp = char_mul(char_pow(chi, n), char_inv(pi.omega_expr))
+    gexp = chi ** n * pi.omega ** -1
     q_quad = rel_quadratic(gexp)
     target = rel_corollary_main(pi.label, gexp)
     if corrupt:
-        target = _corrupted(target, gauss_fp(chi))
+        target = _corrupted(target, chi)
     return _compose([(q_a, 1), (q_b, 1), (target, -1), (q_quad, -n)])
 
 
@@ -360,7 +351,7 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
         raise ValueError("ranks must be positive")
     if nprime % 2 == 0:
         return CheckResult(FormalPeriod.unit())
-    chi, omega = {"chi": 1}, {"omega_Pi": 1}
+    chi, omega = gauss_fp({"chi": 1}), gauss_fp({"omega_Pi": 1})
     pair = "PixSigma"
     m0 = Fraction(nprime, 2)
     ipow = n if include_i_power else 0
@@ -372,17 +363,17 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
                     FormalPeriod.atom(atom_lval(m0, pair)),
                     FormalPeriod.atom(atom_lval(m0 + 1, pair))
                     * rel_period ** nprime)
-    gexp = char_mul(char_pow(chi, n), char_inv(omega))
+    gexp = chi ** n * omega ** -1
     q_c = rel_corollary_main("Pi", gexp)
     q_quad = rel_quadratic(gexp)
     target_rhs = (FormalPeriod.atom(ATOM_I, ipow * nprime)
-                  * gauss_fp(char_pow(gexp, nprime))
+                  * gexp ** nprime
                   * FormalPeriod.atom(atom_lval(m0 + 1, pair)))
     target = Relation(f"theorem-main2[{pair}]",
                       "ratio of successive critical values",
                       FormalPeriod.atom(atom_lval(m0, pair)), target_rhs)
     if corrupt:
-        target = _corrupted(target, gauss_fp(chi))
+        target = _corrupted(target, chi)
     steps = [(q_hr, 1), (target, -1), (q_c, eps_num * nprime)]
     if eps_num == -1:
         steps.append((q_quad, -nprime))

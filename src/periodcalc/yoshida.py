@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .formal import (ATOM_TWO_PI_I, FormalPeriod, Relation, atom_dc, atom_dci,
                      atom_delta)
 from .infinity_types import (InfinityType, checked_kappa, interlaces, json_int,
-                             signature)
+                             json_str, signature)
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class MotiveShape:
 
     @classmethod
     def from_json(cls, data: dict) -> "MotiveShape":
-        return cls(str(data["label"]), json_int(data["n"]),
+        return cls(json_str(data["label"]), json_int(data["n"]),
                    json_int(data["weight"]),
                    tuple(map(json_int, data["kappa"])),
                    json_int(data["dplus"]), json_int(data["dminus"]))

@@ -7,8 +7,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from periodcalc import cli, weil_real
+from tests.golden.make_cli_corpus import run as run_in_dir
 
 
 def run(capsys, *argv):
@@ -277,6 +280,14 @@ MALFORMED = {
     "u-too-long": ["classify", "--pi", '{"n":2,"kappa":[4],"w":0}',
                    "--delta", "0", "--u", "1" * (cli.MAX_FRACTION_CHARS + 1)],
     "nested-payload": ["critical", "--pi", "[" * 100_000, "--sigma", "{}"],
+    "non-string-motive-label": [
+        "deligne", "--motive", json.dumps({"label": ["M"], "n": 2,
+                                           "weight": 0, "kappa": [5],
+                                           "dplus": 1, "dminus": 1}),
+        "--aux", json.dumps({"label": 7, "n": 1, "weight": 0, "kappa": [],
+                             "dplus": 1, "dminus": 0})],
+    "delta-not-a-parity": ["classify", "--pi", '{"n":2,"kappa":[4],"w":0}',
+                           "--delta", "7", "--u", "0"],
     "nested-db": ["check", "--db", "@nested.json", "--script", "[]"],
 }
 
@@ -367,3 +378,139 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# contract fuzz: argv and JSON payloads drawn from a small alphabet of valid,
+# mistyped and oversized values; "@name" is a file in the run's directory
+
+def mostly(good, odd):
+    """Draw from good nine times in ten, else from odd."""
+    return st.integers(0, 9).flatmap(lambda i: odd if i == 0 else good)
+
+
+ODD_VALUES = st.sampled_from(
+    [-1, -3, 257, 10_001, 10 ** 6, True, False, 1.5, 2.0, None, "x", "M", "",
+     "1/2", [], [1], [[1]], {}, {"n": 2}])
+SMALL = st.integers(-3, 9)
+# the fields of InfinityType and MotiveShape payloads
+PAYLOAD_VALUES = {
+    "n": mostly(st.integers(1, 9), ODD_VALUES),
+    "kappa": mostly(st.lists(st.sampled_from([2, 3, 4, 5, 7, 9, 12, 15]),
+                             max_size=4).map(lambda k: sorted(k)[::-1]),
+                    st.one_of(st.lists(ODD_VALUES, max_size=3), ODD_VALUES)),
+    "w": mostly(SMALL, ODD_VALUES),
+    "sign": mostly(st.integers(0, 1), ODD_VALUES),
+    "label": mostly(st.sampled_from(["M", "N"]), ODD_VALUES),
+    "weight": mostly(SMALL, ODD_VALUES),
+    "dplus": mostly(st.integers(0, 5), ODD_VALUES),
+    "dminus": mostly(st.integers(0, 5), ODD_VALUES),
+}
+
+
+@st.composite
+def payloads(draw):
+    """JSON text: a dict over most payload fields, another JSON value, or
+    text that is not JSON at all."""
+    data = {k: draw(v) for k, v in PAYLOAD_VALUES.items()
+            if draw(st.integers(0, 9))}
+    if draw(st.integers(0, 5)):
+        return json.dumps(data)
+    return draw(st.one_of(
+        ODD_VALUES.map(json.dumps),
+        st.sampled_from(["{", "[" * 2000, "", "nope", '{"n": 1' + "0" * 5000
+                         + "}", '{"n": NaN}', '{"n": Infinity}'])))
+
+
+INTS = mostly(st.integers(-3, 12).map(str), st.sampled_from(
+    ["256", "257", "20000", "abc", "1.5", "", "0x10"]))
+FRACTIONS = st.sampled_from(["1/2", "3/2", "-5/2", "7", "101/2", "1/0", "abc",
+                             "1e5", "1.5", " 1/2", "+1/2", "", "1_1/2",
+                             "1" * 41 + "/2", "10000000001/2"])
+SCRIPTS = st.sampled_from(["[]", "[1]", "{}", "[", "@script.json",
+                           '[{"relation": "r", "exponent": 1}]',
+                           '[{"relation": "r", "exponent": true}]',
+                           '[{"relation": ["r"], "exponent": 1}]'])
+DBS = st.sampled_from(["@db.json", "@empty.json", "@missing.json",
+                       "@nested.json", "@bad.json"])
+FILES = {"db.json": json.dumps({"relations": [
+             {"name": "r", "citation": "c", "rhs": [],
+              "lhs": [[{"kind": "TwoPiI", "payload": []}, 1]]}]}),
+         "empty.json": '{"relations": []}',
+         "nested.json": "[" * 100_000,
+         "bad.json": '{"relations": [{"name": "r"}]}',
+         "script.json": '[{"relation": "r", "exponent": -1}]'}
+
+WEIGHTS = st.sampled_from(["11,0", "2,1,-2,-3", "2,1,1", "a,b", "", "3",
+                          "5,2,-1", "0" + ",0" * 256])
+
+
+def signs(*valid):
+    return mostly(st.sampled_from(valid), INTS)
+
+
+# each subcommand's required options, one from each group of alternatives,
+# and its other options; an option maps to a value strategy, or to None for
+# a switch
+OPTIONS = {
+    "infinity-type": ([{"--weight": WEIGHTS, "--type": payloads()}],
+                      {"--round-trip": None}),
+    "critical": ([{"--pi": payloads()}, {"--sigma": payloads()}], {}),
+    "classify": ([{"--pi": payloads()}, {"--delta": signs("0", "1")}],
+                 {"--u": FRACTIONS}),
+    "deligne": ([{"--motive": payloads()}, {"--aux": payloads()}],
+                {"--sign": signs("1", "-1")}),
+    "check": ([{"--n": INTS}],
+              {"--w": INTS, "--delta": INTS, "--m": FRACTIONS,
+               "--nprime": INTS, "--i": INTS, "--eps-num": INTS,
+               "--chi": st.sampled_from(["chi", "psi", "omega_Pi", ""]),
+               "--db": DBS, "--script": SCRIPTS, "--symplectic": None,
+               "--no-i-power": None, "--corrupt": None}),
+    "asai": ([{"--kappa1": INTS}, {"--w1": INTS}, {"--kappa2": INTS},
+              {"--w2": INTS}], {}),
+}
+
+
+@st.composite
+def requests(draw):
+    argv = draw(st.lists(st.sampled_from(["--json", "--verbose"]),
+                         unique=True))
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv.append(command)
+    if command == "check":
+        argv.append(draw(st.sampled_from(
+            ["main1", "corollary-main", "main2", "motivic-dual",
+             "no-such-check", "--corrupt"])))
+    groups, others = OPTIONS[command]
+    options = dict(others)
+    flags = []
+    for group in groups:
+        options.update(group)
+        if draw(st.integers(0, 19)):  # now and then a required one is missing
+            flags.append(draw(st.sampled_from(sorted(group))))
+    if others:
+        flags += draw(st.lists(st.sampled_from(sorted(others)), max_size=4,
+                               unique=True))
+    for flag in flags:
+        if options[flag] is None:
+            argv.append(flag)
+            continue
+        value = draw(options[flag])
+        if value.startswith("@") or draw(st.booleans()):  # "@name" alone
+            argv += [flag, value]
+        else:
+            argv.append(f"{flag}={value}")
+    if draw(st.integers(0, 19)) == 0:  # an option of another subcommand
+        argv.append(draw(st.sampled_from(["--kappa1=3", "--pi={}", "--n=2"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(requests())
+def test_cli_contract_holds_on_fuzzed_requests(argv):
+    """Exit 0, 1 or 2 and never an exception; exit 2 is one stderr line."""
+    got = run_in_dir(argv, FILES)
+    assert got["code"] in (0, 1, 2), got
+    if got["code"] == 2:
+        err = got["stderr"]
+        assert err.endswith("\n") and err.count("\n") == 1, err

@@ -67,8 +67,10 @@ def test_offending_atom_names_a_residual_atom():
 # ---------------------------------------------------------------------------
 # relation constructors
 
-PI4 = pa.GlobalRep("Pi", InfinityType(4, (21, 11), 1), {"omega_Pi": 1})
-SIG3 = pa.GlobalRep("Sigma", InfinityType(3, (15,), 0), {"omega_Sigma": 1})
+PI4 = pa.GlobalRep("Pi", InfinityType(4, (21, 11), 1),
+                  gauss_fp({"omega_Pi": 1}))
+SIG3 = pa.GlobalRep("Sigma", InfinityType(3, (15,), 0),
+                    gauss_fp({"omega_Sigma": 1}))
 
 
 def test_raghuram_signs_flip_between_adjacent_m():
@@ -81,7 +83,8 @@ def test_raghuram_signs_flip_between_adjacent_m():
 def test_rel_raghuram_requires_critical_and_balanced():
     with pytest.raises(ValueError):
         pa.rel_raghuram(50, PI4, SIG3)       # far outside the critical range
-    unbal = pa.GlobalRep("S", InfinityType(3, (31,), 0), {"omega_Sigma": 1})
+    unbal = pa.GlobalRep("S", InfinityType(3, (31,), 0),
+                         gauss_fp({"omega_Sigma": 1}))
     with pytest.raises(ValueError):
         pa.rel_raghuram(0, PI4, unbal)
 
@@ -108,30 +111,32 @@ def test_rel_twist_zero_is_identity():
 
 
 def test_rel_rs_twist_rejects_odd_rank():
-    pi3 = pa.GlobalRep("P", InfinityType(3, (15,), 0), {"omega": 1})
+    pi3 = pa.GlobalRep("P", InfinityType(3, (15,), 0), gauss_fp({"omega": 1}))
     with pytest.raises(ValueError):
-        pa.rel_rs_twist(pi3, {"chi": 1}, 0, 0, 1, twisted_label="P(x)chi")
+        pa.rel_rs_twist(pi3, gauss_fp({"chi": 1}), 0, 0, 1,
+                        twisted_label="P(x)chi")
 
 
 def test_rel_rs_twist_trivial_character_is_identity():
-    rel = pa.rel_rs_twist(PI4, {}, 0, 0, 1, twisted_label="Pi")
+    rel = pa.rel_rs_twist(PI4, gauss_fp({}), 0, 0, 1, twisted_label="Pi")
     assert formal.replay([(rel, 1)]).is_trivial
 
 
 def test_rel_rs_twist_sign_flip():
-    rel = pa.rel_rs_twist(PI4, {"chi": -1}, 1, 0, 1, twisted_label="Pi^v")
+    rel = pa.rel_rs_twist(PI4, gauss_fp({"chi": -1}), 1, 0, 1,
+                          twisted_label="Pi^v")
     assert rel.rhs.exponent(atom_bw("Pi", -1)) == 1
     assert rel.rhs.exponent(atom_gauss("chi")) == -2 * 3  # (n/2)(n-1) = 6
 
 
 def test_rel_main1_rank_one_trivial_gauss():
-    pi1 = pa.GlobalRep("P", InfinityType(1, (), 0), {"omega": 1})
+    pi1 = pa.GlobalRep("P", InfinityType(1, (), 0), gauss_fp({"omega": 1}))
     rel = pa.rel_main1(pi1, 1)
     assert rel.rhs.exponent(atom_gauss("omega")) == 0
 
 
 def test_rel_main1_warns_on_irregular():
-    pi = pa.GlobalRep("P", InfinityType(4, (6, 4), 0), {"omega": 1})
+    pi = pa.GlobalRep("P", InfinityType(4, (6, 4), 0), gauss_fp({"omega": 1}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pa.rel_main1(pi, 1)
@@ -140,7 +145,7 @@ def test_rel_main1_warns_on_irregular():
 
 def test_gauss_pair_and_quadratic_relations():
     assert formal.replay([(pa.rel_gauss_pair("chi"), 1)]).is_trivial
-    rel = pa.rel_quadratic({"chi": 1, "omega": -1})
+    rel = pa.rel_quadratic(gauss_fp({"chi": 1, "omega": -1}))
     assert rel.lhs == gauss_fp({"chi": 2, "omega": -2})
 
 
