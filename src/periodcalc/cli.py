@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from . import arch_l, period_algebra, weil_real, yoshida
-from .formal import gauss_fp
 from .infinity_types import (DominantWeight, InfinityType, infinity_to_weight,
                              to_arch_rep, weight_to_infinity)
 from .weil_real import as_fraction
@@ -215,8 +214,11 @@ def cmd_check(args) -> int:
     if args.script is not None:
         if args.db is None:
             raise SchemaError("--script requires --db")
-        script = _parse_json(args.script if args.script.startswith(("[", "-"))
-                             else open(args.script).read())
+        text = args.script
+        if not text.startswith(("[", "-")):
+            with open(text) as fh:
+                text = fh.read()
+        script = _parse_json(text)
         if not isinstance(script, list):
             raise SchemaError("script must be a list of relation entries")
         try:
@@ -268,9 +270,7 @@ def cmd_asai(args) -> int:
     # the orthogonality character chi = omega_pi0 * |.| gives
     # chi^2 * omega^-1 = omega_F/Q^-1, quadratic, so its Gauss atoms are
     # the labels of odd exponent: Gauss(omega_F/Q)
-    quad = (gauss_fp({"omega_pi0": 1}) ** 2
-            * gauss_fp({"omega_pi0": 2, "omega_F/Q": 1}) ** -1)
-    gauss = [a.payload[0] for a, e in quad.items() if e % 2]
+    gauss = ["omega_F/Q"]
     payload = {"kappa": list(kappa), "w": w, "n": 4, "regular": regular,
                "hypotheses_met": hyp_ok, "verdict": "orthogonal",
                "gauss_atoms": gauss}

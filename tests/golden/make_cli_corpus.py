@@ -61,8 +61,10 @@ def run(argv, files=None, db=None) -> dict:
             record["warnings"] = [here(str(w.message)) for w in caught]
         if db is not None:
             path = os.path.join(work, db)
-            record["db"] = (open(path).read() if os.path.exists(path)
-                            else None)
+            record["db"] = None
+            if os.path.exists(path):
+                with open(path) as fh:
+                    record["db"] = fh.read()
     return record
 
 
