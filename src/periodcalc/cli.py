@@ -53,11 +53,9 @@ def _check_w(w: int, what: str):
 
 
 def _parse_json(text: str):
-    if text == "-":
-        text = sys.stdin.read()
     try:
-        return json.loads(text)
-    except ValueError as exc:  # also an integer too long to convert
+        return json.loads(sys.stdin.read() if text == "-" else text)
+    except ValueError as exc:  # also an integer too long, or stdin not UTF-8
         raise SchemaError(f"invalid payload: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("invalid payload: nested too deeply") from exc
@@ -216,8 +214,11 @@ def cmd_check(args) -> int:
             raise SchemaError("--script requires --db")
         text = args.script
         if not text.startswith(("[", "-")):
-            with open(text) as fh:
-                text = fh.read()
+            with open(text, encoding="utf-8") as fh:
+                try:
+                    text = fh.read()
+                except UnicodeDecodeError as exc:
+                    raise SchemaError(f"{text} is not UTF-8: {exc}") from exc
         script = _parse_json(text)
         if not isinstance(script, list):
             raise SchemaError("script must be a list of relation entries")

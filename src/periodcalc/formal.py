@@ -22,19 +22,27 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 
 from .infinity_types import json_int, json_str
 from .weil_real import as_fraction
 
 
-@dataclass(frozen=True)
-class PeriodAtom:
-    kind: str
-    payload: tuple = ()
+class PeriodAtom(tuple):
+    """The pair (kind, payload); a tuple, so hashing and equality run in C."""
 
-    def __post_init__(self):
-        if self.kind not in _ATOMS:
-            raise ValueError(f"unknown atom kind: {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, kind: str, payload: tuple = ()):
+        if kind not in _ATOMS:
+            raise ValueError(f"unknown atom kind: {kind!r}")
+        return tuple.__new__(cls, (kind, payload))
+
+    kind = property(itemgetter(0))
+    payload = property(itemgetter(1))
+
+    def __repr__(self):
+        return f"PeriodAtom(kind={self.kind!r}, payload={self.payload!r})"
 
     def render(self) -> str:
         if not self.payload:
@@ -207,12 +215,9 @@ def replay(steps) -> FormalPeriod:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _payload_to_json(atom: PeriodAtom) -> list:
-    return [str(p) if isinstance(p, Fraction) else p for p in atom.payload]
-
-
 def atom_to_json(atom: PeriodAtom) -> dict:
-    return {"kind": atom.kind, "payload": _payload_to_json(atom)}
+    return {"kind": atom.kind, "payload": [
+        str(p) if isinstance(p, Fraction) else p for p in atom.payload]}
 
 
 def atom_from_json(data: dict) -> PeriodAtom:
@@ -251,6 +256,9 @@ def relation_from_json(data: dict) -> Relation:
         raise ValueError(f"malformed relation record: {exc!r}") from exc
 
 
+DB_VERSION = 1  # of the file layout; a file without "version" is version 1
+
+
 class RelationDB:
     """Named relation store; read-mostly, persisted as structured text."""
 
@@ -272,14 +280,15 @@ class RelationDB:
         return sorted(self._relations)
 
     def save(self, path: str):
-        """Write the database to path; a failed write leaves path as it was."""
-        data = {"relations": [relation_to_json(self._relations[n])
-                              for n in self.names()]}
+        """Write the database to path, one relation per line of sorted-key
+        JSON; a failed write leaves path as it was."""
+        lines = ",\n".join(json.dumps(relation_to_json(self._relations[n]),
+                                      sort_keys=True) for n in self.names())
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w") as fh:
-                json.dump(data, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(f'{{"relations": [\n{lines}\n], '
+                         f'"version": {DB_VERSION}}}\n')
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -287,14 +296,19 @@ class RelationDB:
 
     @classmethod
     def load(cls, path: str) -> "RelationDB":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except RecursionError as exc:
                 raise ValueError(f"{path} is nested too deeply") from exc
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path} is not UTF-8: {exc}") from exc
         entries = data.get("relations", []) if isinstance(data, dict) else None
         if not isinstance(entries, list):
             raise ValueError(f"{path} does not hold a relation database")
+        version = data.get("version", DB_VERSION)
+        if type(version) is not int or version != DB_VERSION:
+            raise ValueError(f"{path} has an unknown DB version {version!r}")
         db = cls()
         for entry in entries:
             db.add(relation_from_json(entry))

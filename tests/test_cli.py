@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -292,9 +293,10 @@ MALFORMED = {
 }
 
 
-def _db_file(lhs=(), name="r"):
+def _db_file(lhs=(), name="r", **version):
     return json.dumps({"relations": [{"name": name, "citation": "c",
-                                      "lhs": list(lhs), "rhs": []}]})
+                                      "lhs": list(lhs), "rhs": []}],
+                       **version})
 
 
 def _atom(kind, *payload):
@@ -313,14 +315,26 @@ MALFORMED_DB = {
     "db-float-exponent": _db_file([[_atom("TwoPiI"), 1.9]]),
     "db-float-sign": _db_file([[_atom("BW", "P", 1.9), 1]]),
     "db-string-exponent": _db_file([[_atom("TwoPiI"), "3"]]),
+    "db-version-2": _db_file(version=2),
+    "db-version-string": _db_file(version="1"),
 }
 MALFORMED.update({case: ["check", "--db", f"@{case}.json", "--script",
                          '[{"relation": "r", "exponent": 1}]']
                   for case in MALFORMED_DB})
 
 
-@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED)
+# inputs that are not UTF-8 text; the golden corpus records text files only
+NOT_UTF8 = {
+    "script-not-utf8": ["check", "--db", "@empty.json",
+                        "--script", "@not_utf8.json"],
+    "db-not-utf8": ["check", "--db", "@not_utf8.json", "--script", "[]"],
+}
+
+
+@pytest.mark.parametrize("argv", [*MALFORMED.values(), *NOT_UTF8.values()],
+                         ids=[*MALFORMED, *NOT_UTF8])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
     (tmp_path / "no_citation.json").write_text(
         '{"relations": [{"name": "r", "lhs": [], "rhs": []}]}')
     (tmp_path / "empty.json").write_text('{"relations": []}')
@@ -331,6 +345,8 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    if str(tmp_path / "not_utf8.json") in argv:
+        assert "not_utf8.json is not UTF-8" in err
 
 
 def test_module_entry_point_prints_no_warning():
@@ -341,6 +357,13 @@ def test_module_entry_point_prints_no_warning():
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0 and proc.stderr == ""
+
+
+def test_stdin_that_does_not_decode_is_schema_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"),
+                                                       encoding="utf-8"))
+    code, _, err = run(capsys, "critical", "--pi", "-", "--sigma", "{}")
+    assert code == 2 and len(err.strip().splitlines()) == 1
 
 
 def test_check_script_without_db_is_schema_error(capsys):

@@ -1,5 +1,6 @@
 """Tests for the formal period group, relation constructors and replays."""
 
+import json
 import time
 import warnings
 from fractions import Fraction
@@ -237,15 +238,64 @@ def test_failed_save_leaves_the_db_file_intact(tmp_path, monkeypatch):
     db.save(str(path))
     before = path.read_bytes()
 
-    def failing_dump(obj, fh, **kwargs):
-        fh.write('{"relations": [')
+    held = []
+
+    def failing_replace(src, dst):
+        with open(src, encoding="utf-8") as fh:
+            held.append(fh.read())
         raise OSError("disk full")
 
-    monkeypatch.setattr(formal.json, "dump", failing_dump)
+    monkeypatch.setattr(formal.os, "replace", failing_replace)
     with pytest.raises(OSError):
         db.save(str(path))
+    assert held and held[0].startswith('{"relations": [')
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["relations.json"]
+
+
+def _saved(tmp_path, res):
+    db = pa.RelationDB()
+    res.register(db)
+    path = tmp_path / "relations.json"
+    db.save(str(path))
+    return db, path
+
+
+def test_saved_db_loads_every_relation_back_one_per_line(tmp_path):
+    db, path = _saved(tmp_path, pa.check_motivic_dual(16))
+    loaded = pa.RelationDB.load(str(path))
+    assert loaded.names() == db.names()
+    for name in db.names():
+        assert loaded.get(name) == db.get(name)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == '{"relations": [' and lines[-1] == '], "version": 1}'
+    assert [relation_from_json(json.loads(line.rstrip(",")))
+            for line in lines[1:-1]] == [db.get(n) for n in db.names()]
+
+
+@pytest.mark.parametrize("version", [2, "1", True, None, 1.0])
+def test_an_unknown_db_version_is_rejected(tmp_path, version):
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps({"relations": [], "version": version}))
+    with pytest.raises(ValueError, match="unknown DB version"):
+        pa.RelationDB.load(str(path))
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("derive", [
+    lambda c: pa.check_motivic_dual(64, corrupt=c),
+    lambda c: pa.check_main1_step(8, 0, 0, 3, corrupt=c)],
+    ids=["motivic-dual", "main1"])
+def test_a_db_in_the_indented_layout_still_replays(tmp_path, derive, corrupt):
+    res = derive(corrupt)
+    _, path = _saved(tmp_path, res)
+    new = pa.check_script(pa.RelationDB.load(str(path)), res.to_script())
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["version"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+    old = pa.check_script(pa.RelationDB.load(str(path)), res.to_script())
+    assert old == new == res.residual
 
 
 def test_script_detects_corruption(tmp_path):
