@@ -7,7 +7,7 @@ Gamma_R / Gamma_C factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .infinity_types import InfinityType
@@ -53,18 +53,15 @@ def central_point(pi: InfinityType, sigma: InfinityType) -> Fraction:
     return Fraction(1 - pi.w - sigma.w, 2)
 
 
-@dataclass(frozen=True)
-class CriticalSet:
+class CriticalSet(namedtuple("CriticalSet", "offset lo hi")):
     """The critical points m0 = k + offset of a pair, k an integer.
 
     Parity p of k has the points lo[p] <= k <= hi[p]: the Gamma_C pole
     ladders bound both parities alike, and a Gamma_R ladder only the points
-    of the parity it hits.
+    of the parity it hits.  lo and hi are (int, int), one entry per parity.
     """
 
-    offset: Fraction
-    lo: tuple  # (int, int), the least k of each parity
-    hi: tuple  # (int, int), the greatest k of each parity
+    __slots__ = ()
 
     def __contains__(self, m0) -> bool:
         k = as_fraction(m0) - self.offset

@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import arch_l, period_algebra, weil_real, yoshida
+from . import weil_real
 from .infinity_types import (DominantWeight, InfinityType, infinity_to_weight,
                              to_arch_rep, weight_to_infinity)
 from .weil_real import as_fraction
@@ -126,6 +126,7 @@ def cmd_infinity_type(args) -> int:
 
 
 def cmd_critical(args) -> int:
+    from . import arch_l
     pi = _parse_payload(args.pi, InfinityType)
     sigma = _parse_payload(args.sigma, InfinityType)
     points = arch_l.critical_points(pi, sigma)
@@ -168,6 +169,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_deligne(args) -> int:
+    from . import yoshida
     M = _parse_payload(args.motive, yoshida.MotiveShape)
     N = _parse_payload(args.aux, yoshida.MotiveShape)
     rel = yoshida.tensor_deligne(M, N, args.sign)
@@ -176,32 +178,33 @@ def cmd_deligne(args) -> int:
     return 0
 
 
-def _check_main1(args) -> period_algebra.CheckResult:
+def _check_main1(args):
+    from .period_algebra import check_main1_step
     # --m is the critical point m0 = m + 1/2 on the half-integer lattice
     m = _parse_fraction(args.m, "--m") - Fraction(1, 2)
     delta = args.delta if args.delta is not None else args.n % 2
-    return period_algebra.check_main1_step(args.n, args.w, delta, m,
-                                           corrupt=args.corrupt)
+    return check_main1_step(args.n, args.w, delta, m, corrupt=args.corrupt)
 
 
-def _check_corollary_main(args) -> period_algebra.CheckResult:
+def _check_corollary_main(args):
+    from .period_algebra import check_corollary_main
     chi = {args.chi: 1} if args.chi else None
-    return period_algebra.check_corollary_main(
-        args.n, orthogonal=not args.symplectic, chi_expr=chi,
-        corrupt=args.corrupt)
+    return check_corollary_main(args.n, orthogonal=not args.symplectic,
+                                chi_expr=chi, corrupt=args.corrupt)
 
 
-def _check_main2(args) -> period_algebra.CheckResult:
-    return period_algebra.check_theorem_main2(
+def _check_main2(args):
+    from .period_algebra import check_theorem_main2
+    return check_theorem_main2(
         args.n, args.nprime, include_i_power=not args.no_i_power,
         eps_num=args.eps_num, corrupt=args.corrupt)
 
 
-def _check_motivic_dual(args) -> period_algebra.CheckResult:
+def _check_motivic_dual(args):
+    from .period_algebra import check_motivic_dual
     if args.i is not None and not 1 <= args.i < args.n // 2:
         raise SchemaError(f"--i must lie in 1..{args.n // 2 - 1}")
-    return period_algebra.check_motivic_dual(args.n, i=args.i,
-                                             corrupt=args.corrupt)
+    return check_motivic_dual(args.n, i=args.i, corrupt=args.corrupt)
 
 
 BUILTINS = {"main1": _check_main1, "corollary-main": _check_corollary_main,
@@ -209,7 +212,10 @@ BUILTINS = {"main1": _check_main1, "corollary-main": _check_corollary_main,
 
 
 def cmd_check(args) -> int:
+    from . import period_algebra as pa
     if args.script is not None:
+        if args.builtin is not None:
+            raise SchemaError("give a builtin check name or --script, not both")
         if args.db is None:
             raise SchemaError("--script requires --db")
         text = args.script
@@ -223,11 +229,11 @@ def cmd_check(args) -> int:
         if not isinstance(script, list):
             raise SchemaError("script must be a list of relation entries")
         try:
-            db = period_algebra.RelationDB.load(args.db)
-            residual = period_algebra.check_script(db, script)
+            db = pa.RelationDB.load(args.db)
+            residual = pa.check_script(db, script)
         except (KeyError, ValueError) as exc:
             raise SchemaError(exc.args[0]) from exc
-        result = period_algebra.CheckResult(residual)
+        result = pa.CheckResult(residual)
     else:
         if args.builtin is None:
             raise SchemaError("give a builtin check name or --script")
@@ -238,7 +244,7 @@ def cmd_check(args) -> int:
         _check_w(args.w, "--w")
         result = BUILTINS[args.builtin](args)
         if args.db is not None:
-            db = period_algebra.RelationDB()
+            db = pa.RelationDB()
             result.register(db)
             db.save(args.db)
     payload = {"ok": result.is_ok, "residual": repr(result.residual),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
@@ -40,6 +40,9 @@ class PeriodAtom(tuple):
 
     kind = property(itemgetter(0))
     payload = property(itemgetter(1))
+
+    def __getnewargs__(self):  # for copy and pickle
+        return self.kind, self.payload
 
     def __repr__(self):
         return f"PeriodAtom(kind={self.kind!r}, payload={self.payload!r})"
@@ -191,16 +194,16 @@ def gauss_fp(expr: dict) -> FormalPeriod:
     return FormalPeriod((atom_gauss(lbl), e) for lbl, e in expr.items())
 
 
-@dataclass(frozen=True)
-class Relation:
-    name: str
-    citation: str
-    lhs: FormalPeriod
-    rhs: FormalPeriod
+class Relation(namedtuple("Relation", "name citation lhs rhs")):
+    """The cited identity lhs = rhs of two formal periods."""
 
-    def __post_init__(self):
-        if not self.name or not self.citation:
+    __slots__ = ()
+
+    def __new__(cls, name: str, citation: str, lhs: FormalPeriod,
+                rhs: FormalPeriod):
+        if not name or not citation:
             raise ValueError("relation needs a name and a citation")
+        return tuple.__new__(cls, (name, citation, lhs, rhs))
 
 
 def replay(steps) -> FormalPeriod:

@@ -3,51 +3,48 @@
 An infinity type (kappa_1 > ... > kappa_r >= 2; w) classifies the archimedean
 component of a regular algebraic cuspidal representation of GL(n).  For odd n
 the pair (kappa; w) does not separate the representation from its sgn-twist,
-so a sign_choice bit is part of the type.
+so a sign_choice bit is part of the type; for even n it is always 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .weil_real import ArchRep, char, disc
 
 
-@dataclass(frozen=True)
-class DominantWeight:
-    entries: tuple
+class DominantWeight(namedtuple("DominantWeight", "entries")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        e = tuple(int(x) for x in self.entries)
+    def __new__(cls, entries: tuple):
+        e = tuple(int(x) for x in entries)
         if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
             raise ValueError("weight must be weakly decreasing")
-        object.__setattr__(self, "entries", e)
+        return tuple.__new__(cls, (e,))
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class InfinityType:
-    n: int
-    kappa: tuple
-    w: int
-    sign_choice: int = 0
+class InfinityType(namedtuple("InfinityType", "n kappa w sign_choice")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", checked_kappa(self.n, self.kappa))
-        if self.n % 2 == 0:
-            if any((k - self.w) % 2 for k in self.kappa):
+    def __new__(cls, n: int, kappa: tuple, w: int, sign_choice: int = 0):
+        kappa = checked_kappa(n, kappa)
+        if n % 2 == 0:
+            if any((k - w) % 2 for k in kappa):
                 raise ValueError("kappa_i must have the parity of w for even rank")
         else:
-            if self.w % 2:
+            if w % 2:
                 raise ValueError("w must be even for odd rank")
-            if any(k % 2 == 0 for k in self.kappa):
+            if any(k % 2 == 0 for k in kappa):
                 raise ValueError("kappa_i must be odd for odd rank")
-        if self.sign_choice not in (0, 1):
+        if sign_choice not in (0, 1):
             raise ValueError("sign_choice must be 0 or 1")
+        # phi_k (x) sgn = phi_k, so at even rank the bit names nothing
+        return tuple.__new__(cls, (n, kappa, w, sign_choice if n % 2 else 0))
 
     @property
     def r(self) -> int:

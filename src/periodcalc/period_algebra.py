@@ -10,7 +10,7 @@ and returns the residual, which must be the identity.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,14 +35,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GlobalRep:
+class GlobalRep(namedtuple("GlobalRep", "label inf omega")):
     """A labeled cuspidal representation: archimedean data plus the Gauss
     class of its central character (see formal.gauss_fp)."""
 
-    label: str
-    inf: InfinityType
-    omega: FormalPeriod
+    __slots__ = ()
 
     def dual(self) -> "GlobalRep":
         return GlobalRep(dual_label(self.label),
@@ -214,11 +211,9 @@ def rel_quadratic(g: FormalPeriod) -> Relation:
                     g ** 2, FormalPeriod.unit())
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    residual: FormalPeriod
-    relations: tuple = ()
-    i_parity: int = 0
+class CheckResult(namedtuple("CheckResult", "residual relations i_parity",
+                             defaults=((), 0))):
+    __slots__ = ()
 
     @property
     def is_ok(self) -> bool:

@@ -12,9 +12,8 @@ point anywhere.  Every value is immutable and every operation is pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Union
 
 
 _FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
@@ -33,17 +32,15 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class ArchCharacter:
+class ArchCharacter(namedtuple("ArchCharacter", "sign_parity twist")):
     """The character sgn^sign_parity |.|^twist of R^x (= W_R abelianized)."""
 
-    sign_parity: int
-    twist: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign_parity not in (0, 1):
+    def __new__(cls, sign_parity: int, twist):
+        if sign_parity not in (0, 1):
             raise ValueError("sign_parity must be 0 or 1")
-        object.__setattr__(self, "twist", as_fraction(self.twist))
+        return tuple.__new__(cls, (sign_parity, as_fraction(twist)))
 
     @property
     def dim(self) -> int:
@@ -54,17 +51,15 @@ class ArchCharacter:
         return f"{sgn}|.|^{self.twist}"
 
 
-@dataclass(frozen=True)
-class ArchDiscrete:
+class ArchDiscrete(namedtuple("ArchDiscrete", "kappa twist")):
     """The irreducible two-dimensional parameter phi_kappa (x) |.|^twist."""
 
-    kappa: int
-    twist: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.kappa, int) or self.kappa < 2:
+    def __new__(cls, kappa: int, twist):
+        if not isinstance(kappa, int) or kappa < 2:
             raise ValueError("kappa must be an integer >= 2 in canonical form")
-        object.__setattr__(self, "twist", as_fraction(self.twist))
+        return tuple.__new__(cls, (kappa, as_fraction(twist)))
 
     @property
     def dim(self) -> int:
@@ -74,7 +69,7 @@ class ArchDiscrete:
         return f"phi_{self.kappa}|.|^{self.twist}"
 
 
-Constituent = Union[ArchCharacter, ArchDiscrete]
+# Constituent, in annotations only: an ArchCharacter or an ArchDiscrete
 
 
 def _sort_key(c: Constituent):
@@ -84,23 +79,21 @@ def _sort_key(c: Constituent):
     return (1, c.twist, c.kappa)
 
 
-@dataclass(frozen=True)
-class ArchRep:
+class ArchRep(namedtuple("ArchRep", "constituents")):
     """A finite multiset of constituents in canonical sorted order.
 
     The empty multiset (zero representation) is legal; it arises as the
-    exterior square of a character.
+    exterior square of a character.  Iterating yields the constituents.
     """
 
-    constituents: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        norm = []
-        for c in self.constituents:
+    def __new__(cls, constituents):
+        norm = tuple(constituents)
+        for c in norm:
             if not isinstance(c, (ArchCharacter, ArchDiscrete)):
                 raise TypeError(f"not a constituent: {c!r}")
-            norm.append(c)
-        object.__setattr__(self, "constituents", tuple(sorted(norm, key=_sort_key)))
+        return tuple.__new__(cls, (tuple(sorted(norm, key=_sort_key)),))
 
     @property
     def dim(self) -> int:
@@ -108,6 +101,9 @@ class ArchRep:
 
     def __iter__(self):
         return iter(self.constituents)
+
+    def __getnewargs__(self):  # for copy and pickle: tuple's own iterates
+        return (self.constituents,)
 
     def __repr__(self):
         if not self.constituents:

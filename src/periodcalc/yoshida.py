@@ -9,7 +9,7 @@ period group).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .formal import (ATOM_TWO_PI_I, FormalPeriod, Relation, atom_dc, atom_dci,
                      atom_delta)
@@ -17,31 +17,24 @@ from .infinity_types import (InfinityType, checked_kappa, interlaces, json_int,
                              json_str, signature)
 
 
-@dataclass(frozen=True)
-class AdmissibleTypeTag:
-    a: tuple
-    kplus: int
-    kminus: int
+class AdmissibleTypeTag(namedtuple("AdmissibleTypeTag", "a kplus kminus")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FundamentalMonomial:
+class FundamentalMonomial(namedtuple(
+        "FundamentalMonomial", "n dplus dminus m0 mi mplus mminus")):
     """det^m0 * prod f_i^mi * (f^+)^mplus * (f^-)^mminus on rank n."""
 
-    n: int
-    dplus: int
-    dminus: int
-    m0: int = 0
-    mi: tuple = ()
-    mplus: int = 0
-    mminus: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mi", tuple(int(x) for x in self.mi))
-        if self.dplus + self.dminus != self.n or abs(self.dplus - self.dminus) > 1:
+    def __new__(cls, n: int, dplus: int, dminus: int, m0: int = 0,
+                mi: tuple = (), mplus: int = 0, mminus: int = 0):
+        mi = tuple(int(x) for x in mi)
+        if dplus + dminus != n or abs(dplus - dminus) > 1:
             raise ValueError("d+ + d- must equal n with |d+ - d-| <= 1")
-        if len(self.mi) != max(self.n // 2 - 1, 0):
+        if len(mi) != max(n // 2 - 1, 0):
             raise ValueError("mi must have floor(n/2)-1 entries")
+        return tuple.__new__(cls, (n, dplus, dminus, m0, mi, mplus, mminus))
 
 
 def monomial_type(m: FundamentalMonomial) -> AdmissibleTypeTag:
@@ -85,27 +78,24 @@ def f_bw(n: int, eps: int = None, dplus: int = None,
     return FundamentalMonomial(n, dplus, dminus, 0, mi, mp, mm)
 
 
-@dataclass(frozen=True)
-class MotiveShape:
-    label: str
-    n: int
-    weight: int
-    kappa: tuple
-    dplus: int
-    dminus: int
+class MotiveShape(namedtuple("MotiveShape",
+                             "label n weight kappa dplus dminus")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.label:
+    def __new__(cls, label: str, n: int, weight: int, kappa: tuple,
+                dplus: int, dminus: int):
+        if not label:
             raise ValueError("motive needs a label")
-        object.__setattr__(self, "kappa", checked_kappa(self.n, self.kappa))
-        if self.n % 2 and self.weight % 2:
+        kappa = checked_kappa(n, kappa)
+        if n % 2 and weight % 2:
             raise ValueError("weight must be even for odd rank")
-        if any((k - self.weight - 1) % 2 for k in self.kappa):
+        if any((k - weight - 1) % 2 for k in kappa):
             raise ValueError("kappa_i must have parity opposite to the weight")
-        if self.dplus + self.dminus != self.n or abs(self.dplus - self.dminus) > 1:
+        if dplus + dminus != n or abs(dplus - dminus) > 1:
             raise ValueError("d+ + d- must equal n with |d+ - d-| <= 1")
-        if self.n % 2 == 0 and self.dplus != self.dminus:
+        if n % 2 == 0 and dplus != dminus:
             raise ValueError("d+ = d- for even rank")
+        return tuple.__new__(cls, (label, n, weight, kappa, dplus, dminus))
 
     def hodge_types(self) -> tuple:
         out = []

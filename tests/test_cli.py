@@ -321,6 +321,11 @@ MALFORMED_DB = {
 MALFORMED.update({case: ["check", "--db", f"@{case}.json", "--script",
                          '[{"relation": "r", "exponent": 1}]']
                   for case in MALFORMED_DB})
+# a builtin check together with --script; added after the --db cases, so
+# that the golden corpus appends its record and keeps the others in place
+MALFORMED["builtin-and-script"] = ["check", "main1", "--n", "4", "--m=9/2",
+                                   "--corrupt", "--db", "@empty.json",
+                                   "--script", "[]"]
 
 
 # inputs that are not UTF-8 text; the golden corpus records text files only
@@ -357,6 +362,47 @@ def test_module_entry_point_prints_no_warning():
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0 and proc.stderr == ""
+
+
+# what a fresh interpreter prints last: the modules loaded when main returns
+_LOADED = ("import sys; from periodcalc.cli import main; main(sys.argv[1:]); "
+           "print(' '.join(sorted(sys.modules)))")
+_BASE = {"periodcalc", "periodcalc.cli", "periodcalc.infinity_types",
+         "periodcalc.weil_real"}
+_ALL = _BASE | {"periodcalc.arch_l", "periodcalc.formal",
+                "periodcalc.yoshida", "periodcalc.period_algebra"}
+_MOTIVE = '{"label":"M","n":4,"weight":0,"kappa":[9,5],"dplus":2,"dminus":2}'
+_AUX = '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,"dminus":1}'
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["asai", "--kappa1", "4", "--w1", "0", "--kappa2", "2", "--w2", "0"],
+     _BASE),
+    (["infinity-type", "--weight", "11,0", "--round-trip"], _BASE),
+    (["classify", "--pi", '{"n":4,"kappa":[9,5],"w":1}', "--delta", "0",
+      "--u", "1"], _BASE),
+    (["critical", "--pi", '{"n":2,"kappa":[12],"w":0}',
+      "--sigma", '{"n":1,"kappa":[],"w":0}'], _BASE | {"periodcalc.arch_l"}),
+    (["deligne", "--motive", _MOTIVE, "--aux", _AUX],
+     _BASE | {"periodcalc.formal", "periodcalc.yoshida"}),
+    (["check", "main2", "--n", "2"], _ALL),
+], ids=["asai", "infinity-type", "classify", "critical", "deligne", "check"])
+def test_fresh_interpreter_loads_only_what_the_request_runs(argv, expected):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def loaded(*args):
+        proc = subprocess.run([sys.executable, "-c", *args],
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    modules = loaded(_LOADED, *argv)
+    assert {m for m in modules if m.startswith("periodcalc")} == expected
+    # the interpreter's own start-up may load some modules; compare with it
+    bare = loaded("import sys; print(' '.join(sorted(sys.modules)))")
+    assert not ({"dataclasses", "inspect"} - bare) & modules
 
 
 def test_stdin_that_does_not_decode_is_schema_error(capsys, monkeypatch):

@@ -92,6 +92,16 @@ def test_signature_defined_for_odd_rank_only():
     assert it.signature(it.InfinityType(3, (5,), 0, 1)) == 1
 
 
+def test_even_rank_drops_the_sign_bit():
+    # phi_k (x) sgn = phi_k: both sign choices give one parameter
+    a, b = it.InfinityType(2, (4,), 0, 1), it.InfinityType(2, (4,), 0, 0)
+    assert it.to_arch_rep(a) == it.to_arch_rep(b)
+    assert a == b and hash(a) == hash(b) and a.sign_choice == 0
+    assert a.to_json()["sign"] == 0
+    # at odd rank the bit is part of the type
+    assert it.InfinityType(3, (5,), 0, 1) != it.InfinityType(3, (5,), 0, 0)
+
+
 def test_balanced_interlacing():
     pi = it.InfinityType(4, (9, 5), 1)
     assert it.is_balanced(pi, it.InfinityType(3, (7,), 0))

@@ -1,0 +1,90 @@
+"""The value types are namedtuple subclasses checked in __new__: each stays
+immutable and hashable, equal builds are equal and hash alike, and reprs
+keep the Name(field=value, ...) form."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from periodcalc import arch_l, formal, period_algebra, weil_real, yoshida
+from periodcalc.infinity_types import DominantWeight, InfinityType
+
+
+def _omega():
+    return formal.gauss_fp({"omega_Pi": 1})
+
+
+# class -> a function that builds one value of it, afresh on each call
+BUILDS = {
+    weil_real.ArchCharacter: lambda: weil_real.char(1, "1/2"),
+    weil_real.ArchDiscrete: lambda: weil_real.disc(5, Fraction(-3, 2)),
+    weil_real.ArchRep: lambda: weil_real.rep(weil_real.disc(3, 1),
+                                             weil_real.char(0, 1)),
+    DominantWeight: lambda: DominantWeight((3, 1, 1)),
+    InfinityType: lambda: InfinityType(3, [7], 2, 1),
+    arch_l.CriticalSet: lambda: arch_l.critical_set(
+        InfinityType(2, (4,), 0), InfinityType(1, (), 0)),
+    formal.Relation: lambda: formal.Relation(
+        "r", "c", _omega(), formal.FormalPeriod.atom(formal.ATOM_I)),
+    yoshida.AdmissibleTypeTag: lambda: yoshida.monomial_type(
+        yoshida.f_bw(5)),
+    yoshida.FundamentalMonomial: lambda: yoshida.f_bw(6, eps=1),
+    yoshida.MotiveShape: lambda: yoshida.MotiveShape(
+        "M", 4, 0, [9, 5], 2, 2),
+    period_algebra.GlobalRep: lambda: period_algebra.GlobalRep(
+        "Pi", InfinityType(2, (4,), 0), _omega()),
+    period_algebra.CheckResult: lambda: period_algebra.check_main1_step(
+        4, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("cls", BUILDS, ids=lambda cls: cls.__name__)
+def test_values_are_immutable_and_hash_alike(cls):
+    a, b = BUILDS[cls](), BUILDS[cls]()
+    assert type(a) is cls and a is not b
+    assert a == b and hash(a) == hash(b)
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.unknown_field = 1
+    assert a == b
+
+
+@pytest.mark.parametrize("cls", BUILDS, ids=lambda cls: cls.__name__)
+def test_values_copy_and_pickle(cls):
+    a = BUILDS[cls]()
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_reprs_keep_the_field_form():
+    assert (repr(InfinityType(2, (4,), 0))
+            == "InfinityType(n=2, kappa=(4,), w=0, sign_choice=0)")
+    assert (repr(BUILDS[arch_l.CriticalSet]())
+            == "CriticalSet(offset=Fraction(3, 2), lo=(-2, -2), hi=(0, 0))")
+    assert repr(BUILDS[weil_real.ArchRep]()) == "1|.|^1 + phi_3|.|^1"
+
+
+def test_normalisation_in_new():
+    t = InfinityType(3, [7], 2, 1)
+    assert t.kappa == (7,) and isinstance(t.kappa, tuple)
+    assert weil_real.char(0, "1/2").twist == Fraction(1, 2)
+    assert DominantWeight([3.0, 1]).entries == (3, 1)
+    assert yoshida.FundamentalMonomial(6, 3, 3, mi=[True, 1]).mi == (1, 1)
+    rep = weil_real.rep(weil_real.disc(3, 1), weil_real.char(1, 0))
+    assert list(rep) == [weil_real.char(1, 0), weil_real.disc(3, 1)]
+    with pytest.raises(ValueError, match="sign_choice must be 0 or 1"):
+        InfinityType(3, (7,), 2, 2)
+    with pytest.raises(TypeError, match="not a constituent"):
+        weil_real.rep((0, 1))
+
+
+def test_the_critical_set_cache_keys_on_infinity_types():
+    cache = period_algebra._critical_set
+    cache.cache_clear()
+    assert period_algebra.check_main1_step(8, 0, 0, 3).is_ok
+    info = cache.cache_info()
+    assert (info.hits, info.misses) == (5, 1)
