@@ -179,9 +179,9 @@ def cmd_deligne(args) -> int:
 
 
 def _check_main1(args):
-    from .period_algebra import check_main1_step
     # --m is the critical point m0 = m + 1/2 on the half-integer lattice
     m = _parse_fraction(args.m, "--m") - Fraction(1, 2)
+    from .period_algebra import check_main1_step
     delta = args.delta if args.delta is not None else args.n % 2
     return check_main1_step(args.n, args.w, delta, m, corrupt=args.corrupt)
 
@@ -201,9 +201,9 @@ def _check_main2(args):
 
 
 def _check_motivic_dual(args):
-    from .period_algebra import check_motivic_dual
     if args.i is not None and not 1 <= args.i < args.n // 2:
         raise SchemaError(f"--i must lie in 1..{args.n // 2 - 1}")
+    from .period_algebra import check_motivic_dual
     return check_motivic_dual(args.n, i=args.i, corrupt=args.corrupt)
 
 
@@ -212,7 +212,6 @@ BUILTINS = {"main1": _check_main1, "corollary-main": _check_corollary_main,
 
 
 def cmd_check(args) -> int:
-    from . import period_algebra as pa
     if args.script is not None:
         if args.builtin is not None:
             raise SchemaError("give a builtin check name or --script, not both")
@@ -228,6 +227,7 @@ def cmd_check(args) -> int:
         script = _parse_json(text)
         if not isinstance(script, list):
             raise SchemaError("script must be a list of relation entries")
+        from . import period_algebra as pa
         try:
             db = pa.RelationDB.load(args.db)
             residual = pa.check_script(db, script)
@@ -242,6 +242,7 @@ def cmd_check(args) -> int:
         _check_rank(args.n, "--n")
         _check_rank(args.nprime, "--nprime")
         _check_w(args.w, "--w")
+        from . import period_algebra as pa
         result = BUILTINS[args.builtin](args)
         if args.db is not None:
             db = pa.RelationDB()

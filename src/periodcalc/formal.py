@@ -21,7 +21,6 @@ import json
 import os
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
 
 from .infinity_types import json_int, json_str
@@ -59,7 +58,7 @@ class PeriodAtom(tuple):
         return f"{self.kind}({','.join(parts)})"
 
     def _key(self):
-        return (self.kind, tuple(str(p) for p in self.payload))
+        return self[0], tuple(map(str, self[1]))
 
     def __lt__(self, other):
         return self._key() < other._key()
@@ -117,8 +116,18 @@ ATOM_TWO_PI_I = PeriodAtom("TwoPiI")
 ATOM_I = PeriodAtom("I")
 
 
+def _reduced(exp: dict) -> dict:
+    """exp with the I exponent taken mod 2 and zero exponents dropped."""
+    if ATOM_I in exp:
+        exp[ATOM_I] %= 2
+    if 0 in exp.values():
+        exp = {a: e for a, e in exp.items() if e}
+    return exp
+
+
 class FormalPeriod:
-    """Element of the free abelian group on atoms, I reduced mod 2."""
+    """Element of the free abelian group on atoms, I reduced mod 2; public
+    construction checks atoms, and the group operations trust them."""
 
     __slots__ = ("_exp",)
 
@@ -129,9 +138,14 @@ class FormalPeriod:
             if not isinstance(atom, PeriodAtom):
                 raise TypeError(f"not an atom: {atom!r}")
             exp[atom] = exp.get(atom, 0) + int(e)
-        if ATOM_I in exp:
-            exp[ATOM_I] %= 2
-        self._exp = {a: e for a, e in exp.items() if e}
+        self._exp = _reduced(exp)
+
+    @classmethod
+    def _of_exp(cls, exp: dict) -> "FormalPeriod":
+        """Wrap a reduced dict of checked atoms that no other period holds."""
+        p = object.__new__(cls)
+        p._exp = exp
+        return p
 
     @classmethod
     def unit(cls) -> "FormalPeriod":
@@ -139,7 +153,9 @@ class FormalPeriod:
 
     @classmethod
     def atom(cls, atom: PeriodAtom, e: int = 1) -> "FormalPeriod":
-        return cls(((atom, e),))
+        if not isinstance(atom, PeriodAtom):
+            raise TypeError(f"not an atom: {atom!r}")
+        return cls._of_exp(_reduced({atom: int(e)}))
 
     @classmethod
     def of(cls, *pairs) -> "FormalPeriod":
@@ -149,21 +165,25 @@ class FormalPeriod:
         return self._exp.get(atom, 0)
 
     def atoms(self):
-        return sorted(self._exp)
+        return sorted(self._exp, key=PeriodAtom._key)
 
     def items(self):
-        return sorted(self._exp.items())
+        return sorted(self._exp.items(), key=lambda item: item[0]._key())
 
     @property
     def i_parity(self) -> int:
         return self._exp.get(ATOM_I, 0)
 
     def __mul__(self, other: "FormalPeriod") -> "FormalPeriod":
-        return FormalPeriod(chain(self._exp.items(), other._exp.items()))
+        exp = self._exp.copy()
+        for a, e in other._exp.items():
+            exp[a] = exp.get(a, 0) + e
+        return FormalPeriod._of_exp(_reduced(exp))
 
     def __pow__(self, k: int) -> "FormalPeriod":
         k = int(k)
-        return FormalPeriod((a, k * e) for a, e in self._exp.items())
+        exp = {a: k * e for a, e in self._exp.items()} if k else {}
+        return FormalPeriod._of_exp(_reduced(exp))
 
     @property
     def is_trivial(self) -> bool:
@@ -173,7 +193,7 @@ class FormalPeriod:
         """Render the first non-cancelling atom, or None if trivial."""
         if self.is_trivial:
             return None
-        return min(self._exp).render()
+        return min(self._exp, key=PeriodAtom._key).render()
 
     def __eq__(self, other):
         return isinstance(other, FormalPeriod) and self._exp == other._exp
@@ -209,10 +229,14 @@ class Relation(namedtuple("Relation", "name citation lhs rhs")):
 def replay(steps) -> FormalPeriod:
     """The product of the quotients lhs/rhs of (relation, exponent) steps,
     summed in one pass; a valid derivation leaves the identity."""
-    return FormalPeriod((atom, sign * e * k)
-                        for rel, e in steps
-                        for sign, side in ((1, rel.lhs), (-1, rel.rhs))
-                        for atom, k in side._exp.items())
+    exp = {}
+    for rel, e in steps:
+        e = int(e)
+        for atom, k in rel.lhs._exp.items():
+            exp[atom] = exp.get(atom, 0) + e * k
+        for atom, k in rel.rhs._exp.items():
+            exp[atom] = exp.get(atom, 0) - e * k
+    return FormalPeriod._of_exp(_reduced(exp))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +256,7 @@ def atom_from_json(data: dict) -> PeriodAtom:
         raise ValueError(f"{kind} atom needs {len(types)} payload entries, "
                          f"got {len(payload)}")
     try:
-        return make(*(t(p) for t, p in zip(types, payload)))
+        return make(*[t(p) for t, p in zip(types, payload)])
     except TypeError as exc:
         raise ValueError(f"bad {kind} payload: {exc}") from exc
 
@@ -242,7 +266,11 @@ def period_to_json(p: FormalPeriod) -> list:
 
 
 def period_from_json(data) -> FormalPeriod:
-    return FormalPeriod((atom_from_json(a), json_int(e)) for a, e in data)
+    exp = {}
+    for a, e in data:
+        atom = atom_from_json(a)
+        exp[atom] = exp.get(atom, 0) + json_int(e)
+    return FormalPeriod._of_exp(_reduced(exp))
 
 
 def relation_to_json(r: Relation) -> dict:
@@ -258,6 +286,9 @@ def relation_from_json(data: dict) -> Relation:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed relation record: {exc!r}") from exc
 
+
+# relations hold no cycles, so the encoder need not look for them
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 DB_VERSION = 1  # of the file layout; a file without "version" is version 1
 
@@ -285,8 +316,8 @@ class RelationDB:
     def save(self, path: str):
         """Write the database to path, one relation per line of sorted-key
         JSON; a failed write leaves path as it was."""
-        lines = ",\n".join(json.dumps(relation_to_json(self._relations[n]),
-                                      sort_keys=True) for n in self.names())
+        lines = ",\n".join(_encode(relation_to_json(self._relations[n]))
+                            for n in self.names())
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:

@@ -113,7 +113,7 @@ def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     _require_critical(m0, pi, sigma)
     parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
     pair = pair_label(pi, sigma)
-    dual_pair = pair_label(pi.dual(), sigma.dual())
+    dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
     lhs = FormalPeriod.atom(atom_lval(m0, pair))
     rhs = (FormalPeriod.atom(ATOM_I, parity)
            * pi.omega ** sigma.inf.n

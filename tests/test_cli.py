@@ -364,9 +364,11 @@ def test_module_entry_point_prints_no_warning():
     assert proc.returncode == 0 and proc.stderr == ""
 
 
-# what a fresh interpreter prints last: the modules loaded when main returns
-_LOADED = ("import sys; from periodcalc.cli import main; main(sys.argv[1:]); "
-           "print(' '.join(sorted(sys.modules)))")
+# what a fresh interpreter prints last: the modules loaded when main returns;
+# it exits with main's code
+_LOADED = ("import sys; from periodcalc.cli import main; "
+           "code = main(sys.argv[1:]); "
+           "print(' '.join(sorted(sys.modules))); sys.exit(code)")
 _BASE = {"periodcalc", "periodcalc.cli", "periodcalc.infinity_types",
          "periodcalc.weil_real"}
 _ALL = _BASE | {"periodcalc.arch_l", "periodcalc.formal",
@@ -375,30 +377,34 @@ _MOTIVE = '{"label":"M","n":4,"weight":0,"kappa":[9,5],"dplus":2,"dminus":2}'
 _AUX = '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,"dminus":1}'
 
 
-@pytest.mark.parametrize("argv, expected", [
+@pytest.mark.parametrize("argv, expected, exit_code", [
     (["asai", "--kappa1", "4", "--w1", "0", "--kappa2", "2", "--w2", "0"],
-     _BASE),
-    (["infinity-type", "--weight", "11,0", "--round-trip"], _BASE),
+     _BASE, 0),
+    (["infinity-type", "--weight", "11,0", "--round-trip"], _BASE, 0),
     (["classify", "--pi", '{"n":4,"kappa":[9,5],"w":1}', "--delta", "0",
-      "--u", "1"], _BASE),
+      "--u", "1"], _BASE, 0),
     (["critical", "--pi", '{"n":2,"kappa":[12],"w":0}',
-      "--sigma", '{"n":1,"kappa":[],"w":0}'], _BASE | {"periodcalc.arch_l"}),
+      "--sigma", '{"n":1,"kappa":[],"w":0}'], _BASE | {"periodcalc.arch_l"}, 0),
     (["deligne", "--motive", _MOTIVE, "--aux", _AUX],
-     _BASE | {"periodcalc.formal", "periodcalc.yoshida"}),
-    (["check", "main2", "--n", "2"], _ALL),
-], ids=["asai", "infinity-type", "classify", "critical", "deligne", "check"])
-def test_fresh_interpreter_loads_only_what_the_request_runs(argv, expected):
+     _BASE | {"periodcalc.formal", "periodcalc.yoshida"}, 0),
+    (["check", "main2", "--n", "2"], _ALL, 0),
+    # a malformed check exits 2 before it loads the period algebra
+    (["check", "--n", "6"], _BASE, 2),
+], ids=["asai", "infinity-type", "classify", "critical", "deligne", "check",
+        "check-without-builtin"])
+def test_fresh_interpreter_loads_only_what_the_request_runs(argv, expected,
+                                                             exit_code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
 
-    def loaded(*args):
+    def loaded(*args, code=0):
         proc = subprocess.run([sys.executable, "-c", *args],
                               capture_output=True, text=True, timeout=60,
                               env=env)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == code, proc.stderr
         return set(proc.stdout.splitlines()[-1].split())
 
-    modules = loaded(_LOADED, *argv)
+    modules = loaded(_LOADED, *argv, code=exit_code)
     assert {m for m in modules if m.startswith("periodcalc")} == expected
     # the interpreter's own start-up may load some modules; compare with it
     bare = loaded("import sys; print(' '.join(sorted(sys.modules)))")

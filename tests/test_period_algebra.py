@@ -1,9 +1,11 @@
 """Tests for the formal period group, relation constructors and replays."""
 
 import json
+import re
 import time
 import warnings
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,13 @@ from hypothesis import strategies as st
 
 from periodcalc import formal, weil_real
 from periodcalc import period_algebra as pa
-from periodcalc.formal import (ATOM_I, FormalPeriod, atom_bw, atom_from_json,
-                               atom_gauss, atom_lval, gauss_fp,
+from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
+                               PeriodAtom, Relation, atom_archz, atom_bw,
+                               atom_dc, atom_dci, atom_delta, atom_from_json,
+                               atom_gauss, atom_lval, atom_to_json, gauss_fp,
                                period_from_json, period_to_json,
                                relation_from_json, relation_to_json)
-from periodcalc.infinity_types import InfinityType
+from periodcalc.infinity_types import InfinityType, json_int
 
 atoms = st.one_of(
     st.builds(atom_bw, st.sampled_from(["Pi", "Sigma"]),
@@ -63,6 +67,110 @@ def test_offending_atom_names_a_residual_atom():
     p = FormalPeriod.of((atom_gauss("chi"), 2), (atom_bw("Pi", 1), -1))
     assert p.offending_atom() in ("Gauss(chi)", "BW(Pi,+)")
     assert FormalPeriod.unit().offending_atom() is None
+
+
+# ---------------------------------------------------------------------------
+# the fast paths of *, **, replay and period_from_json against the checked
+# public constructor
+
+# every kind of atom, over few labels and points so that atoms repeat; the
+# str order of the payloads differs from their numeric order (10 < 9, 1/2 < 1)
+points = st.fractions(min_value=-12, max_value=12, max_denominator=3)
+labels = st.sampled_from(["M", "N^v", "Pi"])
+pairs_ = st.sampled_from(["PixSigma", "Pi^vxSigma^v"])
+all_atoms = st.one_of(
+    atoms,
+    st.builds(atom_archz, points, pairs_),
+    st.builds(atom_lval, points, pairs_),
+    st.builds(atom_delta, labels),
+    st.builds(atom_dc, labels, st.sampled_from([1, -1])),
+    st.builds(atom_dci, labels, st.integers(0, 12)),
+    st.just(ATOM_TWO_PI_I),
+)
+atom_pairs = st.lists(st.tuples(all_atoms, st.integers(-3, 3)), max_size=8)
+all_periods = atom_pairs.map(FormalPeriod)
+steps = st.lists(st.tuples(
+    st.builds(Relation, st.just("r"), st.just("c"), all_periods, all_periods),
+    st.integers(-3, 3)), max_size=5)
+
+
+def _mul_oracle(a, b):
+    return FormalPeriod(chain(a.items(), b.items()))
+
+
+def _pow_oracle(p, k):
+    return FormalPeriod((a, k * e) for a, e in p.items())
+
+
+def _replay_oracle(steps):
+    return FormalPeriod((atom, sign * e * k)
+                        for rel, e in steps
+                        for sign, side in ((1, rel.lhs), (-1, rel.rhs))
+                        for atom, k in side.items())
+
+
+def _from_json_oracle(data):
+    return FormalPeriod((atom_from_json(a), json_int(e)) for a, e in data)
+
+
+def _same(fast, oracle, *operands):
+    """fast equals oracle, holds only int exponents and I mod 2, and shares
+    its exponent dict with no operand."""
+    assert fast == oracle
+    assert all(type(e) is int and e for e in fast._exp.values())
+    assert fast.exponent(ATOM_I) in (0, 1)
+    assert all(fast._exp is not p._exp for p in operands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(all_periods, all_periods, st.integers(-3, 3))
+def test_mul_and_pow_match_the_checked_constructor(a, b, k):
+    _same(a * b, _mul_oracle(a, b), a, b)
+    _same(a ** k, _pow_oracle(a, k), a)
+    _same(FormalPeriod.unit() * a, a, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps)
+def test_replay_matches_the_checked_constructor(steps):
+    _same(formal.replay(steps), _replay_oracle(steps),
+          *(p for rel, _ in steps for p in (rel.lhs, rel.rhs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom_pairs)
+def test_period_from_json_adds_repeated_atoms(pairs):
+    data = [[atom_to_json(a), e] for a, e in pairs]
+    _same(period_from_json(data), _from_json_oracle(data))
+    assert period_from_json(data) == FormalPeriod(pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(all_atoms, st.integers(-3, 3))
+def test_atom_matches_the_checked_constructor(atom, e):
+    _same(FormalPeriod.atom(atom, e), FormalPeriod([(atom, e)]))
+
+
+@pytest.mark.parametrize("bad", ["I", ("I", ()), ("BW", ("Pi", 1)), 1, None])
+def test_public_construction_rejects_a_non_atom(bad):
+    message = f"not an atom: {bad!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        FormalPeriod([(bad, 1)])
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        FormalPeriod.of((ATOM_I, 1), (bad, 1))
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        FormalPeriod.atom(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(all_periods)
+def test_sort_order_is_that_of_atom_lt(p):
+    # the relation DB writes items() in this order, so its text depends on it
+    assert p.items() == sorted(p._exp.items())
+    assert p.atoms() == sorted(p._exp)
+    expected = min(p._exp).render() if p._exp else None
+    assert p.offending_atom() == expected
+    assert all(isinstance(a, PeriodAtom) for a in p.atoms())
 
 
 # ---------------------------------------------------------------------------
