@@ -187,8 +187,10 @@ def _check_main1(args):
 
 
 def _check_corollary_main(args):
+    if args.chi == "":
+        raise SchemaError("--chi must be a non-empty character label")
     from .period_algebra import check_corollary_main
-    chi = {args.chi: 1} if args.chi else None
+    chi = {args.chi: 1} if args.chi is not None else None
     return check_corollary_main(args.n, orthogonal=not args.symplectic,
                                 chi_expr=chi, corrupt=args.corrupt)
 
@@ -242,9 +244,10 @@ def cmd_check(args) -> int:
         _check_rank(args.n, "--n")
         _check_rank(args.nprime, "--nprime")
         _check_w(args.w, "--w")
-        from . import period_algebra as pa
+        # each builtin checks its own flags before it loads period_algebra
         result = BUILTINS[args.builtin](args)
         if args.db is not None:
+            from . import period_algebra as pa
             db = pa.RelationDB()
             result.register(db)
             db.save(args.db)

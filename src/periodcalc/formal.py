@@ -6,8 +6,8 @@ Atoms carry a kind tag and a payload:
     Gauss(label)       Gauss sum of a base Hecke character; products of
                        characters are decomposed over base labels, so Gauss
                        is multiplicative by construction
-    ArchZ(m, pair)     archimedean period p(m, Pi x Sigma)
-    LVal(s0, pair)     L-value class L(s0, Pi x Sigma)
+    ArchZ(m, pair)     archimedean period p(m, Pi x Sigma), m as p/q text
+    LVal(s0, pair)     L-value class L(s0, Pi x Sigma), s0 as p/q text
     Delta(label)       fundamental period delta(M)
     DC(label, sign)    fundamental period c^{+-}(M)
     DCi(label, i)      fundamental period c_i(M)
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
-from fractions import Fraction
 from operator import itemgetter
 
 from .infinity_types import json_int, json_str
@@ -77,11 +76,11 @@ def atom_gauss(label: str) -> PeriodAtom:
 
 
 def atom_archz(m, pair: str) -> PeriodAtom:
-    return PeriodAtom("ArchZ", (as_fraction(m), pair))
+    return PeriodAtom("ArchZ", (str(as_fraction(m)), pair))
 
 
 def atom_lval(s0, pair: str) -> PeriodAtom:
-    return PeriodAtom("LVal", (as_fraction(s0), pair))
+    return PeriodAtom("LVal", (str(as_fraction(s0)), pair))
 
 
 def atom_delta(label: str) -> PeriodAtom:
@@ -99,7 +98,7 @@ def atom_dci(label: str, i: int) -> PeriodAtom:
 
 
 # kind -> (constructor, payload types as read from JSON); the constructors
-# of ArchZ and LVal read their str point with as_fraction
+# of ArchZ and LVal check their point with as_fraction and keep it as p/q text
 _ATOMS = {
     "BW": (atom_bw, (json_str, json_int)),
     "Gauss": (atom_gauss, (json_str,)),
@@ -243,8 +242,7 @@ def replay(steps) -> FormalPeriod:
 # serialization
 
 def atom_to_json(atom: PeriodAtom) -> dict:
-    return {"kind": atom.kind, "payload": [
-        str(p) if isinstance(p, Fraction) else p for p in atom.payload]}
+    return {"kind": atom.kind, "payload": list(atom.payload)}
 
 
 def atom_from_json(data: dict) -> PeriodAtom:

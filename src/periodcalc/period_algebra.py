@@ -29,7 +29,7 @@ __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
     "GlobalRep", "pair_label", "rel_raghuram", "rel_duality_ratio",
     "rel_arch_iparity", "rel_twist", "rel_rs_twist", "rel_main1",
-    "rel_corollary_main", "rel_gauss_pair", "rel_quadratic", "CheckResult",
+    "rel_corollary_main", "rel_quadratic", "CheckResult",
     "check_main1_step", "check_corollary_main", "check_theorem_main2",
     "check_motivic_dual",
 ]
@@ -192,18 +192,6 @@ def rel_corollary_main(label: str, gexp: FormalPeriod) -> Relation:
                     gexp * FormalPeriod.atom(atom_bw(label, -1)))
 
 
-def rel_gauss_pair(label: str) -> Relation:
-    """G(chi) G(chi^{-1}) = 1 modulo algebraic units.
-
-    Under the multiplicative Gauss-atom encoding this is trivially satisfied;
-    it is kept as a named relation so derivations can cite it.
-    """
-    lhs = gauss_fp({label: 1}) * gauss_fp({label: -1})
-    return Relation(f"gauss-pair[{label}]",
-                    "invented - standard Gauss-sum pairing identity",
-                    lhs, FormalPeriod.unit())
-
-
 def rel_quadratic(g: FormalPeriod) -> Relation:
     """G(chi) class is 2-torsion for a quadratic character chi."""
     return Relation(f"central-character-quadratic[{_char_render(g)}]",
@@ -289,20 +277,19 @@ def check_main1_step(n: int, w: int, delta: int, m,
     pi_d, sigma_d = pi.dual(), sigma.dual()
     q1 = rel_raghuram(m, pi, sigma)
     q2 = rel_raghuram(-m, pi_d, sigma_d)
-    assert raghuram_signs(m, pi, sigma) == raghuram_signs(-m, pi_d, sigma_d)
     eps, eps_prime = raghuram_signs(m, pi, sigma)
+    assert raghuram_signs(-m, pi_d, sigma_d) == (eps, eps_prime)
     q3 = rel_duality_ratio(m + Fraction(1, 2), pi, sigma)
     q4 = rel_twist(-m, pi, sigma, -w, -delta,
                    twisted_label=pair_label(pi_d, sigma_d))
     q5 = rel_arch_iparity(m, -m - w - delta, pi, sigma)
     q6 = rel_main1(sigma, eps_prime)
-    q7 = rel_gauss_pair("omega_Sigma")
     target = rel_main1(pi, eps)
     if corrupt:
         # Gauss exponent n-1 -> n-2 on the target
         target = _corrupted(target, pi.omega ** -1)
     return _compose([(q1, 1), (q2, -1), (q3, -1), (q4, -1), (q5, 1),
-                     (q6, 1), (q7, 1), (target, 1)])
+                     (q6, 1), (target, 1)])
 
 
 def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
@@ -325,11 +312,13 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
     q_b = rel_rs_twist(pi, chi ** -1, eta_delta, 0, 1,
                        twisted_label=dual_label(pi.label))
     gexp = chi ** n * pi.omega ** -1
-    q_quad = rel_quadratic(gexp)
     target = rel_corollary_main(pi.label, gexp)
     if corrupt:
         target = _corrupted(target, chi)
-    return _compose([(q_a, 1), (q_b, 1), (target, -1), (q_quad, -n)])
+    steps = [(q_a, 1), (q_b, 1), (target, -1)]
+    if not gexp.is_trivial:
+        steps.append((rel_quadratic(gexp), -n))
+    return _compose(steps)
 
 
 def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
@@ -360,7 +349,6 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
                     * rel_period ** nprime)
     gexp = chi ** n * omega ** -1
     q_c = rel_corollary_main("Pi", gexp)
-    q_quad = rel_quadratic(gexp)
     target_rhs = (FormalPeriod.atom(ATOM_I, ipow * nprime)
                   * gexp ** nprime
                   * FormalPeriod.atom(atom_lval(m0 + 1, pair)))
@@ -371,7 +359,7 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
         target = _corrupted(target, chi)
     steps = [(q_hr, 1), (target, -1), (q_c, eps_num * nprime)]
     if eps_num == -1:
-        steps.append((q_quad, -nprime))
+        steps.append((rel_quadratic(gexp), -nprime))
     return _compose(steps, i_parity=(ipow * nprime) % 2)
 
 
@@ -415,9 +403,8 @@ def check_motivic_dual(n: int, i: int = None,
                           FormalPeriod.atom(atom_dci(Md.label, idx)),
                           FormalPeriod.atom(atom_delta(M.label), -2)
                           * FormalPeriod.atom(atom_dci(M.label, idx)))
+        # for odd n, eps = d+ - d- = +1 for this M adds one more q_dp
         steps += [(q1, 1), (q2, -1), (q3, 1), (q_delta, -1), (q_ddet, -idx),
-                  (q_dp, -(r - idx)), (q_dm, -(r - idx))]
-        if n % 2:  # eps = d+ - d- = +1 for this M
-            steps.append((q_dp, -1))
-        steps.append((target, -1))
+                  (q_dp, -(r - idx) - n % 2), (q_dm, -(r - idx)),
+                  (target, -1)]
     return _compose(steps)

@@ -326,6 +326,7 @@ MALFORMED.update({case: ["check", "--db", f"@{case}.json", "--script",
 MALFORMED["builtin-and-script"] = ["check", "main1", "--n", "4", "--m=9/2",
                                    "--corrupt", "--db", "@empty.json",
                                    "--script", "[]"]
+MALFORMED["empty-chi"] = ["check", "corollary-main", "--n", "2", "--chi", ""]
 
 
 # inputs that are not UTF-8 text; the golden corpus records text files only
@@ -390,8 +391,11 @@ _AUX = '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,"dminus":1}'
     (["check", "main2", "--n", "2"], _ALL, 0),
     # a malformed check exits 2 before it loads the period algebra
     (["check", "--n", "6"], _BASE, 2),
+    (["check", "corollary-main", "--n", "2", "--chi", ""], _BASE, 2),
+    (["check", "motivic-dual", "--n", "6", "--i", "9"], _BASE, 2),
 ], ids=["asai", "infinity-type", "classify", "critical", "deligne", "check",
-        "check-without-builtin"])
+        "check-without-builtin", "check-empty-chi",
+        "check-index-out-of-range"])
 def test_fresh_interpreter_loads_only_what_the_request_runs(argv, expected,
                                                              exit_code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -5,7 +5,7 @@ import re
 import time
 import warnings
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -252,8 +252,7 @@ def test_rel_main1_warns_on_irregular():
     assert any("regularity" in str(w.message) for w in caught)
 
 
-def test_gauss_pair_and_quadratic_relations():
-    assert formal.replay([(pa.rel_gauss_pair("chi"), 1)]).is_trivial
+def test_quadratic_relation():
     rel = pa.rel_quadratic(gauss_fp({"chi": 1, "omega": -1}))
     assert rel.lhs == gauss_fp({"chi": 2, "omega": -2})
 
@@ -322,6 +321,47 @@ def test_motivic_dual_per_index():
     assert not pa.check_motivic_dual(6, corrupt=True).is_ok
     with pytest.raises(ValueError):
         pa.check_motivic_dual(6, i=3)
+
+
+def _builtin_derivations():
+    """(label, result) of every builtin over a grid of ranks and options;
+    inputs a builtin rejects are skipped."""
+    for n, w, delta, m in product(range(2, 14), range(-2, 3), range(-2, 3),
+                                  range(-2, 3)):
+        try:
+            yield (f"main1 n={n} w={w} delta={delta} m={m}",
+                   pa.check_main1_step(n, w, delta, m))
+        except ValueError:
+            pass
+    for n, chi in product(range(1, 10), (None, {"omega_Pi": 1})):
+        yield (f"corollary-main n={n} chi={chi}",
+               pa.check_corollary_main(n, chi_expr=chi))
+    for n, nprime, eps_num, ipow in product(range(1, 8), range(1, 8),
+                                            (1, -1), (True, False)):
+        yield (f"main2 n={n} n'={nprime} eps={eps_num} i={ipow}",
+               pa.check_theorem_main2(n, nprime, include_i_power=ipow,
+                                      eps_num=eps_num))
+    for n in range(2, 20):
+        for i in (None, *range(1, n // 2)):
+            yield f"motivic-dual n={n} i={i}", pa.check_motivic_dual(n, i=i)
+
+
+def test_every_step_carries_weight():
+    # a derivation is minimal: each step is needed, and with exactly its
+    # exponent; this generalises the one --corrupt control of each builtin
+    for label, res in _builtin_derivations():
+        assert res.is_ok, label
+        steps = list(res.relations)
+        names = [rel.name for rel, _ in steps]
+        assert len(set(names)) == len(names), label
+        for k, (rel, e) in enumerate(steps):
+            where = f"{label}: {rel.name} ^ {e}"
+            assert e and not formal.replay([(rel, 1)]).is_trivial, where
+            rest = steps[:k] + steps[k + 1:]
+            assert not formal.replay(rest).is_trivial, where
+            for d in (1, -1):
+                assert not formal.replay(rest + [(rel, e + d)]).is_trivial, \
+                    where
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +446,19 @@ def test_a_db_in_the_indented_layout_still_replays(tmp_path, derive, corrupt):
     assert old == new == res.residual
 
 
+def test_arch_and_l_value_points_are_canonical_text(tmp_path):
+    a, b = atom_archz(Fraction(1, 2), "P"), atom_archz("2/4", "P")
+    assert a == b and hash(a) == hash(b)
+    assert atom_lval(Fraction(3), "P") == atom_lval("6/2", "P")
+    _, path = _saved(tmp_path, pa.check_theorem_main2(3, 3, eps_num=-1))
+    loaded = pa.RelationDB.load(str(path))
+    entries = [p for name in loaded.names()
+               for side in (loaded.get(name).lhs, loaded.get(name).rhs)
+               for atom in side.atoms() for p in atom.payload]
+    assert any(p == "5/2" for p in entries)
+    assert all(type(p) in (str, int) for p in entries)
+
+
 def test_script_detects_corruption(tmp_path):
     res = pa.check_corollary_main(2)
     db = pa.RelationDB()
@@ -436,11 +489,14 @@ def test_db_replay_matches_in_memory(tmp_path, builtin, corrupt):
         assert replayed == res.residual, n
 
 
+# a relation with a non-trivial quotient, for the DB and script tests
+QUAD = pa.rel_quadratic(gauss_fp({"chi": 1}))
+
+
 def test_register_rejects_a_name_collision():
-    rel = pa.rel_gauss_pair("chi")
-    other = pa.Relation(rel.name, "different", FormalPeriod.unit(),
+    other = pa.Relation(QUAD.name, "different", FormalPeriod.unit(),
                         gauss_fp({"chi": 1}))
-    res = pa.CheckResult(FormalPeriod.unit(), ((rel, 1), (other, 1)))
+    res = pa.CheckResult(FormalPeriod.unit(), ((QUAD, 1), (other, 1)))
     with pytest.raises(ValueError):
         res.register(pa.RelationDB())
 
@@ -455,9 +511,9 @@ def test_atom_from_json_rejects_bad_payloads(data):
 
 def test_script_rejects_bindings():
     db = pa.RelationDB()
-    db.add(pa.rel_gauss_pair("chi"))
+    db.add(QUAD)
     with pytest.raises(ValueError):
-        pa.check_script(db, [{"relation": "gauss-pair[chi]",
+        pa.check_script(db, [{"relation": QUAD.name,
                               "bindings": {"x": 1}}])
 
 
@@ -468,9 +524,9 @@ def test_relation_serialization_round_trip():
 
 def test_duplicate_relation_names_need_replace():
     db = pa.RelationDB()
-    db.add(pa.rel_gauss_pair("chi"))
-    db.add(pa.rel_gauss_pair("chi"))  # identical: fine
-    other = pa.Relation("gauss-pair[chi]", "different", FormalPeriod.unit(),
+    db.add(QUAD)
+    db.add(pa.rel_quadratic(gauss_fp({"chi": 1})))  # identical: fine
+    other = pa.Relation(QUAD.name, "different", FormalPeriod.unit(),
                         gauss_fp({"chi": 1}))
     with pytest.raises(ValueError):
         db.add(other)
