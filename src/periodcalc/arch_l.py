@@ -41,14 +41,6 @@ def is_holomorphic_at(g: tuple, s0) -> bool:
     return True
 
 
-def epsilon_class(a: ArchRep) -> int:
-    """The parity p with epsilon(a) in i^p Q^x (i^2 = -1 lies in Q^x)."""
-    parity = 0
-    for c in a:
-        parity += c.sign_parity if isinstance(c, ArchCharacter) else c.kappa
-    return parity % 2
-
-
 def central_point(pi: InfinityType, sigma: InfinityType) -> Fraction:
     return Fraction(1 - pi.w - sigma.w, 2)
 
@@ -136,10 +128,11 @@ def critical_set(pi: InfinityType, sigma: InfinityType) -> CriticalSet:
 
 
 def pair_epsilon_class(pi: InfinityType, sigma: InfinityType) -> int:
-    """epsilon_class of the pair's tensor parameter, read from the types:
-    phi_k (x) phi_l adds the even parity (k+l-1) + (|k-l|+1), so only
-    phi_k (x) character (parity k) and character (x) character (parity
-    s1 + s2) count."""
+    """The parity p with epsilon in i^p Q^x for the pair's tensor parameter
+    (i^2 = -1 lies in Q^x), read from the types.  Each constituent adds its
+    sign parity (a character) or its kappa (phi_kappa); phi_k (x) phi_l adds
+    the even parity (k+l-1) + (|k-l|+1), so only phi_k (x) character
+    (parity k) and character (x) character (parity s1 + s2) count."""
     parity = (sigma.n % 2) * sum(pi.kappa) + (pi.n % 2) * sum(sigma.kappa)
     if pi.n % 2 and sigma.n % 2:
         parity += pi.sign_choice + sigma.sign_choice

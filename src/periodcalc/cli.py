@@ -12,9 +12,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import weil_real
 from .infinity_types import (DominantWeight, InfinityType, infinity_to_weight,
-                             to_arch_rep, weight_to_infinity)
+                             self_dual_homs, weight_to_infinity)
 from .weil_real import as_fraction
 
 
@@ -149,10 +148,7 @@ def cmd_classify(args) -> int:
     u = _parse_fraction(args.u, "--u")
     if u.denominator != 1:
         raise ValueError("chi twist must be integral for the sign epsilon")
-    chi = weil_real.char(args.delta, u)
-    param = to_arch_rep(pi)
-    d_sym = weil_real.hom_dim(weil_real.sym2(param), chi)
-    d_wedge = weil_real.hom_dim(weil_real.wedge2(param), chi)
+    d_sym, d_wedge = self_dual_homs(pi, args.delta, u)
     if d_sym > 0:
         verdict = "orthogonal"
     elif d_wedge > 0:
@@ -187,8 +183,12 @@ def _check_main1(args):
 
 
 def _check_corollary_main(args):
-    if args.chi == "":
-        raise SchemaError("--chi must be a non-empty character label")
+    # relation names join labels with ^ and *, so a label is an ASCII
+    # identifier, [A-Za-z_][A-Za-z0-9_]*
+    if args.chi is not None and not (args.chi.isascii()
+                                     and args.chi.isidentifier()):
+        raise SchemaError(f"--chi must be a character label "
+                          f"[A-Za-z_][A-Za-z0-9_]*, not {args.chi!r}")
     from .period_algebra import check_corollary_main
     chi = {args.chi: 1} if args.chi is not None else None
     return check_corollary_main(args.n, orthogonal=not args.symplectic,
@@ -211,12 +211,33 @@ def _check_motivic_dual(args):
 
 BUILTINS = {"main1": _check_main1, "corollary-main": _check_corollary_main,
             "main2": _check_main2, "motivic-dual": _check_motivic_dual}
+# the flags one builtin alone reads, and the defaults of those with one;
+# argparse leaves them None, so that _check_flags sees which were given
+BUILTIN_FLAGS = {"main1": ("w", "delta", "m"),
+                 "corollary-main": ("chi", "symplectic"),
+                 "main2": ("nprime", "no_i_power", "eps_num"),
+                 "motivic-dual": ("i",)}
+FLAG_DEFAULTS = {"w": 0, "m": "1/2", "nprime": 1, "eps_num": 1}
+
+
+def _check_flags(args, reads: tuple, request: str):
+    """Reject a builtin's flag given to a request that does not read it,
+    most likely meant for another builtin; default the flags not given."""
+    for names in (("n", "corrupt"), *BUILTIN_FLAGS.values()):
+        for name in names:
+            value = getattr(args, name)
+            if value is None:
+                setattr(args, name, FLAG_DEFAULTS.get(name))
+            elif name not in reads and value is not False:
+                raise SchemaError(f"--{name.replace('_', '-')} is not read "
+                                  f"by {request}")
 
 
 def cmd_check(args) -> int:
     if args.script is not None:
         if args.builtin is not None:
             raise SchemaError("give a builtin check name or --script, not both")
+        _check_flags(args, (), "check --script")
         if args.db is None:
             raise SchemaError("--script requires --db")
         text = args.script
@@ -239,6 +260,8 @@ def cmd_check(args) -> int:
     else:
         if args.builtin is None:
             raise SchemaError("give a builtin check name or --script")
+        _check_flags(args, ("n", "corrupt", *BUILTIN_FLAGS[args.builtin]),
+                     f"check {args.builtin}")
         if args.n is None:
             raise SchemaError("builtin checks require --n")
         _check_rank(args.n, "--n")
@@ -332,15 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--script", help="script JSON, path, or - for stdin")
     s.add_argument("--db", help="relation database path")
     s.add_argument("--n", type=int)
-    s.add_argument("--w", type=int, default=0)
+    s.add_argument("--w", type=int)
     s.add_argument("--delta", type=int)
-    s.add_argument("--m", default="1/2", help="critical point m0 (fraction)")
-    s.add_argument("--nprime", type=int, default=1)
+    s.add_argument("--m", help="critical point m0 (fraction)")
+    s.add_argument("--nprime", type=int)
     s.add_argument("--i", type=int)
     s.add_argument("--chi", help="character label for corollary-main")
     s.add_argument("--symplectic", action="store_true")
     s.add_argument("--no-i-power", action="store_true")
-    s.add_argument("--eps-num", type=int, choices=(1, -1), default=1)
+    s.add_argument("--eps-num", type=int, choices=(1, -1))
     s.add_argument("--corrupt", action="store_true")
     s.set_defaults(func=cmd_check)
 

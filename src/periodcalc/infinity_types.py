@@ -154,6 +154,22 @@ def to_arch_rep(t: InfinityType) -> ArchRep:
     return ArchRep(tuple(parts))
 
 
+def self_dual_homs(t: InfinityType, delta: int, u) -> tuple:
+    """(dim Hom(Sym^2, chi), dim Hom(Wedge^2, chi)) for the parameter of t
+    and chi = sgn^delta |.|^u, read from the type in O(r).
+
+    Every constituent has the twist w/2, and phi_k (x) phi_l holds no
+    character for k != l, so the characters come from the diagonal terms
+    alone: phi_k gives sgn^(k-1) |.|^w to Sym^2 and sgn^k |.|^w to Wedge^2,
+    and at odd rank the sign character gives |.|^w to Sym^2."""
+    if delta not in (0, 1):
+        raise ValueError("delta must be 0 or 1")
+    if u != t.w:
+        return 0, 0
+    d_wedge = sum(1 for k in t.kappa if k % 2 == delta)
+    return t.r - d_wedge + (t.n % 2 == 1 and delta == 0), d_wedge
+
+
 def twist(t: InfinityType, delta: int, u: int) -> InfinityType:
     """Twist by sgn^delta |.|^u: w shifts by 2u; sgn flips the odd-rank bit."""
     if delta not in (0, 1):

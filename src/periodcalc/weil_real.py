@@ -193,38 +193,3 @@ def dual(a: ArchRep) -> ArchRep:
         else:
             out.append(ArchDiscrete(c.kappa, -c.twist))
     return ArchRep(tuple(out))
-
-
-def determinant(a: ArchRep) -> ArchCharacter:
-    parity, twist = 0, Fraction(0)
-    for c in a:
-        if isinstance(c, ArchCharacter):
-            parity += c.sign_parity
-            twist += c.twist
-        else:
-            parity += c.kappa
-            twist += 2 * c.twist
-    return ArchCharacter(parity % 2, twist)
-
-
-def hom_dim(a: ArchRep, chi: ArchCharacter) -> int:
-    """Multiplicity of the character chi among the constituents of a."""
-    return sum(1 for c in a if c == chi)
-
-
-def restrict_to_C(a: ArchRep) -> tuple:
-    """Restriction to C^x as a sorted multiset of exponent pairs (p, q).
-
-    This is the independent decomposition oracle: a character restricts to
-    z -> (z zbar)^t, i.e. the pair (t, t); phi_kappa (x) |.|^t restricts to
-    the two characters with exponents t +- (kappa-1)/2.
-    """
-    pairs = []
-    for c in a:
-        if isinstance(c, ArchCharacter):
-            pairs.append((c.twist, c.twist))
-        else:
-            h = Fraction(c.kappa - 1, 2)
-            pairs.append((c.twist + h, c.twist - h))
-            pairs.append((c.twist - h, c.twist + h))
-    return tuple(sorted(pairs))

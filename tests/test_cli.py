@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodcalc import cli, weil_real
+from periodcalc import cli, infinity_types, weil_real
 from tests.golden.make_cli_corpus import run as run_in_dir
 
 
@@ -111,11 +111,36 @@ def test_classify_branches(capsys):
     assert data["hom_sym2"] == 0 and data["hom_wedge2"] == 0
 
 
+def test_classify_reads_the_type_not_the_parameter(capsys, monkeypatch):
+    """classify builds neither the parameter nor its Sym^2 and Wedge^2."""
+    def refuse(*args):
+        raise AssertionError("classify built a Weil-group parameter")
+    for module, name in ((weil_real, "sym2"), (weil_real, "wedge2"),
+                         (infinity_types, "to_arch_rep")):
+        monkeypatch.setattr(module, name, refuse)
+    for pi, delta, u, want in (
+            ('{"n":4,"kappa":[9,5],"w":1}', "0", "1",
+             '{"epsilon_chi_inf": -1, "hom_sym2": 2, "hom_wedge2": 0, '
+             '"verdict": "orthogonal"}'),
+            ('{"n":5,"kappa":[9,3],"w":2,"sign":1}', "1", "2",
+             '{"epsilon_chi_inf": -1, "hom_sym2": 0, "hom_wedge2": 2, '
+             '"verdict": "symplectic"}'),
+            ('{"n":3,"kappa":[5],"w":0}', "0", "0",
+             '{"epsilon_chi_inf": 1, "hom_sym2": 2, "hom_wedge2": 0, '
+             '"verdict": "orthogonal"}'),
+            ('{"n":3,"kappa":[5],"w":0}', "0", "-1",
+             '{"epsilon_chi_inf": -1, "hom_sym2": 0, "hom_wedge2": 0, '
+             '"verdict": "neither"}')):
+        code, out, err = run(capsys, "--json", "classify", "--pi", pi,
+                             "--delta", delta, "--u", u)
+        assert (code, out, err) == (0, want + "\n", "")
+
+
 def test_classify_rejects_a_fractional_u_before_any_work(capsys,
                                                         monkeypatch):
-    def refuse(param):
-        raise AssertionError("Sym^2 built for a rejected --u")
-    monkeypatch.setattr(weil_real, "sym2", refuse)
+    def refuse(*args):
+        raise AssertionError("Hom-dimensions read for a rejected --u")
+    monkeypatch.setattr(cli, "self_dual_homs", refuse)
     code, out, err = run(capsys, "classify", "--pi",
                          '{"n":4,"kappa":[9,5],"w":1}', "--delta", "0",
                          "--u", "1/2")
@@ -327,6 +352,13 @@ MALFORMED["builtin-and-script"] = ["check", "main1", "--n", "4", "--m=9/2",
                                    "--corrupt", "--db", "@empty.json",
                                    "--script", "[]"]
 MALFORMED["empty-chi"] = ["check", "corollary-main", "--n", "2", "--chi", ""]
+MALFORMED["stray-builtin-flag"] = ["check", "main1", "--n", "4", "--m", "3/2",
+                                   "--chi", "psi", "--eps-num=-1",
+                                   "--symplectic"]
+MALFORMED["chi-not-a-label"] = ["check", "corollary-main", "--n", "2",
+                                "--chi", "omega_Pi^-1*chi"]
+MALFORMED["script-with-builtin-flag"] = ["check", "--db", "@empty.json",
+                                         "--script", "[]", "--n", "3"]
 
 
 # inputs that are not UTF-8 text; the golden corpus records text files only
@@ -393,9 +425,10 @@ _AUX = '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,"dminus":1}'
     (["check", "--n", "6"], _BASE, 2),
     (["check", "corollary-main", "--n", "2", "--chi", ""], _BASE, 2),
     (["check", "motivic-dual", "--n", "6", "--i", "9"], _BASE, 2),
+    (["check", "main1", "--n", "4", "--chi", "psi"], _BASE, 2),
 ], ids=["asai", "infinity-type", "classify", "critical", "deligne", "check",
         "check-without-builtin", "check-empty-chi",
-        "check-index-out-of-range"])
+        "check-index-out-of-range", "check-stray-flag"])
 def test_fresh_interpreter_loads_only_what_the_request_runs(argv, expected,
                                                              exit_code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

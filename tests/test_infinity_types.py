@@ -1,11 +1,14 @@
 """Tests for infinity types, pure weights and their bijection."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodcalc import infinity_types as it
 from periodcalc import weil_real as wr
+from tests.oracles import hom_dim
 
 
 def random_infinity_type(draw, n):
@@ -114,7 +117,27 @@ def test_to_arch_rep_shapes():
     t = it.InfinityType(5, (9, 5), 2, 1)
     a = it.to_arch_rep(t)
     assert a.dim == 5
-    assert wr.hom_dim(a, wr.char(1, 1)) == 1  # sgn^1 |.|^{w/2}
+    assert hom_dim(a, wr.char(1, 1)) == 1  # sgn^1 |.|^{w/2}
+
+
+@settings(max_examples=400, deadline=None)
+@given(infinity_types(max_n=12), st.integers(0, 1), st.integers(0, 1),
+       st.integers(-1, 1))
+@example(it.InfinityType(12, (23, 19, 15, 11, 7, 3), 1), 1, 1, 0)
+@example(it.InfinityType(11, (21, 17, 13, 9, 5), -2), 1, 0, 0)
+def test_self_dual_homs_match_sym2_and_wedge2(t, sign, delta, du):
+    """The closed form against the multiplicity of chi = sgn^delta |.|^u in
+    Sym^2 and Wedge^2 of the parameter, for u = w - 1, w, w + 1."""
+    t = it.InfinityType(t.n, t.kappa, t.w, sign)
+    u = Fraction(t.w + du)
+    param, chi = it.to_arch_rep(t), wr.char(delta, u)
+    assert it.self_dual_homs(t, delta, u) == (hom_dim(wr.sym2(param), chi),
+                                              hom_dim(wr.wedge2(param), chi))
+
+
+def test_self_dual_homs_reject_a_delta_that_is_not_a_parity():
+    with pytest.raises(ValueError):
+        it.self_dual_homs(it.InfinityType(2, (4,), 0), 2, 0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,8 @@
 """Unit and property tests for the real Weil group calculus.
 
-The independent oracle is restriction to C^x: it is an exact tensor functor,
-so tensor/Sym^2/Wedge^2 computed structurally must agree with the same
-operations performed on the restriction multisets.
+The independent oracle is restriction to C^x (tests/oracles.py): it is an
+exact tensor functor, so tensor/Sym^2/Wedge^2 computed structurally must
+agree with the same operations performed on the restriction multisets.
 """
 
 from fractions import Fraction
@@ -12,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodcalc import weil_real as wr
+from tests.oracles import (determinant, hom_dim, restrict_to_C,
+                           restricted_sym2, restricted_tensor,
+                           restricted_wedge2)
 
 
 twists = st.fractions(min_value=-4, max_value=4,
@@ -23,27 +26,6 @@ reps = st.lists(constituents, min_size=0, max_size=4).map(
     lambda cs: wr.rep(*cs))
 nonempty_reps = st.lists(constituents, min_size=1, max_size=4).map(
     lambda cs: wr.rep(*cs))
-
-
-def pair_sum(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def restricted_tensor(a, b):
-    ra, rb = wr.restrict_to_C(a), wr.restrict_to_C(b)
-    return tuple(sorted(pair_sum(x, y) for x in ra for y in rb))
-
-
-def restricted_sym2(a):
-    ra = wr.restrict_to_C(a)
-    return tuple(sorted(pair_sum(ra[i], ra[j])
-                        for i in range(len(ra)) for j in range(i, len(ra))))
-
-
-def restricted_wedge2(a):
-    ra = wr.restrict_to_C(a)
-    return tuple(sorted(pair_sum(ra[i], ra[j])
-                        for i in range(len(ra)) for j in range(i + 1, len(ra))))
 
 
 # ---------------------------------------------------------------------------
@@ -91,19 +73,19 @@ def test_kappa_one_not_constructible():
 
 def test_determinant():
     a = wr.rep(wr.disc(4, 1), wr.char(1, 2))
-    d = wr.determinant(a)
+    d = determinant(a)
     assert d == wr.char((4 + 1) % 2, 4)
 
 
 def test_hom_dim_counts_multiplicity():
     a = wr.rep(wr.char(0, 1), wr.char(0, 1), wr.char(1, 1))
-    assert wr.hom_dim(a, wr.char(0, 1)) == 2
-    assert wr.hom_dim(a, wr.char(1, 0)) == 0
+    assert hom_dim(a, wr.char(0, 1)) == 2
+    assert hom_dim(a, wr.char(1, 0)) == 0
 
 
 def test_restriction_of_disc():
     a = wr.rep(wr.disc(5, 1))
-    assert wr.restrict_to_C(a) == ((-1, 3), (3, -1))
+    assert restrict_to_C(a) == ((-1, 3), (3, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +94,19 @@ def test_restriction_of_disc():
 @settings(max_examples=150, deadline=None)
 @given(reps, reps)
 def test_tensor_matches_restriction_oracle(a, b):
-    assert wr.restrict_to_C(wr.tensor(a, b)) == restricted_tensor(a, b)
+    assert restrict_to_C(wr.tensor(a, b)) == restricted_tensor(a, b)
 
 
 @settings(max_examples=150, deadline=None)
 @given(reps)
 def test_sym2_matches_restriction_oracle(a):
-    assert wr.restrict_to_C(wr.sym2(a)) == restricted_sym2(a)
+    assert restrict_to_C(wr.sym2(a)) == restricted_sym2(a)
 
 
 @settings(max_examples=150, deadline=None)
 @given(reps)
 def test_wedge2_matches_restriction_oracle(a):
-    assert wr.restrict_to_C(wr.wedge2(a)) == restricted_wedge2(a)
+    assert restrict_to_C(wr.wedge2(a)) == restricted_wedge2(a)
 
 
 @settings(max_examples=100, deadline=None)
