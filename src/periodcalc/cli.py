@@ -177,8 +177,9 @@ def cmd_deligne(args) -> int:
 def _check_main1(args):
     # --m is the critical point m0 = m + 1/2 on the half-integer lattice
     m = _parse_fraction(args.m, "--m") - Fraction(1, 2)
-    from .period_algebra import check_main1_step
     delta = args.delta if args.delta is not None else args.n % 2
+    _check_w(delta, "--delta")
+    from .period_algebra import check_main1_step
     return check_main1_step(args.n, args.w, delta, m, corrupt=args.corrupt)
 
 
@@ -204,7 +205,8 @@ def _check_main2(args):
 
 def _check_motivic_dual(args):
     if args.i is not None and not 1 <= args.i < args.n // 2:
-        raise SchemaError(f"--i must lie in 1..{args.n // 2 - 1}")
+        raise SchemaError(f"--i must lie in 1..{args.n // 2 - 1}" if args.n > 3
+                          else f"--i needs --n >= 4; rank {args.n} has no c_i")
     from .period_algebra import check_motivic_dual
     return check_motivic_dual(args.n, i=args.i, corrupt=args.corrupt)
 
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--db", help="relation database path")
     s.add_argument("--n", type=int)
     s.add_argument("--w", type=int)
-    s.add_argument("--delta", type=int)
+    s.add_argument("--delta", type=int, help="weight of Sigma, of n's parity")
     s.add_argument("--m", help="critical point m0 (fraction)")
     s.add_argument("--nprime", type=int)
     s.add_argument("--i", type=int)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _json_text
 from operator import itemgetter
 
 from .infinity_types import json_int, json_str
@@ -34,6 +35,8 @@ class PeriodAtom(tuple):
     def __new__(cls, kind: str, payload: tuple = ()):
         if kind not in _ATOMS:
             raise ValueError(f"unknown atom kind: {kind!r}")
+        if tuple(map(type, payload)) != _ATOMS[kind][1]:  # for every atom
+            raise TypeError(f"bad {kind} payload: {payload!r}")
         return tuple.__new__(cls, (kind, payload))
 
     kind = property(itemgetter(0))
@@ -46,15 +49,10 @@ class PeriodAtom(tuple):
         return f"PeriodAtom(kind={self.kind!r}, payload={self.payload!r})"
 
     def render(self) -> str:
-        if not self.payload:
-            return self.kind
-        parts = []
-        for p in self.payload:
-            if isinstance(p, int) and self.kind in ("BW", "DC"):
-                parts.append("+" if p > 0 else "-")
-            else:
-                parts.append(str(p))
-        return f"{self.kind}({','.join(parts)})"
+        parts = list(map(str, self[1]))
+        if self[0] in ("BW", "DC"):  # (label, sign)
+            parts[1] = "+" if self[1][1] > 0 else "-"
+        return f"{self[0]}({','.join(parts)})" if parts else self[0]
 
     def _key(self):
         return self[0], tuple(map(str, self[1]))
@@ -94,19 +92,19 @@ def atom_dc(label: str, sign: int) -> PeriodAtom:
 
 
 def atom_dci(label: str, i: int) -> PeriodAtom:
-    return PeriodAtom("DCi", (label, int(i)))
+    return PeriodAtom("DCi", (label, i))
 
 
-# kind -> (constructor, payload types as read from JSON); the constructors
-# of ArchZ and LVal check their point with as_fraction and keep it as p/q text
+# kind -> (constructor, payload types); labels and points are str, signs and
+# indices int, and ArchZ and LVal keep their point as canonical p/q text
 _ATOMS = {
-    "BW": (atom_bw, (json_str, json_int)),
-    "Gauss": (atom_gauss, (json_str,)),
-    "ArchZ": (atom_archz, (json_str, json_str)),
-    "LVal": (atom_lval, (json_str, json_str)),
-    "Delta": (atom_delta, (json_str,)),
-    "DC": (atom_dc, (json_str, json_int)),
-    "DCi": (atom_dci, (json_str, json_int)),
+    "BW": (atom_bw, (str, int)),
+    "Gauss": (atom_gauss, (str,)),
+    "ArchZ": (atom_archz, (str, str)),
+    "LVal": (atom_lval, (str, str)),
+    "Delta": (atom_delta, (str,)),
+    "DC": (atom_dc, (str, int)),
+    "DCi": (atom_dci, (str, int)),
     "TwoPiI": (lambda: ATOM_TWO_PI_I, ()),
     "I": (lambda: ATOM_I, ()),
 }
@@ -168,10 +166,6 @@ class FormalPeriod:
 
     def items(self):
         return sorted(self._exp.items(), key=lambda item: item[0]._key())
-
-    @property
-    def i_parity(self) -> int:
-        return self._exp.get(ATOM_I, 0)
 
     def __mul__(self, other: "FormalPeriod") -> "FormalPeriod":
         exp = self._exp.copy()
@@ -239,14 +233,45 @@ def replay(steps) -> FormalPeriod:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization, as json.dumps(..., sort_keys=True) writes the records
 
-def atom_to_json(atom: PeriodAtom) -> dict:
-    return {"kind": atom.kind, "payload": list(atom.payload)}
+def period_to_json(p: FormalPeriod, memo: dict = None) -> str:
+    """The JSON text of p; memo keeps each atom's key and text for one save."""
+    memo = {} if memo is None else memo
+    parts = []
+    for atom, e in p._exp.items():
+        entry = memo.get(atom)
+        if entry is None:
+            payload = ", ".join(_json_text(x) if type(x) is str
+                                else int.__repr__(x) for x in atom[1])
+            entry = memo[atom] = (atom._key(), f'{{"kind": "{atom[0]}", '
+                                               f'"payload": [{payload}]}}')
+        parts.append((entry[0], f"[{entry[1]}, {e}]"))
+    if len(parts) > 1:
+        parts.sort()
+    return f"[{', '.join([text for _, text in parts])}]"
+
+
+def relation_to_json(r: Relation, memo: dict = None) -> str:
+    return (f'{{"citation": {_json_text(r.citation)}, '
+            f'"lhs": {period_to_json(r.lhs, memo)}, '
+            f'"name": {_json_text(r.name)}, '
+            f'"rhs": {period_to_json(r.rhs, memo)}}}')
 
 
 def atom_from_json(data: dict) -> PeriodAtom:
+    """A well-typed BW, DC, DCi or Delta payload is built in one step; any
+    other goes through the kind's constructor, which names what is wrong."""
     kind, payload = data["kind"], data.get("payload", [])
+    if (kind in {"BW", "DC", "DCi"} and type(payload) is list
+            and len(payload) == 2):
+        label, x = payload
+        if (type(label) is str and type(x) is int
+                and (x in (1, -1) or kind == "DCi")):
+            return tuple.__new__(PeriodAtom, (kind, (label, x)))
+    elif (kind == "Delta" and type(payload) is list and len(payload) == 1
+            and type(payload[0]) is str):
+        return tuple.__new__(PeriodAtom, (kind, (payload[0],)))
     if kind not in _ATOMS:
         raise ValueError(f"unknown atom kind: {kind!r}")
     make, types = _ATOMS[kind]
@@ -254,26 +279,18 @@ def atom_from_json(data: dict) -> PeriodAtom:
         raise ValueError(f"{kind} atom needs {len(types)} payload entries, "
                          f"got {len(payload)}")
     try:
-        return make(*[t(p) for t, p in zip(types, payload)])
+        return make(*[(json_str if t is str else json_int)(p)
+                      for t, p in zip(types, payload)])
     except TypeError as exc:
         raise ValueError(f"bad {kind} payload: {exc}") from exc
-
-
-def period_to_json(p: FormalPeriod) -> list:
-    return [[atom_to_json(a), e] for a, e in p.items()]
 
 
 def period_from_json(data) -> FormalPeriod:
     exp = {}
     for a, e in data:
         atom = atom_from_json(a)
-        exp[atom] = exp.get(atom, 0) + json_int(e)
+        exp[atom] = exp.get(atom, 0) + (e if type(e) is int else json_int(e))
     return FormalPeriod._of_exp(_reduced(exp))
-
-
-def relation_to_json(r: Relation) -> dict:
-    return {"name": r.name, "citation": r.citation,
-            "lhs": period_to_json(r.lhs), "rhs": period_to_json(r.rhs)}
 
 
 def relation_from_json(data: dict) -> Relation:
@@ -284,9 +301,6 @@ def relation_from_json(data: dict) -> Relation:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed relation record: {exc!r}") from exc
 
-
-# relations hold no cycles, so the encoder need not look for them
-_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 DB_VERSION = 1  # of the file layout; a file without "version" is version 1
 
@@ -314,7 +328,8 @@ class RelationDB:
     def save(self, path: str):
         """Write the database to path, one relation per line of sorted-key
         JSON; a failed write leaves path as it was."""
-        lines = ",\n".join(_encode(relation_to_json(self._relations[n]))
+        memo = {}
+        lines = ",\n".join(relation_to_json(self._relations[n], memo)
                             for n in self.names())
         tmp = f"{path}.{os.getpid()}.tmp"
         try:

@@ -22,7 +22,7 @@ from .infinity_types import (InfinityType, is_balanced, is_regular,
                              signature, twist)
 from .weil_real import as_fraction
 from .yoshida import (FundamentalMonomial, MotiveShape, delta_tensor,
-                      dual_label, dual_motive, dual_relation,
+                      dual_label, dual_motive, dual_relation, monomial_type,
                       rank2_tensor_expansion, tensor_label)
 
 __all__ = [
@@ -379,6 +379,7 @@ def check_motivic_dual(n: int, i: int = None,
     fp = FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
     fm = FundamentalMonomial(2, 1, 1, 0, (), 0, 1)
     fdet = FundamentalMonomial(2, 1, 1, 1, (), 0, 0)
+    tp, tm, tdet = map(monomial_type, (fp, fm, fdet))
     steps = []
     for idx in [i] if i is not None else range(1, r):
         N = MotiveShape(f"N{idx}", 2, 0, (kappa[idx] + 2,), 1, 1)
@@ -387,22 +388,22 @@ def check_motivic_dual(n: int, i: int = None,
         q2 = rank2_tensor_expansion(Md, dual_motive(N), idx, -1)
         q3 = Relation(f"deligne-dual[{mn}]",
                       "duality of c^{+-} for the tensor product",
-                      FormalPeriod.atom(atom_dc(dual_label(mn), -1)),
-                      FormalPeriod.atom(atom_delta(mn), -1)
-                      * FormalPeriod.atom(atom_dc(mn, 1)))
+                      FormalPeriod._of_exp({atom_dc(dual_label(mn), -1): 1}),
+                      FormalPeriod._of_exp({atom_delta(mn): -1,
+                                            atom_dc(mn, 1): 1}))
         q_delta = delta_tensor(M, N)
         if corrupt:
             # delta(M x N) exponent on delta(N) off by one
             q_delta = _corrupted(q_delta,
                                  FormalPeriod.atom(atom_delta(N.label), -1))
-        q_dp = dual_relation(fp, N)   # rewrites c^-(N^v)
-        q_dm = dual_relation(fm, N)   # rewrites c^+(N^v)
-        q_ddet = dual_relation(fdet, N)
+        q_dp = dual_relation(fp, N, tp)   # rewrites c^-(N^v)
+        q_dm = dual_relation(fm, N, tm)   # rewrites c^+(N^v)
+        q_ddet = dual_relation(fdet, N, tdet)
         target = Relation(f"motivic-dual[{M.label},{idx}]",
                           "duality of the middle fundamental periods",
-                          FormalPeriod.atom(atom_dci(Md.label, idx)),
-                          FormalPeriod.atom(atom_delta(M.label), -2)
-                          * FormalPeriod.atom(atom_dci(M.label, idx)))
+                          FormalPeriod._of_exp({atom_dci(Md.label, idx): 1}),
+                          FormalPeriod._of_exp({atom_delta(M.label): -2,
+                                                atom_dci(M.label, idx): 1}))
         # for odd n, eps = d+ - d- = +1 for this M adds one more q_dp
         steps += [(q1, 1), (q2, -1), (q3, 1), (q_delta, -1), (q_ddet, -idx),
                   (q_dp, -(r - idx) - n % 2), (q_dm, -(r - idx)),

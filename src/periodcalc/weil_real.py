@@ -42,10 +42,6 @@ class ArchCharacter(namedtuple("ArchCharacter", "sign_parity twist")):
             raise ValueError("sign_parity must be 0 or 1")
         return tuple.__new__(cls, (sign_parity, as_fraction(twist)))
 
-    @property
-    def dim(self) -> int:
-        return 1
-
     def __repr__(self):
         sgn = "sgn" if self.sign_parity else "1"
         return f"{sgn}|.|^{self.twist}"
@@ -60,10 +56,6 @@ class ArchDiscrete(namedtuple("ArchDiscrete", "kappa twist")):
         if not isinstance(kappa, int) or kappa < 2:
             raise ValueError("kappa must be an integer >= 2 in canonical form")
         return tuple.__new__(cls, (kappa, as_fraction(twist)))
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     def __repr__(self):
         return f"phi_{self.kappa}|.|^{self.twist}"
@@ -94,10 +86,6 @@ class ArchRep(namedtuple("ArchRep", "constituents")):
             if not isinstance(c, (ArchCharacter, ArchDiscrete)):
                 raise TypeError(f"not a constituent: {c!r}")
         return tuple.__new__(cls, (tuple(sorted(norm, key=_sort_key)),))
-
-    @property
-    def dim(self) -> int:
-        return sum(c.dim for c in self.constituents)
 
     def __iter__(self):
         return iter(self.constituents)

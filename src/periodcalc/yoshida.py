@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .formal import (ATOM_TWO_PI_I, FormalPeriod, Relation, atom_dc, atom_dci,
-                     atom_delta)
-from .infinity_types import (InfinityType, checked_kappa, interlaces, json_int,
-                             json_str, signature)
+from .formal import (ATOM_TWO_PI_I, FormalPeriod, PeriodAtom, Relation, atom_dc,
+                     atom_dci, atom_delta)
+from .infinity_types import checked_kappa, interlaces, json_int, json_str
 
 
-class AdmissibleTypeTag(namedtuple("AdmissibleTypeTag", "a kplus kminus")):
-    __slots__ = ()
+AdmissibleTypeTag = namedtuple("AdmissibleTypeTag", "a kplus kminus")
 
 
 class FundamentalMonomial(namedtuple(
@@ -30,6 +28,7 @@ class FundamentalMonomial(namedtuple(
     def __new__(cls, n: int, dplus: int, dminus: int, m0: int = 0,
                 mi: tuple = (), mplus: int = 0, mminus: int = 0):
         mi = tuple(int(x) for x in mi)
+        m0, mplus, mminus = int(m0), int(mplus), int(mminus)
         if dplus + dminus != n or abs(dplus - dminus) > 1:
             raise ValueError("d+ + d- must equal n with |d+ - d-| <= 1")
         if len(mi) != max(n // 2 - 1, 0):
@@ -97,16 +96,6 @@ class MotiveShape(namedtuple("MotiveShape",
             raise ValueError("d+ = d- for even rank")
         return tuple.__new__(cls, (label, n, weight, kappa, dplus, dminus))
 
-    def hodge_types(self) -> tuple:
-        out = []
-        for k in self.kappa:
-            p = (1 - k + self.weight) // 2
-            q = (k - 1 + self.weight) // 2
-            out.extend([(p, q), (q, p)])
-        if self.n % 2:
-            out.append((self.weight // 2, self.weight // 2))
-        return tuple(sorted(out))
-
     def to_json(self) -> dict:
         return {"label": self.label, "n": self.n, "weight": self.weight,
                 "kappa": list(self.kappa), "dplus": self.dplus,
@@ -118,17 +107,6 @@ class MotiveShape(namedtuple("MotiveShape",
                    json_int(data["weight"]),
                    tuple(map(json_int, data["kappa"])),
                    json_int(data["dplus"]), json_int(data["dminus"]))
-
-
-def motive_from_infinity(t: InfinityType, label: str) -> MotiveShape:
-    weight = -t.w - t.n + 1
-    if t.n % 2 == 0:
-        dplus = dminus = t.n // 2
-    else:
-        sig = signature(t)
-        dplus = (t.n + sig) // 2
-        dminus = (t.n - sig) // 2
-    return MotiveShape(label, t.n, weight, t.kappa, dplus, dminus)
 
 
 def dual_motive(M: MotiveShape) -> MotiveShape:
@@ -154,13 +132,21 @@ def tensor_label(M: MotiveShape, N: MotiveShape) -> str:
     return f"{M.label}(x){N.label}"
 
 
+def _monomial_exp(m: FundamentalMonomial, label: str, dual=False) -> dict:
+    """The nonzero exponents of m (or of its dual) at the motive label."""
+    mplus, mminus = (m.mminus, m.mplus) if dual else (m.mplus, m.mminus)
+    exp = {atom_dci(label, i): e for i, e in enumerate(m.mi, start=1) if e}
+    for e, kind, payload in ((m.m0, "Delta", (label,)),
+                             (mplus, "DC", (label, 1)),
+                             (mminus, "DC", (label, -1))):
+        if e:
+            exp[PeriodAtom(kind, payload)] = e
+    return exp
+
+
 def monomial_atoms(m: FundamentalMonomial, M: MotiveShape) -> FormalPeriod:
     """Evaluate a generator monomial at the period matrix of M, as atoms."""
-    pairs = [(atom_delta(M.label), m.m0),
-             (atom_dc(M.label, 1), m.mplus),
-             (atom_dc(M.label, -1), m.mminus)]
-    pairs += [(atom_dci(M.label, i), e) for i, e in enumerate(m.mi, start=1)]
-    return FormalPeriod.of(*pairs)
+    return FormalPeriod._of_exp(_monomial_exp(m, M.label))
 
 
 def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
@@ -190,15 +176,18 @@ def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
                     lhs, rhs)
 
 
-def dual_relation(m: FundamentalMonomial, M: MotiveShape) -> Relation:
-    """f^dual(X_{M^v}) = delta(M)^{-(k+ + k-)} * f(X_M)."""
-    tag = monomial_type(m)
-    lhs = monomial_atoms(dual_monomial(m), dual_motive(M))
-    rhs = (FormalPeriod.atom(atom_delta(M.label), -(tag.kplus + tag.kminus))
-           * monomial_atoms(m, M))
+def dual_relation(m: FundamentalMonomial, M: MotiveShape,
+                  tag: AdmissibleTypeTag = None) -> Relation:
+    """f^dual(X_{M^v}) = delta(M)^{-(k+ + k-)} * f(X_M); tag, when given,
+    is monomial_type(m)."""
+    tag = monomial_type(m) if tag is None else tag
+    rhs, delta = _monomial_exp(m, M.label), atom_delta(M.label)
+    rhs[delta] = rhs.get(delta, 0) - tag.kplus - tag.kminus
     exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
-    return Relation(f"dual[{M.label},{exps}]",
-                    "duality of fundamental periods", lhs, rhs)
+    return Relation(f"dual[{M.label},{exps}]", "duality of fundamental periods",
+                    FormalPeriod._of_exp(_monomial_exp(m, dual_label(M.label),
+                                                       dual=True)),
+                    FormalPeriod._of_exp({a: e for a, e in rhs.items() if e}))
 
 
 def tate_twist_relation(m: FundamentalMonomial, M: MotiveShape,
@@ -215,10 +204,13 @@ def tate_twist_relation(m: FundamentalMonomial, M: MotiveShape,
 
 def delta_tensor(M: MotiveShape, N: MotiveShape) -> Relation:
     """delta(M (x) N) = delta(M)^{rank N} * delta(N)^{rank M}."""
-    lhs = FormalPeriod.atom(atom_delta(tensor_label(M, N)))
-    rhs = FormalPeriod.of((atom_delta(M.label), N.n), (atom_delta(N.label), M.n))
-    return Relation(f"delta-tensor[{tensor_label(M, N)}]",
-                    "determinant period of a tensor product", lhs, rhs)
+    label = tensor_label(M, N)
+    dm, dn = atom_delta(M.label), atom_delta(N.label)  # ranks are >= 1
+    rhs = {dm: N.n + M.n} if dm == dn else {dm: N.n, dn: M.n}
+    return Relation(f"delta-tensor[{label}]",
+                    "determinant period of a tensor product",
+                    FormalPeriod._of_exp({atom_delta(label): 1}),
+                    FormalPeriod._of_exp(rhs))
 
 
 def rank2_tensor_expansion(M: MotiveShape, N: MotiveShape, i: int,
@@ -238,12 +230,13 @@ def rank2_tensor_expansion(M: MotiveShape, N: MotiveShape, i: int,
     ell = N.kappa[0]
     if not M.kappa[i] < ell < M.kappa[i - 1]:
         raise ValueError("N is not in the i-th Hodge gap of M")
-    pairs = [(atom_dci(M.label, i), 1), (atom_delta(N.label), i),
-             (atom_dc(N.label, 1), r - i), (atom_dc(N.label, -1), r - i)]
+    # distinct atoms of exponents >= 1; at odd rank eps = d+ - d- is +-1
+    rhs = {atom_dci(M.label, i): 1, atom_delta(N.label): i,
+           atom_dc(N.label, 1): r - i, atom_dc(N.label, -1): r - i}
     if M.n % 2:
-        eps = M.dplus - M.dminus
-        pairs.append((atom_dc(N.label, sign * eps), 1))
-    lhs = FormalPeriod.atom(atom_dc(tensor_label(M, N), sign))
-    return Relation(f"rank2-expansion[{tensor_label(M, N)},{i},{sign:+d}]",
+        rhs[atom_dc(N.label, sign * (M.dplus - M.dminus))] += 1
+    label = tensor_label(M, N)
+    return Relation(f"rank2-expansion[{label},{i},{sign:+d}]",
                     "rank-2 auxiliary tensor expansion of c^{+-}",
-                    lhs, FormalPeriod.of(*pairs))
+                    FormalPeriod._of_exp({atom_dc(label, sign): 1}),
+                    FormalPeriod._of_exp(rhs))

@@ -4,15 +4,23 @@ Each computes an answer a second way, apart from the fast path it checks:
 on the multiset of Weil-group constituents (Hom-dimensions, determinants,
 epsilon classes), on their restriction to C^x, or on the Gamma factors of a
 pair's tensor parameter (the brute-force lattice scan, one pass over the
-factors, and Raghuram's even-rank interval).  No request of the CLI runs
-any of them.
+factors, and Raghuram's even-rank interval); the relation DB records as
+dicts and their checked decoding; the Yoshida relations as products of
+checked periods; and the Hodge types and the motive of an infinity type,
+against which the tests hold MotiveShape's rules.  No request of the CLI
+runs any of them.
 """
 
 import math
 from fractions import Fraction
 
 from periodcalc import arch_l, weil_real as wr
-from periodcalc.infinity_types import to_arch_rep
+from periodcalc import yoshida as y
+from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod, Relation,
+                               atom_archz, atom_bw, atom_dc, atom_dci,
+                               atom_delta, atom_gauss, atom_lval)
+from periodcalc.infinity_types import (json_int, json_str, signature,
+                                       to_arch_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +36,10 @@ def determinant(a: wr.ArchRep) -> wr.ArchCharacter:
             parity += c.kappa
             twist += 2 * c.twist
     return wr.ArchCharacter(parity % 2, twist)
+
+
+def dim(a: wr.ArchRep) -> int:
+    return sum(1 if isinstance(c, wr.ArchCharacter) else 2 for c in a)
 
 
 def hom_dim(a: wr.ArchRep, chi: wr.ArchCharacter) -> int:
@@ -163,3 +175,117 @@ def raghuram_interval(pi, sigma) -> list:
     offset = Fraction(sigma.n, 2)
     return [k + offset for k in range(math.ceil(lo - offset),
                                       math.floor(hi - offset) + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the relation DB layout as dicts; RelationDB.save writes, line for line, the
+# text json.dumps(relation_to_json(r), sort_keys=True) of each relation
+
+def atom_to_json(atom) -> dict:
+    return {"kind": atom.kind, "payload": list(atom.payload)}
+
+
+def period_to_json(p: FormalPeriod) -> list:
+    return [[atom_to_json(a), e] for a, e in p.items()]
+
+
+def relation_to_json(r: Relation) -> dict:
+    return {"name": r.name, "citation": r.citation,
+            "lhs": period_to_json(r.lhs), "rhs": period_to_json(r.rhs)}
+
+
+# kind -> (constructor, payload types as read from JSON)
+_CHECKED_ATOMS = {
+    "BW": (atom_bw, (json_str, json_int)),
+    "Gauss": (atom_gauss, (json_str,)),
+    "ArchZ": (atom_archz, (json_str, json_str)),
+    "LVal": (atom_lval, (json_str, json_str)),
+    "Delta": (atom_delta, (json_str,)),
+    "DC": (atom_dc, (json_str, json_int)),
+    "DCi": (atom_dci, (json_str, json_int)),
+    "TwoPiI": (lambda: ATOM_TWO_PI_I, ()),
+    "I": (lambda: ATOM_I, ()),
+}
+
+
+def atom_from_json(data: dict):
+    """The checked decoding of an atom record: every payload entry through
+    json_str or json_int, then the kind's constructor."""
+    kind, payload = data["kind"], data.get("payload", [])
+    if kind not in _CHECKED_ATOMS:
+        raise ValueError(f"unknown atom kind: {kind!r}")
+    make, types = _CHECKED_ATOMS[kind]
+    if len(payload) != len(types):
+        raise ValueError(f"{kind} atom needs {len(types)} payload entries, "
+                         f"got {len(payload)}")
+    try:
+        return make(*[t(p) for t, p in zip(types, payload)])
+    except TypeError as exc:
+        raise ValueError(f"bad {kind} payload: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Yoshida relations as products of periods built by the checked
+# FormalPeriod.of, with the dual motive built in full
+
+def monomial_atoms(m, M) -> FormalPeriod:
+    pairs = [(atom_delta(M.label), m.m0),
+             (atom_dc(M.label, 1), m.mplus),
+             (atom_dc(M.label, -1), m.mminus)]
+    pairs += [(atom_dci(M.label, i), e) for i, e in enumerate(m.mi, start=1)]
+    return FormalPeriod.of(*pairs)
+
+
+def dual_relation(m, M) -> Relation:
+    tag = y.monomial_type(m)
+    lhs = monomial_atoms(y.dual_monomial(m), y.dual_motive(M))
+    rhs = (FormalPeriod.atom(atom_delta(M.label), -(tag.kplus + tag.kminus))
+           * monomial_atoms(m, M))
+    exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
+    return Relation(f"dual[{M.label},{exps}]",
+                    "duality of fundamental periods", lhs, rhs)
+
+
+def delta_tensor(M, N) -> Relation:
+    lhs = FormalPeriod.atom(atom_delta(y.tensor_label(M, N)))
+    rhs = FormalPeriod.of((atom_delta(M.label), N.n),
+                          (atom_delta(N.label), M.n))
+    return Relation(f"delta-tensor[{y.tensor_label(M, N)}]",
+                    "determinant period of a tensor product", lhs, rhs)
+
+
+def rank2_tensor_expansion(M, N, i: int, sign: int) -> Relation:
+    r = M.n // 2
+    pairs = [(atom_dci(M.label, i), 1), (atom_delta(N.label), i),
+             (atom_dc(N.label, 1), r - i), (atom_dc(N.label, -1), r - i)]
+    if M.n % 2:
+        pairs.append((atom_dc(N.label, sign * (M.dplus - M.dminus)), 1))
+    lhs = FormalPeriod.atom(atom_dc(y.tensor_label(M, N), sign))
+    return Relation(f"rank2-expansion[{y.tensor_label(M, N)},{i},{sign:+d}]",
+                    "rank-2 auxiliary tensor expansion of c^{+-}",
+                    lhs, FormalPeriod.of(*pairs))
+
+
+# ---------------------------------------------------------------------------
+# the motive of an infinity type
+
+def hodge_types(M) -> tuple:
+    out = []
+    for k in M.kappa:
+        p = (1 - k + M.weight) // 2
+        q = (k - 1 + M.weight) // 2
+        out.extend([(p, q), (q, p)])
+    if M.n % 2:
+        out.append((M.weight // 2, M.weight // 2))
+    return tuple(sorted(out))
+
+
+def motive_from_infinity(t, label: str):
+    weight = -t.w - t.n + 1
+    if t.n % 2 == 0:
+        dplus = dminus = t.n // 2
+    else:
+        sig = signature(t)
+        dplus = (t.n + sig) // 2
+        dminus = (t.n - sig) // 2
+    return y.MotiveShape(label, t.n, weight, t.kappa, dplus, dminus)

