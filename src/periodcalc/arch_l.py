@@ -56,11 +56,12 @@ class CriticalSet(namedtuple("CriticalSet", "offset lo hi")):
     __slots__ = ()
 
     def __contains__(self, m0) -> bool:
-        k = as_fraction(m0) - self.offset
-        if k.denominator != 1:
+        # m0 = a/q and offset = b/q in lowest terms give k = (a - b)/q
+        m0, q = as_fraction(m0), self.offset.denominator
+        if m0.denominator != q:
             return False
-        p = k.numerator % 2
-        return self.lo[p] <= k.numerator <= self.hi[p]
+        k, rem = divmod(m0.numerator - self.offset.numerator, q)
+        return not rem and self.lo[k % 2] <= k <= self.hi[k % 2]
 
     def points(self) -> list:
         k_min, k_max = min(self.lo), max(self.hi)

@@ -168,13 +168,3 @@ def self_dual_homs(t: InfinityType, delta: int, u) -> tuple:
         return 0, 0
     d_wedge = sum(1 for k in t.kappa if k % 2 == delta)
     return t.r - d_wedge + (t.n % 2 == 1 and delta == 0), d_wedge
-
-
-def twist(t: InfinityType, delta: int, u: int) -> InfinityType:
-    """Twist by sgn^delta |.|^u: w shifts by 2u; sgn flips the odd-rank bit."""
-    if delta not in (0, 1):
-        raise ValueError("delta must be 0 or 1")
-    sign = t.sign_choice
-    if t.n % 2:
-        sign = (sign + delta) % 2
-    return InfinityType(t.n, t.kappa, t.w + 2 * u, sign)

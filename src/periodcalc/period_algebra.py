@@ -17,9 +17,8 @@ from functools import lru_cache
 from . import arch_l
 from .formal import (ATOM_I, FormalPeriod, PeriodAtom, Relation, RelationDB,
                      atom_archz, atom_bw, atom_dc, atom_dci, atom_delta,
-                     atom_lval, check_script, gauss_fp, replay)
-from .infinity_types import (InfinityType, is_balanced, is_regular,
-                             signature, twist)
+                     atom_lval, check_script, gauss_fp, replay, _reduced)
+from .infinity_types import InfinityType, is_balanced, is_regular, signature
 from .weil_real import as_fraction
 from .yoshida import (FundamentalMonomial, MotiveShape, delta_tensor,
                       dual_label, dual_motive, dual_relation, monomial_type,
@@ -41,10 +40,6 @@ class GlobalRep(namedtuple("GlobalRep", "label inf omega")):
 
     __slots__ = ()
 
-    def dual(self) -> "GlobalRep":
-        return GlobalRep(dual_label(self.label),
-                         twist(self.inf, 0, -self.inf.w), self.omega ** -1)
-
 
 def pair_label(pi: GlobalRep, sigma: GlobalRep) -> str:
     return f"{pi.label}x{sigma.label}"
@@ -60,6 +55,12 @@ def _char_render(g: FormalPeriod) -> str:
 # one check asks five times for the critical set of (Pi, Sigma) and once
 # for that of its dual
 _critical_set = lru_cache(maxsize=16)(arch_l.critical_set)
+
+_HALF = Fraction(1, 2)
+# the central characters of the builtins' Pi and Sigma and of their duals
+_OMEGA_PI = gauss_fp({"omega_Pi": 1})
+_OMEGA_SIGMA = gauss_fp({"omega_Sigma": 1})
+_OMEGA_PI_DUAL, _OMEGA_SIGMA_DUAL = _OMEGA_PI ** -1, _OMEGA_SIGMA ** -1
 
 
 def _require_critical(s0, pi: GlobalRep, sigma: GlobalRep):
@@ -85,22 +86,32 @@ def raghuram_signs(m, pi: GlobalRep, sigma: GlobalRep):
     return eps, eps_prime
 
 
+def _period(atoms, classes=()) -> FormalPeriod:
+    """prod a^e over atoms (a, e) times prod g^k over classes (g, k); a
+    repeated atom (BW(Pi, eps) when Sigma shares Pi's label) adds up."""
+    exp = {}
+    for a, e in atoms:
+        exp[a] = exp.get(a, 0) + e
+    for g, k in classes:
+        for a, e in g._exp.items():
+            exp[a] = exp.get(a, 0) + k * e
+    return FormalPeriod._of_exp(_reduced(exp))
+
+
 def rel_raghuram(m, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     """L(m+1/2, Pi x Sigma) = p(m, .) G(omega_Sigma) p(Pi,eps) p(Sigma,eps')."""
     if not is_balanced(pi.inf, sigma.inf):
         raise ValueError("pair is not balanced")
     m = as_fraction(m)
-    _require_critical(m + Fraction(1, 2), pi, sigma)
+    s0 = m + _HALF
+    _require_critical(s0, pi, sigma)
     eps, eps_prime = raghuram_signs(m, pi, sigma)
     pair = pair_label(pi, sigma)
-    lhs = FormalPeriod.atom(atom_lval(m + Fraction(1, 2), pair))
-    rhs = (FormalPeriod.atom(atom_archz(m, pair))
-           * sigma.omega
-           * FormalPeriod.atom(atom_bw(pi.label, eps))
-           * FormalPeriod.atom(atom_bw(sigma.label, eps_prime)))
+    rhs = _period([(atom_archz(m, pair), 1), (atom_bw(pi.label, eps), 1),
+                   (atom_bw(sigma.label, eps_prime), 1)], [(sigma.omega, 1)])
     return Relation(f"raghuram[m={m},{pair}]",
                     "critical-value factorization over a balanced pair",
-                    lhs, rhs)
+                    FormalPeriod._of_exp({atom_lval(s0, pair): 1}), rhs)
 
 
 def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
@@ -114,45 +125,43 @@ def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
     pair = pair_label(pi, sigma)
     dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
-    lhs = FormalPeriod.atom(atom_lval(m0, pair))
-    rhs = (FormalPeriod.atom(ATOM_I, parity)
-           * pi.omega ** sigma.inf.n
-           * sigma.omega ** pi.inf.n
-           * FormalPeriod.atom(atom_lval(1 - m0, dual_pair)))
+    rhs = _period([(ATOM_I, parity), (atom_lval(1 - m0, dual_pair), 1)],
+                  [(pi.omega, sigma.inf.n), (sigma.omega, pi.inf.n)])
     return Relation(f"duality-ratio[m0={m0},{pair}]",
-                    "functional-equation ratio under duality", lhs, rhs)
+                    "functional-equation ratio under duality",
+                    FormalPeriod._of_exp({atom_lval(m0, pair): 1}), rhs)
 
 
 def rel_arch_iparity(m1, m2, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     """p(m1, .) / p(m2, .) = i^{(m1-m2) n(n-1)/2}; central points excluded."""
     m1, m2 = as_fraction(m1), as_fraction(m2)
-    center = Fraction(-pi.inf.w - sigma.inf.w, 2)
-    if m1 == center or m2 == center:
+    center2 = -pi.inf.w - sigma.inf.w  # twice the central point
+    if 2 * m1 == center2 or 2 * m2 == center2:
         raise ValueError("central point excluded from the i-parity relation")
-    _require_critical(m1 + Fraction(1, 2), pi, sigma)
-    _require_critical(m2 + Fraction(1, 2), pi, sigma)
+    _require_critical(m1 + _HALF, pi, sigma)
+    _require_critical(m2 + _HALF, pi, sigma)
     n = pi.inf.n
-    exp = (m1 - m2) * n * (n - 1) / 2
+    exp = (m1 - m2) * (n * (n - 1) // 2)
     assert exp.denominator == 1
     pair = pair_label(pi, sigma)
-    lhs = FormalPeriod.atom(atom_archz(m1, pair))
-    rhs = (FormalPeriod.atom(atom_archz(m2, pair))
-           * FormalPeriod.atom(ATOM_I, exp.numerator))
     return Relation(f"arch-iparity[{m1},{m2},{pair}]",
-                    "i-power comparison of archimedean periods", lhs, rhs)
+                    "i-power comparison of archimedean periods",
+                    FormalPeriod._of_exp({atom_archz(m1, pair): 1}),
+                    _period([(atom_archz(m2, pair), 1),
+                             (ATOM_I, exp.numerator)]))
 
 
 def rel_twist(m, pi: GlobalRep, sigma: GlobalRep, w1: int, w2: int,
               twisted_label: str) -> Relation:
     """p(m, twisted pair) = p(m + w1 + w2, pair) up to rationals."""
     m = as_fraction(m)
-    _require_critical(m + w1 + w2 + Fraction(1, 2), pi, sigma)
-    pair = pair_label(pi, sigma)
-    lhs = FormalPeriod.atom(atom_archz(m, twisted_label))
-    rhs = FormalPeriod.atom(atom_archz(m + w1 + w2, pair))
+    point = m + (w1 + w2)
+    _require_critical(point + _HALF, pi, sigma)
+    rhs = {atom_archz(point, pair_label(pi, sigma)): 1}
     return Relation(f"arch-twist[{m},{twisted_label}]",
                     "archimedean period comparison under |.|-twists",
-                    lhs, rhs)
+                    FormalPeriod._of_exp({atom_archz(m, twisted_label): 1}),
+                    FormalPeriod._of_exp(rhs))
 
 
 def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
@@ -175,12 +184,11 @@ def rel_main1(pi: GlobalRep, eps: int) -> Relation:
     if not is_regular(pi.inf):
         warnings.warn(f"regularity hypotheses unmet for {pi.label}",
                       stacklevel=2)
-    n = pi.inf.n
-    lhs = FormalPeriod.atom(atom_bw(pi.label, eps))
-    rhs = (pi.omega ** (n - 1)
-           * FormalPeriod.atom(atom_bw(dual_label(pi.label), eps)))
     return Relation(f"main1[{pi.label},{eps:+d}]",
-                    "period relation under duality", lhs, rhs)
+                    "period relation under duality",
+                    FormalPeriod._of_exp({atom_bw(pi.label, eps): 1}),
+                    _period([(atom_bw(dual_label(pi.label), eps), 1)],
+                            [(pi.omega, pi.inf.n - 1)]))
 
 
 def rel_corollary_main(label: str, gexp: FormalPeriod) -> Relation:
@@ -230,7 +238,8 @@ def _corrupted(rel: Relation, factor: FormalPeriod) -> Relation:
 
 
 def _main1_pair(n: int, w: int, delta: int, m: int):
-    """A widely spaced balanced pair whose critical range covers m+1/2."""
+    """A widely spaced balanced pair whose critical range covers m+1/2, and
+    the pair of its duals."""
     r = n // 2
     need = max(abs(2 * m + 1 + w + delta), abs(1 - w - delta - 2 * m), 4)
     gap = 2 * (need + 4)
@@ -240,13 +249,14 @@ def _main1_pair(n: int, w: int, delta: int, m: int):
         base += 1
     kappa = tuple(base - 2 * gap * i for i in range(r))
     gprime = gap if kap_par == 1 else gap + 1  # keeps ell odd
-    n_ell = r if n % 2 else r - 1
-    ell = tuple(kappa[j] - gprime for j in range(n_ell))
-    pi = GlobalRep("Pi", InfinityType(n, kappa, w, 0),
-                   gauss_fp({"omega_Pi": 1}))
-    sigma = GlobalRep("Sigma", InfinityType(n - 1, ell, delta, 0),
-                      gauss_fp({"omega_Sigma": 1}))
-    return pi, sigma
+    ell = tuple(k - gprime for k in kappa[:(n - 1) // 2])
+    return (GlobalRep("Pi", InfinityType(n, kappa, w, 0), _OMEGA_PI),
+            GlobalRep("Sigma", InfinityType(n - 1, ell, delta, 0),
+                      _OMEGA_SIGMA),
+            GlobalRep(dual_label("Pi"), InfinityType(n, kappa, -w, 0),
+                      _OMEGA_PI_DUAL),
+            GlobalRep(dual_label("Sigma"), InfinityType(n - 1, ell, -delta, 0),
+                      _OMEGA_SIGMA_DUAL))
 
 
 def check_main1_step(n: int, w: int, delta: int, m,
@@ -273,13 +283,12 @@ def check_main1_step(n: int, w: int, delta: int, m,
     if 2 * m == -(w + delta):
         raise ValueError("central point excluded")
 
-    pi, sigma = _main1_pair(n, w, delta, m)
-    pi_d, sigma_d = pi.dual(), sigma.dual()
+    pi, sigma, pi_d, sigma_d = _main1_pair(n, w, delta, m)
     q1 = rel_raghuram(m, pi, sigma)
     q2 = rel_raghuram(-m, pi_d, sigma_d)
     eps, eps_prime = raghuram_signs(m, pi, sigma)
     assert raghuram_signs(-m, pi_d, sigma_d) == (eps, eps_prime)
-    q3 = rel_duality_ratio(m + Fraction(1, 2), pi, sigma)
+    q3 = rel_duality_ratio(m + _HALF, pi, sigma)
     q4 = rel_twist(-m, pi, sigma, -w, -delta,
                    twisted_label=pair_label(pi_d, sigma_d))
     q5 = rel_arch_iparity(m, -m - w - delta, pi, sigma)
@@ -304,8 +313,7 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
     if n < 1:
         raise ValueError("n must be positive")
     kappa = tuple(8 + 6 * j for j in range(n, 0, -1))
-    pi = GlobalRep("Pi", InfinityType(2 * n, kappa, 0, 0),
-                   gauss_fp({"omega_Pi": 1}))
+    pi = GlobalRep("Pi", InfinityType(2 * n, kappa, 0, 0), _OMEGA_PI)
     chi = gauss_fp(chi_expr or {"chi": 1})
     eta_delta = 1 if orthogonal else 0
     q_a = rel_main1(pi, 1)

@@ -110,8 +110,9 @@ class MotiveShape(namedtuple("MotiveShape",
 
 
 def dual_motive(M: MotiveShape) -> MotiveShape:
-    return MotiveShape(dual_label(M.label), M.n, -M.weight, M.kappa,
-                       M.dplus, M.dminus)
+    """M^v, unchecked: M's checks read the weight only through its parity."""
+    return tuple.__new__(MotiveShape, (dual_label(M.label), M.n, -M.weight,
+                                       M.kappa, M.dplus, M.dminus))
 
 
 def dual_label(label: str) -> str:

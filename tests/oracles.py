@@ -7,20 +7,25 @@ pair's tensor parameter (the brute-force lattice scan, one pass over the
 factors, and Raghuram's even-rank interval); the relation DB records as
 dicts and their checked decoding; the Yoshida relations as products of
 checked periods; and the Hodge types and the motive of an infinity type,
-against which the tests hold MotiveShape's rules.  No request of the CLI
-runs any of them.
+against which the tests hold MotiveShape's rules; and the relations of a
+main1 step as products of atoms, with the duals built by twisting the types
+and each critical point tested by a Fraction subtraction.  No request of the
+CLI runs any of them.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 from periodcalc import arch_l, weil_real as wr
+from periodcalc import period_algebra as pa
 from periodcalc import yoshida as y
 from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod, Relation,
                                atom_archz, atom_bw, atom_dc, atom_dci,
-                               atom_delta, atom_gauss, atom_lval)
-from periodcalc.infinity_types import (json_int, json_str, signature,
-                                       to_arch_rep)
+                               atom_delta, atom_gauss, atom_lval, gauss_fp)
+from periodcalc.infinity_types import (InfinityType, is_balanced,
+                                       is_regular, json_int, json_str,
+                                       signature, to_arch_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +166,15 @@ def tensor_critical_set(pi, sigma, param=None) -> arch_l.CriticalSet:
     return arch_l.CriticalSet(offset, tuple(lo), tuple(hi))
 
 
+def critical_contains(cs: arch_l.CriticalSet, m0) -> bool:
+    """m0 in cs, by subtracting the offset as Fractions."""
+    k = wr.as_fraction(m0) - cs.offset
+    if k.denominator != 1:
+        return False
+    p = k.numerator % 2
+    return cs.lo[p] <= k.numerator <= cs.hi[p]
+
+
 def raghuram_interval(pi, sigma) -> list:
     """Raghuram's critical interval for an even-rank pi: the points of
     Z + n'/2 in [(2 - w - u - d)/2, (d - w - u)/2], where d is the least
@@ -289,3 +303,142 @@ def motive_from_infinity(t, label: str):
         dplus = (t.n + sig) // 2
         dminus = (t.n - sig) // 2
     return y.MotiveShape(label, t.n, weight, t.kappa, dplus, dminus)
+
+
+# ---------------------------------------------------------------------------
+# the main1 relations as products of periods built by FormalPeriod.atom, *
+# and **; each critical point is tested against a fresh critical_set
+
+def _require_critical(s0, pi, sigma):
+    if not critical_contains(arch_l.critical_set(pi.inf, sigma.inf), s0):
+        raise ValueError(
+            f"{s0} is not a critical point of {pa.pair_label(pi, sigma)}")
+
+
+def twist(t, delta: int, u: int):
+    """Twist by sgn^delta |.|^u: w shifts by 2u; sgn flips the odd-rank bit."""
+    if delta not in (0, 1):
+        raise ValueError("delta must be 0 or 1")
+    sign = t.sign_choice
+    if t.n % 2:
+        sign = (sign + delta) % 2
+    return InfinityType(t.n, t.kappa, t.w + 2 * u, sign)
+
+
+def global_dual(rep):
+    """The contragredient: dual label, w negated, inverse Gauss class."""
+    return pa.GlobalRep(y.dual_label(rep.label),
+                        twist(rep.inf, 0, -rep.inf.w), rep.omega ** -1)
+
+
+def rel_raghuram(m, pi, sigma) -> Relation:
+    if not is_balanced(pi.inf, sigma.inf):
+        raise ValueError("pair is not balanced")
+    m = wr.as_fraction(m)
+    _require_critical(m + Fraction(1, 2), pi, sigma)
+    eps, eps_prime = pa.raghuram_signs(m, pi, sigma)
+    pair = pa.pair_label(pi, sigma)
+    lhs = FormalPeriod.atom(atom_lval(m + Fraction(1, 2), pair))
+    rhs = (FormalPeriod.atom(atom_archz(m, pair))
+           * sigma.omega
+           * FormalPeriod.atom(atom_bw(pi.label, eps))
+           * FormalPeriod.atom(atom_bw(sigma.label, eps_prime)))
+    return Relation(f"raghuram[m={m},{pair}]",
+                    "critical-value factorization over a balanced pair",
+                    lhs, rhs)
+
+
+def rel_duality_ratio(m0, pi, sigma) -> Relation:
+    m0 = wr.as_fraction(m0)
+    _require_critical(m0, pi, sigma)
+    parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
+    pair = pa.pair_label(pi, sigma)
+    dual_pair = f"{y.dual_label(pi.label)}x{y.dual_label(sigma.label)}"
+    lhs = FormalPeriod.atom(atom_lval(m0, pair))
+    rhs = (FormalPeriod.atom(ATOM_I, parity)
+           * pi.omega ** sigma.inf.n
+           * sigma.omega ** pi.inf.n
+           * FormalPeriod.atom(atom_lval(1 - m0, dual_pair)))
+    return Relation(f"duality-ratio[m0={m0},{pair}]",
+                    "functional-equation ratio under duality", lhs, rhs)
+
+
+def rel_arch_iparity(m1, m2, pi, sigma) -> Relation:
+    m1, m2 = wr.as_fraction(m1), wr.as_fraction(m2)
+    center = Fraction(-pi.inf.w - sigma.inf.w, 2)
+    if m1 == center or m2 == center:
+        raise ValueError("central point excluded from the i-parity relation")
+    _require_critical(m1 + Fraction(1, 2), pi, sigma)
+    _require_critical(m2 + Fraction(1, 2), pi, sigma)
+    n = pi.inf.n
+    exp = (m1 - m2) * n * (n - 1) / 2
+    assert exp.denominator == 1
+    pair = pa.pair_label(pi, sigma)
+    lhs = FormalPeriod.atom(atom_archz(m1, pair))
+    rhs = (FormalPeriod.atom(atom_archz(m2, pair))
+           * FormalPeriod.atom(ATOM_I, exp.numerator))
+    return Relation(f"arch-iparity[{m1},{m2},{pair}]",
+                    "i-power comparison of archimedean periods", lhs, rhs)
+
+
+def rel_twist(m, pi, sigma, w1: int, w2: int, twisted_label: str) -> Relation:
+    m = wr.as_fraction(m)
+    _require_critical(m + w1 + w2 + Fraction(1, 2), pi, sigma)
+    pair = pa.pair_label(pi, sigma)
+    lhs = FormalPeriod.atom(atom_archz(m, twisted_label))
+    rhs = FormalPeriod.atom(atom_archz(m + w1 + w2, pair))
+    return Relation(f"arch-twist[{m},{twisted_label}]",
+                    "archimedean period comparison under |.|-twists",
+                    lhs, rhs)
+
+
+def rel_main1(pi, eps: int) -> Relation:
+    if not is_regular(pi.inf):
+        warnings.warn(f"regularity hypotheses unmet for {pi.label}",
+                      stacklevel=2)
+    n = pi.inf.n
+    lhs = FormalPeriod.atom(atom_bw(pi.label, eps))
+    rhs = (pi.omega ** (n - 1)
+           * FormalPeriod.atom(atom_bw(y.dual_label(pi.label), eps)))
+    return Relation(f"main1[{pi.label},{eps:+d}]",
+                    "period relation under duality", lhs, rhs)
+
+
+def main1_pair(n: int, w: int, delta: int, m: int):
+    """The balanced pair of check_main1_step, each type built in full."""
+    r = n // 2
+    need = max(abs(2 * m + 1 + w + delta), abs(1 - w - delta - 2 * m), 4)
+    gap = 2 * (need + 4)
+    kap_par = (w % 2) if n % 2 == 0 else 1
+    base = 2 * gap * (r + 1) + 41
+    if base % 2 != kap_par:
+        base += 1
+    kappa = tuple(base - 2 * gap * i for i in range(r))
+    gprime = gap if kap_par == 1 else gap + 1
+    n_ell = r if n % 2 else r - 1
+    ell = tuple(kappa[j] - gprime for j in range(n_ell))
+    pi = pa.GlobalRep("Pi", InfinityType(n, kappa, w, 0),
+                      gauss_fp({"omega_Pi": 1}))
+    sigma = pa.GlobalRep("Sigma", InfinityType(n - 1, ell, delta, 0),
+                         gauss_fp({"omega_Sigma": 1}))
+    return pi, sigma
+
+
+def main1_steps(n: int, w: int, delta: int, m: int,
+                corrupt: bool = False) -> list:
+    """The (relation, exponent) steps of check_main1_step for an input it
+    accepts at rank n >= 2."""
+    pi, sigma = main1_pair(n, w, delta, m)
+    pi_d, sigma_d = global_dual(pi), global_dual(sigma)
+    eps, eps_prime = pa.raghuram_signs(m, pi, sigma)
+    target = rel_main1(pi, eps)
+    if corrupt:
+        target = Relation(target.name + "[corrupted]", target.citation,
+                          target.lhs, target.rhs * pi.omega ** -1)
+    return [(rel_raghuram(m, pi, sigma), 1),
+            (rel_raghuram(-m, pi_d, sigma_d), -1),
+            (rel_duality_ratio(m + Fraction(1, 2), pi, sigma), -1),
+            (rel_twist(-m, pi, sigma, -w, -delta,
+                       pa.pair_label(pi_d, sigma_d)), -1),
+            (rel_arch_iparity(m, -m - w - delta, pi, sigma), 1),
+            (rel_main1(sigma, eps_prime), 1), (target, 1)]

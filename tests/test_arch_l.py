@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from periodcalc import arch_l, weil_real as wr
 from periodcalc.infinity_types import InfinityType, to_arch_rep
-from tests.oracles import (epsilon_class, raghuram_interval,
-                           scan_critical_points, tensor_critical_set)
+from tests.oracles import (critical_contains, epsilon_class,
+                           raghuram_interval, scan_critical_points,
+                           tensor_critical_set)
 from tests.test_infinity_types import infinity_types
 
 
@@ -213,3 +214,37 @@ def test_closed_form_agrees_with_both_oracles(pi, sigma):
     assert cs == tensor_critical_set(pi, sigma, param)
     assert cs.points() == scan_critical_points(pi, sigma, param)
     assert arch_l.pair_epsilon_class(pi, sigma) == epsilon_class(param)
+
+
+membership_points = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(-40, 40, max_denominator=12),
+    st.builds("{}/{}".format, st.integers(-80, 80), st.integers(1, 12)),
+    st.integers(-40, 40).map(str))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([Fraction(h, 2) for h in range(-9, 10)])
+       | st.fractions(-20, 20, max_denominator=6),
+       st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+       st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+       membership_points)
+@example(Fraction(4, 3), (-5, -5), (5, 5), "1/3")  # k = -1, one denominator
+@example(Fraction(4, 3), (-5, -5), (5, 5), "2/3")  # one denominator, k = -2/3
+@example(Fraction(5, 2), (-5, -5), (5, 5), "-3/6")
+def test_membership_equals_the_fraction_subtraction(offset, lo, hi, m0):
+    cs = arch_l.CriticalSet(offset, lo, hi)
+    assert (m0 in cs) == critical_contains(cs, m0)
+
+
+@pytest.mark.parametrize("bad, exc", [("1.5", ValueError), (1.5, TypeError),
+                                      ("1e3", ValueError), ("+1", ValueError),
+                                      ("1/0", ValueError), (None, TypeError)])
+def test_membership_rejects_what_the_fraction_path_rejects(bad, exc):
+    cs = arch_l.critical_set(InfinityType(2, (11,), 1),
+                             InfinityType(1, (), 0))
+    with pytest.raises(exc) as new:
+        bad in cs
+    with pytest.raises(exc) as old:
+        critical_contains(cs, bad)
+    assert str(new.value) == str(old.value)

