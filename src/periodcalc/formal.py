@@ -74,11 +74,13 @@ def atom_gauss(label: str) -> PeriodAtom:
 
 
 def atom_archz(m, pair: str) -> PeriodAtom:
-    return PeriodAtom("ArchZ", (str(as_fraction(m)), pair))
+    return PeriodAtom("ArchZ", (str(m if type(m) is int else as_fraction(m)),
+                                pair))
 
 
 def atom_lval(s0, pair: str) -> PeriodAtom:
-    return PeriodAtom("LVal", (str(as_fraction(s0)), pair))
+    return PeriodAtom("LVal", (str(s0 if type(s0) is int
+                                   else as_fraction(s0)), pair))
 
 
 def atom_delta(label: str) -> PeriodAtom:
@@ -233,30 +235,27 @@ def replay(steps) -> FormalPeriod:
 
 
 # ---------------------------------------------------------------------------
-# serialization, as json.dumps(..., sort_keys=True) writes the records
+# serialization, as json.dumps(..., sort_keys=True) writes the records; a
+# version-2 record indexes tables that hold each atom and citation once
 
-def period_to_json(p: FormalPeriod, memo: dict = None) -> str:
-    """The JSON text of p; memo keeps each atom's key and text for one save."""
-    memo = {} if memo is None else memo
-    parts = []
-    for atom, e in p._exp.items():
-        entry = memo.get(atom)
-        if entry is None:
-            payload = ", ".join(_json_text(x) if type(x) is str
-                                else int.__repr__(x) for x in atom[1])
-            entry = memo[atom] = (atom._key(), f'{{"kind": "{atom[0]}", '
-                                               f'"payload": [{payload}]}}')
-        parts.append((entry[0], f"[{entry[1]}, {e}]"))
-    if len(parts) > 1:
-        parts.sort()
-    return f"[{', '.join([text for _, text in parts])}]"
+def atom_to_json(atom: PeriodAtom) -> str:
+    payload = ", ".join([_json_text(x) if type(x) is str else int.__repr__(x)
+                         for x in atom[1]])
+    return f'{{"kind": "{atom[0]}", "payload": [{payload}]}}'
 
 
-def relation_to_json(r: Relation, memo: dict = None) -> str:
-    return (f'{{"citation": {_json_text(r.citation)}, '
-            f'"lhs": {period_to_json(r.lhs, memo)}, '
+def period_to_json(p: FormalPeriod, atoms: dict) -> str:
+    """The [atom index, exponent] pairs of p in its own order; atoms numbers
+    each atom of one save on its first use."""
+    return "[" + ", ".join([f"[{atoms.setdefault(a, len(atoms))}, {e}]"
+                            for a, e in p._exp.items()]) + "]"
+
+
+def relation_to_json(r: Relation, atoms: dict, citations: dict) -> str:
+    return (f'{{"citation": {citations.setdefault(r.citation, len(citations))}'
+            f', "lhs": {period_to_json(r.lhs, atoms)}, '
             f'"name": {_json_text(r.name)}, '
-            f'"rhs": {period_to_json(r.rhs, memo)}}}')
+            f'"rhs": {period_to_json(r.rhs, atoms)}}}')
 
 
 def atom_from_json(data: dict) -> PeriodAtom:
@@ -285,24 +284,35 @@ def atom_from_json(data: dict) -> PeriodAtom:
         raise ValueError(f"bad {kind} payload: {exc}") from exc
 
 
-def period_from_json(data) -> FormalPeriod:
+def _entry(table: list, i, what: str):
+    if type(i) is int and 0 <= i < len(table):
+        return table[i]
+    raise ValueError(f"bad {what} index {i!r} into a table of {len(table)}")
+
+
+def period_from_json(data, atoms: list = None) -> FormalPeriod:
+    """A side of a relation: [atom index, exponent] pairs into the decoded
+    atom table of a version-2 file, or without one, [atom, exponent]."""
     exp = {}
     for a, e in data:
-        atom = atom_from_json(a)
+        atom = atom_from_json(a) if atoms is None else _entry(atoms, a, "atom")
         exp[atom] = exp.get(atom, 0) + (e if type(e) is int else json_int(e))
     return FormalPeriod._of_exp(_reduced(exp))
 
 
-def relation_from_json(data: dict) -> Relation:
+def relation_from_json(data: dict, atoms: list = None,
+                       citations: list = None) -> Relation:
     try:
-        return Relation(json_str(data["name"]), json_str(data["citation"]),
-                        period_from_json(data["lhs"]),
-                        period_from_json(data["rhs"]))
+        citation = (data["citation"] if citations is None
+                    else _entry(citations, data["citation"], "citation"))
+        return Relation(json_str(data["name"]), json_str(citation),
+                        period_from_json(data["lhs"], atoms),
+                        period_from_json(data["rhs"], atoms))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed relation record: {exc!r}") from exc
 
 
-DB_VERSION = 1  # of the file layout; a file without "version" is version 1
+DB_VERSION = 2  # of the file layout; a file without "version" is version 1
 
 
 class RelationDB:
@@ -326,15 +336,20 @@ class RelationDB:
         return sorted(self._relations)
 
     def save(self, path: str):
-        """Write the database to path, one relation per line of sorted-key
-        JSON; a failed write leaves path as it was."""
-        memo = {}
-        lines = ",\n".join(relation_to_json(self._relations[n], memo)
-                            for n in self.names())
+        """Write the database to path as sorted-key JSON: each distinct atom
+        on a line of its own in order of first use, the citations, then one
+        relation per line; a failed write leaves path as it was."""
+        atoms, citations = {}, {}
+        lines = ",\n".join([relation_to_json(self._relations[n], atoms,
+                                              citations)
+                             for n in self.names()])
+        table = ",\n".join(map(atom_to_json, atoms))
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(f'{{"relations": [\n{lines}\n], '
+                fh.write(f'{{"atoms": [\n{table}\n], "citations": '
+                         f'[{", ".join(map(_json_text, citations))}], '
+                         f'"relations": [\n{lines}\n], '
                          f'"version": {DB_VERSION}}}\n')
             os.replace(tmp, path)
         finally:
@@ -343,6 +358,8 @@ class RelationDB:
 
     @classmethod
     def load(cls, path: str) -> "RelationDB":
+        """Read a version-2 file, or a version-1 file (also one without
+        "version"), whose relations hold each atom and citation in full."""
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -353,12 +370,21 @@ class RelationDB:
         entries = data.get("relations", []) if isinstance(data, dict) else None
         if not isinstance(entries, list):
             raise ValueError(f"{path} does not hold a relation database")
-        version = data.get("version", DB_VERSION)
-        if type(version) is not int or version != DB_VERSION:
+        version = data.get("version", 1)
+        if type(version) is not int or version not in (1, DB_VERSION):
             raise ValueError(f"{path} has an unknown DB version {version!r}")
+        atoms = citations = None
+        if version == DB_VERSION:
+            atoms, citations = data.get("atoms"), data.get("citations")
+            if type(atoms) is not list or type(citations) is not list:
+                raise ValueError(f"{path} needs an atom and a citation table")
+            try:
+                atoms = [atom_from_json(a) for a in atoms]
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed atom record: {exc!r}") from exc
         db = cls()
         for entry in entries:
-            db.add(relation_from_json(entry))
+            db.add(relation_from_json(entry, atoms, citations))
         return db
 
 

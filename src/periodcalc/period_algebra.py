@@ -72,11 +72,13 @@ def _require_critical(s0, pi: GlobalRep, sigma: GlobalRep):
 def raghuram_signs(m, pi: GlobalRep, sigma: GlobalRep):
     """Resolve (eps_m, eps'_m): the odd-rank member fixes its sign to its
     signature, the other is forced by eps_m * eps'_m = (-1)^{m+n}."""
-    m = as_fraction(m)
-    if m.denominator != 1:
-        raise ValueError("m must be an integer for adjacent ranks")
+    if type(m) is not int:  # a bool takes the checked path
+        m = as_fraction(m)
+        if m.denominator != 1:
+            raise ValueError("m must be an integer for adjacent ranks")
+        m = m.numerator
     n = pi.inf.n
-    free = -1 if (m.numerator + n) % 2 else 1
+    free = -1 if (m + n) % 2 else 1
     if n % 2:
         eps = signature(pi.inf)
         eps_prime = free * eps
@@ -102,7 +104,7 @@ def rel_raghuram(m, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     """L(m+1/2, Pi x Sigma) = p(m, .) G(omega_Sigma) p(Pi,eps) p(Sigma,eps')."""
     if not is_balanced(pi.inf, sigma.inf):
         raise ValueError("pair is not balanced")
-    m = as_fraction(m)
+    m = m if type(m) is int else as_fraction(m)
     s0 = m + _HALF
     _require_critical(s0, pi, sigma)
     eps, eps_prime = raghuram_signs(m, pi, sigma)
@@ -134,7 +136,7 @@ def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
 
 def rel_arch_iparity(m1, m2, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     """p(m1, .) / p(m2, .) = i^{(m1-m2) n(n-1)/2}; central points excluded."""
-    m1, m2 = as_fraction(m1), as_fraction(m2)
+    m1, m2 = (m if type(m) is int else as_fraction(m) for m in (m1, m2))
     center2 = -pi.inf.w - sigma.inf.w  # twice the central point
     if 2 * m1 == center2 or 2 * m2 == center2:
         raise ValueError("central point excluded from the i-parity relation")
@@ -154,7 +156,7 @@ def rel_arch_iparity(m1, m2, pi: GlobalRep, sigma: GlobalRep) -> Relation:
 def rel_twist(m, pi: GlobalRep, sigma: GlobalRep, w1: int, w2: int,
               twisted_label: str) -> Relation:
     """p(m, twisted pair) = p(m + w1 + w2, pair) up to rationals."""
-    m = as_fraction(m)
+    m = m if type(m) is int else as_fraction(m)
     point = m + (w1 + w2)
     _require_critical(point + _HALF, pi, sigma)
     rhs = {atom_archz(point, pair_label(pi, sigma)): 1}

@@ -192,8 +192,9 @@ def raghuram_interval(pi, sigma) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the relation DB layout as dicts; RelationDB.save writes, line for line, the
-# text json.dumps(relation_to_json(r), sort_keys=True) of each relation
+# the relation DB layouts as dicts. Version 1, which RelationDB.load still
+# reads, holds json.dumps(relation_to_json(r), sort_keys=True) for each
+# relation; RelationDB.save writes version 2 (db_to_json below), line for line
 
 def atom_to_json(atom) -> dict:
     return {"kind": atom.kind, "payload": list(atom.payload)}
@@ -206,6 +207,25 @@ def period_to_json(p: FormalPeriod) -> list:
 def relation_to_json(r: Relation) -> dict:
     return {"name": r.name, "citation": r.citation,
             "lhs": period_to_json(r.lhs), "rhs": period_to_json(r.rhs)}
+
+
+def db_to_json(relations) -> dict:
+    """The version-2 layout: each distinct atom and citation once, numbered
+    in order of first use over the relations sorted by name, each side of a
+    relation as [atom index, exponent] pairs in its period's own order."""
+    atoms, citations = {}, {}
+
+    def side(p):
+        return [[atoms.setdefault(a, len(atoms)), e]
+                for a, e in p._exp.items()]
+
+    # a dict display evaluates its values in order: lhs numbers before rhs
+    records = [{"name": r.name,
+                "citation": citations.setdefault(r.citation, len(citations)),
+                "lhs": side(r.lhs), "rhs": side(r.rhs)}
+               for r in sorted(relations, key=lambda r: r.name)]
+    return {"atoms": [atom_to_json(a) for a in atoms],
+            "citations": list(citations), "relations": records, "version": 2}
 
 
 # kind -> (constructor, payload types as read from JSON)

@@ -367,6 +367,44 @@ MALFORMED["delta-above-cap"] = ["check", "main1", "--n", "4",
                                 "--delta", "1" + "0" * 50]
 
 
+def _db2_file(pair=(0, 1), citation=0, version=2, without=None):
+    """A version-2 --db file of two atoms, one citation and r = TwoPiI / 1,
+    with one field changed or left out."""
+    data = {"atoms": [_atom("TwoPiI"), _atom("I")], "citations": ["c"],
+            "relations": [{"name": "r", "citation": citation,
+                           "lhs": [list(pair)], "rhs": []}],
+            "version": version}
+    data.pop(without, None)
+    return json.dumps(data)
+
+
+# version-2 --db files that each hold one bad index, table or pair; appended
+# last, as above
+MALFORMED_DB2 = {
+    "db-atom-index-out-of-range": _db2_file(pair=(2, 1)),
+    "db-negative-atom-index": _db2_file(pair=(-1, 1)),
+    "db-true-atom-index": _db2_file(pair=(True, 1)),
+    "db-float-atom-index": _db2_file(pair=(1.0, 1)),
+    "db-citation-index-out-of-range": _db2_file(citation=1),
+    "db-atoms-missing": _db2_file(without="atoms"),
+    "db-pair-of-three": _db2_file(pair=(0, 1, 1)),
+    "db-version-3": _db2_file(version=3),
+}
+MALFORMED_DB.update(MALFORMED_DB2)
+MALFORMED.update({case: ["check", "--db", f"@{case}.json", "--script",
+                         '[{"relation": "r", "exponent": 1}]']
+                  for case in MALFORMED_DB2})
+
+
+def test_the_version_2_db_file_of_the_malformed_cases_is_valid(tmp_path,
+                                                               capsys):
+    (tmp_path / "v2.json").write_text(_db2_file())
+    code, out, err = run(capsys, "check", "--db", str(tmp_path / "v2.json"),
+                         "--script", '[{"relation": "r", "exponent": 1}]')
+    assert (code, err) == (1, "")
+    assert "offending atom TwoPiI" in out
+
+
 # inputs that are not UTF-8 text; the golden corpus records text files only
 NOT_UTF8 = {
     "script-not-utf8": ["check", "--db", "@empty.json",

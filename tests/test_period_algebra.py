@@ -64,7 +64,10 @@ def test_order_independence(ps):
 @settings(max_examples=100, deadline=None)
 @given(periods)
 def test_serialization_round_trip(p):
-    assert period_from_json(json.loads(period_to_json(p))) == p
+    atoms = {}
+    text = period_to_json(p, atoms)
+    assert list(atoms) == list(p._exp)
+    assert period_from_json(json.loads(text), list(atoms)) == p
 
 
 def test_offending_atom_names_a_residual_atom():
@@ -191,6 +194,40 @@ def test_raghuram_signs_flip_between_adjacent_m():
     e1 = pa.raghuram_signs(1, PI4, SIG3)
     assert e0[1] == e1[1]                    # fixed sign (n even)
     assert e0[0] == -e1[0]                   # free sign flips
+
+
+def _outcome_of(f, *args):
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("m", [-3, -1, 0, 1, 2, 2 ** 70, True, False])
+def test_an_int_point_gives_what_its_fraction_gives(m):
+    # the int fast paths against the checked Fraction path; a bool takes
+    # the checked path, so it acts as the int it equals
+    for make in (atom_archz, atom_lval):
+        assert make(m, "P") == make(Fraction(m), "P")
+        assert make(m, "P").payload[0] == str(Fraction(m))
+    assert (_outcome_of(pa.raghuram_signs, m, PI4, SIG3)
+            == _outcome_of(pa.raghuram_signs, Fraction(m), PI4, SIG3))
+    assert (_outcome_of(pa.rel_raghuram, m, PI4, SIG3)
+            == _outcome_of(pa.rel_raghuram, Fraction(m), PI4, SIG3))
+    assert (_outcome_of(pa.rel_twist, m, PI4, SIG3, 1, -1, "T")
+            == _outcome_of(pa.rel_twist, Fraction(m), PI4, SIG3, 1, -1, "T"))
+    assert (_outcome_of(pa.rel_arch_iparity, m, 1, PI4, SIG3)
+            == _outcome_of(pa.rel_arch_iparity, Fraction(m), Fraction(1),
+                           PI4, SIG3))
+
+
+@pytest.mark.parametrize("m", ["1/2", Fraction(3, 2), "x", 1.0, None])
+def test_a_point_that_is_not_an_int_keeps_its_error(m):
+    checked = _outcome_of(weil_real.as_fraction, m)
+    if isinstance(checked, Fraction):
+        checked = (ValueError, "m must be an integer for adjacent ranks")
+    assert _outcome_of(pa.raghuram_signs, m, PI4, SIG3) == checked
+    assert _outcome_of(pa.rel_raghuram, m, PI4, SIG3)[0] is checked[0]
 
 
 def test_rel_raghuram_requires_critical_and_balanced():
@@ -480,7 +517,7 @@ def test_failed_save_leaves_the_db_file_intact(tmp_path, monkeypatch):
     monkeypatch.setattr(formal.os, "replace", failing_replace)
     with pytest.raises(OSError):
         db.save(str(path))
-    assert held and held[0].startswith('{"relations": [')
+    assert held and held[0].startswith('{"atoms": [\n')
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["relations.json"]
 
@@ -500,15 +537,26 @@ def test_saved_db_loads_every_relation_back_one_per_line(tmp_path):
     for name in db.names():
         assert loaded.get(name) == db.get(name)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == '{"relations": [' and lines[-1] == '], "version": 1}'
-    assert [relation_from_json(json.loads(line.rstrip(",")))
-            for line in lines[1:-1]] == [db.get(n) for n in db.names()]
+    assert lines[0] == '{"atoms": [' and lines[-1] == '], "version": 2}'
+    middle = next(i for i, line in enumerate(lines) if line.startswith("]"))
+    assert lines[middle].startswith('], "citations": [')
+    assert lines[middle].endswith('], "relations": [')
+    atoms = [atom_from_json(json.loads(line.rstrip(",")))
+             for line in lines[1:middle]]
+    citations = json.loads(lines[middle][len('], "citations": '):
+                                         -len(', "relations": [')])
+    assert len(set(atoms)) == len(atoms)
+    assert len(set(citations)) == len(citations)
+    assert ([relation_from_json(json.loads(line.rstrip(",")), atoms, citations)
+             for line in lines[middle + 1:-1]]
+            == [db.get(n) for n in db.names()])
 
 
-@pytest.mark.parametrize("version", [2, "1", True, None, 1.0])
+@pytest.mark.parametrize("version", [3, 0, "1", True, None, 1.0])
 def test_an_unknown_db_version_is_rejected(tmp_path, version):
     path = tmp_path / "relations.json"
-    path.write_text(json.dumps({"relations": [], "version": version}))
+    path.write_text(json.dumps({"atoms": [], "citations": [], "relations": [],
+                                "version": version}))
     with pytest.raises(ValueError, match="unknown DB version"):
         pa.RelationDB.load(str(path))
 
@@ -520,10 +568,10 @@ def test_an_unknown_db_version_is_rejected(tmp_path, version):
     ids=["motivic-dual", "main1"])
 def test_a_db_in_the_indented_layout_still_replays(tmp_path, derive, corrupt):
     res = derive(corrupt)
-    _, path = _saved(tmp_path, res)
+    db, path = _saved(tmp_path, res)
     new = pa.check_script(pa.RelationDB.load(str(path)), res.to_script())
-    data = json.loads(path.read_text(encoding="utf-8"))
-    del data["version"]
+    data = {"relations": [oracles.relation_to_json(db.get(n))
+                          for n in db.names()]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
     old = pa.check_script(pa.RelationDB.load(str(path)), res.to_script())
@@ -632,10 +680,110 @@ def _save_text(relations) -> str:
 @settings(max_examples=100, deadline=None)
 @given(any_relations)
 def test_saved_text_is_json_dumps_of_the_oracle_layout(relations):
-    body = [json.dumps(oracles.relation_to_json(rel), sort_keys=True)
-            for rel in sorted(relations, key=lambda r: r.name)]
-    want = '{"relations": [\n' + ",\n".join(body) + '\n], "version": 1}\n'
-    assert _save_text(relations).split("\n") == want.split("\n")
+    data = oracles.db_to_json(relations)
+    atoms, body = ([json.dumps(x, sort_keys=True) for x in data[key]]
+                   for key in ("atoms", "relations"))
+    want = ('{"atoms": [\n' + ",\n".join(atoms) + '\n], "citations": '
+            + json.dumps(data["citations"]) + ', "relations": [\n'
+            + ",\n".join(body) + '\n], "version": 2}\n')
+    text = _save_text(relations)
+    assert text.split("\n") == want.split("\n")
+    assert json.loads(text) == data
+
+
+# version-1 files as (extra fields, indent): unversioned, "version": 1, and
+# the older indented layout
+V1_LAYOUTS = [({}, None), ({"version": 1}, None), ({}, 2)]
+
+
+def _write_v1(path, relations, fields, indent):
+    data = {"relations": [oracles.relation_to_json(r) for r in relations],
+            **fields}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=indent, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_relations, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_v1_and_v2_files_load_to_the_same_db(relations, exponents):
+    db = pa.RelationDB()
+    for rel in relations:
+        db.add(rel)
+    script = [{"relation": r.name, "exponent": e}
+              for r, e in zip(relations, exponents)]
+    in_memory = pa.check_script(db, script)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "relations.json")
+        db.save(path)
+        v2 = pa.RelationDB.load(path)
+        for fields, indent in V1_LAYOUTS:
+            _write_v1(path, relations, fields, indent)
+            v1 = pa.RelationDB.load(path)
+            assert v1.names() == v2.names() == db.names()
+            assert all(v1.get(n) == v2.get(n) == db.get(n)
+                       for n in db.names())
+            assert pa.check_script(v1, script) == in_memory
+        assert pa.check_script(v2, script) == in_memory
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_relations)
+def test_saving_a_loaded_db_writes_the_same_bytes(relations):
+    text = _save_text(relations)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "relations.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        pa.RelationDB.load(path).save(path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == text
+
+
+def _v2(**fields) -> dict:
+    """A valid version-2 file of two atoms and r = TwoPiI / 1, with fields
+    replaced."""
+    return {"atoms": [{"kind": "TwoPiI", "payload": []}, {"kind": "I"}],
+            "citations": ["c"], "version": 2,
+            "relations": [{"name": "r", "citation": 0, "lhs": [[0, 1]],
+                           "rhs": []}], **fields}
+
+
+def _relation(**fields) -> dict:
+    return _v2(relations=[dict(_v2()["relations"][0], **fields)])
+
+
+@pytest.mark.parametrize("data, message", [
+    (_relation(lhs=[[2, 1]]), "bad atom index 2 into a table of 2"),
+    (_relation(lhs=[[-1, 1]]), "bad atom index -1"),
+    (_relation(lhs=[[True, 1]]), "bad atom index True"),
+    (_relation(lhs=[[1.0, 1]]), "bad atom index 1.0"),
+    (_relation(lhs=[["0", 1]]), "bad atom index '0'"),
+    (_relation(lhs=[[{"kind": "TwoPiI"}, 1]]), "bad atom index {"),
+    (_relation(lhs=[[0, 1, 1]]), "too many values to unpack"),
+    (_relation(lhs=[0]), "malformed relation record"),
+    (_relation(citation=1), "bad citation index 1 into a table of 1"),
+    (_relation(citation="c"), "bad citation index 'c'"),
+    (_relation(citation=False), "bad citation index False"),
+    (_v2(citations=[7]), "malformed relation record"),
+    (_v2(citations=[""]), "relation needs a name and a citation"),
+    (_v2(atoms=[["TwoPiI"]]), "malformed atom record"),
+    (_v2(atoms=[{"payload": []}]), "malformed atom record"),
+    (_v2(atoms=[{"kind": "BW", "payload": ["P", 2]}]), "BW sign"),
+    (_v2(atoms={}), "needs an atom and a citation table"),
+    (_v2(citations="c"), "needs an atom and a citation table"),
+    ({"citations": [], "relations": [], "version": 2},
+     "needs an atom and a citation table"),
+    ({"atoms": [], "relations": [], "version": 2},
+     "needs an atom and a citation table"),
+])
+def test_a_malformed_version_2_file_is_rejected(tmp_path, data, message):
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps(_v2()))
+    db = pa.RelationDB.load(str(path))
+    assert db.get("r").lhs == FormalPeriod.atom(ATOM_TWO_PI_I)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pa.RelationDB.load(str(path))
 
 
 @settings(max_examples=200, deadline=None)
@@ -705,7 +853,11 @@ def test_script_rejects_bindings():
 
 def test_relation_serialization_round_trip():
     rel = pa.rel_main1(PI4, -1)
-    assert relation_from_json(json.loads(relation_to_json(rel))) == rel
+    atoms, citations = {}, {}
+    text = relation_to_json(rel, atoms, citations)
+    assert list(citations) == [rel.citation]
+    assert relation_from_json(json.loads(text), list(atoms),
+                              list(citations)) == rel
 
 
 def test_duplicate_relation_names_need_replace():
