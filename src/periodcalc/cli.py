@@ -175,6 +175,7 @@ def cmd_deligne(args) -> int:
 
 
 def _check_main1(args):
+    _check_w(args.w, "--w")
     # --m is the critical point m0 = m + 1/2 on the half-integer lattice
     m = _parse_fraction(args.m, "--m") - Fraction(1, 2)
     delta = args.delta if args.delta is not None else args.n % 2
@@ -197,6 +198,7 @@ def _check_corollary_main(args):
 
 
 def _check_main2(args):
+    _check_rank(args.nprime, "--nprime")
     from .period_algebra import check_theorem_main2
     return check_theorem_main2(
         args.n, args.nprime, include_i_power=not args.no_i_power,
@@ -211,35 +213,21 @@ def _check_motivic_dual(args):
     return check_motivic_dual(args.n, i=args.i, corrupt=args.corrupt)
 
 
-BUILTINS = {"main1": _check_main1, "corollary-main": _check_corollary_main,
-            "main2": _check_main2, "motivic-dual": _check_motivic_dual}
-# the flags one builtin alone reads, and the defaults of those with one;
-# argparse leaves them None, so that _check_flags sees which were given
-BUILTIN_FLAGS = {"main1": ("w", "delta", "m"),
-                 "corollary-main": ("chi", "symplectic"),
-                 "main2": ("nprime", "no_i_power", "eps_num"),
-                 "motivic-dual": ("i",)}
-FLAG_DEFAULTS = {"w": 0, "m": "1/2", "nprime": 1, "eps_num": 1}
-
-
-def _check_flags(args, reads: tuple, request: str):
-    """Reject a builtin's flag given to a request that does not read it,
-    most likely meant for another builtin; default the flags not given."""
-    for names in (("n", "corrupt"), *BUILTIN_FLAGS.values()):
-        for name in names:
-            value = getattr(args, name)
-            if value is None:
-                setattr(args, name, FLAG_DEFAULTS.get(name))
-            elif name not in reads and value is not False:
-                raise SchemaError(f"--{name.replace('_', '-')} is not read "
-                                  f"by {request}")
-
-
 def cmd_check(args) -> int:
-    if args.script is not None:
-        if args.builtin is not None:
-            raise SchemaError("give a builtin check name or --script, not both")
-        _check_flags(args, (), "check --script")
+    if args.builtin is not None:
+        # argparse rejects a --script after the builtin name, not one before
+        if args.script is not None:
+            raise SchemaError("give a builtin check name or --script, "
+                              "not both")
+        _check_rank(args.n, "--n")
+        # each builtin checks its own flags before it loads period_algebra
+        result = args.run(args)
+        if args.db is not None:
+            from . import period_algebra as pa
+            db = pa.RelationDB()
+            result.register(db)
+            db.save(args.db)
+    elif args.script is not None:
         if args.db is None:
             raise SchemaError("--script requires --db")
         text = args.script
@@ -260,22 +248,7 @@ def cmd_check(args) -> int:
             raise SchemaError(exc.args[0]) from exc
         result = pa.CheckResult(residual)
     else:
-        if args.builtin is None:
-            raise SchemaError("give a builtin check name or --script")
-        _check_flags(args, ("n", "corrupt", *BUILTIN_FLAGS[args.builtin]),
-                     f"check {args.builtin}")
-        if args.n is None:
-            raise SchemaError("builtin checks require --n")
-        _check_rank(args.n, "--n")
-        _check_rank(args.nprime, "--nprime")
-        _check_w(args.w, "--w")
-        # each builtin checks its own flags before it loads period_algebra
-        result = BUILTINS[args.builtin](args)
-        if args.db is not None:
-            from . import period_algebra as pa
-            db = pa.RelationDB()
-            result.register(db)
-            db.save(args.db)
+        raise SchemaError("give a builtin check name or --script")
     payload = {"ok": result.is_ok, "residual": repr(result.residual),
                "i_parity": result.i_parity}
     if not result.is_ok:
@@ -353,21 +326,38 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_deligne)
 
     s = sub.add_parser("check", help="replay a derivation")
-    s.add_argument("builtin", nargs="?", choices=tuple(BUILTINS))
     s.add_argument("--script", help="script JSON, path, or - for stdin")
     s.add_argument("--db", help="relation database path")
-    s.add_argument("--n", type=int)
-    s.add_argument("--w", type=int)
-    s.add_argument("--delta", type=int, help="weight of Sigma, of n's parity")
-    s.add_argument("--m", help="critical point m0 (fraction)")
-    s.add_argument("--nprime", type=int)
-    s.add_argument("--i", type=int)
-    s.add_argument("--chi", help="character label for corollary-main")
-    s.add_argument("--symplectic", action="store_true")
-    s.add_argument("--no-i-power", action="store_true")
-    s.add_argument("--eps-num", type=int, choices=(1, -1))
-    s.add_argument("--corrupt", action="store_true")
     s.set_defaults(func=cmd_check)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n", type=int, required=True)
+    # argparse copies a builtin's defaults over check's own, so a default
+    # here would drop a --db given before the builtin name
+    common.add_argument("--db", default=argparse.SUPPRESS,
+                        help="relation database path")
+    common.add_argument("--corrupt", action="store_true")
+    builtins = s.add_subparsers(dest="builtin")
+    b = builtins.add_parser("main1", parents=[common],
+                            help="the Betti-Whittaker period relation")
+    b.add_argument("--w", type=int, default=0)
+    b.add_argument("--delta", type=int, help="weight of Sigma, of n's parity")
+    b.add_argument("--m", default="1/2", help="critical point m0 (fraction)")
+    b.set_defaults(run=_check_main1)
+    b = builtins.add_parser("corollary-main", parents=[common],
+                            help="the relative period of an orthogonal Pi")
+    b.add_argument("--chi", help="character label")
+    b.add_argument("--symplectic", action="store_true")
+    b.set_defaults(run=_check_corollary_main)
+    b = builtins.add_parser("main2", parents=[common],
+                            help="ratios of successive critical values")
+    b.add_argument("--nprime", type=int, default=1)
+    b.add_argument("--no-i-power", action="store_true")
+    b.add_argument("--eps-num", type=int, choices=(1, -1), default=1)
+    b.set_defaults(run=_check_main2)
+    b = builtins.add_parser("motivic-dual", parents=[common],
+                            help="the motivic form of the duality")
+    b.add_argument("--i", type=int)
+    b.set_defaults(run=_check_motivic_dual)
 
     s = sub.add_parser("asai", help="GL(4) tensor-transfer infinity type")
     s.add_argument("--kappa1", type=int, required=True)

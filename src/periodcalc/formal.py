@@ -294,9 +294,18 @@ def period_from_json(data, atoms: list = None) -> FormalPeriod:
     """A side of a relation: [atom index, exponent] pairs into the decoded
     atom table of a version-2 file, or without one, [atom, exponent]."""
     exp = {}
-    for a, e in data:
-        atom = atom_from_json(a) if atoms is None else _entry(atoms, a, "atom")
-        exp[atom] = exp.get(atom, 0) + (e if type(e) is int else json_int(e))
+    try:
+        for a, e in data:
+            atom = (atom_from_json(a) if atoms is None
+                    else _entry(atoms, a, "atom"))
+            exp[atom] = exp.get(atom, 0) + (e if type(e) is int
+                                            else json_int(e))
+    except ValueError as exc:
+        if exc.__traceback__.tb_next is not None:  # raised by a decoder
+            raise
+        # the pairs before the one that failed to unpack each had two entries
+        bad = next(p for p in data if len(p) != 2)
+        raise ValueError(f"a pair must be [atom, exponent], got {bad!r}")
     return FormalPeriod._of_exp(_reduced(exp))
 
 

@@ -252,6 +252,25 @@ def test_motivic_dual_steps_replay_from_db(tmp_path, capsys):
     assert code == 0 and data["ok"]
 
 
+def test_a_db_given_before_the_builtin_name_is_saved(tmp_path, capsys):
+    before, after = str(tmp_path / "before.json"), str(tmp_path / "after.json")
+    argv = ["main1", "--n", "4", "--m", "3/2"]
+    assert run(capsys, "check", "--db", before, *argv)[0] == 0
+    assert run(capsys, "check", *argv, "--db", after)[0] == 0
+    with open(before, "rb") as fh, open(after, "rb") as gh:
+        assert fh.read() == gh.read()
+
+
+def test_corrupt_before_the_builtin_name_is_never_ignored(capsys):
+    code, out, err = run(capsys, "--json", "check", "--corrupt", "main1",
+                         "--n", "6", "--w", "2", "--m", "3/2")
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+    else:
+        assert code == 1
+        assert json.loads(out)["offending_atom"] == "Gauss(omega_Pi)"
+
+
 # an argument "@name" stands for the file tmp_path/name
 MALFORMED = {
     "index-out-of-range": ["check", "motivic-dual", "--n", "6", "--i", "9"],
@@ -395,6 +414,21 @@ MALFORMED.update({case: ["check", "--db", f"@{case}.json", "--script",
                          '[{"relation": "r", "exponent": 1}]']
                   for case in MALFORMED_DB2})
 
+# a version-1 pair of three entries, as db-pair-of-three is in version 2, and
+# a flag of one builtin given to each other builtin; appended last, as above
+MALFORMED_DB["db-v1-pair-of-three"] = _db_file([[_atom("TwoPiI"), 1, 1]])
+MALFORMED["db-v1-pair-of-three"] = ["check", "--db",
+                                    "@db-v1-pair-of-three.json", "--script",
+                                    '[{"relation": "r", "exponent": 1}]']
+MALFORMED["main2-stray-flag"] = ["check", "main2", "--n", "2", "--i", "1"]
+MALFORMED["motivic-dual-stray-flag"] = ["check", "motivic-dual", "--n", "6",
+                                        "--chi", "psi"]
+MALFORMED["corollary-main-stray-flag"] = ["check", "corollary-main",
+                                          "--n", "2", "--w", "2"]
+# a --script before the builtin name, which argparse does not reject
+MALFORMED["script-before-builtin"] = ["check", "--db", "@empty.json",
+                                      "--script", "[]", "main1", "--n", "4"]
+
 
 def test_the_version_2_db_file_of_the_malformed_cases_is_valid(tmp_path,
                                                                capsys):
@@ -441,10 +475,12 @@ def test_module_entry_point_prints_no_warning():
     assert proc.returncode == 0 and proc.stderr == ""
 
 
-# what a fresh interpreter prints last: the modules loaded when main returns;
-# it exits with main's code
-_LOADED = ("import sys; from periodcalc.cli import main; "
-           "code = main(sys.argv[1:]); "
+# what a fresh interpreter prints last: the modules loaded when main returns
+# or argparse exits; it exits with main's code
+_LOADED = ("import sys; from periodcalc.cli import main\n"
+           "try:\n    code = main(sys.argv[1:])\n"
+           "except SystemExit as exc:  # argparse usage errors\n"
+           "    code = exc.code\n"
            "print(' '.join(sorted(sys.modules))); sys.exit(code)")
 _BASE = {"periodcalc", "periodcalc.cli", "periodcalc.infinity_types",
          "periodcalc.weil_real"}

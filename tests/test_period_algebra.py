@@ -759,7 +759,8 @@ def _relation(**fields) -> dict:
     (_relation(lhs=[[1.0, 1]]), "bad atom index 1.0"),
     (_relation(lhs=[["0", 1]]), "bad atom index '0'"),
     (_relation(lhs=[[{"kind": "TwoPiI"}, 1]]), "bad atom index {"),
-    (_relation(lhs=[[0, 1, 1]]), "too many values to unpack"),
+    (_relation(lhs=[[0, 1, 1]]),
+     "a pair must be [atom, exponent], got [0, 1, 1]"),
     (_relation(lhs=[0]), "malformed relation record"),
     (_relation(citation=1), "bad citation index 1 into a table of 1"),
     (_relation(citation="c"), "bad citation index 'c'"),
@@ -775,6 +776,7 @@ def _relation(**fields) -> dict:
      "needs an atom and a citation table"),
     ({"atoms": [], "relations": [], "version": 2},
      "needs an atom and a citation table"),
+    (_relation(lhs=[[0]]), "a pair must be [atom, exponent], got [0]"),
 ])
 def test_a_malformed_version_2_file_is_rejected(tmp_path, data, message):
     path = tmp_path / "relations.json"
@@ -784,6 +786,33 @@ def test_a_malformed_version_2_file_is_rejected(tmp_path, data, message):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=re.escape(message)):
         pa.RelationDB.load(str(path))
+
+
+_TWO_PI_I = {"kind": "TwoPiI", "payload": []}
+
+
+@pytest.mark.parametrize("atoms, pairs, bad", [
+    (None, [[_TWO_PI_I, 1], [_TWO_PI_I, 1, 1]], "[{'kind': 'TwoPiI', "
+                                                "'payload': []}, 1, 1]"),
+    (None, [[_TWO_PI_I, 1], [_TWO_PI_I]], "[{'kind': 'TwoPiI', "
+                                          "'payload': []}]"),
+    ([ATOM_TWO_PI_I], [[0, 1], [0, 1, 1]], "[0, 1, 1]"),
+    ([ATOM_TWO_PI_I], [[0, 1], "x"], "'x'"),
+], ids=["v1-three", "v1-one", "v2-three", "v2-string"])
+def test_a_pair_that_is_not_atom_and_exponent_is_named(atoms, pairs, bad):
+    with pytest.raises(ValueError) as exc:
+        period_from_json(pairs, atoms)
+    assert str(exc.value) == f"a pair must be [atom, exponent], got {bad}"
+
+
+def test_a_decoder_error_after_a_good_pair_keeps_its_text():
+    """Only a pair that does not unpack gets the pair message, even when a
+    later pair also has the wrong length."""
+    with pytest.raises(ValueError, match=r"^bad atom index 5 into a table "
+                                         r"of 1$"):
+        period_from_json([[0, 1], [5, 1], [0, 1, 1]], [ATOM_TWO_PI_I])
+    with pytest.raises(ValueError, match=r"^unknown atom kind: 'Nope'$"):
+        period_from_json([[{"kind": "Nope"}, 1], [_TWO_PI_I]])
 
 
 @settings(max_examples=200, deadline=None)
