@@ -10,21 +10,21 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .infinity_types import InfinityType
-from .weil_real import ArchCharacter, ArchRep, as_fraction
+from .infinity_types import InfinityType, as_fraction
 
 
 def _gamma(c) -> tuple:
     """The Gamma factor of a constituent c as (kind, b, b_dual): it is
     Gamma_kind(s + b) in L(s, c) and Gamma_kind(s + b_dual) in L(s, dual c).
     The two shifts differ only in the sign of the twist."""
+    from .weil_real import ArchCharacter
     if isinstance(c, ArchCharacter):
         return "R", c.sign_parity + c.twist, c.sign_parity - c.twist
     h = Fraction(c.kappa - 1, 2)
     return "C", h + c.twist, h - c.twist
 
 
-def l_factor(a: ArchRep) -> tuple:
+def l_factor(a) -> tuple:
     """The Gamma factors of L(s, a), a sorted tuple of ("R"|"C", shift)."""
     return tuple(sorted((kind, b) for kind, b, _ in map(_gamma, a)))
 

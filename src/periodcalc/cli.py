@@ -12,9 +12,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .infinity_types import (DominantWeight, InfinityType, infinity_to_weight,
-                             self_dual_homs, weight_to_infinity)
-from .weil_real import as_fraction
+from .infinity_types import (DominantWeight, InfinityType, as_fraction,
+                             infinity_to_weight, self_dual_homs,
+                             weight_to_infinity)
 
 
 # the largest rank any flag or payload may ask for; every check at this rank
@@ -67,6 +67,10 @@ def _parse_payload(text: str, cls):
         obj = cls.from_json(data)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad {cls.__name__} payload: {exc}") from exc
+    return _check_caps(obj, cls)
+
+
+def _check_caps(obj, cls):
     _check_rank(obj.n, f"{cls.__name__} n")
     if obj.kappa and obj.kappa[0] > MAX_KAPPA:
         raise SchemaError(f"{cls.__name__} kappa {obj.kappa[0]} exceeds "
@@ -104,6 +108,7 @@ def cmd_infinity_type(args) -> int:
             raise SchemaError(f"bad weight vector: {exc}") from exc
         _check_rank(len(entries), "weight length")
         t = weight_to_infinity(DominantWeight(entries))
+        _check_caps(t, InfinityType)
         payload = {"infinity_type": t.to_json()}
         human = (f"weight {entries} -> kappa={list(t.kappa)}, w={t.w}, "
                  f"n={t.n}")
@@ -149,12 +154,8 @@ def cmd_classify(args) -> int:
     if u.denominator != 1:
         raise ValueError("chi twist must be integral for the sign epsilon")
     d_sym, d_wedge = self_dual_homs(pi, args.delta, u)
-    if d_sym > 0:
-        verdict = "orthogonal"
-    elif d_wedge > 0:
-        verdict = "symplectic"
-    else:
-        verdict = "neither"
+    verdict = ("orthogonal" if d_sym > 0 else "symplectic" if d_wedge > 0
+               else "neither")
     eps_chi = -1 if (u.numerator + args.delta) % 2 else 1
     payload = {"verdict": verdict, "hom_sym2": d_sym, "hom_wedge2": d_wedge,
                "epsilon_chi_inf": eps_chi}
@@ -223,8 +224,8 @@ def cmd_check(args) -> int:
         # each builtin checks its own flags before it loads period_algebra
         result = args.run(args)
         if args.db is not None:
-            from . import period_algebra as pa
-            db = pa.RelationDB()
+            from .formal import RelationDB
+            db = RelationDB()
             result.register(db)
             db.save(args.db)
     elif args.script is not None:
@@ -240,13 +241,12 @@ def cmd_check(args) -> int:
         script = _parse_json(text)
         if not isinstance(script, list):
             raise SchemaError("script must be a list of relation entries")
-        from . import period_algebra as pa
+        from .formal import CheckResult, RelationDB, check_script
         try:
-            db = pa.RelationDB.load(args.db)
-            residual = pa.check_script(db, script)
+            residual = check_script(RelationDB.load(args.db), script)
         except (KeyError, ValueError) as exc:
             raise SchemaError(exc.args[0]) from exc
-        result = pa.CheckResult(residual)
+        result = CheckResult(residual)
     else:
         raise SchemaError("give a builtin check name or --script")
     payload = {"ok": result.is_ok, "residual": repr(result.residual),
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="the Betti-Whittaker period relation")
     b.add_argument("--w", type=int, default=0)
     b.add_argument("--delta", type=int, help="weight of Sigma, of n's parity")
-    b.add_argument("--m", default="1/2", help="critical point m0 (fraction)")
+    b.add_argument("--m", default="3/2", help="critical point m0 (fraction)")
     b.set_defaults(run=_check_main1)
     b = builtins.add_parser("corollary-main", parents=[common],
                             help="the relative period of an orthogonal Pi")

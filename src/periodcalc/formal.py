@@ -23,8 +23,7 @@ from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_text
 from operator import itemgetter
 
-from .infinity_types import json_int, json_str
-from .weil_real import as_fraction
+from .infinity_types import as_fraction, json_int, json_str
 
 
 class PeriodAtom(tuple):
@@ -74,13 +73,11 @@ def atom_gauss(label: str) -> PeriodAtom:
 
 
 def atom_archz(m, pair: str) -> PeriodAtom:
-    return PeriodAtom("ArchZ", (str(m if type(m) is int else as_fraction(m)),
-                                pair))
+    return PeriodAtom("ArchZ", (str(as_fraction(m)), pair))
 
 
 def atom_lval(s0, pair: str) -> PeriodAtom:
-    return PeriodAtom("LVal", (str(s0 if type(s0) is int
-                                   else as_fraction(s0)), pair))
+    return PeriodAtom("LVal", (str(as_fraction(s0)), pair))
 
 
 def atom_delta(label: str) -> PeriodAtom:
@@ -202,6 +199,10 @@ class FormalPeriod:
         return " * ".join(f"{a.render()}^{e}" for a, e in self.items())
 
 
+def dual_label(label: str) -> str:
+    return label + "^v"
+
+
 def gauss_fp(expr: dict) -> FormalPeriod:
     """Gauss-sum class of a character over base labels, e.g. {"chi": n,
     "omega_Pi": -1} for G(chi^n omega_Pi^{-1}); G is multiplicative, so
@@ -232,6 +233,28 @@ def replay(steps) -> FormalPeriod:
         for atom, k in rel.rhs._exp.items():
             exp[atom] = exp.get(atom, 0) - e * k
     return FormalPeriod._of_exp(_reduced(exp))
+
+
+class CheckResult(namedtuple("CheckResult", "residual relations i_parity",
+                             defaults=((), 0))):
+    """A replay's residual and steps; to_script writes them as a script."""
+
+    __slots__ = ()
+
+    @property
+    def is_ok(self) -> bool:
+        return self.residual.is_trivial
+
+    def offending_atom(self):
+        return self.residual.offending_atom()
+
+    def to_script(self) -> list:
+        return [{"relation": rel.name, "exponent": e}
+                for rel, e in self.relations]
+
+    def register(self, db: RelationDB):
+        for rel, _ in self.relations:
+            db.add(rel)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@ so a sign_choice bit is part of the type; for even n it is always 0.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
-
-from .weil_real import ArchRep, char, disc
 
 
 class DominantWeight(namedtuple("DominantWeight", "entries")):
@@ -75,6 +74,22 @@ def checked_kappa(n: int, kappa) -> tuple:
     if r and kappa[-1] < 2:
         raise ValueError("kappa entries must be >= 2")
     return kappa
+
+
+_FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def as_fraction(x):
+    """An exact point: an int (not a bool) as itself, and a Fraction, bool or
+    string p or p/q (q nonzero, as str(Fraction) writes it) as a Fraction; a
+    string with a decimal point, exponent, blank or '+' is a ValueError."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x
+    if isinstance(x, str) and not _FRACTION.fullmatch(x):
+        raise ValueError(f"not a fraction p/q: {x!r}")
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
 
 
 def json_int(x) -> int:
@@ -146,7 +161,8 @@ def is_regular(t: InfinityType) -> bool:
             and all(a - b >= gap for a, b in zip(t.kappa, t.kappa[1:])))
 
 
-def to_arch_rep(t: InfinityType) -> ArchRep:
+def to_arch_rep(t: InfinityType):
+    from .weil_real import ArchRep, char, disc
     half_w = Fraction(t.w, 2)
     parts = [disc(k, half_w) for k in t.kappa]
     if t.n % 2:

@@ -15,14 +15,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import arch_l
-from .formal import (ATOM_I, FormalPeriod, PeriodAtom, Relation, RelationDB,
-                     atom_archz, atom_bw, atom_dc, atom_dci, atom_delta,
-                     atom_lval, check_script, gauss_fp, replay, _reduced)
-from .infinity_types import InfinityType, is_balanced, is_regular, signature
-from .weil_real import as_fraction
-from .yoshida import (FundamentalMonomial, MotiveShape, delta_tensor,
-                      dual_label, dual_motive, dual_relation, monomial_type,
-                      rank2_tensor_expansion, tensor_label)
+from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
+                     RelationDB, atom_archz, atom_bw, atom_dc, atom_dci,
+                     atom_delta, atom_lval, check_script, dual_label, gauss_fp,
+                     replay, _reduced)
+from .infinity_types import (InfinityType, as_fraction, is_balanced,
+                             is_regular, signature)
 
 __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
@@ -69,16 +67,19 @@ def _require_critical(s0, pi: GlobalRep, sigma: GlobalRep):
             f"{s0} is not a critical point of {pair_label(pi, sigma)}")
 
 
+def _integer_m(m) -> int:
+    """The point m of a pair of adjacent ranks, which must be an integer."""
+    m = as_fraction(m)
+    if m.denominator != 1:
+        raise ValueError("m must be an integer for adjacent ranks")
+    return m.numerator
+
+
 def raghuram_signs(m, pi: GlobalRep, sigma: GlobalRep):
     """Resolve (eps_m, eps'_m): the odd-rank member fixes its sign to its
     signature, the other is forced by eps_m * eps'_m = (-1)^{m+n}."""
-    if type(m) is not int:  # a bool takes the checked path
-        m = as_fraction(m)
-        if m.denominator != 1:
-            raise ValueError("m must be an integer for adjacent ranks")
-        m = m.numerator
     n = pi.inf.n
-    free = -1 if (m + n) % 2 else 1
+    free = -1 if (_integer_m(m) + n) % 2 else 1
     if n % 2:
         eps = signature(pi.inf)
         eps_prime = free * eps
@@ -104,7 +105,7 @@ def rel_raghuram(m, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     """L(m+1/2, Pi x Sigma) = p(m, .) G(omega_Sigma) p(Pi,eps) p(Sigma,eps')."""
     if not is_balanced(pi.inf, sigma.inf):
         raise ValueError("pair is not balanced")
-    m = m if type(m) is int else as_fraction(m)
+    m = as_fraction(m)
     s0 = m + _HALF
     _require_critical(s0, pi, sigma)
     eps, eps_prime = raghuram_signs(m, pi, sigma)
@@ -136,7 +137,7 @@ def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
 
 def rel_arch_iparity(m1, m2, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     """p(m1, .) / p(m2, .) = i^{(m1-m2) n(n-1)/2}; central points excluded."""
-    m1, m2 = (m if type(m) is int else as_fraction(m) for m in (m1, m2))
+    m1, m2 = as_fraction(m1), as_fraction(m2)
     center2 = -pi.inf.w - sigma.inf.w  # twice the central point
     if 2 * m1 == center2 or 2 * m2 == center2:
         raise ValueError("central point excluded from the i-parity relation")
@@ -156,7 +157,7 @@ def rel_arch_iparity(m1, m2, pi: GlobalRep, sigma: GlobalRep) -> Relation:
 def rel_twist(m, pi: GlobalRep, sigma: GlobalRep, w1: int, w2: int,
               twisted_label: str) -> Relation:
     """p(m, twisted pair) = p(m + w1 + w2, pair) up to rationals."""
-    m = m if type(m) is int else as_fraction(m)
+    m = as_fraction(m)
     point = m + (w1 + w2)
     _require_critical(point + _HALF, pi, sigma)
     rhs = {atom_archz(point, pair_label(pi, sigma)): 1}
@@ -209,26 +210,6 @@ def rel_quadratic(g: FormalPeriod) -> Relation:
                     g ** 2, FormalPeriod.unit())
 
 
-class CheckResult(namedtuple("CheckResult", "residual relations i_parity",
-                             defaults=((), 0))):
-    __slots__ = ()
-
-    @property
-    def is_ok(self) -> bool:
-        return self.residual.is_trivial
-
-    def offending_atom(self):
-        return self.residual.offending_atom()
-
-    def to_script(self) -> list:
-        return [{"relation": rel.name, "exponent": e}
-                for rel, e in self.relations]
-
-    def register(self, db: RelationDB):
-        for rel, _ in self.relations:
-            db.add(rel)
-
-
 def _compose(steps, **fields) -> CheckResult:
     return CheckResult(replay(steps), tuple(steps), **fields)
 
@@ -278,10 +259,7 @@ def check_main1_step(n: int, w: int, delta: int, m,
         return CheckResult(FormalPeriod.unit())
     if n % 2 and w % 2:
         raise ValueError("w must be even for odd rank")
-    m = as_fraction(m)
-    if m.denominator != 1:
-        raise ValueError("m must be an integer for adjacent ranks")
-    m = m.numerator
+    m = _integer_m(m)
     if 2 * m == -(w + delta):
         raise ValueError("central point excluded")
 
@@ -377,6 +355,7 @@ def check_motivic_dual(n: int, i: int = None,
                        corrupt: bool = False) -> CheckResult:
     """Replay c_i(M^v) = delta(M)^{-2} c_i(M) through a rank-2 auxiliary N
     in the i-th Hodge gap, for each admissible i (or the one given)."""
+    from . import yoshida as y
     if n < 2:
         raise ValueError("rank must be at least 2")
     r = n // 2
@@ -384,31 +363,31 @@ def check_motivic_dual(n: int, i: int = None,
         raise ValueError("i must lie in 1..floor(n/2)-1")
     kappa = tuple(4 * (r - j) + 5 for j in range(r))
     dplus = r + n % 2
-    M = MotiveShape("M", n, 0, kappa, dplus, n - dplus)
-    Md = dual_motive(M)
-    fp = FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
-    fm = FundamentalMonomial(2, 1, 1, 0, (), 0, 1)
-    fdet = FundamentalMonomial(2, 1, 1, 1, (), 0, 0)
-    tp, tm, tdet = map(monomial_type, (fp, fm, fdet))
+    M = y.MotiveShape("M", n, 0, kappa, dplus, n - dplus)
+    Md = y.dual_motive(M)
+    fp = y.FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
+    fm = y.FundamentalMonomial(2, 1, 1, 0, (), 0, 1)
+    fdet = y.FundamentalMonomial(2, 1, 1, 1, (), 0, 0)
+    tp, tm, tdet = map(y.monomial_type, (fp, fm, fdet))
     steps = []
     for idx in [i] if i is not None else range(1, r):
-        N = MotiveShape(f"N{idx}", 2, 0, (kappa[idx] + 2,), 1, 1)
-        mn = tensor_label(M, N)
-        q1 = rank2_tensor_expansion(M, N, idx, 1)
-        q2 = rank2_tensor_expansion(Md, dual_motive(N), idx, -1)
+        N = y.MotiveShape(f"N{idx}", 2, 0, (kappa[idx] + 2,), 1, 1)
+        mn = y.tensor_label(M, N)
+        q1 = y.rank2_tensor_expansion(M, N, idx, 1)
+        q2 = y.rank2_tensor_expansion(Md, y.dual_motive(N), idx, -1)
         q3 = Relation(f"deligne-dual[{mn}]",
                       "duality of c^{+-} for the tensor product",
                       FormalPeriod._of_exp({atom_dc(dual_label(mn), -1): 1}),
                       FormalPeriod._of_exp({atom_delta(mn): -1,
                                             atom_dc(mn, 1): 1}))
-        q_delta = delta_tensor(M, N)
+        q_delta = y.delta_tensor(M, N)
         if corrupt:
             # delta(M x N) exponent on delta(N) off by one
             q_delta = _corrupted(q_delta,
                                  FormalPeriod.atom(atom_delta(N.label), -1))
-        q_dp = dual_relation(fp, N, tp)   # rewrites c^-(N^v)
-        q_dm = dual_relation(fm, N, tm)   # rewrites c^+(N^v)
-        q_ddet = dual_relation(fdet, N, tdet)
+        q_dp = y.dual_relation(fp, N, tp)   # rewrites c^-(N^v)
+        q_dm = y.dual_relation(fm, N, tm)   # rewrites c^+(N^v)
+        q_ddet = y.dual_relation(fdet, N, tdet)
         target = Relation(f"motivic-dual[{M.label},{idx}]",
                           "duality of the middle fundamental periods",
                           FormalPeriod._of_exp({atom_dci(Md.label, idx): 1}),

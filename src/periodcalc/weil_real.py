@@ -5,31 +5,16 @@ characters sgn^d |.|^t and two-dimensional parameters phi_k (x) |.|^t with
 k >= 2.  phi_1 is reducible and is always rewritten to 1 + sgn, so multiset
 equality of canonical forms is decidable syntactically.
 
-All twists are exact rationals (fractions.Fraction); there is no floating
+All twists are exact (an int or a fractions.Fraction); there is no floating
 point anywhere.  Every value is immutable and every operation is pure.
 """
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from fractions import Fraction
 
-
-_FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
-
-
-def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and strings p or p/q (q nonzero, as
-    str(Fraction) writes them) to an exact Fraction; a string with a decimal
-    point, exponent, blank or '+' is a ValueError."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str) and not _FRACTION.fullmatch(x):
-        raise ValueError(f"not a fraction p/q: {x!r}")
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+from .infinity_types import as_fraction
 
 
 class ArchCharacter(namedtuple("ArchCharacter", "sign_parity twist")):

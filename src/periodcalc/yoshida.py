@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .formal import (ATOM_TWO_PI_I, FormalPeriod, PeriodAtom, Relation, atom_dc,
-                     atom_dci, atom_delta)
+                     atom_dci, atom_delta, dual_label)
 from .infinity_types import checked_kappa, interlaces, json_int, json_str
 
 
@@ -113,10 +113,6 @@ def dual_motive(M: MotiveShape) -> MotiveShape:
     """M^v, unchecked: M's checks read the weight only through its parity."""
     return tuple.__new__(MotiveShape, (dual_label(M.label), M.n, -M.weight,
                                        M.kappa, M.dplus, M.dminus))
-
-
-def dual_label(label: str) -> str:
-    return label + "^v"
 
 
 def tate_twist_motive(M: MotiveShape, t: int) -> MotiveShape:

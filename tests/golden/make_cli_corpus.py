@@ -257,13 +257,20 @@ def _malformed():
         yield argv, used or None, None
 
 
+def _defaults():
+    """A builtin with every flag but --n left at its default; appended after
+    the malformed inputs, so the records before it keep their lines."""
+    yield ["check", "main1", "--n", "4"]
+    yield ["--json", "check", "main1", "--n", "4"]
+
+
 def requests():
     """(argv, files, db) of every run in the corpus, in a fixed order."""
     rng = random.Random(20261018)
     sources = [_critical(rng), _builtins(), _main1_grid(rng),
                _corollary_main(), _main2(), _motivic_dual_indices(),
                _scripts(), _asai(rng), _classify(rng), _deligne(),
-               _infinity_type(rng), _malformed()]
+               _infinity_type(rng), _malformed(), _defaults()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)

@@ -9,11 +9,13 @@ dicts and their checked decoding; the Yoshida relations as products of
 checked periods; and the Hodge types and the motive of an infinity type,
 against which the tests hold MotiveShape's rules; and the relations of a
 main1 step as products of atoms, with the duals built by twisting the types
-and each critical point tested by a Fraction subtraction.  No request of the
-CLI runs any of them.
+and each critical point tested by a Fraction subtraction, every point
+coerced to a Fraction by the reference as_fraction.  No request of the CLI
+runs any of them.
 """
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -22,10 +24,31 @@ from periodcalc import period_algebra as pa
 from periodcalc import yoshida as y
 from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod, Relation,
                                atom_archz, atom_bw, atom_dc, atom_dci,
-                               atom_delta, atom_gauss, atom_lval, gauss_fp)
+                               atom_delta, atom_gauss, atom_lval, dual_label,
+                               gauss_fp)
 from periodcalc.infinity_types import (InfinityType, is_balanced,
                                        is_regular, json_int, json_str,
                                        signature, to_arch_rep)
+
+
+# ---------------------------------------------------------------------------
+# exact points: the coercion that infinity_types.as_fraction must agree with,
+# which returns a Fraction for an int as well
+
+_FRACTION = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def as_fraction(x) -> Fraction:
+    """Coerce ints, Fractions and strings p or p/q (q nonzero, as
+    str(Fraction) writes them) to an exact Fraction; a string with a decimal
+    point, exponent, blank or '+' is a ValueError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, str) and not _FRACTION.fullmatch(x):
+        raise ValueError(f"not a fraction p/q: {x!r}")
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +191,7 @@ def tensor_critical_set(pi, sigma, param=None) -> arch_l.CriticalSet:
 
 def critical_contains(cs: arch_l.CriticalSet, m0) -> bool:
     """m0 in cs, by subtracting the offset as Fractions."""
-    k = wr.as_fraction(m0) - cs.offset
+    k = as_fraction(m0) - cs.offset
     if k.denominator != 1:
         return False
     p = k.numerator % 2
@@ -347,14 +370,14 @@ def twist(t, delta: int, u: int):
 
 def global_dual(rep):
     """The contragredient: dual label, w negated, inverse Gauss class."""
-    return pa.GlobalRep(y.dual_label(rep.label),
+    return pa.GlobalRep(dual_label(rep.label),
                         twist(rep.inf, 0, -rep.inf.w), rep.omega ** -1)
 
 
 def rel_raghuram(m, pi, sigma) -> Relation:
     if not is_balanced(pi.inf, sigma.inf):
         raise ValueError("pair is not balanced")
-    m = wr.as_fraction(m)
+    m = as_fraction(m)
     _require_critical(m + Fraction(1, 2), pi, sigma)
     eps, eps_prime = pa.raghuram_signs(m, pi, sigma)
     pair = pa.pair_label(pi, sigma)
@@ -369,11 +392,11 @@ def rel_raghuram(m, pi, sigma) -> Relation:
 
 
 def rel_duality_ratio(m0, pi, sigma) -> Relation:
-    m0 = wr.as_fraction(m0)
+    m0 = as_fraction(m0)
     _require_critical(m0, pi, sigma)
     parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
     pair = pa.pair_label(pi, sigma)
-    dual_pair = f"{y.dual_label(pi.label)}x{y.dual_label(sigma.label)}"
+    dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
     lhs = FormalPeriod.atom(atom_lval(m0, pair))
     rhs = (FormalPeriod.atom(ATOM_I, parity)
            * pi.omega ** sigma.inf.n
@@ -384,7 +407,7 @@ def rel_duality_ratio(m0, pi, sigma) -> Relation:
 
 
 def rel_arch_iparity(m1, m2, pi, sigma) -> Relation:
-    m1, m2 = wr.as_fraction(m1), wr.as_fraction(m2)
+    m1, m2 = as_fraction(m1), as_fraction(m2)
     center = Fraction(-pi.inf.w - sigma.inf.w, 2)
     if m1 == center or m2 == center:
         raise ValueError("central point excluded from the i-parity relation")
@@ -402,7 +425,7 @@ def rel_arch_iparity(m1, m2, pi, sigma) -> Relation:
 
 
 def rel_twist(m, pi, sigma, w1: int, w2: int, twisted_label: str) -> Relation:
-    m = wr.as_fraction(m)
+    m = as_fraction(m)
     _require_critical(m + w1 + w2 + Fraction(1, 2), pi, sigma)
     pair = pa.pair_label(pi, sigma)
     lhs = FormalPeriod.atom(atom_archz(m, twisted_label))
@@ -419,7 +442,7 @@ def rel_main1(pi, eps: int) -> Relation:
     n = pi.inf.n
     lhs = FormalPeriod.atom(atom_bw(pi.label, eps))
     rhs = (pi.omega ** (n - 1)
-           * FormalPeriod.atom(atom_bw(y.dual_label(pi.label), eps)))
+           * FormalPeriod.atom(atom_bw(dual_label(pi.label), eps)))
     return Relation(f"main1[{pi.label},{eps:+d}]",
                     "period relation under duality", lhs, rhs)
 

@@ -45,6 +45,14 @@ def test_infinity_type_from_type(capsys):
     assert data["weight"] == [2, 1, -2, -3]
 
 
+def test_infinity_type_from_weight_at_the_caps(capsys):
+    # the type of a weight is held to the caps of a --type payload
+    code, data, _ = run_json(capsys, "infinity-type", "--weight=-5000,-5000")
+    assert code == 0 and data["infinity_type"]["w"] == cli.MAX_W
+    code, data, _ = run_json(capsys, "infinity-type", "--weight=9998,0")
+    assert code == 0 and data["infinity_type"]["kappa"] == [cli.MAX_KAPPA]
+
+
 def test_infinity_type_impure_weight_is_math_error(capsys):
     code, _, err = run(capsys, "infinity-type", "--weight", "2,1,1")
     assert code == 1 and "pure" in err
@@ -188,6 +196,14 @@ def test_check_main1_builtin(capsys):
     code, data, _ = run_json(capsys, "check", "main1", "--n", "6",
                              "--w", "2", "--m", "3/2")
     assert code == 0 and data["ok"] and data["residual"] == "1"
+
+
+def test_check_main1_with_only_n_passes_at_every_rank(capsys):
+    # the default --m 3/2 is never the central point (1 - w - delta)/2 of
+    # the default --w 0 and --delta n % 2
+    failed = [n for n in range(1, cli.MAX_RANK + 1)
+              if run(capsys, "check", "main1", "--n", str(n))[0] != 0]
+    assert failed == []
 
 
 def test_check_main1_off_lattice_rejected(capsys):
@@ -428,6 +444,10 @@ MALFORMED["corollary-main-stray-flag"] = ["check", "corollary-main",
 # a --script before the builtin name, which argparse does not reject
 MALFORMED["script-before-builtin"] = ["check", "--db", "@empty.json",
                                       "--script", "[]", "main1", "--n", "4"]
+# a --weight whose infinity type has a kappa or a |w| above a payload's cap;
+# appended last, as above
+MALFORMED["weight-kappa-above-cap"] = ["infinity-type", "--weight=9999,0"]
+MALFORMED["weight-w-above-cap"] = ["infinity-type", "--weight=5001,5001"]
 
 
 def test_the_version_2_db_file_of_the_malformed_cases_is_valid(tmp_path,
@@ -482,10 +502,14 @@ _LOADED = ("import sys; from periodcalc.cli import main\n"
            "except SystemExit as exc:  # argparse usage errors\n"
            "    code = exc.code\n"
            "print(' '.join(sorted(sys.modules))); sys.exit(code)")
-_BASE = {"periodcalc", "periodcalc.cli", "periodcalc.infinity_types",
-         "periodcalc.weil_real"}
-_ALL = _BASE | {"periodcalc.arch_l", "periodcalc.formal",
-                "periodcalc.yoshida", "periodcalc.period_algebra"}
+# no request loads weil_real, and only motivic-dual and deligne load yoshida
+_BASE = {"periodcalc", "periodcalc.cli", "periodcalc.infinity_types"}
+_CHECK = _BASE | {"periodcalc.arch_l", "periodcalc.formal",
+                  "periodcalc.period_algebra"}
+# a version-1 DB file whose relation r has a trivial quotient (I^2 = 1)
+_V1_DB = ('{"relations": [{"name": "r", "citation": "c", "lhs": [[{"kind": '
+          '"BW", "payload": ["P", 1]}, 1], [{"kind": "I", "payload": []}, 2]],'
+          ' "rhs": [[{"kind": "BW", "payload": ["P", 1]}, 1]]}]}')
 _MOTIVE = '{"label":"M","n":4,"weight":0,"kappa":[9,5],"dplus":2,"dminus":2}'
 _AUX = '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,"dminus":1}'
 
@@ -500,7 +524,7 @@ _AUX = '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,"dminus":1}'
       "--sigma", '{"n":1,"kappa":[],"w":0}'], _BASE | {"periodcalc.arch_l"}, 0),
     (["deligne", "--motive", _MOTIVE, "--aux", _AUX],
      _BASE | {"periodcalc.formal", "periodcalc.yoshida"}, 0),
-    (["check", "main2", "--n", "2"], _ALL, 0),
+    (["check", "main2", "--n", "2"], _CHECK, 0),
     # a malformed check exits 2 before it loads the period algebra
     (["check", "--n", "6"], _BASE, 2),
     (["check", "corollary-main", "--n", "2", "--chi", ""], _BASE, 2),
@@ -508,14 +532,26 @@ _AUX = '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,"dminus":1}'
     (["check", "main1", "--n", "4", "--chi", "psi"], _BASE, 2),
     (["check", "main1", "--n", "4", f"--delta={cli.MAX_W + 2}"], _BASE, 2),
     (["check", "motivic-dual", "--n", "3", "--i", "1"], _BASE, 2),
+    (["infinity-type", "--type", '{"n":4,"kappa":[9,5],"w":1}'], _BASE, 0),
+    (["check", "main1", "--n", "4"], _CHECK, 0),
+    (["check", "corollary-main", "--n", "2"], _CHECK, 0),
+    (["check", "motivic-dual", "--n", "6"], _CHECK | {"periodcalc.yoshida"},
+     0),
+    (["check", "--db", "@v1.json", "--script",
+      '[{"relation": "r", "exponent": 1}]'], _BASE | {"periodcalc.formal"}, 0),
 ], ids=["asai", "infinity-type", "classify", "critical", "deligne", "check",
         "check-without-builtin", "check-empty-chi",
         "check-index-out-of-range", "check-stray-flag",
-        "check-delta-above-cap", "check-index-below-rank-4"])
-def test_fresh_interpreter_loads_only_what_the_request_runs(argv, expected,
+        "check-delta-above-cap", "check-index-below-rank-4",
+        "infinity-type-from-type", "check-main1", "check-corollary-main",
+        "check-motivic-dual", "check-script"])
+def test_fresh_interpreter_loads_only_what_the_request_runs(tmp_path, argv,
+                                                             expected,
                                                              exit_code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    (tmp_path / "v1.json").write_text(_V1_DB)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
 
     def loaded(*args, code=0):
         proc = subprocess.run([sys.executable, "-c", *args],

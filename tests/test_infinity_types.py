@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from periodcalc import infinity_types as it
 from periodcalc import weil_real as wr
+from tests import oracles
 from tests.oracles import dim, hom_dim, twist
 
 
@@ -164,3 +165,22 @@ def test_regularity_and_required_gap():
     assert regular(4, (10, 4), 0) and not regular(4, (8, 4), 0)
     # rank 1 has no kappa and is regular
     assert regular(1, (), 0)
+
+
+@pytest.mark.parametrize("x", [
+    0, -7, 2 ** 70, True, False, Fraction(3, 2), Fraction(4), "5", "-3/4",
+    "2/4", "007/010", "1/0", "1.5", "1e9", " 1", "+1", "", "1/-2", 1.0, 0.5,
+    None])
+def test_as_fraction_agrees_with_the_reference(x):
+    # the same value, or the same error type and text, as the always-Fraction
+    # reference; an int (not a bool) comes back as itself
+    def outcome(coerce):
+        try:
+            return coerce(x)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    got, want = outcome(it.as_fraction), outcome(oracles.as_fraction)
+    assert got == want
+    if not isinstance(want, tuple):
+        assert got is x if type(x) is int else type(got) is Fraction

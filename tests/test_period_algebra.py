@@ -21,7 +21,7 @@ from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
                                atom_gauss, atom_lval, gauss_fp,
                                period_from_json, period_to_json,
                                relation_from_json, relation_to_json)
-from periodcalc.infinity_types import InfinityType, json_int
+from periodcalc.infinity_types import InfinityType, as_fraction, json_int
 from tests import oracles
 from tests.oracles import atom_to_json
 
@@ -223,7 +223,7 @@ def test_an_int_point_gives_what_its_fraction_gives(m):
 
 @pytest.mark.parametrize("m", ["1/2", Fraction(3, 2), "x", 1.0, None])
 def test_a_point_that_is_not_an_int_keeps_its_error(m):
-    checked = _outcome_of(weil_real.as_fraction, m)
+    checked = _outcome_of(as_fraction, m)
     if isinstance(checked, Fraction):
         checked = (ValueError, "m must be an integer for adjacent ranks")
     assert _outcome_of(pa.raghuram_signs, m, PI4, SIG3) == checked
