@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from . import arch_l
 from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
@@ -26,9 +25,8 @@ __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
     "GlobalRep", "pair_label", "rel_raghuram", "rel_duality_ratio",
     "rel_arch_iparity", "rel_twist", "rel_rs_twist", "rel_main1",
-    "rel_corollary_main", "rel_quadratic", "CheckResult",
-    "check_main1_step", "check_corollary_main", "check_theorem_main2",
-    "check_motivic_dual",
+    "rel_corollary_main", "rel_quadratic", "CheckResult", "check_main1_step",
+    "check_corollary_main", "check_theorem_main2", "check_motivic_dual",
 ]
 
 
@@ -43,17 +41,6 @@ def pair_label(pi: GlobalRep, sigma: GlobalRep) -> str:
     return f"{pi.label}x{sigma.label}"
 
 
-def _char_render(g: FormalPeriod) -> str:
-    """The character of a Gauss class, e.g. chi^1*omega_Pi^-1."""
-    if g.is_trivial:
-        return "1"
-    return "*".join(f"{a.payload[0]}^{e}" for a, e in g.items())
-
-
-# one check asks five times for the critical set of (Pi, Sigma) and once
-# for that of its dual
-_critical_set = lru_cache(maxsize=16)(arch_l.critical_set)
-
 _HALF = Fraction(1, 2)
 # the central characters of the builtins' Pi and Sigma and of their duals
 _OMEGA_PI = gauss_fp({"omega_Pi": 1})
@@ -61,10 +48,14 @@ _OMEGA_SIGMA = gauss_fp({"omega_Sigma": 1})
 _OMEGA_PI_DUAL, _OMEGA_SIGMA_DUAL = _OMEGA_PI ** -1, _OMEGA_SIGMA ** -1
 
 
+def _not_critical(s0, pi: GlobalRep, sigma: GlobalRep) -> ValueError:
+    return ValueError(
+        f"{s0} is not a critical point of {pair_label(pi, sigma)}")
+
+
 def _require_critical(s0, pi: GlobalRep, sigma: GlobalRep):
-    if s0 not in _critical_set(pi.inf, sigma.inf):
-        raise ValueError(
-            f"{s0} is not a critical point of {pair_label(pi, sigma)}")
+    if s0 not in arch_l.critical_set(pi.inf, sigma.inf):
+        raise _not_critical(s0, pi, sigma)
 
 
 def _integer_m(m) -> int:
@@ -78,15 +69,12 @@ def _integer_m(m) -> int:
 def raghuram_signs(m, pi: GlobalRep, sigma: GlobalRep):
     """Resolve (eps_m, eps'_m): the odd-rank member fixes its sign to its
     signature, the other is forced by eps_m * eps'_m = (-1)^{m+n}."""
-    n = pi.inf.n
-    free = -1 if (_integer_m(m) + n) % 2 else 1
-    if n % 2:
+    free = -1 if (_integer_m(m) + pi.inf.n) % 2 else 1
+    if pi.inf.n % 2:
         eps = signature(pi.inf)
-        eps_prime = free * eps
-    else:
-        eps_prime = signature(sigma.inf)
-        eps = free * eps_prime
-    return eps, eps_prime
+        return eps, free * eps
+    eps_prime = signature(sigma.inf)
+    return free * eps_prime, eps_prime
 
 
 def _period(atoms, classes=()) -> FormalPeriod:
@@ -101,6 +89,18 @@ def _period(atoms, classes=()) -> FormalPeriod:
     return FormalPeriod._of_exp(_reduced(exp))
 
 
+# One builder per relation, from checked data: an archimedean point as an
+# int or Fraction, an L-value point as p/q text, signs and an i-parity.
+def _raghuram(m, s0: str, pi, sigma, eps, eps_prime) -> Relation:
+    pair = pair_label(pi, sigma)
+    rhs = _period([(atom_archz(m, pair), 1), (atom_bw(pi.label, eps), 1),
+                   (atom_bw(sigma.label, eps_prime), 1)], [(sigma.omega, 1)])
+    return Relation(f"raghuram[m={m},{pair}]",
+                    "critical-value factorization over a balanced pair",
+                    FormalPeriod._of_exp({PeriodAtom("LVal", (s0, pair)): 1}),
+                    rhs)
+
+
 def rel_raghuram(m, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     """L(m+1/2, Pi x Sigma) = p(m, .) G(omega_Sigma) p(Pi,eps) p(Sigma,eps')."""
     if not is_balanced(pi.inf, sigma.inf):
@@ -108,13 +108,19 @@ def rel_raghuram(m, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     m = as_fraction(m)
     s0 = m + _HALF
     _require_critical(s0, pi, sigma)
-    eps, eps_prime = raghuram_signs(m, pi, sigma)
+    return _raghuram(m, str(s0), pi, sigma, *raghuram_signs(m, pi, sigma))
+
+
+def _duality_ratio(m0: str, dual_m0: str, pi, sigma, parity) -> Relation:
     pair = pair_label(pi, sigma)
-    rhs = _period([(atom_archz(m, pair), 1), (atom_bw(pi.label, eps), 1),
-                   (atom_bw(sigma.label, eps_prime), 1)], [(sigma.omega, 1)])
-    return Relation(f"raghuram[m={m},{pair}]",
-                    "critical-value factorization over a balanced pair",
-                    FormalPeriod._of_exp({atom_lval(s0, pair): 1}), rhs)
+    dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
+    rhs = _period([(ATOM_I, parity),
+                   (PeriodAtom("LVal", (dual_m0, dual_pair)), 1)],
+                  [(pi.omega, sigma.inf.n), (sigma.omega, pi.inf.n)])
+    return Relation(f"duality-ratio[m0={m0},{pair}]",
+                    "functional-equation ratio under duality",
+                    FormalPeriod._of_exp({PeriodAtom("LVal", (m0, pair)): 1}),
+                    rhs)
 
 
 def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
@@ -125,24 +131,11 @@ def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
     """
     m0 = as_fraction(m0)
     _require_critical(m0, pi, sigma)
-    parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
-    pair = pair_label(pi, sigma)
-    dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
-    rhs = _period([(ATOM_I, parity), (atom_lval(1 - m0, dual_pair), 1)],
-                  [(pi.omega, sigma.inf.n), (sigma.omega, pi.inf.n)])
-    return Relation(f"duality-ratio[m0={m0},{pair}]",
-                    "functional-equation ratio under duality",
-                    FormalPeriod._of_exp({atom_lval(m0, pair): 1}), rhs)
+    return _duality_ratio(str(m0), str(1 - m0), pi, sigma,
+                          arch_l.pair_epsilon_class(pi.inf, sigma.inf))
 
 
-def rel_arch_iparity(m1, m2, pi: GlobalRep, sigma: GlobalRep) -> Relation:
-    """p(m1, .) / p(m2, .) = i^{(m1-m2) n(n-1)/2}; central points excluded."""
-    m1, m2 = as_fraction(m1), as_fraction(m2)
-    center2 = -pi.inf.w - sigma.inf.w  # twice the central point
-    if 2 * m1 == center2 or 2 * m2 == center2:
-        raise ValueError("central point excluded from the i-parity relation")
-    _require_critical(m1 + _HALF, pi, sigma)
-    _require_critical(m2 + _HALF, pi, sigma)
+def _arch_iparity(m1, m2, pi, sigma) -> Relation:
     n = pi.inf.n
     exp = (m1 - m2) * (n * (n - 1) // 2)
     assert exp.denominator == 1
@@ -154,17 +147,32 @@ def rel_arch_iparity(m1, m2, pi: GlobalRep, sigma: GlobalRep) -> Relation:
                              (ATOM_I, exp.numerator)]))
 
 
+def rel_arch_iparity(m1, m2, pi: GlobalRep, sigma: GlobalRep) -> Relation:
+    """p(m1, .) / p(m2, .) = i^{(m1-m2) n(n-1)/2}; central points excluded."""
+    m1, m2 = as_fraction(m1), as_fraction(m2)
+    center2 = -pi.inf.w - sigma.inf.w  # twice the central point
+    if 2 * m1 == center2 or 2 * m2 == center2:
+        raise ValueError("central point excluded from the i-parity relation")
+    for point in (m1, m2):
+        _require_critical(point + _HALF, pi, sigma)
+    return _arch_iparity(m1, m2, pi, sigma)
+
+
+def _twist(m, point, pi, sigma, twisted_label: str) -> Relation:
+    pair = pair_label(pi, sigma)
+    return Relation(f"arch-twist[{m},{twisted_label}]",
+                    "archimedean period comparison under |.|-twists",
+                    FormalPeriod._of_exp({atom_archz(m, twisted_label): 1}),
+                    FormalPeriod._of_exp({atom_archz(point, pair): 1}))
+
+
 def rel_twist(m, pi: GlobalRep, sigma: GlobalRep, w1: int, w2: int,
               twisted_label: str) -> Relation:
     """p(m, twisted pair) = p(m + w1 + w2, pair) up to rationals."""
     m = as_fraction(m)
     point = m + (w1 + w2)
     _require_critical(point + _HALF, pi, sigma)
-    rhs = {atom_archz(point, pair_label(pi, sigma)): 1}
-    return Relation(f"arch-twist[{m},{twisted_label}]",
-                    "archimedean period comparison under |.|-twists",
-                    FormalPeriod._of_exp({atom_archz(m, twisted_label): 1}),
-                    FormalPeriod._of_exp(rhs))
+    return _twist(m, point, pi, sigma, twisted_label)
 
 
 def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
@@ -205,7 +213,8 @@ def rel_corollary_main(label: str, gexp: FormalPeriod) -> Relation:
 
 def rel_quadratic(g: FormalPeriod) -> Relation:
     """G(chi) class is 2-torsion for a quadratic character chi."""
-    return Relation(f"central-character-quadratic[{_char_render(g)}]",
+    char = "*".join(f"{a.payload[0]}^{e}" for a, e in g.items()) or "1"
+    return Relation(f"central-character-quadratic[{char}]",
                     "Gauss sum of a quadratic character is algebraic",
                     g ** 2, FormalPeriod.unit())
 
@@ -227,19 +236,18 @@ def _main1_pair(n: int, w: int, delta: int, m: int):
     need = max(abs(2 * m + 1 + w + delta), abs(1 - w - delta - 2 * m), 4)
     gap = 2 * (need + 4)
     kap_par = (w % 2) if n % 2 == 0 else 1
-    base = 2 * gap * (r + 1) + 41
-    if base % 2 != kap_par:
-        base += 1
+    base = 2 * gap * (r + 1) + 42 - kap_par
     kappa = tuple(base - 2 * gap * i for i in range(r))
     gprime = gap if kap_par == 1 else gap + 1  # keeps ell odd
     ell = tuple(k - gprime for k in kappa[:(n - 1) // 2])
-    return (GlobalRep("Pi", InfinityType(n, kappa, w, 0), _OMEGA_PI),
-            GlobalRep("Sigma", InfinityType(n - 1, ell, delta, 0),
-                      _OMEGA_SIGMA),
-            GlobalRep(dual_label("Pi"), InfinityType(n, kappa, -w, 0),
-                      _OMEGA_PI_DUAL),
-            GlobalRep(dual_label("Sigma"), InfinityType(n - 1, ell, -delta, 0),
-                      _OMEGA_SIGMA_DUAL))
+    t, u = InfinityType(n, kappa, w, 0), InfinityType(n - 1, ell, delta, 0)
+    # the duals negate w, which the checks of a type read only by its parity
+    t_d, u_d = (tuple.__new__(InfinityType, (x.n, x.kappa, -x.w, 0))
+                for x in (t, u))
+    return (GlobalRep("Pi", t, _OMEGA_PI),
+            GlobalRep("Sigma", u, _OMEGA_SIGMA),
+            GlobalRep(dual_label("Pi"), t_d, _OMEGA_PI_DUAL),
+            GlobalRep(dual_label("Sigma"), u_d, _OMEGA_SIGMA_DUAL))
 
 
 def check_main1_step(n: int, w: int, delta: int, m,
@@ -249,7 +257,7 @@ def check_main1_step(n: int, w: int, delta: int, m,
     Combines the critical-value factorization at m for (Pi, Sigma) and at -m
     for the duals, the functional-equation ratio at m0 = m + 1/2, the
     archimedean twist and i-parity comparisons, and the rank-(n-1) relation,
-    against the rank-n relation as target.
+    against the rank-n relation as target; each hypothesis is checked once.
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -264,21 +272,33 @@ def check_main1_step(n: int, w: int, delta: int, m,
         raise ValueError("central point excluded")
 
     pi, sigma, pi_d, sigma_d = _main1_pair(n, w, delta, m)
-    q1 = rel_raghuram(m, pi, sigma)
-    q2 = rel_raghuram(-m, pi_d, sigma_d)
+    if not is_balanced(pi.inf, sigma.inf):  # the duals have the same kappa
+        raise ValueError("pair is not balanced")
+    held = arch_l.critical_set(pi.inf, sigma.inf)
+    held_d = arch_l.critical_set(pi_d.inf, sigma_d.inf)
+    m2 = -m - w - delta  # the i-parity point, which the twist moves -m to
+    # both sets have the offset n - 1/2, so twice/2 is their point k
+    for twice, cs, p, s in ((2 * m + 1, held, pi, sigma),
+                            (1 - 2 * m, held_d, pi_d, sigma_d),
+                            (2 * m2 + 1, held, pi, sigma)):
+        k = (twice + 1) // 2 - n
+        if not cs.lo[k % 2] <= k <= cs.hi[k % 2]:
+            raise _not_critical(f"{twice}/2", p, s)
     eps, eps_prime = raghuram_signs(m, pi, sigma)
     assert raghuram_signs(-m, pi_d, sigma_d) == (eps, eps_prime)
-    q3 = rel_duality_ratio(m + _HALF, pi, sigma)
-    q4 = rel_twist(-m, pi, sigma, -w, -delta,
-                   twisted_label=pair_label(pi_d, sigma_d))
-    q5 = rel_arch_iparity(m, -m - w - delta, pi, sigma)
-    q6 = rel_main1(sigma, eps_prime)
+    parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
+    s0, dual_s0 = f"{2 * m + 1}/2", f"{1 - 2 * m}/2"
+    steps = [(_raghuram(m, s0, pi, sigma, eps, eps_prime), 1),
+             (_raghuram(-m, dual_s0, pi_d, sigma_d, eps, eps_prime), -1),
+             (_duality_ratio(s0, dual_s0, pi, sigma, parity), -1),
+             (_twist(-m, m2, pi, sigma, pair_label(pi_d, sigma_d)), -1),
+             (_arch_iparity(m, m2, pi, sigma), 1),
+             (rel_main1(sigma, eps_prime), 1)]
     target = rel_main1(pi, eps)
     if corrupt:
         # Gauss exponent n-1 -> n-2 on the target
         target = _corrupted(target, pi.omega ** -1)
-    return _compose([(q1, 1), (q2, -1), (q3, -1), (q4, -1), (q5, 1),
-                     (q6, 1), (target, 1)])
+    return _compose(steps + [(target, 1)])
 
 
 def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
@@ -295,9 +315,8 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
     kappa = tuple(8 + 6 * j for j in range(n, 0, -1))
     pi = GlobalRep("Pi", InfinityType(2 * n, kappa, 0, 0), _OMEGA_PI)
     chi = gauss_fp(chi_expr or {"chi": 1})
-    eta_delta = 1 if orthogonal else 0
     q_a = rel_main1(pi, 1)
-    q_b = rel_rs_twist(pi, chi ** -1, eta_delta, 0, 1,
+    q_b = rel_rs_twist(pi, chi ** -1, 1 if orthogonal else 0, 0, 1,
                        twisted_label=dual_label(pi.label))
     gexp = chi ** n * pi.omega ** -1
     target = rel_corollary_main(pi.label, gexp)

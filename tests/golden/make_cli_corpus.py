@@ -264,13 +264,31 @@ def _defaults():
     yield ["--json", "check", "main1", "--n", "4"]
 
 
+def _main1_db():
+    """main1 steps that write a relation database: a Gauss exponent of 0
+    (n = 2), the i-power present and absent in duality-ratio and
+    arch-iparity, ranks 16 and 255, a negative control, and big-integer
+    point text at the caps."""
+    for argv in (["--n", "2", "--w=0", "--m", "3/2"],
+                 ["--n", "2", "--w=1", "--m=-5/2"],
+                 ["--n", "3", "--w=-2", "--delta=-3", "--m", "7/2"],
+                 ["--n", "6", "--w=-2", "--delta=-2", "--m=-1/2"],
+                 ["--n", "16", "--w=1", "--m=-7/2"],
+                 ["--n", "255", "--w=2", "--delta=-1", "--m", "9/2"],
+                 ["--n", "7", "--w=2", "--m", "5/2", "--corrupt"],
+                 ["--n", "256", "--w=-10000", "--delta=10000",
+                  "--m=-9999999999999999999999999999999999999/2"]):
+        yield (["--json", "check", "main1"] + argv + ["--db", "@db.json"],
+               None, "db.json")
+
+
 def requests():
     """(argv, files, db) of every run in the corpus, in a fixed order."""
     rng = random.Random(20261018)
     sources = [_critical(rng), _builtins(), _main1_grid(rng),
                _corollary_main(), _main2(), _motivic_dual_indices(),
                _scripts(), _asai(rng), _classify(rng), _deligne(),
-               _infinity_type(rng), _malformed(), _defaults()]
+               _infinity_type(rng), _malformed(), _defaults(), _main1_db()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)

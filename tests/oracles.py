@@ -470,18 +470,20 @@ def main1_pair(n: int, w: int, delta: int, m: int):
 def main1_steps(n: int, w: int, delta: int, m: int,
                 corrupt: bool = False) -> list:
     """The (relation, exponent) steps of check_main1_step for an input it
-    accepts at rank n >= 2."""
+    accepts at rank n >= 2, built in the step's order, so that a failed
+    guard raises and an irregular type warns as the step's own does."""
     pi, sigma = main1_pair(n, w, delta, m)
     pi_d, sigma_d = global_dual(pi), global_dual(sigma)
     eps, eps_prime = pa.raghuram_signs(m, pi, sigma)
+    steps = [(rel_raghuram(m, pi, sigma), 1),
+             (rel_raghuram(-m, pi_d, sigma_d), -1),
+             (rel_duality_ratio(m + Fraction(1, 2), pi, sigma), -1),
+             (rel_twist(-m, pi, sigma, -w, -delta,
+                        pa.pair_label(pi_d, sigma_d)), -1),
+             (rel_arch_iparity(m, -m - w - delta, pi, sigma), 1),
+             (rel_main1(sigma, eps_prime), 1)]
     target = rel_main1(pi, eps)
     if corrupt:
         target = Relation(target.name + "[corrupted]", target.citation,
                           target.lhs, target.rhs * pi.omega ** -1)
-    return [(rel_raghuram(m, pi, sigma), 1),
-            (rel_raghuram(-m, pi_d, sigma_d), -1),
-            (rel_duality_ratio(m + Fraction(1, 2), pi, sigma), -1),
-            (rel_twist(-m, pi, sigma, -w, -delta,
-                       pa.pair_label(pi_d, sigma_d)), -1),
-            (rel_arch_iparity(m, -m - w - delta, pi, sigma), 1),
-            (rel_main1(sigma, eps_prime), 1), (target, 1)]
+    return steps + [(target, 1)]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from periodcalc import formal, weil_real
+from periodcalc import arch_l, formal, weil_real
 from periodcalc import period_algebra as pa
 from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
                                PeriodAtom, Relation, atom_archz, atom_bw,
@@ -328,7 +328,6 @@ def test_main1_step_at_rank_255_is_fast_and_builds_no_tensor(monkeypatch):
         raise AssertionError("the tensor parameter was built")
 
     monkeypatch.setattr(weil_real, "tensor", refuse)
-    pa._critical_set.cache_clear()  # as cold as in a fresh process
     start = time.monotonic()
     assert pa.check_main1_step(255, 0, 1, 1).is_ok
     assert time.monotonic() - start < 0.5
@@ -412,6 +411,69 @@ def test_main1_steps_match_the_oracle_over_a_grid():
         assert res.residual == formal.replay(steps)
         checked += 1
     assert checked == 7020
+
+
+def _step_outcome(fn, *args):
+    """The relations fn(*args) builds (a CheckResult's or a list of steps)
+    or the ValueError it raises, with the warnings it gave."""
+    out, warned = _built(fn, *args)
+    if isinstance(out, pa.CheckResult):
+        out = list(out.relations)
+    return out, warned
+
+
+@pytest.mark.parametrize("n, w, delta, m", [
+    (4, 2, 0, 1), (5, 2, 1, -3), (8, 1, 2, 2), (3, -2, -3, 3), (2, 1, 0, -2)])
+def test_main1_guards_fail_and_warn_as_the_oracle_does(monkeypatch, n, w,
+                                                        delta, m):
+    # the oracle runs the six guards of the four guarded builders, and the
+    # step checks the three distinct points once each; w and delta are not
+    # both 0, so the duals' types differ from the pair's
+    pi, sigma, pi_d, sigma_d = pa._main1_pair(n, w, delta, m)
+    half = Fraction(1, 2)
+    points = [(m + half, pi, sigma), (-m + half, pi_d, sigma_d),
+              (-m - w - delta + half, pi, sigma)]
+    real = arch_l.critical_set
+
+    def without(cut):
+        """critical_set with the points of cut taken out: each goes with
+        the points of its parity on the side away from the points kept."""
+        def patched(a, b):
+            cs = real(a, b)
+            lo, hi = list(cs.lo), list(cs.hi)
+            ours = [(int(q - cs.offset), (q, p, s) in cut)
+                    for q, p, s in points if (p.inf, s.inf) == (a, b)]
+            kept = [j for j, gone in ours if not gone]
+            for k, gone in ours:
+                if gone and all(j > k for j in kept):
+                    lo[k % 2] = max(lo[k % 2], k + 1)
+                if gone and all(j < k for j in kept):
+                    hi[k % 2] = min(hi[k % 2], k - 1)
+            return arch_l.CriticalSet(cs.offset, tuple(lo), tuple(hi))
+        return patched
+
+    # each point missing alone, then with every later one: the step names
+    # the first point that the old guards reach
+    for i, (point, p, s) in enumerate(points):
+        for cut in ([points[i]], points[i:]):
+            with monkeypatch.context() as mp:
+                mp.setattr(arch_l, "critical_set", without(cut))
+                new = _step_outcome(pa.check_main1_step, n, w, delta, m)
+                assert new == _step_outcome(oracles.main1_steps, n, w,
+                                            delta, m)
+            assert new == ((ValueError, f"{point} is not a critical point "
+                            f"of {pa.pair_label(p, s)}"), []), (i, len(cut))
+    for name, outcome in [
+            ("is_balanced", ((ValueError, "pair is not balanced"), [])),
+            ("is_regular", (oracles.main1_steps(n, w, delta, m),
+                            ["regularity hypotheses unmet for Sigma",
+                             "regularity hypotheses unmet for Pi"]))]:
+        with monkeypatch.context() as mp:
+            for module in (pa, oracles):
+                mp.setattr(module, name, lambda *types: False)
+            new = _step_outcome(pa.check_main1_step, n, w, delta, m)
+            assert new == _step_outcome(oracles.main1_steps, n, w, delta, m)
+        assert new == outcome, name
 
 
 def test_corollary_branches():

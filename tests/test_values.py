@@ -82,9 +82,14 @@ def test_normalisation_in_new():
         weil_real.rep((0, 1))
 
 
-def test_the_critical_set_cache_keys_on_infinity_types():
-    cache = period_algebra._critical_set
-    cache.cache_clear()
-    assert period_algebra.check_main1_step(8, 0, 0, 3).is_ok
-    info = cache.cache_info()
-    assert (info.hits, info.misses) == (5, 1)
+def test_a_main1_step_reads_each_critical_set_once(monkeypatch):
+    real, calls = arch_l.critical_set, []
+
+    def counted(pi, sigma):
+        calls.append((pi, sigma))
+        return real(pi, sigma)
+
+    monkeypatch.setattr(arch_l, "critical_set", counted)
+    assert period_algebra.check_main1_step(8, 1, 2, 3).is_ok
+    pi, sigma, pi_d, sigma_d = period_algebra._main1_pair(8, 1, 2, 3)
+    assert calls == [(pi.inf, sigma.inf), (pi_d.inf, sigma_d.inf)]
