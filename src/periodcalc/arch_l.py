@@ -55,18 +55,22 @@ class CriticalSet(namedtuple("CriticalSet", "offset lo hi")):
 
     __slots__ = ()
 
+    def has_index(self, k: int) -> bool:
+        """Whether k + offset is critical."""
+        return self.lo[k % 2] <= k <= self.hi[k % 2]
+
     def __contains__(self, m0) -> bool:
         # m0 = a/q and offset = b/q in lowest terms give k = (a - b)/q
         m0, q = as_fraction(m0), self.offset.denominator
         if m0.denominator != q:
             return False
         k, rem = divmod(m0.numerator - self.offset.numerator, q)
-        return not rem and self.lo[k % 2] <= k <= self.hi[k % 2]
+        return not rem and self.has_index(k)
 
     def points(self) -> list:
         k_min, k_max = min(self.lo), max(self.hi)
         return [k + self.offset for k in range(k_min, k_max + 1)
-                if self.lo[k % 2] <= k <= self.hi[k % 2]]
+                if self.has_index(k)]
 
 
 def _least_gap(kappa: tuple, ell: tuple) -> tuple:

@@ -23,8 +23,7 @@ from .infinity_types import (InfinityType, as_fraction, is_balanced,
 
 __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
-    "GlobalRep", "pair_label", "rel_raghuram", "rel_duality_ratio",
-    "rel_arch_iparity", "rel_twist", "rel_rs_twist", "rel_main1",
+    "GlobalRep", "pair_label", "rel_rs_twist", "rel_main1",
     "rel_corollary_main", "rel_quadratic", "CheckResult", "check_main1_step",
     "check_corollary_main", "check_theorem_main2", "check_motivic_dual",
 ]
@@ -41,21 +40,10 @@ def pair_label(pi: GlobalRep, sigma: GlobalRep) -> str:
     return f"{pi.label}x{sigma.label}"
 
 
-_HALF = Fraction(1, 2)
 # the central characters of the builtins' Pi and Sigma and of their duals
 _OMEGA_PI = gauss_fp({"omega_Pi": 1})
 _OMEGA_SIGMA = gauss_fp({"omega_Sigma": 1})
 _OMEGA_PI_DUAL, _OMEGA_SIGMA_DUAL = _OMEGA_PI ** -1, _OMEGA_SIGMA ** -1
-
-
-def _not_critical(s0, pi: GlobalRep, sigma: GlobalRep) -> ValueError:
-    return ValueError(
-        f"{s0} is not a critical point of {pair_label(pi, sigma)}")
-
-
-def _require_critical(s0, pi: GlobalRep, sigma: GlobalRep):
-    if s0 not in arch_l.critical_set(pi.inf, sigma.inf):
-        raise _not_critical(s0, pi, sigma)
 
 
 def _integer_m(m) -> int:
@@ -89,8 +77,9 @@ def _period(atoms, classes=()) -> FormalPeriod:
     return FormalPeriod._of_exp(_reduced(exp))
 
 
-# One builder per relation, from checked data: an archimedean point as an
-# int or Fraction, an L-value point as p/q text, signs and an i-parity.
+# One builder per relation of a main1 step, which alone calls them with
+# checked data: an archimedean point as an int, an L-value point as p/q
+# text, signs and an i-parity.
 def _raghuram(m, s0: str, pi, sigma, eps, eps_prime) -> Relation:
     pair = pair_label(pi, sigma)
     rhs = _period([(atom_archz(m, pair), 1), (atom_bw(pi.label, eps), 1),
@@ -99,16 +88,6 @@ def _raghuram(m, s0: str, pi, sigma, eps, eps_prime) -> Relation:
                     "critical-value factorization over a balanced pair",
                     FormalPeriod._of_exp({PeriodAtom("LVal", (s0, pair)): 1}),
                     rhs)
-
-
-def rel_raghuram(m, pi: GlobalRep, sigma: GlobalRep) -> Relation:
-    """L(m+1/2, Pi x Sigma) = p(m, .) G(omega_Sigma) p(Pi,eps) p(Sigma,eps')."""
-    if not is_balanced(pi.inf, sigma.inf):
-        raise ValueError("pair is not balanced")
-    m = as_fraction(m)
-    s0 = m + _HALF
-    _require_critical(s0, pi, sigma)
-    return _raghuram(m, str(s0), pi, sigma, *raghuram_signs(m, pi, sigma))
 
 
 def _duality_ratio(m0: str, dual_m0: str, pi, sigma, parity) -> Relation:
@@ -123,18 +102,6 @@ def _duality_ratio(m0: str, dual_m0: str, pi, sigma, parity) -> Relation:
                     rhs)
 
 
-def rel_duality_ratio(m0, pi: GlobalRep, sigma: GlobalRep) -> Relation:
-    """L(m0) = i^{eps-class} G(omega_Pi)^{n'} G(omega_Sigma)^n L(1-m0, duals).
-
-    The i-parity is the epsilon class of the pair's tensor parameter, read
-    from its infinity types, never stored symbolically.
-    """
-    m0 = as_fraction(m0)
-    _require_critical(m0, pi, sigma)
-    return _duality_ratio(str(m0), str(1 - m0), pi, sigma,
-                          arch_l.pair_epsilon_class(pi.inf, sigma.inf))
-
-
 def _arch_iparity(m1, m2, pi, sigma) -> Relation:
     n = pi.inf.n
     exp = (m1 - m2) * (n * (n - 1) // 2)
@@ -147,32 +114,12 @@ def _arch_iparity(m1, m2, pi, sigma) -> Relation:
                              (ATOM_I, exp.numerator)]))
 
 
-def rel_arch_iparity(m1, m2, pi: GlobalRep, sigma: GlobalRep) -> Relation:
-    """p(m1, .) / p(m2, .) = i^{(m1-m2) n(n-1)/2}; central points excluded."""
-    m1, m2 = as_fraction(m1), as_fraction(m2)
-    center2 = -pi.inf.w - sigma.inf.w  # twice the central point
-    if 2 * m1 == center2 or 2 * m2 == center2:
-        raise ValueError("central point excluded from the i-parity relation")
-    for point in (m1, m2):
-        _require_critical(point + _HALF, pi, sigma)
-    return _arch_iparity(m1, m2, pi, sigma)
-
-
 def _twist(m, point, pi, sigma, twisted_label: str) -> Relation:
     pair = pair_label(pi, sigma)
     return Relation(f"arch-twist[{m},{twisted_label}]",
                     "archimedean period comparison under |.|-twists",
                     FormalPeriod._of_exp({atom_archz(m, twisted_label): 1}),
                     FormalPeriod._of_exp({atom_archz(point, pair): 1}))
-
-
-def rel_twist(m, pi: GlobalRep, sigma: GlobalRep, w1: int, w2: int,
-              twisted_label: str) -> Relation:
-    """p(m, twisted pair) = p(m + w1 + w2, pair) up to rationals."""
-    m = as_fraction(m)
-    point = m + (w1 + w2)
-    _require_critical(point + _HALF, pi, sigma)
-    return _twist(m, point, pi, sigma, twisted_label)
 
 
 def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
@@ -263,10 +210,10 @@ def check_main1_step(n: int, w: int, delta: int, m,
         raise ValueError("rank must be positive")
     if delta % 2 != n % 2:
         raise ValueError("delta must have the parity of n")
-    if n == 1:
-        return CheckResult(FormalPeriod.unit())
     if n % 2 and w % 2:
         raise ValueError("w must be even for odd rank")
+    if n == 1:
+        return CheckResult(FormalPeriod.unit())
     m = _integer_m(m)
     if 2 * m == -(w + delta):
         raise ValueError("central point excluded")
@@ -277,13 +224,13 @@ def check_main1_step(n: int, w: int, delta: int, m,
     held = arch_l.critical_set(pi.inf, sigma.inf)
     held_d = arch_l.critical_set(pi_d.inf, sigma_d.inf)
     m2 = -m - w - delta  # the i-parity point, which the twist moves -m to
-    # both sets have the offset n - 1/2, so twice/2 is their point k
+    # both sets have offset n - 1/2, so twice/2 has index (twice+1)//2 - n
     for twice, cs, p, s in ((2 * m + 1, held, pi, sigma),
                             (1 - 2 * m, held_d, pi_d, sigma_d),
                             (2 * m2 + 1, held, pi, sigma)):
-        k = (twice + 1) // 2 - n
-        if not cs.lo[k % 2] <= k <= cs.hi[k % 2]:
-            raise _not_critical(f"{twice}/2", p, s)
+        if not cs.has_index((twice + 1) // 2 - n):
+            raise ValueError(f"{twice}/2 is not a critical point of "
+                             f"{pair_label(p, s)}")
     eps, eps_prime = raghuram_signs(m, pi, sigma)
     assert raghuram_signs(-m, pi_d, sigma_d) == (eps, eps_prime)
     parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)

@@ -282,13 +282,21 @@ def _main1_db():
                None, "db.json")
 
 
+def _main1_rank_one():
+    """The rank-1 base case: Pi's weight is checked before the trivial
+    residual, so an odd w exits 1 as it does at every odd rank."""
+    yield ["check", "main1", "--n", "1", "--w=3"]
+    yield ["check", "main1", "--n", "1"]
+
+
 def requests():
     """(argv, files, db) of every run in the corpus, in a fixed order."""
     rng = random.Random(20261018)
     sources = [_critical(rng), _builtins(), _main1_grid(rng),
                _corollary_main(), _main2(), _motivic_dual_indices(),
                _scripts(), _asai(rng), _classify(rng), _deligne(),
-               _infinity_type(rng), _malformed(), _defaults(), _main1_db()]
+               _infinity_type(rng), _malformed(), _defaults(), _main1_db(),
+               _main1_rank_one()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)

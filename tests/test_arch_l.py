@@ -228,13 +228,15 @@ membership_points = st.one_of(
        | st.fractions(-20, 20, max_denominator=6),
        st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
        st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
-       membership_points)
-@example(Fraction(4, 3), (-5, -5), (5, 5), "1/3")  # k = -1, one denominator
-@example(Fraction(4, 3), (-5, -5), (5, 5), "2/3")  # one denominator, k = -2/3
-@example(Fraction(5, 2), (-5, -5), (5, 5), "-3/6")
-def test_membership_equals_the_fraction_subtraction(offset, lo, hi, m0):
+       membership_points, st.integers(-40, 40))
+# k = -1 over one denominator, then k = -2/3; index k at the bounds and past
+@example(Fraction(4, 3), (-5, -5), (5, 5), "1/3", -5)
+@example(Fraction(4, 3), (-5, -5), (5, 5), "2/3", 5)
+@example(Fraction(5, 2), (-5, -5), (5, 5), "-3/6", 6)
+def test_membership_equals_the_fraction_subtraction(offset, lo, hi, m0, k):
     cs = arch_l.CriticalSet(offset, lo, hi)
     assert (m0 in cs) == critical_contains(cs, m0)
+    assert cs.has_index(k) == critical_contains(cs, k + cs.offset)
 
 
 @pytest.mark.parametrize("bad, exc", [("1.5", ValueError), (1.5, TypeError),

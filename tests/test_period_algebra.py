@@ -212,13 +212,6 @@ def test_an_int_point_gives_what_its_fraction_gives(m):
         assert make(m, "P").payload[0] == str(Fraction(m))
     assert (_outcome_of(pa.raghuram_signs, m, PI4, SIG3)
             == _outcome_of(pa.raghuram_signs, Fraction(m), PI4, SIG3))
-    assert (_outcome_of(pa.rel_raghuram, m, PI4, SIG3)
-            == _outcome_of(pa.rel_raghuram, Fraction(m), PI4, SIG3))
-    assert (_outcome_of(pa.rel_twist, m, PI4, SIG3, 1, -1, "T")
-            == _outcome_of(pa.rel_twist, Fraction(m), PI4, SIG3, 1, -1, "T"))
-    assert (_outcome_of(pa.rel_arch_iparity, m, 1, PI4, SIG3)
-            == _outcome_of(pa.rel_arch_iparity, Fraction(m), Fraction(1),
-                           PI4, SIG3))
 
 
 @pytest.mark.parametrize("m", ["1/2", Fraction(3, 2), "x", 1.0, None])
@@ -227,37 +220,18 @@ def test_a_point_that_is_not_an_int_keeps_its_error(m):
     if isinstance(checked, Fraction):
         checked = (ValueError, "m must be an integer for adjacent ranks")
     assert _outcome_of(pa.raghuram_signs, m, PI4, SIG3) == checked
-    assert _outcome_of(pa.rel_raghuram, m, PI4, SIG3)[0] is checked[0]
-
-
-def test_rel_raghuram_requires_critical_and_balanced():
-    with pytest.raises(ValueError):
-        pa.rel_raghuram(50, PI4, SIG3)       # far outside the critical range
-    unbal = pa.GlobalRep("S", InfinityType(3, (31,), 0),
-                         gauss_fp({"omega_Sigma": 1}))
-    with pytest.raises(ValueError):
-        pa.rel_raghuram(0, PI4, unbal)
+    assert _outcome_of(pa.check_main1_step, 4, 0, 0, m) == checked
 
 
 def test_rel_duality_ratio_i_parity_matches_epsilon_class():
-    rel = pa.rel_duality_ratio(Fraction(1, 2), PI4, SIG3)
-    w, delta, n = PI4.inf.w, SIG3.inf.w, PI4.inf.n
-    expected = ((w + delta) * n * (n - 1) // 2) % 2
-    assert rel.rhs.exponent(ATOM_I) == expected
-
-
-def test_rel_arch_iparity_identity_and_central_rejection():
-    rel = pa.rel_arch_iparity(0, 0, PI4, SIG3)
-    assert formal.replay([(rel, 1)]).is_trivial
-    center = Fraction(-PI4.inf.w - SIG3.inf.w, 2)
-    with pytest.raises(ValueError):
-        pa.rel_arch_iparity(center, 0, PI4, SIG3)
-
-
-def test_rel_twist_zero_is_identity():
-    rel = pa.rel_twist(0, PI4, SIG3, 0, 0,
-                       twisted_label=pa.pair_label(PI4, SIG3))
-    assert formal.replay([(rel, 1)]).is_trivial
+    # the i-power of the step's duality-ratio relation, both parities
+    for n, w, delta in [(2, 0, 0), (2, 1, 2), (3, 0, 1), (4, 1, 0),
+                        (5, 2, -1), (6, -1, 2), (7, 0, 3)]:
+        res = pa.check_main1_step(n, w, delta, 1)
+        rel, = (r for r, _ in res.relations
+                if r.name.startswith("duality-ratio"))
+        expected = ((w + delta) * n * (n - 1) // 2) % 2
+        assert rel.rhs.exponent(ATOM_I) == expected, (n, w, delta)
 
 
 def test_rel_rs_twist_rejects_odd_rank():
@@ -311,6 +285,8 @@ def test_main1_step_validation():
         pa.check_main1_step(4, 0, 1, 1)      # delta parity
     with pytest.raises(ValueError):
         pa.check_main1_step(3, 1, 1, 1)      # odd w for odd rank
+    with pytest.raises(ValueError, match="w must be even for odd rank"):
+        pa.check_main1_step(1, 3, 1, 1)      # ... at the rank-1 base too
     with pytest.raises(ValueError):
         pa.check_main1_step(4, 0, 0, 0)      # central point
     with pytest.raises(ValueError):
@@ -373,25 +349,49 @@ def main1_pairs(draw):
           pa.GlobalRep("Pi", SIG3.inf, gauss_fp({"chi": 2})), 0, 1),
          1, 0, 0, 1)
 def test_main1_relations_match_the_oracle_builders(pair, k, w1, w2, eps):
-    # k, k/2 and the twists reach points outside the critical set, where
-    # both builders must raise the same error
+    # each private builder against the guarded oracle at every drawn point
+    # the oracle accepts, where the points are ints; k, k/2 and the twists
+    # also reach points outside the critical set, which the oracle rejects
+    # and the step never passes on
     pi, sigma, m, w_delta = pair
     half = Fraction(1, 2)
-    for name, args in [
-            ("rel_raghuram", (m, pi, sigma)),
-            ("rel_raghuram", (k, pi, sigma)),
-            ("rel_raghuram", (Fraction(k, 2), pi, sigma)),
-            ("rel_duality_ratio", (m + half, pi, sigma)),
-            ("rel_duality_ratio", (Fraction(k, 2), pi, sigma)),
-            ("rel_arch_iparity", (m, -m - w_delta, pi, sigma)),
-            ("rel_arch_iparity", (m, k, pi, sigma)),
-            ("rel_arch_iparity", (Fraction(k, 2), m, pi, sigma)),
-            ("rel_twist", (-m, pi, sigma, w1, w2, "T")),
-            ("rel_twist", (m, pi, sigma, w1, w2, pa.pair_label(pi, sigma))),
-            ("rel_main1", (pi, eps)),
-            ("rel_main1", (sigma, eps))]:
-        new = _built(getattr(pa, name), *args)
-        assert new == _built(getattr(oracles, name), *args), (name, args)
+
+    def raghuram(m, pi, sigma):
+        m = int(m)
+        return pa._raghuram(m, str(m + half), pi, sigma,
+                            *pa.raghuram_signs(m, pi, sigma))
+
+    def duality_ratio(m0, pi, sigma):
+        return pa._duality_ratio(str(m0), str(1 - m0), pi, sigma,
+                                 arch_l.pair_epsilon_class(pi.inf, sigma.inf))
+
+    def arch_iparity(m1, m2, pi, sigma):
+        return pa._arch_iparity(int(m1), int(m2), pi, sigma)
+
+    def twist(m, pi, sigma, w1, w2, twisted_label):
+        return pa._twist(int(m), int(m) + w1 + w2, pi, sigma, twisted_label)
+
+    accepted = 0
+    for name, args, private in [
+            ("rel_raghuram", (m, pi, sigma), raghuram),
+            ("rel_raghuram", (k, pi, sigma), raghuram),
+            ("rel_raghuram", (Fraction(k, 2), pi, sigma), raghuram),
+            ("rel_duality_ratio", (m + half, pi, sigma), duality_ratio),
+            ("rel_duality_ratio", (Fraction(k, 2), pi, sigma), duality_ratio),
+            ("rel_arch_iparity", (m, -m - w_delta, pi, sigma), arch_iparity),
+            ("rel_arch_iparity", (m, k, pi, sigma), arch_iparity),
+            ("rel_arch_iparity", (Fraction(k, 2), m, pi, sigma),
+             arch_iparity),
+            ("rel_twist", (-m, pi, sigma, w1, w2, "T"), twist),
+            ("rel_twist", (m, pi, sigma, w1, w2, pa.pair_label(pi, sigma)),
+             twist),
+            ("rel_main1", (pi, eps), pa.rel_main1),
+            ("rel_main1", (sigma, eps), pa.rel_main1)]:
+        want = _built(getattr(oracles, name), *args)
+        if isinstance(want[0], Relation):
+            assert _built(private, *args) == want, (name, args)
+            accepted += 1
+    assert accepted >= 5  # m, m + 1/2, the i-parity pair and both main1
 
 
 def test_main1_steps_match_the_oracle_over_a_grid():
