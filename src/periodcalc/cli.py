@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from .infinity_types import (DominantWeight, InfinityType, as_fraction,
-                             infinity_to_weight, self_dual_homs,
-                             weight_to_infinity)
+                             character_sign, infinity_to_weight,
+                             self_dual_homs, weight_to_infinity)
 
 
 # the largest rank any flag or payload may ask for; every check at this rank
@@ -156,7 +156,7 @@ def cmd_classify(args) -> int:
     d_sym, d_wedge = self_dual_homs(pi, args.delta, u)
     verdict = ("orthogonal" if d_sym > 0 else "symplectic" if d_wedge > 0
                else "neither")
-    eps_chi = -1 if (u.numerator + args.delta) % 2 else 1
+    eps_chi = character_sign(args.delta, u.numerator)
     payload = {"verdict": verdict, "hom_sym2": d_sym, "hom_wedge2": d_wedge,
                "epsilon_chi_inf": eps_chi}
     human = (f"{verdict}: dim Hom(Sym^2, chi) = {d_sym}, "

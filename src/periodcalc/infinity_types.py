@@ -161,6 +161,11 @@ def is_regular(t: InfinityType) -> bool:
             and all(a - b >= gap for a, b in zip(t.kappa, t.kappa[1:])))
 
 
+def character_sign(delta: int, u: int) -> int:
+    """eps(chi_inf) = (-1)^(u + delta) for chi_inf = sgn^delta |.|^u."""
+    return -1 if (u + delta) % 2 else 1
+
+
 def to_arch_rep(t: InfinityType):
     from .weil_real import ArchRep, char, disc
     half_w = Fraction(t.w, 2)

@@ -18,8 +18,8 @@ from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
                      RelationDB, atom_archz, atom_bw, atom_dc, atom_dci,
                      atom_delta, atom_lval, check_script, dual_label, gauss_fp,
                      replay, _reduced)
-from .infinity_types import (InfinityType, as_fraction, is_balanced,
-                             is_regular, signature)
+from .infinity_types import (InfinityType, as_fraction, character_sign,
+                             is_balanced, is_regular, signature)
 
 __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
@@ -44,6 +44,7 @@ def pair_label(pi: GlobalRep, sigma: GlobalRep) -> str:
 _OMEGA_PI = gauss_fp({"omega_Pi": 1})
 _OMEGA_SIGMA = gauss_fp({"omega_Sigma": 1})
 _OMEGA_PI_DUAL, _OMEGA_SIGMA_DUAL = _OMEGA_PI ** -1, _OMEGA_SIGMA ** -1
+_CHI = gauss_fp({"chi": 1})  # the builtins' default chi
 
 
 def _integer_m(m) -> int:
@@ -90,9 +91,9 @@ def _raghuram(m, s0: str, pi, sigma, eps, eps_prime) -> Relation:
                     rhs)
 
 
-def _duality_ratio(m0: str, dual_m0: str, pi, sigma, parity) -> Relation:
+def _duality_ratio(m0: str, dual_m0: str, pi, sigma, dual_pair: str,
+                   parity) -> Relation:
     pair = pair_label(pi, sigma)
-    dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
     rhs = _period([(ATOM_I, parity),
                    (PeriodAtom("LVal", (dual_m0, dual_pair)), 1)],
                   [(pi.omega, sigma.inf.n), (sigma.omega, pi.inf.n)])
@@ -129,10 +130,9 @@ def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
     if rank % 2:
         raise ValueError("character-twist relation requires even rank")
     n = rank // 2
-    eps_eta = -1 if (eta_u + eta_delta) % 2 else 1
     lhs = FormalPeriod.atom(atom_bw(twisted_label, eps))
-    rhs = (eta ** (n * (2 * n - 1))
-           * FormalPeriod.atom(atom_bw(pi.label, eps * eps_eta)))
+    rhs = (eta ** (n * (2 * n - 1)) * FormalPeriod.atom(
+        atom_bw(pi.label, eps * character_sign(eta_delta, eta_u))))
     return Relation(f"rs-twist[{twisted_label},{eps:+d}]",
                     "character twist of Betti-Whittaker periods", lhs, rhs)
 
@@ -221,24 +221,21 @@ def check_main1_step(n: int, w: int, delta: int, m,
     pi, sigma, pi_d, sigma_d = _main1_pair(n, w, delta, m)
     if not is_balanced(pi.inf, sigma.inf):  # the duals have the same kappa
         raise ValueError("pair is not balanced")
-    held = arch_l.critical_set(pi.inf, sigma.inf)
-    held_d = arch_l.critical_set(pi_d.inf, sigma_d.inf)
+    # m + 1/2 has index m + 1 - n.  The duals' set is the pair's under
+    # s -> 1 - s, and the pair's is symmetric about (1 - w - delta)/2, so
+    # -m + 1/2 (duals) and m2 + 1/2 (pair) are critical when m + 1/2 is.
+    if not arch_l.critical_set(pi.inf, sigma.inf).has_index(m + 1 - n):
+        raise ValueError(f"{2 * m + 1}/2 is not a critical point of "
+                         f"{pair_label(pi, sigma)}")
     m2 = -m - w - delta  # the i-parity point, which the twist moves -m to
-    # both sets have offset n - 1/2, so twice/2 has index (twice+1)//2 - n
-    for twice, cs, p, s in ((2 * m + 1, held, pi, sigma),
-                            (1 - 2 * m, held_d, pi_d, sigma_d),
-                            (2 * m2 + 1, held, pi, sigma)):
-        if not cs.has_index((twice + 1) // 2 - n):
-            raise ValueError(f"{twice}/2 is not a critical point of "
-                             f"{pair_label(p, s)}")
     eps, eps_prime = raghuram_signs(m, pi, sigma)
-    assert raghuram_signs(-m, pi_d, sigma_d) == (eps, eps_prime)
     parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
     s0, dual_s0 = f"{2 * m + 1}/2", f"{1 - 2 * m}/2"
+    dual_pair = pair_label(pi_d, sigma_d)
     steps = [(_raghuram(m, s0, pi, sigma, eps, eps_prime), 1),
              (_raghuram(-m, dual_s0, pi_d, sigma_d, eps, eps_prime), -1),
-             (_duality_ratio(s0, dual_s0, pi, sigma, parity), -1),
-             (_twist(-m, m2, pi, sigma, pair_label(pi_d, sigma_d)), -1),
+             (_duality_ratio(s0, dual_s0, pi, sigma, dual_pair, parity), -1),
+             (_twist(-m, m2, pi, sigma, dual_pair), -1),
              (_arch_iparity(m, m2, pi, sigma), 1),
              (rel_main1(sigma, eps_prime), 1)]
     target = rel_main1(pi, eps)
@@ -261,7 +258,7 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
         raise ValueError("n must be positive")
     kappa = tuple(8 + 6 * j for j in range(n, 0, -1))
     pi = GlobalRep("Pi", InfinityType(2 * n, kappa, 0, 0), _OMEGA_PI)
-    chi = gauss_fp(chi_expr or {"chi": 1})
+    chi = gauss_fp(chi_expr) if chi_expr else _CHI
     q_a = rel_main1(pi, 1)
     q_b = rel_rs_twist(pi, chi ** -1, 1 if orthogonal else 0, 0, 1,
                        twisted_label=dual_label(pi.label))
@@ -289,7 +286,6 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
         raise ValueError("ranks must be positive")
     if nprime % 2 == 0:
         return CheckResult(FormalPeriod.unit())
-    chi, omega = gauss_fp({"chi": 1}), gauss_fp({"omega_Pi": 1})
     pair = "PixSigma"
     m0 = Fraction(nprime, 2)
     ipow = n if include_i_power else 0
@@ -301,7 +297,7 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
                     FormalPeriod.atom(atom_lval(m0, pair)),
                     FormalPeriod.atom(atom_lval(m0 + 1, pair))
                     * rel_period ** nprime)
-    gexp = chi ** n * omega ** -1
+    gexp = _CHI ** n * _OMEGA_PI ** -1
     q_c = rel_corollary_main("Pi", gexp)
     target_rhs = (FormalPeriod.atom(ATOM_I, ipow * nprime)
                   * gexp ** nprime
@@ -310,7 +306,7 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
                       "ratio of successive critical values",
                       FormalPeriod.atom(atom_lval(m0, pair)), target_rhs)
     if corrupt:
-        target = _corrupted(target, chi)
+        target = _corrupted(target, _CHI)
     steps = [(q_hr, 1), (target, -1), (q_c, eps_num * nprime)]
     if eps_num == -1:
         steps.append((rel_quadratic(gexp), -nprime))
@@ -334,7 +330,6 @@ def check_motivic_dual(n: int, i: int = None,
     fp = y.FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
     fm = y.FundamentalMonomial(2, 1, 1, 0, (), 0, 1)
     fdet = y.FundamentalMonomial(2, 1, 1, 1, (), 0, 0)
-    tp, tm, tdet = map(y.monomial_type, (fp, fm, fdet))
     steps = []
     for idx in [i] if i is not None else range(1, r):
         N = y.MotiveShape(f"N{idx}", 2, 0, (kappa[idx] + 2,), 1, 1)
@@ -351,9 +346,9 @@ def check_motivic_dual(n: int, i: int = None,
             # delta(M x N) exponent on delta(N) off by one
             q_delta = _corrupted(q_delta,
                                  FormalPeriod.atom(atom_delta(N.label), -1))
-        q_dp = y.dual_relation(fp, N, tp)   # rewrites c^-(N^v)
-        q_dm = y.dual_relation(fm, N, tm)   # rewrites c^+(N^v)
-        q_ddet = y.dual_relation(fdet, N, tdet)
+        q_dp = y.dual_relation(fp, N)   # rewrites c^-(N^v)
+        q_dm = y.dual_relation(fm, N)   # rewrites c^+(N^v)
+        q_ddet = y.dual_relation(fdet, N)
         target = Relation(f"motivic-dual[{M.label},{idx}]",
                           "duality of the middle fundamental periods",
                           FormalPeriod._of_exp({atom_dci(Md.label, idx): 1}),

@@ -173,13 +173,12 @@ def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
                     lhs, rhs)
 
 
-def dual_relation(m: FundamentalMonomial, M: MotiveShape,
-                  tag: AdmissibleTypeTag = None) -> Relation:
-    """f^dual(X_{M^v}) = delta(M)^{-(k+ + k-)} * f(X_M); tag, when given,
-    is monomial_type(m)."""
-    tag = monomial_type(m) if tag is None else tag
+def dual_relation(m: FundamentalMonomial, M: MotiveShape) -> Relation:
+    """f^dual(X_{M^v}) = delta(M)^{-(k+ + k-)} * f(X_M), where m has
+    k+ + k- = 2(m0 + sum mi) + m+ + m-, as monomial_type sums it."""
     rhs, delta = _monomial_exp(m, M.label), atom_delta(M.label)
-    rhs[delta] = rhs.get(delta, 0) - tag.kplus - tag.kminus
+    k = 2 * (m.m0 + sum(m.mi)) + m.mplus + m.mminus
+    rhs[delta] = rhs.get(delta, 0) - k
     exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
     return Relation(f"dual[{M.label},{exps}]", "duality of fundamental periods",
                     FormalPeriod._of_exp(_monomial_exp(m, dual_label(M.label),

@@ -101,13 +101,17 @@ def test_epsilon_class_from_parameter():
 @settings(max_examples=150, deadline=None)
 @given(infinity_types(min_n=2, max_n=4), infinity_types(max_n=3))
 def test_critical_set_is_symmetric_under_s_to_1_minus_s(pi, sigma):
+    """The duals' set is the image of the pair's under s -> 1 - s, and the
+    pair's set is symmetric about its central point, on the closed form and
+    on the scan alike."""
     if pi.n == 1 and sigma.n == 1:
         return
-    pts = arch_l.critical_points(pi, sigma)
-    dual_pts = arch_l.critical_points(
-        InfinityType(pi.n, pi.kappa, -pi.w, pi.sign_choice),
-        InfinityType(sigma.n, sigma.kappa, -sigma.w, sigma.sign_choice))
-    assert sorted(1 - m for m in pts) == dual_pts
+    pi_d, sigma_d = (InfinityType(t.n, t.kappa, -t.w, t.sign_choice)
+                     for t in (pi, sigma))
+    for points in (arch_l.critical_points, scan_critical_points):
+        pts = points(pi, sigma)
+        assert sorted(1 - m for m in pts) == points(pi_d, sigma_d)
+        assert sorted(1 - pi.w - sigma.w - m for m in pts) == pts
 
 
 @settings(max_examples=150, deadline=None)
@@ -233,9 +237,12 @@ membership_points = st.one_of(
 @example(Fraction(4, 3), (-5, -5), (5, 5), "1/3", -5)
 @example(Fraction(4, 3), (-5, -5), (5, 5), "2/3", 5)
 @example(Fraction(5, 2), (-5, -5), (5, 5), "-3/6", 6)
+# the offset, at k = 0 below the bounds: tuple membership would find it
+@example(Fraction(5, 2), (1, 1), (3, 3), Fraction(5, 2), 0)
 def test_membership_equals_the_fraction_subtraction(offset, lo, hi, m0, k):
     cs = arch_l.CriticalSet(offset, lo, hi)
     assert (m0 in cs) == critical_contains(cs, m0)
+    assert (cs.offset in cs) == critical_contains(cs, cs.offset)
     assert cs.has_index(k) == critical_contains(cs, k + cs.offset)
 
 

@@ -83,13 +83,22 @@ def test_normalisation_in_new():
 
 
 def test_a_main1_step_reads_each_critical_set_once(monkeypatch):
-    real, calls = arch_l.critical_set, []
+    # the pair's set and signs alone: the duals' set and the step's two
+    # other points follow from the set by symmetry, and the duals' signs
+    # equal the pair's
+    calls, signs = [], []
 
-    def counted(pi, sigma):
-        calls.append((pi, sigma))
-        return real(pi, sigma)
+    def counted(real, log):
+        def wrapped(*args):
+            log.append(args)
+            return real(*args)
+        return wrapped
 
-    monkeypatch.setattr(arch_l, "critical_set", counted)
+    monkeypatch.setattr(arch_l, "critical_set",
+                        counted(arch_l.critical_set, calls))
+    monkeypatch.setattr(period_algebra, "raghuram_signs",
+                        counted(period_algebra.raghuram_signs, signs))
     assert period_algebra.check_main1_step(8, 1, 2, 3).is_ok
-    pi, sigma, pi_d, sigma_d = period_algebra._main1_pair(8, 1, 2, 3)
-    assert calls == [(pi.inf, sigma.inf), (pi_d.inf, sigma_d.inf)]
+    pi, sigma, _, _ = period_algebra._main1_pair(8, 1, 2, 3)
+    assert calls == [(pi.inf, sigma.inf)]
+    assert signs == [(3, pi, sigma)]

@@ -257,8 +257,15 @@ def test_dict_built_relations_match_the_checked_products(n):
         _checked(y.delta_tensor(M, N), oracles.delta_tensor(M, N))
         for m in fixed:
             _checked(y.dual_relation(m, N), oracles.dual_relation(m, N))
-            _checked(y.dual_relation(m, N, y.monomial_type(m)),
-                     oracles.dual_relation(m, N))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials())
+def test_dual_relation_reads_its_type_from_the_monomial(m):
+    r = m.n // 2
+    M = y.MotiveShape("M", m.n, 0, tuple(4 * (r - j) + 5 for j in range(r)),
+                      m.dplus, m.dminus)
+    _checked(y.dual_relation(m, M), oracles.dual_relation(m, M))
 
 
 def test_delta_tensor_of_a_motive_with_itself():
