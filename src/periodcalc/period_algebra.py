@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from . import arch_l
 from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
-                     RelationDB, atom_archz, atom_bw, atom_dc, atom_dci,
-                     atom_delta, atom_lval, check_script, dual_label, gauss_fp,
-                     replay, _reduced)
+                     RelationDB, atom_bw, atom_dc, atom_dci, atom_delta,
+                     atom_lval, check_script, dual_label, gauss_fp, replay,
+                     _reduced)
 from .infinity_types import (InfinityType, as_fraction, character_sign,
                              is_balanced, is_regular, signature)
 
@@ -40,10 +40,9 @@ def pair_label(pi: GlobalRep, sigma: GlobalRep) -> str:
     return f"{pi.label}x{sigma.label}"
 
 
-# the central characters of the builtins' Pi and Sigma and of their duals
+# the central characters of the builtins' Pi and Sigma
 _OMEGA_PI = gauss_fp({"omega_Pi": 1})
 _OMEGA_SIGMA = gauss_fp({"omega_Sigma": 1})
-_OMEGA_PI_DUAL, _OMEGA_SIGMA_DUAL = _OMEGA_PI ** -1, _OMEGA_SIGMA ** -1
 _CHI = gauss_fp({"chi": 1})  # the builtins' default chi
 
 
@@ -66,61 +65,13 @@ def raghuram_signs(m, pi: GlobalRep, sigma: GlobalRep):
     return free * eps_prime, eps_prime
 
 
-def _period(atoms, classes=()) -> FormalPeriod:
-    """prod a^e over atoms (a, e) times prod g^k over classes (g, k); a
-    repeated atom (BW(Pi, eps) when Sigma shares Pi's label) adds up."""
-    exp = {}
-    for a, e in atoms:
-        exp[a] = exp.get(a, 0) + e
+def _period(exp: dict, *classes) -> FormalPeriod:
+    """The period prod a^e over exp's items times prod g^k over classes
+    (g, k), each class's exponents added into exp in its own order."""
     for g, k in classes:
         for a, e in g._exp.items():
             exp[a] = exp.get(a, 0) + k * e
     return FormalPeriod._of_exp(_reduced(exp))
-
-
-# One builder per relation of a main1 step, which alone calls them with
-# checked data: an archimedean point as an int, an L-value point as p/q
-# text, signs and an i-parity.
-def _raghuram(m, s0: str, pi, sigma, eps, eps_prime) -> Relation:
-    pair = pair_label(pi, sigma)
-    rhs = _period([(atom_archz(m, pair), 1), (atom_bw(pi.label, eps), 1),
-                   (atom_bw(sigma.label, eps_prime), 1)], [(sigma.omega, 1)])
-    return Relation(f"raghuram[m={m},{pair}]",
-                    "critical-value factorization over a balanced pair",
-                    FormalPeriod._of_exp({PeriodAtom("LVal", (s0, pair)): 1}),
-                    rhs)
-
-
-def _duality_ratio(m0: str, dual_m0: str, pi, sigma, dual_pair: str,
-                   parity) -> Relation:
-    pair = pair_label(pi, sigma)
-    rhs = _period([(ATOM_I, parity),
-                   (PeriodAtom("LVal", (dual_m0, dual_pair)), 1)],
-                  [(pi.omega, sigma.inf.n), (sigma.omega, pi.inf.n)])
-    return Relation(f"duality-ratio[m0={m0},{pair}]",
-                    "functional-equation ratio under duality",
-                    FormalPeriod._of_exp({PeriodAtom("LVal", (m0, pair)): 1}),
-                    rhs)
-
-
-def _arch_iparity(m1, m2, pi, sigma) -> Relation:
-    n = pi.inf.n
-    exp = (m1 - m2) * (n * (n - 1) // 2)
-    assert exp.denominator == 1
-    pair = pair_label(pi, sigma)
-    return Relation(f"arch-iparity[{m1},{m2},{pair}]",
-                    "i-power comparison of archimedean periods",
-                    FormalPeriod._of_exp({atom_archz(m1, pair): 1}),
-                    _period([(atom_archz(m2, pair), 1),
-                             (ATOM_I, exp.numerator)]))
-
-
-def _twist(m, point, pi, sigma, twisted_label: str) -> Relation:
-    pair = pair_label(pi, sigma)
-    return Relation(f"arch-twist[{m},{twisted_label}]",
-                    "archimedean period comparison under |.|-twists",
-                    FormalPeriod._of_exp({atom_archz(m, twisted_label): 1}),
-                    FormalPeriod._of_exp({atom_archz(point, pair): 1}))
 
 
 def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
@@ -145,8 +96,8 @@ def rel_main1(pi: GlobalRep, eps: int) -> Relation:
     return Relation(f"main1[{pi.label},{eps:+d}]",
                     "period relation under duality",
                     FormalPeriod._of_exp({atom_bw(pi.label, eps): 1}),
-                    _period([(atom_bw(dual_label(pi.label), eps), 1)],
-                            [(pi.omega, pi.inf.n - 1)]))
+                    _period({atom_bw(dual_label(pi.label), eps): 1},
+                            (pi.omega, pi.inf.n - 1)))
 
 
 def rel_corollary_main(label: str, gexp: FormalPeriod) -> Relation:
@@ -177,8 +128,7 @@ def _corrupted(rel: Relation, factor: FormalPeriod) -> Relation:
 
 
 def _main1_pair(n: int, w: int, delta: int, m: int):
-    """A widely spaced balanced pair whose critical range covers m+1/2, and
-    the pair of its duals."""
+    """A widely spaced balanced pair whose critical range covers m+1/2."""
     r = n // 2
     need = max(abs(2 * m + 1 + w + delta), abs(1 - w - delta - 2 * m), 4)
     gap = 2 * (need + 4)
@@ -187,14 +137,9 @@ def _main1_pair(n: int, w: int, delta: int, m: int):
     kappa = tuple(base - 2 * gap * i for i in range(r))
     gprime = gap if kap_par == 1 else gap + 1  # keeps ell odd
     ell = tuple(k - gprime for k in kappa[:(n - 1) // 2])
-    t, u = InfinityType(n, kappa, w, 0), InfinityType(n - 1, ell, delta, 0)
-    # the duals negate w, which the checks of a type read only by its parity
-    t_d, u_d = (tuple.__new__(InfinityType, (x.n, x.kappa, -x.w, 0))
-                for x in (t, u))
-    return (GlobalRep("Pi", t, _OMEGA_PI),
-            GlobalRep("Sigma", u, _OMEGA_SIGMA),
-            GlobalRep(dual_label("Pi"), t_d, _OMEGA_PI_DUAL),
-            GlobalRep(dual_label("Sigma"), u_d, _OMEGA_SIGMA_DUAL))
+    return (GlobalRep("Pi", InfinityType(n, kappa, w, 0), _OMEGA_PI),
+            GlobalRep("Sigma", InfinityType(n - 1, ell, delta, 0),
+                      _OMEGA_SIGMA))
 
 
 def check_main1_step(n: int, w: int, delta: int, m,
@@ -204,7 +149,8 @@ def check_main1_step(n: int, w: int, delta: int, m,
     Combines the critical-value factorization at m for (Pi, Sigma) and at -m
     for the duals, the functional-equation ratio at m0 = m + 1/2, the
     archimedean twist and i-parity comparisons, and the rank-(n-1) relation,
-    against the rank-n relation as target; each hypothesis is checked once.
+    against the rank-n relation as target.  Each hypothesis is checked
+    once, and each distinct atom of the step is built once.
     """
     if n < 1:
         raise ValueError("rank must be positive")
@@ -212,13 +158,13 @@ def check_main1_step(n: int, w: int, delta: int, m,
         raise ValueError("delta must have the parity of n")
     if n % 2 and w % 2:
         raise ValueError("w must be even for odd rank")
+    m = _integer_m(m)
     if n == 1:
         return CheckResult(FormalPeriod.unit())
-    m = _integer_m(m)
     if 2 * m == -(w + delta):
         raise ValueError("central point excluded")
 
-    pi, sigma, pi_d, sigma_d = _main1_pair(n, w, delta, m)
+    pi, sigma = _main1_pair(n, w, delta, m)
     if not is_balanced(pi.inf, sigma.inf):  # the duals have the same kappa
         raise ValueError("pair is not balanced")
     # m + 1/2 has index m + 1 - n.  The duals' set is the pair's under
@@ -230,15 +176,45 @@ def check_main1_step(n: int, w: int, delta: int, m,
     m2 = -m - w - delta  # the i-parity point, which the twist moves -m to
     eps, eps_prime = raghuram_signs(m, pi, sigma)
     parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
-    s0, dual_s0 = f"{2 * m + 1}/2", f"{1 - 2 * m}/2"
-    dual_pair = pair_label(pi_d, sigma_d)
-    steps = [(_raghuram(m, s0, pi, sigma, eps, eps_prime), 1),
-             (_raghuram(-m, dual_s0, pi_d, sigma_d, eps, eps_prime), -1),
-             (_duality_ratio(s0, dual_s0, pi, sigma, dual_pair, parity), -1),
-             (_twist(-m, m2, pi, sigma, dual_pair), -1),
-             (_arch_iparity(m, m2, pi, sigma), 1),
-             (rel_main1(sigma, eps_prime), 1)]
-    target = rel_main1(pi, eps)
+    q_sigma, target = rel_main1(sigma, eps_prime), rel_main1(pi, eps)
+    # Each distinct atom is built once from checked data, so equal atoms
+    # of the step are one object.  The BW atoms are those of the two main1
+    # relations: p(X, e) on the lhs, p(X^v, e) first on the rhs.
+    (bw_s,), (bw_p,) = q_sigma.lhs._exp, target.lhs._exp
+    bw_sd, bw_pd = next(iter(q_sigma.rhs._exp)), next(iter(target.rhs._exp))
+    pair = pair_label(pi, sigma)
+    dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
+    s0, new = f"{2 * m + 1}/2", tuple.__new__
+    lval = new(PeriodAtom, ("LVal", (s0, pair)))
+    lval_d = new(PeriodAtom, ("LVal", (f"{1 - 2 * m}/2", dual_pair)))
+    archz = new(PeriodAtom, ("ArchZ", (str(m), pair)))
+    archz2 = new(PeriodAtom, ("ArchZ", (str(m2), pair)))
+    archz_d = new(PeriodAtom, ("ArchZ", (str(-m), dual_pair)))
+    raghuram_cite = "critical-value factorization over a balanced pair"
+    steps = [
+        (Relation(f"raghuram[m={m},{pair}]", raghuram_cite,
+                  FormalPeriod._of_exp({lval: 1}),
+                  _period({archz: 1, bw_p: 1, bw_s: 1}, (sigma.omega, 1))), 1),
+        # the class of Sigma^v's central character is Sigma's inverted
+        (Relation(f"raghuram[m={-m},{dual_pair}]", raghuram_cite,
+                  FormalPeriod._of_exp({lval_d: 1}),
+                  _period({archz_d: 1, bw_pd: 1, bw_sd: 1},
+                          (sigma.omega, -1))), -1),
+        (Relation(f"duality-ratio[m0={s0},{pair}]",
+                  "functional-equation ratio under duality",
+                  FormalPeriod._of_exp({lval: 1}),
+                  _period({ATOM_I: parity, lval_d: 1}, (pi.omega, n - 1),
+                          (sigma.omega, n))), -1),
+        (Relation(f"arch-twist[{-m},{dual_pair}]",
+                  "archimedean period comparison under |.|-twists",
+                  FormalPeriod._of_exp({archz_d: 1}),
+                  FormalPeriod._of_exp({archz2: 1})), -1),
+        (Relation(f"arch-iparity[{m},{m2},{pair}]",
+                  "i-power comparison of archimedean periods",
+                  FormalPeriod._of_exp({archz: 1}),
+                  _period({archz2: 1,
+                           ATOM_I: (m - m2) * (n * (n - 1) // 2)})), 1),
+        (q_sigma, 1)]
     if corrupt:
         # Gauss exponent n-1 -> n-2 on the target
         target = _corrupted(target, pi.omega ** -1)

@@ -283,10 +283,12 @@ def _main1_db():
 
 
 def _main1_rank_one():
-    """The rank-1 base case: Pi's weight is checked before the trivial
-    residual, so an odd w exits 1 as it does at every odd rank."""
+    """The rank-1 base case: Pi's weight and the point m are checked before
+    the trivial residual, so an odd w or a point off the half-integers
+    exits 1 as it does at every odd rank."""
     yield ["check", "main1", "--n", "1", "--w=3"]
     yield ["check", "main1", "--n", "1"]
+    yield ["check", "main1", "--n", "1", "--m", "1/3"]
 
 
 def requests():

@@ -287,6 +287,8 @@ def test_main1_step_validation():
         pa.check_main1_step(3, 1, 1, 1)      # odd w for odd rank
     with pytest.raises(ValueError, match="w must be even for odd rank"):
         pa.check_main1_step(1, 3, 1, 1)      # ... at the rank-1 base too
+    with pytest.raises(ValueError, match="m must be an integer"):
+        pa.check_main1_step(1, 0, 1, Fraction(1, 3))   # ... and m too
     with pytest.raises(ValueError):
         pa.check_main1_step(4, 0, 0, 0)      # central point
     with pytest.raises(ValueError):
@@ -322,16 +324,15 @@ def _built(fn, *args):
 
 @st.composite
 def main1_pairs(draw):
-    """(pi, sigma, m, w + delta): a pair of check_main1_step or of its duals,
-    whose critical set holds m + 1/2, under drawn labels (Sigma's may be
-    Pi's) and Gauss classes of zero to three atoms."""
+    """(pi, sigma): a pair of check_main1_step or of its duals under drawn
+    labels (Sigma's may be Pi's) and Gauss classes of zero to three atoms."""
     n = draw(st.integers(2, 9))
     w = draw(st.integers(-3, 3)) * (1 + n % 2)
     delta = n % 2 + 2 * draw(st.integers(-1, 1))
     m = draw(st.integers(-9, 8).filter(lambda m: 2 * m != -(w + delta)))
-    pi, sigma, pi_d, sigma_d = pa._main1_pair(n, w, delta, m)
+    pi, sigma = pa._main1_pair(n, w, delta, m)
     if draw(st.booleans()):
-        pi, sigma, m, w, delta = pi_d, sigma_d, -m, -w, -delta
+        pi, sigma = map(oracles.global_dual, (pi, sigma))
     labels = st.sampled_from(["Pi", "Sigma", "Pi^v", "P"])
     classes = st.dictionaries(st.sampled_from(["omega_Pi", "omega_Sigma",
                                                "chi"]),
@@ -339,60 +340,72 @@ def main1_pairs(draw):
     pi = pa.GlobalRep(draw(labels), pi.inf, draw(classes))
     sigma = pa.GlobalRep(draw(st.just(pi.label) | labels), sigma.inf,
                          draw(classes))
-    return pi, sigma, m, w + delta
+    return pi, sigma
 
 
 @settings(max_examples=300, deadline=None)
-@given(main1_pairs(), st.integers(-12, 12), st.integers(-3, 3),
-       st.integers(-3, 3), st.sampled_from([1, -1]))
+@given(st.integers(2, 64), st.integers(-6, 6), st.integers(-3, 3),
+       st.integers(-60, 60), st.booleans())
+@example(2, 0, 0, 0, False)   # the central point, which both reject
+@example(64, 5, 2, -60, True)
+def test_main1_relations_match_the_oracle_builders(n, w, delta_half, m,
+                                                   corrupt):
+    # the step's relations, warnings and residual against the guarded
+    # oracle builders over drawn ranks and points, w of either parity
+    # (odd w at odd rank is rejected by both) and delta of n's parity
+    delta = n % 2 + 2 * delta_half
+    new = _built(pa.check_main1_step, n, w, delta, m, corrupt)
+    want = _built(oracles.main1_steps, n, w, delta, m, corrupt)
+    if not isinstance(new[0], pa.CheckResult):
+        assert new[1] == want[1] == []
+        assert new[0][0] is ValueError and not isinstance(want[0], list)
+        return
+    assert (list(new[0].relations), new[1]) == want, (n, w, delta, m)
+    assert new[0].residual == formal.replay(want[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(main1_pairs(), st.sampled_from([1, -1]))
 @example((pa.GlobalRep("Pi", PI4.inf, gauss_fp({"chi": 1, "omega": -2})),
-          pa.GlobalRep("Pi", SIG3.inf, gauss_fp({"chi": 2})), 0, 1),
-         1, 0, 0, 1)
-def test_main1_relations_match_the_oracle_builders(pair, k, w1, w2, eps):
-    # each private builder against the guarded oracle at every drawn point
-    # the oracle accepts, where the points are ints; k, k/2 and the twists
-    # also reach points outside the critical set, which the oracle rejects
-    # and the step never passes on
-    pi, sigma, m, w_delta = pair
-    half = Fraction(1, 2)
+          pa.GlobalRep("Pi", SIG3.inf, gauss_fp({"chi": 2}))), 1)
+def test_rel_main1_matches_the_oracle_under_drawn_labels(pair, eps):
+    # rel_main1 against the oracle's atom products, for Pi and for Sigma,
+    # under labels and Gauss classes that the step itself never uses
+    for rep in pair:
+        assert _built(pa.rel_main1, rep, eps) == _built(oracles.rel_main1,
+                                                        rep, eps)
 
-    def raghuram(m, pi, sigma):
-        m = int(m)
-        return pa._raghuram(m, str(m + half), pi, sigma,
-                            *pa.raghuram_signs(m, pi, sigma))
 
-    def duality_ratio(m0, pi, sigma):
-        dual_pair = "x".join(map(formal.dual_label, (pi.label, sigma.label)))
-        return pa._duality_ratio(str(m0), str(1 - m0), pi, sigma, dual_pair,
-                                 arch_l.pair_epsilon_class(pi.inf, sigma.inf))
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(atoms, st.integers(-3, 3)), max_size=5),
+       st.lists(st.tuples(periods, st.integers(-3, 3)), max_size=3))
+def test_a_repeated_atom_adds_up_in_a_relation_side(pairs, classes):
+    # _period against the group's own * and **, where an atom may repeat
+    # across the classes and the atoms the side starts from
+    exp = {}
+    for a, e in pairs:
+        exp[a] = e
+    want = FormalPeriod.of(*exp.items())
+    for g, k in classes:
+        want = want * g ** k
+    assert pa._period(exp, *classes) == want
 
-    def arch_iparity(m1, m2, pi, sigma):
-        return pa._arch_iparity(int(m1), int(m2), pi, sigma)
 
-    def twist(m, pi, sigma, w1, w2, twisted_label):
-        return pa._twist(int(m), int(m) + w1 + w2, pi, sigma, twisted_label)
-
-    accepted = 0
-    for name, args, private in [
-            ("rel_raghuram", (m, pi, sigma), raghuram),
-            ("rel_raghuram", (k, pi, sigma), raghuram),
-            ("rel_raghuram", (Fraction(k, 2), pi, sigma), raghuram),
-            ("rel_duality_ratio", (m + half, pi, sigma), duality_ratio),
-            ("rel_duality_ratio", (Fraction(k, 2), pi, sigma), duality_ratio),
-            ("rel_arch_iparity", (m, -m - w_delta, pi, sigma), arch_iparity),
-            ("rel_arch_iparity", (m, k, pi, sigma), arch_iparity),
-            ("rel_arch_iparity", (Fraction(k, 2), m, pi, sigma),
-             arch_iparity),
-            ("rel_twist", (-m, pi, sigma, w1, w2, "T"), twist),
-            ("rel_twist", (m, pi, sigma, w1, w2, pa.pair_label(pi, sigma)),
-             twist),
-            ("rel_main1", (pi, eps), pa.rel_main1),
-            ("rel_main1", (sigma, eps), pa.rel_main1)]:
-        want = _built(getattr(oracles, name), *args)
-        if isinstance(want[0], Relation):
-            assert _built(private, *args) == want, (name, args)
-            accepted += 1
-    assert accepted >= 5  # m, m + 1/2, the i-parity pair and both main1
+def test_a_main1_step_builds_each_atom_once():
+    # equal atoms on the sides of a step's relations are one object
+    checked = 0
+    for n, w, delta, m, corrupt in product((2, 3, 8, 33), (-2, 0, 1),
+                                           (-1, 0, 1, 2), (-3, 0, 2),
+                                           (False, True)):
+        try:
+            res = pa.check_main1_step(n, w, delta, m, corrupt=corrupt)
+        except ValueError:
+            continue
+        held = [a for rel, _ in res.relations for side in (rel.lhs, rel.rhs)
+                for a in side._exp]
+        assert len(set(map(id, held))) == len(set(held)), (n, w, delta, m)
+        checked += 1
+    assert checked == 112
 
 
 def test_main1_steps_match_the_oracle_over_a_grid():
@@ -404,9 +417,8 @@ def test_main1_steps_match_the_oracle_over_a_grid():
             res = pa.check_main1_step(n, w, delta, m, corrupt=corrupt)
         except ValueError:
             continue
-        pair = oracles.main1_pair(n, w, delta, m)
-        assert pa._main1_pair(n, w, delta, m) == (
-            *pair, *map(oracles.global_dual, pair)), (n, w, delta, m)
+        assert (pa._main1_pair(n, w, delta, m)
+                == oracles.main1_pair(n, w, delta, m)), (n, w, delta, m)
         steps = oracles.main1_steps(n, w, delta, m, corrupt)
         assert list(res.relations) == steps, (n, w, delta, m, corrupt)
         assert res.residual == formal.replay(steps)
@@ -430,7 +442,8 @@ def test_main1_guards_fail_and_warn_as_the_oracle_does(monkeypatch, n, w,
     # the oracle runs the six guards of the four guarded builders, and the
     # step checks m + 1/2 alone; w and delta are not both 0, so the duals'
     # types differ from the pair's
-    pi, sigma, pi_d, sigma_d = pa._main1_pair(n, w, delta, m)
+    pi, sigma = pa._main1_pair(n, w, delta, m)
+    pi_d, sigma_d = map(oracles.global_dual, (pi, sigma))
     half = Fraction(1, 2)
     points = [(m + half, pi, sigma), (-m + half, pi_d, sigma_d),
               (-m - w - delta + half, pi, sigma)]

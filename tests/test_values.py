@@ -99,6 +99,6 @@ def test_a_main1_step_reads_each_critical_set_once(monkeypatch):
     monkeypatch.setattr(period_algebra, "raghuram_signs",
                         counted(period_algebra.raghuram_signs, signs))
     assert period_algebra.check_main1_step(8, 1, 2, 3).is_ok
-    pi, sigma, _, _ = period_algebra._main1_pair(8, 1, 2, 3)
+    pi, sigma = period_algebra._main1_pair(8, 1, 2, 3)
     assert calls == [(pi.inf, sigma.inf)]
     assert signs == [(3, pi, sigma)]
