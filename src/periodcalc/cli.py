@@ -176,6 +176,10 @@ def cmd_deligne(args) -> int:
 
 
 def _check_main1(args):
+    # a negative control that corrupts nothing must not report success
+    if args.corrupt and args.n == 1:
+        raise SchemaError("--corrupt needs --n >= 2; the rank-1 base case "
+                          "has no relation to corrupt")
     _check_w(args.w, "--w")
     # --m is the critical point m0 = m + 1/2 on the half-integer lattice
     m = _parse_fraction(args.m, "--m") - Fraction(1, 2)
@@ -200,6 +204,11 @@ def _check_corollary_main(args):
 
 def _check_main2(args):
     _check_rank(args.nprime, "--nprime")
+    # positive ranks with an even n' replay no relation
+    if (args.corrupt and args.n > 0 and args.nprime > 0
+            and args.nprime % 2 == 0):
+        raise SchemaError(f"--corrupt needs an odd --nprime; n' = "
+                          f"{args.nprime} has no relation to corrupt")
     from .period_algebra import check_theorem_main2
     return check_theorem_main2(
         args.n, args.nprime, include_i_power=not args.no_i_power,
@@ -210,6 +219,9 @@ def _check_motivic_dual(args):
     if args.i is not None and not 1 <= args.i < args.n // 2:
         raise SchemaError(f"--i must lie in 1..{args.n // 2 - 1}" if args.n > 3
                           else f"--i needs --n >= 4; rank {args.n} has no c_i")
+    if args.corrupt and args.n in (2, 3):
+        raise SchemaError(f"--corrupt needs --n >= 4; rank {args.n} has no "
+                          "c_i to corrupt")
     from .period_algebra import check_motivic_dual
     return check_motivic_dual(args.n, i=args.i, corrupt=args.corrupt)
 

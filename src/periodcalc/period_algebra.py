@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from . import arch_l
 from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
-                     RelationDB, atom_bw, atom_dc, atom_dci, atom_delta,
-                     atom_lval, check_script, dual_label, gauss_fp, replay,
-                     _reduced)
+                     RelationDB, atom_bw, atom_lval, check_script,
+                     dual_label, gauss_fp, replay, _reduced)
 from .infinity_types import (InfinityType, as_fraction, character_sign,
                              is_balanced, is_regular, signature)
 
@@ -292,7 +291,12 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
 def check_motivic_dual(n: int, i: int = None,
                        corrupt: bool = False) -> CheckResult:
     """Replay c_i(M^v) = delta(M)^{-2} c_i(M) through a rank-2 auxiliary N
-    in the i-th Hodge gap, for each admissible i (or the one given)."""
+    in the i-th Hodge gap, for each admissible i (or the one given).
+
+    Each hypothesis is checked once, and each distinct atom of a gap is
+    built once: the gap's relations are those of yoshida's rank-2
+    expansion (of M (x) N and of M^v (x) N^v), determinant and duality
+    builders, written straight from one table."""
     from . import yoshida as y
     if n < 2:
         raise ValueError("rank must be at least 2")
@@ -302,36 +306,54 @@ def check_motivic_dual(n: int, i: int = None,
     kappa = tuple(4 * (r - j) + 5 for j in range(r))
     dplus = r + n % 2
     M = y.MotiveShape("M", n, 0, kappa, dplus, n - dplus)
-    Md = y.dual_motive(M)
-    fp = y.FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
-    fm = y.FundamentalMonomial(2, 1, 1, 0, (), 0, 1)
-    fdet = y.FundamentalMonomial(2, 1, 1, 1, (), 0, 0)
+    # for odd n, eps = d+ - d- = +1 for this M adds one more c^+(N) to the
+    # expansion of c^+(M (x) N), one more c^-(N^v) to that of
+    # c^-(M^v (x) N^v), and one more step of dual[N,0,1,0]
+    odd, new, p = n % 2, tuple.__new__, FormalPeriod._of_exp
+    delta_m, md = new(PeriodAtom, ("Delta", ("M",))), dual_label("M")
+    expand = "rank-2 auxiliary tensor expansion of c^{+-}"
+    dual = "duality of fundamental periods"
     steps = []
     for idx in [i] if i is not None else range(1, r):
-        N = y.MotiveShape(f"N{idx}", 2, 0, (kappa[idx] + 2,), 1, 1)
-        mn = y.tensor_label(M, N)
-        q1 = y.rank2_tensor_expansion(M, N, idx, 1)
-        q2 = y.rank2_tensor_expansion(Md, y.dual_motive(N), idx, -1)
-        q3 = Relation(f"deligne-dual[{mn}]",
+        # N = (N{idx}; ell) of rank 2, weight 0 and d+ = d- = 1, checked as
+        # MotiveShape and rank2_tensor_expansion check it
+        ell = kappa[idx] + 2
+        if ell % 2 == 0:
+            raise ValueError("kappa_i must have parity opposite to the weight")
+        if not kappa[idx] < ell < kappa[idx - 1]:
+            raise ValueError("N is not in the i-th Hodge gap of M")
+        nl, mn = f"N{idx}", f"M(x)N{idx}"
+        nd, mnd = dual_label(nl), dual_label(mn)  # mnd: M^v (x) N^v
+        dci, dci_d = (new(PeriodAtom, ("DCi", (lbl, idx)))
+                      for lbl in ("M", md))
+        d_n, d_nd, d_mn = (new(PeriodAtom, ("Delta", (lbl,)))
+                           for lbl in (nl, nd, mn))
+        c_np, c_nm, c_ndp, c_ndm, c_mn, c_mnd = (
+            new(PeriodAtom, ("DC", pay)) for pay in (
+                (nl, 1), (nl, -1), (nd, 1), (nd, -1), (mn, 1), (mnd, -1)))
+        # the corrupted control lowers the delta(N) exponent by one
+        tag = "[corrupted]" if corrupt else ""
+        steps += [
+            (Relation(f"rank2-expansion[{mn},{idx},+1]", expand, p({c_mn: 1}),
+                      p({dci: 1, d_n: idx, c_np: r - idx + odd,
+                         c_nm: r - idx})), 1),
+            (Relation(f"rank2-expansion[{mnd},{idx},-1]", expand,
+                      p({c_mnd: 1}), p({dci_d: 1, d_nd: idx, c_ndp: r - idx,
+                                        c_ndm: r - idx + odd})), -1),
+            (Relation(f"deligne-dual[{mn}]",
                       "duality of c^{+-} for the tensor product",
-                      FormalPeriod._of_exp({atom_dc(dual_label(mn), -1): 1}),
-                      FormalPeriod._of_exp({atom_delta(mn): -1,
-                                            atom_dc(mn, 1): 1}))
-        q_delta = y.delta_tensor(M, N)
-        if corrupt:
-            # delta(M x N) exponent on delta(N) off by one
-            q_delta = _corrupted(q_delta,
-                                 FormalPeriod.atom(atom_delta(N.label), -1))
-        q_dp = y.dual_relation(fp, N)   # rewrites c^-(N^v)
-        q_dm = y.dual_relation(fm, N)   # rewrites c^+(N^v)
-        q_ddet = y.dual_relation(fdet, N)
-        target = Relation(f"motivic-dual[{M.label},{idx}]",
-                          "duality of the middle fundamental periods",
-                          FormalPeriod._of_exp({atom_dci(Md.label, idx): 1}),
-                          FormalPeriod._of_exp({atom_delta(M.label): -2,
-                                                atom_dci(M.label, idx): 1}))
-        # for odd n, eps = d+ - d- = +1 for this M adds one more q_dp
-        steps += [(q1, 1), (q2, -1), (q3, 1), (q_delta, -1), (q_ddet, -idx),
-                  (q_dp, -(r - idx) - n % 2), (q_dm, -(r - idx)),
-                  (target, -1)]
+                      p({c_mnd: 1}), p({d_mn: -1, c_mn: 1})), 1),
+            (Relation(f"delta-tensor[{mn}]{tag}",
+                      "determinant period of a tensor product", p({d_mn: 1}),
+                      p({delta_m: 2, d_n: n - 1 if corrupt else n})), -1),
+            (Relation(f"dual[{nl},1,0,0]", dual, p({d_nd: 1}), p({d_n: -1})),
+             -idx),
+            # rewrite c^-(N^v) and c^+(N^v)
+            (Relation(f"dual[{nl},0,1,0]", dual, p({c_ndm: 1}),
+                      p({c_np: 1, d_n: -1})), -(r - idx) - odd),
+            (Relation(f"dual[{nl},0,0,1]", dual, p({c_ndp: 1}),
+                      p({c_nm: 1, d_n: -1})), -(r - idx)),
+            (Relation(f"motivic-dual[M,{idx}]",
+                      "duality of the middle fundamental periods",
+                      p({dci_d: 1}), p({delta_m: -2, dci: 1})), -1)]
     return _compose(steps)

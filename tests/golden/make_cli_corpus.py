@@ -59,12 +59,10 @@ def run(argv, files=None, db=None) -> dict:
             record["files"] = files
         if caught:
             record["warnings"] = [here(str(w.message)) for w in caught]
-        if db is not None:
-            path = os.path.join(work, db)
-            record["db"] = None
-            if os.path.exists(path):
-                with open(path) as fh:
-                    record["db"] = fh.read()
+        # a run that exits before it writes the database has no "db"
+        if db is not None and os.path.exists(os.path.join(work, db)):
+            with open(os.path.join(work, db)) as fh:
+                record["db"] = fh.read()
     return record
 
 
@@ -291,6 +289,14 @@ def _main1_rank_one():
     yield ["check", "main1", "--n", "1", "--m", "1/3"]
 
 
+def _empty_controls():
+    """A --corrupt negative control on a derivation of no relation, which
+    exits 2 as motivic-dual at ranks 2 and 3 does: the rank-1 main1 base
+    case and main2 at an even n'."""
+    yield ["check", "main1", "--n", "1", "--corrupt"]
+    yield ["check", "main2", "--n", "2", "--nprime", "2", "--corrupt"]
+
+
 def requests():
     """(argv, files, db) of every run in the corpus, in a fixed order."""
     rng = random.Random(20261018)
@@ -298,7 +304,7 @@ def requests():
                _corollary_main(), _main2(), _motivic_dual_indices(),
                _scripts(), _asai(rng), _classify(rng), _deligne(),
                _infinity_type(rng), _malformed(), _defaults(), _main1_db(),
-               _main1_rank_one()]
+               _main1_rank_one(), _empty_controls()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)

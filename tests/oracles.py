@@ -10,8 +10,9 @@ checked periods; and the Hodge types and the motive of an infinity type,
 against which the tests hold MotiveShape's rules; and the relations of a
 main1 step as products of atoms, with the duals built by twisting the types
 and each critical point tested by a Fraction subtraction, every point
-coerced to a Fraction by the reference as_fraction.  No request of the CLI
-runs any of them.
+coerced to a Fraction by the reference as_fraction; and the motivic-dual
+derivation through yoshida's relation builders.  No request of the CLI runs
+any of them.
 """
 
 import math
@@ -350,7 +351,9 @@ def motive_from_infinity(t, label: str):
 
 # ---------------------------------------------------------------------------
 # the main1 relations as products of periods built by FormalPeriod.atom, *
-# and **; each critical point is tested against a fresh critical_set
+# and **, each side's factors in the order in which check_main1_step writes
+# the side's atoms; each critical point is tested against a fresh
+# critical_set
 
 def _require_critical(s0, pi, sigma):
     if not critical_contains(arch_l.critical_set(pi.inf, sigma.inf), s0):
@@ -383,9 +386,9 @@ def rel_raghuram(m, pi, sigma) -> Relation:
     pair = pa.pair_label(pi, sigma)
     lhs = FormalPeriod.atom(atom_lval(m + Fraction(1, 2), pair))
     rhs = (FormalPeriod.atom(atom_archz(m, pair))
-           * sigma.omega
            * FormalPeriod.atom(atom_bw(pi.label, eps))
-           * FormalPeriod.atom(atom_bw(sigma.label, eps_prime)))
+           * FormalPeriod.atom(atom_bw(sigma.label, eps_prime))
+           * sigma.omega)
     return Relation(f"raghuram[m={m},{pair}]",
                     "critical-value factorization over a balanced pair",
                     lhs, rhs)
@@ -399,9 +402,9 @@ def rel_duality_ratio(m0, pi, sigma) -> Relation:
     dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
     lhs = FormalPeriod.atom(atom_lval(m0, pair))
     rhs = (FormalPeriod.atom(ATOM_I, parity)
+           * FormalPeriod.atom(atom_lval(1 - m0, dual_pair))
            * pi.omega ** sigma.inf.n
-           * sigma.omega ** pi.inf.n
-           * FormalPeriod.atom(atom_lval(1 - m0, dual_pair)))
+           * sigma.omega ** pi.inf.n)
     return Relation(f"duality-ratio[m0={m0},{pair}]",
                     "functional-equation ratio under duality", lhs, rhs)
 
@@ -441,8 +444,8 @@ def rel_main1(pi, eps: int) -> Relation:
                       stacklevel=2)
     n = pi.inf.n
     lhs = FormalPeriod.atom(atom_bw(pi.label, eps))
-    rhs = (pi.omega ** (n - 1)
-           * FormalPeriod.atom(atom_bw(dual_label(pi.label), eps)))
+    rhs = (FormalPeriod.atom(atom_bw(dual_label(pi.label), eps))
+           * pi.omega ** (n - 1))
     return Relation(f"main1[{pi.label},{eps:+d}]",
                     "period relation under duality", lhs, rhs)
 
@@ -487,3 +490,49 @@ def main1_steps(n: int, w: int, delta: int, m: int,
         target = Relation(target.name + "[corrupted]", target.citation,
                           target.lhs, target.rhs * pi.omega ** -1)
     return steps + [(target, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the motivic-dual derivation through yoshida's builders, one auxiliary
+# motive N and its dual built in full for each Hodge gap
+
+def motivic_dual_steps(n: int, i: int = None, corrupt: bool = False) -> list:
+    """The (relation, exponent) steps of check_motivic_dual, each gap's
+    relations built by y.rank2_tensor_expansion, y.delta_tensor and
+    y.dual_relation on a checked MotiveShape N, for an input it accepts."""
+    r = n // 2
+    kappa = tuple(4 * (r - j) + 5 for j in range(r))
+    dplus = r + n % 2
+    M = y.MotiveShape("M", n, 0, kappa, dplus, n - dplus)
+    Md = y.dual_motive(M)
+    fp = y.FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
+    fm = y.FundamentalMonomial(2, 1, 1, 0, (), 0, 1)
+    fdet = y.FundamentalMonomial(2, 1, 1, 1, (), 0, 0)
+    steps = []
+    for idx in [i] if i is not None else range(1, r):
+        N = y.MotiveShape(f"N{idx}", 2, 0, (kappa[idx] + 2,), 1, 1)
+        mn = y.tensor_label(M, N)
+        q3 = Relation(f"deligne-dual[{mn}]",
+                      "duality of c^{+-} for the tensor product",
+                      FormalPeriod.atom(atom_dc(dual_label(mn), -1)),
+                      FormalPeriod.of((atom_delta(mn), -1),
+                                      (atom_dc(mn, 1), 1)))
+        q_delta = y.delta_tensor(M, N)
+        if corrupt:
+            q_delta = Relation(q_delta.name + "[corrupted]", q_delta.citation,
+                               q_delta.lhs, q_delta.rhs * FormalPeriod.atom(
+                                   atom_delta(N.label), -1))
+        target = Relation(f"motivic-dual[{M.label},{idx}]",
+                          "duality of the middle fundamental periods",
+                          FormalPeriod.atom(atom_dci(Md.label, idx)),
+                          FormalPeriod.of((atom_delta(M.label), -2),
+                                          (atom_dci(M.label, idx), 1)))
+        steps += [(y.rank2_tensor_expansion(M, N, idx, 1), 1),
+                  (y.rank2_tensor_expansion(Md, y.dual_motive(N), idx, -1),
+                   -1),
+                  (q3, 1), (q_delta, -1),
+                  (y.dual_relation(fdet, N), -idx),
+                  (y.dual_relation(fp, N), -(r - idx) - n % 2),
+                  (y.dual_relation(fm, N), -(r - idx)),
+                  (target, -1)]
+    return steps

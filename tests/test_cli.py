@@ -287,6 +287,27 @@ def test_corrupt_before_the_builtin_name_is_never_ignored(capsys):
         assert json.loads(out)["offending_atom"] == "Gauss(omega_Pi)"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["motivic-dual", "--n", "2"], "rank 2 has no c_i to corrupt"),
+    (["motivic-dual", "--n", "3"], "rank 3 has no c_i to corrupt"),
+    (["main1", "--n", "1"], "the rank-1 base case has no relation"),
+    (["main2", "--n", "3", "--nprime", "4"], "n' = 4 has no relation"),
+], ids=["motivic-dual-rank-2", "motivic-dual-rank-3", "main1-rank-1",
+        "main2-even-nprime"])
+def test_a_control_that_corrupts_nothing_exits_2(tmp_path, capsys, argv,
+                                                 reason):
+    # the derivation is empty, so its negative control cannot fail; the
+    # same request without --corrupt succeeds
+    db = str(tmp_path / "db.json")
+    code, out, err = run(capsys, "--json", "check", *argv, "--corrupt",
+                         "--db", db)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("schema error: --corrupt needs ") and reason in err
+    assert not os.path.exists(db)
+    code, out, _ = run(capsys, "--json", "check", *argv)
+    assert code == 0 and json.loads(out)["ok"]
+
+
 # an argument "@name" stands for the file tmp_path/name
 MALFORMED = {
     "index-out-of-range": ["check", "motivic-dual", "--n", "6", "--i", "9"],
@@ -532,6 +553,7 @@ _AUX = '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,"dminus":1}'
     (["check", "main1", "--n", "4", "--chi", "psi"], _BASE, 2),
     (["check", "main1", "--n", "4", f"--delta={cli.MAX_W + 2}"], _BASE, 2),
     (["check", "motivic-dual", "--n", "3", "--i", "1"], _BASE, 2),
+    (["check", "motivic-dual", "--n", "3", "--corrupt"], _BASE, 2),
     (["infinity-type", "--type", '{"n":4,"kappa":[9,5],"w":1}'], _BASE, 0),
     (["check", "main1", "--n", "4"], _CHECK, 0),
     (["check", "corollary-main", "--n", "2"], _CHECK, 0),
@@ -543,6 +565,7 @@ _AUX = '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,"dminus":1}'
         "check-without-builtin", "check-empty-chi",
         "check-index-out-of-range", "check-stray-flag",
         "check-delta-above-cap", "check-index-below-rank-4",
+        "check-corrupt-below-rank-4",
         "infinity-type-from-type", "check-main1", "check-corollary-main",
         "check-motivic-dual", "check-script"])
 def test_fresh_interpreter_loads_only_what_the_request_runs(tmp_path, argv,

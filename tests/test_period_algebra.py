@@ -322,6 +322,14 @@ def _built(fn, *args):
     return out, [str(w.message) for w in caught]
 
 
+def _sides(steps) -> list:
+    """Each step's name, citation and exponent with the (atom, exponent)
+    items of its two sides in dict order, the order the version-2 DB
+    writes; FormalPeriod equality ignores it."""
+    return [(rel.name, rel.citation, list(rel.lhs._exp.items()),
+             list(rel.rhs._exp.items()), e) for rel, e in steps]
+
+
 @st.composite
 def main1_pairs(draw):
     """(pi, sigma): a pair of check_main1_step or of its duals under drawn
@@ -361,6 +369,7 @@ def test_main1_relations_match_the_oracle_builders(n, w, delta_half, m,
         assert new[0][0] is ValueError and not isinstance(want[0], list)
         return
     assert (list(new[0].relations), new[1]) == want, (n, w, delta, m)
+    assert _sides(new[0].relations) == _sides(want[0]), (n, w, delta, m)
     assert new[0].residual == formal.replay(want[0])
 
 
@@ -421,6 +430,7 @@ def test_main1_steps_match_the_oracle_over_a_grid():
                 == oracles.main1_pair(n, w, delta, m)), (n, w, delta, m)
         steps = oracles.main1_steps(n, w, delta, m, corrupt)
         assert list(res.relations) == steps, (n, w, delta, m, corrupt)
+        assert _sides(res.relations) == _sides(steps)
         assert res.residual == formal.replay(steps)
         checked += 1
     assert checked == 7020
@@ -509,6 +519,40 @@ def test_motivic_dual_per_index():
     assert not pa.check_motivic_dual(6, corrupt=True).is_ok
     with pytest.raises(ValueError):
         pa.check_motivic_dual(6, i=3)
+
+
+def test_motivic_dual_matches_the_yoshida_builders():
+    # every rank the CLI accepts, each admissible i at the small ranks;
+    # names, citations, key orders and the residual against the derivation
+    # rebuilt through yoshida's builders
+    from periodcalc.cli import MAX_RANK
+    checked = 0
+    for n in range(2, MAX_RANK + 1):
+        for i in (None, *range(1, n // 2)) if n <= 12 else (None,):
+            for corrupt in (False, True):
+                res = pa.check_motivic_dual(n, i=i, corrupt=corrupt)
+                steps = oracles.motivic_dual_steps(n, i, corrupt)
+                assert _sides(res.relations) == _sides(steps), (n, i)
+                want = formal.replay(steps)
+                assert (list(res.residual._exp.items())
+                        == list(want._exp.items())), (n, i, corrupt)
+                checked += 1
+    assert checked == 2 * (255 + 25)
+
+
+def test_a_motivic_dual_derivation_builds_each_atom_once():
+    # equal atoms on the sides of a derivation's relations are one object
+    for n, i, corrupt in product((4, 5, 9, 64, 255, 256), (None, 1),
+                                 (False, True)):
+        res = pa.check_motivic_dual(n, i=i, corrupt=corrupt)
+        held = [a for rel, _ in res.relations for side in (rel.lhs, rel.rhs)
+                for a in side._exp]
+        assert len(set(map(id, held))) == len(set(held)), (n, i, corrupt)
+        # 11 atoms in each gap, and delta(M): 127 gaps at n = 256
+        gaps = (n // 2 - 1) if i is None else 1
+        assert len(set(held)) == 11 * gaps + 1, (n, i, corrupt)
+        if (n, i) == (256, None):
+            assert len(set(held)) == 1398
 
 
 def _builtin_derivations():
