@@ -78,18 +78,18 @@ def _least_gap(kappa: tuple, ell: tuple) -> tuple:
     there is none), and whether some k = l: one merge of the two strictly
     decreasing lists, which tests each k against its nearest l on either
     side."""
-    gaps, shared, j = [], False, 0
+    least, shared, j, n_ell = None, False, 0, len(ell)
     for k in kappa:
-        while j < len(ell) and ell[j] > k:
+        while j < n_ell and ell[j] > k:
             j += 1
-        if j:
-            gaps.append(ell[j - 1] - k)
+        if j and (least is None or ell[j - 1] - k < least):
+            least = ell[j - 1] - k
         below = j
-        if j < len(ell) and ell[j] == k:
+        if j < n_ell and ell[j] == k:
             shared, below = True, j + 1
-        if below < len(ell):
-            gaps.append(k - ell[below])
-    return min(gaps, default=None), shared
+        if below < n_ell and (least is None or k - ell[below] < least):
+            least = k - ell[below]
+    return least, shared
 
 
 def critical_set(pi: InfinityType, sigma: InfinityType) -> CriticalSet:

@@ -127,7 +127,21 @@ def _corrupted(rel: Relation, factor: FormalPeriod) -> Relation:
 
 
 def _main1_pair(n: int, w: int, delta: int, m: int):
-    """A widely spaced balanced pair whose critical range covers m+1/2."""
+    """A widely spaced balanced pair whose critical range covers m+1/2.
+
+    Both types are built trusted, with tuple.__new__, from the ints that
+    check_main1_step has checked: n >= 2, delta = n mod 2, w even at odd
+    rank, m an integer.  Their closed forms keep every rule of InfinityType.
+    kappa strictly decreases in steps of 2*gap (gap >= 16), and its last
+    entry is 4*gap + 42 - kap_par >= 4*gap + 41.  kappa = kap_par mod 2,
+    which is w's parity at even rank and odd at odd rank.  ell = kappa -
+    gprime (gprime = gap + 1 - kap_par) strictly decreases, ends above
+    3*gap, and is odd, which Sigma's rank n - 1 needs: odd at odd n - 1,
+    and delta's parity at even n - 1, where delta = n mod 2 is odd.
+    Sigma's w = delta is even when n - 1 is odd.
+    tests.oracles.main1_pair builds the same pair through InfinityType;
+    test_main1_pair_matches_the_checked_oracle_up_to_the_caps compares.
+    """
     r = n // 2
     need = max(abs(2 * m + 1 + w + delta), abs(1 - w - delta - 2 * m), 4)
     gap = 2 * (need + 4)
@@ -136,9 +150,21 @@ def _main1_pair(n: int, w: int, delta: int, m: int):
     kappa = tuple(base - 2 * gap * i for i in range(r))
     gprime = gap if kap_par == 1 else gap + 1  # keeps ell odd
     ell = tuple(k - gprime for k in kappa[:(n - 1) // 2])
-    return (GlobalRep("Pi", InfinityType(n, kappa, w, 0), _OMEGA_PI),
-            GlobalRep("Sigma", InfinityType(n - 1, ell, delta, 0),
+    new = tuple.__new__
+    return (GlobalRep("Pi", new(InfinityType, (n, kappa, w, 0)), _OMEGA_PI),
+            GlobalRep("Sigma", new(InfinityType, (n - 1, ell, delta, 0)),
                       _OMEGA_SIGMA))
+
+
+def require_main1_hypotheses(n: int, w: int, delta: int) -> None:
+    """The rank and parity hypotheses of a main1 step, which check_main1_step
+    checks first, before the point m."""
+    if n < 1:
+        raise ValueError("rank must be positive")
+    if delta % 2 != n % 2:
+        raise ValueError("delta must have the parity of n")
+    if n % 2 and w % 2:
+        raise ValueError("w must be even for odd rank")
 
 
 def check_main1_step(n: int, w: int, delta: int, m,
@@ -151,12 +177,7 @@ def check_main1_step(n: int, w: int, delta: int, m,
     against the rank-n relation as target.  Each hypothesis is checked
     once, and each distinct atom of the step is built once.
     """
-    if n < 1:
-        raise ValueError("rank must be positive")
-    if delta % 2 != n % 2:
-        raise ValueError("delta must have the parity of n")
-    if n % 2 and w % 2:
-        raise ValueError("w must be even for odd rank")
+    require_main1_hypotheses(n, w, delta)
     m = _integer_m(m)
     if n == 1:
         return CheckResult(FormalPeriod.unit())

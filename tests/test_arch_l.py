@@ -36,6 +36,24 @@ def test_holomorphy_pole_ladders():
     assert arch_l.is_holomorphic_at(gr, -1)
 
 
+decreasing = st.lists(st.integers(-5, 40), unique=True).map(
+    lambda xs: tuple(sorted(xs, reverse=True)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(decreasing, decreasing)
+@example((), ())
+@example((9, 5), ())
+@example((), (7,))
+@example((9, 5, 2), (9, 5, 2))
+@example((12, 7, 3), (11, 7, 4, 3))
+def test_least_gap_matches_brute_force(kappa, ell):
+    # the merge against every pair (k, l), shared values included
+    gaps = [abs(k - l) for k in kappa for l in ell if k != l]
+    shared = any(k == l for k in kappa for l in ell)
+    assert arch_l._least_gap(kappa, ell) == (min(gaps, default=None), shared)
+
+
 def test_gl2_eleven_critical_points():
     pi = InfinityType(2, (12,), 0)
     sigma = InfinityType(1, (), 0)

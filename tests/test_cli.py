@@ -212,6 +212,18 @@ def test_check_main1_off_lattice_rejected(capsys):
     assert code == 1 and "integer" in err
 
 
+def test_check_main1_names_the_flag_of_an_off_lattice_point(capsys):
+    # --m is m0 = m + 1/2; the rank and parity errors still come first
+    code, out, err = run(capsys, "check", "main1", "--n", "2", "--m", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: --m must be a half-integer m0 = m + 1/2, got 0\n"
+    code, _, err = run(capsys, "check", "main1", "--n", "1", "--m", "1/3")
+    assert code == 1 and err.endswith("got 1/3\n")
+    code, _, err = run(capsys, "check", "main1", "--n", "3", "--w=1",
+                       "--m=2")
+    assert (code, err) == (1, "error: w must be even for odd rank\n")
+
+
 def test_check_main1_at_a_negative_point(capsys):
     # argparse reads "--m -5/2" as two options; the point is given as --m=
     code, data, _ = run_json(capsys, "check", "main1", "--n", "8",

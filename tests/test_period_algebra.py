@@ -436,6 +436,27 @@ def test_main1_steps_match_the_oracle_over_a_grid():
     assert checked == 7020
 
 
+def test_main1_pair_matches_the_checked_oracle_up_to_the_caps():
+    # the trusted pair against the pair built through InfinityType, at
+    # every rank up to the CLI's and at its |w|, |delta| and --m caps
+    checked = 0
+    big = 10 ** 35 - 1
+    for n in range(2, 257):
+        deltas = (n % 2, 10000 - n % 2, n % 2 - 10000)
+        for w, delta, m in product((-10000, -1, 0, 1, 10000), deltas,
+                                   (1, -1, 10 ** 6, -10 ** 6, big, -big)):
+            try:
+                pa.check_main1_step(n, w, delta, m)
+            except ValueError:
+                continue
+            pair = pa._main1_pair(n, w, delta, m)
+            assert pair == oracles.main1_pair(n, w, delta, m), (n, w, delta, m)
+            for rep in pair:
+                assert InfinityType(*rep.inf) == rep.inf
+            checked += 1
+    assert checked == 128 * 90 + 127 * 54
+
+
 def _step_outcome(fn, *args):
     """The relations fn(*args) builds (a CheckResult's or a list of steps)
     or the ValueError it raises, with the warnings it gave."""
