@@ -3,13 +3,14 @@ i^2 = -1, plus relation records and a persistent relation database.
 
 Atoms carry a kind tag and a payload:
     BW(label, sign)    Betti-Whittaker period p(Pi, eps), sign in {+1, -1}
-    Gauss(label)       Gauss sum of a base Hecke character; products of
-                       characters are decomposed over base labels, so Gauss
-                       is multiplicative by construction
-    ArchZ(m, pair)     archimedean period p(m, Pi x Sigma), m as p/q text
-    LVal(s0, pair)     L-value class L(s0, Pi x Sigma), s0 as p/q text
+    Gauss(label)       Gauss sum of a base Hecke character, label nonempty;
+                       products of characters are decomposed over base
+                       labels, so Gauss is multiplicative by construction
+    ArchZ(m, pair)     archimedean period p(m, Pi x Sigma), m any exact
+                       rational, kept as canonical p/q text
+    LVal(s0, pair)     L-value class L(s0, Pi x Sigma), s0 as m is
     Delta(label)       fundamental period delta(M)
-    DC(label, sign)    fundamental period c^{+-}(M)
+    DC(label, sign)    fundamental period c^{+-}(M), sign in {+1, -1}
     DCi(label, i)      fundamental period c_i(M)
     TwoPiI             2*pi*i
     I                  i, with exponent mod 2
@@ -26,17 +27,35 @@ from operator import itemgetter
 from .infinity_types import as_fraction, json_int, json_str
 
 
+# kind -> payload types: labels and points are str, signs and indices int
+_ATOMS = {"BW": (str, int), "Gauss": (str,), "ArchZ": (str, str),
+          "LVal": (str, str), "Delta": (str,), "DC": (str, int),
+          "DCi": (str, int), "TwoPiI": (), "I": ()}
+_SIGNED = frozenset({"BW", "DC"})  # kinds whose int is a sign, +1 or -1
+
+
 class PeriodAtom(tuple):
-    """The pair (kind, payload); a tuple, so hashing and equality run in C."""
+    """The pair (kind, payload); a tuple, so hashing and equality run in C.
+    Construction is the one check of a kind's rules, as listed above."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, payload: tuple = ()):
-        if kind not in _ATOMS:
+        types = _ATOMS.get(kind)
+        if types is None:
             raise ValueError(f"unknown atom kind: {kind!r}")
-        if tuple(map(type, payload)) != _ATOMS[kind][1]:  # for every atom
+        if len(payload) != len(types):
+            raise ValueError(f"{kind} atom needs {len(types)} payload "
+                             f"entries, got {len(payload)}")
+        if kind in ("ArchZ", "LVal"):
+            payload = (str(as_fraction(payload[0])), payload[1])
+        if tuple(map(type, payload)) != types:
             raise TypeError(f"bad {kind} payload: {payload!r}")
-        return tuple.__new__(cls, (kind, payload))
+        if kind in _SIGNED and payload[1] not in (1, -1):
+            raise ValueError(f"{kind} sign must be +1 or -1")
+        if kind == "Gauss" and not payload[0]:
+            raise ValueError("empty character label")
+        return tuple.__new__(cls, (kind, tuple(payload)))
 
     kind = property(itemgetter(0))
     payload = property(itemgetter(1))
@@ -49,7 +68,7 @@ class PeriodAtom(tuple):
 
     def render(self) -> str:
         parts = list(map(str, self[1]))
-        if self[0] in ("BW", "DC"):  # (label, sign)
+        if self[0] in _SIGNED:  # (label, sign)
             parts[1] = "+" if self[1][1] > 0 else "-"
         return f"{self[0]}({','.join(parts)})" if parts else self[0]
 
@@ -61,23 +80,19 @@ class PeriodAtom(tuple):
 
 
 def atom_bw(label: str, sign: int) -> PeriodAtom:
-    if sign not in (1, -1):
-        raise ValueError("BW sign must be +1 or -1")
     return PeriodAtom("BW", (label, sign))
 
 
 def atom_gauss(label: str) -> PeriodAtom:
-    if not label:
-        raise ValueError("empty character label")
     return PeriodAtom("Gauss", (label,))
 
 
 def atom_archz(m, pair: str) -> PeriodAtom:
-    return PeriodAtom("ArchZ", (str(as_fraction(m)), pair))
+    return PeriodAtom("ArchZ", (m, pair))
 
 
 def atom_lval(s0, pair: str) -> PeriodAtom:
-    return PeriodAtom("LVal", (str(as_fraction(s0)), pair))
+    return PeriodAtom("LVal", (s0, pair))
 
 
 def atom_delta(label: str) -> PeriodAtom:
@@ -85,28 +100,12 @@ def atom_delta(label: str) -> PeriodAtom:
 
 
 def atom_dc(label: str, sign: int) -> PeriodAtom:
-    if sign not in (1, -1):
-        raise ValueError("DC sign must be +1 or -1")
     return PeriodAtom("DC", (label, sign))
 
 
 def atom_dci(label: str, i: int) -> PeriodAtom:
     return PeriodAtom("DCi", (label, i))
 
-
-# kind -> (constructor, payload types); labels and points are str, signs and
-# indices int, and ArchZ and LVal keep their point as canonical p/q text
-_ATOMS = {
-    "BW": (atom_bw, (str, int)),
-    "Gauss": (atom_gauss, (str,)),
-    "ArchZ": (atom_archz, (str, str)),
-    "LVal": (atom_lval, (str, str)),
-    "Delta": (atom_delta, (str,)),
-    "DC": (atom_dc, (str, int)),
-    "DCi": (atom_dci, (str, int)),
-    "TwoPiI": (lambda: ATOM_TWO_PI_I, ()),
-    "I": (lambda: ATOM_I, ()),
-}
 
 ATOM_TWO_PI_I = PeriodAtom("TwoPiI")
 ATOM_I = PeriodAtom("I")
@@ -149,9 +148,7 @@ class FormalPeriod:
 
     @classmethod
     def atom(cls, atom: PeriodAtom, e: int = 1) -> "FormalPeriod":
-        if not isinstance(atom, PeriodAtom):
-            raise TypeError(f"not an atom: {atom!r}")
-        return cls._of_exp(_reduced({atom: int(e)}))
+        return cls(((atom, e),))
 
     @classmethod
     def of(cls, *pairs) -> "FormalPeriod":
@@ -283,28 +280,26 @@ def relation_to_json(r: Relation, atoms: dict, citations: dict) -> str:
 
 def atom_from_json(data: dict) -> PeriodAtom:
     """A well-typed BW, DC, DCi or Delta payload is built in one step; any
-    other goes through the kind's constructor, which names what is wrong."""
+    other is typed entry by entry and goes through PeriodAtom, which names
+    what is wrong."""
     kind, payload = data["kind"], data.get("payload", [])
     if (kind in {"BW", "DC", "DCi"} and type(payload) is list
             and len(payload) == 2):
         label, x = payload
         if (type(label) is str and type(x) is int
-                and (x in (1, -1) or kind == "DCi")):
+                and (x in (1, -1) or kind not in _SIGNED)):
             return tuple.__new__(PeriodAtom, (kind, (label, x)))
     elif (kind == "Delta" and type(payload) is list and len(payload) == 1
             and type(payload[0]) is str):
         return tuple.__new__(PeriodAtom, (kind, (payload[0],)))
-    if kind not in _ATOMS:
-        raise ValueError(f"unknown atom kind: {kind!r}")
-    make, types = _ATOMS[kind]
-    if len(payload) != len(types):
-        raise ValueError(f"{kind} atom needs {len(types)} payload entries, "
-                         f"got {len(payload)}")
-    try:
-        return make(*[(json_str if t is str else json_int)(p)
-                      for t, p in zip(types, payload)])
-    except TypeError as exc:
-        raise ValueError(f"bad {kind} payload: {exc}") from exc
+    types = _ATOMS.get(kind, ())
+    if len(payload) == len(types):  # else PeriodAtom names the kind or count
+        try:
+            payload = [(json_str if t is str else json_int)(p)
+                       for t, p in zip(types, payload)]
+        except TypeError as exc:
+            raise ValueError(f"bad {kind} payload: {exc}") from exc
+    return PeriodAtom(kind, payload)
 
 
 def _entry(table: list, i, what: str):

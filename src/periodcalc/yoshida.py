@@ -126,6 +126,9 @@ def tensor_label(M: MotiveShape, N: MotiveShape) -> str:
     # label here lets duality relations connect across tensor products
     if M.label.endswith("^v") and N.label.endswith("^v"):
         return dual_label(f"{M.label[:-2]}(x){N.label[:-2]}")
+    # a lone dual N^v is bracketed, so M (x) N^v never reads as (M (x) N)^v
+    if N.label.endswith("^v"):
+        return f"{M.label}(x)({N.label})"
     return f"{M.label}(x){N.label}"
 
 

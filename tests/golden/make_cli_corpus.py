@@ -238,20 +238,15 @@ def _infinity_type(rng):
             "infinity-type", "--type", json.dumps(t), "--round-trip"]
 
 
-def _malformed():
-    """Every input of test_malformed_input_exits_2_with_one_line, each
-    with the files it reads."""
-    from tests.test_cli import MALFORMED, MALFORMED_DB
+def _malformed(pinned=False):
+    """Every input of test_malformed_input_exits_2_with_one_line before
+    PINNED (or from it on), each with the files it reads."""
+    from tests.golden.malformed import FILES, MALFORMED, PINNED
 
-    files = {"no_citation.json":
-             '{"relations": [{"name": "r", "lhs": [], "rhs": []}]}',
-             "empty.json": '{"relations": []}',
-             "nested.json": "[" * 100_000, **{f"{case}.json": text
-                                               for case, text in
-                                               MALFORMED_DB.items()}}
-    for argv in MALFORMED.values():
-        used = {a[1:]: files[a[1:]] for a in argv
-                if a.startswith("@") and a[1:] in files}
+    cases = list(MALFORMED.values())
+    for argv in cases[PINNED:] if pinned else cases[:PINNED]:
+        used = {a[1:]: FILES[a[1:]] for a in argv
+                if a.startswith("@") and a[1:] in FILES}
         yield argv, used or None, None
 
 
@@ -297,6 +292,15 @@ def _empty_controls():
     yield ["check", "main2", "--n", "2", "--nprime", "2", "--corrupt"]
 
 
+def _pinned():
+    """Error lines that no earlier record reaches: the malformed inputs
+    after PINNED, then the requests that exit 1 with one error line."""
+    from tests.golden.malformed import REJECTED
+
+    yield from _malformed(pinned=True)
+    yield from REJECTED.values()
+
+
 def requests():
     """(argv, files, db) of every run in the corpus, in a fixed order."""
     rng = random.Random(20261018)
@@ -304,7 +308,7 @@ def requests():
                _corollary_main(), _main2(), _motivic_dual_indices(),
                _scripts(), _asai(rng), _classify(rng), _deligne(),
                _infinity_type(rng), _malformed(), _defaults(), _main1_db(),
-               _main1_rank_one(), _empty_controls()]
+               _main1_rank_one(), _empty_controls(), _pinned()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)

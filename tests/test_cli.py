@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from periodcalc import cli, infinity_types, weil_real
 from tests.golden.make_cli_corpus import run as run_in_dir
+from tests.golden.malformed import FILES, MALFORMED, REJECTED, _db2_file
 
 
 def run(capsys, *argv):
@@ -320,169 +321,6 @@ def test_a_control_that_corrupts_nothing_exits_2(tmp_path, capsys, argv,
     assert code == 0 and json.loads(out)["ok"]
 
 
-# an argument "@name" stands for the file tmp_path/name
-MALFORMED = {
-    "index-out-of-range": ["check", "motivic-dual", "--n", "6", "--i", "9"],
-    "no-citation": ["check", "--db", "@no_citation.json", "--script",
-                    '[{"relation": "r", "exponent": 1}]'],
-    "missing-db": ["check", "--db", "@missing.json", "--script", "[]"],
-    "non-integer-kappa": ["critical", "--pi", '{"n":2,"kappa":["x"],"w":0}',
-                          "--sigma", '{"n":1,"kappa":[],"w":0}'],
-    "non-record-step": ["check", "--db", "@empty.json", "--script", "[1]"],
-    "non-fraction-m": ["check", "main1", "--n", "8", "--m", "abc"],
-    "zero-denominator-m": ["check", "main1", "--n", "8", "--m", "1/0"],
-    "non-integer-n": ["check", "main1", "--n", "abc"],
-    "unknown-builtin": ["check", "no-such-check", "--n", "2"],
-    "rank-above-cap": ["check", "motivic-dual", "--n", "20000"],
-    "nprime-above-cap": ["check", "main2", "--n", "2", "--nprime", "257"],
-    "payload-rank-above-cap": [
-        "critical", "--pi", json.dumps({"n": 258, "w": 0,
-                                        "kappa": list(range(260, 2, -2))}),
-        "--sigma", '{"n":1,"kappa":[],"w":0}'],
-    "weight-longer-than-cap": ["infinity-type", "--weight", "0" + ",0" * 256],
-    "kappa-above-cap": [
-        "critical", "--pi", json.dumps({"n": 2, "w": 0,
-                                        "kappa": [cli.MAX_KAPPA + 2]}),
-        "--sigma", '{"n":1,"kappa":[],"w":0}'],
-    "motive-kappa-above-cap": [
-        "deligne", "--motive", json.dumps({"label": "M", "n": 2, "weight": 0,
-                                           "kappa": [cli.MAX_KAPPA + 1],
-                                           "dplus": 1, "dminus": 1}),
-        "--aux", '{"label":"N","n":1,"weight":0,"kappa":[],'
-                 '"dplus":1,"dminus":0}'],
-    "payload-integer-too-long": [
-        "critical", "--pi", '{"n":2,"kappa":[1' + "0" * 5000 + '],"w":0}',
-        "--sigma", '{"n":1,"kappa":[],"w":0}'],
-    "script-integer-too-long": [
-        "check", "--db", "@empty.json", "--script",
-        '[{"relation": "r", "exponent": 1' + "0" * 5000 + '}]'],
-    "payload-w-above-cap": [
-        "critical", "--pi", '{"n":2,"kappa":[10000],"w":2' + "0" * 1000 + "}",
-        "--sigma", '{"n":1,"kappa":[],"w":0}'],
-    "motive-weight-above-cap": [
-        "deligne", "--motive", json.dumps({"label": "M", "n": 1,
-                                           "weight": cli.MAX_W + 2,
-                                           "kappa": [], "dplus": 1,
-                                           "dminus": 0}),
-        "--aux", '{"label":"N","n":1,"weight":0,"kappa":[],'
-                 '"dplus":1,"dminus":0}'],
-    "check-w-above-cap": ["check", "main1", "--n", "8",
-                          f"--w={-cli.MAX_W - 2}"],
-    "m-too-long": ["check", "main1", "--n", "8",
-                   "--m", "1" * cli.MAX_FRACTION_CHARS + "/2"],
-    "m-exponent": ["check", "main1", "--n", "8", "--m", "1e99999999"],
-    "u-too-long": ["classify", "--pi", '{"n":2,"kappa":[4],"w":0}',
-                   "--delta", "0", "--u", "1" * (cli.MAX_FRACTION_CHARS + 1)],
-    "nested-payload": ["critical", "--pi", "[" * 100_000, "--sigma", "{}"],
-    "non-string-motive-label": [
-        "deligne", "--motive", json.dumps({"label": ["M"], "n": 2,
-                                           "weight": 0, "kappa": [5],
-                                           "dplus": 1, "dminus": 1}),
-        "--aux", json.dumps({"label": 7, "n": 1, "weight": 0, "kappa": [],
-                             "dplus": 1, "dminus": 0})],
-    "delta-not-a-parity": ["classify", "--pi", '{"n":2,"kappa":[4],"w":0}',
-                           "--delta", "7", "--u", "0"],
-    "nested-db": ["check", "--db", "@nested.json", "--script", "[]"],
-}
-
-
-def _db_file(lhs=(), name="r", **version):
-    return json.dumps({"relations": [{"name": name, "citation": "c",
-                                      "lhs": list(lhs), "rhs": []}],
-                       **version})
-
-
-def _atom(kind, *payload):
-    return {"kind": kind, "payload": list(payload)}
-
-
-# --db files that each hold one bad field; the file name is the case id
-MALFORMED_DB = {
-    "db-infinite-exponent": _db_file([[_atom("TwoPiI"), float("inf")]]),
-    "db-infinite-index": _db_file([[_atom("DCi", "M", float("inf")), 1]]),
-    "db-zero-denominator-lval": _db_file([[_atom("LVal", "1/0", "P"), 1]]),
-    "db-zero-denominator-archz": _db_file([[_atom("ArchZ", "1/0", "P"), 1]]),
-    "db-list-name": _db_file(name=["r"]),
-    "db-exponent-notation": _db_file(
-        [[_atom("ArchZ", "1e999999999", "P"), 1]]),
-    "db-float-exponent": _db_file([[_atom("TwoPiI"), 1.9]]),
-    "db-float-sign": _db_file([[_atom("BW", "P", 1.9), 1]]),
-    "db-string-exponent": _db_file([[_atom("TwoPiI"), "3"]]),
-    "db-version-2": _db_file(version=2),
-    "db-version-string": _db_file(version="1"),
-}
-MALFORMED.update({case: ["check", "--db", f"@{case}.json", "--script",
-                         '[{"relation": "r", "exponent": 1}]']
-                  for case in MALFORMED_DB})
-# a builtin check together with --script; added after the --db cases, so
-# that the golden corpus appends its record and keeps the others in place
-MALFORMED["builtin-and-script"] = ["check", "main1", "--n", "4", "--m=9/2",
-                                   "--corrupt", "--db", "@empty.json",
-                                   "--script", "[]"]
-MALFORMED["empty-chi"] = ["check", "corollary-main", "--n", "2", "--chi", ""]
-MALFORMED["stray-builtin-flag"] = ["check", "main1", "--n", "4", "--m", "3/2",
-                                   "--chi", "psi", "--eps-num=-1",
-                                   "--symplectic"]
-MALFORMED["chi-not-a-label"] = ["check", "corollary-main", "--n", "2",
-                                "--chi", "omega_Pi^-1*chi"]
-MALFORMED["script-with-builtin-flag"] = ["check", "--db", "@empty.json",
-                                         "--script", "[]", "--n", "3"]
-# ranks below 4 have no index i, and |--delta| (the weight of Sigma) has the
-# cap of |--w|; appended last, as above
-MALFORMED["index-at-rank-2"] = ["check", "motivic-dual", "--n", "2", "--i", "1"]
-MALFORMED["index-at-rank-3"] = ["check", "motivic-dual", "--n", "3", "--i", "1"]
-MALFORMED["delta-above-cap"] = ["check", "main1", "--n", "4",
-                                "--delta", "1" + "0" * 50]
-
-
-def _db2_file(pair=(0, 1), citation=0, version=2, without=None):
-    """A version-2 --db file of two atoms, one citation and r = TwoPiI / 1,
-    with one field changed or left out."""
-    data = {"atoms": [_atom("TwoPiI"), _atom("I")], "citations": ["c"],
-            "relations": [{"name": "r", "citation": citation,
-                           "lhs": [list(pair)], "rhs": []}],
-            "version": version}
-    data.pop(without, None)
-    return json.dumps(data)
-
-
-# version-2 --db files that each hold one bad index, table or pair; appended
-# last, as above
-MALFORMED_DB2 = {
-    "db-atom-index-out-of-range": _db2_file(pair=(2, 1)),
-    "db-negative-atom-index": _db2_file(pair=(-1, 1)),
-    "db-true-atom-index": _db2_file(pair=(True, 1)),
-    "db-float-atom-index": _db2_file(pair=(1.0, 1)),
-    "db-citation-index-out-of-range": _db2_file(citation=1),
-    "db-atoms-missing": _db2_file(without="atoms"),
-    "db-pair-of-three": _db2_file(pair=(0, 1, 1)),
-    "db-version-3": _db2_file(version=3),
-}
-MALFORMED_DB.update(MALFORMED_DB2)
-MALFORMED.update({case: ["check", "--db", f"@{case}.json", "--script",
-                         '[{"relation": "r", "exponent": 1}]']
-                  for case in MALFORMED_DB2})
-
-# a version-1 pair of three entries, as db-pair-of-three is in version 2, and
-# a flag of one builtin given to each other builtin; appended last, as above
-MALFORMED_DB["db-v1-pair-of-three"] = _db_file([[_atom("TwoPiI"), 1, 1]])
-MALFORMED["db-v1-pair-of-three"] = ["check", "--db",
-                                    "@db-v1-pair-of-three.json", "--script",
-                                    '[{"relation": "r", "exponent": 1}]']
-MALFORMED["main2-stray-flag"] = ["check", "main2", "--n", "2", "--i", "1"]
-MALFORMED["motivic-dual-stray-flag"] = ["check", "motivic-dual", "--n", "6",
-                                        "--chi", "psi"]
-MALFORMED["corollary-main-stray-flag"] = ["check", "corollary-main",
-                                          "--n", "2", "--w", "2"]
-# a --script before the builtin name, which argparse does not reject
-MALFORMED["script-before-builtin"] = ["check", "--db", "@empty.json",
-                                      "--script", "[]", "main1", "--n", "4"]
-# a --weight whose infinity type has a kappa or a |w| above a payload's cap;
-# appended last, as above
-MALFORMED["weight-kappa-above-cap"] = ["infinity-type", "--weight=9999,0"]
-MALFORMED["weight-w-above-cap"] = ["infinity-type", "--weight=5001,5001"]
-
-
 def test_the_version_2_db_file_of_the_malformed_cases_is_valid(tmp_path,
                                                                capsys):
     (tmp_path / "v2.json").write_text(_db2_file())
@@ -504,18 +342,21 @@ NOT_UTF8 = {
                          ids=[*MALFORMED, *NOT_UTF8])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
-    (tmp_path / "no_citation.json").write_text(
-        '{"relations": [{"name": "r", "lhs": [], "rhs": []}]}')
-    (tmp_path / "empty.json").write_text('{"relations": []}')
-    (tmp_path / "nested.json").write_text("[" * 100_000)
-    for case, text in MALFORMED_DB.items():
-        (tmp_path / f"{case}.json").write_text(text)
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     if str(tmp_path / "not_utf8.json") in argv:
         assert "not_utf8.json is not UTF-8" in err
+
+
+@pytest.mark.parametrize("argv", REJECTED.values(), ids=REJECTED)
+def test_rejected_input_exits_1_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_module_entry_point_prints_no_warning():

@@ -977,6 +977,52 @@ records = st.one_of(
     st.fixed_dictionaries({"kind": st.sampled_from(KINDS)}))
 
 
+@pytest.mark.parametrize("kind, payload, message", [
+    ("BW", ("P", 5), "BW sign must be +1 or -1"),
+    ("DC", ("M", 0), "DC sign must be +1 or -1"),
+    ("Gauss", ("",), "empty character label"),
+    ("LVal", ("1/0", "P"), "not a fraction p/q: '1/0'"),
+    ("BW", ("P",), "BW atom needs 2 payload entries, got 1"),
+    ("Nope", (), "unknown atom kind: 'Nope'")])
+def test_period_atom_checks_every_rule_of_its_kind(kind, payload, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PeriodAtom(kind, payload)
+
+
+def test_period_atom_keeps_a_point_as_canonical_text():
+    assert PeriodAtom("ArchZ", ("2/4", "P")) == atom_archz("1/2", "P")
+    assert PeriodAtom("LVal", (Fraction(6, 4), "P")).payload == ("3/2", "P")
+    assert PeriodAtom("ArchZ", (-2, "P")).payload == ("-2", "P")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(KINDS),
+                          st.lists(payload_entries, max_size=2),
+                          st.integers(-3, 3)), max_size=6),
+       st.integers(-2, 2))
+@example([("ArchZ", ["2/4", "P"], 1), ("ArchZ", ["1/2", "P"], -1)], 1)
+@example([("BW", ["P", 5], 1), ("Gauss", [""], 2)], 1)
+def test_any_period_atom_replays_alike_in_memory_and_from_the_db(drawn, k):
+    """Atoms drawn through PeriodAtom itself, bad ones left out: a relation
+    of them replays to the same residual before and after save + load."""
+    pairs = []
+    for kind, payload, e in drawn:
+        try:
+            pairs.append((PeriodAtom(kind, tuple(payload)), e))
+        except (TypeError, ValueError):
+            continue
+    rel = Relation("r", "c", FormalPeriod(pairs[::2]),
+                   FormalPeriod(pairs[1::2]))
+    res = pa.CheckResult(formal.replay([(rel, k)]), ((rel, k),))
+    db = pa.RelationDB()
+    res.register(db)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "relations.json")
+        db.save(path)
+        loaded = pa.RelationDB.load(path)
+    assert pa.check_script(loaded, res.to_script()) == res.residual
+
+
 def _outcome(decode, data):
     try:
         atom = decode(data)

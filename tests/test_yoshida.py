@@ -162,6 +162,17 @@ def test_tensor_label_normalizes_duals():
     assert y.tensor_label(y.dual_motive(M), y.dual_motive(N)) == "M(x)N^v"
 
 
+def test_a_tensor_with_one_dual_factor_is_not_named_as_a_dual():
+    M = y.MotiveShape("M", 3, 0, (7,), 2, 1)
+    N = y.MotiveShape("N", 2, 0, (5,), 1, 1)
+    Md, Nd = y.dual_motive(M), y.dual_motive(N)
+    labels = {y.tensor_label(a, b) for a in (M, Md) for b in (N, Nd)}
+    assert labels == {"M(x)N", "M(x)(N^v)", "M^v(x)N", "M(x)N^v"}
+    # so deligne names M (x) N^v and M^v (x) N^v with two atoms
+    assert (y.tensor_deligne(M, Nd, 1).lhs.atoms()
+            != y.tensor_deligne(Md, Nd, 1).lhs.atoms())
+
+
 def test_dual_relation_exponent():
     N = y.MotiveShape("N", 2, 0, (7,), 1, 1)
     fp = y.FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
