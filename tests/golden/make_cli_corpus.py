@@ -238,13 +238,14 @@ def _infinity_type(rng):
             "infinity-type", "--type", json.dumps(t), "--round-trip"]
 
 
-def _malformed(pinned=False):
+def _malformed(part=0):
     """Every input of test_malformed_input_exits_2_with_one_line before
-    PINNED (or from it on), each with the files it reads."""
-    from tests.golden.malformed import FILES, MALFORMED, PINNED
+    PINNED (part 0), from PINNED to LISTS (1) or from LISTS on (2), each
+    with the files it reads."""
+    from tests.golden.malformed import FILES, LISTS, MALFORMED, PINNED
 
-    cases = list(MALFORMED.values())
-    for argv in cases[PINNED:] if pinned else cases[:PINNED]:
+    bounds = (0, PINNED, LISTS, None)
+    for argv in list(MALFORMED.values())[bounds[part]:bounds[part + 1]]:
         used = {a[1:]: FILES[a[1:]] for a in argv
                 if a.startswith("@") and a[1:] in FILES}
         yield argv, used or None, None
@@ -294,11 +295,13 @@ def _empty_controls():
 
 def _pinned():
     """Error lines that no earlier record reaches: the malformed inputs
-    after PINNED, then the requests that exit 1 with one error line."""
+    from PINNED to LISTS, the requests that exit 1 with one error line,
+    then the JSON list fields given as other values."""
     from tests.golden.malformed import REJECTED
 
-    yield from _malformed(pinned=True)
+    yield from _malformed(1)
     yield from REJECTED.values()
+    yield from _malformed(2)
 
 
 def requests():

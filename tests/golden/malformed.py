@@ -78,7 +78,7 @@ MALFORMED = {
 
 def _db_file(lhs=(), name="r", citation="c", **version):
     return json.dumps({"relations": [{"name": name, "citation": citation,
-                                      "lhs": list(lhs), "rhs": []}],
+                                      "lhs": lhs, "rhs": []}],
                        **version})
 
 
@@ -125,12 +125,13 @@ MALFORMED["delta-above-cap"] = ["check", "main1", "--n", "4",
                                 "--delta", "1" + "0" * 50]
 
 
-def _db2_file(pair=(0, 1), citation=0, version=2, without=None):
+def _db2_file(pair=(0, 1), citation=0, version=2, without=None, lhs=None):
     """A version-2 --db file of two atoms, one citation and r = TwoPiI / 1,
-    with one field changed or left out."""
+    with one field changed or left out; lhs replaces the side [pair]."""
     data = {"atoms": [_atom("TwoPiI"), _atom("I")], "citations": ["c"],
             "relations": [{"name": "r", "citation": citation,
-                           "lhs": [list(pair)], "rhs": []}],
+                           "lhs": [list(pair)] if lhs is None else lhs,
+                           "rhs": []}],
             "version": version}
     data.pop(without, None)
     return json.dumps(data)
@@ -204,6 +205,37 @@ MALFORMED["bare-check"] = ["check"]
 MALFORMED["script-file-object"] = ["check", "--db", "@empty.json",
                                    "--script", "@object.json"]
 MALFORMED["weight-empty-entry"] = ["infinity-type", "--weight", "1,,2"]
+
+# a JSON list field (a side, a pair, a payload, a kappa) given as some other
+# value; the golden corpus appends their records after those of REJECTED
+LISTS = len(MALFORMED)
+LIST_DB = {
+    "db-side-object": _db_file({}),
+    "db-v2-side-string": _db2_file(lhs=""),
+    "db-gauss-payload-string": _db_file([[{"kind": "Gauss", "payload": "x"},
+                                          1]]),
+    "db-archz-payload-string": _db_file([[{"kind": "ArchZ", "payload": "12"},
+                                          1]]),
+    "db-two-pi-i-payload-object": _db_file([[{"kind": "TwoPiI",
+                                              "payload": {}}, 1]]),
+    "db-pair-int": _db_file([0]),
+}
+MALFORMED_DB.update(LIST_DB)
+MALFORMED.update({case: ["check", "--db", f"@{case}.json", "--script",
+                         '[{"relation": "r", "exponent": 1}]']
+                  for case in LIST_DB})
+MALFORMED["kappa-object"] = ["critical", "--pi", '{"n":2,"kappa":[4],"w":0}',
+                             "--sigma", '{"n":1,"kappa":{},"w":0}']
+MALFORMED["kappa-string"] = ["infinity-type", "--type",
+                             '{"n":1,"kappa":"","w":0}']
+MALFORMED["motive-kappa-object"] = [
+    "deligne", "--motive", '{"label":"M","n":2,"weight":0,"kappa":[5],'
+                           '"dplus":1,"dminus":1}',
+    "--aux", '{"label":"N","n":1,"weight":0,"kappa":{},"dplus":1,'
+             '"dminus":0}']
+MALFORMED["kappa-object-with-a-key"] = [
+    "critical", "--pi", '{"n":2,"kappa":{"4":1},"w":0}',
+    "--sigma", '{"n":1,"kappa":[],"w":0}']
 
 # requests the library rejects with exit 1 and one "error:" line
 REJECTED = {
