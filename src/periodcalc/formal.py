@@ -24,7 +24,7 @@ from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_text
 from operator import itemgetter
 
-from .infinity_types import as_fraction, json_int, json_str
+from .infinity_types import as_fraction, json_int, json_list, json_str
 
 
 # kind -> payload types: labels and points are str, signs and indices int
@@ -132,7 +132,7 @@ class FormalPeriod:
         for atom, e in pairs:
             if not isinstance(atom, PeriodAtom):
                 raise TypeError(f"not an atom: {atom!r}")
-            exp[atom] = exp.get(atom, 0) + int(e)
+            exp[atom] = exp.get(atom, 0) + json_int(e)
         self._exp = _reduced(exp)
 
     @classmethod
@@ -170,7 +170,7 @@ class FormalPeriod:
         return FormalPeriod._of_exp(_reduced(exp))
 
     def __pow__(self, k: int) -> "FormalPeriod":
-        k = int(k)
+        k = json_int(k)
         exp = {a: k * e for a, e in self._exp.items()} if k else {}
         return FormalPeriod._of_exp(_reduced(exp))
 
@@ -224,7 +224,7 @@ def replay(steps) -> FormalPeriod:
     summed in one pass; a valid derivation leaves the identity."""
     exp = {}
     for rel, e in steps:
-        e = int(e)
+        e = e if type(e) is int else json_int(e)
         for atom, k in rel.lhs._exp.items():
             exp[atom] = exp.get(atom, 0) + e * k
         for atom, k in rel.rhs._exp.items():
@@ -292,13 +292,13 @@ def atom_from_json(data: dict) -> PeriodAtom:
     elif (kind == "Delta" and type(payload) is list and len(payload) == 1
             and type(payload[0]) is str):
         return tuple.__new__(PeriodAtom, (kind, (payload[0],)))
-    types = _ATOMS.get(kind, ())
-    if len(payload) == len(types):  # else PeriodAtom names the kind or count
-        try:
+    types = _ATOMS.get(kind)
+    try:  # PeriodAtom names an unknown kind or a wrong count
+        if types is not None and len(json_list(payload)) == len(types):
             payload = [(json_str if t is str else json_int)(p)
                        for t, p in zip(types, payload)]
-        except TypeError as exc:
-            raise ValueError(f"bad {kind} payload: {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"bad {kind} payload: {exc}") from exc
     return PeriodAtom(kind, payload)
 
 
@@ -312,18 +312,12 @@ def period_from_json(data, atoms: list = None) -> FormalPeriod:
     """A side of a relation: [atom index, exponent] pairs into the decoded
     atom table of a version-2 file, or without one, [atom, exponent]."""
     exp = {}
-    try:
-        for a, e in data:
-            atom = (atom_from_json(a) if atoms is None
-                    else _entry(atoms, a, "atom"))
-            exp[atom] = exp.get(atom, 0) + (e if type(e) is int
-                                            else json_int(e))
-    except ValueError as exc:
-        if exc.__traceback__.tb_next is not None:  # raised by a decoder
-            raise
-        # the pairs before the one that failed to unpack each had two entries
-        bad = next(p for p in data if len(p) != 2)
-        raise ValueError(f"a pair must be [atom, exponent], got {bad!r}")
+    for pair in json_list(data):
+        if type(pair) is not list or len(pair) != 2:
+            raise ValueError(f"a pair must be [atom, exponent], got {pair!r}")
+        a, e = pair
+        atom = atom_from_json(a) if atoms is None else _entry(atoms, a, "atom")
+        exp[atom] = exp.get(atom, 0) + (e if type(e) is int else json_int(e))
     return FormalPeriod._of_exp(_reduced(exp))
 
 

@@ -55,7 +55,8 @@ class InfinityType(namedtuple("InfinityType", "n kappa w sign_choice")):
 
     @classmethod
     def from_json(cls, data: dict) -> "InfinityType":
-        return cls(json_int(data["n"]), tuple(map(json_int, data["kappa"])),
+        return cls(json_int(data["n"]),
+                   tuple(map(json_int, json_list(data["kappa"]))),
                    json_int(data["w"]), json_int(data.get("sign", 0)))
 
 
@@ -93,7 +94,8 @@ def as_fraction(x):
 
 
 def json_int(x) -> int:
-    """An integer field of a JSON payload; any other value is a TypeError."""
+    """An integer field of a JSON payload, or an exponent; any other value,
+    a bool too, is a TypeError."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"expected an integer, got {x!r}")
     return x
@@ -103,6 +105,13 @@ def json_str(x) -> str:
     """A string field of a JSON payload; any other value is a TypeError."""
     if not isinstance(x, str):
         raise TypeError(f"expected a string, got {x!r}")
+    return x
+
+
+def json_list(x) -> list:
+    """A list field of a JSON payload; any other value is a TypeError."""
+    if type(x) is not list:
+        raise TypeError(f"expected a list, got {x!r}")
     return x
 
 

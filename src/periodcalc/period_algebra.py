@@ -314,19 +314,16 @@ def check_motivic_dual(n: int, i: int = None,
     """Replay c_i(M^v) = delta(M)^{-2} c_i(M) through a rank-2 auxiliary N
     in the i-th Hodge gap, for each admissible i (or the one given).
 
-    Each hypothesis is checked once, and each distinct atom of a gap is
-    built once: the gap's relations are those of yoshida's rank-2
-    expansion (of M (x) N and of M^v (x) N^v), determinant and duality
-    builders, written straight from one table."""
-    from . import yoshida as y
+    M has rank n, weight 0, kappa_j = 4(r - j) + 5 and d+ = r + n mod 2,
+    and N = N{i} has rank 2, weight 0, kappa (kappa_i + 2) and d+ = d- = 1.
+    Each distinct atom of a gap is built once: the gap's relations are
+    those of yoshida's rank-2 expansion (of M (x) N and of M^v (x) N^v),
+    determinant and duality builders, written straight from one table."""
     if n < 2:
         raise ValueError("rank must be at least 2")
     r = n // 2
     if i is not None and not 1 <= i <= r - 1:
         raise ValueError("i must lie in 1..floor(n/2)-1")
-    kappa = tuple(4 * (r - j) + 5 for j in range(r))
-    dplus = r + n % 2
-    M = y.MotiveShape("M", n, 0, kappa, dplus, n - dplus)
     # for odd n, eps = d+ - d- = +1 for this M adds one more c^+(N) to the
     # expansion of c^+(M (x) N), one more c^-(N^v) to that of
     # c^-(M^v (x) N^v), and one more step of dual[N,0,1,0]
@@ -336,13 +333,6 @@ def check_motivic_dual(n: int, i: int = None,
     dual = "duality of fundamental periods"
     steps = []
     for idx in [i] if i is not None else range(1, r):
-        # N = (N{idx}; ell) of rank 2, weight 0 and d+ = d- = 1, checked as
-        # MotiveShape and rank2_tensor_expansion check it
-        ell = kappa[idx] + 2
-        if ell % 2 == 0:
-            raise ValueError("kappa_i must have parity opposite to the weight")
-        if not kappa[idx] < ell < kappa[idx - 1]:
-            raise ValueError("N is not in the i-th Hodge gap of M")
         nl, mn = f"N{idx}", f"M(x)N{idx}"
         nd, mnd = dual_label(nl), dual_label(mn)  # mnd: M^v (x) N^v
         dci, dci_d = (new(PeriodAtom, ("DCi", (lbl, idx)))

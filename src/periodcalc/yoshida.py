@@ -13,7 +13,8 @@ from collections import namedtuple
 
 from .formal import (ATOM_TWO_PI_I, FormalPeriod, PeriodAtom, Relation, atom_dc,
                      atom_dci, atom_delta, dual_label)
-from .infinity_types import checked_kappa, interlaces, json_int, json_str
+from .infinity_types import (checked_kappa, interlaces, json_int, json_list,
+                             json_str)
 
 
 AdmissibleTypeTag = namedtuple("AdmissibleTypeTag", "a kplus kminus")
@@ -105,7 +106,7 @@ class MotiveShape(namedtuple("MotiveShape",
     def from_json(cls, data: dict) -> "MotiveShape":
         return cls(json_str(data["label"]), json_int(data["n"]),
                    json_int(data["weight"]),
-                   tuple(map(json_int, data["kappa"])),
+                   tuple(map(json_int, json_list(data["kappa"]))),
                    json_int(data["dplus"]), json_int(data["dminus"]))
 
 

@@ -28,8 +28,8 @@ from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod, Relation,
                                atom_delta, atom_gauss, atom_lval, dual_label,
                                gauss_fp)
 from periodcalc.infinity_types import (InfinityType, is_balanced,
-                                       is_regular, json_int, json_str,
-                                       signature, to_arch_rep)
+                                       is_regular, json_int, json_list,
+                                       json_str, signature, to_arch_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +267,17 @@ _CHECKED_ATOMS = {
 
 
 def atom_from_json(data: dict):
-    """The checked decoding of an atom record: every payload entry through
-    json_str or json_int, then the kind's constructor."""
+    """The checked decoding of an atom record: the payload through
+    json_list, every entry through json_str or json_int, then the kind's
+    constructor."""
     kind, payload = data["kind"], data.get("payload", [])
     if kind not in _CHECKED_ATOMS:
         raise ValueError(f"unknown atom kind: {kind!r}")
     make, types = _CHECKED_ATOMS[kind]
+    try:
+        json_list(payload)
+    except TypeError as exc:
+        raise ValueError(f"bad {kind} payload: {exc}") from exc
     if len(payload) != len(types):
         raise ValueError(f"{kind} atom needs {len(types)} payload entries, "
                          f"got {len(payload)}")

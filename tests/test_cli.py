@@ -376,7 +376,7 @@ _LOADED = ("import sys; from periodcalc.cli import main\n"
            "except SystemExit as exc:  # argparse usage errors\n"
            "    code = exc.code\n"
            "print(' '.join(sorted(sys.modules))); sys.exit(code)")
-# no request loads weil_real, and only motivic-dual and deligne load yoshida
+# no request loads weil_real, and only deligne loads yoshida
 _BASE = {"periodcalc", "periodcalc.cli", "periodcalc.infinity_types"}
 _CHECK = _BASE | {"periodcalc.arch_l", "periodcalc.formal",
                   "periodcalc.period_algebra"}
@@ -410,8 +410,7 @@ _AUX = '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,"dminus":1}'
     (["infinity-type", "--type", '{"n":4,"kappa":[9,5],"w":1}'], _BASE, 0),
     (["check", "main1", "--n", "4"], _CHECK, 0),
     (["check", "corollary-main", "--n", "2"], _CHECK, 0),
-    (["check", "motivic-dual", "--n", "6"], _CHECK | {"periodcalc.yoshida"},
-     0),
+    (["check", "motivic-dual", "--n", "6"], _CHECK, 0),
     (["check", "--db", "@v1.json", "--script",
       '[{"relation": "r", "exponent": 1}]'], _BASE | {"periodcalc.formal"}, 0),
 ], ids=["asai", "infinity-type", "classify", "critical", "deligne", "check",

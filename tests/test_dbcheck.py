@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from periodcalc import period_algebra as pa
 from periodcalc.formal import RelationDB, check_script
-from tests import dbcheck
+from tests import dbcheck, oracles
 from tests.golden.make_cli_corpus import CORPUS, run
 from tests.golden.malformed import MALFORMED_DB
 
@@ -93,6 +93,71 @@ def test_the_reader_reduces_a_residual_as_the_library(tmp_path, lhs):
         script = [{"relation": "r", "exponent": e}]
         assert (dbcheck.check(db_text, json.dumps(script))
                 == _library_residual(tmp_path, db_text, script))
+
+
+# small derivations that save every atom kind but TwoPiI, one of each
+# builtin and two negative controls
+_SMALL = [pa.check_main1_step(3, 0, 1, 2),
+          pa.check_main1_step(2, 1, 0, 1, corrupt=True),
+          pa.check_corollary_main(2, chi_expr={"chi": 1}),
+          pa.check_theorem_main2(2, 3, eps_num=-1),
+          pa.check_motivic_dual(5, corrupt=True)]
+# what one node of a valid file is replaced with
+_VALUES = [{}, "", "ab", 0, True, None, [], [[]]]
+
+
+def _nodes(data):
+    """The path of every side, pair, payload, index, exponent, name and
+    citation in the JSON value of a version-1 or version-2 file."""
+    v2 = data.get("version") == 2
+    if v2:
+        yield from (("atoms", k, "payload") for k in range(len(data["atoms"])))
+        yield from (("citations", k) for k in range(len(data["citations"])))
+    for k, rel in enumerate(data["relations"]):
+        yield "relations", k, "name"
+        yield "relations", k, "citation"
+        for side in ("lhs", "rhs"):
+            yield "relations", k, side
+            for j in range(len(rel[side])):
+                yield "relations", k, side, j
+                yield ("relations", k, side, j, 0) + (() if v2 else
+                                                      ("payload",))
+                yield "relations", k, side, j, 1
+
+
+@st.composite
+def damaged_files(draw):
+    """The DB text and script of a small derivation, its file in version 1
+    or 2 with one node replaced."""
+    res = draw(st.sampled_from(_SMALL))
+    relations = list({rel.name: rel for rel, _ in res.relations}.values())
+    data = (oracles.db_to_json(relations) if draw(st.booleans()) else
+            {"relations": [oracles.relation_to_json(r) for r in relations]})
+    *path, last = draw(st.sampled_from(list(_nodes(data))))
+    node = data
+    for key in path:
+        node = node[key]
+    node[last] = draw(st.sampled_from(_VALUES))
+    return json.dumps(data), res.to_script()
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_files())
+def test_the_reader_and_the_library_reject_the_same_damaged_files(case):
+    db_text, script = case
+    try:
+        want = dbcheck.check(db_text, json.dumps(script))
+    except ValueError:
+        want = None
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "db.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(db_text)
+        try:  # what the CLI reports as a schema error
+            got = repr(check_script(RelationDB.load(path), script))
+        except (KeyError, ValueError):
+            got = None
+    assert got == want
 
 
 def _replays():

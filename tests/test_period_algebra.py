@@ -158,6 +158,18 @@ def test_atom_matches_the_checked_constructor(atom, e):
     _same(FormalPeriod.atom(atom, e), FormalPeriod([(atom, e)]))
 
 
+@pytest.mark.parametrize("e", [0.5, 1.9, 2.7, True, Fraction(2), "1", None])
+def test_an_exponent_that_is_not_an_int_is_rejected(e):
+    rel = Relation("r", "c", FormalPeriod.atom(ATOM_TWO_PI_I),
+                   FormalPeriod.unit())
+    for make in (lambda: FormalPeriod([(ATOM_TWO_PI_I, e)]),
+                 lambda: FormalPeriod.atom(ATOM_TWO_PI_I, e),
+                 lambda: FormalPeriod.atom(ATOM_TWO_PI_I) ** e,
+                 lambda: formal.replay([(rel, e)])):
+        with pytest.raises(TypeError, match="expected an integer, got "):
+            make()
+
+
 @pytest.mark.parametrize("bad", ["I", ("I", ()), ("BW", ("Pi", 1)), 1, None])
 def test_public_construction_rejects_a_non_atom(bad):
     message = f"not an atom: {bad!r}"
@@ -893,7 +905,7 @@ def _relation(**fields) -> dict:
     (_relation(lhs=[[{"kind": "TwoPiI"}, 1]]), "bad atom index {"),
     (_relation(lhs=[[0, 1, 1]]),
      "a pair must be [atom, exponent], got [0, 1, 1]"),
-    (_relation(lhs=[0]), "malformed relation record"),
+    (_relation(lhs=[0]), "a pair must be [atom, exponent], got 0"),
     (_relation(citation=1), "bad citation index 1 into a table of 1"),
     (_relation(citation="c"), "bad citation index 'c'"),
     (_relation(citation=False), "bad citation index False"),
