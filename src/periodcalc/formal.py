@@ -132,7 +132,8 @@ class FormalPeriod:
         for atom, e in pairs:
             if not isinstance(atom, PeriodAtom):
                 raise TypeError(f"not an atom: {atom!r}")
-            exp[atom] = exp.get(atom, 0) + json_int(e)
+            exp[atom] = exp.get(atom, 0) + (e if type(e) is int
+                                            else json_int(e))
         self._exp = _reduced(exp)
 
     @classmethod
