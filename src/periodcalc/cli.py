@@ -102,8 +102,9 @@ def _emit(args, payload: dict, human: str):
 
 def cmd_infinity_type(args) -> int:
     if args.weight is not None:
-        try:
+        try:  # int() reads '+4', ' 4' and '1_0' too, as_fraction -?[0-9]+ only
             entries = tuple(int(x) for x in args.weight.split(","))
+            list(map(as_fraction, args.weight.split(",")))
         except ValueError as exc:
             raise SchemaError(f"bad weight vector: {exc}") from exc
         _check_rank(len(entries), "weight length")

@@ -220,16 +220,23 @@ class Relation(namedtuple("Relation", "name citation lhs rhs")):
         return tuple.__new__(cls, (name, citation, lhs, rhs))
 
 
-def replay(steps) -> FormalPeriod:
-    """The product of the quotients lhs/rhs of (relation, exponent) steps,
-    summed in one pass; a valid derivation leaves the identity."""
-    exp = {}
+def replay(steps, atoms=()) -> FormalPeriod:
+    """The product of lhs/rhs over (relation, exponent) steps; a record that
+    RelationDB.load kept is summed per index of atoms, decoded at the end."""
+    exp, sums = {}, [0] * len(atoms)
     for rel, e in steps:
         e = e if type(e) is int else json_int(e)
-        for atom, k in rel.lhs._exp.items():
-            exp[atom] = exp.get(atom, 0) + e * k
-        for atom, k in rel.rhs._exp.items():
-            exp[atom] = exp.get(atom, 0) - e * k
+        if type(rel) is not dict:
+            for atom, k in rel.lhs._exp.items():
+                exp[atom] = exp.get(atom, 0) + e * k
+            for atom, k in rel.rhs._exp.items():
+                exp[atom] = exp.get(atom, 0) - e * k
+            continue
+        for side, s in ((rel["lhs"], e), (rel["rhs"], -e)):
+            for i, k in side:
+                sums[i] += s * k
+    for atom, k in filter(itemgetter(1), zip(atoms, sums)) if atoms else ():
+        exp[atom] = exp.get(atom, 0) + k
     return FormalPeriod._of_exp(_reduced(exp))
 
 
@@ -266,17 +273,17 @@ def atom_to_json(atom: PeriodAtom) -> str:
 
 
 def period_to_json(p: FormalPeriod, atoms: dict) -> str:
-    """The [atom index, exponent] pairs of p in its own order; atoms numbers
-    each atom of one save on its first use."""
+    """p's [atom index, exponent] pairs; atoms numbers each new atom."""
     return "[" + ", ".join([f"[{atoms.setdefault(a, len(atoms))}, {e}]"
                             for a, e in p._exp.items()]) + "]"
 
 
 def relation_to_json(r: Relation, atoms: dict, citations: dict) -> str:
+    k, pairs = len(r.lhs._exp), [f"[{atoms.setdefault(a, len(atoms))}, {e}]"
+                                 for p in r[2:] for a, e in p._exp.items()]
     return (f'{{"citation": {citations.setdefault(r.citation, len(citations))}'
-            f', "lhs": {period_to_json(r.lhs, atoms)}, '
-            f'"name": {_json_text(r.name)}, '
-            f'"rhs": {period_to_json(r.rhs, atoms)}}}')
+            f', "lhs": [{", ".join(pairs[:k])}], "name": {_json_text(r.name)}'
+            f', "rhs": [{", ".join(pairs[k:])}]}}')
 
 
 def atom_from_json(data: dict) -> PeriodAtom:
@@ -341,18 +348,19 @@ class RelationDB:
     """Named relation store; read-mostly, persisted as structured text."""
 
     def __init__(self):
-        self._relations = {}
+        self._relations, self._tables = {}, ([], [])  # load's atoms, citations
 
     def add(self, relation: Relation):
         if relation.name in self._relations:
-            if self._relations[relation.name] != relation:
+            if self.get(relation.name) != relation:
                 raise ValueError(f"relation {relation.name!r} already present")
         self._relations[relation.name] = relation
 
     def get(self, name: str) -> Relation:
         if name not in self._relations:
             raise KeyError(f"unknown relation: {name!r}")
-        return self._relations[name]
+        r = self._relations[name]  # a dict is a record that load kept
+        return relation_from_json(r, *self._tables) if type(r) is dict else r
 
     def names(self):
         return sorted(self._relations)
@@ -362,8 +370,7 @@ class RelationDB:
         on a line of its own in order of first use, the citations, then one
         relation per line; a failed write leaves path as it was."""
         atoms, citations = {}, {}
-        lines = ",\n".join([relation_to_json(self._relations[n], atoms,
-                                              citations)
+        lines = ",\n".join([relation_to_json(self.get(n), atoms, citations)
                              for n in self.names()])
         table = ",\n".join(map(atom_to_json, atoms))
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -380,8 +387,8 @@ class RelationDB:
 
     @classmethod
     def load(cls, path: str) -> "RelationDB":
-        """Read a version-2 file, or a version-1 file (also one without
-        "version"), whose relations hold each atom and citation in full."""
+        """Read a version-2 file, keeping each record whose ints all check in
+        one pass, or a version-1 file (one without "version" too)."""
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -395,7 +402,7 @@ class RelationDB:
         version = data.get("version", 1)
         if type(version) is not int or version not in (1, DB_VERSION):
             raise ValueError(f"{path} has an unknown DB version {version!r}")
-        atoms = citations = None
+        db, atoms, citations = cls(), None, None
         if version == DB_VERSION:
             atoms, citations = data.get("atoms"), data.get("citations")
             if type(atoms) is not list or type(citations) is not list:
@@ -404,9 +411,20 @@ class RelationDB:
                 atoms = [atom_from_json(a) for a in atoms]
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"malformed atom record: {exc!r}") from exc
-        db = cls()
-        for entry in entries:
-            db.add(relation_from_json(entry, atoms, citations))
+            db._tables = atoms, citations
+        ok = {i for i, c in enumerate(citations or ()) if type(c) is str and c}
+        for r in entries:  # ok: the good citation indices, none in version 1
+            if (type(r) is dict and type(c := r.get("citation")) is int
+                    and c in ok and type(r.get("name")) is str and r["name"]
+                    and type(r.get("lhs")) is list is type(r.get("rhs"))):
+                for p in r["lhs"] + r["rhs"]:
+                    if not (type(p) is list and len(p) == 2 and type(p[0])
+                            is type(p[1]) is int and 0 <= p[0] < len(atoms)):
+                        break
+                else:  # kept as it is, unless its name is taken
+                    if db._relations.setdefault(r["name"], r) is r:
+                        continue
+            db.add(relation_from_json(r, atoms, citations))
         return db
 
 
@@ -422,5 +440,6 @@ def check_script(db: RelationDB, script) -> FormalPeriod:
                 or type(entry["exponent"]) is not int):
             raise ValueError("a script entry needs exactly a str 'relation' "
                              f"and an int 'exponent', got {entry!r}")
-        steps.append((db.get(entry["relation"]), entry["exponent"]))
-    return replay(steps)
+        rel = db._relations.get(entry["relation"]) or db.get(entry["relation"])
+        steps.append((rel, entry["exponent"]))  # get names an unknown one
+    return replay(steps, db._tables[0])

@@ -17,7 +17,7 @@ class DominantWeight(namedtuple("DominantWeight", "entries")):
     __slots__ = ()
 
     def __new__(cls, entries: tuple):
-        e = tuple(int(x) for x in entries)
+        e = tuple(map(json_int, entries))
         if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
             raise ValueError("weight must be weakly decreasing")
         return tuple.__new__(cls, (e,))
@@ -31,7 +31,7 @@ class InfinityType(namedtuple("InfinityType", "n kappa w sign_choice")):
     __slots__ = ()
 
     def __new__(cls, n: int, kappa: tuple, w: int, sign_choice: int = 0):
-        kappa = checked_kappa(n, kappa)
+        kappa, w = checked_kappa(n, kappa), json_int(w)
         if n % 2 == 0:
             if any((k - w) % 2 for k in kappa):
                 raise ValueError("kappa_i must have the parity of w for even rank")
@@ -40,7 +40,7 @@ class InfinityType(namedtuple("InfinityType", "n kappa w sign_choice")):
                 raise ValueError("w must be even for odd rank")
             if any(k % 2 == 0 for k in kappa):
                 raise ValueError("kappa_i must be odd for odd rank")
-        if sign_choice not in (0, 1):
+        if json_int(sign_choice) not in (0, 1):
             raise ValueError("sign_choice must be 0 or 1")
         # phi_k (x) sgn = phi_k, so at even rank the bit names nothing
         return tuple.__new__(cls, (n, kappa, w, sign_choice if n % 2 else 0))
@@ -64,8 +64,8 @@ def checked_kappa(n: int, kappa) -> tuple:
     """kappa as a tuple of ints, checked against the rules that infinity
     types and motive shapes share: a positive rank n, floor(n/2) entries,
     strictly decreasing, each >= 2."""
-    kappa = tuple(int(k) for k in kappa)
-    if n < 1:
+    kappa = tuple(map(json_int, kappa))
+    if json_int(n) < 1:
         raise ValueError("rank must be positive")
     r = n // 2
     if len(kappa) != r:

@@ -86,12 +86,12 @@ class MotiveShape(namedtuple("MotiveShape",
                 dplus: int, dminus: int):
         if not label:
             raise ValueError("motive needs a label")
-        kappa = checked_kappa(n, kappa)
+        kappa, weight = checked_kappa(n, kappa), json_int(weight)
         if n % 2 and weight % 2:
             raise ValueError("weight must be even for odd rank")
         if any((k - weight - 1) % 2 for k in kappa):
             raise ValueError("kappa_i must have parity opposite to the weight")
-        if dplus + dminus != n or abs(dplus - dminus) > 1:
+        if json_int(dplus) + json_int(dminus) != n or abs(dplus - dminus) > 1:
             raise ValueError("d+ + d- must equal n with |d+ - d-| <= 1")
         if n % 2 == 0 and dplus != dminus:
             raise ValueError("d+ = d- for even rank")

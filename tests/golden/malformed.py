@@ -236,6 +236,11 @@ MALFORMED["motive-kappa-object"] = [
 MALFORMED["kappa-object-with-a-key"] = [
     "critical", "--pi", '{"n":2,"kappa":{"4":1},"w":0}',
     "--sigma", '{"n":1,"kappa":[],"w":0}']
+# a --weight entry that int() reads but that is not -?[0-9]+; appended last,
+# as above
+MALFORMED["weight-underscore"] = ["infinity-type", "--weight", "1_0,0"]
+MALFORMED["weight-blank"] = ["infinity-type", "--weight", " 4,2"]
+MALFORMED["weight-plus"] = ["infinity-type", "--weight", "+4,2"]
 
 # requests the library rejects with exit 1 and one "error:" line
 REJECTED = {

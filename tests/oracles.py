@@ -5,22 +5,24 @@ on the multiset of Weil-group constituents (Hom-dimensions, determinants,
 epsilon classes), on their restriction to C^x, or on the Gamma factors of a
 pair's tensor parameter (the brute-force lattice scan, one pass over the
 factors, and Raghuram's even-rank interval); the relation DB records as
-dicts and their checked decoding; the Yoshida relations as products of
-checked periods; and the Hodge types and the motive of an infinity type,
-against which the tests hold MotiveShape's rules; and the relations of a
-main1 step as products of atoms, with the duals built by twisting the types
-and each critical point tested by a Fraction subtraction, every point
-coerced to a Fraction by the reference as_fraction; and the motivic-dual
-derivation through yoshida's relation builders.  No request of the CLI runs
-any of them.
+dicts and their checked decoding, and a DB file loaded by decoding every
+side, its script replayed by the group operations; the Yoshida relations
+as products of checked periods; and the Hodge types and the motive of an
+infinity type, against which the tests hold MotiveShape's rules; and the
+relations of a main1 step as products of atoms, with the duals built by
+twisting the types and each critical point tested by a Fraction
+subtraction, every point coerced to a Fraction by the reference
+as_fraction; and the motivic-dual derivation through yoshida's relation
+builders.  No request of the CLI runs any of them.
 """
 
+import json
 import math
 import re
 import warnings
 from fractions import Fraction
 
-from periodcalc import arch_l, weil_real as wr
+from periodcalc import arch_l, formal, weil_real as wr
 from periodcalc import period_algebra as pa
 from periodcalc import yoshida as y
 from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod, Relation,
@@ -285,6 +287,65 @@ def atom_from_json(data: dict):
         return make(*[t(p) for t, p in zip(types, payload)])
     except TypeError as exc:
         raise ValueError(f"bad {kind} payload: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# a relation DB file read by decoding every side of every record, and a
+# script replayed over the decoded periods by the group operations: the way
+# RelationDB.load and check_script worked before load kept the index pairs
+# of a version-2 file
+
+def load_db(path: str) -> dict:
+    """{name: Relation} of a version-1 or version-2 file, every record
+    decoded by relation_from_json; the errors, and their order, are those of
+    RelationDB.load."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path} is nested too deeply") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8: {exc}") from exc
+    entries = data.get("relations", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{path} does not hold a relation database")
+    version = data.get("version", 1)
+    if type(version) is not int or version not in (1, 2):
+        raise ValueError(f"{path} has an unknown DB version {version!r}")
+    atoms = citations = None
+    if version == 2:
+        atoms, citations = data.get("atoms"), data.get("citations")
+        if type(atoms) is not list or type(citations) is not list:
+            raise ValueError(f"{path} needs an atom and a citation table")
+        try:
+            atoms = [formal.atom_from_json(a) for a in atoms]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed atom record: {exc!r}") from exc
+    db = {}
+    for entry in entries:
+        rel = formal.relation_from_json(entry, atoms, citations)
+        if db.setdefault(rel.name, rel) != rel:
+            raise ValueError(f"relation {rel.name!r} already present")
+        db[rel.name] = rel  # an equal body read later replaces the first
+    return db
+
+
+def check_script(db: dict, script) -> FormalPeriod:
+    """The product of (lhs / rhs)^exponent over the script's steps, each
+    step checked as formal.check_script checks it, in the same order."""
+    residual = FormalPeriod()
+    for entry in script:
+        if (not isinstance(entry, dict)
+                or set(entry) != {"relation", "exponent"}
+                or not isinstance(entry["relation"], str)
+                or type(entry["exponent"]) is not int):
+            raise ValueError("a script entry needs exactly a str 'relation' "
+                             f"and an int 'exponent', got {entry!r}")
+        if entry["relation"] not in db:
+            raise KeyError(f"unknown relation: {entry['relation']!r}")
+        rel = db[entry["relation"]]
+        residual = residual * (rel.lhs * rel.rhs ** -1) ** entry["exponent"]
+    return residual
 
 
 # ---------------------------------------------------------------------------

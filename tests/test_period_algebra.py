@@ -22,8 +22,13 @@ from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
                                period_from_json, period_to_json,
                                relation_from_json, relation_to_json)
 from periodcalc.infinity_types import InfinityType, as_fraction, json_int
-from tests import oracles
+from tests import dbcheck, oracles
+from tests.golden.make_cli_corpus import CORPUS
+from tests.golden.malformed import MALFORMED_DB
 from tests.oracles import atom_to_json
+
+with open(CORPUS) as fh:
+    GOLDEN = [json.loads(line) for line in fh]
 
 atoms = st.one_of(
     st.builds(atom_bw, st.sampled_from(["Pi", "Sigma"]),
@@ -957,6 +962,200 @@ def test_a_decoder_error_after_a_good_pair_keeps_its_text():
         period_from_json([[0, 1], [5, 1], [0, 1, 1]], [ATOM_TWO_PI_I])
     with pytest.raises(ValueError, match=r"^unknown atom kind: 'Nope'$"):
         period_from_json([[{"kind": "Nope"}, 1], [_TWO_PI_I]])
+
+
+# ---------------------------------------------------------------------------
+# a version-2 file replayed on its index tables, against the oracle that
+# decodes every side first and against the stdlib reader tests/dbcheck.py
+
+# atom records that decode to one atom more than once: I, whose exponent is
+# taken mod 2, a point in two spellings, and a BW atom listed twice
+_TABLE_ATOMS = [{"kind": "I", "payload": []}, {"kind": "I"},
+                {"kind": "TwoPiI", "payload": []},
+                {"kind": "ArchZ", "payload": ["1/2", "P"]},
+                {"kind": "ArchZ", "payload": ["2/4", "P"]},
+                {"kind": "BW", "payload": ["P", 1]},
+                {"kind": "BW", "payload": ["P", 1]}]
+# values a file may not hold where an index, exponent, name, citation or
+# side belongs
+_NOT_ALLOWED = [True, 1.0, -1, 99, "0", "", None, [0], [[0, 1, 1]], {}]
+
+
+@st.composite
+def index_files(draw):
+    """(file data, script) of a hand-written version-2 file: a table that
+    lists atoms more than once, pairs with zero exponents, names repeated
+    with an equal body or another one, records that the script does not
+    name, and now and then one field given a value the file may not hold."""
+    atoms = draw(st.lists(st.sampled_from(_TABLE_ATOMS), min_size=1,
+                          max_size=6))
+    citations = draw(st.lists(st.sampled_from(["c", "d"]), min_size=1,
+                              max_size=2))
+    side = st.lists(st.tuples(st.integers(0, len(atoms) - 1),
+                              st.integers(-2, 2)).map(list), max_size=4)
+    relations = draw(st.lists(st.fixed_dictionaries({
+        "name": st.sampled_from("rstu"),
+        "citation": st.integers(0, len(citations) - 1),
+        "lhs": side, "rhs": side}), max_size=5))
+    for rel in draw(st.lists(st.sampled_from(relations), max_size=2)
+                    if relations else st.just([])):
+        # the same body again, its pairs reversed and a zero pair added
+        copy = dict(rel, lhs=rel["lhs"][::-1] + [[0, 0]])
+        relations.insert(draw(st.integers(0, len(relations))), copy)
+    if relations and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(relations) - 1))
+        rel = relations[k] = json.loads(json.dumps(relations[k]))
+        fields = ([(citations, j) for j in range(len(citations))]
+                  + [(rel, key) for key in rel]
+                  + [(rel[key], j) for key in ("lhs", "rhs")
+                     for j in range(len(rel[key]))]
+                  + [(pair, j) for key in ("lhs", "rhs")
+                     for pair in rel[key] for j in (0, 1)])
+        node, key = draw(st.sampled_from(fields))
+        node[key] = draw(st.sampled_from(_NOT_ALLOWED))
+    script = draw(st.lists(st.fixed_dictionaries({
+        "relation": st.sampled_from("rstuv"),
+        "exponent": st.integers(-2, 2)}), max_size=6))
+    return ({"atoms": atoms, "citations": citations, "relations": relations,
+             "version": 2}, script)
+
+
+def _replayed(load, check, path, script):
+    """The residual of script against the file at path, or the error that
+    the CLI prints as its one schema-error line."""
+    try:
+        return repr(check(load(path), script))
+    except (KeyError, ValueError) as exc:
+        return type(exc).__name__, exc.args[0]
+
+
+def _read(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+# two I entries whose exponents cancel only once they are merged and taken
+# mod 2: within one side, and across two steps
+@example(({"atoms": [{"kind": "I"}, {"kind": "I"}, {"kind": "TwoPiI"}],
+           "citations": ["c"], "version": 2,
+           "relations": [{"name": "r", "citation": 0,
+                          "lhs": [[0, 1], [1, 1], [2, 0]], "rhs": [[2, 1]]},
+                         {"name": "s", "citation": 0, "lhs": [[1, 3]],
+                          "rhs": []},
+                         {"name": "t", "citation": 0, "lhs": [[0, 1]],
+                          "rhs": [[2, 1]]}]},
+          [{"relation": "s", "exponent": 1},
+           {"relation": "t", "exponent": 1},
+           {"relation": "r", "exponent": -1}]))
+@settings(max_examples=300, deadline=None)
+@given(index_files())
+def test_a_version_2_file_replays_on_its_index_tables_as_the_oracle(case):
+    data, script = case
+    text = json.dumps(data)
+    new = Relation("new", "c", FormalPeriod.atom(ATOM_TWO_PI_I, 2),
+                   FormalPeriod.atom(ATOM_I))
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "relations.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        got = _replayed(pa.RelationDB.load, pa.check_script, path, script)
+        assert got == _replayed(oracles.load_db, oracles.check_script, path,
+                                script)
+        try:
+            want = dbcheck.check(text, json.dumps(script))
+        except ValueError:
+            want = None
+        assert (got if type(got) is str else None) == want
+        try:
+            ref = oracles.load_db(path)
+        except ValueError:
+            return
+        db = pa.RelationDB.load(path)
+        assert db.names() == sorted(ref)
+        assert all(db.get(name) == rel for name, rel in ref.items())
+        # add after load: a new name beside the kept records, an equal body
+        # accepted and another one refused
+        db.add(new)
+        for name, rel in list(ref.items())[:1]:
+            db.add(rel)
+            with pytest.raises(ValueError, match="already present"):
+                db.add(rel._replace(lhs=rel.lhs * FormalPeriod.atom(ATOM_I)))
+        ref["new"] = new
+        steps = script + [{"relation": "new", "exponent": 3}]
+        assert (_replayed(lambda _: db, pa.check_script, path, steps)
+                == _replayed(lambda _: ref, oracles.check_script, path,
+                             steps))
+        # save of a loaded DB writes what a DB of the decoded relations does
+        pa.RelationDB.load(path).save(path)
+        saved = _read(path)
+        built = pa.RelationDB()
+        for name, rel in ref.items():
+            if name != "new":
+                built.add(rel)
+        built.save(path)
+        assert saved == _read(path)
+
+
+def test_a_loaded_version_2_file_replays_without_decoding_a_side(
+        tmp_path, monkeypatch):
+    res = pa.check_motivic_dual(16, corrupt=True)
+    _, path = _saved(tmp_path, res)
+
+    def decode(*args):
+        raise AssertionError("a side was decoded")
+
+    built = []
+    wrap = FormalPeriod._of_exp.__func__
+    monkeypatch.setattr(formal, "period_from_json", decode)
+    monkeypatch.setattr(FormalPeriod, "_of_exp", classmethod(
+        lambda cls, exp: built.append(exp) or wrap(cls, exp)))
+    residual = pa.check_script(pa.RelationDB.load(str(path)),
+                               res.to_script())
+    assert residual == res.residual and len(built) == 1
+
+
+# the hand-written version-2 files of CI's smoke steps and their scripts: a
+# table that lists I twice, whose exponents cancel once merged and taken
+# mod 2, and a name repeated with another body
+CI_DB_FILES = [
+    ('{"atoms": [{"kind": "I", "payload": []}, {"kind": "I", "payload": []}, '
+     '{"kind": "TwoPiI", "payload": []}], "citations": ["c"], "relations": '
+     '[{"citation": 0, "lhs": [[0, 1], [2, 1]], "name": "r", "rhs": '
+     '[[1, -1]]}, {"citation": 0, "lhs": [[1, 1]], "name": "s", "rhs": []}], '
+     '"version": 2}', '[{"relation": "r", "exponent": 1}]'),
+    ('{"atoms": [{"kind": "TwoPiI", "payload": []}], "citations": ["c"], '
+     '"relations": [{"citation": 0, "lhs": [[0, 1]], "name": "r", "rhs": []}'
+     ', {"citation": 0, "lhs": [], "name": "r", "rhs": []}], "version": 2}',
+     '[{"relation": "r", "exponent": 1}]')]
+
+
+def _golden_replays():
+    """(DB text, script) of each golden `check --db F --script S` request,
+    of each malformed --db file, and of the two version-2 files of CI."""
+    for r in GOLDEN:
+        argv = [a for a in r["argv"] if a not in ("--json", "--verbose")]
+        files = r.get("files", {})
+        if (len(argv) == 5 and argv[:2] == ["check", "--db"]
+                and argv[3] == "--script" and argv[2][1:] in files):
+            script = argv[4]
+            yield (files[argv[2][1:]],
+                   files[script[1:]] if script.startswith("@") else script)
+    for text in MALFORMED_DB.values():
+        yield text, '[{"relation": "r", "exponent": 1}]'
+    yield from CI_DB_FILES
+
+
+def test_every_golden_and_malformed_db_file_replays_as_the_oracle(tmp_path):
+    path = str(tmp_path / "relations.json")
+    for text, script in _golden_replays():
+        (tmp_path / "relations.json").write_text(text)
+        try:
+            script = json.loads(script)
+        except ValueError:  # the CLI rejects it before it reads the file
+            continue
+        assert (_replayed(pa.RelationDB.load, pa.check_script, path, script)
+                == _replayed(oracles.load_db, oracles.check_script, path,
+                             script)), text[:200]
 
 
 @settings(max_examples=200, deadline=None)

@@ -72,7 +72,7 @@ def test_normalisation_in_new():
     t = InfinityType(3, [7], 2, 1)
     assert t.kappa == (7,) and isinstance(t.kappa, tuple)
     assert weil_real.char(0, "1/2").twist == Fraction(1, 2)
-    assert DominantWeight([3.0, 1]).entries == (3, 1)
+    assert DominantWeight([3, 1]).entries == (3, 1)
     assert yoshida.FundamentalMonomial(6, 3, 3, mi=[True, 1]).mi == (1, 1)
     rep = weil_real.rep(weil_real.disc(3, 1), weil_real.char(1, 0))
     assert list(rep) == [weil_real.char(1, 0), weil_real.disc(3, 1)]
@@ -80,6 +80,24 @@ def test_normalisation_in_new():
         InfinityType(3, (7,), 2, 2)
     with pytest.raises(TypeError, match="not a constituent"):
         weil_real.rep((0, 1))
+
+
+# an int field of a public value constructor given a float or a bool, as
+# InfinityType.from_json and MotiveShape.from_json reject them
+@pytest.mark.parametrize("build", [
+    lambda: InfinityType(2, (4.9,), 0), lambda: InfinityType(2, (4,), 0.0),
+    lambda: InfinityType(2.0, (4,), 0), lambda: InfinityType(3, (5,), 0, True),
+    lambda: DominantWeight((2.5, 1)), lambda: DominantWeight((1, False)),
+    lambda: yoshida.MotiveShape("M", 2, 0, (5.5,), 1, 1),
+    lambda: yoshida.MotiveShape("M", 2.0, 0, (5,), 1, 1),
+    lambda: yoshida.MotiveShape("M", 2, 0.0, (5,), 1, 1),
+    lambda: yoshida.MotiveShape("M", 2, 0, (5,), 1.0, 1),
+    lambda: yoshida.MotiveShape("M", 2, 0, (5,), 1, True)],
+    ids=["kappa", "w", "n", "sign", "weight-float", "weight-bool",
+         "motive-kappa", "motive-n", "motive-weight", "dplus", "dminus"])
+def test_an_int_field_given_a_float_or_a_bool_is_a_type_error(build):
+    with pytest.raises(TypeError, match="^expected an integer, got "):
+        build()
 
 
 def test_a_main1_step_reads_each_critical_set_once(monkeypatch):
