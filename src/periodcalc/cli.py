@@ -80,6 +80,17 @@ def _check_caps(obj, cls):
     return obj
 
 
+def _int(text: str) -> int:
+    """An integer flag or --weight entry in as_fraction's grammar -?[0-9]+;
+    int() would also read '+4', ' 4', '1_0' and non-ASCII digits."""
+    if "/" not in text:
+        try:
+            return as_fraction(text).numerator
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_fraction(text: str, flag: str) -> Fraction:
     if len(text) > MAX_FRACTION_CHARS:
         raise SchemaError(f"{flag} must be a fraction p/q of at most "
@@ -102,10 +113,9 @@ def _emit(args, payload: dict, human: str):
 
 def cmd_infinity_type(args) -> int:
     if args.weight is not None:
-        try:  # int() reads '+4', ' 4' and '1_0' too, as_fraction -?[0-9]+ only
-            entries = tuple(int(x) for x in args.weight.split(","))
-            list(map(as_fraction, args.weight.split(",")))
-        except ValueError as exc:
+        try:
+            entries = tuple(map(_int, args.weight.split(",")))
+        except argparse.ArgumentTypeError as exc:
             raise SchemaError(f"bad weight vector: {exc}") from exc
         _check_rank(len(entries), "weight length")
         t = weight_to_infinity(DominantWeight(entries))
@@ -333,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("classify", help="orthogonal/symplectic verdict")
     s.add_argument("--pi", required=True, help="infinity-type JSON")
-    s.add_argument("--delta", type=int, choices=(0, 1), required=True,
+    s.add_argument("--delta", type=_int, choices=(0, 1), required=True,
                    help="sign parity of chi_inf")
     s.add_argument("--u", default="0", help="twist exponent of chi_inf")
     s.set_defaults(func=cmd_classify)
@@ -341,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("deligne", help="print a tensor Deligne relation")
     s.add_argument("--motive", required=True, help="motive JSON")
     s.add_argument("--aux", required=True, help="auxiliary motive JSON")
-    s.add_argument("--sign", type=int, choices=(1, -1), default=1)
+    s.add_argument("--sign", type=_int, choices=(1, -1), default=1)
     s.set_defaults(func=cmd_deligne)
 
     s = sub.add_parser("check", help="replay a derivation")
@@ -349,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--db", help="relation database path")
     s.set_defaults(func=cmd_check)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, required=True)
+    common.add_argument("--n", type=_int, required=True)
     # argparse copies a builtin's defaults over check's own, so a default
     # here would drop a --db given before the builtin name
     common.add_argument("--db", default=argparse.SUPPRESS,
@@ -358,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     builtins = s.add_subparsers(dest="builtin")
     b = builtins.add_parser("main1", parents=[common],
                             help="the Betti-Whittaker period relation")
-    b.add_argument("--w", type=int, default=0)
-    b.add_argument("--delta", type=int, help="weight of Sigma, of n's parity")
+    b.add_argument("--w", type=_int, default=0)
+    b.add_argument("--delta", type=_int, help="weight of Sigma, of n's parity")
     b.add_argument("--m", default="3/2", help="critical point m0 (fraction)")
     b.set_defaults(run=_check_main1)
     b = builtins.add_parser("corollary-main", parents=[common],
@@ -369,20 +379,20 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(run=_check_corollary_main)
     b = builtins.add_parser("main2", parents=[common],
                             help="ratios of successive critical values")
-    b.add_argument("--nprime", type=int, default=1)
+    b.add_argument("--nprime", type=_int, default=1)
     b.add_argument("--no-i-power", action="store_true")
-    b.add_argument("--eps-num", type=int, choices=(1, -1), default=1)
+    b.add_argument("--eps-num", type=_int, choices=(1, -1), default=1)
     b.set_defaults(run=_check_main2)
     b = builtins.add_parser("motivic-dual", parents=[common],
                             help="the motivic form of the duality")
-    b.add_argument("--i", type=int)
+    b.add_argument("--i", type=_int)
     b.set_defaults(run=_check_motivic_dual)
 
     s = sub.add_parser("asai", help="GL(4) tensor-transfer infinity type")
-    s.add_argument("--kappa1", type=int, required=True)
-    s.add_argument("--w1", type=int, required=True)
-    s.add_argument("--kappa2", type=int, required=True)
-    s.add_argument("--w2", type=int, required=True)
+    s.add_argument("--kappa1", type=_int, required=True)
+    s.add_argument("--w1", type=_int, required=True)
+    s.add_argument("--kappa2", type=_int, required=True)
+    s.add_argument("--w2", type=_int, required=True)
     s.set_defaults(func=cmd_asai)
     return p
 

@@ -79,34 +79,6 @@ class PeriodAtom(tuple):
         return self._key() < other._key()
 
 
-def atom_bw(label: str, sign: int) -> PeriodAtom:
-    return PeriodAtom("BW", (label, sign))
-
-
-def atom_gauss(label: str) -> PeriodAtom:
-    return PeriodAtom("Gauss", (label,))
-
-
-def atom_archz(m, pair: str) -> PeriodAtom:
-    return PeriodAtom("ArchZ", (m, pair))
-
-
-def atom_lval(s0, pair: str) -> PeriodAtom:
-    return PeriodAtom("LVal", (s0, pair))
-
-
-def atom_delta(label: str) -> PeriodAtom:
-    return PeriodAtom("Delta", (label,))
-
-
-def atom_dc(label: str, sign: int) -> PeriodAtom:
-    return PeriodAtom("DC", (label, sign))
-
-
-def atom_dci(label: str, i: int) -> PeriodAtom:
-    return PeriodAtom("DCi", (label, i))
-
-
 ATOM_TWO_PI_I = PeriodAtom("TwoPiI")
 ATOM_I = PeriodAtom("I")
 
@@ -142,10 +114,6 @@ class FormalPeriod:
         p = object.__new__(cls)
         p._exp = exp
         return p
-
-    @classmethod
-    def unit(cls) -> "FormalPeriod":
-        return cls()
 
     @classmethod
     def atom(cls, atom: PeriodAtom, e: int = 1) -> "FormalPeriod":
@@ -205,7 +173,8 @@ def gauss_fp(expr: dict) -> FormalPeriod:
     """Gauss-sum class of a character over base labels, e.g. {"chi": n,
     "omega_Pi": -1} for G(chi^n omega_Pi^{-1}); G is multiplicative, so
     characters multiply, invert and take powers as their classes do."""
-    return FormalPeriod((atom_gauss(lbl), e) for lbl, e in expr.items())
+    return FormalPeriod((PeriodAtom("Gauss", (lbl,)), e)
+                        for lbl, e in expr.items())
 
 
 class Relation(namedtuple("Relation", "name citation lhs rhs")):

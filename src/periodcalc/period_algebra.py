@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import arch_l
 from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
-                     RelationDB, atom_bw, atom_lval, check_script,
-                     dual_label, gauss_fp, replay, _reduced)
+                     RelationDB, check_script, dual_label, gauss_fp,
+                     replay, _reduced)
 from .infinity_types import (InfinityType, as_fraction, character_sign,
                              is_balanced, is_regular, signature)
 
@@ -80,9 +80,9 @@ def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
     if rank % 2:
         raise ValueError("character-twist relation requires even rank")
     n = rank // 2
-    lhs = FormalPeriod.atom(atom_bw(twisted_label, eps))
-    rhs = (eta ** (n * (2 * n - 1)) * FormalPeriod.atom(
-        atom_bw(pi.label, eps * character_sign(eta_delta, eta_u))))
+    lhs = FormalPeriod.atom(PeriodAtom("BW", (twisted_label, eps)))
+    rhs = (eta ** (n * (2 * n - 1)) * FormalPeriod.atom(PeriodAtom(
+        "BW", (pi.label, eps * character_sign(eta_delta, eta_u)))))
     return Relation(f"rs-twist[{twisted_label},{eps:+d}]",
                     "character twist of Betti-Whittaker periods", lhs, rhs)
 
@@ -92,10 +92,11 @@ def rel_main1(pi: GlobalRep, eps: int) -> Relation:
     if not is_regular(pi.inf):
         warnings.warn(f"regularity hypotheses unmet for {pi.label}",
                       stacklevel=2)
+    bw = PeriodAtom("BW", (pi.label, eps))
     return Relation(f"main1[{pi.label},{eps:+d}]",
                     "period relation under duality",
-                    FormalPeriod._of_exp({atom_bw(pi.label, eps): 1}),
-                    _period({atom_bw(dual_label(pi.label), eps): 1},
+                    FormalPeriod._of_exp({bw: 1}),
+                    _period({PeriodAtom("BW", (dual_label(pi.label), eps)): 1},
                             (pi.omega, pi.inf.n - 1)))
 
 
@@ -104,8 +105,8 @@ def rel_corollary_main(label: str, gexp: FormalPeriod) -> Relation:
     of chi^n omega_Pi^{-1}."""
     return Relation(f"corollary-main[{label}]",
                     "sign change of Betti-Whittaker periods",
-                    FormalPeriod.atom(atom_bw(label, 1)),
-                    gexp * FormalPeriod.atom(atom_bw(label, -1)))
+                    FormalPeriod.atom(PeriodAtom("BW", (label, 1))),
+                    gexp * FormalPeriod.atom(PeriodAtom("BW", (label, -1))))
 
 
 def rel_quadratic(g: FormalPeriod) -> Relation:
@@ -113,7 +114,7 @@ def rel_quadratic(g: FormalPeriod) -> Relation:
     char = "*".join(f"{a.payload[0]}^{e}" for a, e in g.items()) or "1"
     return Relation(f"central-character-quadratic[{char}]",
                     "Gauss sum of a quadratic character is algebraic",
-                    g ** 2, FormalPeriod.unit())
+                    g ** 2, FormalPeriod())
 
 
 def _compose(steps, **fields) -> CheckResult:
@@ -180,7 +181,7 @@ def check_main1_step(n: int, w: int, delta: int, m,
     require_main1_hypotheses(n, w, delta)
     m = _integer_m(m)
     if n == 1:
-        return CheckResult(FormalPeriod.unit())
+        return CheckResult(FormalPeriod())
     if 2 * m == -(w + delta):
         raise ValueError("central point excluded")
 
@@ -281,26 +282,27 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
     if n < 1 or nprime < 1:
         raise ValueError("ranks must be positive")
     if nprime % 2 == 0:
-        return CheckResult(FormalPeriod.unit())
+        return CheckResult(FormalPeriod())
     pair = "PixSigma"
     m0 = Fraction(nprime, 2)
     ipow = n if include_i_power else 0
     rel_period = (FormalPeriod.atom(ATOM_I, ipow)
-                  * FormalPeriod.atom(atom_bw("Pi", eps_num))
-                  * FormalPeriod.atom(atom_bw("Pi", -eps_num), -1))
+                  * FormalPeriod.atom(PeriodAtom("BW", ("Pi", eps_num)))
+                  * FormalPeriod.atom(PeriodAtom("BW", ("Pi", -eps_num)), -1))
     q_hr = Relation(f"harder-raghuram[{pair},m0={m0}]",
                     "successive critical values against relative periods",
-                    FormalPeriod.atom(atom_lval(m0, pair)),
-                    FormalPeriod.atom(atom_lval(m0 + 1, pair))
+                    FormalPeriod.atom(PeriodAtom("LVal", (m0, pair))),
+                    FormalPeriod.atom(PeriodAtom("LVal", (m0 + 1, pair)))
                     * rel_period ** nprime)
     gexp = _CHI ** n * _OMEGA_PI ** -1
     q_c = rel_corollary_main("Pi", gexp)
     target_rhs = (FormalPeriod.atom(ATOM_I, ipow * nprime)
                   * gexp ** nprime
-                  * FormalPeriod.atom(atom_lval(m0 + 1, pair)))
+                  * FormalPeriod.atom(PeriodAtom("LVal", (m0 + 1, pair))))
     target = Relation(f"theorem-main2[{pair}]",
                       "ratio of successive critical values",
-                      FormalPeriod.atom(atom_lval(m0, pair)), target_rhs)
+                      FormalPeriod.atom(PeriodAtom("LVal", (m0, pair))),
+                      target_rhs)
     if corrupt:
         target = _corrupted(target, _CHI)
     steps = [(q_hr, 1), (target, -1), (q_c, eps_num * nprime)]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .formal import (ATOM_TWO_PI_I, FormalPeriod, PeriodAtom, Relation, atom_dc,
-                     atom_dci, atom_delta, dual_label)
+from .formal import (ATOM_TWO_PI_I, FormalPeriod, PeriodAtom, Relation,
+                     dual_label)
 from .infinity_types import (checked_kappa, interlaces, json_int, json_list,
                              json_str)
 
@@ -28,9 +28,10 @@ class FundamentalMonomial(namedtuple(
 
     def __new__(cls, n: int, dplus: int, dminus: int, m0: int = 0,
                 mi: tuple = (), mplus: int = 0, mminus: int = 0):
-        mi = tuple(int(x) for x in mi)
-        m0, mplus, mminus = int(m0), int(mplus), int(mminus)
-        if dplus + dminus != n or abs(dplus - dminus) > 1:
+        mi = tuple(map(json_int, mi))
+        m0, mplus, mminus = json_int(m0), json_int(mplus), json_int(mminus)
+        if (json_int(dplus) + json_int(dminus) != json_int(n)
+                or abs(dplus - dminus) > 1):
             raise ValueError("d+ + d- must equal n with |d+ - d-| <= 1")
         if len(mi) != max(n // 2 - 1, 0):
             raise ValueError("mi must have floor(n/2)-1 entries")
@@ -84,7 +85,7 @@ class MotiveShape(namedtuple("MotiveShape",
 
     def __new__(cls, label: str, n: int, weight: int, kappa: tuple,
                 dplus: int, dminus: int):
-        if not label:
+        if not json_str(label):
             raise ValueError("motive needs a label")
         kappa, weight = checked_kappa(n, kappa), json_int(weight)
         if n % 2 and weight % 2:
@@ -136,7 +137,8 @@ def tensor_label(M: MotiveShape, N: MotiveShape) -> str:
 def _monomial_exp(m: FundamentalMonomial, label: str, dual=False) -> dict:
     """The nonzero exponents of m (or of its dual) at the motive label."""
     mplus, mminus = (m.mminus, m.mplus) if dual else (m.mplus, m.mminus)
-    exp = {atom_dci(label, i): e for i, e in enumerate(m.mi, start=1) if e}
+    exp = {PeriodAtom("DCi", (label, i)): e
+           for i, e in enumerate(m.mi, start=1) if e}
     for e, kind, payload in ((m.m0, "Delta", (label,)),
                              (mplus, "DC", (label, 1)),
                              (mminus, "DC", (label, -1))):
@@ -169,8 +171,8 @@ def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
         eps = sign * eps_prime
         fm = f_bw(n, eps=eps, dplus=M.dplus, dminus=M.dminus)
         fn = f_bw(n - 1, dplus=N.dplus, dminus=N.dminus)
-    lhs = FormalPeriod.atom(atom_dc(tensor_label(M, N), sign))
-    rhs = (FormalPeriod.atom(atom_delta(N.label))
+    lhs = FormalPeriod.atom(PeriodAtom("DC", (tensor_label(M, N), sign)))
+    rhs = (FormalPeriod.atom(PeriodAtom("Delta", (N.label,)))
            * monomial_atoms(fm, M) * monomial_atoms(fn, N))
     return Relation(f"tensor-deligne[{tensor_label(M, N)},{sign:+d}]",
                     "balanced tensor Deligne-period factorization",
@@ -180,7 +182,7 @@ def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
 def dual_relation(m: FundamentalMonomial, M: MotiveShape) -> Relation:
     """f^dual(X_{M^v}) = delta(M)^{-(k+ + k-)} * f(X_M), where m has
     k+ + k- = 2(m0 + sum mi) + m+ + m-, as monomial_type sums it."""
-    rhs, delta = _monomial_exp(m, M.label), atom_delta(M.label)
+    rhs, delta = _monomial_exp(m, M.label), PeriodAtom("Delta", (M.label,))
     k = 2 * (m.m0 + sum(m.mi)) + m.mplus + m.mminus
     rhs[delta] = rhs.get(delta, 0) - k
     exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
@@ -205,11 +207,11 @@ def tate_twist_relation(m: FundamentalMonomial, M: MotiveShape,
 def delta_tensor(M: MotiveShape, N: MotiveShape) -> Relation:
     """delta(M (x) N) = delta(M)^{rank N} * delta(N)^{rank M}."""
     label = tensor_label(M, N)
-    dm, dn = atom_delta(M.label), atom_delta(N.label)  # ranks are >= 1
+    dm, dn = (PeriodAtom("Delta", (X.label,)) for X in (M, N))  # ranks >= 1
     rhs = {dm: N.n + M.n} if dm == dn else {dm: N.n, dn: M.n}
     return Relation(f"delta-tensor[{label}]",
                     "determinant period of a tensor product",
-                    FormalPeriod._of_exp({atom_delta(label): 1}),
+                    FormalPeriod._of_exp({PeriodAtom("Delta", (label,)): 1}),
                     FormalPeriod._of_exp(rhs))
 
 
@@ -231,12 +233,14 @@ def rank2_tensor_expansion(M: MotiveShape, N: MotiveShape, i: int,
     if not M.kappa[i] < ell < M.kappa[i - 1]:
         raise ValueError("N is not in the i-th Hodge gap of M")
     # distinct atoms of exponents >= 1; at odd rank eps = d+ - d- is +-1
-    rhs = {atom_dci(M.label, i): 1, atom_delta(N.label): i,
-           atom_dc(N.label, 1): r - i, atom_dc(N.label, -1): r - i}
+    rhs = {PeriodAtom("DCi", (M.label, i)): 1,
+           PeriodAtom("Delta", (N.label,)): i,
+           PeriodAtom("DC", (N.label, 1)): r - i,
+           PeriodAtom("DC", (N.label, -1)): r - i}
     if M.n % 2:
-        rhs[atom_dc(N.label, sign * (M.dplus - M.dminus))] += 1
+        rhs[PeriodAtom("DC", (N.label, sign * (M.dplus - M.dminus)))] += 1
     label = tensor_label(M, N)
     return Relation(f"rank2-expansion[{label},{i},{sign:+d}]",
                     "rank-2 auxiliary tensor expansion of c^{+-}",
-                    FormalPeriod._of_exp({atom_dc(label, sign): 1}),
+                    FormalPeriod._of_exp({PeriodAtom("DC", (label, sign)): 1}),
                     FormalPeriod._of_exp(rhs))

@@ -241,6 +241,36 @@ MALFORMED["kappa-object-with-a-key"] = [
 MALFORMED["weight-underscore"] = ["infinity-type", "--weight", "1_0,0"]
 MALFORMED["weight-blank"] = ["infinity-type", "--weight", " 4,2"]
 MALFORMED["weight-plus"] = ["infinity-type", "--weight", "+4,2"]
+# an integer flag that int() reads but that is not -?[0-9]+, in a request
+# that plain digits would run; a flag with choices takes 0_1, which int()
+# reads as 1; appended last, as above
+_INT_FLAGS = {  # flag -> (the request up to the flag, the two values)
+    "n": (["check", "main1", "--n"], "1_0", "+4"),
+    "nprime": (["check", "main2", "--n", "2", "--nprime"], "1_0", "+4"),
+    "w": (["check", "main1", "--n", "4", "--w"], "1_0", "+4"),
+    "main1-delta": (["check", "main1", "--n", "4", "--delta"], "1_0", "+4"),
+    "classify-delta": (["classify", "--pi", '{"n":2,"kappa":[4],"w":0}',
+                        "--delta"], "0_1", "+1"),
+    "i": (["check", "motivic-dual", "--n", "22", "--i"], "1_0", "+4"),
+    "eps-num": (["check", "main2", "--n", "2", "--eps-num"], "0_1", "+1"),
+    "sign": (["deligne", "--motive", '{"label":"M","n":4,"weight":0,'
+              '"kappa":[9,5],"dplus":2,"dminus":2}', "--aux",
+              '{"label":"N","n":3,"weight":0,"kappa":[7],"dplus":2,'
+              '"dminus":1}', "--sign"], "0_1", "+1"),
+    "kappa1": (["asai", "--w1", "0", "--kappa2", "3", "--w2", "1",
+                "--kappa1"], "1_0", "+4"),
+    "w1": (["asai", "--kappa1", "4", "--kappa2", "3", "--w2", "1", "--w1"],
+           "1_0", "+4"),
+    "kappa2": (["asai", "--kappa1", "3", "--w1", "1", "--w2", "0",
+                "--kappa2"], "1_0", "+4"),
+    "w2": (["asai", "--kappa1", "3", "--w1", "1", "--kappa2", "4", "--w2"],
+           "1_0", "+4"),
+}
+for _flag, (_argv, _underscore, _plus) in _INT_FLAGS.items():
+    MALFORMED[f"{_flag}-underscore"] = _argv + [_underscore]
+    MALFORMED[f"{_flag}-plus"] = _argv + [_plus]
+MALFORMED["n-blank"] = ["check", "main1", "--n", " 4"]
+MALFORMED["n-fullwidth-digit"] = ["check", "main1", "--n", "\uff14"]
 
 # requests the library rejects with exit 1 and one "error:" line
 REJECTED = {

@@ -25,10 +25,8 @@ from fractions import Fraction
 from periodcalc import arch_l, formal, weil_real as wr
 from periodcalc import period_algebra as pa
 from periodcalc import yoshida as y
-from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod, Relation,
-                               atom_archz, atom_bw, atom_dc, atom_dci,
-                               atom_delta, atom_gauss, atom_lval, dual_label,
-                               gauss_fp)
+from periodcalc.formal import (ATOM_I, FormalPeriod, PeriodAtom, Relation,
+                               dual_label, gauss_fp)
 from periodcalc.infinity_types import (InfinityType, is_balanced,
                                        is_regular, json_int, json_list,
                                        json_str, signature, to_arch_rep)
@@ -254,28 +252,23 @@ def db_to_json(relations) -> dict:
             "citations": list(citations), "relations": records, "version": 2}
 
 
-# kind -> (constructor, payload types as read from JSON)
+# kind -> payload coercions, as read from JSON
 _CHECKED_ATOMS = {
-    "BW": (atom_bw, (json_str, json_int)),
-    "Gauss": (atom_gauss, (json_str,)),
-    "ArchZ": (atom_archz, (json_str, json_str)),
-    "LVal": (atom_lval, (json_str, json_str)),
-    "Delta": (atom_delta, (json_str,)),
-    "DC": (atom_dc, (json_str, json_int)),
-    "DCi": (atom_dci, (json_str, json_int)),
-    "TwoPiI": (lambda: ATOM_TWO_PI_I, ()),
-    "I": (lambda: ATOM_I, ()),
+    "BW": (json_str, json_int), "Gauss": (json_str,),
+    "ArchZ": (json_str, json_str), "LVal": (json_str, json_str),
+    "Delta": (json_str,), "DC": (json_str, json_int),
+    "DCi": (json_str, json_int), "TwoPiI": (), "I": (),
 }
 
 
 def atom_from_json(data: dict):
     """The checked decoding of an atom record: the payload through
-    json_list, every entry through json_str or json_int, then the kind's
-    constructor."""
+    json_list, every entry through json_str or json_int, then
+    PeriodAtom."""
     kind, payload = data["kind"], data.get("payload", [])
     if kind not in _CHECKED_ATOMS:
         raise ValueError(f"unknown atom kind: {kind!r}")
-    make, types = _CHECKED_ATOMS[kind]
+    types = _CHECKED_ATOMS[kind]
     try:
         json_list(payload)
     except TypeError as exc:
@@ -284,7 +277,7 @@ def atom_from_json(data: dict):
         raise ValueError(f"{kind} atom needs {len(types)} payload entries, "
                          f"got {len(payload)}")
     try:
-        return make(*[t(p) for t, p in zip(types, payload)])
+        return PeriodAtom(kind, tuple(t(p) for t, p in zip(types, payload)))
     except TypeError as exc:
         raise ValueError(f"bad {kind} payload: {exc}") from exc
 
@@ -353,17 +346,19 @@ def check_script(db: dict, script) -> FormalPeriod:
 # FormalPeriod.of, with the dual motive built in full
 
 def monomial_atoms(m, M) -> FormalPeriod:
-    pairs = [(atom_delta(M.label), m.m0),
-             (atom_dc(M.label, 1), m.mplus),
-             (atom_dc(M.label, -1), m.mminus)]
-    pairs += [(atom_dci(M.label, i), e) for i, e in enumerate(m.mi, start=1)]
+    pairs = [(PeriodAtom("Delta", (M.label,)), m.m0),
+             (PeriodAtom("DC", (M.label, 1)), m.mplus),
+             (PeriodAtom("DC", (M.label, -1)), m.mminus)]
+    pairs += [(PeriodAtom("DCi", (M.label, i)), e)
+              for i, e in enumerate(m.mi, start=1)]
     return FormalPeriod.of(*pairs)
 
 
 def dual_relation(m, M) -> Relation:
     tag = y.monomial_type(m)
     lhs = monomial_atoms(y.dual_monomial(m), y.dual_motive(M))
-    rhs = (FormalPeriod.atom(atom_delta(M.label), -(tag.kplus + tag.kminus))
+    rhs = (FormalPeriod.atom(PeriodAtom("Delta", (M.label,)),
+                             -(tag.kplus + tag.kminus))
            * monomial_atoms(m, M))
     exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
     return Relation(f"dual[{M.label},{exps}]",
@@ -371,20 +366,23 @@ def dual_relation(m, M) -> Relation:
 
 
 def delta_tensor(M, N) -> Relation:
-    lhs = FormalPeriod.atom(atom_delta(y.tensor_label(M, N)))
-    rhs = FormalPeriod.of((atom_delta(M.label), N.n),
-                          (atom_delta(N.label), M.n))
+    lhs = FormalPeriod.atom(PeriodAtom("Delta", (y.tensor_label(M, N),)))
+    rhs = FormalPeriod.of((PeriodAtom("Delta", (M.label,)), N.n),
+                          (PeriodAtom("Delta", (N.label,)), M.n))
     return Relation(f"delta-tensor[{y.tensor_label(M, N)}]",
                     "determinant period of a tensor product", lhs, rhs)
 
 
 def rank2_tensor_expansion(M, N, i: int, sign: int) -> Relation:
     r = M.n // 2
-    pairs = [(atom_dci(M.label, i), 1), (atom_delta(N.label), i),
-             (atom_dc(N.label, 1), r - i), (atom_dc(N.label, -1), r - i)]
+    pairs = [(PeriodAtom("DCi", (M.label, i)), 1),
+             (PeriodAtom("Delta", (N.label,)), i),
+             (PeriodAtom("DC", (N.label, 1)), r - i),
+             (PeriodAtom("DC", (N.label, -1)), r - i)]
     if M.n % 2:
-        pairs.append((atom_dc(N.label, sign * (M.dplus - M.dminus)), 1))
-    lhs = FormalPeriod.atom(atom_dc(y.tensor_label(M, N), sign))
+        pairs.append((PeriodAtom("DC", (N.label,
+                                        sign * (M.dplus - M.dminus))), 1))
+    lhs = FormalPeriod.atom(PeriodAtom("DC", (y.tensor_label(M, N), sign)))
     return Relation(f"rank2-expansion[{y.tensor_label(M, N)},{i},{sign:+d}]",
                     "rank-2 auxiliary tensor expansion of c^{+-}",
                     lhs, FormalPeriod.of(*pairs))
@@ -450,10 +448,10 @@ def rel_raghuram(m, pi, sigma) -> Relation:
     _require_critical(m + Fraction(1, 2), pi, sigma)
     eps, eps_prime = pa.raghuram_signs(m, pi, sigma)
     pair = pa.pair_label(pi, sigma)
-    lhs = FormalPeriod.atom(atom_lval(m + Fraction(1, 2), pair))
-    rhs = (FormalPeriod.atom(atom_archz(m, pair))
-           * FormalPeriod.atom(atom_bw(pi.label, eps))
-           * FormalPeriod.atom(atom_bw(sigma.label, eps_prime))
+    lhs = FormalPeriod.atom(PeriodAtom("LVal", (m + Fraction(1, 2), pair)))
+    rhs = (FormalPeriod.atom(PeriodAtom("ArchZ", (m, pair)))
+           * FormalPeriod.atom(PeriodAtom("BW", (pi.label, eps)))
+           * FormalPeriod.atom(PeriodAtom("BW", (sigma.label, eps_prime)))
            * sigma.omega)
     return Relation(f"raghuram[m={m},{pair}]",
                     "critical-value factorization over a balanced pair",
@@ -466,9 +464,9 @@ def rel_duality_ratio(m0, pi, sigma) -> Relation:
     parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
     pair = pa.pair_label(pi, sigma)
     dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
-    lhs = FormalPeriod.atom(atom_lval(m0, pair))
+    lhs = FormalPeriod.atom(PeriodAtom("LVal", (m0, pair)))
     rhs = (FormalPeriod.atom(ATOM_I, parity)
-           * FormalPeriod.atom(atom_lval(1 - m0, dual_pair))
+           * FormalPeriod.atom(PeriodAtom("LVal", (1 - m0, dual_pair)))
            * pi.omega ** sigma.inf.n
            * sigma.omega ** pi.inf.n)
     return Relation(f"duality-ratio[m0={m0},{pair}]",
@@ -486,8 +484,8 @@ def rel_arch_iparity(m1, m2, pi, sigma) -> Relation:
     exp = (m1 - m2) * n * (n - 1) / 2
     assert exp.denominator == 1
     pair = pa.pair_label(pi, sigma)
-    lhs = FormalPeriod.atom(atom_archz(m1, pair))
-    rhs = (FormalPeriod.atom(atom_archz(m2, pair))
+    lhs = FormalPeriod.atom(PeriodAtom("ArchZ", (m1, pair)))
+    rhs = (FormalPeriod.atom(PeriodAtom("ArchZ", (m2, pair)))
            * FormalPeriod.atom(ATOM_I, exp.numerator))
     return Relation(f"arch-iparity[{m1},{m2},{pair}]",
                     "i-power comparison of archimedean periods", lhs, rhs)
@@ -497,8 +495,8 @@ def rel_twist(m, pi, sigma, w1: int, w2: int, twisted_label: str) -> Relation:
     m = as_fraction(m)
     _require_critical(m + w1 + w2 + Fraction(1, 2), pi, sigma)
     pair = pa.pair_label(pi, sigma)
-    lhs = FormalPeriod.atom(atom_archz(m, twisted_label))
-    rhs = FormalPeriod.atom(atom_archz(m + w1 + w2, pair))
+    lhs = FormalPeriod.atom(PeriodAtom("ArchZ", (m, twisted_label)))
+    rhs = FormalPeriod.atom(PeriodAtom("ArchZ", (m + w1 + w2, pair)))
     return Relation(f"arch-twist[{m},{twisted_label}]",
                     "archimedean period comparison under |.|-twists",
                     lhs, rhs)
@@ -509,8 +507,8 @@ def rel_main1(pi, eps: int) -> Relation:
         warnings.warn(f"regularity hypotheses unmet for {pi.label}",
                       stacklevel=2)
     n = pi.inf.n
-    lhs = FormalPeriod.atom(atom_bw(pi.label, eps))
-    rhs = (FormalPeriod.atom(atom_bw(dual_label(pi.label), eps))
+    lhs = FormalPeriod.atom(PeriodAtom("BW", (pi.label, eps)))
+    rhs = (FormalPeriod.atom(PeriodAtom("BW", (dual_label(pi.label), eps)))
            * pi.omega ** (n - 1))
     return Relation(f"main1[{pi.label},{eps:+d}]",
                     "period relation under duality", lhs, rhs)
@@ -580,19 +578,22 @@ def motivic_dual_steps(n: int, i: int = None, corrupt: bool = False) -> list:
         mn = y.tensor_label(M, N)
         q3 = Relation(f"deligne-dual[{mn}]",
                       "duality of c^{+-} for the tensor product",
-                      FormalPeriod.atom(atom_dc(dual_label(mn), -1)),
-                      FormalPeriod.of((atom_delta(mn), -1),
-                                      (atom_dc(mn, 1), 1)))
+                      FormalPeriod.atom(PeriodAtom("DC",
+                                                   (dual_label(mn), -1))),
+                      FormalPeriod.of((PeriodAtom("Delta", (mn,)), -1),
+                                      (PeriodAtom("DC", (mn, 1)), 1)))
         q_delta = y.delta_tensor(M, N)
         if corrupt:
             q_delta = Relation(q_delta.name + "[corrupted]", q_delta.citation,
                                q_delta.lhs, q_delta.rhs * FormalPeriod.atom(
-                                   atom_delta(N.label), -1))
+                                   PeriodAtom("Delta", (N.label,)), -1))
         target = Relation(f"motivic-dual[{M.label},{idx}]",
                           "duality of the middle fundamental periods",
-                          FormalPeriod.atom(atom_dci(Md.label, idx)),
-                          FormalPeriod.of((atom_delta(M.label), -2),
-                                          (atom_dci(M.label, idx), 1)))
+                          FormalPeriod.atom(PeriodAtom("DCi",
+                                                       (Md.label, idx))),
+                          FormalPeriod.of(
+                              (PeriodAtom("Delta", (M.label,)), -2),
+                              (PeriodAtom("DCi", (M.label, idx)), 1)))
         steps += [(y.rank2_tensor_expansion(M, N, idx, 1), 1),
                   (y.rank2_tensor_expansion(Md, y.dual_motive(N), idx, -1),
                    -1),

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -484,6 +486,31 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_no_flag_reads_an_integer_by_int():
+    # every parser, the builtins of check too: an integer flag goes through
+    # the one reader, so that a flag added later follows the rule
+    parsers, actions = [cli.build_parser()], []
+    while parsers:
+        for action in parsers.pop()._actions:
+            actions.append(action)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+    assert [a.option_strings for a in actions if a.type is int] == []
+    assert {a.option_strings[0] for a in actions if a.type is cli._int} == {
+        "--n", "--nprime", "--w", "--delta", "--i", "--eps-num", "--sign",
+        "--kappa1", "--w1", "--kappa2", "--w2"}
+
+
+@given(st.text(st.sampled_from("09-+_/ \uff14x"), max_size=5))
+def test_an_integer_flag_reads_ascii_digits_alone(text):
+    try:
+        value = cli._int(text)
+    except argparse.ArgumentTypeError as exc:
+        assert str(exc) == f"invalid int value: {text!r}"
+        value = None
+    assert value == (int(text) if re.fullmatch("-?[0-9]+", text) else None)
 
 
 # ---------------------------------------------------------------------------

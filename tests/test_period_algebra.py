@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from periodcalc import arch_l, formal, weil_real
 from periodcalc import period_algebra as pa
 from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
-                               PeriodAtom, Relation, atom_archz, atom_bw,
-                               atom_dc, atom_dci, atom_delta, atom_from_json,
-                               atom_gauss, atom_lval, gauss_fp,
+                               PeriodAtom, Relation, atom_from_json, gauss_fp,
                                period_from_json, period_to_json,
                                relation_from_json, relation_to_json)
 from periodcalc.infinity_types import InfinityType, as_fraction, json_int
@@ -31,9 +29,11 @@ with open(CORPUS) as fh:
     GOLDEN = [json.loads(line) for line in fh]
 
 atoms = st.one_of(
-    st.builds(atom_bw, st.sampled_from(["Pi", "Sigma"]),
-              st.sampled_from([1, -1])),
-    st.builds(atom_gauss, st.sampled_from(["chi", "omega"])),
+    st.builds(PeriodAtom, st.just("BW"),
+              st.tuples(st.sampled_from(["Pi", "Sigma"]),
+                        st.sampled_from([1, -1]))),
+    st.builds(PeriodAtom, st.just("Gauss"),
+              st.tuples(st.sampled_from(["chi", "omega"]))),
     st.just(ATOM_I),
 )
 periods = st.lists(st.tuples(atoms, st.integers(-3, 3)),
@@ -76,9 +76,10 @@ def test_serialization_round_trip(p):
 
 
 def test_offending_atom_names_a_residual_atom():
-    p = FormalPeriod.of((atom_gauss("chi"), 2), (atom_bw("Pi", 1), -1))
+    p = FormalPeriod.of((PeriodAtom("Gauss", ("chi",)), 2),
+                        (PeriodAtom("BW", ("Pi", 1)), -1))
     assert p.offending_atom() in ("Gauss(chi)", "BW(Pi,+)")
-    assert FormalPeriod.unit().offending_atom() is None
+    assert FormalPeriod().offending_atom() is None
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +93,13 @@ labels = st.sampled_from(["M", "N^v", "Pi"])
 pairs_ = st.sampled_from(["PixSigma", "Pi^vxSigma^v"])
 all_atoms = st.one_of(
     atoms,
-    st.builds(atom_archz, points, pairs_),
-    st.builds(atom_lval, points, pairs_),
-    st.builds(atom_delta, labels),
-    st.builds(atom_dc, labels, st.sampled_from([1, -1])),
-    st.builds(atom_dci, labels, st.integers(0, 12)),
+    st.builds(PeriodAtom, st.just("ArchZ"), st.tuples(points, pairs_)),
+    st.builds(PeriodAtom, st.just("LVal"), st.tuples(points, pairs_)),
+    st.builds(PeriodAtom, st.just("Delta"), st.tuples(labels)),
+    st.builds(PeriodAtom, st.just("DC"),
+              st.tuples(labels, st.sampled_from([1, -1]))),
+    st.builds(PeriodAtom, st.just("DCi"),
+              st.tuples(labels, st.integers(0, 12))),
     st.just(ATOM_TWO_PI_I),
 )
 atom_pairs = st.lists(st.tuples(all_atoms, st.integers(-3, 3)), max_size=8)
@@ -139,7 +142,7 @@ def _same(fast, oracle, *operands):
 def test_mul_and_pow_match_the_checked_constructor(a, b, k):
     _same(a * b, _mul_oracle(a, b), a, b)
     _same(a ** k, _pow_oracle(a, k), a)
-    _same(FormalPeriod.unit() * a, a, a)
+    _same(FormalPeriod() * a, a, a)
 
 
 @settings(max_examples=200, deadline=None)
@@ -166,7 +169,7 @@ def test_atom_matches_the_checked_constructor(atom, e):
 @pytest.mark.parametrize("e", [0.5, 1.9, 2.7, True, Fraction(2), "1", None])
 def test_an_exponent_that_is_not_an_int_is_rejected(e):
     rel = Relation("r", "c", FormalPeriod.atom(ATOM_TWO_PI_I),
-                   FormalPeriod.unit())
+                   FormalPeriod())
     for make in (lambda: FormalPeriod([(ATOM_TWO_PI_I, e)]),
                  lambda: FormalPeriod.atom(ATOM_TWO_PI_I, e),
                  lambda: FormalPeriod.atom(ATOM_TWO_PI_I) ** e,
@@ -224,9 +227,10 @@ def _outcome_of(f, *args):
 def test_an_int_point_gives_what_its_fraction_gives(m):
     # the int fast paths against the checked Fraction path; a bool takes
     # the checked path, so it acts as the int it equals
-    for make in (atom_archz, atom_lval):
-        assert make(m, "P") == make(Fraction(m), "P")
-        assert make(m, "P").payload[0] == str(Fraction(m))
+    for kind in ("ArchZ", "LVal"):
+        atom = PeriodAtom(kind, (m, "P"))
+        assert atom == PeriodAtom(kind, (Fraction(m), "P"))
+        assert atom.payload[0] == str(Fraction(m))
     assert (_outcome_of(pa.raghuram_signs, m, PI4, SIG3)
             == _outcome_of(pa.raghuram_signs, Fraction(m), PI4, SIG3))
 
@@ -266,14 +270,15 @@ def test_rel_rs_twist_trivial_character_is_identity():
 def test_rel_rs_twist_sign_flip():
     rel = pa.rel_rs_twist(PI4, gauss_fp({"chi": -1}), 1, 0, 1,
                           twisted_label="Pi^v")
-    assert rel.rhs.exponent(atom_bw("Pi", -1)) == 1
-    assert rel.rhs.exponent(atom_gauss("chi")) == -2 * 3  # (n/2)(n-1) = 6
+    assert rel.rhs.exponent(PeriodAtom("BW", ("Pi", -1))) == 1
+    # (n/2)(n-1) = 6
+    assert rel.rhs.exponent(PeriodAtom("Gauss", ("chi",))) == -2 * 3
 
 
 def test_rel_main1_rank_one_trivial_gauss():
     pi1 = pa.GlobalRep("P", InfinityType(1, (), 0), gauss_fp({"omega": 1}))
     rel = pa.rel_main1(pi1, 1)
-    assert rel.rhs.exponent(atom_gauss("omega")) == 0
+    assert rel.rhs.exponent(PeriodAtom("Gauss", ("omega",))) == 0
 
 
 def test_rel_main1_warns_on_irregular():
@@ -728,9 +733,11 @@ def test_a_db_in_the_indented_layout_still_replays(tmp_path, derive, corrupt):
 
 
 def test_arch_and_l_value_points_are_canonical_text(tmp_path):
-    a, b = atom_archz(Fraction(1, 2), "P"), atom_archz("2/4", "P")
+    a = PeriodAtom("ArchZ", (Fraction(1, 2), "P"))
+    b = PeriodAtom("ArchZ", ("2/4", "P"))
     assert a == b and hash(a) == hash(b)
-    assert atom_lval(Fraction(3), "P") == atom_lval("6/2", "P")
+    assert (PeriodAtom("LVal", (Fraction(3), "P"))
+            == PeriodAtom("LVal", ("6/2", "P")))
     _, path = _saved(tmp_path, pa.check_theorem_main2(3, 3, eps_num=-1))
     loaded = pa.RelationDB.load(str(path))
     entries = [p for name in loaded.names()
@@ -775,9 +782,9 @@ QUAD = pa.rel_quadratic(gauss_fp({"chi": 1}))
 
 
 def test_register_rejects_a_name_collision():
-    other = pa.Relation(QUAD.name, "different", FormalPeriod.unit(),
+    other = pa.Relation(QUAD.name, "different", FormalPeriod(),
                         gauss_fp({"chi": 1}))
-    res = pa.CheckResult(FormalPeriod.unit(), ((QUAD, 1), (other, 1)))
+    res = pa.CheckResult(FormalPeriod(), ((QUAD, 1), (other, 1)))
     with pytest.raises(ValueError):
         res.register(pa.RelationDB())
 
@@ -796,13 +803,15 @@ texts = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
                 max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00", "é", "M"])
 big = st.integers(-2 ** 70, 2 ** 70)
 any_atoms = st.one_of(
-    st.builds(atom_bw, texts, st.sampled_from([1, -1])),
-    st.builds(atom_gauss, texts),
-    st.builds(atom_archz, points, texts),
-    st.builds(atom_lval, points, texts),
-    st.builds(atom_delta, texts),
-    st.builds(atom_dc, texts, st.sampled_from([1, -1])),
-    st.builds(atom_dci, texts, big),
+    st.builds(PeriodAtom, st.just("BW"),
+              st.tuples(texts, st.sampled_from([1, -1]))),
+    st.builds(PeriodAtom, st.just("Gauss"), st.tuples(texts)),
+    st.builds(PeriodAtom, st.just("ArchZ"), st.tuples(points, texts)),
+    st.builds(PeriodAtom, st.just("LVal"), st.tuples(points, texts)),
+    st.builds(PeriodAtom, st.just("Delta"), st.tuples(texts)),
+    st.builds(PeriodAtom, st.just("DC"),
+              st.tuples(texts, st.sampled_from([1, -1]))),
+    st.builds(PeriodAtom, st.just("DCi"), st.tuples(texts, big)),
     st.just(ATOM_I), st.just(ATOM_TWO_PI_I),
 )
 any_periods = st.lists(st.tuples(any_atoms, big), max_size=6).map(FormalPeriod)
@@ -1161,18 +1170,18 @@ def test_every_golden_and_malformed_db_file_replays_as_the_oracle(tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(any_atoms)
 def test_each_constructed_atom_round_trips_through_the_db(atom):
-    rel = Relation("r", "c", FormalPeriod.atom(atom, 3), FormalPeriod.unit())
+    rel = Relation("r", "c", FormalPeriod.atom(atom, 3), FormalPeriod())
     _save_text([rel])
     assert period_from_json([[atom_to_json(atom), 1]]).atoms() == [atom]
 
 
-@pytest.mark.parametrize("make, args", [
-    (atom_bw, ("Pi", True)), (atom_dc, ("M", -1.0)), (atom_dci, ("M", 2.7)),
-    (atom_dci, ("M", True)), (atom_delta, (7,)), (atom_gauss, (b"chi",)),
-    (atom_archz, ("1/2", 3)), (atom_lval, (1, None))])
-def test_atom_constructors_reject_payloads_the_db_cannot_load(make, args):
+@pytest.mark.parametrize("kind, payload", [
+    ("BW", ("Pi", True)), ("DC", ("M", -1.0)), ("DCi", ("M", 2.7)),
+    ("DCi", ("M", True)), ("Delta", (7,)), ("Gauss", (b"chi",)),
+    ("ArchZ", ("1/2", 3)), ("LVal", (1, None))])
+def test_atom_constructors_reject_payloads_the_db_cannot_load(kind, payload):
     with pytest.raises(TypeError, match="^bad [A-Za-z]+ payload: "):
-        make(*args)
+        PeriodAtom(kind, payload)
 
 
 KINDS = ["BW", "Gauss", "ArchZ", "LVal", "Delta", "DC", "DCi", "TwoPiI", "I"]
@@ -1201,7 +1210,8 @@ def test_period_atom_checks_every_rule_of_its_kind(kind, payload, message):
 
 
 def test_period_atom_keeps_a_point_as_canonical_text():
-    assert PeriodAtom("ArchZ", ("2/4", "P")) == atom_archz("1/2", "P")
+    assert (PeriodAtom("ArchZ", ("2/4", "P"))
+            == PeriodAtom("ArchZ", ("1/2", "P")))
     assert PeriodAtom("LVal", (Fraction(6, 4), "P")).payload == ("3/2", "P")
     assert PeriodAtom("ArchZ", (-2, "P")).payload == ("-2", "P")
 
@@ -1282,7 +1292,7 @@ def test_duplicate_relation_names_need_replace():
     db = pa.RelationDB()
     db.add(QUAD)
     db.add(pa.rel_quadratic(gauss_fp({"chi": 1})))  # identical: fine
-    other = pa.Relation(QUAD.name, "different", FormalPeriod.unit(),
+    other = pa.Relation(QUAD.name, "different", FormalPeriod(),
                         gauss_fp({"chi": 1}))
     with pytest.raises(ValueError):
         db.add(other)

@@ -73,7 +73,7 @@ def test_normalisation_in_new():
     assert t.kappa == (7,) and isinstance(t.kappa, tuple)
     assert weil_real.char(0, "1/2").twist == Fraction(1, 2)
     assert DominantWeight([3, 1]).entries == (3, 1)
-    assert yoshida.FundamentalMonomial(6, 3, 3, mi=[True, 1]).mi == (1, 1)
+    assert yoshida.FundamentalMonomial(6, 3, 3, mi=[2, 1]).mi == (2, 1)
     rep = weil_real.rep(weil_real.disc(3, 1), weil_real.char(1, 0))
     assert list(rep) == [weil_real.char(1, 0), weil_real.disc(3, 1)]
     with pytest.raises(ValueError, match="sign_choice must be 0 or 1"):
@@ -92,12 +92,26 @@ def test_normalisation_in_new():
     lambda: yoshida.MotiveShape("M", 2.0, 0, (5,), 1, 1),
     lambda: yoshida.MotiveShape("M", 2, 0.0, (5,), 1, 1),
     lambda: yoshida.MotiveShape("M", 2, 0, (5,), 1.0, 1),
-    lambda: yoshida.MotiveShape("M", 2, 0, (5,), 1, True)],
+    lambda: yoshida.MotiveShape("M", 2, 0, (5,), 1, True),
+    lambda: yoshida.FundamentalMonomial(2, 1, 1, mplus=1.9),
+    lambda: yoshida.FundamentalMonomial(2.0, 1, 1),
+    lambda: yoshida.FundamentalMonomial(2, True, 1),
+    lambda: yoshida.FundamentalMonomial(2, 1, 1.0),
+    lambda: yoshida.FundamentalMonomial(2, 1, 1, m0=1.0),
+    lambda: yoshida.FundamentalMonomial(2, 1, 1, mminus=False),
+    lambda: yoshida.FundamentalMonomial(6, 3, 3, mi=[True, 1])],
     ids=["kappa", "w", "n", "sign", "weight-float", "weight-bool",
-         "motive-kappa", "motive-n", "motive-weight", "dplus", "dminus"])
+         "motive-kappa", "motive-n", "motive-weight", "dplus", "dminus",
+         "monomial-mplus", "monomial-n", "monomial-dplus", "monomial-dminus",
+         "monomial-m0", "monomial-mminus", "monomial-mi"])
 def test_an_int_field_given_a_float_or_a_bool_is_a_type_error(build):
     with pytest.raises(TypeError, match="^expected an integer, got "):
         build()
+
+
+def test_a_motive_label_that_is_not_a_string_is_a_type_error():
+    with pytest.raises(TypeError, match="^expected a string, got 7$"):
+        yoshida.MotiveShape(7, 2, 0, (5,), 1, 1)
 
 
 def test_a_main1_step_reads_each_critical_set_once(monkeypatch):
