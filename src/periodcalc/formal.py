@@ -365,6 +365,8 @@ class RelationDB:
                 raise ValueError(f"{path} is nested too deeply") from exc
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path} is not UTF-8: {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"{path} is not JSON: {exc}") from exc
         entries = data.get("relations", []) if isinstance(data, dict) else None
         if not isinstance(entries, list):
             raise ValueError(f"{path} does not hold a relation database")

@@ -18,6 +18,8 @@ class DominantWeight(namedtuple("DominantWeight", "entries")):
 
     def __new__(cls, entries: tuple):
         e = tuple(map(json_int, entries))
+        if not e:
+            raise ValueError("rank must be positive")
         if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
             raise ValueError("weight must be weakly decreasing")
         return tuple.__new__(cls, (e,))
@@ -122,15 +124,15 @@ def is_pure(mu: DominantWeight) -> bool:
 
 
 def weight_to_infinity(mu: DominantWeight) -> InfinityType:
-    """Solve mu = -rho_n + (... (kappa_i - 1 - w)/2 ...) for (kappa; w)."""
+    """Solve mu = -rho_n + (... (kappa_i - 1 - w)/2 ...) for (kappa; w).
+    A pure weakly decreasing mu has kappa_r = mu_r - mu_{n+1-r} + 2, or + 3
+    at odd n, so kappa_r >= 2."""
     if not is_pure(mu):
         raise ValueError("weight is not pure")
     e, n = mu.entries, mu.n
     w = -e[0] - e[-1]
     r = n // 2
     kappa = tuple(2 * e[i] + n + 2 - 2 * (i + 1) + w for i in range(r))
-    if r and kappa[-1] < 2:
-        raise ValueError("weight lies outside the kappa >= 2 range")
     return InfinityType(n, kappa, w)
 
 

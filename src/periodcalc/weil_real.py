@@ -93,11 +93,6 @@ def disc(kappa: int, twist=0) -> Constituent:
     return ArchDiscrete(kappa, as_fraction(twist))
 
 
-def rep(*constituents: Constituent) -> ArchRep:
-    """Build the canonical representation with the given constituents."""
-    return ArchRep(tuple(constituents))
-
-
 def _expand_disc(kappa: int, twist: Fraction) -> list:
     """Constituents of phi_kappa (x) |.|^t, reducing phi_1 to 1 + sgn."""
     if kappa == 1:

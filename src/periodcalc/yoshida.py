@@ -92,16 +92,10 @@ class MotiveShape(namedtuple("MotiveShape",
             raise ValueError("weight must be even for odd rank")
         if any((k - weight - 1) % 2 for k in kappa):
             raise ValueError("kappa_i must have parity opposite to the weight")
+        # at even n this forces d+ = d-
         if json_int(dplus) + json_int(dminus) != n or abs(dplus - dminus) > 1:
             raise ValueError("d+ + d- must equal n with |d+ - d-| <= 1")
-        if n % 2 == 0 and dplus != dminus:
-            raise ValueError("d+ = d- for even rank")
         return tuple.__new__(cls, (label, n, weight, kappa, dplus, dminus))
-
-    def to_json(self) -> dict:
-        return {"label": self.label, "n": self.n, "weight": self.weight,
-                "kappa": list(self.kappa), "dplus": self.dplus,
-                "dminus": self.dminus}
 
     @classmethod
     def from_json(cls, data: dict) -> "MotiveShape":
@@ -109,12 +103,6 @@ class MotiveShape(namedtuple("MotiveShape",
                    json_int(data["weight"]),
                    tuple(map(json_int, json_list(data["kappa"]))),
                    json_int(data["dplus"]), json_int(data["dminus"]))
-
-
-def dual_motive(M: MotiveShape) -> MotiveShape:
-    """M^v, unchecked: M's checks read the weight only through its parity."""
-    return tuple.__new__(MotiveShape, (dual_label(M.label), M.n, -M.weight,
-                                       M.kappa, M.dplus, M.dminus))
 
 
 def tate_twist_motive(M: MotiveShape, t: int) -> MotiveShape:

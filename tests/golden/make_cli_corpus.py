@@ -295,13 +295,16 @@ def _empty_controls():
 
 def _pinned():
     """Error lines that no earlier record reaches: the malformed inputs
-    from PINNED to LISTS, the requests that exit 1 with one error line,
-    then the JSON list fields given as other values."""
-    from tests.golden.malformed import REJECTED
+    from PINNED to LISTS, the requests that exit 1 with one error line
+    before LATE_REJECTED, the malformed inputs from LISTS on, then the
+    rejected requests from LATE_REJECTED on."""
+    from tests.golden.malformed import LATE_REJECTED, REJECTED
 
+    rejected = list(REJECTED.values())
     yield from _malformed(1)
-    yield from REJECTED.values()
+    yield from rejected[:LATE_REJECTED]
     yield from _malformed(2)
+    yield from rejected[LATE_REJECTED:]
 
 
 def requests():

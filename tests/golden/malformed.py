@@ -272,6 +272,20 @@ for _flag, (_argv, _underscore, _plus) in _INT_FLAGS.items():
 MALFORMED["n-blank"] = ["check", "main1", "--n", " 4"]
 MALFORMED["n-fullwidth-digit"] = ["check", "main1", "--n", "\uff14"]
 
+# --db files that json cannot read: cut short, after a byte order mark, and
+# with an integer longer than int() reads; appended last, as above
+NOT_JSON_DB = {
+    "db-truncated": '{"relations": [\n',
+    "db-byte-order-mark": "\ufeff" + _db_file(),
+    "db-integer-too-long": ('{"relations": [{"name": "r", "citation": "c", '
+                            '"lhs": [[{"kind": "TwoPiI", "payload": []}, 1'
+                            + "0" * 5000 + ']], "rhs": []}]}'),
+}
+MALFORMED_DB.update(NOT_JSON_DB)
+MALFORMED.update({case: ["check", "--db", f"@{case}.json", "--script",
+                         '[{"relation": "r", "exponent": 1}]']
+                  for case in NOT_JSON_DB})
+
 # requests the library rejects with exit 1 and one "error:" line
 REJECTED = {
     "main1-rank-0": ["check", "main1", "--n", "0"],
@@ -282,6 +296,19 @@ REJECTED = {
         "classify", "--pi", '{"n":2,"kappa":[4],"w":0}', "--delta", "0",
         "--u", "1/2"],
 }
+# the golden corpus appends the records from here on after all others
+LATE_REJECTED = len(REJECTED)
+REJECTED["weight-increasing"] = ["infinity-type", "--weight", "0,1"]
+REJECTED["motive-empty-label"] = [
+    "deligne", "--motive", '{"label":"","n":2,"weight":0,"kappa":[5],'
+                           '"dplus":1,"dminus":1}',
+    "--aux", '{"label":"N","n":1,"weight":0,"kappa":[],"dplus":1,'
+             '"dminus":0}']
+REJECTED["motive-ranks-apart"] = [
+    "deligne", "--motive", '{"label":"M","n":3,"weight":0,"kappa":[7],'
+                           '"dplus":2,"dminus":1}',
+    "--aux", '{"label":"N","n":1,"weight":0,"kappa":[],"dplus":1,'
+             '"dminus":0}']
 
 # the files that the requests above read, by name
 FILES = {"no_citation.json":

@@ -55,6 +55,11 @@ def as_fraction(x) -> Fraction:
 # ---------------------------------------------------------------------------
 # the constituents of a real Weil-group parameter
 
+def rep(*constituents) -> wr.ArchRep:
+    """The canonical representation with the given constituents."""
+    return wr.ArchRep(constituents)
+
+
 def determinant(a: wr.ArchRep) -> wr.ArchCharacter:
     parity, twist = 0, Fraction(0)
     for c in a:
@@ -299,6 +304,8 @@ def load_db(path: str) -> dict:
             raise ValueError(f"{path} is nested too deeply") from exc
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path} is not UTF-8: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from exc
     entries = data.get("relations", []) if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValueError(f"{path} does not hold a relation database")
@@ -345,6 +352,12 @@ def check_script(db: dict, script) -> FormalPeriod:
 # Yoshida relations as products of periods built by the checked
 # FormalPeriod.of, with the dual motive built in full
 
+def dual_motive(M):
+    """M^v, unchecked: M's checks read the weight only through its parity."""
+    return tuple.__new__(y.MotiveShape, (dual_label(M.label), M.n, -M.weight,
+                                         M.kappa, M.dplus, M.dminus))
+
+
 def monomial_atoms(m, M) -> FormalPeriod:
     pairs = [(PeriodAtom("Delta", (M.label,)), m.m0),
              (PeriodAtom("DC", (M.label, 1)), m.mplus),
@@ -356,7 +369,7 @@ def monomial_atoms(m, M) -> FormalPeriod:
 
 def dual_relation(m, M) -> Relation:
     tag = y.monomial_type(m)
-    lhs = monomial_atoms(y.dual_monomial(m), y.dual_motive(M))
+    lhs = monomial_atoms(y.dual_monomial(m), dual_motive(M))
     rhs = (FormalPeriod.atom(PeriodAtom("Delta", (M.label,)),
                              -(tag.kplus + tag.kminus))
            * monomial_atoms(m, M))
@@ -568,7 +581,7 @@ def motivic_dual_steps(n: int, i: int = None, corrupt: bool = False) -> list:
     kappa = tuple(4 * (r - j) + 5 for j in range(r))
     dplus = r + n % 2
     M = y.MotiveShape("M", n, 0, kappa, dplus, n - dplus)
-    Md = y.dual_motive(M)
+    Md = dual_motive(M)
     fp = y.FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
     fm = y.FundamentalMonomial(2, 1, 1, 0, (), 0, 1)
     fdet = y.FundamentalMonomial(2, 1, 1, 1, (), 0, 0)
@@ -595,7 +608,7 @@ def motivic_dual_steps(n: int, i: int = None, corrupt: bool = False) -> list:
                               (PeriodAtom("Delta", (M.label,)), -2),
                               (PeriodAtom("DCi", (M.label, idx)), 1)))
         steps += [(y.rank2_tensor_expansion(M, N, idx, 1), 1),
-                  (y.rank2_tensor_expansion(Md, y.dual_motive(N), idx, -1),
+                  (y.rank2_tensor_expansion(Md, dual_motive(N), idx, -1),
                    -1),
                   (q3, 1), (q_delta, -1),
                   (y.dual_relation(fdet, N), -idx),

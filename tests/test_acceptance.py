@@ -14,9 +14,9 @@ from periodcalc import yoshida as y
 from periodcalc.infinity_types import (DominantWeight, InfinityType,
                                        infinity_to_weight, to_arch_rep,
                                        weight_to_infinity)
-from tests.oracles import (epsilon_class, restrict_to_C, restricted_sym2,
-                           restricted_tensor, restricted_wedge2,
-                           tensor_critical_set)
+from tests.oracles import (epsilon_class, rep, restrict_to_C,
+                           restricted_sym2, restricted_tensor,
+                           restricted_wedge2, tensor_critical_set)
 
 
 def _random_type(rng, n, wmax=6):
@@ -108,7 +108,7 @@ def _random_rep(rng, max_dim=8):
             cs.append(wr.disc(rng.randint(2, 9),
                               Fraction(rng.randint(-8, 8), rng.choice([1, 2]))))
             dim += 2
-    return wr.rep(*cs)
+    return rep(*cs)
 
 
 

@@ -54,6 +54,11 @@ def test_weight_to_infinity_gl2():
     assert (t.n, t.kappa, t.w) == (2, (13,), -11)
 
 
+def test_a_weight_of_no_entries_is_rejected():
+    with pytest.raises(ValueError, match="^rank must be positive$"):
+        it.DominantWeight(())
+
+
 def test_weight_to_infinity_rejects_impure():
     with pytest.raises(ValueError):
         it.weight_to_infinity(it.DominantWeight((2, 1, 1)))

@@ -1,0 +1,134 @@
+"""Every function in src/periodcalc runs on some golden CLI request, or is
+named in NOT_ENTERED with the reason it stays.
+
+The requests of tests/golden/cli.jsonl are replayed under sys.setprofile in
+a fresh interpreter, which imports each module on first use as a request
+does (periodcalc.__getattr__ runs only then).  A function is keyed by the
+(file, co_firstlineno) of its code object, which for a decorated function is
+the line of its first decorator, because Python 3.10 code objects carry no
+qualified name; this module builds each function's qualified name from how
+the code objects nest, and the table names functions by it.
+"""
+
+import inspect
+import json
+import os
+import subprocess
+import sys
+import types
+
+import periodcalc
+from tests.golden.make_cli_corpus import CORPUS, run
+
+TRACER = "tracer target"
+HELPER = "helper of a tracer target"
+VALUE = "value protocol"
+
+# the functions that no golden request enters, each tagged with why it stays:
+# the benchmark tracer (perfbench/tracer.py) wraps it by name, only such a
+# function calls it, or it is a dunder or accessor of a value type
+NOT_ENTERED = {
+    "arch_l._gamma": HELPER,
+    "arch_l.l_factor": TRACER,
+    "arch_l.is_holomorphic_at": TRACER,
+    "formal.PeriodAtom.__getnewargs__": VALUE,
+    "formal.PeriodAtom.__repr__": VALUE,
+    "formal.PeriodAtom.__lt__": VALUE,
+    "formal.FormalPeriod.of": TRACER,
+    "formal.FormalPeriod.exponent": VALUE,
+    "formal.FormalPeriod.atoms": VALUE,
+    "formal.FormalPeriod.__hash__": VALUE,
+    "formal.period_to_json": TRACER,
+    "infinity_types.to_arch_rep": TRACER,
+    "weil_real.ArchCharacter.__new__": VALUE,
+    "weil_real.ArchCharacter.__repr__": VALUE,
+    "weil_real.ArchDiscrete.__new__": VALUE,
+    "weil_real.ArchDiscrete.__repr__": VALUE,
+    "weil_real._sort_key": HELPER,
+    "weil_real.ArchRep.__new__": VALUE,
+    "weil_real.ArchRep.__iter__": VALUE,
+    "weil_real.ArchRep.__getnewargs__": VALUE,
+    "weil_real.ArchRep.__repr__": VALUE,
+    "weil_real.char": HELPER,
+    "weil_real.disc": HELPER,
+    "weil_real._expand_disc": HELPER,
+    "weil_real._tensor_pair": HELPER,
+    "weil_real.tensor": TRACER,
+    "weil_real._sym2_single": HELPER,
+    "weil_real._wedge2_single": HELPER,
+    "weil_real._square_expand": HELPER,
+    "weil_real.sym2": TRACER,
+    "weil_real.wedge2": TRACER,
+    "weil_real.dual": TRACER,
+    "yoshida.monomial_type": HELPER,
+    "yoshida.dual_monomial": HELPER,
+    "yoshida.tate_twist_motive": HELPER,
+    "yoshida.dual_relation": TRACER,
+    "yoshida.tate_twist_relation": TRACER,
+    "yoshida.delta_tensor": TRACER,
+    "yoshida.rank2_tensor_expansion": TRACER,
+}
+
+
+def _functions(code, prefix, path, out):
+    """Add (path, first line) -> qualified name for each function whose code
+    object code holds, at any depth below a class body or a function."""
+    for const in code.co_consts:
+        if not isinstance(const, types.CodeType) or const.co_name[0] == "<":
+            continue  # a lambda or a comprehension
+        name = prefix + const.co_name
+        if const.co_flags & inspect.CO_NEWLOCALS:  # not a class body
+            out[path, const.co_firstlineno] = name
+            name += ".<locals>"
+        _functions(const, name + ".", path, out)
+
+
+def never_entered():
+    """Print, as a JSON list, the qualified name of every src function that
+    no golden request enters; run in an interpreter that has not imported a
+    periodcalc submodule yet."""
+    package = os.path.dirname(periodcalc.__file__)
+    functions = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path, encoding="utf-8") as fh:
+                _functions(compile(fh.read(), path, "exec"),
+                           f"{name[:-3]}.", path, functions)
+    with open(CORPUS) as fh:
+        records = [json.loads(line) for line in fh]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        for want in records:
+            run(want["argv"], want.get("files"),
+                "db.json" if "db" in want else None)
+    finally:
+        sys.setprofile(None)
+    print(json.dumps(sorted(name for key, name in functions.items()
+                            if key not in entered)))
+
+
+def test_every_function_runs_on_a_request_or_is_named_with_its_reason():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        periodcalc.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from tests.test_reach import never_entered; never_entered()"],
+        cwd=root, capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([root, src])))
+    assert proc.returncode == 0, proc.stderr
+    never = set(json.loads(proc.stdout))
+    assert (sorted(never - NOT_ENTERED.keys()),
+            sorted(NOT_ENTERED.keys() - never)) == ([], [])
+
+
+def test_every_function_in_the_table_carries_one_of_the_three_tags():
+    assert set(NOT_ENTERED.values()) <= {TRACER, HELPER, VALUE}

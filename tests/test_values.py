@@ -10,6 +10,7 @@ import pytest
 
 from periodcalc import arch_l, formal, period_algebra, weil_real, yoshida
 from periodcalc.infinity_types import DominantWeight, InfinityType
+from tests.oracles import rep
 
 
 def _omega():
@@ -20,7 +21,7 @@ def _omega():
 BUILDS = {
     weil_real.ArchCharacter: lambda: weil_real.char(1, "1/2"),
     weil_real.ArchDiscrete: lambda: weil_real.disc(5, Fraction(-3, 2)),
-    weil_real.ArchRep: lambda: weil_real.rep(weil_real.disc(3, 1),
+    weil_real.ArchRep: lambda: rep(weil_real.disc(3, 1),
                                              weil_real.char(0, 1)),
     DominantWeight: lambda: DominantWeight((3, 1, 1)),
     InfinityType: lambda: InfinityType(3, [7], 2, 1),
@@ -74,12 +75,12 @@ def test_normalisation_in_new():
     assert weil_real.char(0, "1/2").twist == Fraction(1, 2)
     assert DominantWeight([3, 1]).entries == (3, 1)
     assert yoshida.FundamentalMonomial(6, 3, 3, mi=[2, 1]).mi == (2, 1)
-    rep = weil_real.rep(weil_real.disc(3, 1), weil_real.char(1, 0))
-    assert list(rep) == [weil_real.char(1, 0), weil_real.disc(3, 1)]
+    a = rep(weil_real.disc(3, 1), weil_real.char(1, 0))
+    assert list(a) == [weil_real.char(1, 0), weil_real.disc(3, 1)]
     with pytest.raises(ValueError, match="sign_choice must be 0 or 1"):
         InfinityType(3, (7,), 2, 2)
     with pytest.raises(TypeError, match="not a constituent"):
-        weil_real.rep((0, 1))
+        rep((0, 1))
 
 
 # an int field of a public value constructor given a float or a bool, as

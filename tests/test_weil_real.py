@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodcalc import weil_real as wr
-from tests.oracles import (determinant, dim, hom_dim, restrict_to_C,
+from tests.oracles import (determinant, dim, hom_dim, rep, restrict_to_C,
                            restricted_sym2, restricted_tensor,
                            restricted_wedge2)
 
@@ -23,47 +23,47 @@ chars = st.builds(wr.char, st.integers(0, 1), twists)
 discs = st.builds(wr.disc, st.integers(2, 7), twists)
 constituents = st.one_of(chars, discs)
 reps = st.lists(constituents, min_size=0, max_size=4).map(
-    lambda cs: wr.rep(*cs))
+    lambda cs: rep(*cs))
 nonempty_reps = st.lists(constituents, min_size=1, max_size=4).map(
-    lambda cs: wr.rep(*cs))
+    lambda cs: rep(*cs))
 
 
 # ---------------------------------------------------------------------------
 # fixed examples
 
 def test_char_tensor_adds_parity_and_twist():
-    a = wr.rep(wr.char(1, 1))
-    b = wr.rep(wr.char(1, Fraction(1, 2)))
-    assert wr.tensor(a, b) == wr.rep(wr.char(0, Fraction(3, 2)))
+    a = rep(wr.char(1, 1))
+    b = rep(wr.char(1, Fraction(1, 2)))
+    assert wr.tensor(a, b) == rep(wr.char(0, Fraction(3, 2)))
 
 
 def test_disc_absorbs_sign_character():
-    a = wr.rep(wr.disc(5, 0))
-    b = wr.rep(wr.char(1, 2))
-    assert wr.tensor(a, b) == wr.rep(wr.disc(5, 2))
+    a = rep(wr.disc(5, 0))
+    b = rep(wr.char(1, 2))
+    assert wr.tensor(a, b) == rep(wr.disc(5, 2))
 
 
 def test_disc_tensor_disc_clebsch_gordan():
-    a = wr.rep(wr.disc(4, 0))
-    b = wr.rep(wr.disc(3, 1))
-    assert wr.tensor(a, b) == wr.rep(wr.disc(6, 1), wr.disc(2, 1))
+    a = rep(wr.disc(4, 0))
+    b = rep(wr.disc(3, 1))
+    assert wr.tensor(a, b) == rep(wr.disc(6, 1), wr.disc(2, 1))
 
 
 def test_phi1_reduces_to_characters():
     # equal kappas produce phi_1, which is 1 + sgn
-    a = wr.rep(wr.disc(3, 0))
+    a = rep(wr.disc(3, 0))
     out = wr.tensor(a, a)
-    assert out == wr.rep(wr.disc(5, 0), wr.char(0, 0), wr.char(1, 0))
+    assert out == rep(wr.disc(5, 0), wr.char(0, 0), wr.char(1, 0))
 
 
 def test_sym2_wedge2_of_disc():
-    a = wr.rep(wr.disc(4, Fraction(1, 2)))
-    assert wr.sym2(a) == wr.rep(wr.disc(7, 1), wr.char(1, 1))
-    assert wr.wedge2(a) == wr.rep(wr.char(0, 1))
+    a = rep(wr.disc(4, Fraction(1, 2)))
+    assert wr.sym2(a) == rep(wr.disc(7, 1), wr.char(1, 1))
+    assert wr.wedge2(a) == rep(wr.char(0, 1))
 
 
 def test_wedge2_of_character_is_zero():
-    assert dim(wr.wedge2(wr.rep(wr.char(1, 3)))) == 0
+    assert dim(wr.wedge2(rep(wr.char(1, 3)))) == 0
 
 
 def test_kappa_one_not_constructible():
@@ -72,19 +72,19 @@ def test_kappa_one_not_constructible():
 
 
 def test_determinant():
-    a = wr.rep(wr.disc(4, 1), wr.char(1, 2))
+    a = rep(wr.disc(4, 1), wr.char(1, 2))
     d = determinant(a)
     assert d == wr.char((4 + 1) % 2, 4)
 
 
 def test_hom_dim_counts_multiplicity():
-    a = wr.rep(wr.char(0, 1), wr.char(0, 1), wr.char(1, 1))
+    a = rep(wr.char(0, 1), wr.char(0, 1), wr.char(1, 1))
     assert hom_dim(a, wr.char(0, 1)) == 2
     assert hom_dim(a, wr.char(1, 0)) == 0
 
 
 def test_restriction_of_disc():
-    a = wr.rep(wr.disc(5, 1))
+    a = rep(wr.disc(5, 1))
     assert restrict_to_C(a) == ((-1, 3), (3, -1))
 
 
@@ -130,7 +130,12 @@ def test_dual_is_involutive(a):
     assert wr.dual(wr.dual(a)) == a
 
 
+def test_a_sign_parity_other_than_0_or_1_is_rejected():
+    with pytest.raises(ValueError, match="^sign_parity must be 0 or 1$"):
+        wr.ArchCharacter(2, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(constituents, min_size=0, max_size=4))
 def test_canonical_form_is_order_independent(cs):
-    assert wr.rep(*cs) == wr.rep(*reversed(cs))
+    assert rep(*cs) == rep(*reversed(cs))

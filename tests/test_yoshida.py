@@ -129,7 +129,7 @@ def test_motive_from_infinity():
 
 def test_dual_and_tate_twist_motives():
     M = y.MotiveShape("M", 4, 0, (9, 5), 2, 2)
-    Md = y.dual_motive(M)
+    Md = oracles.dual_motive(M)
     assert Md.label == "M^v" and Md.weight == 0 and Md.kappa == M.kappa
     Mt = y.tate_twist_motive(M, 2)
     assert Mt.weight == -4 and Mt.label == "M(2)"
@@ -149,7 +149,7 @@ def motive_shapes(draw):
 
 @given(motive_shapes())
 def test_dual_motive_equals_the_checked_shape(M):
-    Md = y.dual_motive(M)
+    Md = oracles.dual_motive(M)
     assert type(Md) is y.MotiveShape
     assert Md == y.MotiveShape(y.dual_label(M.label), M.n, -M.weight,
                                M.kappa, M.dplus, M.dminus)
@@ -159,13 +159,14 @@ def test_tensor_label_normalizes_duals():
     M = y.MotiveShape("M", 4, 0, (9, 5), 2, 2)
     N = y.MotiveShape("N", 2, 0, (7,), 1, 1)
     assert y.tensor_label(M, N) == "M(x)N"
-    assert y.tensor_label(y.dual_motive(M), y.dual_motive(N)) == "M(x)N^v"
+    assert y.tensor_label(oracles.dual_motive(M),
+                          oracles.dual_motive(N)) == "M(x)N^v"
 
 
 def test_a_tensor_with_one_dual_factor_is_not_named_as_a_dual():
     M = y.MotiveShape("M", 3, 0, (7,), 2, 1)
     N = y.MotiveShape("N", 2, 0, (5,), 1, 1)
-    Md, Nd = y.dual_motive(M), y.dual_motive(N)
+    Md, Nd = oracles.dual_motive(M), oracles.dual_motive(N)
     labels = {y.tensor_label(a, b) for a in (M, Md) for b in (N, Nd)}
     assert labels == {"M(x)N", "M(x)(N^v)", "M^v(x)N", "M(x)N^v"}
     # so deligne names M (x) N^v and M^v (x) N^v with two atoms
@@ -230,9 +231,29 @@ def test_rank2_expansion_gap_check():
         y.rank2_tensor_expansion(M, N, 2, 1)  # 11 not in the second gap
 
 
-def test_motive_json_round_trip():
-    M = y.MotiveShape("M", 5, 2, (9, 5), 3, 2)
-    assert y.MotiveShape.from_json(M.to_json()) == M
+def test_the_builders_reject_a_bad_shape_sign_rank_or_index():
+    M = y.MotiveShape("M", 6, 0, (13, 9, 5), 3, 3)
+    N = y.MotiveShape("N", 2, 0, (11,), 1, 1)
+    N3 = y.MotiveShape("N", 3, 0, (7,), 2, 1)
+    M4 = y.MotiveShape("M", 4, 0, (9, 5), 2, 2)
+    with pytest.raises(ValueError, match=r"^d\+ \+ d- must equal n with"):
+        y.FundamentalMonomial(3, 3, 0)
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+        y.tensor_deligne(M4, N3, 0)
+    with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+        y.rank2_tensor_expansion(M, N, 1, 0)
+    with pytest.raises(ValueError, match="^auxiliary motive must have rank"):
+        y.rank2_tensor_expansion(M, N3, 1, 1)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=r"^i must lie in 1\.\.floor"):
+            y.rank2_tensor_expansion(M, N, i, 1)
+
+
+def test_motive_from_json():
+    data = {"label": "M", "n": 5, "weight": 2, "kappa": [9, 5], "dplus": 3,
+            "dminus": 2}
+    assert y.MotiveShape.from_json(data) == y.MotiveShape("M", 5, 2, (9, 5),
+                                                           3, 2)
 
 
 def _checked(rel, want):
@@ -250,7 +271,7 @@ def test_dict_built_relations_match_the_checked_products(n):
     r, mono = n // 2, y.FundamentalMonomial
     kappa = tuple(4 * (r - j) + 5 for j in range(r))
     M = y.MotiveShape("M", n, 0, kappa, r + n % 2, r)
-    Md = y.dual_motive(M)
+    Md = oracles.dual_motive(M)
     for m in [y.f_bw(n, eps) for eps in (1, -1)] if n % 2 == 0 else [
             y.f_bw(n)]:
         assert y.monomial_atoms(m, M) == oracles.monomial_atoms(m, M)
@@ -262,9 +283,9 @@ def test_dict_built_relations_match_the_checked_products(n):
         for sign in (1, -1):
             _checked(y.rank2_tensor_expansion(M, N, idx, sign),
                      oracles.rank2_tensor_expansion(M, N, idx, sign))
-            _checked(y.rank2_tensor_expansion(Md, y.dual_motive(N), idx, sign),
-                     oracles.rank2_tensor_expansion(Md, y.dual_motive(N), idx,
-                                                    sign))
+            Nd = oracles.dual_motive(N)
+            _checked(y.rank2_tensor_expansion(Md, Nd, idx, sign),
+                     oracles.rank2_tensor_expansion(Md, Nd, idx, sign))
         _checked(y.delta_tensor(M, N), oracles.delta_tensor(M, N))
         for m in fixed:
             _checked(y.dual_relation(m, N), oracles.dual_relation(m, N))
