@@ -296,6 +296,11 @@ def cmd_check(args) -> int:
 
 def cmd_asai(args) -> int:
     k1, k2, w1, w2 = args.kappa1, args.kappa2, args.w1, args.w2
+    for i, k, w in ((1, k1, w1), (2, k2, w2)):
+        if k > MAX_KAPPA:
+            raise SchemaError(f"--kappa{i} {k} exceeds the largest kappa "
+                              f"{MAX_KAPPA}")
+        _check_w(w, f"--w{i}")
     for k, w in ((k1, w1), (k2, w2)):
         if k < 2 or (k - w) % 2:
             raise ValueError("each input needs kappa >= 2 with kappa = w mod 2")

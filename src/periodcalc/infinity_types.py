@@ -157,13 +157,6 @@ def interlaces(kappa: tuple, ell: tuple) -> bool:
             and all(l > k for l, k in zip(ell, kappa[1:])))
 
 
-def is_balanced(pi: InfinityType, sigma: InfinityType) -> bool:
-    """Interlacing of the infinity types of a pair of adjacent ranks."""
-    if pi.n != sigma.n + 1:
-        raise ValueError("ranks must differ by exactly 1 (pi = sigma + 1)")
-    return interlaces(pi.kappa, sigma.kappa)
-
-
 def is_regular(t: InfinityType) -> bool:
     """The duality theorem's regularity: kappa_r >= 3 (n even) or 5 (n odd),
     and every gap kappa_i - kappa_{i+1} >= 4, or 6 when n and w are even."""

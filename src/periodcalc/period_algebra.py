@@ -18,7 +18,7 @@ from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
                      RelationDB, check_script, dual_label, gauss_fp,
                      replay, _reduced)
 from .infinity_types import (InfinityType, as_fraction, character_sign,
-                             is_balanced, is_regular, signature)
+                             is_regular, signature)
 
 __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
@@ -140,8 +140,17 @@ def _main1_pair(n: int, w: int, delta: int, m: int):
     3*gap, and is odd, which Sigma's rank n - 1 needs: odd at odd n - 1,
     and delta's parity at even n - 1, where delta = n mod 2 is odd.
     Sigma's w = delta is even when n - 1 is odd.
-    tests.oracles.main1_pair builds the same pair through InfinityType;
-    test_main1_pair_matches_the_checked_oracle_up_to_the_caps compares.
+    Balance: ell_j = kappa_j - gprime, 0 < gprime < 2*gap, lies strictly
+    between kappa_{j+1} = kappa_j - 2*gap and kappa_j.  Criticality: with
+    t = 2m + 1 + w + delta (2k + a in arch_l.critical_set), m + 1/2 and
+    m2 + 1/2 have t and 2 - t, each critical when 3 - kc <= t <= kc - 1;
+    and kc >= gap = 2*need + 8 >= 2*max(|t|, |2 - t|) + 8, since the least
+    |kappa_i - ell_j| is min(gprime, 2*gap - gprime) >= gap - 1, while
+    kappa_min + ell_min - 1, kappa_min and ell_min are larger; no Gamma_R
+    character occurs, as no kappa_i = ell_j and adjacent ranks are never
+    both odd.  By s -> 1 - s, -m + 1/2 is critical for the duals.
+    test_main1_pair_matches_the_checked_oracle_up_to_the_caps tests both,
+    and compares the pair with tests.oracles.main1_pair's checked build.
     """
     r = n // 2
     need = max(abs(2 * m + 1 + w + delta), abs(1 - w - delta - 2 * m), 4)
@@ -175,8 +184,8 @@ def check_main1_step(n: int, w: int, delta: int, m,
     Combines the critical-value factorization at m for (Pi, Sigma) and at -m
     for the duals, the functional-equation ratio at m0 = m + 1/2, the
     archimedean twist and i-parity comparisons, and the rank-(n-1) relation,
-    against the rank-n relation as target.  Each hypothesis is checked
-    once, and each distinct atom of the step is built once.
+    against the rank-n relation as target.  The input is checked once, the
+    pair's hypotheses hold by construction, and each atom is built once.
     """
     require_main1_hypotheses(n, w, delta)
     m = _integer_m(m)
@@ -186,14 +195,6 @@ def check_main1_step(n: int, w: int, delta: int, m,
         raise ValueError("central point excluded")
 
     pi, sigma = _main1_pair(n, w, delta, m)
-    if not is_balanced(pi.inf, sigma.inf):  # the duals have the same kappa
-        raise ValueError("pair is not balanced")
-    # m + 1/2 has index m + 1 - n.  The duals' set is the pair's under
-    # s -> 1 - s, and the pair's is symmetric about (1 - w - delta)/2, so
-    # -m + 1/2 (duals) and m2 + 1/2 (pair) are critical when m + 1/2 is.
-    if not arch_l.critical_set(pi.inf, sigma.inf).has_index(m + 1 - n):
-        raise ValueError(f"{2 * m + 1}/2 is not a critical point of "
-                         f"{pair_label(pi, sigma)}")
     m2 = -m - w - delta  # the i-parity point, which the twist moves -m to
     eps, eps_prime = raghuram_signs(m, pi, sigma)
     parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)

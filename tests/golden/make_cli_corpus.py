@@ -166,13 +166,18 @@ def _motivic_dual_indices():
                    "--i", str(i)]
 
 
+def _db_and_steps(argv) -> tuple:
+    """The database a builtin writes and its --verbose steps as a script."""
+    written = run(argv + ["--db", "@db.json"], db="db.json")["db"]
+    steps = json.loads(run(["--json", "--verbose"] + argv)["stdout"])
+    return written, json.dumps(steps["steps"])
+
+
 def _scripts():
     """A builtin's --verbose steps replayed from the database it wrote."""
     for argv in (_builtin_n("corollary-main", 2), _builtin_n("main1", 5),
                  _builtin_n("motivic-dual", 6)):
-        written = run(argv + ["--db", "@db.json"], db="db.json")["db"]
-        steps = json.loads(run(["--json", "--verbose"] + argv)["stdout"])
-        script = json.dumps(steps["steps"])
+        written, script = _db_and_steps(argv)
         yield (["--json", "check", "--db", "@rel.json", "--script", script],
                {"rel.json": written}, None)
         yield (["check", "--db", "@rel.json", "--script", "@script.json"],
@@ -240,11 +245,12 @@ def _infinity_type(rng):
 
 def _malformed(part=0):
     """Every input of test_malformed_input_exits_2_with_one_line before
-    PINNED (part 0), from PINNED to LISTS (1) or from LISTS on (2), each
-    with the files it reads."""
-    from tests.golden.malformed import FILES, LISTS, MALFORMED, PINNED
+    PINNED (part 0), from PINNED to LISTS (1), from LISTS to LATE_MALFORMED
+    (2) or from LATE_MALFORMED on (3), each with the files it reads."""
+    from tests.golden.malformed import (FILES, LATE_MALFORMED, LISTS,
+                                        MALFORMED, PINNED)
 
-    bounds = (0, PINNED, LISTS, None)
+    bounds = (0, PINNED, LISTS, LATE_MALFORMED, None)
     for argv in list(MALFORMED.values())[bounds[part]:bounds[part + 1]]:
         used = {a[1:]: FILES[a[1:]] for a in argv
                 if a.startswith("@") and a[1:] in FILES}
@@ -296,8 +302,9 @@ def _empty_controls():
 def _pinned():
     """Error lines that no earlier record reaches: the malformed inputs
     from PINNED to LISTS, the requests that exit 1 with one error line
-    before LATE_REJECTED, the malformed inputs from LISTS on, then the
-    rejected requests from LATE_REJECTED on."""
+    before LATE_REJECTED, the malformed inputs from LISTS to
+    LATE_MALFORMED, the rejected requests from LATE_REJECTED on, then the
+    malformed inputs from LATE_MALFORMED on."""
     from tests.golden.malformed import LATE_REJECTED, REJECTED
 
     rejected = list(REJECTED.values())
@@ -305,6 +312,30 @@ def _pinned():
     yield from rejected[:LATE_REJECTED]
     yield from _malformed(2)
     yield from rejected[LATE_REJECTED:]
+    yield from _malformed(3)
+
+
+# a version-2 file whose atom table lists I twice; its relation r leaves
+# the residual TwoPiI^1
+TWICE_I_DB = ('{"atoms": [{"kind": "I", "payload": []}, {"kind": "I", '
+              '"payload": []}, {"kind": "TwoPiI", "payload": []}], '
+              '"citations": ["c"], "relations": [{"citation": 0, "lhs": '
+              '[[0, 1], [2, 1]], "name": "r", "rhs": [[1, -1]]}, '
+              '{"citation": 0, "lhs": [[1, 1]], "name": "s", "rhs": []}], '
+              '"version": 2}')
+
+
+def _residual_replays():
+    """DB replays that leave a residual, so the replay decodes the nonzero
+    sums of the records it kept: a hand-written file and the DB of a
+    corrupted main1 step replayed with its own steps."""
+    script = '[{"relation": "r", "exponent": 1}]'
+    yield (["--json", "check", "--db", "@rel.json", "--script", script],
+           {"rel.json": TWICE_I_DB}, None)
+    written, script = _db_and_steps(["check", "main1", "--n", "7",
+                                     "--corrupt"])
+    yield (["--json", "check", "--db", "@rel.json", "--script", "@script.json"],
+           {"rel.json": written, "script.json": script}, None)
 
 
 def requests():
@@ -314,7 +345,8 @@ def requests():
                _corollary_main(), _main2(), _motivic_dual_indices(),
                _scripts(), _asai(rng), _classify(rng), _deligne(),
                _infinity_type(rng), _malformed(), _defaults(), _main1_db(),
-               _main1_rank_one(), _empty_controls(), _pinned()]
+               _main1_rank_one(), _empty_controls(), _pinned(),
+               _residual_replays()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)

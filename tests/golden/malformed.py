@@ -286,6 +286,18 @@ MALFORMED.update({case: ["check", "--db", f"@{case}.json", "--script",
                          '[{"relation": "r", "exponent": 1}]']
                   for case in NOT_JSON_DB})
 
+# an asai --kappa or --w above the payload caps; the golden corpus appends
+# their records after all others
+LATE_MALFORMED = len(MALFORMED)
+MALFORMED["asai-kappa1-above-cap"] = ["asai", "--kappa1", "10001", "--w1", "1",
+                                      "--kappa2", "3", "--w2", "1"]
+MALFORMED["asai-kappa2-too-long-to-print"] = [
+    "asai", "--kappa1", "3", "--w1", "1", "--kappa2", "9" * 4300, "--w2", "1"]
+MALFORMED["asai-w1-above-cap"] = ["asai", "--kappa1", "3", "--w1", "10001",
+                                  "--kappa2", "3", "--w2", "1"]
+MALFORMED["asai-w2-above-cap"] = ["asai", "--kappa1", "4", "--w1", "0",
+                                  "--kappa2", "3", "--w2", "-10001"]
+
 # requests the library rejects with exit 1 and one "error:" line
 REJECTED = {
     "main1-rank-0": ["check", "main1", "--n", "0"],
@@ -309,6 +321,27 @@ REJECTED["motive-ranks-apart"] = [
                            '"dplus":2,"dminus":1}',
     "--aux", '{"label":"N","n":1,"weight":0,"kappa":[],"dplus":1,'
              '"dminus":0}']
+# a type that breaks one rule of InfinityType, and motives that break the
+# parity and the d+- rule of MotiveShape; appended last, as above
+for _case, _pi in {
+        "kappa-parity-even-rank": '{"n":2,"kappa":[3],"w":0}',
+        "kappa-even-at-odd-rank": '{"n":3,"kappa":[4],"w":0}',
+        "sign-choice-2": '{"n":3,"kappa":[5],"w":0,"sign":2}',
+        "kappa-increasing": '{"n":4,"kappa":[4,6],"w":0}',
+        "kappa-too-short": '{"n":2,"kappa":[],"w":0}',
+        "kappa-below-2": '{"n":2,"kappa":[0],"w":0}'}.items():
+    REJECTED[f"critical-{_case}"] = ["critical", "--pi", _pi, "--sigma",
+                                     '{"n":1,"kappa":[],"w":0}']
+REJECTED["motive-kappa-parity"] = [
+    "deligne", "--motive", '{"label":"M","n":2,"weight":0,"kappa":[4],'
+                           '"dplus":1,"dminus":1}',
+    "--aux", '{"label":"N","n":1,"weight":0,"kappa":[],"dplus":1,'
+             '"dminus":0}']
+REJECTED["motive-dplus-dminus"] = [
+    "deligne", "--motive", '{"label":"M","n":3,"weight":0,"kappa":[5],'
+                           '"dplus":3,"dminus":0}',
+    "--aux", '{"label":"N","n":2,"weight":0,"kappa":[3],"dplus":1,'
+             '"dminus":1}']
 
 # the files that the requests above read, by name
 FILES = {"no_citation.json":

@@ -27,9 +27,9 @@ from periodcalc import period_algebra as pa
 from periodcalc import yoshida as y
 from periodcalc.formal import (ATOM_I, FormalPeriod, PeriodAtom, Relation,
                                dual_label, gauss_fp)
-from periodcalc.infinity_types import (InfinityType, is_balanced,
-                                       is_regular, json_int, json_list,
-                                       json_str, signature, to_arch_rep)
+from periodcalc.infinity_types import (InfinityType, interlaces, is_regular,
+                                       json_int, json_list, json_str,
+                                       signature, to_arch_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +431,13 @@ def motive_from_infinity(t, label: str):
 # and **, each side's factors in the order in which check_main1_step writes
 # the side's atoms; each critical point is tested against a fresh
 # critical_set
+
+def is_balanced(pi: InfinityType, sigma: InfinityType) -> bool:
+    """Interlacing of the infinity types of a pair of adjacent ranks."""
+    if pi.n != sigma.n + 1:
+        raise ValueError("ranks must differ by exactly 1 (pi = sigma + 1)")
+    return interlaces(pi.kappa, sigma.kappa)
+
 
 def _require_critical(s0, pi, sigma):
     if not critical_contains(arch_l.critical_set(pi.inf, sigma.inf), s0):

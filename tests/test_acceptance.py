@@ -14,7 +14,7 @@ from periodcalc import yoshida as y
 from periodcalc.infinity_types import (DominantWeight, InfinityType,
                                        infinity_to_weight, to_arch_rep,
                                        weight_to_infinity)
-from tests.oracles import (epsilon_class, rep, restrict_to_C,
+from tests.oracles import (epsilon_class, is_balanced, rep, restrict_to_C,
                            restricted_sym2, restricted_tensor,
                            restricted_wedge2, tensor_critical_set)
 
@@ -89,7 +89,6 @@ def test_criterion_3_epsilon_class_parity():
     for _ in range(500):
         n = rng.randint(2, 6)
         pi, sigma = _random_balanced_pair(rng, n)
-        from periodcalc.infinity_types import is_balanced
         assert is_balanced(pi, sigma)
         param = wr.tensor(to_arch_rep(pi), to_arch_rep(sigma))
         expected = ((pi.w + sigma.w) * n * (n - 1) // 2) % 2

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from periodcalc import arch_l, formal, weil_real
+from periodcalc import arch_l, formal, infinity_types, weil_real
 from periodcalc import period_algebra as pa
 from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
                                PeriodAtom, Relation, atom_from_json, gauss_fp,
                                period_from_json, period_to_json,
                                relation_from_json, relation_to_json)
-from periodcalc.infinity_types import InfinityType, as_fraction, json_int
+from periodcalc.infinity_types import (InfinityType, as_fraction, is_regular,
+                                       json_int)
 from tests import dbcheck, oracles
 from tests.golden.make_cli_corpus import CORPUS
 from tests.golden.malformed import MALFORMED_DB
@@ -333,6 +334,21 @@ def test_main1_step_at_rank_255_is_fast_and_builds_no_tensor(monkeypatch):
     assert time.monotonic() - start < 0.5
 
 
+def test_main1_step_reads_no_critical_set_and_tests_no_balance(monkeypatch):
+    # the pair is balanced and m + 1/2 critical by construction (see
+    # test_main1_pair_matches_the_checked_oracle_up_to_the_caps), so a step
+    # at any rank reaches neither arch_l's critical set nor an interlacing
+    def refuse(*args):
+        raise AssertionError("a hypothesis of the pair was checked")
+
+    monkeypatch.setattr(arch_l, "critical_set", refuse)
+    monkeypatch.setattr(infinity_types, "interlaces", refuse)
+    for n in range(2, 257):
+        for w, delta, m in ((0, n % 2, 1), (2, n % 2 - 2, -7),
+                            (-10000, 10000 - n % 2, 10 ** 35 - 1)):
+            assert pa.check_main1_step(n, w, delta, m).is_ok, (n, w, delta, m)
+
+
 def _built(fn, *args):
     """fn(*args) or the ValueError it raises, with the warnings it gave."""
     with warnings.catch_warnings(record=True) as caught:
@@ -460,21 +476,34 @@ def test_main1_steps_match_the_oracle_over_a_grid():
 
 def test_main1_pair_matches_the_checked_oracle_up_to_the_caps():
     # the trusted pair against the pair built through InfinityType, at
-    # every rank up to the CLI's and at its |w|, |delta| and --m caps
+    # every rank up to the CLI's and at its |w|, |delta| and --m caps; and
+    # the hypotheses that the step does not check, which _main1_pair's
+    # docstring proves: the pair is balanced and regular, m + 1/2 and
+    # m2 + 1/2 are critical for it, and -m + 1/2 for its duals
     checked = 0
     big = 10 ** 35 - 1
+    half = Fraction(1, 2)
     for n in range(2, 257):
         deltas = (n % 2, 10000 - n % 2, n % 2 - 10000)
         for w, delta, m in product((-10000, -1, 0, 1, 10000), deltas,
                                    (1, -1, 10 ** 6, -10 ** 6, big, -big)):
-            try:
-                pa.check_main1_step(n, w, delta, m)
-            except ValueError:
+            out, warned = _built(pa.check_main1_step, n, w, delta, m)
+            if not isinstance(out, pa.CheckResult):
                 continue
+            where = (n, w, delta, m)
             pair = pa._main1_pair(n, w, delta, m)
-            assert pair == oracles.main1_pair(n, w, delta, m), (n, w, delta, m)
+            assert pair == oracles.main1_pair(n, w, delta, m), where
             for rep in pair:
                 assert InfinityType(*rep.inf) == rep.inf
+            pi, sigma = (rep.inf for rep in pair)
+            assert oracles.is_balanced(pi, sigma), where
+            assert is_regular(pi) and is_regular(sigma) and warned == [], where
+            cs = arch_l.critical_set(pi, sigma)
+            for s0 in (m + half, -m - w - delta + half):
+                assert oracles.critical_contains(cs, s0), (where, s0)
+            duals = (oracles.global_dual(rep).inf for rep in pair)
+            assert oracles.critical_contains(arch_l.critical_set(*duals),
+                                             -m + half), where
             checked += 1
     assert checked == 128 * 90 + 127 * 54
 
@@ -490,48 +519,18 @@ def _step_outcome(fn, *args):
 
 @pytest.mark.parametrize("n, w, delta, m", [
     (4, 2, 0, 1), (5, 2, 1, -3), (8, 1, 2, 2), (3, -2, -3, 3), (2, 1, 0, -2)])
-def test_main1_guards_fail_and_warn_as_the_oracle_does(monkeypatch, n, w,
-                                                        delta, m):
-    # the oracle runs the six guards of the four guarded builders, and the
-    # step checks m + 1/2 alone; w and delta are not both 0, so the duals'
-    # types differ from the pair's
-    pi, sigma = pa._main1_pair(n, w, delta, m)
-    pi_d, sigma_d = map(oracles.global_dual, (pi, sigma))
-    half = Fraction(1, 2)
-    points = [(m + half, pi, sigma), (-m + half, pi_d, sigma_d),
-              (-m - w - delta + half, pi, sigma)]
-    real = arch_l.critical_set
-
-    def cut(a, b):
-        """critical_set without m + 1/2 and its two mirrors, as every real
-        set loses them together: the parity of each is emptied."""
-        cs = real(a, b)
-        lo, hi = list(cs.lo), list(cs.hi)
-        for q, p, s in points:
-            if (p.inf, s.inf) == (a, b):
-                k = int(q - cs.offset)
-                lo[k % 2], hi[k % 2] = k + 1, k - 1
-        return arch_l.CriticalSet(cs.offset, tuple(lo), tuple(hi))
-
-    assert not any(oracles.critical_contains(cut(p.inf, s.inf), q)
-                   for q, p, s in points)
-    with monkeypatch.context() as mp:
-        mp.setattr(arch_l, "critical_set", cut)
-        new = _step_outcome(pa.check_main1_step, n, w, delta, m)
-        assert new == _step_outcome(oracles.main1_steps, n, w, delta, m)
-    assert new == ((ValueError, f"{m + half} is not a critical point "
-                    f"of {pa.pair_label(pi, sigma)}"), [])
-    for name, outcome in [
-            ("is_balanced", ((ValueError, "pair is not balanced"), [])),
-            ("is_regular", (oracles.main1_steps(n, w, delta, m),
-                            ["regularity hypotheses unmet for Sigma",
-                             "regularity hypotheses unmet for Pi"]))]:
-        with monkeypatch.context() as mp:
-            for module in (pa, oracles):
-                mp.setattr(module, name, lambda *types: False)
-            new = _step_outcome(pa.check_main1_step, n, w, delta, m)
-            assert new == _step_outcome(oracles.main1_steps, n, w, delta, m)
-        assert new == outcome, name
+def test_main1_step_warns_on_irregular_types_as_the_oracle_does(
+        monkeypatch, n, w, delta, m):
+    # rel_main1 still tests regularity: with is_regular made false, the
+    # step warns for Sigma then Pi, as the oracle builders do, and builds
+    # the same relations
+    monkeypatch.setattr(pa, "is_regular", lambda t: False)
+    monkeypatch.setattr(oracles, "is_regular", lambda t: False)
+    new = _step_outcome(pa.check_main1_step, n, w, delta, m)
+    assert new == _step_outcome(oracles.main1_steps, n, w, delta, m)
+    assert isinstance(new[0], list)
+    assert new[1] == ["regularity hypotheses unmet for Sigma",
+                      "regularity hypotheses unmet for Pi"]
 
 
 def test_corollary_branches():

@@ -115,23 +115,16 @@ def test_a_motive_label_that_is_not_a_string_is_a_type_error():
         yoshida.MotiveShape(7, 2, 0, (5,), 1, 1)
 
 
-def test_a_main1_step_reads_each_critical_set_once(monkeypatch):
-    # the pair's set and signs alone: the duals' set and the step's two
-    # other points follow from the set by symmetry, and the duals' signs
-    # equal the pair's
-    calls, signs = [], []
+def test_a_main1_step_resolves_its_signs_once(monkeypatch):
+    # the pair's signs alone: the duals' signs equal the pair's
+    signs = []
 
-    def counted(real, log):
-        def wrapped(*args):
-            log.append(args)
-            return real(*args)
-        return wrapped
+    def counted(*args):
+        signs.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(arch_l, "critical_set",
-                        counted(arch_l.critical_set, calls))
-    monkeypatch.setattr(period_algebra, "raghuram_signs",
-                        counted(period_algebra.raghuram_signs, signs))
+    real = period_algebra.raghuram_signs
+    monkeypatch.setattr(period_algebra, "raghuram_signs", counted)
     assert period_algebra.check_main1_step(8, 1, 2, 3).is_ok
     pi, sigma = period_algebra._main1_pair(8, 1, 2, 3)
-    assert calls == [(pi.inf, sigma.inf)]
     assert signs == [(3, pi, sigma)]
