@@ -71,7 +71,8 @@ def checked_kappa(n: int, kappa) -> tuple:
         raise ValueError("rank must be positive")
     r = n // 2
     if len(kappa) != r:
-        raise ValueError(f"kappa must have {r} entries for rank {n}")
+        noun = "entry" if r == 1 else "entries"
+        raise ValueError(f"kappa must have {r} {noun} for rank {n}")
     if any(kappa[i] <= kappa[i + 1] for i in range(r - 1)):
         raise ValueError("kappa must be strictly decreasing")
     if r and kappa[-1] < 2:
@@ -155,14 +156,6 @@ def interlaces(kappa: tuple, ell: tuple) -> bool:
     """kappa_1 > ell_1 > kappa_2 > ell_2 > ..., for len(ell) <= len(kappa)."""
     return (all(k > l for k, l in zip(kappa, ell))
             and all(l > k for l, k in zip(ell, kappa[1:])))
-
-
-def is_regular(t: InfinityType) -> bool:
-    """The duality theorem's regularity: kappa_r >= 3 (n even) or 5 (n odd),
-    and every gap kappa_i - kappa_{i+1} >= 4, or 6 when n and w are even."""
-    gap = 6 if t.n % 2 == 0 and t.w % 2 == 0 else 4
-    return ((not t.kappa or t.kappa[-1] >= (3 if t.n % 2 == 0 else 5))
-            and all(a - b >= gap for a, b in zip(t.kappa, t.kappa[1:])))
 
 
 def character_sign(delta: int, u: int) -> int:

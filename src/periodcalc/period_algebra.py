@@ -9,7 +9,6 @@ and returns the residual, which must be the identity.
 
 from __future__ import annotations
 
-import warnings
 from collections import namedtuple
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
                      RelationDB, check_script, dual_label, gauss_fp,
                      replay, _reduced)
 from .infinity_types import (InfinityType, as_fraction, character_sign,
-                             is_regular, signature)
+                             signature)
 
 __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
@@ -88,10 +87,10 @@ def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
 
 
 def rel_main1(pi: GlobalRep, eps: int) -> Relation:
-    """p(Pi, eps) = G(omega_Pi)^{n-1} p(Pi^v, eps)."""
-    if not is_regular(pi.inf):
-        warnings.warn(f"regularity hypotheses unmet for {pi.label}",
-                      stacklevel=2)
+    """p(Pi, eps) = G(omega_Pi)^{n-1} p(Pi^v, eps).
+
+    The relation holds for regular Pi.  Both callers build Pi from a closed
+    form that is regular, as their docstrings show, so Pi is not tested."""
     bw = PeriodAtom("BW", (pi.label, eps))
     return Relation(f"main1[{pi.label},{eps:+d}]",
                     "period relation under duality",
@@ -149,7 +148,10 @@ def _main1_pair(n: int, w: int, delta: int, m: int):
     kappa_min + ell_min - 1, kappa_min and ell_min are larger; no Gamma_R
     character occurs, as no kappa_i = ell_j and adjacent ranks are never
     both odd.  By s -> 1 - s, -m + 1/2 is critical for the duals.
-    test_main1_pair_matches_the_checked_oracle_up_to_the_caps tests both,
+    Regularity: kappa and ell step down by 2*gap >= 32, and end at
+    4*gap + 42 - kap_par >= 105 and at least 3*gap + 41, which pass the gap
+    test (>= 6) and the last-entry test (>= 3, or >= 5 at odd rank).
+    test_main1_pair_matches_the_checked_oracle_up_to_the_caps tests all three,
     and compares the pair with tests.oracles.main1_pair's checked build.
     """
     r = n // 2
@@ -251,6 +253,8 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
 
     from the duality relation, the character twist by chi^{-1} (using
     Pi^v = Pi (x) chi^{-1}), and quadraticity of chi^n omega_Pi^{-1}.
+    Pi's kappa_j = 8 + 6j with w = 0 has gaps of exactly 6 and last entry
+    14, so Pi is regular at every n.
     """
     if n < 1:
         raise ValueError("n must be positive")

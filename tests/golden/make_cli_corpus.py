@@ -338,6 +338,15 @@ def _residual_replays():
            {"rel.json": written, "script.json": script}, None)
 
 
+def _payload_rejections():
+    """Payload rejections that no earlier record reaches, each exiting 1 with
+    one error line: a --pi of rank 0, which checked_kappa rejects, and a
+    --pi of odd rank and odd w, which InfinityType rejects."""
+    sigma = '{"n":2,"kappa":[4],"w":0}'
+    for pi in ('{"n":0,"kappa":[],"w":0}', '{"n":3,"kappa":[5],"w":1}'):
+        yield ["critical", "--pi", pi, "--sigma", sigma]
+
+
 def requests():
     """(argv, files, db) of every run in the corpus, in a fixed order."""
     rng = random.Random(20261018)
@@ -346,7 +355,7 @@ def requests():
                _scripts(), _asai(rng), _classify(rng), _deligne(),
                _infinity_type(rng), _malformed(), _defaults(), _main1_db(),
                _main1_rank_one(), _empty_controls(), _pinned(),
-               _residual_replays()]
+               _residual_replays(), _payload_rejections()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)

@@ -12,8 +12,9 @@ infinity type, against which the tests hold MotiveShape's rules; and the
 relations of a main1 step as products of atoms, with the duals built by
 twisting the types and each critical point tested by a Fraction
 subtraction, every point coerced to a Fraction by the reference
-as_fraction; and the motivic-dual derivation through yoshida's relation
-builders.  No request of the CLI runs any of them.
+as_fraction; the balance and regularity tests of a main1 pair, which
+its closed form makes hold; and the motivic-dual derivation through
+yoshida's relation builders.  No request of the CLI runs any of them.
 """
 
 import json
@@ -27,9 +28,9 @@ from periodcalc import period_algebra as pa
 from periodcalc import yoshida as y
 from periodcalc.formal import (ATOM_I, FormalPeriod, PeriodAtom, Relation,
                                dual_label, gauss_fp)
-from periodcalc.infinity_types import (InfinityType, interlaces, is_regular,
-                                       json_int, json_list, json_str,
-                                       signature, to_arch_rep)
+from periodcalc.infinity_types import (InfinityType, interlaces, json_int,
+                                       json_list, json_str, signature,
+                                       to_arch_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +440,14 @@ def is_balanced(pi: InfinityType, sigma: InfinityType) -> bool:
     return interlaces(pi.kappa, sigma.kappa)
 
 
+def is_regular(t: InfinityType) -> bool:
+    """The duality theorem's regularity: kappa_r >= 3 (n even) or 5 (n odd),
+    and every gap kappa_i - kappa_{i+1} >= 4, or 6 when n and w are even."""
+    gap = 6 if t.n % 2 == 0 and t.w % 2 == 0 else 4
+    return ((not t.kappa or t.kappa[-1] >= (3 if t.n % 2 == 0 else 5))
+            and all(a - b >= gap for a, b in zip(t.kappa, t.kappa[1:])))
+
+
 def _require_critical(s0, pi, sigma):
     if not critical_contains(arch_l.critical_set(pi.inf, sigma.inf), s0):
         raise ValueError(
@@ -558,7 +567,8 @@ def main1_steps(n: int, w: int, delta: int, m: int,
                 corrupt: bool = False) -> list:
     """The (relation, exponent) steps of check_main1_step for an input it
     accepts at rank n >= 2, built in the step's order, so that a failed
-    guard raises and an irregular type warns as the step's own does."""
+    guard raises as the step's own does.  Its rel_main1 still tests
+    regularity and warns, which the step's pair never trips."""
     pi, sigma = main1_pair(n, w, delta, m)
     pi_d, sigma_d = global_dual(pi), global_dual(sigma)
     eps, eps_prime = pa.raghuram_signs(m, pi, sigma)

@@ -158,7 +158,7 @@ def test_twist_shifts_w(t):
 
 def test_regularity_and_required_gap():
     def regular(n, kappa, w):
-        return it.is_regular(it.InfinityType(n, kappa, w))
+        return oracles.is_regular(it.InfinityType(n, kappa, w))
     # kappa_r >= 3 at even rank
     assert regular(2, (3,), 1) and not regular(2, (2,), 0)
     # kappa_r >= 5 at odd rank

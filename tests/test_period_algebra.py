@@ -19,8 +19,7 @@ from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
                                PeriodAtom, Relation, atom_from_json, gauss_fp,
                                period_from_json, period_to_json,
                                relation_from_json, relation_to_json)
-from periodcalc.infinity_types import (InfinityType, as_fraction, is_regular,
-                                       json_int)
+from periodcalc.infinity_types import InfinityType, as_fraction, json_int
 from tests import dbcheck, oracles
 from tests.golden.make_cli_corpus import CORPUS
 from tests.golden.malformed import MALFORMED_DB
@@ -282,14 +281,6 @@ def test_rel_main1_rank_one_trivial_gauss():
     assert rel.rhs.exponent(PeriodAtom("Gauss", ("omega",))) == 0
 
 
-def test_rel_main1_warns_on_irregular():
-    pi = pa.GlobalRep("P", InfinityType(4, (6, 4), 0), gauss_fp({"omega": 1}))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pa.rel_main1(pi, 1)
-    assert any("regularity" in str(w.message) for w in caught)
-
-
 def test_quadratic_relation():
     rel = pa.rel_quadratic(gauss_fp({"chi": 1, "omega": -1}))
     assert rel.lhs == gauss_fp({"chi": 2, "omega": -2})
@@ -497,7 +488,8 @@ def test_main1_pair_matches_the_checked_oracle_up_to_the_caps():
                 assert InfinityType(*rep.inf) == rep.inf
             pi, sigma = (rep.inf for rep in pair)
             assert oracles.is_balanced(pi, sigma), where
-            assert is_regular(pi) and is_regular(sigma) and warned == [], where
+            assert oracles.is_regular(pi) and oracles.is_regular(sigma), where
+            assert warned == [], where
             cs = arch_l.critical_set(pi, sigma)
             for s0 in (m + half, -m - w - delta + half):
                 assert oracles.critical_contains(cs, s0), (where, s0)
@@ -508,29 +500,24 @@ def test_main1_pair_matches_the_checked_oracle_up_to_the_caps():
     assert checked == 128 * 90 + 127 * 54
 
 
-def _step_outcome(fn, *args):
-    """The relations fn(*args) builds (a CheckResult's or a list of steps)
-    or the ValueError it raises, with the warnings it gave."""
-    out, warned = _built(fn, *args)
-    if isinstance(out, pa.CheckResult):
-        out = list(out.relations)
-    return out, warned
+def test_corollary_main_builds_a_regular_pi_at_every_n(monkeypatch):
+    # check_corollary_main's docstring proves its Pi regular, which
+    # rel_main1 does not test: the type rel_main1 receives, at every n up
+    # to the CLI's --n cap of 256 (rank 512), passes the oracle's test, and
+    # the replay gives no warning
+    received = []
 
+    def recording(pi, eps, rel_main1=pa.rel_main1):
+        received.append(pi.inf)
+        return rel_main1(pi, eps)
 
-@pytest.mark.parametrize("n, w, delta, m", [
-    (4, 2, 0, 1), (5, 2, 1, -3), (8, 1, 2, 2), (3, -2, -3, 3), (2, 1, 0, -2)])
-def test_main1_step_warns_on_irregular_types_as_the_oracle_does(
-        monkeypatch, n, w, delta, m):
-    # rel_main1 still tests regularity: with is_regular made false, the
-    # step warns for Sigma then Pi, as the oracle builders do, and builds
-    # the same relations
-    monkeypatch.setattr(pa, "is_regular", lambda t: False)
-    monkeypatch.setattr(oracles, "is_regular", lambda t: False)
-    new = _step_outcome(pa.check_main1_step, n, w, delta, m)
-    assert new == _step_outcome(oracles.main1_steps, n, w, delta, m)
-    assert isinstance(new[0], list)
-    assert new[1] == ["regularity hypotheses unmet for Sigma",
-                      "regularity hypotheses unmet for Pi"]
+    monkeypatch.setattr(pa, "rel_main1", recording)
+    for n in range(1, 257):
+        received.clear()
+        out, warned = _built(pa.check_corollary_main, n)
+        assert out.is_ok and warned == [], n
+        (pi,) = received
+        assert pi.n == 2 * n and oracles.is_regular(pi), n
 
 
 def test_corollary_branches():
