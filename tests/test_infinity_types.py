@@ -49,6 +49,16 @@ def test_validation_rejects_bad_shapes():
         it.InfinityType(3, (5,), 1)           # odd w (odd n)
 
 
+@pytest.mark.parametrize("n, kappa, message", [
+    (2, (), "kappa must have 1 entry for rank 2"),
+    (3, (5, 3), "kappa must have 1 entry for rank 3"),
+    (4, (6,), "kappa must have 2 entries for rank 4"),
+    (1, (4,), "kappa must have 0 entries for rank 1")])
+def test_checked_kappa_names_the_entry_count(n, kappa, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        it.checked_kappa(n, kappa)
+
+
 def test_weight_to_infinity_gl2():
     t = it.weight_to_infinity(it.DominantWeight((11, 0)))
     assert (t.n, t.kappa, t.w) == (2, (13,), -11)

@@ -281,6 +281,23 @@ def test_rel_main1_rank_one_trivial_gauss():
     assert rel.rhs.exponent(PeriodAtom("Gauss", ("omega",))) == 0
 
 
+@pytest.mark.parametrize("inf", [
+    InfinityType(4, (6, 4), 0), InfinityType(2, (2,), 0),
+    InfinityType(3, (3,), 0), InfinityType(5, (7, 5), 0),
+    InfinityType(4, (5, 3), 1)])
+def test_rel_main1_trusts_its_caller_on_irregular_types(inf):
+    # rel_main1 does not test regularity: on a type that the oracle calls
+    # irregular it builds the oracle's relation and gives no warning, while
+    # the guarded oracle warns
+    pi = pa.GlobalRep("P", inf, gauss_fp({"omega": 1}))
+    assert not oracles.is_regular(inf)
+    new, warned = _built(pa.rel_main1, pi, 1)
+    want, want_warned = _built(oracles.rel_main1, pi, 1)
+    assert new == want and _sides([(new, 1)]) == _sides([(want, 1)])
+    assert warned == []
+    assert want_warned == ["regularity hypotheses unmet for P"]
+
+
 def test_quadratic_relation():
     rel = pa.rel_quadratic(gauss_fp({"chi": 1, "omega": -1}))
     assert rel.lhs == gauss_fp({"chi": 2, "omega": -2})
