@@ -64,6 +64,8 @@ def _parse_payload(text: str, cls):
     """An InfinityType (or a MotiveShape) from its JSON payload."""
     data = _parse_json(text)
     try:
+        if type(data) is not dict:
+            raise TypeError(f"expected an object, got {data!r}")
         obj = cls.from_json(data)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad {cls.__name__} payload: {exc}") from exc

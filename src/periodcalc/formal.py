@@ -133,15 +133,10 @@ class FormalPeriod:
         return sorted(self._exp.items(), key=lambda item: item[0]._key())
 
     def __mul__(self, other: "FormalPeriod") -> "FormalPeriod":
-        exp = self._exp.copy()
-        for a, e in other._exp.items():
-            exp[a] = exp.get(a, 0) + e
-        return FormalPeriod._of_exp(_reduced(exp))
+        return _period(self._exp.copy(), (other, 1))
 
     def __pow__(self, k: int) -> "FormalPeriod":
-        k = json_int(k)
-        exp = {a: k * e for a, e in self._exp.items()} if k else {}
-        return FormalPeriod._of_exp(_reduced(exp))
+        return _period({}, (self, json_int(k)))
 
     @property
     def is_trivial(self) -> bool:
@@ -163,6 +158,16 @@ class FormalPeriod:
         if not self._exp:
             return "1"
         return " * ".join(f"{a.render()}^{e}" for a, e in self.items())
+
+
+def _period(exp: dict, *classes) -> FormalPeriod:
+    """The period prod a^e over exp's items times prod g^k over classes
+    (g, k), each class's exponents added into exp in its own order; the
+    trusted accumulator, as FormalPeriod(pairs) is the checked one."""
+    for g, k in classes:
+        for a, e in g._exp.items():
+            exp[a] = exp.get(a, 0) + k * e
+    return FormalPeriod._of_exp(_reduced(exp))
 
 
 def dual_label(label: str) -> str:
@@ -192,21 +197,19 @@ class Relation(namedtuple("Relation", "name citation lhs rhs")):
 def replay(steps, atoms=()) -> FormalPeriod:
     """The product of lhs/rhs over (relation, exponent) steps; a record that
     RelationDB.load kept is summed per index of atoms, decoded at the end."""
-    exp, sums = {}, [0] * len(atoms)
+    classes, sums = [], [0] * len(atoms)
     for rel, e in steps:
         e = e if type(e) is int else json_int(e)
         if type(rel) is not dict:
-            for atom, k in rel.lhs._exp.items():
-                exp[atom] = exp.get(atom, 0) + e * k
-            for atom, k in rel.rhs._exp.items():
-                exp[atom] = exp.get(atom, 0) - e * k
+            classes += ((rel.lhs, e), (rel.rhs, -e))
             continue
         for side, s in ((rel["lhs"], e), (rel["rhs"], -e)):
             for i, k in side:
                 sums[i] += s * k
-    for atom, k in filter(itemgetter(1), zip(atoms, sums)) if atoms else ():
-        exp[atom] = exp.get(atom, 0) + k
-    return FormalPeriod._of_exp(_reduced(exp))
+    if atoms:  # decode the nonzero sums of the records that load kept
+        classes.append((FormalPeriod(filter(itemgetter(1), zip(atoms, sums))),
+                        1))
+    return _period({}, *classes)
 
 
 class CheckResult(namedtuple("CheckResult", "residual relations i_parity",
@@ -248,11 +251,10 @@ def period_to_json(p: FormalPeriod, atoms: dict) -> str:
 
 
 def relation_to_json(r: Relation, atoms: dict, citations: dict) -> str:
-    k, pairs = len(r.lhs._exp), [f"[{atoms.setdefault(a, len(atoms))}, {e}]"
-                                 for p in r[2:] for a, e in p._exp.items()]
     return (f'{{"citation": {citations.setdefault(r.citation, len(citations))}'
-            f', "lhs": [{", ".join(pairs[:k])}], "name": {_json_text(r.name)}'
-            f', "rhs": [{", ".join(pairs[k:])}]}}')
+            f', "lhs": {period_to_json(r.lhs, atoms)}'
+            f', "name": {_json_text(r.name)}'
+            f', "rhs": {period_to_json(r.rhs, atoms)}}}')
 
 
 def atom_from_json(data: dict) -> PeriodAtom:
@@ -288,14 +290,15 @@ def _entry(table: list, i, what: str):
 def period_from_json(data, atoms: list = None) -> FormalPeriod:
     """A side of a relation: [atom index, exponent] pairs into the decoded
     atom table of a version-2 file, or without one, [atom, exponent]."""
-    exp = {}
-    for pair in json_list(data):
-        if type(pair) is not list or len(pair) != 2:
-            raise ValueError(f"a pair must be [atom, exponent], got {pair!r}")
-        a, e = pair
-        atom = atom_from_json(a) if atoms is None else _entry(atoms, a, "atom")
-        exp[atom] = exp.get(atom, 0) + (e if type(e) is int else json_int(e))
-    return FormalPeriod._of_exp(_reduced(exp))
+    def pairs():
+        for pair in json_list(data):
+            if type(pair) is not list or len(pair) != 2:
+                raise ValueError("a pair must be [atom, exponent], "
+                                 f"got {pair!r}")
+            a, e = pair
+            yield (atom_from_json(a) if atoms is None
+                   else _entry(atoms, a, "atom")), e
+    return FormalPeriod(pairs())
 
 
 def relation_from_json(data: dict, atoms: list = None,

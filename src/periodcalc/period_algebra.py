@@ -15,9 +15,9 @@ from fractions import Fraction
 from . import arch_l
 from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
                      RelationDB, check_script, dual_label, gauss_fp,
-                     replay, _reduced)
+                     replay, _period)
 from .infinity_types import (InfinityType, as_fraction, character_sign,
-                             signature)
+                             json_int, signature)
 
 __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
@@ -61,15 +61,6 @@ def raghuram_signs(m, pi: GlobalRep, sigma: GlobalRep):
         return eps, free * eps
     eps_prime = signature(sigma.inf)
     return free * eps_prime, eps_prime
-
-
-def _period(exp: dict, *classes) -> FormalPeriod:
-    """The period prod a^e over exp's items times prod g^k over classes
-    (g, k), each class's exponents added into exp in its own order."""
-    for g, k in classes:
-        for a, e in g._exp.items():
-            exp[a] = exp.get(a, 0) + k * e
-    return FormalPeriod._of_exp(_reduced(exp))
 
 
 def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
@@ -170,7 +161,8 @@ def _main1_pair(n: int, w: int, delta: int, m: int):
 
 def require_main1_hypotheses(n: int, w: int, delta: int) -> None:
     """The rank and parity hypotheses of a main1 step, which check_main1_step
-    checks first, before the point m."""
+    checks first, before the point m; each is an int, not a bool."""
+    n, w, delta = map(json_int, (n, w, delta))
     if n < 1:
         raise ValueError("rank must be positive")
     if delta % 2 != n % 2:
@@ -256,7 +248,7 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
     Pi's kappa_j = 8 + 6j with w = 0 has gaps of exactly 6 and last entry
     14, so Pi is regular at every n.
     """
-    if n < 1:
+    if json_int(n) < 1:
         raise ValueError("n must be positive")
     kappa = tuple(8 + 6 * j for j in range(n, 0, -1))
     pi = GlobalRep("Pi", InfinityType(2 * n, kappa, 0, 0), _OMEGA_PI)
@@ -284,7 +276,7 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
     through the sign-change relation.  Even n' is the trivially algebraic
     case.
     """
-    if n < 1 or nprime < 1:
+    if json_int(n) < 1 or json_int(nprime) < 1:
         raise ValueError("ranks must be positive")
     if nprime % 2 == 0:
         return CheckResult(FormalPeriod())
@@ -326,10 +318,10 @@ def check_motivic_dual(n: int, i: int = None,
     Each distinct atom of a gap is built once: the gap's relations are
     those of yoshida's rank-2 expansion (of M (x) N and of M^v (x) N^v),
     determinant and duality builders, written straight from one table."""
-    if n < 2:
+    if json_int(n) < 2:
         raise ValueError("rank must be at least 2")
     r = n // 2
-    if i is not None and not 1 <= i <= r - 1:
+    if i is not None and not 1 <= json_int(i) <= r - 1:
         raise ValueError("i must lie in 1..floor(n/2)-1")
     # for odd n, eps = d+ - d- = +1 for this M adds one more c^+(N) to the
     # expansion of c^+(M (x) N), one more c^-(N^v) to that of

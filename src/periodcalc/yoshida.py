@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .formal import (ATOM_TWO_PI_I, FormalPeriod, PeriodAtom, Relation,
-                     dual_label)
+                     dual_label, _period)
 from .infinity_types import (checked_kappa, interlaces, json_int, json_list,
                              json_str)
 
@@ -160,8 +160,8 @@ def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
         fm = f_bw(n, eps=eps, dplus=M.dplus, dminus=M.dminus)
         fn = f_bw(n - 1, dplus=N.dplus, dminus=N.dminus)
     lhs = FormalPeriod.atom(PeriodAtom("DC", (tensor_label(M, N), sign)))
-    rhs = (FormalPeriod.atom(PeriodAtom("Delta", (N.label,)))
-           * monomial_atoms(fm, M) * monomial_atoms(fn, N))
+    rhs = _period({PeriodAtom("Delta", (N.label,)): 1},
+                  (monomial_atoms(fm, M), 1), (monomial_atoms(fn, N), 1))
     return Relation(f"tensor-deligne[{tensor_label(M, N)},{sign:+d}]",
                     "balanced tensor Deligne-period factorization",
                     lhs, rhs)
@@ -170,14 +170,13 @@ def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
 def dual_relation(m: FundamentalMonomial, M: MotiveShape) -> Relation:
     """f^dual(X_{M^v}) = delta(M)^{-(k+ + k-)} * f(X_M), where m has
     k+ + k- = 2(m0 + sum mi) + m+ + m-, as monomial_type sums it."""
-    rhs, delta = _monomial_exp(m, M.label), PeriodAtom("Delta", (M.label,))
+    delta = FormalPeriod.atom(PeriodAtom("Delta", (M.label,)))
     k = 2 * (m.m0 + sum(m.mi)) + m.mplus + m.mminus
-    rhs[delta] = rhs.get(delta, 0) - k
     exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
     return Relation(f"dual[{M.label},{exps}]", "duality of fundamental periods",
                     FormalPeriod._of_exp(_monomial_exp(m, dual_label(M.label),
                                                        dual=True)),
-                    FormalPeriod._of_exp({a: e for a, e in rhs.items() if e}))
+                    _period(_monomial_exp(m, M.label), (delta, -k)))
 
 
 def tate_twist_relation(m: FundamentalMonomial, M: MotiveShape,
@@ -187,7 +186,7 @@ def tate_twist_relation(m: FundamentalMonomial, M: MotiveShape,
     exp = t * (tag.kplus * M.dplus + tag.kminus * M.dminus)
     base = m if t % 2 == 0 else dual_monomial(m)
     lhs = monomial_atoms(m, tate_twist_motive(M, t))
-    rhs = FormalPeriod.atom(ATOM_TWO_PI_I, exp) * monomial_atoms(base, M)
+    rhs = _period({ATOM_TWO_PI_I: exp}, (monomial_atoms(base, M), 1))
     return Relation(f"tate-twist[{M.label},{t}]",
                     "Tate twist of fundamental periods", lhs, rhs)
 
@@ -195,12 +194,11 @@ def tate_twist_relation(m: FundamentalMonomial, M: MotiveShape,
 def delta_tensor(M: MotiveShape, N: MotiveShape) -> Relation:
     """delta(M (x) N) = delta(M)^{rank N} * delta(N)^{rank M}."""
     label = tensor_label(M, N)
-    dm, dn = (PeriodAtom("Delta", (X.label,)) for X in (M, N))  # ranks >= 1
-    rhs = {dm: N.n + M.n} if dm == dn else {dm: N.n, dn: M.n}
+    dm, dn = (PeriodAtom("Delta", (X.label,)) for X in (M, N))
     return Relation(f"delta-tensor[{label}]",
                     "determinant period of a tensor product",
                     FormalPeriod._of_exp({PeriodAtom("Delta", (label,)): 1}),
-                    FormalPeriod._of_exp(rhs))
+                    FormalPeriod(((dm, N.n), (dn, M.n))))
 
 
 def rank2_tensor_expansion(M: MotiveShape, N: MotiveShape, i: int,
@@ -220,15 +218,16 @@ def rank2_tensor_expansion(M: MotiveShape, N: MotiveShape, i: int,
     ell = N.kappa[0]
     if not M.kappa[i] < ell < M.kappa[i - 1]:
         raise ValueError("N is not in the i-th Hodge gap of M")
-    # distinct atoms of exponents >= 1; at odd rank eps = d+ - d- is +-1
-    rhs = {PeriodAtom("DCi", (M.label, i)): 1,
-           PeriodAtom("Delta", (N.label,)): i,
-           PeriodAtom("DC", (N.label, 1)): r - i,
-           PeriodAtom("DC", (N.label, -1)): r - i}
+    # at odd rank eps = d+ - d- is +-1, and c^{sign*eps}(N) occurs once more
+    rhs = [(PeriodAtom("DCi", (M.label, i)), 1),
+           (PeriodAtom("Delta", (N.label,)), i),
+           (PeriodAtom("DC", (N.label, 1)), r - i),
+           (PeriodAtom("DC", (N.label, -1)), r - i)]
     if M.n % 2:
-        rhs[PeriodAtom("DC", (N.label, sign * (M.dplus - M.dminus)))] += 1
+        eps = M.dplus - M.dminus
+        rhs.append((PeriodAtom("DC", (N.label, sign * eps)), 1))
     label = tensor_label(M, N)
     return Relation(f"rank2-expansion[{label},{i},{sign:+d}]",
                     "rank-2 auxiliary tensor expansion of c^{+-}",
                     FormalPeriod._of_exp({PeriodAtom("DC", (label, sign)): 1}),
-                    FormalPeriod._of_exp(rhs))
+                    FormalPeriod(rhs))

@@ -347,6 +347,17 @@ def _payload_rejections():
         yield ["critical", "--pi", pi, "--sigma", sigma]
 
 
+def _non_object_payloads():
+    """Payloads that are JSON but not an object, each exiting 2 with one
+    error line that names what was given: to critical, to infinity-type
+    --type and to deligne."""
+    sigma = '{"n":1,"kappa":[],"w":0}'
+    for payload in ("[1]", "null", '"M"'):
+        yield ["critical", "--pi", payload, "--sigma", sigma]
+        yield ["infinity-type", "--type", payload]
+        yield ["deligne", "--motive", payload, "--aux", MOTIVES[0][1]]
+
+
 def requests():
     """(argv, files, db) of every run in the corpus, in a fixed order."""
     rng = random.Random(20261018)
@@ -355,7 +366,8 @@ def requests():
                _scripts(), _asai(rng), _classify(rng), _deligne(),
                _infinity_type(rng), _malformed(), _defaults(), _main1_db(),
                _main1_rank_one(), _empty_controls(), _pinned(),
-               _residual_replays(), _payload_rejections()]
+               _residual_replays(), _payload_rejections(),
+               _non_object_payloads()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -281,6 +282,26 @@ def test_motivic_dual_steps_replay_from_db(tmp_path, capsys):
     code, data, _ = run_json(capsys, "check", "--db", db_path,
                              "--script", json.dumps(data["steps"]))
     assert code == 0 and data["ok"]
+
+
+# the SHA-256 of the DB file that each builtin writes at its largest rank
+LARGE_DBS = {
+    ("motivic-dual", "--n", "256"):
+        "cda8fbb27eaa61d0487a8afeb7766c7079c97a2d310630d1801c79b6eaca45b9",
+    ("main1", "--n", "255", "--m", "3/2"):
+        "61b910114a404f286ec5619d7e3a8c29820d38c642284c0882072ea35544ca33",
+    ("corollary-main", "--n", "256"):
+        "6502bc3843df847da7c15293244a8cda1bc12eacd77f9575a943888d5033ce90",
+    ("main2", "--n", "256", "--nprime", "255", "--eps-num=-1"):
+        "efaec0006c083cc2274d40badd2fb28d5d1a3282344eff85abdfb3cfe3fbcf9b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_DBS))
+def test_a_large_db_file_keeps_its_bytes(tmp_path, capsys, argv):
+    db = tmp_path / "db.json"
+    assert cli.main(["check", *argv, "--db", str(db)]) == 0
+    assert hashlib.sha256(db.read_bytes()).hexdigest() == LARGE_DBS[argv]
 
 
 def test_a_db_given_before_the_builtin_name_is_saved(tmp_path, capsys):

@@ -326,6 +326,26 @@ def test_main1_step_validation():
         pa.check_main1_step(4, 0, 0, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("bad", [0.5, True, Fraction(2)])
+@pytest.mark.parametrize("call", [
+    lambda x: pa.check_main1_step(x, 0, 0, 1),
+    lambda x: pa.check_main1_step(4, x, 0, 1),
+    lambda x: pa.check_main1_step(4, 0, x, 1),
+    lambda x: pa.require_main1_hypotheses(x, 0, 0),
+    lambda x: pa.check_motivic_dual(x),
+    lambda x: pa.check_motivic_dual(6, i=x),
+    lambda x: pa.check_corollary_main(x),
+    lambda x: pa.check_theorem_main2(x, 3),
+    lambda x: pa.check_theorem_main2(2, x),
+], ids=["main1-n", "main1-w", "main1-delta", "hypotheses-n", "motivic-dual-n",
+        "motivic-dual-i", "corollary-main-n", "main2-n", "main2-nprime"])
+def test_a_builtin_int_argument_rejects_a_non_int(call, bad):
+    # a float, a bool or an integral Fraction never reaches a trusted atom;
+    # m alone is a point, which _integer_m reads as a fraction
+    with pytest.raises(TypeError, match="expected an integer, got "):
+        call(bad)
+
+
 def test_main1_step_negative_control():
     res = pa.check_main1_step(6, 0, 0, 1, corrupt=True)
     assert not res.is_ok
@@ -431,19 +451,30 @@ def test_rel_main1_matches_the_oracle_under_drawn_labels(pair, eps):
                                                         rep, eps)
 
 
+_PI_PLUS = PeriodAtom("BW", ("Pi", 1))
+_CHI_ATOM = PeriodAtom("Gauss", ("chi",))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(atoms, st.integers(-3, 3)), max_size=5),
        st.lists(st.tuples(periods, st.integers(-3, 3)), max_size=3))
+# BW(Pi,+) cancels after the first class and comes back with the last, so
+# a reduce before the last class would move it behind Gauss(chi)
+@example([(_PI_PLUS, 1)],
+         [(FormalPeriod.atom(_PI_PLUS), -1), (FormalPeriod.atom(_CHI_ATOM), 1),
+          (FormalPeriod.atom(_PI_PLUS), 1)])
 def test_a_repeated_atom_adds_up_in_a_relation_side(pairs, classes):
-    # _period against the group's own * and **, where an atom may repeat
-    # across the classes and the atoms the side starts from
+    # _period, which * and ** are built on, against the checked constructor
+    # over the same (atom, k*e) pairs: the same period, and its atoms in the
+    # order of their first occurrence
     exp = {}
     for a, e in pairs:
         exp[a] = e
-    want = FormalPeriod.of(*exp.items())
-    for g, k in classes:
-        want = want * g ** k
-    assert pa._period(exp, *classes) == want
+    want = FormalPeriod(chain(exp.items(), ((a, k * e) for g, k in classes
+                                            for a, e in g._exp.items())))
+    got = formal._period(exp.copy(), *classes)
+    assert got == want
+    assert list(got._exp) == list(want._exp)
 
 
 def test_a_main1_step_builds_each_atom_once():

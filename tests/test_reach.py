@@ -10,6 +10,7 @@ qualified name; this module builds each function's qualified name from how
 the code objects nest, and the table names functions by it.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -38,7 +39,6 @@ NOT_ENTERED = {
     "formal.FormalPeriod.exponent": VALUE,
     "formal.FormalPeriod.atoms": VALUE,
     "formal.FormalPeriod.__hash__": VALUE,
-    "formal.period_to_json": TRACER,
     "infinity_types.to_arch_rep": TRACER,
     "weil_real.ArchCharacter.__new__": VALUE,
     "weil_real.ArchCharacter.__repr__": VALUE,
@@ -132,3 +132,51 @@ def test_every_function_runs_on_a_request_or_is_named_with_its_reason():
 
 def test_every_function_in_the_table_carries_one_of_the_three_tags():
     assert set(NOT_ENTERED.values()) <= {TRACER, HELPER, VALUE}
+
+
+class _Dotted(str):
+    """A module or class of perfbench/tracer.py, standing for its name."""
+
+    def __getattr__(self, attr):
+        return _Dotted(f"{self}.{attr}")
+
+
+def traced_names() -> set:
+    """The qualified name of every function that perfbench/tracer.py wraps:
+    each (owner, attribute) of its TARGETS, which is evaluated over stand-in
+    names and its literal tables, and each _replace call with a literal
+    attribute; read from the source, so perfbench is not imported."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "tracer.py")) as fh:
+        tree = ast.parse(fh.read())
+    targets, literals, names = None, {}, set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = ast.unparse(node.targets[0])
+            if target == "TARGETS":
+                targets = node.value
+            else:
+                try:
+                    literals[target] = ast.literal_eval(node.value)
+                except ValueError:
+                    pass
+    scope = {n.id: literals.get(n.id, _Dotted(n.id))
+             for n in ast.walk(targets) if isinstance(n, ast.Name)}
+    for owner, attr, *_ in eval(compile(ast.Expression(targets), "TARGETS",
+                                        "eval"), scope):
+        names.add(f"{owner}.{attr}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_replace"
+                and isinstance(node.args[1], ast.Constant)):
+            names.add(f"{ast.unparse(node.args[0])}.{node.args[1].value}")
+    return names
+
+
+def test_every_tracer_tag_names_a_function_the_tracer_wraps():
+    traced = traced_names()
+    assert {"formal.FormalPeriod.of", "arch_l.is_holomorphic_at",
+            "yoshida.delta_tensor",
+            "period_algebra.check_motivic_dual"} <= traced
+    assert sorted(name for name, tag in NOT_ENTERED.items()
+                  if tag == TRACER and name not in traced) == []
