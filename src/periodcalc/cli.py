@@ -199,10 +199,10 @@ def _check_main1(args):
     delta = args.delta if args.delta is not None else args.n % 2
     _check_w(delta, "--delta")
     from .period_algebra import check_main1_step, require_main1_hypotheses
-    # the step's rank and parity errors come before the point's
-    require_main1_hypotheses(args.n, args.w, delta)
     m = m0 - Fraction(1, 2)
     if m.denominator != 1:
+        # the step's rank and parity errors come before the point's
+        require_main1_hypotheses(args.n, args.w, delta)
         raise ValueError(f"--m must be a half-integer m0 = m + 1/2, "
                          f"got {m0}")
     return check_main1_step(args.n, args.w, delta, m, corrupt=args.corrupt)

@@ -150,9 +150,10 @@ def _main1_pair(n: int, w: int, delta: int, m: int):
     gap = 2 * (need + 4)
     kap_par = (w % 2) if n % 2 == 0 else 1
     base = 2 * gap * (r + 1) + 42 - kap_par
-    kappa = tuple(base - 2 * gap * i for i in range(r))
+    step = 2 * gap
+    kappa = tuple(range(base, base - step * r, -step))
     gprime = gap if kap_par == 1 else gap + 1  # keeps ell odd
-    ell = tuple(k - gprime for k in kappa[:(n - 1) // 2])
+    ell = tuple(range(base - gprime, base - step * ((n - 1) // 2), -step))
     new = tuple.__new__
     return (GlobalRep("Pi", new(InfinityType, (n, kappa, w, 0)), _OMEGA_PI),
             GlobalRep("Sigma", new(InfinityType, (n - 1, ell, delta, 0)),

@@ -4,7 +4,9 @@ Fundamental periods delta(M), c^{+-}(M), c_i(M) are evaluations of the
 generator polynomials det, f^{+-}, f_i at the period matrix of M; the period
 matrix itself is never materialized, only exponent identities between the
 fundamental-period atoms are produced (as Relation records over the formal
-period group).
+period group).  Each relation is written in closed form from the shapes and
+the monomial's exponents; tests/oracles.py keeps the general calculus of
+admissible types and monomials that the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from .formal import (ATOM_TWO_PI_I, FormalPeriod, PeriodAtom, Relation,
                      dual_label, _period)
 from .infinity_types import (checked_kappa, interlaces, json_int, json_list,
                              json_str)
-
-
-AdmissibleTypeTag = namedtuple("AdmissibleTypeTag", "a kplus kminus")
 
 
 class FundamentalMonomial(namedtuple(
@@ -36,47 +35,6 @@ class FundamentalMonomial(namedtuple(
         if len(mi) != max(n // 2 - 1, 0):
             raise ValueError("mi must have floor(n/2)-1 entries")
         return tuple.__new__(cls, (n, dplus, dminus, m0, mi, mplus, mminus))
-
-
-def monomial_type(m: FundamentalMonomial) -> AdmissibleTypeTag:
-    """The type (a; k+, k-) of m, summed in one pass over its exponents;
-    the generators have the types
-        det    (1^n; 1, 1)
-        f^+    (1^{d+} 0^{n-d+}; 1, 0)
-        f^-    (1^{d-} 0^{n-d-}; 0, 1)
-        f_i    (2^i 1^{n-2i} 0^i; 1, 1)
-    so f_i^e adds e to a_j (j from 0) for j < i, and again for j < n - i.
-    """
-    a = tuple(m.m0 + m.mplus * (j < m.dplus) + m.mminus * (j < m.dminus)
-              + sum(e * ((j < i) + (j < m.n - i))
-                    for i, e in enumerate(m.mi, start=1))
-              for j in range(m.n))
-    k = m.m0 + sum(m.mi)
-    return AdmissibleTypeTag(a, k + m.mplus, k + m.mminus)
-
-
-def dual_monomial(m: FundamentalMonomial) -> FundamentalMonomial:
-    return FundamentalMonomial(m.n, m.dplus, m.dminus, m.m0, m.mi,
-                               m.mminus, m.mplus)
-
-
-def f_bw(n: int, eps: int = None, dplus: int = None,
-         dminus: int = None) -> FundamentalMonomial:
-    """The monomial prod f_i * f^eps (n even) or prod f_i * f^+ f^- (n odd)."""
-    if n % 2 == 0:
-        if eps not in (1, -1):
-            raise ValueError("even rank needs eps in {+1, -1}")
-        dplus = n // 2 if dplus is None else dplus
-        dminus = n // 2 if dminus is None else dminus
-        mp, mm = (1, 0) if eps == 1 else (0, 1)
-    else:
-        if eps is not None:
-            raise ValueError("odd rank admits no eps choice")
-        dplus = (n + 1) // 2 if dplus is None else dplus
-        dminus = n // 2 if dminus is None else dminus
-        mp, mm = (0, 0) if n == 1 else (1, 1)
-    mi = (1,) * max(n // 2 - 1, 0)
-    return FundamentalMonomial(n, dplus, dminus, 0, mi, mp, mm)
 
 
 class MotiveShape(namedtuple("MotiveShape",
@@ -105,12 +63,6 @@ class MotiveShape(namedtuple("MotiveShape",
                    json_int(data["dplus"]), json_int(data["dminus"]))
 
 
-def tate_twist_motive(M: MotiveShape, t: int) -> MotiveShape:
-    # Hodge types shift by (-t, -t); kappa is unchanged
-    return MotiveShape(f"{M.label}({t})", M.n, M.weight - 2 * t, M.kappa,
-                       M.dplus, M.dminus)
-
-
 def tensor_label(M: MotiveShape, N: MotiveShape) -> str:
     # the tensor of two duals is the dual of the tensor; normalizing the
     # label here lets duality relations connect across tensor products
@@ -135,33 +87,30 @@ def _monomial_exp(m: FundamentalMonomial, label: str, dual=False) -> dict:
     return exp
 
 
-def monomial_atoms(m: FundamentalMonomial, M: MotiveShape) -> FormalPeriod:
-    """Evaluate a generator monomial at the period matrix of M, as atoms."""
-    return FormalPeriod._of_exp(_monomial_exp(m, M.label))
+def _bw_exp(X: MotiveShape, eps: int) -> dict:
+    """The atoms of f_BW^eps(X): prod_{i<r} c_i(X) times c^eps(X) at even
+    rank, or times c^+(X) c^-(X) at odd rank above 1, where eps is unread."""
+    exp = {PeriodAtom("DCi", (X.label, i)): 1 for i in range(1, X.n // 2)}
+    for s in (eps,) if X.n % 2 == 0 else (1, -1) if X.n > 1 else ():
+        exp[PeriodAtom("DC", (X.label, s))] = 1
+    return exp
 
 
 def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
-    """c^sign(M (x) N) = delta(N) * f_BW^eps(X_M) * f_BW^eps'(X_N)."""
+    """c^sign(M (x) N) = delta(N) * f_BW^eps(X_M) * f_BW^eps'(X_N): the
+    odd-rank factor X of the two has eps(X) = d+(X) - d-(X), and the
+    even-rank one takes sign * eps(X)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if M.n != N.n + 1:
         raise ValueError("ranks must differ by exactly 1 (M = N + 1)")
     if not interlaces(M.kappa, N.kappa):
         raise ValueError("motives are not in good position")
-    n = M.n
-    if n % 2:
-        eps = M.dplus - M.dminus
-        eps_prime = sign * eps
-        fm = f_bw(n, dplus=M.dplus, dminus=M.dminus)
-        fn = f_bw(n - 1, eps=eps_prime, dplus=N.dplus, dminus=N.dminus)
-    else:
-        eps_prime = N.dplus - N.dminus
-        eps = sign * eps_prime
-        fm = f_bw(n, eps=eps, dplus=M.dplus, dminus=M.dminus)
-        fn = f_bw(n - 1, dplus=N.dplus, dminus=N.dminus)
+    odd = M if M.n % 2 else N
+    eps = sign * (odd.dplus - odd.dminus)
     lhs = FormalPeriod.atom(PeriodAtom("DC", (tensor_label(M, N), sign)))
-    rhs = _period({PeriodAtom("Delta", (N.label,)): 1},
-                  (monomial_atoms(fm, M), 1), (monomial_atoms(fn, N), 1))
+    rhs = FormalPeriod([(PeriodAtom("Delta", (N.label,)), 1),
+                        *_bw_exp(M, eps).items(), *_bw_exp(N, eps).items()])
     return Relation(f"tensor-deligne[{tensor_label(M, N)},{sign:+d}]",
                     "balanced tensor Deligne-period factorization",
                     lhs, rhs)
@@ -169,7 +118,7 @@ def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
 
 def dual_relation(m: FundamentalMonomial, M: MotiveShape) -> Relation:
     """f^dual(X_{M^v}) = delta(M)^{-(k+ + k-)} * f(X_M), where m has
-    k+ + k- = 2(m0 + sum mi) + m+ + m-, as monomial_type sums it."""
+    k+ + k- = 2(m0 + sum mi) + m+ + m-."""
     delta = FormalPeriod.atom(PeriodAtom("Delta", (M.label,)))
     k = 2 * (m.m0 + sum(m.mi)) + m.mplus + m.mminus
     exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
@@ -181,14 +130,16 @@ def dual_relation(m: FundamentalMonomial, M: MotiveShape) -> Relation:
 
 def tate_twist_relation(m: FundamentalMonomial, M: MotiveShape,
                         t: int) -> Relation:
-    """f(X_{M(t)}) = (2 pi i)^{t(k+ d+ + k- d-)} * f or f^dual (X_M)."""
-    tag = monomial_type(m)
-    exp = t * (tag.kplus * M.dplus + tag.kminus * M.dminus)
-    base = m if t % 2 == 0 else dual_monomial(m)
-    lhs = monomial_atoms(m, tate_twist_motive(M, t))
-    rhs = _period({ATOM_TWO_PI_I: exp}, (monomial_atoms(base, M), 1))
+    """f(X_{M(t)}) = (2 pi i)^{t(k+ d+ + k- d-)} * f or f^dual (X_M), the
+    dual at odd t, where k^{+-} = m0 + sum mi + m^{+-}."""
+    t = json_int(t)
+    k = m.m0 + sum(m.mi)
+    exp = t * ((k + m.mplus) * M.dplus + (k + m.mminus) * M.dminus)
     return Relation(f"tate-twist[{M.label},{t}]",
-                    "Tate twist of fundamental periods", lhs, rhs)
+                    "Tate twist of fundamental periods",
+                    FormalPeriod._of_exp(_monomial_exp(m, f"{M.label}({t})")),
+                    _period({ATOM_TWO_PI_I: exp,
+                             **_monomial_exp(m, M.label, dual=t % 2 == 1)}))
 
 
 def delta_tensor(M: MotiveShape, N: MotiveShape) -> Relation:

@@ -358,6 +358,26 @@ def _non_object_payloads():
         yield ["deligne", "--motive", payload, "--aux", MOTIVES[0][1]]
 
 
+def _motive(label: str, n: int, weight: int, top: int, dplus: int) -> str:
+    """A motive of rank n whose kappa steps down by 4 from top."""
+    return json.dumps({"label": label, "n": n, "weight": weight,
+                       "kappa": list(range(top, 1, -4))[:n // 2],
+                       "dplus": dplus, "dminus": n - dplus})
+
+
+def _large_deligne():
+    """deligne above rank 5, up to the rank cap: the motive pairs (8, 7),
+    (9, 8) and (256, 255), with both signs, with and without --json."""
+    for motive, aux in ((_motive("M", 8, 0, 15, 4), _motive("N", 7, 2, 13, 3)),
+                        (_motive("M", 9, 2, 17, 5), _motive("N", 8, 1, 14, 4)),
+                        (_motive("M", 256, 0, 513, 128),
+                         _motive("N", 255, 0, 511, 128))):
+        for sign in ("1", "-1"):
+            for flags in ([], ["--json"]):
+                yield flags + ["deligne", "--motive", motive, "--aux", aux,
+                               f"--sign={sign}"]
+
+
 def requests():
     """(argv, files, db) of every run in the corpus, in a fixed order."""
     rng = random.Random(20261018)
@@ -367,7 +387,7 @@ def requests():
                _infinity_type(rng), _malformed(), _defaults(), _main1_db(),
                _main1_rank_one(), _empty_controls(), _pinned(),
                _residual_replays(), _payload_rejections(),
-               _non_object_payloads()]
+               _non_object_payloads(), _large_deligne()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)

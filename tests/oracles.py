@@ -6,28 +6,31 @@ epsilon classes), on their restriction to C^x, or on the Gamma factors of a
 pair's tensor parameter (the brute-force lattice scan, one pass over the
 factors, and Raghuram's even-rank interval); the relation DB records as
 dicts and their checked decoding, and a DB file loaded by decoding every
-side, its script replayed by the group operations; the Yoshida relations
-as products of checked periods; and the Hodge types and the motive of an
-infinity type, against which the tests hold MotiveShape's rules; and the
-relations of a main1 step as products of atoms, with the duals built by
-twisting the types and each critical point tested by a Fraction
-subtraction, every point coerced to a Fraction by the reference
-as_fraction; the balance and regularity tests of a main1 pair, which
-its closed form makes hold; and the motivic-dual derivation through
-yoshida's relation builders.  No request of the CLI runs any of them.
+side, its script replayed by the group operations; the Yoshida relations as
+products of checked periods, built through the general calculus of
+admissible types and fundamental monomials (f_bw, monomial_type,
+dual_monomial) that yoshida's closed forms are tested against; and the
+Hodge types and the motive of an infinity type, against which the tests
+hold MotiveShape's rules; and the relations of a main1 step as products of
+atoms, with the duals built by twisting the types and each critical point
+tested by a Fraction subtraction, every point coerced to a Fraction by the
+reference as_fraction; the balance and regularity tests of a main1 pair,
+which its closed form makes hold; and the motivic-dual derivation through
+yoshida's relation builders. No request of the CLI runs any of them.
 """
 
 import json
 import math
 import re
 import warnings
+from collections import namedtuple
 from fractions import Fraction
 
 from periodcalc import arch_l, formal, weil_real as wr
 from periodcalc import period_algebra as pa
 from periodcalc import yoshida as y
-from periodcalc.formal import (ATOM_I, FormalPeriod, PeriodAtom, Relation,
-                               dual_label, gauss_fp)
+from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
+                               PeriodAtom, Relation, dual_label, gauss_fp)
 from periodcalc.infinity_types import (InfinityType, interlaces, json_int,
                                        json_list, json_str, signature,
                                        to_arch_rep)
@@ -351,7 +354,52 @@ def check_script(db: dict, script) -> FormalPeriod:
 
 # ---------------------------------------------------------------------------
 # Yoshida relations as products of periods built by the checked
-# FormalPeriod.of, with the dual motive built in full
+# FormalPeriod.of, through the general calculus of admissible types and
+# fundamental monomials, with the dual and twisted motives built in full
+
+AdmissibleTypeTag = namedtuple("AdmissibleTypeTag", "a kplus kminus")
+
+
+def monomial_type(m: y.FundamentalMonomial) -> AdmissibleTypeTag:
+    """The type (a; k+, k-) of m, summed in one pass over its exponents;
+    the generators have the types
+        det    (1^n; 1, 1)
+        f^+    (1^{d+} 0^{n-d+}; 1, 0)
+        f^-    (1^{d-} 0^{n-d-}; 0, 1)
+        f_i    (2^i 1^{n-2i} 0^i; 1, 1)
+    so f_i^e adds e to a_j (j from 0) for j < i, and again for j < n - i.
+    """
+    a = tuple(m.m0 + m.mplus * (j < m.dplus) + m.mminus * (j < m.dminus)
+              + sum(e * ((j < i) + (j < m.n - i))
+                    for i, e in enumerate(m.mi, start=1))
+              for j in range(m.n))
+    k = m.m0 + sum(m.mi)
+    return AdmissibleTypeTag(a, k + m.mplus, k + m.mminus)
+
+
+def dual_monomial(m: y.FundamentalMonomial) -> y.FundamentalMonomial:
+    return y.FundamentalMonomial(m.n, m.dplus, m.dminus, m.m0, m.mi,
+                                 m.mminus, m.mplus)
+
+
+def f_bw(n: int, eps: int = None, dplus: int = None,
+         dminus: int = None) -> y.FundamentalMonomial:
+    """The monomial prod f_i * f^eps (n even) or prod f_i * f^+ f^- (n odd)."""
+    if n % 2 == 0:
+        if eps not in (1, -1):
+            raise ValueError("even rank needs eps in {+1, -1}")
+        dplus = n // 2 if dplus is None else dplus
+        dminus = n // 2 if dminus is None else dminus
+        mp, mm = (1, 0) if eps == 1 else (0, 1)
+    else:
+        if eps is not None:
+            raise ValueError("odd rank admits no eps choice")
+        dplus = (n + 1) // 2 if dplus is None else dplus
+        dminus = n // 2 if dminus is None else dminus
+        mp, mm = (0, 0) if n == 1 else (1, 1)
+    mi = (1,) * max(n // 2 - 1, 0)
+    return y.FundamentalMonomial(n, dplus, dminus, 0, mi, mp, mm)
+
 
 def dual_motive(M):
     """M^v, unchecked: M's checks read the weight only through its parity."""
@@ -359,18 +407,60 @@ def dual_motive(M):
                                          M.kappa, M.dplus, M.dminus))
 
 
+def tate_twist_motive(M: y.MotiveShape, t: int) -> y.MotiveShape:
+    # Hodge types shift by (-t, -t); kappa is unchanged
+    return y.MotiveShape(f"{M.label}({t})", M.n, M.weight - 2 * t, M.kappa,
+                         M.dplus, M.dminus)
+
+
 def monomial_atoms(m, M) -> FormalPeriod:
-    pairs = [(PeriodAtom("Delta", (M.label,)), m.m0),
-             (PeriodAtom("DC", (M.label, 1)), m.mplus),
-             (PeriodAtom("DC", (M.label, -1)), m.mminus)]
-    pairs += [(PeriodAtom("DCi", (M.label, i)), e)
-              for i, e in enumerate(m.mi, start=1)]
+    """m evaluated at the period matrix of M, its atoms in the order
+    c_i, delta, c^+, c^-, as yoshida writes them."""
+    pairs = [(PeriodAtom("DCi", (M.label, i)), e)
+             for i, e in enumerate(m.mi, start=1)]
+    pairs += [(PeriodAtom("Delta", (M.label,)), m.m0),
+              (PeriodAtom("DC", (M.label, 1)), m.mplus),
+              (PeriodAtom("DC", (M.label, -1)), m.mminus)]
     return FormalPeriod.of(*pairs)
 
 
+def tensor_deligne(M, N, sign: int) -> Relation:
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if M.n != N.n + 1:
+        raise ValueError("ranks must differ by exactly 1 (M = N + 1)")
+    if not interlaces(M.kappa, N.kappa):
+        raise ValueError("motives are not in good position")
+    n = M.n
+    if n % 2:
+        eps = M.dplus - M.dminus
+        fm = f_bw(n, dplus=M.dplus, dminus=M.dminus)
+        fn = f_bw(n - 1, eps=sign * eps, dplus=N.dplus, dminus=N.dminus)
+    else:
+        eps_prime = N.dplus - N.dminus
+        fm = f_bw(n, eps=sign * eps_prime, dplus=M.dplus, dminus=M.dminus)
+        fn = f_bw(n - 1, dplus=N.dplus, dminus=N.dminus)
+    label = y.tensor_label(M, N)
+    lhs = FormalPeriod.atom(PeriodAtom("DC", (label, sign)))
+    rhs = (FormalPeriod.atom(PeriodAtom("Delta", (N.label,)))
+           * monomial_atoms(fm, M) * monomial_atoms(fn, N))
+    return Relation(f"tensor-deligne[{label},{sign:+d}]",
+                    "balanced tensor Deligne-period factorization", lhs, rhs)
+
+
+def tate_twist_relation(m, M, t: int) -> Relation:
+    tag = monomial_type(m)
+    exp = t * (tag.kplus * M.dplus + tag.kminus * M.dminus)
+    base = m if t % 2 == 0 else dual_monomial(m)
+    lhs = monomial_atoms(m, tate_twist_motive(M, t))
+    rhs = FormalPeriod.atom(ATOM_TWO_PI_I, exp) * monomial_atoms(base, M)
+    return Relation(f"tate-twist[{M.label},{t}]",
+                    "Tate twist of fundamental periods", lhs, rhs)
+
+
 def dual_relation(m, M) -> Relation:
-    tag = y.monomial_type(m)
-    lhs = monomial_atoms(y.dual_monomial(m), dual_motive(M))
+    tag = monomial_type(m)
+    lhs = monomial_atoms(dual_monomial(m), dual_motive(M))
     rhs = (FormalPeriod.atom(PeriodAtom("Delta", (M.label,)),
                              -(tag.kplus + tag.kminus))
            * monomial_atoms(m, M))

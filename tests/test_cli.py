@@ -228,6 +228,28 @@ def test_check_main1_names_the_flag_of_an_off_lattice_point(capsys):
     assert (code, err) == (1, "error: w must be even for odd rank\n")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--n", "8"], 0), (["--n", "3", "--w=1"], 1), (["--n", "2", "--m", "0"], 1),
+    (["--n", "3", "--w=1", "--m=2"], 1)])
+def test_check_main1_checks_its_hypotheses_once(capsys, argv, code):
+    """A check main1 request runs require_main1_hypotheses once: in the step,
+    or before the error of a point off the half-integers."""
+    from periodcalc import period_algebra
+    target = period_algebra.require_main1_hypotheses.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is target:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        got = run(capsys, "check", "main1", *argv)[0]
+    finally:
+        sys.setprofile(None)
+    assert (got, len(calls)) == (code, 1)
+
+
 def test_check_main1_at_a_negative_point(capsys):
     # argparse reads "--m -5/2" as two options; the point is given as --m=
     code, data, _ = run_json(capsys, "check", "main1", "--n", "8",

@@ -60,9 +60,8 @@ NOT_ENTERED = {
     "weil_real.sym2": TRACER,
     "weil_real.wedge2": TRACER,
     "weil_real.dual": TRACER,
-    "yoshida.monomial_type": HELPER,
-    "yoshida.dual_monomial": HELPER,
-    "yoshida.tate_twist_motive": HELPER,
+    "yoshida.FundamentalMonomial.__new__": HELPER,
+    "yoshida._monomial_exp": HELPER,
     "yoshida.dual_relation": TRACER,
     "yoshida.tate_twist_relation": TRACER,
     "yoshida.delta_tensor": TRACER,

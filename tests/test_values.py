@@ -10,6 +10,7 @@ import pytest
 
 from periodcalc import arch_l, formal, period_algebra, weil_real, yoshida
 from periodcalc.infinity_types import DominantWeight, InfinityType
+from tests import oracles
 from tests.oracles import rep
 
 
@@ -29,9 +30,8 @@ BUILDS = {
         InfinityType(2, (4,), 0), InfinityType(1, (), 0)),
     formal.Relation: lambda: formal.Relation(
         "r", "c", _omega(), formal.FormalPeriod.atom(formal.ATOM_I)),
-    yoshida.AdmissibleTypeTag: lambda: yoshida.monomial_type(
-        yoshida.f_bw(5)),
-    yoshida.FundamentalMonomial: lambda: yoshida.f_bw(6, eps=1),
+    oracles.AdmissibleTypeTag: lambda: oracles.monomial_type(oracles.f_bw(5)),
+    yoshida.FundamentalMonomial: lambda: oracles.f_bw(6, eps=1),
     yoshida.MotiveShape: lambda: yoshida.MotiveShape(
         "M", 4, 0, [9, 5], 2, 2),
     period_algebra.GlobalRep: lambda: period_algebra.GlobalRep(

@@ -1,5 +1,8 @@
 """Tests for admissible-polynomial types, motives and period relations."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,7 @@ def _reference_type(m):
              ((1,) * m.dminus + (0,) * (n - m.dminus), 0, 1, m.mminus)]
     table += [((2,) * i + (1,) * (n - 2 * i) + (0,) * i, 1, 1, e)
               for i, e in enumerate(m.mi, start=1)]
-    return y.AdmissibleTypeTag(
+    return oracles.AdmissibleTypeTag(
         tuple(sum(e * a[j] for a, _, _, e in table) for j in range(n)),
         sum(e * kp for _, kp, _, e in table),
         sum(e * km for _, _, km, e in table))
@@ -27,14 +30,14 @@ def _reference_type(m):
 
 def test_generator_types():
     mono = y.FundamentalMonomial
-    assert (y.monomial_type(mono(4, 2, 2, m0=1, mi=(0,)))
-            == y.AdmissibleTypeTag((1, 1, 1, 1), 1, 1))
-    assert (y.monomial_type(mono(4, 2, 2, mi=(0,), mplus=1))
-            == y.AdmissibleTypeTag((1, 1, 0, 0), 1, 0))
-    assert (y.monomial_type(mono(5, 3, 2, mi=(0,), mminus=1))
-            == y.AdmissibleTypeTag((1, 1, 0, 0, 0), 0, 1))
-    assert (y.monomial_type(mono(6, 3, 3, mi=(0, 1)))
-            == y.AdmissibleTypeTag((2, 2, 1, 1, 0, 0), 1, 1))
+    assert (oracles.monomial_type(mono(4, 2, 2, m0=1, mi=(0,)))
+            == oracles.AdmissibleTypeTag((1, 1, 1, 1), 1, 1))
+    assert (oracles.monomial_type(mono(4, 2, 2, mi=(0,), mplus=1))
+            == oracles.AdmissibleTypeTag((1, 1, 0, 0), 1, 0))
+    assert (oracles.monomial_type(mono(5, 3, 2, mi=(0,), mminus=1))
+            == oracles.AdmissibleTypeTag((1, 1, 0, 0, 0), 0, 1))
+    assert (oracles.monomial_type(mono(6, 3, 3, mi=(0, 1)))
+            == oracles.AdmissibleTypeTag((2, 2, 1, 1, 0, 0), 1, 1))
     with pytest.raises(ValueError):
         mono(4, 2, 2, mi=(0, 1))  # rank 4 has f_1 only
 
@@ -53,18 +56,18 @@ def monomials(draw):
 @settings(max_examples=300, deadline=None)
 @given(monomials())
 def test_monomial_type_is_the_sum_of_generator_types(m):
-    assert y.monomial_type(m) == _reference_type(m)
+    assert oracles.monomial_type(m) == _reference_type(m)
 
 
 def test_f_bw_type_at_rank_4():
-    tag = y.monomial_type(y.f_bw(4, 1))
-    assert tag == y.AdmissibleTypeTag((3, 2, 1, 0), 2, 1)
+    tag = oracles.monomial_type(oracles.f_bw(4, 1))
+    assert tag == oracles.AdmissibleTypeTag((3, 2, 1, 0), 2, 1)
 
 
 def test_f_bw_type_staircase_all_ranks():
     for n in range(1, 11):
         for eps in ((1, -1) if n % 2 == 0 else (None,)):
-            tag = y.monomial_type(y.f_bw(n, eps))
+            tag = oracles.monomial_type(oracles.f_bw(n, eps))
             assert tag.a == tuple(range(n - 1, -1, -1))
             if n % 2 == 0:
                 assert sorted((tag.kplus, tag.kminus)) == [n // 2 - 1, n // 2]
@@ -75,23 +78,24 @@ def test_f_bw_type_staircase_all_ranks():
 
 def test_f_bw_duality_parity():
     for n in range(2, 11, 2):
-        assert y.dual_monomial(y.f_bw(n, 1)) == y.f_bw(n, -1)
-        assert y.dual_monomial(y.f_bw(n, -1)) == y.f_bw(n, 1)
+        assert oracles.dual_monomial(oracles.f_bw(n, 1)) == oracles.f_bw(n, -1)
+        assert oracles.dual_monomial(oracles.f_bw(n, -1)) == oracles.f_bw(n, 1)
     for n in range(1, 11, 2):
-        m = y.f_bw(n)
-        assert y.dual_monomial(m) == m
+        m = oracles.f_bw(n)
+        assert oracles.dual_monomial(m) == m
 
 
 def test_f_bw_rank_1_is_empty():
-    m = y.f_bw(1)
-    assert y.monomial_atoms(m, y.MotiveShape("M", 1, 0, (), 1, 0)).is_trivial
+    m = oracles.f_bw(1)
+    assert oracles.monomial_atoms(m, y.MotiveShape("M", 1, 0, (), 1,
+                                                   0)).is_trivial
 
 
 def test_f_bw_eps_validation():
     with pytest.raises(ValueError):
-        y.f_bw(4)
+        oracles.f_bw(4)
     with pytest.raises(ValueError):
-        y.f_bw(3, 1)
+        oracles.f_bw(3, 1)
 
 
 def test_motive_shape_validation():
@@ -131,7 +135,7 @@ def test_dual_and_tate_twist_motives():
     M = y.MotiveShape("M", 4, 0, (9, 5), 2, 2)
     Md = oracles.dual_motive(M)
     assert Md.label == "M^v" and Md.weight == 0 and Md.kappa == M.kappa
-    Mt = y.tate_twist_motive(M, 2)
+    Mt = oracles.tate_twist_motive(M, 2)
     assert Mt.weight == -4 and Mt.label == "M(2)"
 
 
@@ -186,7 +190,7 @@ def test_dual_relation_exponent():
 
 def test_tate_twist_relation_two_pi_i_power():
     M = y.MotiveShape("M", 2, 1, (8,), 1, 1)
-    m = y.f_bw(2, 1)
+    m = oracles.f_bw(2, 1)
     rel = y.tate_twist_relation(m, M, 3)
     # k+ d+ + k- d- = 1 for f^+ on rank 2; odd twist dualizes the monomial
     assert rel.rhs.exponent(y.ATOM_TWO_PI_I) == 3
@@ -264,6 +268,13 @@ def _checked(rel, want):
         assert all(type(e) is int and e for e in p._exp.values())
 
 
+def _same_atoms(m, M):
+    """yoshida's exponents of m at M are the oracle's checked product, in
+    the same order."""
+    assert (list(y._monomial_exp(m, M.label).items())
+            == list(oracles.monomial_atoms(m, M)._exp.items()))
+
+
 @pytest.mark.parametrize("n", range(2, 41))
 def test_dict_built_relations_match_the_checked_products(n):
     """The relations check_motivic_dual builds, index by index, and the
@@ -272,9 +283,9 @@ def test_dict_built_relations_match_the_checked_products(n):
     kappa = tuple(4 * (r - j) + 5 for j in range(r))
     M = y.MotiveShape("M", n, 0, kappa, r + n % 2, r)
     Md = oracles.dual_motive(M)
-    for m in [y.f_bw(n, eps) for eps in (1, -1)] if n % 2 == 0 else [
-            y.f_bw(n)]:
-        assert y.monomial_atoms(m, M) == oracles.monomial_atoms(m, M)
+    for m in [oracles.f_bw(n, eps) for eps in (1, -1)] if n % 2 == 0 else [
+            oracles.f_bw(n)]:
+        _same_atoms(m, M)
         _checked(y.dual_relation(m, M), oracles.dual_relation(m, M))
     fixed = [mono(2, 1, 1, 0, (), 1, 0), mono(2, 1, 1, 0, (), 0, 1),
              mono(2, 1, 1, 1, (), 0, 0)]
@@ -312,4 +323,90 @@ def test_monomial_exponents_are_ints_in_every_relation():
         y.FundamentalMonomial(2, 1, 1, 1.0, (), 0, True)
     m = y.FundamentalMonomial(2, 1, 1, 1, (), 0, 1)
     _checked(y.dual_relation(m, N), oracles.dual_relation(m, N))
-    assert y.monomial_atoms(m, N) == oracles.monomial_atoms(m, N)
+    _same_atoms(m, N)
+
+
+def _same_relation(build, oracle, *args):
+    """build(*args) is oracle(*args): name, citation and each side's
+    exponents in the same order, or the same ValueError text."""
+    try:
+        want = oracle(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            build(*args)
+        assert str(got.value) == str(exc)
+        return
+    got = build(*args)
+    assert (got.name, got.citation) == (want.name, want.citation)
+    assert list(got.lhs._exp.items()) == list(want.lhs._exp.items())
+    assert list(got.rhs._exp.items()) == list(want.rhs._exp.items())
+
+
+def _splits(n: int) -> list:
+    """Every (d+, d-) that a rank-n motive allows."""
+    return [(n // 2, n // 2)] if n % 2 == 0 else [((n + 1) // 2, n // 2),
+                                                  (n // 2, (n + 1) // 2)]
+
+
+def _interlaced(n: int, wm: int, wn: int, top: int) -> tuple:
+    """kappa of ranks n and n - 1 at weights wm and wn, interlaced."""
+    km = tuple(top + (wm + 1 - top) % 2 - 4 * j for j in range(n // 2))
+    kn = tuple(k - 1 - (k - wn) % 2 for k in km[:(n - 1) // 2])
+    return km, kn
+
+
+def test_tensor_deligne_matches_the_calculus_of_the_oracle():
+    cases = 0
+    for n in range(2, 17):
+        for wm, wn in ((0, 0), (2, 1), (-2, 3), (1, 0), (3, -4)):
+            if n % 2 and wm % 2 or (n - 1) % 2 and wn % 2:
+                continue
+            km, kn = _interlaced(n, wm, wn, 4 * (n // 2) + 7)
+            for (mp, mm), (np_, nm) in ((a, b) for a in _splits(n)
+                                        for b in _splits(n - 1)):
+                for lm, ln in (("M", "N"), ("A", "A"), ("M^v", "N^v"),
+                               ("M", "N^v")):
+                    M = y.MotiveShape(lm, n, wm, km, mp, mm)
+                    N = y.MotiveShape(ln, n - 1, wn, kn, np_, nm)
+                    for sign in (1, -1):
+                        _same_relation(y.tensor_deligne,
+                                       oracles.tensor_deligne, M, N, sign)
+                        cases += 1
+                M = y.MotiveShape("M", n, wm, km, mp, mm)
+                N = y.MotiveShape("N", n - 1, wn, kn, np_, nm)
+                for args in ((M, N, 0), (N, M, 1), (M, M, -1)):
+                    _same_relation(y.tensor_deligne, oracles.tensor_deligne,
+                                   *args)
+                if kn:  # N's kappa above M's: not in good position
+                    Nup = y.MotiveShape("N", n - 1, wn,
+                                        tuple(k + 4 for k in kn), np_, nm)
+                    _same_relation(y.tensor_deligne, oracles.tensor_deligne,
+                                   M, Nup, 1)
+    assert cases > 300
+
+
+def test_tate_twist_relation_matches_the_calculus_of_the_oracle():
+    rng = random.Random(35)
+    for n in range(1, 17):
+        r = n // 2
+        for dplus, dminus in _splits(n):
+            M = y.MotiveShape("M", n, 0, tuple(4 * (r - j) + 5
+                                               for j in range(r)),
+                              dplus, dminus)
+            monos = [oracles.f_bw(n, eps, dplus, dminus)
+                     for eps in ((1, -1) if n % 2 == 0 else (None,))]
+            for _ in range(8):
+                e = [rng.randint(-3, 3) for _ in range(max(r - 1, 0) + 3)]
+                monos.append(y.FundamentalMonomial(n, dplus, dminus, e[0],
+                                                   tuple(e[3:]), e[1], e[2]))
+            for m in monos:
+                for t in range(-3, 4):
+                    _same_relation(y.tate_twist_relation,
+                                   oracles.tate_twist_relation, m, M, t)
+
+
+@pytest.mark.parametrize("t", [0.5, True, Fraction(2)])
+def test_a_tate_twist_by_a_non_int_is_a_type_error(t):
+    M = y.MotiveShape("M", 2, 1, (8,), 1, 1)
+    with pytest.raises(TypeError, match="^expected an integer, got "):
+        y.tate_twist_relation(oracles.f_bw(2, 1), M, t)
