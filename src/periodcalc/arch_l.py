@@ -1,5 +1,5 @@
-"""Archimedean L-factors as formal Gamma products, epsilon-factor classes
-modulo rationals, and critical points of Rankin-Selberg L-functions.
+"""Archimedean L-factors as formal Gamma products and critical points of
+Rankin-Selberg L-functions.
 
 All shift arithmetic is exact; criticality is a pole-ladder predicate on
 Gamma_R / Gamma_C factors.
@@ -122,18 +122,6 @@ def critical_set(pi: InfinityType, sigma: InfinityType) -> CriticalSet:
         lo[c % 2] = max(lo[c % 2], 1 - c)
         hi[(c + 1) % 2] = min(hi[(c + 1) % 2], p - a // 2)
     return CriticalSet(Fraction(pi.n + sigma.n, 2), tuple(lo), tuple(hi))
-
-
-def pair_epsilon_class(pi: InfinityType, sigma: InfinityType) -> int:
-    """The parity p with epsilon in i^p Q^x for the pair's tensor parameter
-    (i^2 = -1 lies in Q^x), read from the types.  Each constituent adds its
-    sign parity (a character) or its kappa (phi_kappa); phi_k (x) phi_l adds
-    the even parity (k+l-1) + (|k-l|+1), so only phi_k (x) character
-    (parity k) and character (x) character (parity s1 + s2) count."""
-    parity = (sigma.n % 2) * sum(pi.kappa) + (pi.n % 2) * sum(sigma.kappa)
-    if pi.n % 2 and sigma.n % 2:
-        parity += pi.sign_choice + sigma.sign_choice
-    return parity % 2
 
 
 def critical_points(pi: InfinityType, sigma: InfinityType) -> list:

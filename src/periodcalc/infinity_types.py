@@ -145,13 +145,6 @@ def infinity_to_weight(t: InfinityType) -> DominantWeight:
     return DominantWeight(tuple(head + mid + tail))
 
 
-def signature(t: InfinityType) -> int:
-    """The sign (-1)^{r + w/2}, flipped by sign_choice; odd rank only."""
-    if t.n % 2 == 0:
-        raise ValueError("signature is defined for odd rank only")
-    return -1 if (t.r + t.w // 2 + t.sign_choice) % 2 else 1
-
-
 def interlaces(kappa: tuple, ell: tuple) -> bool:
     """kappa_1 > ell_1 > kappa_2 > ell_2 > ..., for len(ell) <= len(kappa)."""
     return (all(k > l for k, l in zip(kappa, ell))

@@ -12,16 +12,15 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import arch_l
 from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
                      RelationDB, check_script, dual_label, gauss_fp,
                      replay, _period)
 from .infinity_types import (InfinityType, as_fraction, character_sign,
-                             json_int, signature)
+                             json_int)
 
 __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
-    "GlobalRep", "pair_label", "rel_rs_twist", "rel_main1",
+    "GlobalRep", "rel_rs_twist", "rel_main1",
     "rel_corollary_main", "rel_quadratic", "CheckResult", "check_main1_step",
     "check_corollary_main", "check_theorem_main2", "check_motivic_dual",
 ]
@@ -34,14 +33,14 @@ class GlobalRep(namedtuple("GlobalRep", "label inf omega")):
     __slots__ = ()
 
 
-def pair_label(pi: GlobalRep, sigma: GlobalRep) -> str:
-    return f"{pi.label}x{sigma.label}"
-
-
-# the central characters of the builtins' Pi and Sigma
+# the central character of the builtins' Pi, and the Gauss atoms of it and
+# of Sigma's in a main1 step
 _OMEGA_PI = gauss_fp({"omega_Pi": 1})
-_OMEGA_SIGMA = gauss_fp({"omega_Sigma": 1})
+(_G_PI,) = _OMEGA_PI._exp
+_G_SIGMA = PeriodAtom("Gauss", ("omega_Sigma",))
 _CHI = gauss_fp({"chi": 1})  # the builtins' default chi
+# the labels of a main1 step's pair and of its duals
+_PAIR, _DUAL_PAIR = "PixSigma", f"{dual_label('Pi')}x{dual_label('Sigma')}"
 
 
 def _integer_m(m) -> int:
@@ -50,17 +49,6 @@ def _integer_m(m) -> int:
     if m.denominator != 1:
         raise ValueError("m must be an integer for adjacent ranks")
     return m.numerator
-
-
-def raghuram_signs(m, pi: GlobalRep, sigma: GlobalRep):
-    """Resolve (eps_m, eps'_m): the odd-rank member fixes its sign to its
-    signature, the other is forced by eps_m * eps'_m = (-1)^{m+n}."""
-    free = -1 if (_integer_m(m) + pi.inf.n) % 2 else 1
-    if pi.inf.n % 2:
-        eps = signature(pi.inf)
-        return eps, free * eps
-    eps_prime = signature(sigma.inf)
-    return free * eps_prime, eps_prime
 
 
 def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
@@ -80,8 +68,9 @@ def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
 def rel_main1(pi: GlobalRep, eps: int) -> Relation:
     """p(Pi, eps) = G(omega_Pi)^{n-1} p(Pi^v, eps).
 
-    The relation holds for regular Pi.  Both callers build Pi from a closed
-    form that is regular, as their docstrings show, so Pi is not tested."""
+    The relation holds for regular Pi.  check_corollary_main builds Pi from
+    a closed form that is regular, as its docstring shows, so Pi is not
+    tested; check_main1_step writes its two main1 relations itself."""
     bw = PeriodAtom("BW", (pi.label, eps))
     return Relation(f"main1[{pi.label},{eps:+d}]",
                     "period relation under duality",
@@ -117,49 +106,6 @@ def _corrupted(rel: Relation, factor: FormalPeriod) -> Relation:
                     rel.rhs * factor)
 
 
-def _main1_pair(n: int, w: int, delta: int, m: int):
-    """A widely spaced balanced pair whose critical range covers m+1/2.
-
-    Both types are built trusted, with tuple.__new__, from the ints that
-    check_main1_step has checked: n >= 2, delta = n mod 2, w even at odd
-    rank, m an integer.  Their closed forms keep every rule of InfinityType.
-    kappa strictly decreases in steps of 2*gap (gap >= 16), and its last
-    entry is 4*gap + 42 - kap_par >= 4*gap + 41.  kappa = kap_par mod 2,
-    which is w's parity at even rank and odd at odd rank.  ell = kappa -
-    gprime (gprime = gap + 1 - kap_par) strictly decreases, ends above
-    3*gap, and is odd, which Sigma's rank n - 1 needs: odd at odd n - 1,
-    and delta's parity at even n - 1, where delta = n mod 2 is odd.
-    Sigma's w = delta is even when n - 1 is odd.
-    Balance: ell_j = kappa_j - gprime, 0 < gprime < 2*gap, lies strictly
-    between kappa_{j+1} = kappa_j - 2*gap and kappa_j.  Criticality: with
-    t = 2m + 1 + w + delta (2k + a in arch_l.critical_set), m + 1/2 and
-    m2 + 1/2 have t and 2 - t, each critical when 3 - kc <= t <= kc - 1;
-    and kc >= gap = 2*need + 8 >= 2*max(|t|, |2 - t|) + 8, since the least
-    |kappa_i - ell_j| is min(gprime, 2*gap - gprime) >= gap - 1, while
-    kappa_min + ell_min - 1, kappa_min and ell_min are larger; no Gamma_R
-    character occurs, as no kappa_i = ell_j and adjacent ranks are never
-    both odd.  By s -> 1 - s, -m + 1/2 is critical for the duals.
-    Regularity: kappa and ell step down by 2*gap >= 32, and end at
-    4*gap + 42 - kap_par >= 105 and at least 3*gap + 41, which pass the gap
-    test (>= 6) and the last-entry test (>= 3, or >= 5 at odd rank).
-    test_main1_pair_matches_the_checked_oracle_up_to_the_caps tests all three,
-    and compares the pair with tests.oracles.main1_pair's checked build.
-    """
-    r = n // 2
-    need = max(abs(2 * m + 1 + w + delta), abs(1 - w - delta - 2 * m), 4)
-    gap = 2 * (need + 4)
-    kap_par = (w % 2) if n % 2 == 0 else 1
-    base = 2 * gap * (r + 1) + 42 - kap_par
-    step = 2 * gap
-    kappa = tuple(range(base, base - step * r, -step))
-    gprime = gap if kap_par == 1 else gap + 1  # keeps ell odd
-    ell = tuple(range(base - gprime, base - step * ((n - 1) // 2), -step))
-    new = tuple.__new__
-    return (GlobalRep("Pi", new(InfinityType, (n, kappa, w, 0)), _OMEGA_PI),
-            GlobalRep("Sigma", new(InfinityType, (n - 1, ell, delta, 0)),
-                      _OMEGA_SIGMA))
-
-
 def require_main1_hypotheses(n: int, w: int, delta: int) -> None:
     """The rank and parity hypotheses of a main1 step, which check_main1_step
     checks first, before the point m; each is an int, not a bool."""
@@ -179,8 +125,46 @@ def check_main1_step(n: int, w: int, delta: int, m,
     Combines the critical-value factorization at m for (Pi, Sigma) and at -m
     for the duals, the functional-equation ratio at m0 = m + 1/2, the
     archimedean twist and i-parity comparisons, and the rank-(n-1) relation,
-    against the rank-n relation as target.  The input is checked once, the
-    pair's hypotheses hold by construction, and each atom is built once.
+    against the rank-n relation as target.  The input is checked once, at
+    the boundary; the step then builds no type, reads its signs from the
+    checked ints, makes its 11 distinct atoms once and writes the seven
+    relations' exponent dicts from them.
+
+    The pair is Pi = (kappa; w) of rank n and Sigma = (ell; delta) of rank
+    n - 1, both with sign_choice 0 (tests.oracles.main1_pair builds it in
+    full).  With need = max(|2m + 1 + w + delta|, |1 - w - delta - 2m|, 4),
+    gap = 2*need + 8 >= 16, kap_par = w mod 2 at even rank and 1 at odd
+    rank, and gprime = gap + 1 - kap_par: kappa_j = 2*gap*(r + 2 - j) + 42
+    - kap_par for j = 1..r = floor(n/2), and ell_j = kappa_j - gprime for
+    j = 1..floor((n-1)/2).  The step has checked n >= 2, delta = n mod 2, w
+    even at odd rank and m an integer, and the closed forms keep every rule
+    of InfinityType.  kappa strictly decreases, its last entry is
+    4*gap + 42 - kap_par >= 4*gap + 41, and kappa = kap_par mod 2.  ell
+    strictly decreases, ends above 3*gap, and is odd, which Sigma's rank
+    n - 1 needs: odd at odd n - 1, and delta's parity at even n - 1, where
+    delta = n mod 2 is odd.  Sigma's w = delta is even when n - 1 is odd.
+    Balance: ell_j = kappa_j - gprime, 0 < gprime < 2*gap, lies strictly
+    between kappa_{j+1} = kappa_j - 2*gap and kappa_j.  Criticality: with
+    t = 2m + 1 + w + delta (2k + a in arch_l.critical_set), m + 1/2 and
+    m2 + 1/2 have t and 2 - t, each critical when 3 - kc <= t <= kc - 1;
+    and kc >= gap = 2*need + 8 >= 2*max(|t|, |2 - t|) + 8, since the least
+    |kappa_i - ell_j| is min(gprime, 2*gap - gprime) >= gap - 1, while
+    kappa_min + ell_min - 1, kappa_min and ell_min are larger; no Gamma_R
+    character occurs, as no kappa_i = ell_j and adjacent ranks are never
+    both odd.  By s -> 1 - s, -m + 1/2 is critical for the duals.
+    Regularity: kappa and ell step down by 2*gap >= 32, and end at
+    4*gap + 42 - kap_par >= 105 and at least 3*gap + 41, which pass the gap
+    test (>= 6) and the last-entry test (>= 3, or >= 5 at odd rank).
+    test_main1_pair_matches_the_checked_oracle_up_to_the_caps tests all three.
+
+    Signs: the odd-rank member's sign is its signature (-1)^{r + w/2}, so
+    eps = (-1)^{(n-1)/2 + w/2} at odd n and eps' = (-1)^{(n-2)/2 + delta/2}
+    at even n; the other sign is (-1)^{m+n} times that one.  The duals'
+    signs are the pair's, as negating w keeps w/2 mod 2 and
+    (-1)^{-m+n} = (-1)^{m+n}.  The epsilon class of the pair (i^class in the
+    duality ratio) sums the kappa of the even-rank member, since only
+    phi_k (x) character adds k: ((n-1)/2) mod 2 at odd n, as ell's (n-1)/2
+    entries are odd, and (n/2)(w mod 2) mod 2 at even n.
     """
     require_main1_hypotheses(n, w, delta)
     m = _integer_m(m)
@@ -189,53 +173,58 @@ def check_main1_step(n: int, w: int, delta: int, m,
     if 2 * m == -(w + delta):
         raise ValueError("central point excluded")
 
-    pi, sigma = _main1_pair(n, w, delta, m)
     m2 = -m - w - delta  # the i-parity point, which the twist moves -m to
-    eps, eps_prime = raghuram_signs(m, pi, sigma)
-    parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
-    q_sigma, target = rel_main1(sigma, eps_prime), rel_main1(pi, eps)
+    flip = -1 if (m + n) % 2 else 1
+    if n % 2:
+        eps = -1 if ((n - 1) // 2 + w // 2) % 2 else 1
+        eps_prime, parity = flip * eps, (n - 1) // 2 % 2
+    else:
+        eps_prime = -1 if ((n - 2) // 2 + delta // 2) % 2 else 1
+        eps, parity = flip * eps_prime, n // 2 * (w % 2) % 2
     # Each distinct atom is built once from checked data, so equal atoms
-    # of the step are one object.  The BW atoms are those of the two main1
-    # relations: p(X, e) on the lhs, p(X^v, e) first on the rhs.
-    (bw_s,), (bw_p,) = q_sigma.lhs._exp, target.lhs._exp
-    bw_sd, bw_pd = next(iter(q_sigma.rhs._exp)), next(iter(target.rhs._exp))
-    pair = pair_label(pi, sigma)
-    dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
-    s0, new = f"{2 * m + 1}/2", tuple.__new__
-    lval = new(PeriodAtom, ("LVal", (s0, pair)))
-    lval_d = new(PeriodAtom, ("LVal", (f"{1 - 2 * m}/2", dual_pair)))
-    archz = new(PeriodAtom, ("ArchZ", (str(m), pair)))
-    archz2 = new(PeriodAtom, ("ArchZ", (str(m2), pair)))
-    archz_d = new(PeriodAtom, ("ArchZ", (str(-m), dual_pair)))
+    # of the step are one object.
+    s0, new, p = f"{2 * m + 1}/2", tuple.__new__, FormalPeriod._of_exp
+    bw_p = new(PeriodAtom, ("BW", ("Pi", eps)))
+    bw_pd = new(PeriodAtom, ("BW", ("Pi^v", eps)))
+    bw_s = new(PeriodAtom, ("BW", ("Sigma", eps_prime)))
+    bw_sd = new(PeriodAtom, ("BW", ("Sigma^v", eps_prime)))
+    lval = new(PeriodAtom, ("LVal", (s0, _PAIR)))
+    lval_d = new(PeriodAtom, ("LVal", (f"{1 - 2 * m}/2", _DUAL_PAIR)))
+    archz = new(PeriodAtom, ("ArchZ", (str(m), _PAIR)))
+    archz2 = new(PeriodAtom, ("ArchZ", (str(m2), _PAIR)))
+    archz_d = new(PeriodAtom, ("ArchZ", (str(-m), _DUAL_PAIR)))
+    # zero exponents are dropped, as formal._period drops them
+    ratio = {ATOM_I: 1, lval_d: 1, _G_PI: n - 1, _G_SIGMA: n}
+    if not parity:
+        del ratio[ATOM_I]
+    iparity = {archz2: 1, ATOM_I: 1}
+    if (m - m2) * (n * (n - 1) // 2) % 2 == 0:
+        del iparity[ATOM_I]
+    q_sigma = {bw_sd: 1, _G_SIGMA: n - 2} if n > 2 else {bw_sd: 1}
+    g_target = n - 2 if corrupt else n - 1  # the control lowers it by one
+    q_pi = {bw_pd: 1, _G_PI: g_target} if g_target else {bw_pd: 1}
     raghuram_cite = "critical-value factorization over a balanced pair"
-    steps = [
-        (Relation(f"raghuram[m={m},{pair}]", raghuram_cite,
-                  FormalPeriod._of_exp({lval: 1}),
-                  _period({archz: 1, bw_p: 1, bw_s: 1}, (sigma.omega, 1))), 1),
+    main1_cite = "period relation under duality"
+    return _compose([
+        (Relation(f"raghuram[m={m},{_PAIR}]", raghuram_cite, p({lval: 1}),
+                  p({archz: 1, bw_p: 1, bw_s: 1, _G_SIGMA: 1})), 1),
         # the class of Sigma^v's central character is Sigma's inverted
-        (Relation(f"raghuram[m={-m},{dual_pair}]", raghuram_cite,
-                  FormalPeriod._of_exp({lval_d: 1}),
-                  _period({archz_d: 1, bw_pd: 1, bw_sd: 1},
-                          (sigma.omega, -1))), -1),
-        (Relation(f"duality-ratio[m0={s0},{pair}]",
-                  "functional-equation ratio under duality",
-                  FormalPeriod._of_exp({lval: 1}),
-                  _period({ATOM_I: parity, lval_d: 1}, (pi.omega, n - 1),
-                          (sigma.omega, n))), -1),
-        (Relation(f"arch-twist[{-m},{dual_pair}]",
+        (Relation(f"raghuram[m={-m},{_DUAL_PAIR}]", raghuram_cite,
+                  p({lval_d: 1}),
+                  p({archz_d: 1, bw_pd: 1, bw_sd: 1, _G_SIGMA: -1})), -1),
+        (Relation(f"duality-ratio[m0={s0},{_PAIR}]",
+                  "functional-equation ratio under duality", p({lval: 1}),
+                  p(ratio)), -1),
+        (Relation(f"arch-twist[{-m},{_DUAL_PAIR}]",
                   "archimedean period comparison under |.|-twists",
-                  FormalPeriod._of_exp({archz_d: 1}),
-                  FormalPeriod._of_exp({archz2: 1})), -1),
-        (Relation(f"arch-iparity[{m},{m2},{pair}]",
+                  p({archz_d: 1}), p({archz2: 1})), -1),
+        (Relation(f"arch-iparity[{m},{m2},{_PAIR}]",
                   "i-power comparison of archimedean periods",
-                  FormalPeriod._of_exp({archz: 1}),
-                  _period({archz2: 1,
-                           ATOM_I: (m - m2) * (n * (n - 1) // 2)})), 1),
-        (q_sigma, 1)]
-    if corrupt:
-        # Gauss exponent n-1 -> n-2 on the target
-        target = _corrupted(target, pi.omega ** -1)
-    return _compose(steps + [(target, 1)])
+                  p({archz: 1}), p(iparity)), 1),
+        (Relation(f"main1[Sigma,{eps_prime:+d}]", main1_cite, p({bw_s: 1}),
+                  p(q_sigma)), 1),
+        (Relation(f"main1[Pi,{eps:+d}]" + ("[corrupted]" if corrupt else ""),
+                  main1_cite, p({bw_p: 1}), p(q_pi)), 1)])
 
 
 def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,

@@ -15,7 +15,9 @@ hold MotiveShape's rules; and the relations of a main1 step as products of
 atoms, with the duals built by twisting the types and each critical point
 tested by a Fraction subtraction, every point coerced to a Fraction by the
 reference as_fraction; the balance and regularity tests of a main1 pair,
-which its closed form makes hold; and the motivic-dual derivation through
+which its closed form makes hold, and the pair's signs and epsilon class
+read from its types (signature, raghuram_signs, pair_epsilon_class), which
+the step writes in closed form; and the motivic-dual derivation through
 yoshida's relation builders. No request of the CLI runs any of them.
 """
 
@@ -32,8 +34,7 @@ from periodcalc import yoshida as y
 from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
                                PeriodAtom, Relation, dual_label, gauss_fp)
 from periodcalc.infinity_types import (InfinityType, interlaces, json_int,
-                                       json_list, json_str, signature,
-                                       to_arch_rep)
+                                       json_list, json_str, to_arch_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,25 @@ def epsilon_class(a: wr.ArchRep) -> int:
     for c in a:
         parity += (c.sign_parity if isinstance(c, wr.ArchCharacter)
                    else c.kappa)
+    return parity % 2
+
+
+def signature(t: InfinityType) -> int:
+    """The sign (-1)^{r + w/2}, flipped by sign_choice; odd rank only."""
+    if t.n % 2 == 0:
+        raise ValueError("signature is defined for odd rank only")
+    return -1 if (t.r + t.w // 2 + t.sign_choice) % 2 else 1
+
+
+def pair_epsilon_class(pi: InfinityType, sigma: InfinityType) -> int:
+    """epsilon_class of the pair's tensor parameter, read from the types.
+    Each constituent adds its sign parity (a character) or its kappa
+    (phi_kappa); phi_k (x) phi_l adds the even parity (k+l-1) + (|k-l|+1),
+    so only phi_k (x) character (parity k) and character (x) character
+    (parity s1 + s2) count."""
+    parity = (sigma.n % 2) * sum(pi.kappa) + (pi.n % 2) * sum(sigma.kappa)
+    if pi.n % 2 and sigma.n % 2:
+        parity += pi.sign_choice + sigma.sign_choice
     return parity % 2
 
 
@@ -523,6 +543,21 @@ def motive_from_infinity(t, label: str):
 # the side's atoms; each critical point is tested against a fresh
 # critical_set
 
+def pair_label(pi, sigma) -> str:
+    return f"{pi.label}x{sigma.label}"
+
+
+def raghuram_signs(m, pi, sigma):
+    """Resolve (eps_m, eps'_m): the odd-rank member fixes its sign to its
+    signature, the other is forced by eps_m * eps'_m = (-1)^{m+n}."""
+    free = -1 if (pa._integer_m(m) + pi.inf.n) % 2 else 1
+    if pi.inf.n % 2:
+        eps = signature(pi.inf)
+        return eps, free * eps
+    eps_prime = signature(sigma.inf)
+    return free * eps_prime, eps_prime
+
+
 def is_balanced(pi: InfinityType, sigma: InfinityType) -> bool:
     """Interlacing of the infinity types of a pair of adjacent ranks."""
     if pi.n != sigma.n + 1:
@@ -541,7 +576,7 @@ def is_regular(t: InfinityType) -> bool:
 def _require_critical(s0, pi, sigma):
     if not critical_contains(arch_l.critical_set(pi.inf, sigma.inf), s0):
         raise ValueError(
-            f"{s0} is not a critical point of {pa.pair_label(pi, sigma)}")
+            f"{s0} is not a critical point of {pair_label(pi, sigma)}")
 
 
 def twist(t, delta: int, u: int):
@@ -565,8 +600,8 @@ def rel_raghuram(m, pi, sigma) -> Relation:
         raise ValueError("pair is not balanced")
     m = as_fraction(m)
     _require_critical(m + Fraction(1, 2), pi, sigma)
-    eps, eps_prime = pa.raghuram_signs(m, pi, sigma)
-    pair = pa.pair_label(pi, sigma)
+    eps, eps_prime = raghuram_signs(m, pi, sigma)
+    pair = pair_label(pi, sigma)
     lhs = FormalPeriod.atom(PeriodAtom("LVal", (m + Fraction(1, 2), pair)))
     rhs = (FormalPeriod.atom(PeriodAtom("ArchZ", (m, pair)))
            * FormalPeriod.atom(PeriodAtom("BW", (pi.label, eps)))
@@ -580,8 +615,8 @@ def rel_raghuram(m, pi, sigma) -> Relation:
 def rel_duality_ratio(m0, pi, sigma) -> Relation:
     m0 = as_fraction(m0)
     _require_critical(m0, pi, sigma)
-    parity = arch_l.pair_epsilon_class(pi.inf, sigma.inf)
-    pair = pa.pair_label(pi, sigma)
+    parity = pair_epsilon_class(pi.inf, sigma.inf)
+    pair = pair_label(pi, sigma)
     dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
     lhs = FormalPeriod.atom(PeriodAtom("LVal", (m0, pair)))
     rhs = (FormalPeriod.atom(ATOM_I, parity)
@@ -602,7 +637,7 @@ def rel_arch_iparity(m1, m2, pi, sigma) -> Relation:
     n = pi.inf.n
     exp = (m1 - m2) * n * (n - 1) / 2
     assert exp.denominator == 1
-    pair = pa.pair_label(pi, sigma)
+    pair = pair_label(pi, sigma)
     lhs = FormalPeriod.atom(PeriodAtom("ArchZ", (m1, pair)))
     rhs = (FormalPeriod.atom(PeriodAtom("ArchZ", (m2, pair)))
            * FormalPeriod.atom(ATOM_I, exp.numerator))
@@ -613,7 +648,7 @@ def rel_arch_iparity(m1, m2, pi, sigma) -> Relation:
 def rel_twist(m, pi, sigma, w1: int, w2: int, twisted_label: str) -> Relation:
     m = as_fraction(m)
     _require_critical(m + w1 + w2 + Fraction(1, 2), pi, sigma)
-    pair = pa.pair_label(pi, sigma)
+    pair = pair_label(pi, sigma)
     lhs = FormalPeriod.atom(PeriodAtom("ArchZ", (m, twisted_label)))
     rhs = FormalPeriod.atom(PeriodAtom("ArchZ", (m + w1 + w2, pair)))
     return Relation(f"arch-twist[{m},{twisted_label}]",
@@ -653,6 +688,26 @@ def main1_pair(n: int, w: int, delta: int, m: int):
     return pi, sigma
 
 
+def functional_equation_gammas(pair, s0) -> tuple:
+    """(k, args): L_inf(1 - s0, Pi^v x Sigma^v) / L_inf(s0, Pi x Sigma) of a
+    main1 pair, from the Gamma factors of weil_real.tensor of its types and
+    of its duals' types.  Each factor is a Gamma_C(s) = 2 (2 pi)^{-s}
+    Gamma(s), so the ratio is (2 pi)^k times the Gamma values at args, with
+    k the sum of the arguments below less the sum of those above; a
+    Gamma_R factor, which no pair of adjacent ranks without a shared kappa
+    has, is a ValueError."""
+    duals = [global_dual(rep).inf for rep in pair]
+    below = [arch_l._gamma(c)[:2] for c in wr.tensor(
+        *(to_arch_rep(rep.inf) for rep in pair))]
+    above = [arch_l._gamma(c)[:2]
+             for c in wr.tensor(*map(to_arch_rep, duals))]
+    if any(kind != "C" for kind, _ in below + above):
+        raise ValueError("a Gamma_R factor")
+    args_below = [s0 + b for _, b in below]
+    args_above = [1 - s0 + b for _, b in above]
+    return sum(args_below) - sum(args_above), args_below + args_above
+
+
 def main1_steps(n: int, w: int, delta: int, m: int,
                 corrupt: bool = False) -> list:
     """The (relation, exponent) steps of check_main1_step for an input it
@@ -661,12 +716,12 @@ def main1_steps(n: int, w: int, delta: int, m: int,
     regularity and warns, which the step's pair never trips."""
     pi, sigma = main1_pair(n, w, delta, m)
     pi_d, sigma_d = global_dual(pi), global_dual(sigma)
-    eps, eps_prime = pa.raghuram_signs(m, pi, sigma)
+    eps, eps_prime = raghuram_signs(m, pi, sigma)
     steps = [(rel_raghuram(m, pi, sigma), 1),
              (rel_raghuram(-m, pi_d, sigma_d), -1),
              (rel_duality_ratio(m + Fraction(1, 2), pi, sigma), -1),
              (rel_twist(-m, pi, sigma, -w, -delta,
-                        pa.pair_label(pi_d, sigma_d)), -1),
+                        pair_label(pi_d, sigma_d)), -1),
              (rel_arch_iparity(m, -m - w - delta, pi, sigma), 1),
              (rel_main1(sigma, eps_prime), 1)]
     target = rel_main1(pi, eps)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from periodcalc import arch_l, weil_real as wr
 from periodcalc.infinity_types import InfinityType, to_arch_rep
 from tests.oracles import (critical_contains, epsilon_class,
-                           raghuram_interval, rep, scan_critical_points,
-                           tensor_critical_set)
+                           pair_epsilon_class, raghuram_interval, rep,
+                           scan_critical_points, tensor_critical_set)
 from tests.test_infinity_types import infinity_types
 
 
@@ -225,8 +225,9 @@ def _signed_types(draw, max_n=9):
 @example(InfinityType(1, (), 0, 1), InfinityType(8, (17, 11, 7, 3), 1))
 @example(InfinityType(7, (13, 9, 3), -2, 1), InfinityType(1, (), 4, 0))
 def test_closed_form_agrees_with_both_oracles(pi, sigma):
-    """critical_set and pair_epsilon_class, read from the types, against
-    the tensor pass, the scan and epsilon_class of the tensor parameter."""
+    """critical_set and the oracles' pair_epsilon_class, read from the
+    types, against the tensor pass, the scan and epsilon_class of the
+    tensor parameter."""
     if pi.n == 1 and sigma.n == 1:
         with pytest.raises(ValueError):
             arch_l.critical_set(pi, sigma)
@@ -235,7 +236,7 @@ def test_closed_form_agrees_with_both_oracles(pi, sigma):
     cs = arch_l.critical_set(pi, sigma)
     assert cs == tensor_critical_set(pi, sigma, param)
     assert cs.points() == scan_critical_points(pi, sigma, param)
-    assert arch_l.pair_epsilon_class(pi, sigma) == epsilon_class(param)
+    assert pair_epsilon_class(pi, sigma) == epsilon_class(param)
 
 
 @settings(max_examples=500, deadline=None)

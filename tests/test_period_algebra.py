@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import sys
 import tempfile
 import time
 import warnings
@@ -210,8 +211,8 @@ SIG3 = pa.GlobalRep("Sigma", InfinityType(3, (15,), 0),
 
 
 def test_raghuram_signs_flip_between_adjacent_m():
-    e0 = pa.raghuram_signs(0, PI4, SIG3)
-    e1 = pa.raghuram_signs(1, PI4, SIG3)
+    e0 = oracles.raghuram_signs(0, PI4, SIG3)
+    e1 = oracles.raghuram_signs(1, PI4, SIG3)
     assert e0[1] == e1[1]                    # fixed sign (n even)
     assert e0[0] == -e1[0]                   # free sign flips
 
@@ -231,8 +232,8 @@ def test_an_int_point_gives_what_its_fraction_gives(m):
         atom = PeriodAtom(kind, (m, "P"))
         assert atom == PeriodAtom(kind, (Fraction(m), "P"))
         assert atom.payload[0] == str(Fraction(m))
-    assert (_outcome_of(pa.raghuram_signs, m, PI4, SIG3)
-            == _outcome_of(pa.raghuram_signs, Fraction(m), PI4, SIG3))
+    assert (_outcome_of(oracles.raghuram_signs, m, PI4, SIG3)
+            == _outcome_of(oracles.raghuram_signs, Fraction(m), PI4, SIG3))
 
 
 @pytest.mark.parametrize("m", ["1/2", Fraction(3, 2), "x", 1.0, None])
@@ -240,7 +241,7 @@ def test_a_point_that_is_not_an_int_keeps_its_error(m):
     checked = _outcome_of(as_fraction, m)
     if isinstance(checked, Fraction):
         checked = (ValueError, "m must be an integer for adjacent ranks")
-    assert _outcome_of(pa.raghuram_signs, m, PI4, SIG3) == checked
+    assert _outcome_of(oracles.raghuram_signs, m, PI4, SIG3) == checked
     assert _outcome_of(pa.check_main1_step, 4, 0, 0, m) == checked
 
 
@@ -404,7 +405,7 @@ def main1_pairs(draw):
     w = draw(st.integers(-3, 3)) * (1 + n % 2)
     delta = n % 2 + 2 * draw(st.integers(-1, 1))
     m = draw(st.integers(-9, 8).filter(lambda m: 2 * m != -(w + delta)))
-    pi, sigma = pa._main1_pair(n, w, delta, m)
+    pi, sigma = oracles.main1_pair(n, w, delta, m)
     if draw(st.booleans()):
         pi, sigma = map(oracles.global_dual, (pi, sigma))
     labels = st.sampled_from(["Pi", "Sigma", "Pi^v", "P"])
@@ -503,8 +504,6 @@ def test_main1_steps_match_the_oracle_over_a_grid():
             res = pa.check_main1_step(n, w, delta, m, corrupt=corrupt)
         except ValueError:
             continue
-        assert (pa._main1_pair(n, w, delta, m)
-                == oracles.main1_pair(n, w, delta, m)), (n, w, delta, m)
         steps = oracles.main1_steps(n, w, delta, m, corrupt)
         assert list(res.relations) == steps, (n, w, delta, m, corrupt)
         assert _sides(res.relations) == _sides(steps)
@@ -513,39 +512,140 @@ def test_main1_steps_match_the_oracle_over_a_grid():
     assert checked == 7020
 
 
-def test_main1_pair_matches_the_checked_oracle_up_to_the_caps():
-    # the trusted pair against the pair built through InfinityType, at
-    # every rank up to the CLI's and at its |w|, |delta| and --m caps; and
-    # the hypotheses that the step does not check, which _main1_pair's
-    # docstring proves: the pair is balanced and regular, m + 1/2 and
-    # m2 + 1/2 are critical for it, and -m + 1/2 for its duals
-    checked = 0
+def _cap_inputs():
+    """The main1 inputs at every rank up to the CLI's and at its |w|,
+    |delta| and --m caps, the rejected ones included."""
     big = 10 ** 35 - 1
-    half = Fraction(1, 2)
     for n in range(2, 257):
         deltas = (n % 2, 10000 - n % 2, n % 2 - 10000)
         for w, delta, m in product((-10000, -1, 0, 1, 10000), deltas,
                                    (1, -1, 10 ** 6, -10 ** 6, big, -big)):
-            out, warned = _built(pa.check_main1_step, n, w, delta, m)
-            if not isinstance(out, pa.CheckResult):
-                continue
-            where = (n, w, delta, m)
-            pair = pa._main1_pair(n, w, delta, m)
-            assert pair == oracles.main1_pair(n, w, delta, m), where
-            for rep in pair:
-                assert InfinityType(*rep.inf) == rep.inf
-            pi, sigma = (rep.inf for rep in pair)
-            assert oracles.is_balanced(pi, sigma), where
-            assert oracles.is_regular(pi) and oracles.is_regular(sigma), where
-            assert warned == [], where
-            cs = arch_l.critical_set(pi, sigma)
-            for s0 in (m + half, -m - w - delta + half):
-                assert oracles.critical_contains(cs, s0), (where, s0)
-            duals = (oracles.global_dual(rep).inf for rep in pair)
-            assert oracles.critical_contains(arch_l.critical_set(*duals),
-                                             -m + half), where
-            checked += 1
+            yield n, w, delta, m
+
+
+def test_main1_pair_matches_the_checked_oracle_up_to_the_caps():
+    # the hypotheses that the step does not check, which its docstring
+    # proves of the pair that tests.oracles.main1_pair builds through
+    # InfinityType: the pair is balanced and regular, m + 1/2 and m2 + 1/2
+    # are critical for it, and -m + 1/2 for its duals
+    checked = 0
+    half = Fraction(1, 2)
+    for n, w, delta, m in _cap_inputs():
+        out, warned = _built(pa.check_main1_step, n, w, delta, m)
+        if not isinstance(out, pa.CheckResult):
+            continue
+        where = (n, w, delta, m)
+        pair = oracles.main1_pair(n, w, delta, m)
+        pi, sigma = (rep.inf for rep in pair)
+        assert oracles.is_balanced(pi, sigma), where
+        assert oracles.is_regular(pi) and oracles.is_regular(sigma), where
+        assert warned == [], where
+        cs = arch_l.critical_set(pi, sigma)
+        for s0 in (m + half, -m - w - delta + half):
+            assert oracles.critical_contains(cs, s0), (where, s0)
+        duals = (oracles.global_dual(rep).inf for rep in pair)
+        assert oracles.critical_contains(arch_l.critical_set(*duals),
+                                         -m + half), where
+        checked += 1
     assert checked == 128 * 90 + 127 * 54
+
+
+def _step_signs(res) -> tuple:
+    """(eps, eps', class) as a main1 step wrote them: the signs of its
+    main1[Pi] and main1[Sigma] lhs atoms, and the I exponent of its
+    duality ratio."""
+    rels = [rel for rel, _ in res.relations]
+    (bw_pi,), (bw_sigma,) = rels[6].lhs._exp, rels[5].lhs._exp
+    return bw_pi.payload[1], bw_sigma.payload[1], rels[2].rhs.exponent(ATOM_I)
+
+
+def test_main1_step_signs_and_class_match_the_oracle_pair():
+    # the step's closed-form signs and epsilon class against
+    # raghuram_signs and pair_epsilon_class of the pair built in full, at
+    # every input of the caps grid and over small w, delta and m, where
+    # w/2 and delta/2 take both parities
+    def small():
+        for n in range(2, 65):
+            for w, dh, m in product(range(-3, 4), (-1, 0, 1), range(-3, 4)):
+                yield n, w, n % 2 + 2 * dh, m
+
+    checked = 0
+    for n, w, delta, m in chain(_cap_inputs(), small()):
+        try:
+            res = pa.check_main1_step(n, w, delta, m)
+        except ValueError:
+            continue
+        pi, sigma = oracles.main1_pair(n, w, delta, m)
+        want = (*oracles.raghuram_signs(m, pi, sigma),
+                oracles.pair_epsilon_class(pi.inf, sigma.inf))
+        assert _step_signs(res) == want, (n, w, delta, m)
+        checked += 1
+    # the small grid: 3 * 3 central points at each even n; none at odd n,
+    # where only even w is accepted and w + delta is odd
+    assert checked == 128 * 90 + 127 * 54 + 32 * (147 - 9) + 31 * 63
+
+
+def test_the_functional_equation_drops_the_two_pi_power_of_arch_iparity():
+    # The Gamma_C factors of the duality ratio give (2 pi)^k with k the I
+    # exponent that arch-iparity writes, (m - m2) n (n - 1)/2: each of the
+    # n(n-1)/2 factors gives (s0 + b) - (1 - s0 + b') = 2m + w + delta, as
+    # every constituent has the twist (w + delta)/2.  Every Gamma argument
+    # is a positive integer at s0, so the rest of the ratio is rational.
+    def grid():
+        for n in range(2, 33):
+            for w, dh, m in product((-3, 0, 2), (-1, 0), (-2, 1)):
+                yield n, w, n % 2 + 2 * dh, m
+        for n, w, delta, m in ((64, 0, 0, 1), (64, 1, -2, -2), (128, 2, 2, 3),
+                               (128, -1, 0, -1), (255, 0, 1, 1),
+                               (256, -3, -2, 2)):
+            yield n, w, delta, m
+
+    checked = 0
+    for n, w, delta, m in grid():
+        try:
+            res = pa.check_main1_step(n, w, delta, m)
+        except ValueError:
+            continue
+        m2, s0 = -m - w - delta, m + Fraction(1, 2)
+        k, args = oracles.functional_equation_gammas(
+            oracles.main1_pair(n, w, delta, m), s0)
+        assert k == (m - m2) * n * (n - 1) // 2, (n, w, delta, m)
+        assert all(a.denominator == 1 and a > 0 for a in args), (n, w,
+                                                                 delta, m)
+        iparity = res.relations[4][0]
+        assert iparity.rhs.exponent(ATOM_I) == k % 2, (n, w, delta, m)
+        checked += 1
+    # one central point at each even rank up to 32, and odd w is rejected
+    # at odd rank
+    assert checked == 16 * (12 - 1) + 15 * 8 + 6
+
+
+def _profiled_calls(fn, *args) -> int:
+    """The Python-level calls that fn(*args) makes, its own included."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_main1_step_makes_as_many_calls_at_every_rank():
+    # the step's cost does not grow with n: one count at every rank, valid
+    # or corrupted, within the bounds of its closed form (69 calls when it
+    # built the pair's types and resolved its signs through them)
+    for corrupt, bound in ((False, 40), (True, 48)):
+        counts = {n: _profiled_calls(pa.check_main1_step, n, 2 - n % 2 * 2,
+                                     n % 2, 3, corrupt)
+                  for n in (2, 3, 32, 255, 256)}
+        assert len(set(counts.values())) == 1, counts
+        assert counts[2] <= bound, counts
 
 
 def test_corollary_main_builds_a_regular_pi_at_every_n(monkeypatch):

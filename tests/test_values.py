@@ -114,17 +114,3 @@ def test_a_motive_label_that_is_not_a_string_is_a_type_error():
     with pytest.raises(TypeError, match="^expected a string, got 7$"):
         yoshida.MotiveShape(7, 2, 0, (5,), 1, 1)
 
-
-def test_a_main1_step_resolves_its_signs_once(monkeypatch):
-    # the pair's signs alone: the duals' signs equal the pair's
-    signs = []
-
-    def counted(*args):
-        signs.append(args)
-        return real(*args)
-
-    real = period_algebra.raghuram_signs
-    monkeypatch.setattr(period_algebra, "raghuram_signs", counted)
-    assert period_algebra.check_main1_step(8, 1, 2, 3).is_ok
-    pi, sigma = period_algebra._main1_pair(8, 1, 2, 3)
-    assert signs == [(3, pi, sigma)]
