@@ -1,36 +1,24 @@
-"""Relation constructors over the formal period group and mechanical
-replays of the period-relation derivations.
+"""Mechanical replays of the period-relation derivations: each check_*
+function multiplies the quotients of its relations exactly as the
+derivation does and returns the residual, which must be the identity.
 
-Every rel_* function returns a Relation whose lhs/rhs equality holds modulo
-algebraic, Galois-natural units; every check_* function multiplies the
-instantiated relation quotients exactly as the corresponding derivation does
-and returns the residual, which must be the identity.
+Each relation kind has one writer, which builds its sides from checked atoms
+and ints; a relation's lhs = rhs holds modulo algebraic, Galois-natural
+units.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from fractions import Fraction
-
 from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
                      RelationDB, check_script, dual_label, gauss_fp,
                      replay, _period)
-from .infinity_types import (InfinityType, as_fraction, character_sign,
-                             json_int)
+from .infinity_types import as_fraction, json_int
 
 __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
-    "GlobalRep", "rel_rs_twist", "rel_main1",
-    "rel_corollary_main", "rel_quadratic", "CheckResult", "check_main1_step",
-    "check_corollary_main", "check_theorem_main2", "check_motivic_dual",
+    "CheckResult", "check_main1_step", "check_corollary_main",
+    "check_theorem_main2", "check_motivic_dual",
 ]
-
-
-class GlobalRep(namedtuple("GlobalRep", "label inf omega")):
-    """A labeled cuspidal representation: archimedean data plus the Gauss
-    class of its central character (see formal.gauss_fp)."""
-
-    __slots__ = ()
 
 
 # the central character of the builtins' Pi, and the Gauss atoms of it and
@@ -39,6 +27,10 @@ _OMEGA_PI = gauss_fp({"omega_Pi": 1})
 (_G_PI,) = _OMEGA_PI._exp
 _G_SIGMA = PeriodAtom("Gauss", ("omega_Sigma",))
 _CHI = gauss_fp({"chi": 1})  # the builtins' default chi
+(_G_CHI,) = _CHI._exp
+# the BW atoms of corollary-main and main2, of Pi at both signs and of Pi^v
+_BW = {eps: PeriodAtom("BW", ("Pi", eps)) for eps in (1, -1)}
+_BW_DUAL = PeriodAtom("BW", ("Pi^v", 1))
 # the labels of a main1 step's pair and of its duals
 _PAIR, _DUAL_PAIR = "PixSigma", f"{dual_label('Pi')}x{dual_label('Sigma')}"
 
@@ -51,59 +43,37 @@ def _integer_m(m) -> int:
     return m.numerator
 
 
-def rel_rs_twist(pi: GlobalRep, eta: FormalPeriod, eta_delta: int,
-                 eta_u: int, eps: int, twisted_label: str) -> Relation:
-    """p(Pi (x) eta, eps) = G(eta)^{n(2n-1)} p(Pi, eps * eps(eta_inf))."""
-    rank = pi.inf.n
-    if rank % 2:
-        raise ValueError("character-twist relation requires even rank")
-    n = rank // 2
-    lhs = FormalPeriod.atom(PeriodAtom("BW", (twisted_label, eps)))
-    rhs = (eta ** (n * (2 * n - 1)) * FormalPeriod.atom(PeriodAtom(
-        "BW", (pi.label, eps * character_sign(eta_delta, eta_u)))))
-    return Relation(f"rs-twist[{twisted_label},{eps:+d}]",
-                    "character twist of Betti-Whittaker periods", lhs, rhs)
-
-
-def rel_main1(pi: GlobalRep, eps: int) -> Relation:
-    """p(Pi, eps) = G(omega_Pi)^{n-1} p(Pi^v, eps).
-
-    The relation holds for regular Pi.  check_corollary_main builds Pi from
-    a closed form that is regular, as its docstring shows, so Pi is not
-    tested; check_main1_step writes its two main1 relations itself."""
-    bw = PeriodAtom("BW", (pi.label, eps))
-    return Relation(f"main1[{pi.label},{eps:+d}]",
+def _main1(bw, bw_dual, gauss, g: int, tag: str = "") -> Relation:
+    """p(Pi, eps) = G(omega_Pi)^{n-1} p(Pi^v, eps), from the BW atoms bw of
+    p(Pi, eps) and bw_dual of p(Pi^v, eps), the Gauss atom of omega_Pi and
+    its exponent g, n - 1 unless a corrupted control lowers it, dropped when
+    0.  The relation holds for regular Pi; each caller's docstring shows its
+    Pi regular."""
+    label, eps = bw[1]
+    return Relation(f"main1[{label},{eps:+d}]{tag}",
                     "period relation under duality",
                     FormalPeriod._of_exp({bw: 1}),
-                    _period({PeriodAtom("BW", (dual_label(pi.label), eps)): 1},
-                            (pi.omega, pi.inf.n - 1)))
+                    FormalPeriod._of_exp({bw_dual: 1, gauss: g} if g
+                                         else {bw_dual: 1}))
 
 
-def rel_corollary_main(label: str, gexp: FormalPeriod) -> Relation:
+def _corollary(gexp: FormalPeriod, *corrupt) -> Relation:
     """p(Pi, +) = G(chi^n omega_Pi^{-1}) p(Pi, -), with gexp the Gauss class
-    of chi^n omega_Pi^{-1}."""
-    return Relation(f"corollary-main[{label}]",
+    of chi^n omega_Pi^{-1}; the corrupted control multiplies the one class
+    (g, k) of corrupt into its rhs."""
+    return Relation("corollary-main[Pi]" + ("[corrupted]" if corrupt else ""),
                     "sign change of Betti-Whittaker periods",
-                    FormalPeriod.atom(PeriodAtom("BW", (label, 1))),
-                    gexp * FormalPeriod.atom(PeriodAtom("BW", (label, -1))))
+                    FormalPeriod._of_exp({_BW[1]: 1}),
+                    _period({**gexp._exp, _BW[-1]: 1}, *corrupt))
 
 
-def rel_quadratic(g: FormalPeriod) -> Relation:
-    """G(chi) class is 2-torsion for a quadratic character chi."""
-    char = "*".join(f"{a.payload[0]}^{e}" for a, e in g.items()) or "1"
+def _quadratic(g: FormalPeriod) -> Relation:
+    """The class G(chi)^2 is trivial for a quadratic character chi, of
+    Gauss class g."""
+    char = "*".join(f"{a[1][0]}^{e}" for a, e in g.items())
     return Relation(f"central-character-quadratic[{char}]",
                     "Gauss sum of a quadratic character is algebraic",
-                    g ** 2, FormalPeriod())
-
-
-def _compose(steps, **fields) -> CheckResult:
-    return CheckResult(replay(steps), tuple(steps), **fields)
-
-
-def _corrupted(rel: Relation, factor: FormalPeriod) -> Relation:
-    """Negative control: rel with one atom power multiplied into its rhs."""
-    return Relation(rel.name + "[corrupted]", rel.citation, rel.lhs,
-                    rel.rhs * factor)
+                    _period({}, (g, 2)), FormalPeriod._of_exp({}))
 
 
 def require_main1_hypotheses(n: int, w: int, delta: int) -> None:
@@ -200,12 +170,8 @@ def check_main1_step(n: int, w: int, delta: int, m,
     iparity = {archz2: 1, ATOM_I: 1}
     if (m - m2) * (n * (n - 1) // 2) % 2 == 0:
         del iparity[ATOM_I]
-    q_sigma = {bw_sd: 1, _G_SIGMA: n - 2} if n > 2 else {bw_sd: 1}
-    g_target = n - 2 if corrupt else n - 1  # the control lowers it by one
-    q_pi = {bw_pd: 1, _G_PI: g_target} if g_target else {bw_pd: 1}
     raghuram_cite = "critical-value factorization over a balanced pair"
-    main1_cite = "period relation under duality"
-    return _compose([
+    steps = [
         (Relation(f"raghuram[m={m},{_PAIR}]", raghuram_cite, p({lval: 1}),
                   p({archz: 1, bw_p: 1, bw_s: 1, _G_SIGMA: 1})), 1),
         # the class of Sigma^v's central character is Sigma's inverted
@@ -221,10 +187,11 @@ def check_main1_step(n: int, w: int, delta: int, m,
         (Relation(f"arch-iparity[{m},{m2},{_PAIR}]",
                   "i-power comparison of archimedean periods",
                   p({archz: 1}), p(iparity)), 1),
-        (Relation(f"main1[Sigma,{eps_prime:+d}]", main1_cite, p({bw_s: 1}),
-                  p(q_sigma)), 1),
-        (Relation(f"main1[Pi,{eps:+d}]" + ("[corrupted]" if corrupt else ""),
-                  main1_cite, p({bw_p: 1}), p(q_pi)), 1)])
+        (_main1(bw_s, bw_sd, _G_SIGMA, n - 2), 1),
+        # the corrupted control lowers the exponent of G(omega_Pi) by one
+        (_main1(bw_p, bw_pd, _G_PI, n - 2 if corrupt else n - 1,
+                "[corrupted]" if corrupt else ""), 1)]
+    return CheckResult(replay(steps), tuple(steps))
 
 
 def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
@@ -236,66 +203,67 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
     from the duality relation, the character twist by chi^{-1} (using
     Pi^v = Pi (x) chi^{-1}), and quadraticity of chi^n omega_Pi^{-1}.
     Pi's kappa_j = 8 + 6j with w = 0 has gaps of exactly 6 and last entry
-    14, so Pi is regular at every n.
+    14, so Pi is regular at every n; the replay builds no type, as its
+    relations read only the rank 2n of Pi.  chi is chi_expr's Gauss class,
+    or the default chi when chi_expr is None.
     """
     if json_int(n) < 1:
         raise ValueError("n must be positive")
-    kappa = tuple(8 + 6 * j for j in range(n, 0, -1))
-    pi = GlobalRep("Pi", InfinityType(2 * n, kappa, 0, 0), _OMEGA_PI)
-    chi = gauss_fp(chi_expr) if chi_expr else _CHI
-    q_a = rel_main1(pi, 1)
-    q_b = rel_rs_twist(pi, chi ** -1, 1 if orthogonal else 0, 0, 1,
-                       twisted_label=dual_label(pi.label))
-    gexp = chi ** n * pi.omega ** -1
-    target = rel_corollary_main(pi.label, gexp)
-    if corrupt:
-        target = _corrupted(target, chi)
-    steps = [(q_a, 1), (q_b, 1), (target, -1)]
-    if not gexp.is_trivial:
-        steps.append((rel_quadratic(gexp), -n))
-    return _compose(steps)
+    chi = _CHI if chi_expr is None else gauss_fp(chi_expr)
+    gexp = _period({}, (chi, n), (_OMEGA_PI, -1))
+    # p(Pi^v, +) = G(chi^{-1})^{n(2n-1)} p(Pi, eps(chi^{-1}_inf)), where
+    # eps(sgn^delta) = (-1)^delta and delta = 1 for a chi-orthogonal Pi
+    sign = FormalPeriod._of_exp({_BW[-1 if orthogonal else 1]: 1})
+    steps = [(_main1(_BW[1], _BW_DUAL, _G_PI, 2 * n - 1), 1),
+             (Relation("rs-twist[Pi^v,+1]",
+                       "character twist of Betti-Whittaker periods",
+                       FormalPeriod._of_exp({_BW_DUAL: 1}),
+                       _period({}, (chi, -n * (2 * n - 1)), (sign, 1))), 1),
+             (_corollary(gexp, (chi, 1)) if corrupt else _corollary(gexp),
+              -1)]
+    if gexp._exp:
+        steps.append((_quadratic(gexp), -n))
+    return CheckResult(replay(steps), tuple(steps))
 
 
 def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
-                        eps_num: int = 1, corrupt: bool = False) -> CheckResult:
+                        eps_num: int = 1,
+                        corrupt: bool = False) -> CheckResult:
     """Replay the successive-critical-value ratio for GL(2n) x GL(n'):
 
         L(m0) / L(m0+1) = i^{nn'} G(chi^n omega_Pi^{-1})^{n'}
 
     via n' copies of the relative period i^n p(Pi,eps)/p(Pi,-eps) rewritten
     through the sign-change relation.  Even n' is the trivially algebraic
-    case.
+    case.  At odd n', m0 = n'/2 and i^{nn'} has the parity of n.
     """
     if json_int(n) < 1 or json_int(nprime) < 1:
         raise ValueError("ranks must be positive")
+    if json_int(eps_num) not in (1, -1):
+        raise ValueError("eps_num must be +1 or -1")
     if nprime % 2 == 0:
         return CheckResult(FormalPeriod())
-    pair = "PixSigma"
-    m0 = Fraction(nprime, 2)
-    ipow = n if include_i_power else 0
-    rel_period = (FormalPeriod.atom(ATOM_I, ipow)
-                  * FormalPeriod.atom(PeriodAtom("BW", ("Pi", eps_num)))
-                  * FormalPeriod.atom(PeriodAtom("BW", ("Pi", -eps_num)), -1))
-    q_hr = Relation(f"harder-raghuram[{pair},m0={m0}]",
-                    "successive critical values against relative periods",
-                    FormalPeriod.atom(PeriodAtom("LVal", (m0, pair))),
-                    FormalPeriod.atom(PeriodAtom("LVal", (m0 + 1, pair)))
-                    * rel_period ** nprime)
-    gexp = _CHI ** n * _OMEGA_PI ** -1
-    q_c = rel_corollary_main("Pi", gexp)
-    target_rhs = (FormalPeriod.atom(ATOM_I, ipow * nprime)
-                  * gexp ** nprime
-                  * FormalPeriod.atom(PeriodAtom("LVal", (m0 + 1, pair))))
-    target = Relation(f"theorem-main2[{pair}]",
-                      "ratio of successive critical values",
-                      FormalPeriod.atom(PeriodAtom("LVal", (m0, pair))),
-                      target_rhs)
-    if corrupt:
-        target = _corrupted(target, _CHI)
-    steps = [(q_hr, 1), (target, -1), (q_c, eps_num * nprime)]
+    ipar, p = (n % 2 if include_i_power else 0), FormalPeriod._of_exp
+    lval, lval1 = (tuple.__new__(PeriodAtom, ("LVal", (f"{k}/2", _PAIR)))
+                   for k in (nprime, nprime + 2))
+    hr = {lval1: 1, ATOM_I: 1, _BW[eps_num]: nprime, _BW[-eps_num]: -nprime}
+    # the corrupted control multiplies one more G(chi) into the target
+    ratio = {ATOM_I: 1, _G_CHI: n * nprime + 1 if corrupt else n * nprime,
+             _G_PI: -nprime, lval1: 1}
+    if not ipar:  # zero exponents are dropped, as formal._period drops them
+        del hr[ATOM_I], ratio[ATOM_I]
+    gexp = p({_G_CHI: n, _G_PI: -1})
+    tag = "[corrupted]" if corrupt else ""
+    steps = [(Relation(f"harder-raghuram[{_PAIR},m0={nprime}/2]",
+                       "successive critical values against relative periods",
+                       p({lval: 1}), p(hr)), 1),
+             (Relation(f"theorem-main2[{_PAIR}]{tag}",
+                       "ratio of successive critical values", p({lval: 1}),
+                       p(ratio)), -1),
+             (_corollary(gexp), eps_num * nprime)]
     if eps_num == -1:
-        steps.append((rel_quadratic(gexp), -nprime))
-    return _compose(steps, i_parity=(ipow * nprime) % 2)
+        steps.append((_quadratic(gexp), -nprime))
+    return CheckResult(replay(steps), tuple(steps), ipar)
 
 
 def check_motivic_dual(n: int, i: int = None,
@@ -356,4 +324,4 @@ def check_motivic_dual(n: int, i: int = None,
             (Relation(f"motivic-dual[M,{idx}]",
                       "duality of the middle fundamental periods",
                       p({dci_d: 1}), p({delta_m: -2, dci: 1})), -1)]
-    return _compose(steps)
+    return CheckResult(replay(steps), tuple(steps))

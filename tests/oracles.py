@@ -17,8 +17,10 @@ tested by a Fraction subtraction, every point coerced to a Fraction by the
 reference as_fraction; the balance and regularity tests of a main1 pair,
 which its closed form makes hold, and the pair's signs and epsilon class
 read from its types (signature, raghuram_signs, pair_epsilon_class), which
-the step writes in closed form; and the motivic-dual derivation through
-yoshida's relation builders. No request of the CLI runs any of them.
+the step writes in closed form; the corollary-main and main2 derivations
+composed from checked products over a Pi built in full; and the
+motivic-dual derivation through yoshida's relation builders. No request of
+the CLI runs any of them.
 """
 
 import json
@@ -33,8 +35,9 @@ from periodcalc import period_algebra as pa
 from periodcalc import yoshida as y
 from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
                                PeriodAtom, Relation, dual_label, gauss_fp)
-from periodcalc.infinity_types import (InfinityType, interlaces, json_int,
-                                       json_list, json_str, to_arch_rep)
+from periodcalc.infinity_types import (InfinityType, character_sign,
+                                       interlaces, json_int, json_list,
+                                       json_str, to_arch_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +592,16 @@ def twist(t, delta: int, u: int):
     return InfinityType(t.n, t.kappa, t.w + 2 * u, sign)
 
 
+class GlobalRep(namedtuple("GlobalRep", "label inf omega")):
+    """A labeled cuspidal representation: archimedean data plus the Gauss
+    class of its central character (see formal.gauss_fp)."""
+
+    __slots__ = ()
+
+
 def global_dual(rep):
     """The contragredient: dual label, w negated, inverse Gauss class."""
-    return pa.GlobalRep(dual_label(rep.label),
+    return GlobalRep(dual_label(rep.label),
                         twist(rep.inf, 0, -rep.inf.w), rep.omega ** -1)
 
 
@@ -681,9 +691,9 @@ def main1_pair(n: int, w: int, delta: int, m: int):
     gprime = gap if kap_par == 1 else gap + 1
     n_ell = r if n % 2 else r - 1
     ell = tuple(kappa[j] - gprime for j in range(n_ell))
-    pi = pa.GlobalRep("Pi", InfinityType(n, kappa, w, 0),
+    pi = GlobalRep("Pi", InfinityType(n, kappa, w, 0),
                       gauss_fp({"omega_Pi": 1}))
-    sigma = pa.GlobalRep("Sigma", InfinityType(n - 1, ell, delta, 0),
+    sigma = GlobalRep("Sigma", InfinityType(n - 1, ell, delta, 0),
                          gauss_fp({"omega_Sigma": 1}))
     return pi, sigma
 
@@ -729,6 +739,103 @@ def main1_steps(n: int, w: int, delta: int, m: int,
         target = Relation(target.name + "[corrupted]", target.citation,
                           target.lhs, target.rhs * pi.omega ** -1)
     return steps + [(target, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the corollary-main and main2 derivations composed from checked products,
+# with the corollary's Pi built in full
+
+def corrupted(rel: Relation, factor: FormalPeriod) -> Relation:
+    """Negative control: rel with one atom power multiplied into its rhs."""
+    return Relation(rel.name + "[corrupted]", rel.citation, rel.lhs,
+                    rel.rhs * factor)
+
+
+def rel_rs_twist(pi, eta: FormalPeriod, eta_delta: int, eta_u: int,
+                 eps: int, twisted_label: str) -> Relation:
+    """p(Pi (x) eta, eps) = G(eta)^{n(2n-1)} p(Pi, eps * eps(eta_inf))."""
+    rank = pi.inf.n
+    if rank % 2:
+        raise ValueError("character-twist relation requires even rank")
+    n = rank // 2
+    lhs = FormalPeriod.atom(PeriodAtom("BW", (twisted_label, eps)))
+    rhs = (eta ** (n * (2 * n - 1)) * FormalPeriod.atom(PeriodAtom(
+        "BW", (pi.label, eps * character_sign(eta_delta, eta_u)))))
+    return Relation(f"rs-twist[{twisted_label},{eps:+d}]",
+                    "character twist of Betti-Whittaker periods", lhs, rhs)
+
+
+def rel_corollary_main(label: str, gexp: FormalPeriod) -> Relation:
+    """p(Pi, +) = G(chi^n omega_Pi^{-1}) p(Pi, -), with gexp the Gauss class
+    of chi^n omega_Pi^{-1}."""
+    return Relation(f"corollary-main[{label}]",
+                    "sign change of Betti-Whittaker periods",
+                    FormalPeriod.atom(PeriodAtom("BW", (label, 1))),
+                    gexp * FormalPeriod.atom(PeriodAtom("BW", (label, -1))))
+
+
+def rel_quadratic(g: FormalPeriod) -> Relation:
+    """G(chi) class is 2-torsion for a quadratic character chi."""
+    char = "*".join(f"{a.payload[0]}^{e}" for a, e in g.items()) or "1"
+    return Relation(f"central-character-quadratic[{char}]",
+                    "Gauss sum of a quadratic character is algebraic",
+                    g ** 2, FormalPeriod())
+
+
+def corollary_main_steps(n: int, orthogonal: bool = True, chi_expr=None,
+                         corrupt: bool = False) -> list:
+    """The (relation, exponent) steps of check_corollary_main, composed with
+    the checked * and ** over its chi-orthogonal Pi of rank 2n built in
+    full (kappa_j = 8 + 6j, w = 0); rel_main1 warns if that Pi is not
+    regular.  chi_expr None is the default chi."""
+    kappa = tuple(8 + 6 * j for j in range(n, 0, -1))
+    pi = GlobalRep("Pi", InfinityType(2 * n, kappa, 0, 0),
+                   gauss_fp({"omega_Pi": 1}))
+    chi = gauss_fp({"chi": 1} if chi_expr is None else chi_expr)
+    q_a = rel_main1(pi, 1)
+    q_b = rel_rs_twist(pi, chi ** -1, 1 if orthogonal else 0, 0, 1,
+                       twisted_label=dual_label(pi.label))
+    gexp = chi ** n * pi.omega ** -1
+    target = rel_corollary_main(pi.label, gexp)
+    if corrupt:
+        target = corrupted(target, chi)
+    steps = [(q_a, 1), (q_b, 1), (target, -1)]
+    if not gexp.is_trivial:
+        steps.append((rel_quadratic(gexp), -n))
+    return steps
+
+
+def main2_steps(n: int, nprime: int, include_i_power: bool = True,
+                eps_num: int = 1, corrupt: bool = False) -> tuple:
+    """(steps, i_parity) of check_theorem_main2 at an odd n', composed with
+    the checked * and ** and Fraction points."""
+    pair = "PixSigma"
+    m0 = Fraction(nprime, 2)
+    ipow = n if include_i_power else 0
+    rel_period = (FormalPeriod.atom(ATOM_I, ipow)
+                  * FormalPeriod.atom(PeriodAtom("BW", ("Pi", eps_num)))
+                  * FormalPeriod.atom(PeriodAtom("BW", ("Pi", -eps_num)), -1))
+    q_hr = Relation(f"harder-raghuram[{pair},m0={m0}]",
+                    "successive critical values against relative periods",
+                    FormalPeriod.atom(PeriodAtom("LVal", (m0, pair))),
+                    FormalPeriod.atom(PeriodAtom("LVal", (m0 + 1, pair)))
+                    * rel_period ** nprime)
+    chi, omega = gauss_fp({"chi": 1}), gauss_fp({"omega_Pi": 1})
+    gexp = chi ** n * omega ** -1
+    q_c = rel_corollary_main("Pi", gexp)
+    target_rhs = (FormalPeriod.atom(ATOM_I, ipow * nprime)
+                  * gexp ** nprime
+                  * FormalPeriod.atom(PeriodAtom("LVal", (m0 + 1, pair))))
+    target = Relation(f"theorem-main2[{pair}]",
+                      "ratio of successive critical values",
+                      FormalPeriod.atom(PeriodAtom("LVal", (m0, pair))),
+                      target_rhs)
+    if corrupt:
+        target = corrupted(target, chi)
+    steps = [(q_hr, 1), (target, -1), (q_c, eps_num * nprime)]
+    if eps_num == -1:
+        steps.append((rel_quadratic(gexp), -nprime))
+    return steps, (ipow * nprime) % 2
 
 
 # ---------------------------------------------------------------------------

@@ -204,10 +204,10 @@ def test_sort_order_is_that_of_atom_lt(p):
 # ---------------------------------------------------------------------------
 # relation constructors
 
-PI4 = pa.GlobalRep("Pi", InfinityType(4, (21, 11), 1),
-                  gauss_fp({"omega_Pi": 1}))
-SIG3 = pa.GlobalRep("Sigma", InfinityType(3, (15,), 0),
-                    gauss_fp({"omega_Sigma": 1}))
+PI4 = oracles.GlobalRep("Pi", InfinityType(4, (21, 11), 1),
+                        gauss_fp({"omega_Pi": 1}))
+SIG3 = oracles.GlobalRep("Sigma", InfinityType(3, (15,), 0),
+                         gauss_fp({"omega_Sigma": 1}))
 
 
 def test_raghuram_signs_flip_between_adjacent_m():
@@ -257,29 +257,43 @@ def test_rel_duality_ratio_i_parity_matches_epsilon_class():
 
 
 def test_rel_rs_twist_rejects_odd_rank():
-    pi3 = pa.GlobalRep("P", InfinityType(3, (15,), 0), gauss_fp({"omega": 1}))
+    pi3 = oracles.GlobalRep("P", InfinityType(3, (15,), 0),
+                            gauss_fp({"omega": 1}))
     with pytest.raises(ValueError):
-        pa.rel_rs_twist(pi3, gauss_fp({"chi": 1}), 0, 0, 1,
-                        twisted_label="P(x)chi")
+        oracles.rel_rs_twist(pi3, gauss_fp({"chi": 1}), 0, 0, 1,
+                             twisted_label="P(x)chi")
 
 
 def test_rel_rs_twist_trivial_character_is_identity():
-    rel = pa.rel_rs_twist(PI4, gauss_fp({}), 0, 0, 1, twisted_label="Pi")
+    rel = oracles.rel_rs_twist(PI4, gauss_fp({}), 0, 0, 1,
+                               twisted_label="Pi")
     assert formal.replay([(rel, 1)]).is_trivial
 
 
 def test_rel_rs_twist_sign_flip():
-    rel = pa.rel_rs_twist(PI4, gauss_fp({"chi": -1}), 1, 0, 1,
-                          twisted_label="Pi^v")
+    rel = oracles.rel_rs_twist(PI4, gauss_fp({"chi": -1}), 1, 0, 1,
+                               twisted_label="Pi^v")
     assert rel.rhs.exponent(PeriodAtom("BW", ("Pi", -1))) == 1
     # (n/2)(n-1) = 6
     assert rel.rhs.exponent(PeriodAtom("Gauss", ("chi",))) == -2 * 3
 
 
 def test_rel_main1_rank_one_trivial_gauss():
-    pi1 = pa.GlobalRep("P", InfinityType(1, (), 0), gauss_fp({"omega": 1}))
-    rel = pa.rel_main1(pi1, 1)
+    pi1 = oracles.GlobalRep("P", InfinityType(1, (), 0),
+                            gauss_fp({"omega": 1}))
+    rel = oracles.rel_main1(pi1, 1)
     assert rel.rhs.exponent(PeriodAtom("Gauss", ("omega",))) == 0
+    assert rel == _main1_of(pi1, 1)
+
+
+def _main1_of(rep, eps):
+    """The main1 writer's relation for rep, whose Gauss class is one atom to
+    the first power."""
+    ((gauss, k),) = rep.omega._exp.items()
+    assert k == 1
+    return pa._main1(PeriodAtom("BW", (rep.label, eps)),
+                     PeriodAtom("BW", (formal.dual_label(rep.label), eps)),
+                     gauss, rep.inf.n - 1)
 
 
 @pytest.mark.parametrize("inf", [
@@ -287,12 +301,12 @@ def test_rel_main1_rank_one_trivial_gauss():
     InfinityType(3, (3,), 0), InfinityType(5, (7, 5), 0),
     InfinityType(4, (5, 3), 1)])
 def test_rel_main1_trusts_its_caller_on_irregular_types(inf):
-    # rel_main1 does not test regularity: on a type that the oracle calls
-    # irregular it builds the oracle's relation and gives no warning, while
-    # the guarded oracle warns
-    pi = pa.GlobalRep("P", inf, gauss_fp({"omega": 1}))
+    # the main1 writer reads no type, so it cannot test regularity: for a
+    # type that the oracle calls irregular it writes the oracle's relation
+    # and gives no warning, while the guarded oracle warns
+    pi = oracles.GlobalRep("P", inf, gauss_fp({"omega": 1}))
     assert not oracles.is_regular(inf)
-    new, warned = _built(pa.rel_main1, pi, 1)
+    new, warned = _built(_main1_of, pi, 1)
     want, want_warned = _built(oracles.rel_main1, pi, 1)
     assert new == want and _sides([(new, 1)]) == _sides([(want, 1)])
     assert warned == []
@@ -300,8 +314,11 @@ def test_rel_main1_trusts_its_caller_on_irregular_types(inf):
 
 
 def test_quadratic_relation():
-    rel = pa.rel_quadratic(gauss_fp({"chi": 1, "omega": -1}))
+    g = gauss_fp({"omega": -1, "chi": 1})
+    rel = oracles.rel_quadratic(g)
     assert rel.lhs == gauss_fp({"chi": 2, "omega": -2})
+    assert rel.name == "central-character-quadratic[chi^1*omega^-1]"
+    assert _sides([(pa._quadratic(g), 1)]) == _sides([(rel, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +355,10 @@ def test_main1_step_validation():
     lambda x: pa.check_corollary_main(x),
     lambda x: pa.check_theorem_main2(x, 3),
     lambda x: pa.check_theorem_main2(2, x),
+    lambda x: pa.check_theorem_main2(2, 3, eps_num=x),
 ], ids=["main1-n", "main1-w", "main1-delta", "hypotheses-n", "motivic-dual-n",
-        "motivic-dual-i", "corollary-main-n", "main2-n", "main2-nprime"])
+        "motivic-dual-i", "corollary-main-n", "main2-n", "main2-nprime",
+        "main2-eps-num"])
 def test_a_builtin_int_argument_rejects_a_non_int(call, bad):
     # a float, a bool or an integral Fraction never reaches a trusted atom;
     # m alone is a point, which _integer_m reads as a fraction
@@ -400,7 +419,7 @@ def _sides(steps) -> list:
 @st.composite
 def main1_pairs(draw):
     """(pi, sigma): a pair of check_main1_step or of its duals under drawn
-    labels (Sigma's may be Pi's) and Gauss classes of zero to three atoms."""
+    labels (Sigma's may be Pi's) and the Gauss class of a drawn atom."""
     n = draw(st.integers(2, 9))
     w = draw(st.integers(-3, 3)) * (1 + n % 2)
     delta = n % 2 + 2 * draw(st.integers(-1, 1))
@@ -409,12 +428,11 @@ def main1_pairs(draw):
     if draw(st.booleans()):
         pi, sigma = map(oracles.global_dual, (pi, sigma))
     labels = st.sampled_from(["Pi", "Sigma", "Pi^v", "P"])
-    classes = st.dictionaries(st.sampled_from(["omega_Pi", "omega_Sigma",
-                                               "chi"]),
-                              st.integers(-3, 3), max_size=3).map(gauss_fp)
-    pi = pa.GlobalRep(draw(labels), pi.inf, draw(classes))
-    sigma = pa.GlobalRep(draw(st.just(pi.label) | labels), sigma.inf,
-                         draw(classes))
+    classes = st.sampled_from(["omega_Pi", "omega_Sigma", "chi"]).map(
+        lambda label: gauss_fp({label: 1}))
+    pi = oracles.GlobalRep(draw(labels), pi.inf, draw(classes))
+    sigma = oracles.GlobalRep(draw(st.just(pi.label) | labels), sigma.inf,
+                              draw(classes))
     return pi, sigma
 
 
@@ -442,14 +460,16 @@ def test_main1_relations_match_the_oracle_builders(n, w, delta_half, m,
 
 @settings(max_examples=300, deadline=None)
 @given(main1_pairs(), st.sampled_from([1, -1]))
-@example((pa.GlobalRep("Pi", PI4.inf, gauss_fp({"chi": 1, "omega": -2})),
-          pa.GlobalRep("Pi", SIG3.inf, gauss_fp({"chi": 2}))), 1)
+@example((oracles.GlobalRep("Pi", PI4.inf, gauss_fp({"chi": 1})),
+          oracles.GlobalRep("Pi", SIG3.inf, gauss_fp({"chi": 1}))), 1)
 def test_rel_main1_matches_the_oracle_under_drawn_labels(pair, eps):
-    # rel_main1 against the oracle's atom products, for Pi and for Sigma,
-    # under labels and Gauss classes that the step itself never uses
+    # the main1 writer against the oracle's atom products, for Pi and for
+    # Sigma, under labels and Gauss atoms that the step itself never uses
     for rep in pair:
-        assert _built(pa.rel_main1, rep, eps) == _built(oracles.rel_main1,
-                                                        rep, eps)
+        new = _built(_main1_of, rep, eps)
+        assert new == _built(oracles.rel_main1, rep, eps)
+        assert (_sides([(new[0], 1)])
+                == _sides([(oracles.rel_main1(rep, eps), 1)]))
 
 
 _PI_PLUS = PeriodAtom("BW", ("Pi", 1))
@@ -649,21 +669,22 @@ def test_a_main1_step_makes_as_many_calls_at_every_rank():
 
 
 def test_corollary_main_builds_a_regular_pi_at_every_n(monkeypatch):
-    # check_corollary_main's docstring proves its Pi regular, which
-    # rel_main1 does not test: the type rel_main1 receives, at every n up
-    # to the CLI's --n cap of 256 (rank 512), passes the oracle's test, and
-    # the replay gives no warning
+    # check_corollary_main's docstring proves its Pi regular, and the
+    # replay builds no type: the Pi that the oracle composition builds in
+    # full and hands to its rel_main1, at every n up to the CLI's --n cap
+    # of 256 (rank 512), passes the oracle's test with no warning, and the
+    # replay is ok
     received = []
 
-    def recording(pi, eps, rel_main1=pa.rel_main1):
+    def recording(pi, eps, rel_main1=oracles.rel_main1):
         received.append(pi.inf)
         return rel_main1(pi, eps)
 
-    monkeypatch.setattr(pa, "rel_main1", recording)
+    monkeypatch.setattr(oracles, "rel_main1", recording)
     for n in range(1, 257):
         received.clear()
-        out, warned = _built(pa.check_corollary_main, n)
-        assert out.is_ok and warned == [], n
+        _, warned = _built(oracles.corollary_main_steps, n)
+        assert warned == [] and pa.check_corollary_main(n).is_ok, n
         (pi,) = received
         assert pi.n == 2 * n and oracles.is_regular(pi), n
 
@@ -687,6 +708,81 @@ def test_main2_i_parity_and_toggle():
     assert res.is_ok and res.i_parity == 0
     assert pa.check_theorem_main2(3, 3, eps_num=-1).is_ok
     assert not pa.check_theorem_main2(3, 3, corrupt=True).is_ok
+
+
+# the chi of check_corollary_main: None, then character exponents over base
+# labels, among them omega_Pi, a label no builtin uses, and a zero exponent
+CHI_EXPRS = (None, {"chi": 1}, {"eta": 1}, {"omega_Pi": 1}, {"chi": 2},
+             {"chi": -1}, {"chi": 1, "omega_Pi": 1}, {"omega_Pi": 2, "x": 1},
+             {"chi": 0}, {"chi": 1, "eta": -3})
+
+
+def _same_replay(res, steps, i_parity=0):
+    """res has the oracle's steps, side key orders, residual and parity."""
+    assert list(res.relations) == steps
+    assert _sides(res.relations) == _sides(steps)
+    assert res.residual == formal.replay(steps)
+    assert res.i_parity == i_parity
+
+
+def test_corollary_main_and_main2_match_the_oracles():
+    # the closed forms against today's compositions of checked products,
+    # valid and corrupted, over ranks that reach the CLI's --n cap
+    for n in (*range(1, 41), 64, 127, 128, 255, 256):
+        for chi, orthogonal, corrupt in product(CHI_EXPRS, (True, False),
+                                                (False, True)):
+            args = (n, orthogonal, chi, corrupt)
+            res = pa.check_corollary_main(*args)
+            _same_replay(res, oracles.corollary_main_steps(*args))
+    for n in (*range(1, 20), 64, 128, 256):
+        for nprime in (*range(1, 12), 101, 255, 256):
+            for eps, ipow, corrupt in product((1, -1), (True, False),
+                                              (False, True)):
+                args = (n, nprime, ipow, eps, corrupt)
+                res = pa.check_theorem_main2(*args)
+                if nprime % 2 == 0:
+                    assert res == pa.CheckResult(FormalPeriod())
+                else:
+                    _same_replay(res, *oracles.main2_steps(*args))
+
+
+def test_an_empty_chi_expr_is_the_trivial_character():
+    # only None selects the default chi; {} and {"chi": 0} are both the
+    # trivial character
+    for n, orthogonal in product((1, 2, 5), (True, False)):
+        empty = pa.check_corollary_main(n, orthogonal, {})
+        zero = pa.check_corollary_main(n, orthogonal, {"chi": 0})
+        assert _sides(empty.relations) == _sides(zero.relations)
+        assert empty.residual == zero.residual
+        assert (_sides(pa.check_corollary_main(n, orthogonal).relations)
+                != _sides(empty.relations))
+
+
+@pytest.mark.parametrize("nprime", [2, 3])
+def test_main2_checks_eps_num_at_its_boundary(nprime):
+    # eps_num is a sign, checked before the even-n' return; a bool is not
+    # an int (test_a_builtin_int_argument_rejects_a_non_int tests more)
+    for bad in (2, 0, -2):
+        with pytest.raises(ValueError, match=r"^eps_num must be \+1 or -1$"):
+            pa.check_theorem_main2(3, nprime, eps_num=bad)
+    with pytest.raises(TypeError, match="^expected an integer, got True$"):
+        pa.check_theorem_main2(3, nprime, eps_num=True)
+
+
+def test_corollary_main_and_main2_make_as_many_calls_at_every_rank():
+    # neither replay's cost grows with n: one count at every rank, valid or
+    # corrupted (102-1,128 calls for corollary-main and 120-145 for main2
+    # when they built the rank-2n type and composed with * and **)
+    counts = {(n, c): _profiled_calls(pa.check_corollary_main, n, True,
+                                      None, c)
+              for n in (1, 2, 64, 255, 256) for c in (False, True)}
+    assert len(set(counts.values())) == 1, counts
+    assert counts[1, False] <= 60, counts
+    for eps, corrupt in product((1, -1), (False, True)):
+        counts = {n: _profiled_calls(pa.check_theorem_main2, n, 3, True, eps,
+                                     corrupt) for n in (2, 64, 256)}
+        assert len(set(counts.values())) == 1, (eps, corrupt, counts)
+        assert counts[2] <= 80, (eps, corrupt, counts)
 
 
 def test_motivic_dual_per_index():
@@ -912,7 +1008,7 @@ def test_db_replay_matches_in_memory(tmp_path, builtin, corrupt):
 
 
 # a relation with a non-trivial quotient, for the DB and script tests
-QUAD = pa.rel_quadratic(gauss_fp({"chi": 1}))
+QUAD = oracles.rel_quadratic(gauss_fp({"chi": 1}))
 
 
 def test_register_rejects_a_name_collision():
@@ -1414,7 +1510,7 @@ def test_script_rejects_bindings():
 
 
 def test_relation_serialization_round_trip():
-    rel = pa.rel_main1(PI4, -1)
+    rel = oracles.rel_main1(PI4, -1)
     atoms, citations = {}, {}
     text = relation_to_json(rel, atoms, citations)
     assert list(citations) == [rel.citation]
@@ -1425,7 +1521,7 @@ def test_relation_serialization_round_trip():
 def test_duplicate_relation_names_need_replace():
     db = pa.RelationDB()
     db.add(QUAD)
-    db.add(pa.rel_quadratic(gauss_fp({"chi": 1})))  # identical: fine
+    db.add(oracles.rel_quadratic(gauss_fp({"chi": 1})))  # identical: fine
     other = pa.Relation(QUAD.name, "different", FormalPeriod(),
                         gauss_fp({"chi": 1}))
     with pytest.raises(ValueError):

@@ -35,6 +35,8 @@ NOT_ENTERED = {
     "formal.PeriodAtom.__getnewargs__": VALUE,
     "formal.PeriodAtom.__repr__": VALUE,
     "formal.PeriodAtom.__lt__": VALUE,
+    "formal.FormalPeriod.__mul__": TRACER,
+    "formal.FormalPeriod.__pow__": TRACER,
     "formal.FormalPeriod.of": TRACER,
     "formal.FormalPeriod.exponent": VALUE,
     "formal.FormalPeriod.atoms": VALUE,

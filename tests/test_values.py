@@ -34,7 +34,7 @@ BUILDS = {
     yoshida.FundamentalMonomial: lambda: oracles.f_bw(6, eps=1),
     yoshida.MotiveShape: lambda: yoshida.MotiveShape(
         "M", 4, 0, [9, 5], 2, 2),
-    period_algebra.GlobalRep: lambda: period_algebra.GlobalRep(
+    oracles.GlobalRep: lambda: oracles.GlobalRep(
         "Pi", InfinityType(2, (4,), 0), _omega()),
     period_algebra.CheckResult: lambda: period_algebra.check_main1_step(
         4, 0, 0, 1),
