@@ -284,14 +284,16 @@ def cmd_check(args) -> int:
                "i_parity": result.i_parity}
     if not result.is_ok:
         payload["offending_atom"] = result.offending_atom()
-    if args.verbose and result.relations:
-        payload["steps"] = result.to_script()
+    # the names and exponents of the steps, which need no relation record
+    steps = result.to_script() if args.verbose else []
+    if steps:
+        payload["steps"] = steps
     human = ("residual trivial" if result.is_ok
              else f"residual {result.residual!r}; "
                   f"offending atom {result.offending_atom()}")
-    if args.verbose and result.relations:
-        human += "\n" + "\n".join(f"  {rel.name} ^ {e}"
-                                  for rel, e in result.relations)
+    if steps:
+        human += "".join(f"\n  {step['relation']} ^ {step['exponent']}"
+                         for step in steps)
     _emit(args, payload, human)
     return 0 if result.is_ok else 1
 

@@ -110,7 +110,9 @@ class FormalPeriod:
 
     @classmethod
     def _of_exp(cls, exp: dict) -> "FormalPeriod":
-        """Wrap a reduced dict of checked atoms that no other period holds."""
+        """Wrap a reduced dict of checked atoms.  Several periods may wrap
+        one dict, as each read of CheckResult.relations does: no code
+        mutates a dict once it is wrapped."""
         p = object.__new__(cls)
         p._exp = exp
         return p
@@ -133,10 +135,10 @@ class FormalPeriod:
         return sorted(self._exp.items(), key=lambda item: item[0]._key())
 
     def __mul__(self, other: "FormalPeriod") -> "FormalPeriod":
-        return _period(self._exp.copy(), (other, 1))
+        return _period(self._exp.copy(), (other._exp, 1))
 
     def __pow__(self, k: int) -> "FormalPeriod":
-        return _period({}, (self, json_int(k)))
+        return _period({}, (self._exp, json_int(k)))
 
     @property
     def is_trivial(self) -> bool:
@@ -162,10 +164,11 @@ class FormalPeriod:
 
 def _period(exp: dict, *classes) -> FormalPeriod:
     """The period prod a^e over exp's items times prod g^k over classes
-    (g, k), each class's exponents added into exp in its own order; the
-    trusted accumulator, as FormalPeriod(pairs) is the checked one."""
+    (g, k), g a reduced exponent dict, each class's exponents added into exp
+    in its own order; the trusted accumulator, as FormalPeriod(pairs) is the
+    checked one."""
     for g, k in classes:
-        for a, e in g._exp.items():
+        for a, e in g.items():
             exp[a] = exp.get(a, 0) + k * e
     return FormalPeriod._of_exp(_reduced(exp))
 
@@ -201,37 +204,66 @@ def replay(steps, atoms=()) -> FormalPeriod:
     for rel, e in steps:
         e = e if type(e) is int else json_int(e)
         if type(rel) is not dict:
-            classes += ((rel.lhs, e), (rel.rhs, -e))
+            classes += ((rel.lhs._exp, e), (rel.rhs._exp, -e))
             continue
         for side, s in ((rel["lhs"], e), (rel["rhs"], -e)):
             for i, k in side:
                 sums[i] += s * k
     if atoms:  # decode the nonzero sums of the records that load kept
-        classes.append((FormalPeriod(filter(itemgetter(1), zip(atoms, sums))),
-                        1))
+        classes.append((FormalPeriod(filter(itemgetter(1),
+                                            zip(atoms, sums)))._exp, 1))
     return _period({}, *classes)
 
 
-class CheckResult(namedtuple("CheckResult", "residual relations i_parity",
-                             defaults=((), 0))):
-    """A replay's residual and steps; to_script writes them as a script."""
+class CheckResult(tuple):
+    """A replay's residual, its steps as written, (name, citation, lhs, rhs,
+    exponent) with reduced dicts of checked atoms as sides, and its
+    i-parity; relations wraps the steps on each read, so a caller that
+    reads only the verdict builds no record."""
 
     __slots__ = ()
+    _fields = ("residual", "relations", "i_parity")
+    residual, i_parity = property(itemgetter(0)), property(itemgetter(2))
+
+    def __new__(cls, residual: FormalPeriod, steps=(), i_parity: int = 0):
+        return tuple.__new__(cls, (residual, tuple(steps), i_parity))
+
+    @property
+    def relations(self) -> tuple:
+        p, new = FormalPeriod._of_exp, tuple.__new__
+        return tuple([(new(Relation, (name, citation, p(lhs), p(rhs))), e)
+                      for name, citation, lhs, rhs, e in self[1]])
+
+    def __getnewargs__(self):  # for copy and pickle
+        return tuple(self)
+
+    def __hash__(self):  # of the fields that hold no dict
+        return hash((self[0], self[2]))
 
     @property
     def is_ok(self) -> bool:
-        return self.residual.is_trivial
+        return self[0].is_trivial
 
     def offending_atom(self):
-        return self.residual.offending_atom()
+        return self[0].offending_atom()
 
     def to_script(self) -> list:
-        return [{"relation": rel.name, "exponent": e}
-                for rel, e in self.relations]
+        return [{"relation": step[0], "exponent": step[4]}
+                for step in self[1]]
 
     def register(self, db: RelationDB):
         for rel, _ in self.relations:
             db.add(rel)
+
+
+def derived(steps, i_parity: int = 0) -> CheckResult:
+    """The CheckResult of a builtin's written steps, its residual the product
+    of lhs^e rhs^-e over them."""
+    classes = []
+    for _, _, lhs, rhs, e in steps:
+        classes += ((lhs, e), (rhs, -e))
+    return tuple.__new__(CheckResult,
+                         (_period({}, *classes), tuple(steps), i_parity))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,13 @@ def json_int(x) -> int:
     return x
 
 
+def json_bool(x) -> bool:
+    """A flag; any value but True or False, an int too, is a TypeError."""
+    if type(x) is not bool:
+        raise TypeError(f"expected a bool, got {x!r}")
+    return x
+
+
 def json_str(x) -> str:
     """A string field of a JSON payload; any other value is a TypeError."""
     if not isinstance(x, str):

@@ -2,17 +2,18 @@
 function multiplies the quotients of its relations exactly as the
 derivation does and returns the residual, which must be the identity.
 
-Each relation kind has one writer, which builds its sides from checked atoms
-and ints; a relation's lhs = rhs holds modulo algebraic, Galois-natural
-units.
+Each relation kind has one writer, which writes a step (name, citation,
+lhs, rhs, exponent) with its sides as exponent dicts of checked atoms and
+ints; formal.derived sums the steps into the residual, and a relation's
+lhs = rhs holds modulo algebraic, Galois-natural units.
 """
 
 from __future__ import annotations
 
 from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
-                     RelationDB, check_script, dual_label, gauss_fp,
-                     replay, _period)
-from .infinity_types import as_fraction, json_int
+                     RelationDB, check_script, derived, dual_label, gauss_fp,
+                     _period)
+from .infinity_types import as_fraction, json_bool, json_int
 
 __all__ = [
     "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
@@ -21,13 +22,11 @@ __all__ = [
 ]
 
 
-# the central character of the builtins' Pi, and the Gauss atoms of it and
-# of Sigma's in a main1 step
-_OMEGA_PI = gauss_fp({"omega_Pi": 1})
-(_G_PI,) = _OMEGA_PI._exp
+# the Gauss atoms of the central character of the builtins' Pi, of Sigma's
+# in a main1 step and of the builtins' default chi
+_G_PI = PeriodAtom("Gauss", ("omega_Pi",))
 _G_SIGMA = PeriodAtom("Gauss", ("omega_Sigma",))
-_CHI = gauss_fp({"chi": 1})  # the builtins' default chi
-(_G_CHI,) = _CHI._exp
+_G_CHI = PeriodAtom("Gauss", ("chi",))
 # the BW atoms of corollary-main and main2, of Pi at both signs and of Pi^v
 _BW = {eps: PeriodAtom("BW", ("Pi", eps)) for eps in (1, -1)}
 _BW_DUAL = PeriodAtom("BW", ("Pi^v", 1))
@@ -43,37 +42,34 @@ def _integer_m(m) -> int:
     return m.numerator
 
 
-def _main1(bw, bw_dual, gauss, g: int, tag: str = "") -> Relation:
-    """p(Pi, eps) = G(omega_Pi)^{n-1} p(Pi^v, eps), from the BW atoms bw of
-    p(Pi, eps) and bw_dual of p(Pi^v, eps), the Gauss atom of omega_Pi and
-    its exponent g, n - 1 unless a corrupted control lowers it, dropped when
-    0.  The relation holds for regular Pi; each caller's docstring shows its
-    Pi regular."""
+def _main1(bw, bw_dual, gauss, g: int, e: int, tag: str = "") -> tuple:
+    """The step p(Pi, eps) = G(omega_Pi)^{n-1} p(Pi^v, eps) to the power e,
+    from the BW atoms bw of p(Pi, eps) and bw_dual of p(Pi^v, eps), the
+    Gauss atom of omega_Pi and its exponent g, n - 1 unless a corrupted
+    control lowers it, dropped when 0.  The relation holds for regular Pi;
+    each caller's docstring shows its Pi regular."""
     label, eps = bw[1]
-    return Relation(f"main1[{label},{eps:+d}]{tag}",
-                    "period relation under duality",
-                    FormalPeriod._of_exp({bw: 1}),
-                    FormalPeriod._of_exp({bw_dual: 1, gauss: g} if g
-                                         else {bw_dual: 1}))
+    return (f"main1[{label},{eps:+d}]{tag}", "period relation under duality",
+            {bw: 1}, {bw_dual: 1, gauss: g} if g else {bw_dual: 1}, e)
 
 
-def _corollary(gexp: FormalPeriod, *corrupt) -> Relation:
-    """p(Pi, +) = G(chi^n omega_Pi^{-1}) p(Pi, -), with gexp the Gauss class
-    of chi^n omega_Pi^{-1}; the corrupted control multiplies the one class
-    (g, k) of corrupt into its rhs."""
-    return Relation("corollary-main[Pi]" + ("[corrupted]" if corrupt else ""),
-                    "sign change of Betti-Whittaker periods",
-                    FormalPeriod._of_exp({_BW[1]: 1}),
-                    _period({**gexp._exp, _BW[-1]: 1}, *corrupt))
+def _corollary(gexp: dict, e: int, *corrupt) -> tuple:
+    """The step p(Pi, +) = G(chi^n omega_Pi^{-1}) p(Pi, -) to the power e,
+    with gexp the Gauss exponents of chi^n omega_Pi^{-1}; the corrupted
+    control multiplies the one class (g, k) of corrupt into its rhs."""
+    return ("corollary-main[Pi]" + ("[corrupted]" if corrupt else ""),
+            "sign change of Betti-Whittaker periods", {_BW[1]: 1},
+            _period({**gexp, _BW[-1]: 1}, *corrupt)._exp, e)
 
 
-def _quadratic(g: FormalPeriod) -> Relation:
-    """The class G(chi)^2 is trivial for a quadratic character chi, of
-    Gauss class g."""
-    char = "*".join(f"{a[1][0]}^{e}" for a, e in g.items())
-    return Relation(f"central-character-quadratic[{char}]",
-                    "Gauss sum of a quadratic character is algebraic",
-                    _period({}, (g, 2)), FormalPeriod._of_exp({}))
+def _quadratic(g: dict, e: int) -> tuple:
+    """The step G(chi)^2 = 1 to the power e, for a quadratic character chi
+    of Gauss exponents g."""
+    char = "*".join(f"{a[1][0]}^{k}"
+                    for a, k in FormalPeriod._of_exp(g).items())
+    return (f"central-character-quadratic[{char}]",
+            "Gauss sum of a quadratic character is algebraic",
+            _period({}, (g, 2))._exp, {}, e)
 
 
 def require_main1_hypotheses(n: int, w: int, delta: int) -> None:
@@ -137,6 +133,7 @@ def check_main1_step(n: int, w: int, delta: int, m,
     entries are odd, and (n/2)(w mod 2) mod 2 at even n.
     """
     require_main1_hypotheses(n, w, delta)
+    json_bool(corrupt)
     m = _integer_m(m)
     if n == 1:
         return CheckResult(FormalPeriod())
@@ -153,7 +150,7 @@ def check_main1_step(n: int, w: int, delta: int, m,
         eps, parity = flip * eps_prime, n // 2 * (w % 2) % 2
     # Each distinct atom is built once from checked data, so equal atoms
     # of the step are one object.
-    s0, new, p = f"{2 * m + 1}/2", tuple.__new__, FormalPeriod._of_exp
+    s0, new = f"{2 * m + 1}/2", tuple.__new__
     bw_p = new(PeriodAtom, ("BW", ("Pi", eps)))
     bw_pd = new(PeriodAtom, ("BW", ("Pi^v", eps)))
     bw_s = new(PeriodAtom, ("BW", ("Sigma", eps_prime)))
@@ -171,27 +168,24 @@ def check_main1_step(n: int, w: int, delta: int, m,
     if (m - m2) * (n * (n - 1) // 2) % 2 == 0:
         del iparity[ATOM_I]
     raghuram_cite = "critical-value factorization over a balanced pair"
-    steps = [
-        (Relation(f"raghuram[m={m},{_PAIR}]", raghuram_cite, p({lval: 1}),
-                  p({archz: 1, bw_p: 1, bw_s: 1, _G_SIGMA: 1})), 1),
+    return derived([
+        (f"raghuram[m={m},{_PAIR}]", raghuram_cite, {lval: 1},
+         {archz: 1, bw_p: 1, bw_s: 1, _G_SIGMA: 1}, 1),
         # the class of Sigma^v's central character is Sigma's inverted
-        (Relation(f"raghuram[m={-m},{_DUAL_PAIR}]", raghuram_cite,
-                  p({lval_d: 1}),
-                  p({archz_d: 1, bw_pd: 1, bw_sd: 1, _G_SIGMA: -1})), -1),
-        (Relation(f"duality-ratio[m0={s0},{_PAIR}]",
-                  "functional-equation ratio under duality", p({lval: 1}),
-                  p(ratio)), -1),
-        (Relation(f"arch-twist[{-m},{_DUAL_PAIR}]",
-                  "archimedean period comparison under |.|-twists",
-                  p({archz_d: 1}), p({archz2: 1})), -1),
-        (Relation(f"arch-iparity[{m},{m2},{_PAIR}]",
-                  "i-power comparison of archimedean periods",
-                  p({archz: 1}), p(iparity)), 1),
-        (_main1(bw_s, bw_sd, _G_SIGMA, n - 2), 1),
+        (f"raghuram[m={-m},{_DUAL_PAIR}]", raghuram_cite, {lval_d: 1},
+         {archz_d: 1, bw_pd: 1, bw_sd: 1, _G_SIGMA: -1}, -1),
+        (f"duality-ratio[m0={s0},{_PAIR}]",
+         "functional-equation ratio under duality", {lval: 1}, ratio, -1),
+        (f"arch-twist[{-m},{_DUAL_PAIR}]",
+         "archimedean period comparison under |.|-twists", {archz_d: 1},
+         {archz2: 1}, -1),
+        (f"arch-iparity[{m},{m2},{_PAIR}]",
+         "i-power comparison of archimedean periods", {archz: 1}, iparity,
+         1),
+        _main1(bw_s, bw_sd, _G_SIGMA, n - 2, 1),
         # the corrupted control lowers the exponent of G(omega_Pi) by one
-        (_main1(bw_p, bw_pd, _G_PI, n - 2 if corrupt else n - 1,
-                "[corrupted]" if corrupt else ""), 1)]
-    return CheckResult(replay(steps), tuple(steps))
+        _main1(bw_p, bw_pd, _G_PI, n - 2 if corrupt else n - 1, 1,
+               "[corrupted]" if corrupt else "")])
 
 
 def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
@@ -205,25 +199,30 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
     Pi's kappa_j = 8 + 6j with w = 0 has gaps of exactly 6 and last entry
     14, so Pi is regular at every n; the replay builds no type, as its
     relations read only the rank 2n of Pi.  chi is chi_expr's Gauss class,
-    or the default chi when chi_expr is None.
+    or the default chi when chi_expr is None; the corrupted control needs a
+    nontrivial chi.
     """
     if json_int(n) < 1:
         raise ValueError("n must be positive")
-    chi = _CHI if chi_expr is None else gauss_fp(chi_expr)
-    gexp = _period({}, (chi, n), (_OMEGA_PI, -1))
+    json_bool(orthogonal)
+    json_bool(corrupt)
+    chi = {_G_CHI: 1} if chi_expr is None else gauss_fp(chi_expr)._exp
+    if corrupt and not chi:
+        raise ValueError("corrupt needs a nontrivial chi; the trivial "
+                         "character has no relation to corrupt")
+    gexp = _period({}, (chi, n), ({_G_PI: 1}, -1))._exp
     # p(Pi^v, +) = G(chi^{-1})^{n(2n-1)} p(Pi, eps(chi^{-1}_inf)), where
     # eps(sgn^delta) = (-1)^delta and delta = 1 for a chi-orthogonal Pi
-    sign = FormalPeriod._of_exp({_BW[-1 if orthogonal else 1]: 1})
-    steps = [(_main1(_BW[1], _BW_DUAL, _G_PI, 2 * n - 1), 1),
-             (Relation("rs-twist[Pi^v,+1]",
-                       "character twist of Betti-Whittaker periods",
-                       FormalPeriod._of_exp({_BW_DUAL: 1}),
-                       _period({}, (chi, -n * (2 * n - 1)), (sign, 1))), 1),
-             (_corollary(gexp, (chi, 1)) if corrupt else _corollary(gexp),
-              -1)]
-    if gexp._exp:
-        steps.append((_quadratic(gexp), -n))
-    return CheckResult(replay(steps), tuple(steps))
+    sign = {_BW[-1 if orthogonal else 1]: 1}
+    steps = [_main1(_BW[1], _BW_DUAL, _G_PI, 2 * n - 1, 1),
+             ("rs-twist[Pi^v,+1]", "character twist of Betti-Whittaker "
+              "periods", {_BW_DUAL: 1},
+              _period({}, (chi, -n * (2 * n - 1)), (sign, 1))._exp, 1),
+             _corollary(gexp, -1, (chi, 1)) if corrupt
+             else _corollary(gexp, -1)]
+    if gexp:
+        steps.append(_quadratic(gexp, -n))
+    return derived(steps)
 
 
 def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
@@ -241,9 +240,11 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
         raise ValueError("ranks must be positive")
     if json_int(eps_num) not in (1, -1):
         raise ValueError("eps_num must be +1 or -1")
+    json_bool(include_i_power)
+    json_bool(corrupt)
     if nprime % 2 == 0:
         return CheckResult(FormalPeriod())
-    ipar, p = (n % 2 if include_i_power else 0), FormalPeriod._of_exp
+    ipar = n % 2 if include_i_power else 0
     lval, lval1 = (tuple.__new__(PeriodAtom, ("LVal", (f"{k}/2", _PAIR)))
                    for k in (nprime, nprime + 2))
     hr = {lval1: 1, ATOM_I: 1, _BW[eps_num]: nprime, _BW[-eps_num]: -nprime}
@@ -252,18 +253,17 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
              _G_PI: -nprime, lval1: 1}
     if not ipar:  # zero exponents are dropped, as formal._period drops them
         del hr[ATOM_I], ratio[ATOM_I]
-    gexp = p({_G_CHI: n, _G_PI: -1})
+    gexp = {_G_CHI: n, _G_PI: -1}
     tag = "[corrupted]" if corrupt else ""
-    steps = [(Relation(f"harder-raghuram[{_PAIR},m0={nprime}/2]",
-                       "successive critical values against relative periods",
-                       p({lval: 1}), p(hr)), 1),
-             (Relation(f"theorem-main2[{_PAIR}]{tag}",
-                       "ratio of successive critical values", p({lval: 1}),
-                       p(ratio)), -1),
-             (_corollary(gexp), eps_num * nprime)]
+    steps = [(f"harder-raghuram[{_PAIR},m0={nprime}/2]",
+              "successive critical values against relative periods",
+              {lval: 1}, hr, 1),
+             (f"theorem-main2[{_PAIR}]{tag}",
+              "ratio of successive critical values", {lval: 1}, ratio, -1),
+             _corollary(gexp, eps_num * nprime)]
     if eps_num == -1:
-        steps.append((_quadratic(gexp), -nprime))
-    return CheckResult(replay(steps), tuple(steps), ipar)
+        steps.append(_quadratic(gexp, -nprime))
+    return derived(steps, ipar)
 
 
 def check_motivic_dual(n: int, i: int = None,
@@ -281,10 +281,11 @@ def check_motivic_dual(n: int, i: int = None,
     r = n // 2
     if i is not None and not 1 <= json_int(i) <= r - 1:
         raise ValueError("i must lie in 1..floor(n/2)-1")
+    json_bool(corrupt)
     # for odd n, eps = d+ - d- = +1 for this M adds one more c^+(N) to the
     # expansion of c^+(M (x) N), one more c^-(N^v) to that of
     # c^-(M^v (x) N^v), and one more step of dual[N,0,1,0]
-    odd, new, p = n % 2, tuple.__new__, FormalPeriod._of_exp
+    odd, new = n % 2, tuple.__new__
     delta_m, md = new(PeriodAtom, ("Delta", ("M",))), dual_label("M")
     expand = "rank-2 auxiliary tensor expansion of c^{+-}"
     dual = "duality of fundamental periods"
@@ -302,26 +303,23 @@ def check_motivic_dual(n: int, i: int = None,
         # the corrupted control lowers the delta(N) exponent by one
         tag = "[corrupted]" if corrupt else ""
         steps += [
-            (Relation(f"rank2-expansion[{mn},{idx},+1]", expand, p({c_mn: 1}),
-                      p({dci: 1, d_n: idx, c_np: r - idx + odd,
-                         c_nm: r - idx})), 1),
-            (Relation(f"rank2-expansion[{mnd},{idx},-1]", expand,
-                      p({c_mnd: 1}), p({dci_d: 1, d_nd: idx, c_ndp: r - idx,
-                                        c_ndm: r - idx + odd})), -1),
-            (Relation(f"deligne-dual[{mn}]",
-                      "duality of c^{+-} for the tensor product",
-                      p({c_mnd: 1}), p({d_mn: -1, c_mn: 1})), 1),
-            (Relation(f"delta-tensor[{mn}]{tag}",
-                      "determinant period of a tensor product", p({d_mn: 1}),
-                      p({delta_m: 2, d_n: n - 1 if corrupt else n})), -1),
-            (Relation(f"dual[{nl},1,0,0]", dual, p({d_nd: 1}), p({d_n: -1})),
-             -idx),
+            (f"rank2-expansion[{mn},{idx},+1]", expand, {c_mn: 1},
+             {dci: 1, d_n: idx, c_np: r - idx + odd, c_nm: r - idx}, 1),
+            (f"rank2-expansion[{mnd},{idx},-1]", expand, {c_mnd: 1},
+             {dci_d: 1, d_nd: idx, c_ndp: r - idx, c_ndm: r - idx + odd},
+             -1),
+            (f"deligne-dual[{mn}]", "duality of c^{+-} for the tensor product",
+             {c_mnd: 1}, {d_mn: -1, c_mn: 1}, 1),
+            (f"delta-tensor[{mn}]{tag}",
+             "determinant period of a tensor product", {d_mn: 1},
+             {delta_m: 2, d_n: n - 1 if corrupt else n}, -1),
+            (f"dual[{nl},1,0,0]", dual, {d_nd: 1}, {d_n: -1}, -idx),
             # rewrite c^-(N^v) and c^+(N^v)
-            (Relation(f"dual[{nl},0,1,0]", dual, p({c_ndm: 1}),
-                      p({c_np: 1, d_n: -1})), -(r - idx) - odd),
-            (Relation(f"dual[{nl},0,0,1]", dual, p({c_ndp: 1}),
-                      p({c_nm: 1, d_n: -1})), -(r - idx)),
-            (Relation(f"motivic-dual[M,{idx}]",
-                      "duality of the middle fundamental periods",
-                      p({dci_d: 1}), p({delta_m: -2, dci: 1})), -1)]
-    return CheckResult(replay(steps), tuple(steps))
+            (f"dual[{nl},0,1,0]", dual, {c_ndm: 1}, {c_np: 1, d_n: -1},
+             -(r - idx) - odd),
+            (f"dual[{nl},0,0,1]", dual, {c_ndp: 1}, {c_nm: 1, d_n: -1},
+             -(r - idx)),
+            (f"motivic-dual[M,{idx}]",
+             "duality of the middle fundamental periods", {dci_d: 1},
+             {delta_m: -2, dci: 1}, -1)]
+    return derived(steps)

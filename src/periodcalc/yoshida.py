@@ -119,7 +119,7 @@ def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
 def dual_relation(m: FundamentalMonomial, M: MotiveShape) -> Relation:
     """f^dual(X_{M^v}) = delta(M)^{-(k+ + k-)} * f(X_M), where m has
     k+ + k- = 2(m0 + sum mi) + m+ + m-."""
-    delta = FormalPeriod.atom(PeriodAtom("Delta", (M.label,)))
+    delta = {PeriodAtom("Delta", (M.label,)): 1}
     k = 2 * (m.m0 + sum(m.mi)) + m.mplus + m.mminus
     exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
     return Relation(f"dual[{M.label},{exps}]", "duality of fundamental periods",

@@ -41,6 +41,8 @@ NOT_ENTERED = {
     "formal.FormalPeriod.exponent": VALUE,
     "formal.FormalPeriod.atoms": VALUE,
     "formal.FormalPeriod.__hash__": VALUE,
+    "formal.CheckResult.__getnewargs__": VALUE,
+    "formal.CheckResult.__hash__": VALUE,
     "infinity_types.to_arch_rep": TRACER,
     "weil_real.ArchCharacter.__new__": VALUE,
     "weil_real.ArchCharacter.__repr__": VALUE,
