@@ -198,13 +198,17 @@ class Relation(namedtuple("Relation", "name citation lhs rhs")):
 
 
 def replay(steps, atoms=()) -> FormalPeriod:
-    """The product of lhs/rhs over (relation, exponent) steps; a record that
-    RelationDB.load kept is summed per index of atoms, decoded at the end."""
+    """The product of lhs/rhs over (relation, exponent) steps, each relation
+    a Relation or what a RelationDB holds: a body (citation, lhs, rhs) of
+    reduced exponent dicts, or a record that load kept, summed per index of
+    atoms and decoded at the end."""
     classes, sums = [], [0] * len(atoms)
     for rel, e in steps:
         e = e if type(e) is int else json_int(e)
         if type(rel) is not dict:
-            classes += ((rel.lhs._exp, e), (rel.rhs._exp, -e))
+            lhs, rhs = (rel[1:] if type(rel) is tuple
+                        else (rel.lhs._exp, rel.rhs._exp))
+            classes += ((lhs, e), (rhs, -e))
             continue
         for side, s in ((rel["lhs"], e), (rel["rhs"], -e)):
             for i, k in side:
@@ -252,8 +256,7 @@ class CheckResult(tuple):
                 for step in self[1]]
 
     def register(self, db: RelationDB):
-        for rel, _ in self.relations:
-            db.add(rel)
+        db._store([(step[0], step[1:4]) for step in self[1]])
 
 
 def derived(steps, i_parity: int = 0) -> CheckResult:
@@ -282,11 +285,18 @@ def period_to_json(p: FormalPeriod, atoms: dict) -> str:
                             for a, e in p._exp.items()]) + "]"
 
 
-def relation_to_json(r: Relation, atoms: dict, citations: dict) -> str:
-    return (f'{{"citation": {citations.setdefault(r.citation, len(citations))}'
-            f', "lhs": {period_to_json(r.lhs, atoms)}'
-            f', "name": {_json_text(r.name)}'
-            f', "rhs": {period_to_json(r.rhs, atoms)}}}')
+def relation_to_json(name: str, body: tuple, atoms: dict,
+                     citations: dict) -> str:
+    """The line of relation name, its body (citation, lhs, rhs) with reduced
+    exponent dicts as sides; atoms and citations number each new entry."""
+    citation, lhs, rhs = body
+    citation = citations.setdefault(citation, len(citations))
+    lhs = ", ".join([f"[{atoms.setdefault(a, len(atoms))}, {e}]"
+                     for a, e in lhs.items()])
+    rhs = ", ".join([f"[{atoms.setdefault(a, len(atoms))}, {e}]"
+                     for a, e in rhs.items()])
+    return (f'{{"citation": {citation}, "lhs": [{lhs}], '
+            f'"name": {_json_text(name)}, "rhs": [{rhs}]}}')
 
 
 def atom_from_json(data: dict) -> PeriodAtom:
@@ -349,22 +359,49 @@ DB_VERSION = 2  # of the file layout; a file without "version" is version 1
 
 
 class RelationDB:
-    """Named relation store; read-mostly, persisted as structured text."""
+    """Named relation store; read-mostly, persisted as structured text.  It
+    holds each relation as a body (citation, lhs, rhs), its sides reduced
+    exponent dicts of checked atoms, or as a record that load kept."""
 
     def __init__(self):
         self._relations, self._tables = {}, ([], [])  # load's atoms, citations
 
+    def _store(self, items):
+        """Hold each (name, body); a taken name needs an equal body."""
+        held = self._relations
+        for name, body in items:
+            if (held.setdefault(name, body) is not body
+                    and self._body(name) != body):
+                raise ValueError(f"relation {name!r} already present")
+            held[name] = body
+
+    def _body(self, name: str) -> tuple:
+        """The body of a held relation; a side of a kept record whose atoms
+        are pairwise distinct, with no zero exponent and I to the power 1,
+        is read straight from its pairs, and any other is decoded."""
+        r = self._relations[name]
+        if type(r) is not dict:
+            return r
+        atoms, citations = self._tables
+        sides = []
+        for pairs in r["lhs"], r["rhs"]:
+            exp = {atoms[i]: e for i, e in pairs}
+            if (len(exp) < len(pairs) or 0 in exp.values()
+                    or exp.get(ATOM_I, 1) != 1):
+                exp = period_from_json(pairs, atoms)._exp
+            sides.append(exp)
+        return citations[r["citation"]], *sides
+
     def add(self, relation: Relation):
-        if relation.name in self._relations:
-            if self.get(relation.name) != relation:
-                raise ValueError(f"relation {relation.name!r} already present")
-        self._relations[relation.name] = relation
+        self._store([(relation.name, (relation.citation, relation.lhs._exp,
+                                      relation.rhs._exp))])
 
     def get(self, name: str) -> Relation:
         if name not in self._relations:
             raise KeyError(f"unknown relation: {name!r}")
-        r = self._relations[name]  # a dict is a record that load kept
-        return relation_from_json(r, *self._tables) if type(r) is dict else r
+        citation, lhs, rhs = self._body(name)
+        p = FormalPeriod._of_exp
+        return tuple.__new__(Relation, (name, citation, p(lhs), p(rhs)))
 
     def names(self):
         return sorted(self._relations)
@@ -374,8 +411,9 @@ class RelationDB:
         on a line of its own in order of first use, the citations, then one
         relation per line; a failed write leaves path as it was."""
         atoms, citations = {}, {}
-        lines = ",\n".join([relation_to_json(self.get(n), atoms, citations)
-                             for n in self.names()])
+        lines = ",\n".join([relation_to_json(name, self._body(name), atoms,
+                                              citations)
+                             for name in self.names()])
         table = ",\n".join(map(atom_to_json, atoms))
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
@@ -419,14 +457,19 @@ class RelationDB:
                 raise ValueError(f"malformed atom record: {exc!r}") from exc
             db._tables = atoms, citations
         ok = {i for i, c in enumerate(citations or ()) if type(c) is str and c}
+        size = len(db._tables[0])
         for r in entries:  # ok: the good citation indices, none in version 1
             if (type(r) is dict and type(c := r.get("citation")) is int
                     and c in ok and type(r.get("name")) is str and r["name"]
                     and type(r.get("lhs")) is list is type(r.get("rhs"))):
-                for p in r["lhs"] + r["rhs"]:
-                    if not (type(p) is list and len(p) == 2 and type(p[0])
-                            is type(p[1]) is int and 0 <= p[0] < len(atoms)):
-                        break
+                try:  # each pair must be two ints, the first an atom index
+                    for side in r["lhs"], r["rhs"]:
+                        for i, e in side:
+                            if not (type(i) is type(e) is int
+                                    and 0 <= i < size):
+                                raise ValueError
+                except (TypeError, ValueError):
+                    pass  # relation_from_json names what is wrong
                 else:  # kept as it is, unless its name is taken
                     if db._relations.setdefault(r["name"], r) is r:
                         continue
@@ -438,14 +481,14 @@ def check_script(db: RelationDB, script) -> FormalPeriod:
     """Replay {"relation": name, "exponent": int} entries against the
     relations stored in db; the residual of a valid derivation is the
     identity."""
-    steps = []
+    steps, held = [], db._relations
     for entry in script:
-        if (not isinstance(entry, dict)
-                or set(entry) != {"relation", "exponent"}
+        if (not isinstance(entry, dict) or len(entry) != 2
+                or "relation" not in entry or "exponent" not in entry
                 or not isinstance(entry["relation"], str)
                 or type(entry["exponent"]) is not int):
             raise ValueError("a script entry needs exactly a str 'relation' "
                              f"and an int 'exponent', got {entry!r}")
-        rel = db._relations.get(entry["relation"]) or db.get(entry["relation"])
+        rel = held.get(entry["relation"]) or db.get(entry["relation"])
         steps.append((rel, entry["exponent"]))  # get names an unknown one
     return replay(steps, db._tables[0])

@@ -293,13 +293,17 @@ def check_motivic_dual(n: int, i: int = None,
     for idx in [i] if i is not None else range(1, r):
         nl, mn = f"N{idx}", f"M(x)N{idx}"
         nd, mnd = dual_label(nl), dual_label(mn)  # mnd: M^v (x) N^v
-        dci, dci_d = (new(PeriodAtom, ("DCi", (lbl, idx)))
-                      for lbl in ("M", md))
-        d_n, d_nd, d_mn = (new(PeriodAtom, ("Delta", (lbl,)))
-                           for lbl in (nl, nd, mn))
-        c_np, c_nm, c_ndp, c_ndm, c_mn, c_mnd = (
-            new(PeriodAtom, ("DC", pay)) for pay in (
-                (nl, 1), (nl, -1), (nd, 1), (nd, -1), (mn, 1), (mnd, -1)))
+        dci = new(PeriodAtom, ("DCi", ("M", idx)))
+        dci_d = new(PeriodAtom, ("DCi", (md, idx)))
+        d_n = new(PeriodAtom, ("Delta", (nl,)))
+        d_nd = new(PeriodAtom, ("Delta", (nd,)))
+        d_mn = new(PeriodAtom, ("Delta", (mn,)))
+        c_np = new(PeriodAtom, ("DC", (nl, 1)))
+        c_nm = new(PeriodAtom, ("DC", (nl, -1)))
+        c_ndp = new(PeriodAtom, ("DC", (nd, 1)))
+        c_ndm = new(PeriodAtom, ("DC", (nd, -1)))
+        c_mn = new(PeriodAtom, ("DC", (mn, 1)))
+        c_mnd = new(PeriodAtom, ("DC", (mnd, -1)))
         # the corrupted control lowers the delta(N) exponent by one
         tag = "[corrupted]" if corrupt else ""
         steps += [
