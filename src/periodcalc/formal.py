@@ -199,15 +199,14 @@ class Relation(namedtuple("Relation", "name citation lhs rhs")):
 
 def replay(steps, atoms=()) -> FormalPeriod:
     """The product of lhs/rhs over (relation, exponent) steps, each relation
-    a Relation or what a RelationDB holds: a body (citation, lhs, rhs) of
-    reduced exponent dicts, or a record that load kept, summed per index of
-    atoms and decoded at the end."""
+    what a RelationDB holds: a body (citation, lhs, rhs) of reduced exponent
+    dicts, or a record that load kept, summed per index of atoms and decoded
+    at the end."""
     classes, sums = [], [0] * len(atoms)
     for rel, e in steps:
         e = e if type(e) is int else json_int(e)
         if type(rel) is not dict:
-            lhs, rhs = (rel[1:] if type(rel) is tuple
-                        else (rel.lhs._exp, rel.rhs._exp))
+            _, lhs, rhs = rel
             classes += ((lhs, e), (rhs, -e))
             continue
         for side, s in ((rel["lhs"], e), (rel["rhs"], -e)):
@@ -376,21 +375,14 @@ class RelationDB:
             held[name] = body
 
     def _body(self, name: str) -> tuple:
-        """The body of a held relation; a side of a kept record whose atoms
-        are pairwise distinct, with no zero exponent and I to the power 1,
-        is read straight from its pairs, and any other is decoded."""
+        """The body of a held relation; a kept record's sides are decoded."""
         r = self._relations[name]
         if type(r) is not dict:
             return r
         atoms, citations = self._tables
-        sides = []
-        for pairs in r["lhs"], r["rhs"]:
-            exp = {atoms[i]: e for i, e in pairs}
-            if (len(exp) < len(pairs) or 0 in exp.values()
-                    or exp.get(ATOM_I, 1) != 1):
-                exp = period_from_json(pairs, atoms)._exp
-            sides.append(exp)
-        return citations[r["citation"]], *sides
+        return (citations[r["citation"]],
+                period_from_json(r["lhs"], atoms)._exp,
+                period_from_json(r["rhs"], atoms)._exp)
 
     def add(self, relation: Relation):
         self._store([(relation.name, (relation.citation, relation.lhs._exp,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from .infinity_types import as_fraction
 
@@ -49,13 +50,6 @@ class ArchDiscrete(namedtuple("ArchDiscrete", "kappa twist")):
 # Constituent, in annotations only: an ArchCharacter or an ArchDiscrete
 
 
-def _sort_key(c: Constituent):
-    # characters before discretes; chars by (twist, parity), discs by (twist, kappa)
-    if isinstance(c, ArchCharacter):
-        return (0, c.twist, c.sign_parity)
-    return (1, c.twist, c.kappa)
-
-
 class ArchRep(namedtuple("ArchRep", "constituents")):
     """A finite multiset of constituents in canonical sorted order.
 
@@ -70,7 +64,12 @@ class ArchRep(namedtuple("ArchRep", "constituents")):
         for c in norm:
             if not isinstance(c, (ArchCharacter, ArchDiscrete)):
                 raise TypeError(f"not a constituent: {c!r}")
-        return tuple.__new__(cls, (tuple(sorted(norm, key=_sort_key)),))
+        # characters before discretes, each by (twist, parity or kappa); the
+        # twists, scaled to their common denominator, sort as exact ints
+        d = lcm(*{c.twist.denominator for c in norm})
+        return tuple.__new__(cls, (tuple(sorted(norm, key=lambda c: (
+            isinstance(c, ArchDiscrete),
+            c.twist.numerator * (d // c.twist.denominator), c[0]))),))
 
     def __iter__(self):
         return iter(self.constituents)

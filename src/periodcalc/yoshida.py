@@ -106,6 +106,8 @@ def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
         raise ValueError("ranks must differ by exactly 1 (M = N + 1)")
     if not interlaces(M.kappa, N.kappa):
         raise ValueError("motives are not in good position")
+    if M.label == N.label:  # M and N have different ranks
+        raise ValueError(f"M and N share the label {M.label!r}")
     odd = M if M.n % 2 else N
     eps = sign * (odd.dplus - odd.dminus)
     lhs = FormalPeriod.atom(PeriodAtom("DC", (tensor_label(M, N), sign)))

@@ -378,6 +378,13 @@ def _large_deligne():
                                f"--sign={sign}"]
 
 
+def _shared_label():
+    """deligne on a motive and an auxiliary motive that share a label, which
+    would name two objects of different ranks."""
+    yield ["deligne", "--motive", _motive("X", 4, 0, 7, 2),
+           "--aux", _motive("X", 3, 0, 5, 2)]
+
+
 def requests():
     """(argv, files, db) of every run in the corpus, in a fixed order."""
     rng = random.Random(20261018)
@@ -387,7 +394,7 @@ def requests():
                _infinity_type(rng), _malformed(), _defaults(), _main1_db(),
                _main1_rank_one(), _empty_controls(), _pinned(),
                _residual_replays(), _payload_rejections(),
-               _non_object_payloads(), _large_deligne()]
+               _non_object_payloads(), _large_deligne(), _shared_label()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)

@@ -454,6 +454,8 @@ def tensor_deligne(M, N, sign: int) -> Relation:
         raise ValueError("ranks must differ by exactly 1 (M = N + 1)")
     if not interlaces(M.kappa, N.kappa):
         raise ValueError("motives are not in good position")
+    if M.label == N.label:  # M and N have different ranks
+        raise ValueError(f"M and N share the label {M.label!r}")
     n = M.n
     if n % 2:
         eps = M.dplus - M.dminus
@@ -742,6 +744,13 @@ def main1_steps(n: int, w: int, delta: int, m: int,
 
 
 # ---------------------------------------------------------------------------
+def bodies(steps) -> list:
+    """(relation, exponent) steps with each relation as a RelationDB holds it,
+    the body (citation, lhs, rhs), which is what formal.replay takes."""
+    return [((rel.citation, rel.lhs._exp, rel.rhs._exp), e)
+            for rel, e in steps]
+
+
 # the corollary-main and main2 derivations composed from checked products,
 # with the corollary's Pi built in full
 

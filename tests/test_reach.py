@@ -52,7 +52,6 @@ NOT_ENTERED = {
     "weil_real.ArchCharacter.__repr__": VALUE,
     "weil_real.ArchDiscrete.__new__": VALUE,
     "weil_real.ArchDiscrete.__repr__": VALUE,
-    "weil_real._sort_key": HELPER,
     "weil_real.ArchRep.__new__": VALUE,
     "weil_real.ArchRep.__iter__": VALUE,
     "weil_real.ArchRep.__getnewargs__": VALUE,

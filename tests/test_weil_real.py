@@ -139,3 +139,18 @@ def test_a_sign_parity_other_than_0_or_1_is_rejected():
 @given(st.lists(constituents, min_size=0, max_size=4))
 def test_canonical_form_is_order_independent(cs):
     assert rep(*cs) == rep(*reversed(cs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    chars, discs, st.builds(wr.char, st.integers(0, 1), st.integers(-3, 3)),
+    st.builds(wr.disc, st.integers(2, 7),
+              st.fractions(-2, 2, max_denominator=6))), max_size=12))
+def test_a_rep_orders_its_constituents_as_fraction_keys_do(cs):
+    # characters before discretes, each by (twist, parity or kappa), the
+    # twists compared as exact rationals: the int keys that ArchRep sorts by
+    # give this order for twists of mixed denominators and int twists
+    want = sorted(cs, key=lambda c: (isinstance(c, wr.ArchDiscrete),
+                                     Fraction(c.twist), c[0]))
+    assert list(wr.ArchRep(cs)) == want
+    assert list(wr.ArchRep(cs[::-1])) == want

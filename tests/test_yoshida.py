@@ -372,6 +372,10 @@ def test_tensor_deligne_matches_the_calculus_of_the_oracle():
                         _same_relation(y.tensor_deligne,
                                        oracles.tensor_deligne, M, N, sign)
                         cases += 1
+                        if lm == ln:  # one label cannot name both motives
+                            with pytest.raises(ValueError, match=(
+                                    "^M and N share the label 'A'$")):
+                                y.tensor_deligne(M, N, sign)
                 M = y.MotiveShape("M", n, wm, km, mp, mm)
                 N = y.MotiveShape("N", n - 1, wn, kn, np_, nm)
                 for args in ((M, N, 0), (N, M, 1), (M, M, -1)):
