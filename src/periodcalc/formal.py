@@ -198,18 +198,17 @@ class Relation(namedtuple("Relation", "name citation lhs rhs")):
 
 
 def replay(steps, atoms=()) -> FormalPeriod:
-    """The product of lhs/rhs over (relation, exponent) steps, each relation
-    what a RelationDB holds: a body (citation, lhs, rhs) of reduced exponent
-    dicts, or a record that load kept, summed per index of atoms and decoded
-    at the end."""
+    """The product of lhs/rhs over (name, body, exponent) steps, each body a
+    (citation, lhs, rhs) of reduced exponent dicts or a record that load
+    kept, summed per index of atoms and decoded at the end."""
     classes, sums = [], [0] * len(atoms)
-    for rel, e in steps:
+    for _, body, e in steps:
         e = e if type(e) is int else json_int(e)
-        if type(rel) is not dict:
-            _, lhs, rhs = rel
+        if type(body) is not dict:
+            _, lhs, rhs = body
             classes += ((lhs, e), (rhs, -e))
             continue
-        for side, s in ((rel["lhs"], e), (rel["rhs"], -e)):
+        for side, s in ((body["lhs"], e), (body["rhs"], -e)):
             for i, k in side:
                 sums[i] += s * k
     if atoms:  # decode the nonzero sums of the records that load kept
@@ -218,27 +217,19 @@ def replay(steps, atoms=()) -> FormalPeriod:
     return _period({}, *classes)
 
 
-class CheckResult(tuple):
-    """A replay's residual, its steps as written, (name, citation, lhs, rhs,
-    exponent) with reduced dicts of checked atoms as sides, and its
-    i-parity; relations wraps the steps on each read, so a caller that
+class CheckResult(namedtuple("CheckResult", "residual steps i_parity",
+                             defaults=((), 0))):
+    """A replay's residual, its (name, body, exponent) steps as written and
+    its i-parity; relations wraps the steps on each read, so a caller that
     reads only the verdict builds no record."""
 
     __slots__ = ()
-    _fields = ("residual", "relations", "i_parity")
-    residual, i_parity = property(itemgetter(0)), property(itemgetter(2))
-
-    def __new__(cls, residual: FormalPeriod, steps=(), i_parity: int = 0):
-        return tuple.__new__(cls, (residual, tuple(steps), i_parity))
 
     @property
     def relations(self) -> tuple:
         p, new = FormalPeriod._of_exp, tuple.__new__
         return tuple([(new(Relation, (name, citation, p(lhs), p(rhs))), e)
-                      for name, citation, lhs, rhs, e in self[1]])
-
-    def __getnewargs__(self):  # for copy and pickle
-        return tuple(self)
+                      for name, (citation, lhs, rhs), e in self[1]])
 
     def __hash__(self):  # of the fields that hold no dict
         return hash((self[0], self[2]))
@@ -251,18 +242,17 @@ class CheckResult(tuple):
         return self[0].offending_atom()
 
     def to_script(self) -> list:
-        return [{"relation": step[0], "exponent": step[4]}
-                for step in self[1]]
+        return [{"relation": name, "exponent": e} for name, _, e in self[1]]
 
     def register(self, db: RelationDB):
-        db._store([(step[0], step[1:4]) for step in self[1]])
+        db._store(self[1])
 
 
 def derived(steps, i_parity: int = 0) -> CheckResult:
-    """The CheckResult of a builtin's written steps, its residual the product
-    of lhs^e rhs^-e over them."""
+    """The CheckResult of a builtin's written steps, its residual summed on
+    the trusted path, as replay is the checked one: prod lhs^e rhs^-e."""
     classes = []
-    for _, _, lhs, rhs, e in steps:
+    for _, (_, lhs, rhs), e in steps:
         classes += ((lhs, e), (rhs, -e))
     return tuple.__new__(CheckResult,
                          (_period({}, *classes), tuple(steps), i_parity))
@@ -365,10 +355,10 @@ class RelationDB:
     def __init__(self):
         self._relations, self._tables = {}, ([], [])  # load's atoms, citations
 
-    def _store(self, items):
-        """Hold each (name, body); a taken name needs an equal body."""
+    def _store(self, steps):
+        """Hold each step's body by name; a taken name needs an equal body."""
         held = self._relations
-        for name, body in items:
+        for name, body, _ in steps:
             if (held.setdefault(name, body) is not body
                     and self._body(name) != body):
                 raise ValueError(f"relation {name!r} already present")
@@ -386,7 +376,7 @@ class RelationDB:
 
     def add(self, relation: Relation):
         self._store([(relation.name, (relation.citation, relation.lhs._exp,
-                                      relation.rhs._exp))])
+                                      relation.rhs._exp), 1)])
 
     def get(self, name: str) -> Relation:
         if name not in self._relations:
@@ -415,6 +405,10 @@ class RelationDB:
                          f'"relations": [\n{lines}\n], '
                          f'"version": {DB_VERSION}}}\n')
             os.replace(tmp, path)
+        except OSError as exc:  # name path, not the temporary file
+            if exc.errno is None:
+                raise
+            raise OSError(exc.errno, exc.strerror, path) from exc
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -481,6 +475,6 @@ def check_script(db: RelationDB, script) -> FormalPeriod:
                 or type(entry["exponent"]) is not int):
             raise ValueError("a script entry needs exactly a str 'relation' "
                              f"and an int 'exponent', got {entry!r}")
-        rel = held.get(entry["relation"]) or db.get(entry["relation"])
-        steps.append((rel, entry["exponent"]))  # get names an unknown one
+        name = entry["relation"]  # get names an unknown one
+        steps.append((name, held.get(name) or db.get(name), entry["exponent"]))
     return replay(steps, db._tables[0])

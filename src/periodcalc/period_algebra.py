@@ -2,10 +2,10 @@
 function multiplies the quotients of its relations exactly as the
 derivation does and returns the residual, which must be the identity.
 
-Each relation kind has one writer, which writes a step (name, citation,
-lhs, rhs, exponent) with its sides as exponent dicts of checked atoms and
-ints; formal.derived sums the steps into the residual, and a relation's
-lhs = rhs holds modulo algebraic, Galois-natural units.
+Each relation kind has one writer, which writes a step (name, (citation,
+lhs, rhs), exponent), its body as a RelationDB holds it and its sides
+exponent dicts of checked atoms; formal.derived sums the steps into the
+residual, and lhs = rhs holds modulo algebraic, Galois-natural units.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ def _main1(bw, bw_dual, gauss, g: int, e: int, tag: str = "") -> tuple:
     control lowers it, dropped when 0.  The relation holds for regular Pi;
     each caller's docstring shows its Pi regular."""
     label, eps = bw[1]
-    return (f"main1[{label},{eps:+d}]{tag}", "period relation under duality",
-            {bw: 1}, {bw_dual: 1, gauss: g} if g else {bw_dual: 1}, e)
+    return (f"main1[{label},{eps:+d}]{tag}",
+            ("period relation under duality", {bw: 1},
+             {bw_dual: 1, gauss: g} if g else {bw_dual: 1}), e)
 
 
 def _corollary(gexp: dict, e: int, *corrupt) -> tuple:
@@ -58,8 +59,8 @@ def _corollary(gexp: dict, e: int, *corrupt) -> tuple:
     with gexp the Gauss exponents of chi^n omega_Pi^{-1}; the corrupted
     control multiplies the one class (g, k) of corrupt into its rhs."""
     return ("corollary-main[Pi]" + ("[corrupted]" if corrupt else ""),
-            "sign change of Betti-Whittaker periods", {_BW[1]: 1},
-            _period({**gexp, _BW[-1]: 1}, *corrupt)._exp, e)
+            ("sign change of Betti-Whittaker periods", {_BW[1]: 1},
+             _period({**gexp, _BW[-1]: 1}, *corrupt)._exp), e)
 
 
 def _quadratic(g: dict, e: int) -> tuple:
@@ -68,8 +69,8 @@ def _quadratic(g: dict, e: int) -> tuple:
     char = "*".join(f"{a[1][0]}^{k}"
                     for a, k in FormalPeriod._of_exp(g).items())
     return (f"central-character-quadratic[{char}]",
-            "Gauss sum of a quadratic character is algebraic",
-            _period({}, (g, 2))._exp, {}, e)
+            ("Gauss sum of a quadratic character is algebraic",
+             _period({}, (g, 2))._exp, {}), e)
 
 
 def require_main1_hypotheses(n: int, w: int, delta: int) -> None:
@@ -169,18 +170,18 @@ def check_main1_step(n: int, w: int, delta: int, m,
         del iparity[ATOM_I]
     raghuram_cite = "critical-value factorization over a balanced pair"
     return derived([
-        (f"raghuram[m={m},{_PAIR}]", raghuram_cite, {lval: 1},
-         {archz: 1, bw_p: 1, bw_s: 1, _G_SIGMA: 1}, 1),
+        (f"raghuram[m={m},{_PAIR}]", (raghuram_cite, {lval: 1},
+         {archz: 1, bw_p: 1, bw_s: 1, _G_SIGMA: 1}), 1),
         # the class of Sigma^v's central character is Sigma's inverted
-        (f"raghuram[m={-m},{_DUAL_PAIR}]", raghuram_cite, {lval_d: 1},
-         {archz_d: 1, bw_pd: 1, bw_sd: 1, _G_SIGMA: -1}, -1),
+        (f"raghuram[m={-m},{_DUAL_PAIR}]", (raghuram_cite, {lval_d: 1},
+         {archz_d: 1, bw_pd: 1, bw_sd: 1, _G_SIGMA: -1}), -1),
         (f"duality-ratio[m0={s0},{_PAIR}]",
-         "functional-equation ratio under duality", {lval: 1}, ratio, -1),
+         ("functional-equation ratio under duality", {lval: 1}, ratio), -1),
         (f"arch-twist[{-m},{_DUAL_PAIR}]",
-         "archimedean period comparison under |.|-twists", {archz_d: 1},
-         {archz2: 1}, -1),
+         ("archimedean period comparison under |.|-twists", {archz_d: 1},
+          {archz2: 1}), -1),
         (f"arch-iparity[{m},{m2},{_PAIR}]",
-         "i-power comparison of archimedean periods", {archz: 1}, iparity,
+         ("i-power comparison of archimedean periods", {archz: 1}, iparity),
          1),
         _main1(bw_s, bw_sd, _G_SIGMA, n - 2, 1),
         # the corrupted control lowers the exponent of G(omega_Pi) by one
@@ -215,9 +216,9 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
     # eps(sgn^delta) = (-1)^delta and delta = 1 for a chi-orthogonal Pi
     sign = {_BW[-1 if orthogonal else 1]: 1}
     steps = [_main1(_BW[1], _BW_DUAL, _G_PI, 2 * n - 1, 1),
-             ("rs-twist[Pi^v,+1]", "character twist of Betti-Whittaker "
+             ("rs-twist[Pi^v,+1]", ("character twist of Betti-Whittaker "
               "periods", {_BW_DUAL: 1},
-              _period({}, (chi, -n * (2 * n - 1)), (sign, 1))._exp, 1),
+              _period({}, (chi, -n * (2 * n - 1)), (sign, 1))._exp), 1),
              _corollary(gexp, -1, (chi, 1)) if corrupt
              else _corollary(gexp, -1)]
     if gexp:
@@ -256,10 +257,10 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
     gexp = {_G_CHI: n, _G_PI: -1}
     tag = "[corrupted]" if corrupt else ""
     steps = [(f"harder-raghuram[{_PAIR},m0={nprime}/2]",
-              "successive critical values against relative periods",
-              {lval: 1}, hr, 1),
+              ("successive critical values against relative periods",
+               {lval: 1}, hr), 1),
              (f"theorem-main2[{_PAIR}]{tag}",
-              "ratio of successive critical values", {lval: 1}, ratio, -1),
+              ("ratio of successive critical values", {lval: 1}, ratio), -1),
              _corollary(gexp, eps_num * nprime)]
     if eps_num == -1:
         steps.append(_quadratic(gexp, -nprime))
@@ -307,23 +308,23 @@ def check_motivic_dual(n: int, i: int = None,
         # the corrupted control lowers the delta(N) exponent by one
         tag = "[corrupted]" if corrupt else ""
         steps += [
-            (f"rank2-expansion[{mn},{idx},+1]", expand, {c_mn: 1},
-             {dci: 1, d_n: idx, c_np: r - idx + odd, c_nm: r - idx}, 1),
-            (f"rank2-expansion[{mnd},{idx},-1]", expand, {c_mnd: 1},
-             {dci_d: 1, d_nd: idx, c_ndp: r - idx, c_ndm: r - idx + odd},
+            (f"rank2-expansion[{mn},{idx},+1]", (expand, {c_mn: 1},
+             {dci: 1, d_n: idx, c_np: r - idx + odd, c_nm: r - idx}), 1),
+            (f"rank2-expansion[{mnd},{idx},-1]", (expand, {c_mnd: 1},
+             {dci_d: 1, d_nd: idx, c_ndp: r - idx, c_ndm: r - idx + odd}),
              -1),
-            (f"deligne-dual[{mn}]", "duality of c^{+-} for the tensor product",
-             {c_mnd: 1}, {d_mn: -1, c_mn: 1}, 1),
+            (f"deligne-dual[{mn}]", ("duality of c^{+-} for the tensor "
+             "product", {c_mnd: 1}, {d_mn: -1, c_mn: 1}), 1),
             (f"delta-tensor[{mn}]{tag}",
-             "determinant period of a tensor product", {d_mn: 1},
-             {delta_m: 2, d_n: n - 1 if corrupt else n}, -1),
-            (f"dual[{nl},1,0,0]", dual, {d_nd: 1}, {d_n: -1}, -idx),
+             ("determinant period of a tensor product", {d_mn: 1},
+              {delta_m: 2, d_n: n - 1 if corrupt else n}), -1),
+            (f"dual[{nl},1,0,0]", (dual, {d_nd: 1}, {d_n: -1}), -idx),
             # rewrite c^-(N^v) and c^+(N^v)
-            (f"dual[{nl},0,1,0]", dual, {c_ndm: 1}, {c_np: 1, d_n: -1},
+            (f"dual[{nl},0,1,0]", (dual, {c_ndm: 1}, {c_np: 1, d_n: -1}),
              -(r - idx) - odd),
-            (f"dual[{nl},0,0,1]", dual, {c_ndp: 1}, {c_nm: 1, d_n: -1},
+            (f"dual[{nl},0,0,1]", (dual, {c_ndp: 1}, {c_nm: 1, d_n: -1}),
              -(r - idx)),
             (f"motivic-dual[M,{idx}]",
-             "duality of the middle fundamental periods", {dci_d: 1},
-             {delta_m: -2, dci: 1}, -1)]
+             ("duality of the middle fundamental periods", {dci_d: 1},
+              {delta_m: -2, dci: 1}), -1)]
     return derived(steps)

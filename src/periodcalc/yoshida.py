@@ -19,6 +19,13 @@ from .infinity_types import (checked_kappa, interlaces, json_int, json_list,
                              json_str)
 
 
+def _require_signature(n: int, dplus: int, dminus: int) -> None:
+    """d+ + d- = n with |d+ - d-| <= 1, so d+ = d- at even rank n."""
+    if (json_int(dplus) + json_int(dminus) != json_int(n)
+            or abs(dplus - dminus) > 1):
+        raise ValueError("d+ + d- must equal n with |d+ - d-| <= 1")
+
+
 class FundamentalMonomial(namedtuple(
         "FundamentalMonomial", "n dplus dminus m0 mi mplus mminus")):
     """det^m0 * prod f_i^mi * (f^+)^mplus * (f^-)^mminus on rank n."""
@@ -29,9 +36,7 @@ class FundamentalMonomial(namedtuple(
                 mi: tuple = (), mplus: int = 0, mminus: int = 0):
         mi = tuple(map(json_int, mi))
         m0, mplus, mminus = json_int(m0), json_int(mplus), json_int(mminus)
-        if (json_int(dplus) + json_int(dminus) != json_int(n)
-                or abs(dplus - dminus) > 1):
-            raise ValueError("d+ + d- must equal n with |d+ - d-| <= 1")
+        _require_signature(n, dplus, dminus)
         if len(mi) != max(n // 2 - 1, 0):
             raise ValueError("mi must have floor(n/2)-1 entries")
         return tuple.__new__(cls, (n, dplus, dminus, m0, mi, mplus, mminus))
@@ -50,9 +55,7 @@ class MotiveShape(namedtuple("MotiveShape",
             raise ValueError("weight must be even for odd rank")
         if any((k - weight - 1) % 2 for k in kappa):
             raise ValueError("kappa_i must have parity opposite to the weight")
-        # at even n this forces d+ = d-
-        if json_int(dplus) + json_int(dminus) != n or abs(dplus - dminus) > 1:
-            raise ValueError("d+ + d- must equal n with |d+ - d-| <= 1")
+        _require_signature(n, dplus, dminus)
         return tuple.__new__(cls, (label, n, weight, kappa, dplus, dminus))
 
     @classmethod

@@ -385,6 +385,12 @@ def _shared_label():
            "--aux", _motive("X", 3, 0, 5, 2)]
 
 
+def _failed_save():
+    """A --db save into a directory that does not exist: the error names the
+    given path."""
+    yield ["check", "main1", "--n", "3", "--db", "@missing/x.json"]
+
+
 def requests():
     """(argv, files, db) of every run in the corpus, in a fixed order."""
     rng = random.Random(20261018)
@@ -394,7 +400,8 @@ def requests():
                _infinity_type(rng), _malformed(), _defaults(), _main1_db(),
                _main1_rank_one(), _empty_controls(), _pinned(),
                _residual_replays(), _payload_rejections(),
-               _non_object_payloads(), _large_deligne(), _shared_label()]
+               _non_object_payloads(), _large_deligne(), _shared_label(),
+               _failed_save()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)

@@ -745,9 +745,10 @@ def main1_steps(n: int, w: int, delta: int, m: int,
 
 # ---------------------------------------------------------------------------
 def bodies(steps) -> list:
-    """(relation, exponent) steps with each relation as a RelationDB holds it,
-    the body (citation, lhs, rhs), which is what formal.replay takes."""
-    return [((rel.citation, rel.lhs._exp, rel.rhs._exp), e)
+    """(relation, exponent) steps as a builtin writes them, (name, body,
+    exponent) with the body (citation, lhs, rhs) that a RelationDB holds,
+    which is what formal.derived and formal.replay take."""
+    return [(rel.name, (rel.citation, rel.lhs._exp, rel.rhs._exp), e)
             for rel, e in steps]
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -333,6 +334,21 @@ def test_a_db_given_before_the_builtin_name_is_saved(tmp_path, capsys):
     assert run(capsys, "check", *argv, "--db", after)[0] == 0
     with open(before, "rb") as fh, open(after, "rb") as gh:
         assert fh.read() == gh.read()
+
+
+@pytest.mark.parametrize("target, errno_", [
+    ("missing/x.json", errno.ENOENT), ("d", errno.EISDIR)],
+    ids=["missing-directory", "directory"])
+def test_a_failed_save_names_the_given_path(tmp_path, capsys, target,
+                                            errno_):
+    # the one stderr line names the --db path, not the temporary file that
+    # the save writes first, and no file is left behind
+    (tmp_path / "d").mkdir()
+    db = str(tmp_path / target)
+    code, out, err = run(capsys, "check", "main1", "--n", "3", "--db", db)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno {errno_}] {os.strerror(errno_)}: {db!r}\n"
+    assert os.listdir(tmp_path) == ["d"] and not os.listdir(tmp_path / "d")
 
 
 def test_corrupt_before_the_builtin_name_is_never_ignored(capsys):

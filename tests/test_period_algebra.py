@@ -965,18 +965,17 @@ def test_every_step_carries_weight():
     # exponent; this generalises the one --corrupt control of each builtin
     for label, res in _builtin_derivations():
         assert res.is_ok, label
-        steps = list(res.relations)
-        names = [rel.name for rel, _ in steps]
+        steps = res.steps
+        names = [name for name, _, _ in steps]
         assert len(set(names)) == len(names), label
-        for k, (rel, e) in enumerate(steps):
-            where = f"{label}: {rel.name} ^ {e}"
-            assert e and not formal.replay(
-                oracles.bodies([(rel, 1)])).is_trivial, where
-            rest = oracles.bodies(steps[:k] + steps[k + 1:])
+        for k, (name, body, e) in enumerate(steps):
+            where = f"{label}: {name} ^ {e}"
+            assert e and not formal.replay([(name, body, 1)]).is_trivial, where
+            rest = steps[:k] + steps[k + 1:]
             assert not formal.replay(rest).is_trivial, where
             for d in (1, -1):
                 assert not formal.replay(
-                    rest + oracles.bodies([(rel, e + d)])).is_trivial, where
+                    rest + ((name, body, e + d),)).is_trivial, where
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +1008,7 @@ def test_failed_save_leaves_the_db_file_intact(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(formal.os, "replace", failing_replace)
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="^disk full$"):
         db.save(str(path))
     assert held and held[0].startswith('{"atoms": [\n')
     assert path.read_bytes() == before
@@ -1117,20 +1116,43 @@ def test_db_replay_matches_in_memory(tmp_path, builtin, corrupt):
         assert replayed == res.residual, n
 
 
+def test_replay_sums_every_builtin_to_the_residual_that_derived_sums():
+    # the checked summer against the trusted one on the builtins' own
+    # steps, valid and corrupted
+    corrupted = ((f"{builtin} n={n} corrupted", BUILTINS[builtin](n, True))
+                 for builtin in sorted(BUILTINS) for n in range(2, 12))
+    for label, res in chain(_builtin_derivations(), corrupted):
+        assert formal.replay(res.steps) == res.residual, label
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_a_step_goes_from_its_writer_to_the_db_as_one_value(builtin,
+                                                             corrupt):
+    # every step is (name, (citation, lhs, rhs), exponent), and register
+    # holds each step's own body object under its name
+    assert formal.CheckResult._fields == ("residual", "steps", "i_parity")
+    res = BUILTINS[builtin](9, corrupt)
+    db = pa.RelationDB()
+    res.register(db)
+    assert db.names() == sorted(name for name, _, _ in res.steps)
+    for step in res.steps:
+        name, body, e = step
+        citation, lhs, rhs = body
+        assert (type(name), type(citation), type(lhs), type(rhs), type(e)
+                ) == (str, str, dict, dict, int), step
+        assert db._relations[name] is body, name
+
+
 # a relation with a non-trivial quotient, for the DB and script tests
 QUAD = oracles.rel_quadratic(gauss_fp({"chi": 1}))
-
-
-def _written(rel: Relation, e: int) -> tuple:
-    """rel to the power e as a builtin writes a step."""
-    return rel.name, rel.citation, rel.lhs._exp, rel.rhs._exp, e
 
 
 def test_register_rejects_a_name_collision():
     # two written steps under one name with different bodies
     other = pa.Relation(QUAD.name, "different", FormalPeriod(),
                         gauss_fp({"chi": 1}))
-    res = formal.derived([_written(QUAD, 1), _written(other, 1)])
+    res = formal.derived(oracles.bodies([(QUAD, 1), (other, 1)]))
     with pytest.raises(ValueError, match="already present"):
         res.register(pa.RelationDB())
 
@@ -1161,7 +1183,7 @@ def test_the_collision_rule_holds_against_bodies_and_kept_records(tmp_path):
                                      " already present$"):
                 db.add(other)
             with pytest.raises(ValueError, match="already present"):
-                formal.derived([_written(other, 1)]).register(db)
+                formal.derived(oracles.bodies([(other, 1)])).register(db)
         assert [db.get(n) for n in db.names()] == before
 
 
@@ -1750,8 +1772,9 @@ def test_any_period_atom_replays_alike_in_memory_and_from_the_db(drawn, k):
             continue
     rel = Relation("r", "c", FormalPeriod(pairs[::2]),
                    FormalPeriod(pairs[1::2]))
-    res = formal.derived([_written(rel, k)])
-    assert res.residual == formal.replay(oracles.bodies([(rel, k)]))
+    steps = oracles.bodies([(rel, k)])
+    res = formal.derived(steps)
+    assert res.residual == formal.replay(steps)
     db = pa.RelationDB()
     res.register(db)
     with tempfile.TemporaryDirectory() as work:

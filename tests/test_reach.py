@@ -44,7 +44,6 @@ NOT_ENTERED = {
     "formal.FormalPeriod.__hash__": VALUE,
     # read by the tests and by the tracer's counter of composed relations
     "formal.CheckResult.relations": VALUE,
-    "formal.CheckResult.__getnewargs__": VALUE,
     "formal.CheckResult.__hash__": VALUE,
     "formal.period_to_json": TRACER,
     "infinity_types.to_arch_rep": TRACER,
