@@ -180,11 +180,13 @@ def cmd_classify(args) -> int:
 
 def cmd_deligne(args) -> int:
     from . import yoshida
+    from .formal import FormalPeriod
     M = _parse_payload(args.motive, yoshida.MotiveShape)
     N = _parse_payload(args.aux, yoshida.MotiveShape)
-    rel = yoshida.tensor_deligne(M, N, args.sign)
-    payload = {"name": rel.name, "lhs": repr(rel.lhs), "rhs": repr(rel.rhs)}
-    _emit(args, payload, f"{rel.name}: {rel.lhs!r} = {rel.rhs!r}")
+    name, (_, lhs, rhs), _ = yoshida.tensor_deligne(M, N, args.sign)
+    lhs, rhs = (repr(FormalPeriod._of_exp(side)) for side in (lhs, rhs))
+    payload = {"name": name, "lhs": lhs, "rhs": rhs}
+    _emit(args, payload, f"{name}: {lhs} = {rhs}")
     return 0
 
 

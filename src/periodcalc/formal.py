@@ -1,5 +1,6 @@
 """The formal period group: a free abelian group on period atoms modulo
-i^2 = -1, plus relation records and a persistent relation database.
+i^2 = -1, plus the replay of written relation steps and a persistent
+relation database.
 
 Atoms carry a kind tag and a payload:
     BW(label, sign)    Betti-Whittaker period p(Pi, eps), sign in {+1, -1}
@@ -118,10 +119,6 @@ class FormalPeriod:
         return p
 
     @classmethod
-    def atom(cls, atom: PeriodAtom, e: int = 1) -> "FormalPeriod":
-        return cls(((atom, e),))
-
-    @classmethod
     def of(cls, *pairs) -> "FormalPeriod":
         return cls(pairs)
 
@@ -186,15 +183,10 @@ def gauss_fp(expr: dict) -> FormalPeriod:
 
 
 class Relation(namedtuple("Relation", "name citation lhs rhs")):
-    """The cited identity lhs = rhs of two formal periods."""
+    """The cited identity lhs = rhs of two formal periods: the view of a
+    written step that CheckResult.relations gives; no writer builds one."""
 
     __slots__ = ()
-
-    def __new__(cls, name: str, citation: str, lhs: FormalPeriod,
-                rhs: FormalPeriod):
-        if not name or not citation:
-            raise ValueError("relation needs a name and a citation")
-        return tuple.__new__(cls, (name, citation, lhs, rhs))
 
 
 def replay(steps, atoms=()) -> FormalPeriod:
@@ -227,8 +219,8 @@ class CheckResult(namedtuple("CheckResult", "residual steps i_parity",
 
     @property
     def relations(self) -> tuple:
-        p, new = FormalPeriod._of_exp, tuple.__new__
-        return tuple([(new(Relation, (name, citation, p(lhs), p(rhs))), e)
+        p = FormalPeriod._of_exp
+        return tuple([(Relation(name, citation, p(lhs), p(rhs)), e)
                       for name, (citation, lhs, rhs), e in self[1]])
 
     def __hash__(self):  # of the fields that hold no dict
@@ -333,15 +325,21 @@ def period_from_json(data, atoms: list = None) -> FormalPeriod:
 
 
 def relation_from_json(data: dict, atoms: list = None,
-                       citations: list = None) -> Relation:
+                       citations: list = None) -> tuple:
+    """The step (name, (citation, lhs, rhs), 1) of a relation record, its
+    sides reduced exponent dicts; the name and the citation must be
+    nonempty, which is checked once both sides decode."""
     try:
         citation = (data["citation"] if citations is None
                     else _entry(citations, data["citation"], "citation"))
-        return Relation(json_str(data["name"]), json_str(citation),
-                        period_from_json(data["lhs"], atoms),
-                        period_from_json(data["rhs"], atoms))
+        name, citation = json_str(data["name"]), json_str(citation)
+        lhs = period_from_json(data["lhs"], atoms)._exp
+        rhs = period_from_json(data["rhs"], atoms)._exp
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed relation record: {exc!r}") from exc
+    if not name or not citation:
+        raise ValueError("relation needs a name and a citation")
+    return name, (citation, lhs, rhs), 1
 
 
 DB_VERSION = 2  # of the file layout; a file without "version" is version 1
@@ -373,17 +371,6 @@ class RelationDB:
         return (citations[r["citation"]],
                 period_from_json(r["lhs"], atoms)._exp,
                 period_from_json(r["rhs"], atoms)._exp)
-
-    def add(self, relation: Relation):
-        self._store([(relation.name, (relation.citation, relation.lhs._exp,
-                                      relation.rhs._exp), 1)])
-
-    def get(self, name: str) -> Relation:
-        if name not in self._relations:
-            raise KeyError(f"unknown relation: {name!r}")
-        citation, lhs, rhs = self._body(name)
-        p = FormalPeriod._of_exp
-        return tuple.__new__(Relation, (name, citation, p(lhs), p(rhs)))
 
     def names(self):
         return sorted(self._relations)
@@ -459,7 +446,7 @@ class RelationDB:
                 else:  # kept as it is, unless its name is taken
                     if db._relations.setdefault(r["name"], r) is r:
                         continue
-            db.add(relation_from_json(r, atoms, citations))
+            db._store([relation_from_json(r, atoms, citations)])
         return db
 
 
@@ -475,6 +462,8 @@ def check_script(db: RelationDB, script) -> FormalPeriod:
                 or type(entry["exponent"]) is not int):
             raise ValueError("a script entry needs exactly a str 'relation' "
                              f"and an int 'exponent', got {entry!r}")
-        name = entry["relation"]  # get names an unknown one
-        steps.append((name, held.get(name) or db.get(name), entry["exponent"]))
+        name, body = entry["relation"], held.get(entry["relation"])
+        if body is None:
+            raise KeyError(f"unknown relation: {name!r}")
+        steps.append((name, body, entry["exponent"]))
     return replay(steps, db._tables[0])

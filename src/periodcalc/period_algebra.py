@@ -10,15 +10,13 @@ residual, and lhs = rhs holds modulo algebraic, Galois-natural units.
 
 from __future__ import annotations
 
-from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, Relation,
-                     RelationDB, check_script, derived, dual_label, gauss_fp,
-                     _period)
+from .formal import (ATOM_I, CheckResult, FormalPeriod, PeriodAtom, derived,
+                     dual_label, gauss_fp, _period)
 from .infinity_types import as_fraction, json_bool, json_int
 
 __all__ = [
-    "FormalPeriod", "PeriodAtom", "Relation", "RelationDB", "check_script",
-    "CheckResult", "check_main1_step", "check_corollary_main",
-    "check_theorem_main2", "check_motivic_dual",
+    "FormalPeriod", "PeriodAtom", "CheckResult", "check_main1_step",
+    "check_corollary_main", "check_theorem_main2", "check_motivic_dual",
 ]
 
 

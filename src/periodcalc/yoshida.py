@@ -3,18 +3,18 @@
 Fundamental periods delta(M), c^{+-}(M), c_i(M) are evaluations of the
 generator polynomials det, f^{+-}, f_i at the period matrix of M; the period
 matrix itself is never materialized, only exponent identities between the
-fundamental-period atoms are produced (as Relation records over the formal
-period group).  Each relation is written in closed form from the shapes and
-the monomial's exponents; tests/oracles.py keeps the general calculus of
-admissible types and monomials that the closed forms are tested against.
+fundamental-period atoms are produced, each as a written step (name,
+(citation, lhs, rhs), 1) whose sides are reduced exponent dicts.  Each
+relation is written in closed form from the shapes and the monomial's
+exponents; tests/oracles.py keeps the general calculus of admissible types
+and monomials that the closed forms are tested against.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .formal import (ATOM_TWO_PI_I, FormalPeriod, PeriodAtom, Relation,
-                     dual_label, _period)
+from .formal import ATOM_TWO_PI_I, PeriodAtom, dual_label, _period
 from .infinity_types import (checked_kappa, interlaces, json_int, json_list,
                              json_str)
 
@@ -24,6 +24,11 @@ def _require_signature(n: int, dplus: int, dminus: int) -> None:
     if (json_int(dplus) + json_int(dminus) != json_int(n)
             or abs(dplus - dminus) > 1):
         raise ValueError("d+ + d- must equal n with |d+ - d-| <= 1")
+
+
+def _require_sign(sign: int) -> None:
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
 
 
 class FundamentalMonomial(namedtuple(
@@ -99,12 +104,12 @@ def _bw_exp(X: MotiveShape, eps: int) -> dict:
     return exp
 
 
-def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
+def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> tuple:
     """c^sign(M (x) N) = delta(N) * f_BW^eps(X_M) * f_BW^eps'(X_N): the
     odd-rank factor X of the two has eps(X) = d+(X) - d-(X), and the
-    even-rank one takes sign * eps(X)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    even-rank one takes sign * eps(X).  M and N have distinct labels, so
+    the three factors share no atom."""
+    _require_sign(sign)
     if M.n != N.n + 1:
         raise ValueError("ranks must differ by exactly 1 (M = N + 1)")
     if not interlaces(M.kappa, N.kappa):
@@ -112,60 +117,59 @@ def tensor_deligne(M: MotiveShape, N: MotiveShape, sign: int) -> Relation:
     if M.label == N.label:  # M and N have different ranks
         raise ValueError(f"M and N share the label {M.label!r}")
     odd = M if M.n % 2 else N
-    eps = sign * (odd.dplus - odd.dminus)
-    lhs = FormalPeriod.atom(PeriodAtom("DC", (tensor_label(M, N), sign)))
-    rhs = FormalPeriod([(PeriodAtom("Delta", (N.label,)), 1),
-                        *_bw_exp(M, eps).items(), *_bw_exp(N, eps).items()])
-    return Relation(f"tensor-deligne[{tensor_label(M, N)},{sign:+d}]",
-                    "balanced tensor Deligne-period factorization",
-                    lhs, rhs)
+    eps, label = sign * (odd.dplus - odd.dminus), tensor_label(M, N)
+    return (f"tensor-deligne[{label},{sign:+d}]",
+            ("balanced tensor Deligne-period factorization",
+             {PeriodAtom("DC", (label, sign)): 1},
+             {PeriodAtom("Delta", (N.label,)): 1, **_bw_exp(M, eps),
+              **_bw_exp(N, eps)}), 1)
 
 
-def dual_relation(m: FundamentalMonomial, M: MotiveShape) -> Relation:
+def dual_relation(m: FundamentalMonomial, M: MotiveShape) -> tuple:
     """f^dual(X_{M^v}) = delta(M)^{-(k+ + k-)} * f(X_M), where m has
     k+ + k- = 2(m0 + sum mi) + m+ + m-."""
     delta = {PeriodAtom("Delta", (M.label,)): 1}
     k = 2 * (m.m0 + sum(m.mi)) + m.mplus + m.mminus
     exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
-    return Relation(f"dual[{M.label},{exps}]", "duality of fundamental periods",
-                    FormalPeriod._of_exp(_monomial_exp(m, dual_label(M.label),
-                                                       dual=True)),
-                    _period(_monomial_exp(m, M.label), (delta, -k)))
+    return (f"dual[{M.label},{exps}]",
+            ("duality of fundamental periods",
+             _monomial_exp(m, dual_label(M.label), dual=True),
+             _period(_monomial_exp(m, M.label), (delta, -k))._exp), 1)
 
 
 def tate_twist_relation(m: FundamentalMonomial, M: MotiveShape,
-                        t: int) -> Relation:
+                        t: int) -> tuple:
     """f(X_{M(t)}) = (2 pi i)^{t(k+ d+ + k- d-)} * f or f^dual (X_M), the
     dual at odd t, where k^{+-} = m0 + sum mi + m^{+-}."""
     t = json_int(t)
     k = m.m0 + sum(m.mi)
     exp = t * ((k + m.mplus) * M.dplus + (k + m.mminus) * M.dminus)
-    return Relation(f"tate-twist[{M.label},{t}]",
-                    "Tate twist of fundamental periods",
-                    FormalPeriod._of_exp(_monomial_exp(m, f"{M.label}({t})")),
-                    _period({ATOM_TWO_PI_I: exp,
-                             **_monomial_exp(m, M.label, dual=t % 2 == 1)}))
+    return (f"tate-twist[{M.label},{t}]",
+            ("Tate twist of fundamental periods",
+             _monomial_exp(m, f"{M.label}({t})"),
+             _period({ATOM_TWO_PI_I: exp,
+                      **_monomial_exp(m, M.label, dual=t % 2 == 1)})._exp), 1)
 
 
-def delta_tensor(M: MotiveShape, N: MotiveShape) -> Relation:
-    """delta(M (x) N) = delta(M)^{rank N} * delta(N)^{rank M}."""
+def delta_tensor(M: MotiveShape, N: MotiveShape) -> tuple:
+    """delta(M (x) N) = delta(M)^{rank N} * delta(N)^{rank M}; the two
+    factors are one atom when M and N share a label."""
     label = tensor_label(M, N)
     dm, dn = (PeriodAtom("Delta", (X.label,)) for X in (M, N))
-    return Relation(f"delta-tensor[{label}]",
-                    "determinant period of a tensor product",
-                    FormalPeriod._of_exp({PeriodAtom("Delta", (label,)): 1}),
-                    FormalPeriod(((dm, N.n), (dn, M.n))))
+    return (f"delta-tensor[{label}]",
+            ("determinant period of a tensor product",
+             {PeriodAtom("Delta", (label,)): 1},
+             _period({dm: N.n}, ({dn: M.n}, 1))._exp), 1)
 
 
 def rank2_tensor_expansion(M: MotiveShape, N: MotiveShape, i: int,
-                           sign: int) -> Relation:
+                           sign: int) -> tuple:
     """Expansion of c^sign(M (x) N) for a rank-2 N in the i-th Hodge gap:
 
         c^sign(M (x) N) = c_i(M) * delta(N)^i * (c^+(N) c^-(N))^{r-i}
                           * c^{sign*eps}(N)   [last factor for odd rank M]
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    _require_sign(sign)
     if N.n != 2:
         raise ValueError("auxiliary motive must have rank 2")
     r = M.n // 2
@@ -175,15 +179,16 @@ def rank2_tensor_expansion(M: MotiveShape, N: MotiveShape, i: int,
     if not M.kappa[i] < ell < M.kappa[i - 1]:
         raise ValueError("N is not in the i-th Hodge gap of M")
     # at odd rank eps = d+ - d- is +-1, and c^{sign*eps}(N) occurs once more
-    rhs = [(PeriodAtom("DCi", (M.label, i)), 1),
-           (PeriodAtom("Delta", (N.label,)), i),
-           (PeriodAtom("DC", (N.label, 1)), r - i),
-           (PeriodAtom("DC", (N.label, -1)), r - i)]
+    extra = ()
     if M.n % 2:
         eps = M.dplus - M.dminus
-        rhs.append((PeriodAtom("DC", (N.label, sign * eps)), 1))
+        extra = (({PeriodAtom("DC", (N.label, sign * eps)): 1}, 1),)
+    rhs = {PeriodAtom("DCi", (M.label, i)): 1,
+           PeriodAtom("Delta", (N.label,)): i,
+           PeriodAtom("DC", (N.label, 1)): r - i,
+           PeriodAtom("DC", (N.label, -1)): r - i}
     label = tensor_label(M, N)
-    return Relation(f"rank2-expansion[{label},{i},{sign:+d}]",
-                    "rank-2 auxiliary tensor expansion of c^{+-}",
-                    FormalPeriod._of_exp({PeriodAtom("DC", (label, sign)): 1}),
-                    FormalPeriod(rhs))
+    return (f"rank2-expansion[{label},{i},{sign:+d}]",
+            ("rank-2 auxiliary tensor expansion of c^{+-}",
+             {PeriodAtom("DC", (label, sign)): 1},
+             _period(rhs, *extra)._exp), 1)

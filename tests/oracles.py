@@ -350,7 +350,7 @@ def load_db(path: str) -> dict:
             raise ValueError(f"malformed atom record: {exc!r}") from exc
     db = {}
     for entry in entries:
-        rel = formal.relation_from_json(entry, atoms, citations)
+        rel = relation(formal.relation_from_json(entry, atoms, citations))
         if db.setdefault(rel.name, rel) != rel:
             raise ValueError(f"relation {rel.name!r} already present")
         db[rel.name] = rel  # an equal body read later replaces the first
@@ -466,8 +466,8 @@ def tensor_deligne(M, N, sign: int) -> Relation:
         fm = f_bw(n, eps=sign * eps_prime, dplus=M.dplus, dminus=M.dminus)
         fn = f_bw(n - 1, dplus=N.dplus, dminus=N.dminus)
     label = y.tensor_label(M, N)
-    lhs = FormalPeriod.atom(PeriodAtom("DC", (label, sign)))
-    rhs = (FormalPeriod.atom(PeriodAtom("Delta", (N.label,)))
+    lhs = atom_power(PeriodAtom("DC", (label, sign)))
+    rhs = (atom_power(PeriodAtom("Delta", (N.label,)))
            * monomial_atoms(fm, M) * monomial_atoms(fn, N))
     return Relation(f"tensor-deligne[{label},{sign:+d}]",
                     "balanced tensor Deligne-period factorization", lhs, rhs)
@@ -478,7 +478,7 @@ def tate_twist_relation(m, M, t: int) -> Relation:
     exp = t * (tag.kplus * M.dplus + tag.kminus * M.dminus)
     base = m if t % 2 == 0 else dual_monomial(m)
     lhs = monomial_atoms(m, tate_twist_motive(M, t))
-    rhs = FormalPeriod.atom(ATOM_TWO_PI_I, exp) * monomial_atoms(base, M)
+    rhs = atom_power(ATOM_TWO_PI_I, exp) * monomial_atoms(base, M)
     return Relation(f"tate-twist[{M.label},{t}]",
                     "Tate twist of fundamental periods", lhs, rhs)
 
@@ -486,8 +486,8 @@ def tate_twist_relation(m, M, t: int) -> Relation:
 def dual_relation(m, M) -> Relation:
     tag = monomial_type(m)
     lhs = monomial_atoms(dual_monomial(m), dual_motive(M))
-    rhs = (FormalPeriod.atom(PeriodAtom("Delta", (M.label,)),
-                             -(tag.kplus + tag.kminus))
+    rhs = (atom_power(PeriodAtom("Delta", (M.label,)),
+                      -(tag.kplus + tag.kminus))
            * monomial_atoms(m, M))
     exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
     return Relation(f"dual[{M.label},{exps}]",
@@ -495,7 +495,7 @@ def dual_relation(m, M) -> Relation:
 
 
 def delta_tensor(M, N) -> Relation:
-    lhs = FormalPeriod.atom(PeriodAtom("Delta", (y.tensor_label(M, N),)))
+    lhs = atom_power(PeriodAtom("Delta", (y.tensor_label(M, N),)))
     rhs = FormalPeriod.of((PeriodAtom("Delta", (M.label,)), N.n),
                           (PeriodAtom("Delta", (N.label,)), M.n))
     return Relation(f"delta-tensor[{y.tensor_label(M, N)}]",
@@ -511,7 +511,7 @@ def rank2_tensor_expansion(M, N, i: int, sign: int) -> Relation:
     if M.n % 2:
         pairs.append((PeriodAtom("DC", (N.label,
                                         sign * (M.dplus - M.dminus))), 1))
-    lhs = FormalPeriod.atom(PeriodAtom("DC", (y.tensor_label(M, N), sign)))
+    lhs = atom_power(PeriodAtom("DC", (y.tensor_label(M, N), sign)))
     return Relation(f"rank2-expansion[{y.tensor_label(M, N)},{i},{sign:+d}]",
                     "rank-2 auxiliary tensor expansion of c^{+-}",
                     lhs, FormalPeriod.of(*pairs))
@@ -614,10 +614,10 @@ def rel_raghuram(m, pi, sigma) -> Relation:
     _require_critical(m + Fraction(1, 2), pi, sigma)
     eps, eps_prime = raghuram_signs(m, pi, sigma)
     pair = pair_label(pi, sigma)
-    lhs = FormalPeriod.atom(PeriodAtom("LVal", (m + Fraction(1, 2), pair)))
-    rhs = (FormalPeriod.atom(PeriodAtom("ArchZ", (m, pair)))
-           * FormalPeriod.atom(PeriodAtom("BW", (pi.label, eps)))
-           * FormalPeriod.atom(PeriodAtom("BW", (sigma.label, eps_prime)))
+    lhs = atom_power(PeriodAtom("LVal", (m + Fraction(1, 2), pair)))
+    rhs = (atom_power(PeriodAtom("ArchZ", (m, pair)))
+           * atom_power(PeriodAtom("BW", (pi.label, eps)))
+           * atom_power(PeriodAtom("BW", (sigma.label, eps_prime)))
            * sigma.omega)
     return Relation(f"raghuram[m={m},{pair}]",
                     "critical-value factorization over a balanced pair",
@@ -630,9 +630,9 @@ def rel_duality_ratio(m0, pi, sigma) -> Relation:
     parity = pair_epsilon_class(pi.inf, sigma.inf)
     pair = pair_label(pi, sigma)
     dual_pair = f"{dual_label(pi.label)}x{dual_label(sigma.label)}"
-    lhs = FormalPeriod.atom(PeriodAtom("LVal", (m0, pair)))
-    rhs = (FormalPeriod.atom(ATOM_I, parity)
-           * FormalPeriod.atom(PeriodAtom("LVal", (1 - m0, dual_pair)))
+    lhs = atom_power(PeriodAtom("LVal", (m0, pair)))
+    rhs = (atom_power(ATOM_I, parity)
+           * atom_power(PeriodAtom("LVal", (1 - m0, dual_pair)))
            * pi.omega ** sigma.inf.n
            * sigma.omega ** pi.inf.n)
     return Relation(f"duality-ratio[m0={m0},{pair}]",
@@ -650,9 +650,9 @@ def rel_arch_iparity(m1, m2, pi, sigma) -> Relation:
     exp = (m1 - m2) * n * (n - 1) / 2
     assert exp.denominator == 1
     pair = pair_label(pi, sigma)
-    lhs = FormalPeriod.atom(PeriodAtom("ArchZ", (m1, pair)))
-    rhs = (FormalPeriod.atom(PeriodAtom("ArchZ", (m2, pair)))
-           * FormalPeriod.atom(ATOM_I, exp.numerator))
+    lhs = atom_power(PeriodAtom("ArchZ", (m1, pair)))
+    rhs = (atom_power(PeriodAtom("ArchZ", (m2, pair)))
+           * atom_power(ATOM_I, exp.numerator))
     return Relation(f"arch-iparity[{m1},{m2},{pair}]",
                     "i-power comparison of archimedean periods", lhs, rhs)
 
@@ -661,8 +661,8 @@ def rel_twist(m, pi, sigma, w1: int, w2: int, twisted_label: str) -> Relation:
     m = as_fraction(m)
     _require_critical(m + w1 + w2 + Fraction(1, 2), pi, sigma)
     pair = pair_label(pi, sigma)
-    lhs = FormalPeriod.atom(PeriodAtom("ArchZ", (m, twisted_label)))
-    rhs = FormalPeriod.atom(PeriodAtom("ArchZ", (m + w1 + w2, pair)))
+    lhs = atom_power(PeriodAtom("ArchZ", (m, twisted_label)))
+    rhs = atom_power(PeriodAtom("ArchZ", (m + w1 + w2, pair)))
     return Relation(f"arch-twist[{m},{twisted_label}]",
                     "archimedean period comparison under |.|-twists",
                     lhs, rhs)
@@ -673,8 +673,8 @@ def rel_main1(pi, eps: int) -> Relation:
         warnings.warn(f"regularity hypotheses unmet for {pi.label}",
                       stacklevel=2)
     n = pi.inf.n
-    lhs = FormalPeriod.atom(PeriodAtom("BW", (pi.label, eps)))
-    rhs = (FormalPeriod.atom(PeriodAtom("BW", (dual_label(pi.label), eps)))
+    lhs = atom_power(PeriodAtom("BW", (pi.label, eps)))
+    rhs = (atom_power(PeriodAtom("BW", (dual_label(pi.label), eps)))
            * pi.omega ** (n - 1))
     return Relation(f"main1[{pi.label},{eps:+d}]",
                     "period relation under duality", lhs, rhs)
@@ -752,6 +752,35 @@ def bodies(steps) -> list:
             for rel, e in steps]
 
 
+def atom_power(atom, e: int = 1) -> FormalPeriod:
+    """The period atom^e, built by the checked FormalPeriod.of."""
+    return FormalPeriod.of((atom, e))
+
+
+def relation(step) -> Relation:
+    """The Relation of a written step (name, (citation, lhs, rhs), e), its
+    sides built by the checked constructor; the exponent is dropped."""
+    name, (citation, lhs, rhs), _ = step
+    return Relation(name, citation, FormalPeriod(lhs.items()),
+                    FormalPeriod(rhs.items()))
+
+
+def is_written_step(step) -> bool:
+    """Whether step is a written step (str, (str, dict, dict), int), each
+    side a reduced exponent dict: atoms, nonzero int exponents, and the
+    exponent of I taken mod 2."""
+    if not (type(step) is tuple and len(step) == 3):
+        return False
+    name, body, e = step
+    if not (type(name) is str and type(e) is int and type(body) is tuple
+            and len(body) == 3 and type(body[0]) is str):
+        return False
+    return all(type(side) is dict and side.get(ATOM_I, 1) == 1
+               and all(type(a) is PeriodAtom and type(k) is int and k
+                       for a, k in side.items())
+               for side in body[1:])
+
+
 # the corollary-main and main2 derivations composed from checked products,
 # with the corollary's Pi built in full
 
@@ -768,8 +797,8 @@ def rel_rs_twist(pi, eta: FormalPeriod, eta_delta: int, eta_u: int,
     if rank % 2:
         raise ValueError("character-twist relation requires even rank")
     n = rank // 2
-    lhs = FormalPeriod.atom(PeriodAtom("BW", (twisted_label, eps)))
-    rhs = (eta ** (n * (2 * n - 1)) * FormalPeriod.atom(PeriodAtom(
+    lhs = atom_power(PeriodAtom("BW", (twisted_label, eps)))
+    rhs = (eta ** (n * (2 * n - 1)) * atom_power(PeriodAtom(
         "BW", (pi.label, eps * character_sign(eta_delta, eta_u)))))
     return Relation(f"rs-twist[{twisted_label},{eps:+d}]",
                     "character twist of Betti-Whittaker periods", lhs, rhs)
@@ -780,8 +809,8 @@ def rel_corollary_main(label: str, gexp: FormalPeriod) -> Relation:
     of chi^n omega_Pi^{-1}."""
     return Relation(f"corollary-main[{label}]",
                     "sign change of Betti-Whittaker periods",
-                    FormalPeriod.atom(PeriodAtom("BW", (label, 1))),
-                    gexp * FormalPeriod.atom(PeriodAtom("BW", (label, -1))))
+                    atom_power(PeriodAtom("BW", (label, 1))),
+                    gexp * atom_power(PeriodAtom("BW", (label, -1))))
 
 
 def rel_quadratic(g: FormalPeriod) -> Relation:
@@ -822,23 +851,23 @@ def main2_steps(n: int, nprime: int, include_i_power: bool = True,
     pair = "PixSigma"
     m0 = Fraction(nprime, 2)
     ipow = n if include_i_power else 0
-    rel_period = (FormalPeriod.atom(ATOM_I, ipow)
-                  * FormalPeriod.atom(PeriodAtom("BW", ("Pi", eps_num)))
-                  * FormalPeriod.atom(PeriodAtom("BW", ("Pi", -eps_num)), -1))
+    rel_period = (atom_power(ATOM_I, ipow)
+                  * atom_power(PeriodAtom("BW", ("Pi", eps_num)))
+                  * atom_power(PeriodAtom("BW", ("Pi", -eps_num)), -1))
     q_hr = Relation(f"harder-raghuram[{pair},m0={m0}]",
                     "successive critical values against relative periods",
-                    FormalPeriod.atom(PeriodAtom("LVal", (m0, pair))),
-                    FormalPeriod.atom(PeriodAtom("LVal", (m0 + 1, pair)))
+                    atom_power(PeriodAtom("LVal", (m0, pair))),
+                    atom_power(PeriodAtom("LVal", (m0 + 1, pair)))
                     * rel_period ** nprime)
     chi, omega = gauss_fp({"chi": 1}), gauss_fp({"omega_Pi": 1})
     gexp = chi ** n * omega ** -1
     q_c = rel_corollary_main("Pi", gexp)
-    target_rhs = (FormalPeriod.atom(ATOM_I, ipow * nprime)
+    target_rhs = (atom_power(ATOM_I, ipow * nprime)
                   * gexp ** nprime
-                  * FormalPeriod.atom(PeriodAtom("LVal", (m0 + 1, pair))))
+                  * atom_power(PeriodAtom("LVal", (m0 + 1, pair))))
     target = Relation(f"theorem-main2[{pair}]",
                       "ratio of successive critical values",
-                      FormalPeriod.atom(PeriodAtom("LVal", (m0, pair))),
+                      atom_power(PeriodAtom("LVal", (m0, pair))),
                       target_rhs)
     if corrupt:
         target = corrupted(target, chi)
@@ -870,28 +899,26 @@ def motivic_dual_steps(n: int, i: int = None, corrupt: bool = False) -> list:
         mn = y.tensor_label(M, N)
         q3 = Relation(f"deligne-dual[{mn}]",
                       "duality of c^{+-} for the tensor product",
-                      FormalPeriod.atom(PeriodAtom("DC",
-                                                   (dual_label(mn), -1))),
+                      atom_power(PeriodAtom("DC", (dual_label(mn), -1))),
                       FormalPeriod.of((PeriodAtom("Delta", (mn,)), -1),
                                       (PeriodAtom("DC", (mn, 1)), 1)))
-        q_delta = y.delta_tensor(M, N)
+        q_delta = relation(y.delta_tensor(M, N))
         if corrupt:
             q_delta = Relation(q_delta.name + "[corrupted]", q_delta.citation,
-                               q_delta.lhs, q_delta.rhs * FormalPeriod.atom(
+                               q_delta.lhs, q_delta.rhs * atom_power(
                                    PeriodAtom("Delta", (N.label,)), -1))
         target = Relation(f"motivic-dual[{M.label},{idx}]",
                           "duality of the middle fundamental periods",
-                          FormalPeriod.atom(PeriodAtom("DCi",
-                                                       (Md.label, idx))),
+                          atom_power(PeriodAtom("DCi", (Md.label, idx))),
                           FormalPeriod.of(
                               (PeriodAtom("Delta", (M.label,)), -2),
                               (PeriodAtom("DCi", (M.label, idx)), 1)))
-        steps += [(y.rank2_tensor_expansion(M, N, idx, 1), 1),
-                  (y.rank2_tensor_expansion(Md, dual_motive(N), idx, -1),
-                   -1),
+        steps += [(relation(y.rank2_tensor_expansion(M, N, idx, 1)), 1),
+                  (relation(y.rank2_tensor_expansion(Md, dual_motive(N), idx,
+                                                     -1)), -1),
                   (q3, 1), (q_delta, -1),
-                  (y.dual_relation(fdet, N), -idx),
-                  (y.dual_relation(fp, N), -(r - idx) - n % 2),
-                  (y.dual_relation(fm, N), -(r - idx)),
+                  (relation(y.dual_relation(fdet, N)), -idx),
+                  (relation(y.dual_relation(fp, N)), -(r - idx) - n % 2),
+                  (relation(y.dual_relation(fm, N)), -(r - idx)),
                   (target, -1)]
     return steps

@@ -527,6 +527,31 @@ def test_asai(capsys):
     assert code == 0 and not data["regular"]
 
 
+def test_asai_hypotheses_met_and_is_regular_disagree_on_72_pairs(capsys):
+    # two rules for the same GL(4) transfer type (k1 + k2 - 1, |k1 - k2| + 1;
+    # w1 + w2 + 1), pinned as they stand: asai's hypotheses_met asks for
+    # kappa_2 >= 2 and min(k1, k2) >= 3, or >= 4 when k1 + k2 is odd;
+    # oracles.is_regular, the duality theorem's regularity, asks for
+    # kappa_2 >= 3 and a gap of 4, or 6 when w is even.  They disagree
+    # exactly where |k1 - k2| = 1 and min(k1, k2) >= 4: there kappa_2 = 2,
+    # which hypotheses_met accepts and is_regular does not
+    from tests.oracles import is_regular
+    pairs = [(k1, k2) for k1 in range(2, 41) for k2 in range(2, 41)
+             if k1 != k2]
+    disagree = set()
+    for k1, k2 in pairs:
+        code, data, _ = run_json(capsys, "asai", f"--kappa1={k1}",
+                                 f"--w1={k1 % 2}", f"--kappa2={k2}",
+                                 f"--w2={k2 % 2}")
+        assert code == 0
+        t = infinity_types.InfinityType(4, tuple(data["kappa"]), data["w"])
+        if data["hypotheses_met"] != is_regular(t):
+            disagree.add((k1, k2))
+    assert len(pairs) == 1482 and len(disagree) == 72
+    assert disagree == {(k1, k2) for k1, k2 in pairs
+                        if abs(k1 - k2) == 1 and min(k1, k2) >= 4}
+
+
 def test_asai_rejects_invalid_gl2_type(capsys):
     code, _, _ = run(capsys, "asai", "--kappa1", "3", "--w1", "0",
                      "--kappa2", "2", "--w2", "0")

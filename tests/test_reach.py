@@ -42,9 +42,11 @@ NOT_ENTERED = {
     "formal.FormalPeriod.atoms": VALUE,
     "formal.FormalPeriod.__eq__": VALUE,
     "formal.FormalPeriod.__hash__": VALUE,
-    # read by the tests and by the tracer's counter of composed relations
+    # kept for perfbench/tracer.py, whose counter of composed relations
+    # reads len(res.relations), until ROADMAP item 1a; the tests read it too
     "formal.CheckResult.relations": VALUE,
     "formal.CheckResult.__hash__": VALUE,
+    # kept for perfbench/tracer.py, which wraps it by name, until item 1a
     "formal.period_to_json": TRACER,
     "infinity_types.to_arch_rep": TRACER,
     "weil_real.ArchCharacter.__new__": VALUE,

@@ -29,7 +29,7 @@ BUILDS = {
     arch_l.CriticalSet: lambda: arch_l.critical_set(
         InfinityType(2, (4,), 0), InfinityType(1, (), 0)),
     formal.Relation: lambda: formal.Relation(
-        "r", "c", _omega(), formal.FormalPeriod.atom(formal.ATOM_I)),
+        "r", "c", _omega(), formal.FormalPeriod.of((formal.ATOM_I, 1))),
     oracles.AdmissibleTypeTag: lambda: oracles.monomial_type(oracles.f_bw(5)),
     yoshida.FundamentalMonomial: lambda: oracles.f_bw(6, eps=1),
     yoshida.MotiveShape: lambda: yoshida.MotiveShape(

@@ -11,6 +11,7 @@ from periodcalc import yoshida as y
 from periodcalc.formal import FormalPeriod, PeriodAtom
 from periodcalc.infinity_types import InfinityType
 from tests import oracles
+from tests.oracles import atom_power
 
 
 def _reference_type(m):
@@ -174,16 +175,16 @@ def test_a_tensor_with_one_dual_factor_is_not_named_as_a_dual():
     labels = {y.tensor_label(a, b) for a in (M, Md) for b in (N, Nd)}
     assert labels == {"M(x)N", "M(x)(N^v)", "M^v(x)N", "M(x)N^v"}
     # so deligne names M (x) N^v and M^v (x) N^v with two atoms
-    assert (y.tensor_deligne(M, Nd, 1).lhs.atoms()
-            != y.tensor_deligne(Md, Nd, 1).lhs.atoms())
+    assert (y.tensor_deligne(M, Nd, 1)[1][1].keys()
+            != y.tensor_deligne(Md, Nd, 1)[1][1].keys())
 
 
 def test_dual_relation_exponent():
     N = y.MotiveShape("N", 2, 0, (7,), 1, 1)
     fp = y.FundamentalMonomial(2, 1, 1, 0, (), 1, 0)
-    rel = y.dual_relation(fp, N)
+    rel = oracles.relation(y.dual_relation(fp, N))
     # c^-(N^v) = delta(N)^{-1} c^+(N)
-    assert rel.lhs == FormalPeriod.atom(PeriodAtom("DC", ("N^v", -1)))
+    assert rel.lhs == atom_power(PeriodAtom("DC", ("N^v", -1)))
     assert rel.rhs == FormalPeriod.of((PeriodAtom("Delta", ("N",)), -1),
                                       (PeriodAtom("DC", ("N", 1)), 1))
 
@@ -191,7 +192,7 @@ def test_dual_relation_exponent():
 def test_tate_twist_relation_two_pi_i_power():
     M = y.MotiveShape("M", 2, 1, (8,), 1, 1)
     m = oracles.f_bw(2, 1)
-    rel = y.tate_twist_relation(m, M, 3)
+    rel = oracles.relation(y.tate_twist_relation(m, M, 3))
     # k+ d+ + k- d- = 1 for f^+ on rank 2; odd twist dualizes the monomial
     assert rel.rhs.exponent(y.ATOM_TWO_PI_I) == 3
     assert rel.rhs.exponent(PeriodAtom("DC", ("M", -1))) == 1
@@ -200,7 +201,7 @@ def test_tate_twist_relation_two_pi_i_power():
 def test_delta_tensor_exponents():
     M = y.MotiveShape("M", 4, 0, (9, 5), 2, 2)
     N = y.MotiveShape("N", 2, 0, (7,), 1, 1)
-    rel = y.delta_tensor(M, N)
+    rel = oracles.relation(y.delta_tensor(M, N))
     assert rel.rhs.exponent(PeriodAtom("Delta", ("M",))) == 2
     assert rel.rhs.exponent(PeriodAtom("Delta", ("N",))) == 4
 
@@ -208,7 +209,7 @@ def test_delta_tensor_exponents():
 def test_tensor_deligne_even_rank():
     M = y.MotiveShape("M", 4, 0, (9, 5), 2, 2)
     N = y.MotiveShape("N", 3, 0, (7,), 2, 1)
-    rel = y.tensor_deligne(M, N, 1)
+    rel = oracles.relation(y.tensor_deligne(M, N, 1))
     # eps' = d_N+ - d_N- = 1, eps = sign * eps' = +1
     assert rel.rhs.exponent(PeriodAtom("DC", ("M", 1))) == 1
     assert rel.rhs.exponent(PeriodAtom("DCi", ("M", 1))) == 1
@@ -227,7 +228,7 @@ def test_tensor_deligne_requires_good_position():
 def test_rank2_expansion_gap_check():
     M = y.MotiveShape("M", 6, 0, (13, 9, 5), 3, 3)
     N = y.MotiveShape("N", 2, 0, (11,), 1, 1)
-    rel = y.rank2_tensor_expansion(M, N, 1, 1)
+    rel = oracles.relation(y.rank2_tensor_expansion(M, N, 1, 1))
     assert rel.rhs.exponent(PeriodAtom("DCi", ("M", 1))) == 1
     assert rel.rhs.exponent(PeriodAtom("Delta", ("N",))) == 1
     assert rel.rhs.exponent(PeriodAtom("DC", ("N", 1))) == 2
@@ -260,12 +261,13 @@ def test_motive_from_json():
                                                            3, 2)
 
 
-def _checked(rel, want):
-    """rel equals the oracle's relation, and its periods hold only nonzero
-    int exponents, as FormalPeriod's checked constructor leaves them."""
-    assert rel == want
-    for p in (rel.lhs, rel.rhs):
-        assert all(type(e) is int and e for e in p._exp.values())
+def _checked(step, want):
+    """step writes the oracle's relation with exponent 1, and its sides are
+    reduced, as FormalPeriod's checked constructor leaves them."""
+    assert oracles.is_written_step(step), step
+    name, (citation, lhs, rhs), e = step
+    assert (name, citation, lhs, rhs, e) == (want.name, want.citation,
+                                             want.lhs._exp, want.rhs._exp, 1)
 
 
 def _same_atoms(m, M):
@@ -314,7 +316,7 @@ def test_dual_relation_reads_its_type_from_the_monomial(m):
 def test_delta_tensor_of_a_motive_with_itself():
     M = y.MotiveShape("M", 4, 0, (9, 5), 2, 2)
     _checked(y.delta_tensor(M, M), oracles.delta_tensor(M, M))
-    assert y.delta_tensor(M, M).rhs.exponent(PeriodAtom("Delta", ("M",))) == 8
+    assert y.delta_tensor(M, M)[1][2] == {PeriodAtom("Delta", ("M",)): 8}
 
 
 def test_monomial_exponents_are_ints_in_every_relation():
@@ -324,6 +326,33 @@ def test_monomial_exponents_are_ints_in_every_relation():
     m = y.FundamentalMonomial(2, 1, 1, 1, (), 0, 1)
     _checked(y.dual_relation(m, N), oracles.dual_relation(m, N))
     _same_atoms(m, N)
+
+
+def test_every_builder_writes_a_reduced_step():
+    # each builder returns (name, (citation, lhs, rhs), 1), its sides
+    # reduced: a Tate twist by 0 drops (2 pi i)^0, a monomial's zero
+    # exponents are dropped, delta(M (x) M) sums delta(M) into one atom and
+    # an odd-rank expansion sums its extra c^{sign*eps}(N) into c^{+-}(N)
+    M4 = y.MotiveShape("M", 4, 0, (9, 5), 2, 2)
+    M5 = y.MotiveShape("M", 5, 0, (9, 5), 3, 2)
+    N2 = y.MotiveShape("N", 2, 0, (7,), 1, 1)
+    N3 = y.MotiveShape("N", 3, 0, (7,), 2, 1)
+    N4 = y.MotiveShape("N", 4, 0, (7, 3), 2, 2)
+    built = [y.tensor_deligne(M, N, sign)
+             for M, N in ((M4, N3), (M5, N4)) for sign in (1, -1)]
+    built += [y.rank2_tensor_expansion(M, N2, 1, sign)
+              for M in (M4, M5) for sign in (1, -1)]
+    built += [y.delta_tensor(M, N) for M in (M4, M5) for N in (M4, N2)]
+    monos = [oracles.f_bw(4, 1), y.FundamentalMonomial(4, 2, 2, 0, (0,), 0, 0),
+             y.FundamentalMonomial(4, 2, 2, 2, (-1,), 1, -3)]
+    built += [y.dual_relation(m, M4) for m in monos]
+    built += [y.tate_twist_relation(m, M4, t) for m in monos
+              for t in range(-3, 4)]
+    for step in built:
+        assert oracles.is_written_step(step) and step[2] == 1, step
+    assert y.tate_twist_relation(monos[1], M4, 0)[1][1:] == ({}, {})
+    assert y.rank2_tensor_expansion(M5, N2, 1, 1)[1][2][
+        PeriodAtom("DC", ("N", 1))] == 2
 
 
 def _same_relation(build, oracle, *args):
@@ -336,10 +365,10 @@ def _same_relation(build, oracle, *args):
             build(*args)
         assert str(got.value) == str(exc)
         return
-    got = build(*args)
-    assert (got.name, got.citation) == (want.name, want.citation)
-    assert list(got.lhs._exp.items()) == list(want.lhs._exp.items())
-    assert list(got.rhs._exp.items()) == list(want.rhs._exp.items())
+    name, (citation, lhs, rhs), e = build(*args)
+    assert (name, citation, e) == (want.name, want.citation, 1)
+    assert list(lhs.items()) == list(want.lhs._exp.items())
+    assert list(rhs.items()) == list(want.rhs._exp.items())
 
 
 def _splits(n: int) -> list:
