@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_text
 from operator import itemgetter
 
@@ -33,6 +34,7 @@ _ATOMS = {"BW": (str, int), "Gauss": (str,), "ArchZ": (str, str),
           "LVal": (str, str), "Delta": (str,), "DC": (str, int),
           "DCi": (str, int), "TwoPiI": (), "I": ()}
 _SIGNED = frozenset({"BW", "DC"})  # kinds whose int is a sign, +1 or -1
+_LABEL_INT = frozenset({"BW", "DC", "DCi"})  # kinds of a (label, int) payload
 
 
 class PeriodAtom(tuple):
@@ -89,7 +91,7 @@ def _reduced(exp: dict) -> dict:
     if ATOM_I in exp:
         exp[ATOM_I] %= 2
     if 0 in exp.values():
-        exp = {a: e for a, e in exp.items() if e}
+        exp = dict(filter(itemgetter(1), exp.items()))
     return exp
 
 
@@ -160,13 +162,24 @@ class FormalPeriod:
 
 
 def _period(exp: dict, *classes) -> FormalPeriod:
-    """The period prod a^e over exp's items times prod g^k over classes
-    (g, k), g a reduced exponent dict, each class's exponents added into exp
-    in its own order; the trusted accumulator, as FormalPeriod(pairs) is the
-    checked one."""
+    """exp times prod g^k over classes (g, k) of reduced exponent dicts, each
+    added into exp in its own order; the trusted accumulator, as
+    FormalPeriod(pairs) is the checked one."""
+    get = exp.get
     for g, k in classes:
         for a, e in g.items():
-            exp[a] = exp.get(a, 0) + k * e
+            exp[a] = get(a, 0) + k * e
+    return FormalPeriod._of_exp(_reduced(exp))
+
+
+def _summed(steps, exp: dict) -> FormalPeriod:
+    """exp times prod lhs^e rhs^-e over written steps, in one loop."""
+    get = exp.get
+    for _, (_, lhs, rhs), e in steps:
+        for a, k in lhs.items():
+            exp[a] = get(a, 0) + e * k
+        for a, k in rhs.items():
+            exp[a] = get(a, 0) - e * k
     return FormalPeriod._of_exp(_reduced(exp))
 
 
@@ -192,21 +205,20 @@ class Relation(namedtuple("Relation", "name citation lhs rhs")):
 def replay(steps, atoms=()) -> FormalPeriod:
     """The product of lhs/rhs over (name, body, exponent) steps, each body a
     (citation, lhs, rhs) of reduced exponent dicts or a record that load
-    kept, summed per index of atoms and decoded at the end."""
-    classes, sums = [], [0] * len(atoms)
-    for _, body, e in steps:
+    kept, summed per index of atoms, whose nonzero sums are decoded first."""
+    written, sums = [], [0] * len(atoms)
+    for step in steps:
+        _, body, e = step
         e = e if type(e) is int else json_int(e)
         if type(body) is not dict:
-            _, lhs, rhs = body
-            classes += ((lhs, e), (rhs, -e))
+            written.append(step)
             continue
-        for side, s in ((body["lhs"], e), (body["rhs"], -e)):
-            for i, k in side:
-                sums[i] += s * k
-    if atoms:  # decode the nonzero sums of the records that load kept
-        classes.append((FormalPeriod(filter(itemgetter(1),
-                                            zip(atoms, sums)))._exp, 1))
-    return _period({}, *classes)
+        for i, k in body["lhs"]:
+            sums[i] += e * k
+        for i, k in body["rhs"]:
+            sums[i] -= e * k
+    return _summed(written, FormalPeriod(filter(itemgetter(1), zip(
+        atoms, sums)))._exp if atoms else {})
 
 
 class CheckResult(namedtuple("CheckResult", "residual steps i_parity",
@@ -243,11 +255,8 @@ class CheckResult(namedtuple("CheckResult", "residual steps i_parity",
 def derived(steps, i_parity: int = 0) -> CheckResult:
     """The CheckResult of a builtin's written steps, its residual summed on
     the trusted path, as replay is the checked one: prod lhs^e rhs^-e."""
-    classes = []
-    for _, (_, lhs, rhs), e in steps:
-        classes += ((lhs, e), (rhs, -e))
-    return tuple.__new__(CheckResult,
-                         (_period({}, *classes), tuple(steps), i_parity))
+    steps = tuple(steps)
+    return tuple.__new__(CheckResult, (_summed(steps, {}), steps, i_parity))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +264,10 @@ def derived(steps, i_parity: int = 0) -> CheckResult:
 # version-2 record indexes tables that hold each atom and citation once
 
 def atom_to_json(atom: PeriodAtom) -> str:
-    payload = ", ".join([_json_text(x) if type(x) is str else int.__repr__(x)
-                         for x in atom[1]])
-    return f'{{"kind": "{atom[0]}", "payload": [{payload}]}}'
+    kind, payload = atom  # any payload but a (label, int) one is text
+    payload = (f"{_json_text(payload[0])}, {payload[1]}" if kind in _LABEL_INT
+               else ", ".join(map(_json_text, payload)))
+    return f'{{"kind": "{kind}", "payload": [{payload}]}}'
 
 
 def period_to_json(p: FormalPeriod, atoms: dict) -> str:
@@ -285,7 +295,7 @@ def atom_from_json(data: dict) -> PeriodAtom:
     other is typed entry by entry and goes through PeriodAtom, which names
     what is wrong."""
     kind, payload = data["kind"], data.get("payload", [])
-    if (kind in {"BW", "DC", "DCi"} and type(payload) is list
+    if (kind in _LABEL_INT and type(payload) is list
             and len(payload) == 2):
         label, x = payload
         if (type(label) is str and type(x) is int
@@ -379,10 +389,10 @@ class RelationDB:
         """Write the database to path as sorted-key JSON: each distinct atom
         on a line of its own in order of first use, the citations, then one
         relation per line; a failed write leaves path as it was."""
-        atoms, citations = {}, {}
-        lines = ",\n".join([relation_to_json(name, self._body(name), atoms,
-                                              citations)
-                             for name in self.names()])
+        atoms, citations, held = {}, {}, self._relations  # decode kept ones
+        lines = ",\n".join([relation_to_json(
+            name, self._body(name) if type(held[name]) is dict else held[name],
+            atoms, citations) for name in self.names()])
         table = ",\n".join(map(atom_to_json, atoms))
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
@@ -436,11 +446,9 @@ class RelationDB:
                     and c in ok and type(r.get("name")) is str and r["name"]
                     and type(r.get("lhs")) is list is type(r.get("rhs"))):
                 try:  # each pair must be two ints, the first an atom index
-                    for side in r["lhs"], r["rhs"]:
-                        for i, e in side:
-                            if not (type(i) is type(e) is int
-                                    and 0 <= i < size):
-                                raise ValueError
+                    for i, e in chain(r["lhs"], r["rhs"]):
+                        if not (type(i) is type(e) is int and 0 <= i < size):
+                            raise ValueError
                 except (TypeError, ValueError):
                     pass  # relation_from_json names what is wrong
                 else:  # kept as it is, unless its name is taken

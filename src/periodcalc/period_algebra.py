@@ -25,9 +25,9 @@ __all__ = [
 _G_PI = PeriodAtom("Gauss", ("omega_Pi",))
 _G_SIGMA = PeriodAtom("Gauss", ("omega_Sigma",))
 _G_CHI = PeriodAtom("Gauss", ("chi",))
-# the BW atoms of corollary-main and main2, of Pi at both signs and of Pi^v
-_BW = {eps: PeriodAtom("BW", ("Pi", eps)) for eps in (1, -1)}
-_BW_DUAL = PeriodAtom("BW", ("Pi^v", 1))
+# the builtins' BW atoms p(X, eps), keyed by (X, eps)
+_BW = {(label, eps): PeriodAtom("BW", (label, eps))
+       for label in ("Pi", "Pi^v", "Sigma", "Sigma^v") for eps in (1, -1)}
 # the labels of a main1 step's pair and of its duals
 _PAIR, _DUAL_PAIR = "PixSigma", f"{dual_label('Pi')}x{dual_label('Sigma')}"
 
@@ -47,7 +47,7 @@ def _main1(bw, bw_dual, gauss, g: int, e: int, tag: str = "") -> tuple:
     control lowers it, dropped when 0.  The relation holds for regular Pi;
     each caller's docstring shows its Pi regular."""
     label, eps = bw[1]
-    return (f"main1[{label},{eps:+d}]{tag}",
+    return (f"main1[{label},{'+1' if eps == 1 else '-1'}]{tag}",
             ("period relation under duality", {bw: 1},
              {bw_dual: 1, gauss: g} if g else {bw_dual: 1}), e)
 
@@ -57,8 +57,8 @@ def _corollary(gexp: dict, e: int, *corrupt) -> tuple:
     with gexp the Gauss exponents of chi^n omega_Pi^{-1}; the corrupted
     control multiplies the one class (g, k) of corrupt into its rhs."""
     return ("corollary-main[Pi]" + ("[corrupted]" if corrupt else ""),
-            ("sign change of Betti-Whittaker periods", {_BW[1]: 1},
-             _period({**gexp, _BW[-1]: 1}, *corrupt)._exp), e)
+            ("sign change of Betti-Whittaker periods", {_BW["Pi", 1]: 1},
+             _period({**gexp, _BW["Pi", -1]: 1}, *corrupt)._exp), e)
 
 
 def _quadratic(g: dict, e: int) -> tuple:
@@ -92,8 +92,8 @@ def check_main1_step(n: int, w: int, delta: int, m,
     archimedean twist and i-parity comparisons, and the rank-(n-1) relation,
     against the rank-n relation as target.  The input is checked once, at
     the boundary; the step then builds no type, reads its signs from the
-    checked ints, makes its 11 distinct atoms once and writes the seven
-    relations' exponent dicts from them.
+    checked ints, builds its five atoms that depend on m and, with four BW
+    atoms from the module's table, writes the seven relations' sides.
 
     The pair is Pi = (kappa; w) of rank n and Sigma = (ell; delta) of rank
     n - 1, both with sign_choice 0 (tests.oracles.main1_pair builds it in
@@ -147,13 +147,11 @@ def check_main1_step(n: int, w: int, delta: int, m,
     else:
         eps_prime = -1 if ((n - 2) // 2 + delta // 2) % 2 else 1
         eps, parity = flip * eps_prime, n // 2 * (w % 2) % 2
-    # Each distinct atom is built once from checked data, so equal atoms
-    # of the step are one object.
+    # BW atoms from the table, and each atom that depends on m built once
+    # from checked data, so equal atoms of the step are one object
+    bw_p, bw_pd = _BW["Pi", eps], _BW["Pi^v", eps]
+    bw_s, bw_sd = _BW["Sigma", eps_prime], _BW["Sigma^v", eps_prime]
     s0, new = f"{2 * m + 1}/2", tuple.__new__
-    bw_p = new(PeriodAtom, ("BW", ("Pi", eps)))
-    bw_pd = new(PeriodAtom, ("BW", ("Pi^v", eps)))
-    bw_s = new(PeriodAtom, ("BW", ("Sigma", eps_prime)))
-    bw_sd = new(PeriodAtom, ("BW", ("Sigma^v", eps_prime)))
     lval = new(PeriodAtom, ("LVal", (s0, _PAIR)))
     lval_d = new(PeriodAtom, ("LVal", (f"{1 - 2 * m}/2", _DUAL_PAIR)))
     archz = new(PeriodAtom, ("ArchZ", (str(m), _PAIR)))
@@ -167,7 +165,7 @@ def check_main1_step(n: int, w: int, delta: int, m,
     if (m - m2) * (n * (n - 1) // 2) % 2 == 0:
         del iparity[ATOM_I]
     raghuram_cite = "critical-value factorization over a balanced pair"
-    return derived([
+    return derived((
         (f"raghuram[m={m},{_PAIR}]", (raghuram_cite, {lval: 1},
          {archz: 1, bw_p: 1, bw_s: 1, _G_SIGMA: 1}), 1),
         # the class of Sigma^v's central character is Sigma's inverted
@@ -184,7 +182,7 @@ def check_main1_step(n: int, w: int, delta: int, m,
         _main1(bw_s, bw_sd, _G_SIGMA, n - 2, 1),
         # the corrupted control lowers the exponent of G(omega_Pi) by one
         _main1(bw_p, bw_pd, _G_PI, n - 2 if corrupt else n - 1, 1,
-               "[corrupted]" if corrupt else "")])
+               "[corrupted]" if corrupt else "")))
 
 
 def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
@@ -212,10 +210,10 @@ def check_corollary_main(n: int, orthogonal: bool = True, chi_expr=None,
     gexp = _period({}, (chi, n), ({_G_PI: 1}, -1))._exp
     # p(Pi^v, +) = G(chi^{-1})^{n(2n-1)} p(Pi, eps(chi^{-1}_inf)), where
     # eps(sgn^delta) = (-1)^delta and delta = 1 for a chi-orthogonal Pi
-    sign = {_BW[-1 if orthogonal else 1]: 1}
-    steps = [_main1(_BW[1], _BW_DUAL, _G_PI, 2 * n - 1, 1),
+    sign = {_BW["Pi", -1 if orthogonal else 1]: 1}
+    steps = [_main1(_BW["Pi", 1], _BW["Pi^v", 1], _G_PI, 2 * n - 1, 1),
              ("rs-twist[Pi^v,+1]", ("character twist of Betti-Whittaker "
-              "periods", {_BW_DUAL: 1},
+              "periods", {_BW["Pi^v", 1]: 1},
               _period({}, (chi, -n * (2 * n - 1)), (sign, 1))._exp), 1),
              _corollary(gexp, -1, (chi, 1)) if corrupt
              else _corollary(gexp, -1)]
@@ -246,7 +244,8 @@ def check_theorem_main2(n: int, nprime: int, include_i_power: bool = True,
     ipar = n % 2 if include_i_power else 0
     lval, lval1 = (tuple.__new__(PeriodAtom, ("LVal", (f"{k}/2", _PAIR)))
                    for k in (nprime, nprime + 2))
-    hr = {lval1: 1, ATOM_I: 1, _BW[eps_num]: nprime, _BW[-eps_num]: -nprime}
+    hr = {lval1: 1, ATOM_I: 1, _BW["Pi", eps_num]: nprime,
+          _BW["Pi", -eps_num]: -nprime}
     # the corrupted control multiplies one more G(chi) into the target
     ratio = {ATOM_I: 1, _G_CHI: n * nprime + 1 if corrupt else n * nprime,
              _G_PI: -nprime, lval1: 1}

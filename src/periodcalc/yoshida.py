@@ -178,11 +178,12 @@ def rank2_tensor_expansion(M: MotiveShape, N: MotiveShape, i: int,
     ell = N.kappa[0]
     if not M.kappa[i] < ell < M.kappa[i - 1]:
         raise ValueError("N is not in the i-th Hodge gap of M")
+    if M.label == N.label:  # M and N have different ranks
+        raise ValueError(f"M and N share the label {M.label!r}")
     # at odd rank eps = d+ - d- is +-1, and c^{sign*eps}(N) occurs once more
-    extra = ()
-    if M.n % 2:
-        eps = M.dplus - M.dminus
-        extra = (({PeriodAtom("DC", (N.label, sign * eps)): 1}, 1),)
+    eps = M.dplus - M.dminus
+    extra = ([({PeriodAtom("DC", (N.label, sign * eps)): 1}, 1)] if M.n % 2
+             else [])
     rhs = {PeriodAtom("DCi", (M.label, i)): 1,
            PeriodAtom("Delta", (N.label,)): i,
            PeriodAtom("DC", (N.label, 1)): r - i,

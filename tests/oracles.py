@@ -503,6 +503,8 @@ def delta_tensor(M, N) -> Relation:
 
 
 def rank2_tensor_expansion(M, N, i: int, sign: int) -> Relation:
+    if M.label == N.label:  # N has rank 2 and M does not
+        raise ValueError(f"M and N share the label {M.label!r}")
     r = M.n // 2
     pairs = [(PeriodAtom("DCi", (M.label, i)), 1),
              (PeriodAtom("Delta", (N.label,)), i),

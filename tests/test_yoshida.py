@@ -418,6 +418,30 @@ def test_tensor_deligne_matches_the_calculus_of_the_oracle():
     assert cases > 300
 
 
+def test_rank2_expansion_refuses_a_shared_label():
+    # as tensor_deligne does, at even and odd rank: N has rank 2 and M does
+    # not, so one label would name two motives; the sign, rank, i and
+    # Hodge-gap checks come first, each with its own line
+    for M in (y.MotiveShape("A", 6, 0, (13, 9, 5), 3, 3),
+              y.MotiveShape("A", 5, 0, (13, 9), 3, 2)):
+        N = y.MotiveShape("A", 2, 0, (11,), 1, 1)
+        for sign in (1, -1):
+            _same_relation(y.rank2_tensor_expansion,
+                           oracles.rank2_tensor_expansion, M, N, 1, sign)
+            with pytest.raises(ValueError,
+                               match="^M and N share the label 'A'$"):
+                y.rank2_tensor_expansion(M, N, 1, sign)
+        N3 = y.MotiveShape("A", 3, 0, (7,), 2, 1)
+        for args, message in (
+                ((M, N, 1, 0), r"^sign must be \+1 or -1$"),
+                ((M, N3, 1, 1), "^auxiliary motive must have rank 2$"),
+                ((M, N, M.n // 2, 1), r"^i must lie in 1\.\.floor"),
+                ((M, y.MotiveShape("A", 2, 0, (15,), 1, 1), 1, 1),
+                 "^N is not in the i-th Hodge gap of M$")):
+            with pytest.raises(ValueError, match=message):
+                y.rank2_tensor_expansion(*args)
+
+
 def test_tate_twist_relation_matches_the_calculus_of_the_oracle():
     rng = random.Random(35)
     for n in range(1, 17):
