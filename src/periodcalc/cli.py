@@ -46,6 +46,11 @@ def _check_rank(n: int, what: str):
         raise SchemaError(f"{what} = {n} exceeds the largest rank {MAX_RANK}")
 
 
+def _check_kappa(k: int, what: str):
+    if k > MAX_KAPPA:
+        raise SchemaError(f"{what} {k} exceeds the largest kappa {MAX_KAPPA}")
+
+
 def _check_w(w: int, what: str):
     if abs(w) > MAX_W:
         raise SchemaError(f"{what} exceeds the largest |w| {MAX_W}")
@@ -74,9 +79,8 @@ def _parse_payload(text: str, cls):
 
 def _check_caps(obj, cls):
     _check_rank(obj.n, f"{cls.__name__} n")
-    if obj.kappa and obj.kappa[0] > MAX_KAPPA:
-        raise SchemaError(f"{cls.__name__} kappa {obj.kappa[0]} exceeds "
-                          f"the largest kappa {MAX_KAPPA}")
+    if obj.kappa:
+        _check_kappa(obj.kappa[0], f"{cls.__name__} kappa")
     _check_w(obj.w if cls is InfinityType else obj.weight,
              f"{cls.__name__} weight")
     return obj
@@ -303,9 +307,7 @@ def cmd_check(args) -> int:
 def cmd_asai(args) -> int:
     k1, k2, w1, w2 = args.kappa1, args.kappa2, args.w1, args.w2
     for i, k, w in ((1, k1, w1), (2, k2, w2)):
-        if k > MAX_KAPPA:
-            raise SchemaError(f"--kappa{i} {k} exceeds the largest kappa "
-                              f"{MAX_KAPPA}")
+        _check_kappa(k, f"--kappa{i}")
         _check_w(w, f"--w{i}")
     for k, w in ((k1, w1), (k2, w2)):
         if k < 2 or (k - w) % 2:

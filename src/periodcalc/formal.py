@@ -114,7 +114,7 @@ class FormalPeriod:
     @classmethod
     def _of_exp(cls, exp: dict) -> "FormalPeriod":
         """Wrap a reduced dict of checked atoms.  Several periods may wrap
-        one dict, as each read of CheckResult.relations does: no code
+        one dict, as each print of a written step's sides does: no code
         mutates a dict once it is wrapped."""
         p = object.__new__(cls)
         p._exp = exp
@@ -195,13 +195,6 @@ def gauss_fp(expr: dict) -> FormalPeriod:
                         for lbl, e in expr.items())
 
 
-class Relation(namedtuple("Relation", "name citation lhs rhs")):
-    """The cited identity lhs = rhs of two formal periods: the view of a
-    written step that CheckResult.relations gives; no writer builds one."""
-
-    __slots__ = ()
-
-
 def replay(steps, atoms=()) -> FormalPeriod:
     """The product of lhs/rhs over (name, body, exponent) steps, each body a
     (citation, lhs, rhs) of reduced exponent dicts or a record that load
@@ -224,16 +217,12 @@ def replay(steps, atoms=()) -> FormalPeriod:
 class CheckResult(namedtuple("CheckResult", "residual steps i_parity",
                              defaults=((), 0))):
     """A replay's residual, its (name, body, exponent) steps as written and
-    its i-parity; relations wraps the steps on each read, so a caller that
-    reads only the verdict builds no record."""
+    its i-parity."""
 
     __slots__ = ()
 
-    @property
-    def relations(self) -> tuple:
-        p = FormalPeriod._of_exp
-        return tuple([(Relation(name, citation, p(lhs), p(rhs)), e)
-                      for name, (citation, lhs, rhs), e in self[1]])
+    # the steps, whose count perfbench's tracer reads until ROADMAP item 1a
+    relations = property(itemgetter(1))
 
     def __hash__(self):  # of the fields that hold no dict
         return hash((self[0], self[2]))

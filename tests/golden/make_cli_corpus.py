@@ -315,23 +315,16 @@ def _pinned():
     yield from _malformed(3)
 
 
-# a version-2 file whose atom table lists I twice; its relation r leaves
-# the residual TwoPiI^1
-TWICE_I_DB = ('{"atoms": [{"kind": "I", "payload": []}, {"kind": "I", '
-              '"payload": []}, {"kind": "TwoPiI", "payload": []}], '
-              '"citations": ["c"], "relations": [{"citation": 0, "lhs": '
-              '[[0, 1], [2, 1]], "name": "r", "rhs": [[1, -1]]}, '
-              '{"citation": 0, "lhs": [[1, 1]], "name": "s", "rhs": []}], '
-              '"version": 2}')
-
-
 def _residual_replays():
     """DB replays that leave a residual, so the replay decodes the nonzero
-    sums of the records it kept: a hand-written file and the DB of a
-    corrupted main1 step replayed with its own steps."""
-    script = '[{"relation": "r", "exponent": 1}]'
-    yield (["--json", "check", "--db", "@rel.json", "--script", script],
-           {"rel.json": TWICE_I_DB}, None)
+    sums of the records it kept: the version-2 file of tests/smoke.py that
+    lists I twice in its atom table, where relation r leaves the residual
+    TwoPiI^1, and the DB of a corrupted main1 step replayed with its own
+    steps."""
+    from tests.smoke import FILES, STEP_R
+
+    yield (["--json", "check", "--db", "@rel.json", "--script", STEP_R],
+           {"rel.json": FILES["twice_i.json"]}, None)
     written, script = _db_and_steps(["check", "main1", "--n", "7",
                                      "--corrupt"])
     yield (["--json", "check", "--db", "@rel.json", "--script", "@script.json"],

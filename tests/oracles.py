@@ -4,7 +4,8 @@ Each computes an answer a second way, apart from the fast path it checks:
 on the multiset of Weil-group constituents (Hom-dimensions, determinants,
 epsilon classes), on their restriction to C^x, or on the Gamma factors of a
 pair's tensor parameter (the brute-force lattice scan, one pass over the
-factors, and Raghuram's even-rank interval); the relation DB records as
+factors, and Raghuram's even-rank interval); the record view of a
+result's written steps (Relation, relations); the relation DB records as
 dicts and their checked decoding, and a DB file loaded by decoding every
 side, its script replayed by the group operations; the Yoshida relations as
 products of checked periods, built through the general calculus of
@@ -34,7 +35,7 @@ from periodcalc import arch_l, formal, weil_real as wr
 from periodcalc import period_algebra as pa
 from periodcalc import yoshida as y
 from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
-                               PeriodAtom, Relation, dual_label, gauss_fp)
+                               PeriodAtom, dual_label, gauss_fp)
 from periodcalc.infinity_types import (InfinityType, character_sign,
                                        interlaces, json_int, json_list,
                                        json_str, to_arch_rep)
@@ -245,6 +246,23 @@ def raghuram_interval(pi, sigma) -> list:
     offset = Fraction(sigma.n, 2)
     return [k + offset for k in range(math.ceil(lo - offset),
                                       math.floor(hi - offset) + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the record view of a written step (name, (citation, lhs, rhs), exponent),
+# its sides FormalPeriods: what the oracle builders compose and what the
+# tests read a builtin's steps through
+
+Relation = namedtuple("Relation", "name citation lhs rhs")
+
+
+def relations(res) -> tuple:
+    """The (Relation, exponent) steps of a CheckResult, each side wrapping
+    its step's own dict, so key orders and atom identities read as
+    written."""
+    p = FormalPeriod._of_exp
+    return tuple([(Relation(name, citation, p(lhs), p(rhs)), e)
+                  for name, (citation, lhs, rhs), e in res.steps])
 
 
 # ---------------------------------------------------------------------------

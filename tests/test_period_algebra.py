@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 from periodcalc import arch_l, formal, infinity_types, weil_real
 from periodcalc import period_algebra as pa
 from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
-                               PeriodAtom, Relation, atom_from_json, gauss_fp,
+                               PeriodAtom, atom_from_json, gauss_fp,
                                period_from_json, period_to_json,
                                relation_from_json, relation_to_json)
 from periodcalc.infinity_types import InfinityType, as_fraction, json_int
-from tests import dbcheck, oracles
+from tests import dbcheck, oracles, smoke
 from tests.golden.make_cli_corpus import CORPUS
 from tests.golden.malformed import MALFORMED_DB
-from tests.oracles import atom_power, atom_to_json
+from tests.oracles import Relation, atom_power, atom_to_json
 
 with open(CORPUS) as fh:
     GOLDEN = [json.loads(line) for line in fh]
@@ -251,7 +251,7 @@ def test_rel_duality_ratio_i_parity_matches_epsilon_class():
     for n, w, delta in [(2, 0, 0), (2, 1, 2), (3, 0, 1), (4, 1, 0),
                         (5, 2, -1), (6, -1, 2), (7, 0, 3)]:
         res = pa.check_main1_step(n, w, delta, 1)
-        rel, = (r for r, _ in res.relations
+        rel, = (r for r, _ in oracles.relations(res)
                 if r.name.startswith("duality-ratio"))
         expected = ((w + delta) * n * (n - 1) // 2) % 2
         assert rel.rhs.exponent(ATOM_I) == expected, (n, w, delta)
@@ -288,8 +288,8 @@ def test_rel_main1_rank_one_trivial_gauss():
 
 
 def _step_relation(step) -> Relation:
-    """The relation of one written step, as CheckResult.relations reads it."""
-    ((rel, _),) = formal.derived([step]).relations
+    """The relation of one written step, as oracles.relations reads it."""
+    ((rel, _),) = oracles.relations(formal.derived([step]))
     return rel
 
 
@@ -513,8 +513,9 @@ def test_main1_relations_match_the_oracle_builders(n, w, delta_half, m,
         assert new[1] == want[1] == []
         assert new[0][0] is ValueError and not isinstance(want[0], list)
         return
-    assert (list(new[0].relations), new[1]) == want, (n, w, delta, m)
-    assert _sides(new[0].relations) == _sides(want[0]), (n, w, delta, m)
+    got = oracles.relations(new[0])
+    assert (list(got), new[1]) == want, (n, w, delta, m)
+    assert _sides(got) == _sides(want[0]), (n, w, delta, m)
     assert new[0].residual == formal.replay(oracles.bodies(want[0]))
 
 
@@ -568,8 +569,8 @@ def test_a_main1_step_builds_each_atom_once():
             res = pa.check_main1_step(n, w, delta, m, corrupt=corrupt)
         except ValueError:
             continue
-        held = [a for rel, _ in res.relations for side in (rel.lhs, rel.rhs)
-                for a in side._exp]
+        held = [a for rel, _ in oracles.relations(res)
+                for side in (rel.lhs, rel.rhs) for a in side._exp]
         assert len(set(map(id, held))) == len(set(held)), (n, w, delta, m)
         checked += 1
     assert checked == 112
@@ -585,8 +586,9 @@ def test_main1_steps_match_the_oracle_over_a_grid():
         except ValueError:
             continue
         steps = oracles.main1_steps(n, w, delta, m, corrupt)
-        assert list(res.relations) == steps, (n, w, delta, m, corrupt)
-        assert _sides(res.relations) == _sides(steps)
+        got = oracles.relations(res)
+        assert list(got) == steps, (n, w, delta, m, corrupt)
+        assert _sides(got) == _sides(steps)
         assert res.residual == formal.replay(oracles.bodies(steps))
         checked += 1
     assert checked == 7020
@@ -634,7 +636,7 @@ def _step_signs(res) -> tuple:
     """(eps, eps', class) as a main1 step wrote them: the signs of its
     main1[Pi] and main1[Sigma] lhs atoms, and the I exponent of its
     duality ratio."""
-    rels = [rel for rel, _ in res.relations]
+    rels = [rel for rel, _ in oracles.relations(res)]
     (bw_pi,), (bw_sigma,) = rels[6].lhs._exp, rels[5].lhs._exp
     return bw_pi.payload[1], bw_sigma.payload[1], rels[2].rhs.exponent(ATOM_I)
 
@@ -692,7 +694,7 @@ def test_the_functional_equation_drops_the_two_pi_power_of_arch_iparity():
         assert k == (m - m2) * n * (n - 1) // 2, (n, w, delta, m)
         assert all(a.denominator == 1 and a > 0 for a in args), (n, w,
                                                                  delta, m)
-        iparity = res.relations[4][0]
+        iparity = oracles.relations(res)[4][0]
         assert iparity.rhs.exponent(ATOM_I) == k % 2, (n, w, delta, m)
         checked += 1
     # one central point at each even rank up to 32, and odd w is rejected
@@ -774,7 +776,7 @@ def test_corollary_branches():
 
 def test_main2_even_nprime_is_identity():
     res = pa.check_theorem_main2(3, 2)
-    assert res.is_ok and res.i_parity == 0 and not res.relations
+    assert res.is_ok and res.i_parity == 0 and not oracles.relations(res)
 
 
 def test_main2_i_parity_and_toggle():
@@ -795,8 +797,8 @@ CHI_EXPRS = (None, {"chi": 1}, {"eta": 1}, {"omega_Pi": 1}, {"chi": 2},
 
 def _same_replay(res, steps, i_parity=0):
     """res has the oracle's steps, side key orders, residual and parity."""
-    assert list(res.relations) == steps
-    assert _sides(res.relations) == _sides(steps)
+    assert list(oracles.relations(res)) == steps
+    assert _sides(oracles.relations(res)) == _sides(steps)
     assert res.residual == formal.replay(oracles.bodies(steps))
     assert res.i_parity == i_parity
 
@@ -832,10 +834,12 @@ def test_an_empty_chi_expr_is_the_trivial_character():
     for n, orthogonal in product((1, 2, 5), (True, False)):
         empty = pa.check_corollary_main(n, orthogonal, {})
         zero = pa.check_corollary_main(n, orthogonal, {"chi": 0})
-        assert _sides(empty.relations) == _sides(zero.relations)
+        default = pa.check_corollary_main(n, orthogonal)
+        assert (_sides(oracles.relations(empty))
+                == _sides(oracles.relations(zero)))
         assert empty.residual == zero.residual
-        assert (_sides(pa.check_corollary_main(n, orthogonal).relations)
-                != _sides(empty.relations))
+        assert (_sides(oracles.relations(default))
+                != _sides(oracles.relations(empty)))
 
 
 @pytest.mark.parametrize("nprime", [2, 3])
@@ -899,25 +903,20 @@ VERDICT_ONLY = {
 
 
 @pytest.mark.parametrize("builtin", VERDICT_ONLY)
-def test_a_verdict_only_call_builds_no_relation(builtin, monkeypatch):
-    # a caller that reads the verdict and the script builds no Relation:
-    # the name is not even looked up until relations is read, which still
-    # gives the oracle's steps, side key orders and residual
+def test_a_verdict_only_call_builds_no_relation(builtin):
+    # a caller that reads the verdict and the script builds no Relation, as
+    # formal defines none; the record view of the steps still gives the
+    # oracle's steps, side key orders and residual
     check, args, oracle = VERDICT_ONLY[builtin]
-
-    def no_relation(*args):
-        raise AssertionError("a Relation was built")
-
+    assert "Relation" not in vars(formal)
     for corrupt in (False, True):
-        monkeypatch.setattr(formal, "Relation", no_relation)
         res = check(*args, corrupt=corrupt)
         assert res.is_ok is not corrupt
         assert (res.offending_atom() is None) is not corrupt
         script = res.to_script()
-        monkeypatch.undo()
         steps = oracle(*args, corrupt)
-        assert list(res.relations) == steps
-        assert _sides(res.relations) == _sides(steps)
+        assert list(oracles.relations(res)) == steps
+        assert _sides(oracles.relations(res)) == _sides(steps)
         assert res.residual == formal.replay(oracles.bodies(steps))
         assert script == [{"relation": rel.name, "exponent": e}
                           for rel, e in steps]
@@ -943,7 +942,7 @@ def test_motivic_dual_matches_the_yoshida_builders():
             for corrupt in (False, True):
                 res = pa.check_motivic_dual(n, i=i, corrupt=corrupt)
                 steps = oracles.motivic_dual_steps(n, i, corrupt)
-                assert _sides(res.relations) == _sides(steps), (n, i)
+                assert _sides(oracles.relations(res)) == _sides(steps), (n, i)
                 want = formal.replay(oracles.bodies(steps))
                 assert (list(res.residual._exp.items())
                         == list(want._exp.items())), (n, i, corrupt)
@@ -956,8 +955,8 @@ def test_a_motivic_dual_derivation_builds_each_atom_once():
     for n, i, corrupt in product((4, 5, 9, 64, 255, 256), (None, 1),
                                  (False, True)):
         res = pa.check_motivic_dual(n, i=i, corrupt=corrupt)
-        held = [a for rel, _ in res.relations for side in (rel.lhs, rel.rhs)
-                for a in side._exp]
+        held = [a for rel, _ in oracles.relations(res)
+                for side in (rel.lhs, rel.rhs) for a in side._exp]
         assert len(set(map(id, held))) == len(set(held)), (n, i, corrupt)
         # 11 atoms in each gap, and delta(M): 127 gaps at n = 256
         gaps = (n // 2 - 1) if i is None else 1
@@ -1167,6 +1166,19 @@ def test_derived_keeps_a_tuple_of_steps_as_it_is():
         assert formal.derived(other, 1) == formal.derived(steps, 1)
 
 
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("builtin", sorted(BUILTINS))
+def test_a_results_relations_are_its_written_steps(builtin, corrupt):
+    # relations is the steps tuple itself, so a read builds nothing, and its
+    # length, which the benchmark tracer counts, is the script's; formal
+    # defines no Relation
+    assert "Relation" not in vars(formal)
+    for n in range(2, 12):
+        res = BUILTINS[builtin](n, corrupt)
+        assert res.relations is res.steps, n
+        assert len(res.relations) == len(res.to_script()), n
+
+
 def test_a_main1_step_takes_its_bw_atoms_from_the_table():
     # at every rank and at both signs, each BW atom of a step, valid or
     # corrupted, is the table's own object, and the step reaches every
@@ -1220,8 +1232,8 @@ QUAD = oracles.rel_quadratic(gauss_fp({"chi": 1}))
 
 def test_register_rejects_a_name_collision():
     # two written steps under one name with different bodies
-    other = formal.Relation(QUAD.name, "different", FormalPeriod(),
-                            gauss_fp({"chi": 1}))
+    other = Relation(QUAD.name, "different", FormalPeriod(),
+                     gauss_fp({"chi": 1}))
     res = formal.derived(oracles.bodies([(QUAD, 1), (other, 1)]))
     with pytest.raises(ValueError, match="already present"):
         res.register(formal.RelationDB())
@@ -1233,13 +1245,13 @@ def test_the_collision_rule_holds_against_bodies_and_kept_records(tmp_path):
     # holds a registered body, one written from a relation or a record that
     # load kept
     res = pa.check_corollary_main(3)
-    rel = res.relations[0][0]
+    rel = oracles.relations(res)[0][0]
     others = [rel._replace(citation="different"),
               rel._replace(lhs=rel.lhs * atom_power(ATOM_I)),
               rel._replace(rhs=FormalPeriod())]
     path = str(tmp_path / "relations.json")
     added = formal.RelationDB()
-    _add(added, *(r for r, _ in res.relations))
+    _add(added, *(r for r, _ in oracles.relations(res)))
     registered = formal.RelationDB()
     res.register(registered)
     registered.save(path)
@@ -1305,30 +1317,26 @@ def test_load_and_check_script_make_as_many_calls_per_hodge_gap(tmp_path):
 
 
 @pytest.mark.parametrize("builtin", VERDICT_ONLY)
-def test_a_db_round_trip_builds_no_relation(builtin, tmp_path, monkeypatch):
+def test_a_db_round_trip_builds_no_relation(builtin, tmp_path):
     # register, save, load, check_script and a save of the loaded DB build
-    # no Relation and give the in-memory residual and the same bytes; so do
-    # a load and replay of the derivation as a version-1 file, and of its
-    # version-2 file with a second copy of a record, which the int pass
-    # does not keep since its name is taken; a DB filled from the relations
-    # view saves those bytes and holds equal bodies
+    # no Relation, as formal defines none, and give the in-memory residual
+    # and the same bytes; so do a load and replay of the derivation as a
+    # version-1 file, and of its version-2 file with a second copy of a
+    # record, which the int pass does not keep since its name is taken; a
+    # DB filled from the record view saves those bytes and holds equal
+    # bodies
     check, args, _ = VERDICT_ONLY[builtin]
     path, again = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     v1, copied = str(tmp_path / "v1.json"), str(tmp_path / "copied.json")
-
-    def no_relation(*args):
-        raise AssertionError("a Relation was built")
-
+    assert "Relation" not in vars(formal)
     for corrupt in (False, True):
         res = check(*args, corrupt=corrupt)
-        _write_v1(v1, [rel for rel, _ in res.relations], {}, None)
+        _write_v1(v1, [rel for rel, _ in oracles.relations(res)], {}, None)
         _write_db(res, copied)
         data = json.loads(_read(copied))
         data["relations"].append(data["relations"][0])
         with open(copied, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
-        monkeypatch.setattr(formal, "Relation", no_relation)
-        res = check(*args, corrupt=corrupt)
         db = formal.RelationDB()
         res.register(db)
         db.save(path)
@@ -1338,12 +1346,11 @@ def test_a_db_round_trip_builds_no_relation(builtin, tmp_path, monkeypatch):
         loaded.save(again)
         fallback = [formal.check_script(formal.RelationDB.load(p),
                                         res.to_script()) for p in (v1, copied)]
-        monkeypatch.undo()
         assert replayed == in_memory == res.residual
         assert fallback == [res.residual] * 2
         assert _read(again) == _read(path)
         added = formal.RelationDB()
-        _add(added, *(rel for rel, _ in res.relations))
+        _add(added, *(rel for rel, _ in oracles.relations(res)))
         added.save(again)
         assert _read(again) == _read(path)
         assert added.names() == db.names() == loaded.names()
@@ -1745,24 +1752,11 @@ def test_a_loaded_version_2_file_replays_without_decoding_a_side(
     assert residual == res.residual and len(built) == 1
 
 
-# the hand-written version-2 files of CI's smoke steps and their scripts: a
-# table that lists I twice, whose exponents cancel once merged and taken
-# mod 2, and a name repeated with another body
-CI_DB_FILES = [
-    ('{"atoms": [{"kind": "I", "payload": []}, {"kind": "I", "payload": []}, '
-     '{"kind": "TwoPiI", "payload": []}], "citations": ["c"], "relations": '
-     '[{"citation": 0, "lhs": [[0, 1], [2, 1]], "name": "r", "rhs": '
-     '[[1, -1]]}, {"citation": 0, "lhs": [[1, 1]], "name": "s", "rhs": []}], '
-     '"version": 2}', '[{"relation": "r", "exponent": 1}]'),
-    ('{"atoms": [{"kind": "TwoPiI", "payload": []}], "citations": ["c"], '
-     '"relations": [{"citation": 0, "lhs": [[0, 1]], "name": "r", "rhs": []}'
-     ', {"citation": 0, "lhs": [], "name": "r", "rhs": []}], "version": 2}',
-     '[{"relation": "r", "exponent": 1}]')]
-
-
 def _golden_replays():
     """(DB text, script) of each golden `check --db F --script S` request,
-    of each malformed --db file, and of the two version-2 files of CI."""
+    of each malformed --db file, and of the hand-written version-2 files of
+    tests/smoke.py: a table that lists I twice, whose exponents cancel once
+    merged and taken mod 2, and a name repeated with another body."""
     for r in GOLDEN:
         argv = [a for a in r["argv"] if a not in ("--json", "--verbose")]
         files = r.get("files", {})
@@ -1773,7 +1767,8 @@ def _golden_replays():
                    files[script[1:]] if script.startswith("@") else script)
     for text in MALFORMED_DB.values():
         yield text, '[{"relation": "r", "exponent": 1}]'
-    yield from CI_DB_FILES
+    for name in ("twice_i.json", "two_bodies.json"):
+        yield smoke.FILES[name], smoke.STEP_R
 
 
 def test_every_golden_and_malformed_db_file_replays_as_the_oracle(tmp_path):
@@ -1919,7 +1914,7 @@ def test_duplicate_relation_names_need_replace():
     db = formal.RelationDB()
     _add(db, QUAD)
     _add(db, oracles.rel_quadratic(gauss_fp({"chi": 1})))  # identical: fine
-    other = formal.Relation(QUAD.name, "different", FormalPeriod(),
-                            gauss_fp({"chi": 1}))
+    other = Relation(QUAD.name, "different", FormalPeriod(),
+                     gauss_fp({"chi": 1}))
     with pytest.raises(ValueError):
         _add(db, other)

@@ -42,9 +42,6 @@ NOT_ENTERED = {
     "formal.FormalPeriod.atoms": VALUE,
     "formal.FormalPeriod.__eq__": VALUE,
     "formal.FormalPeriod.__hash__": VALUE,
-    # kept for perfbench/tracer.py, whose counter of composed relations
-    # reads len(res.relations), until ROADMAP item 1a; the tests read it too
-    "formal.CheckResult.relations": VALUE,
     "formal.CheckResult.__hash__": VALUE,
     # kept for perfbench/tracer.py, which wraps it by name, until item 1a
     "formal.period_to_json": TRACER,

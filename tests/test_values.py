@@ -28,8 +28,6 @@ BUILDS = {
     InfinityType: lambda: InfinityType(3, [7], 2, 1),
     arch_l.CriticalSet: lambda: arch_l.critical_set(
         InfinityType(2, (4,), 0), InfinityType(1, (), 0)),
-    formal.Relation: lambda: formal.Relation(
-        "r", "c", _omega(), formal.FormalPeriod.of((formal.ATOM_I, 1))),
     oracles.AdmissibleTypeTag: lambda: oracles.monomial_type(oracles.f_bw(5)),
     yoshida.FundamentalMonomial: lambda: oracles.f_bw(6, eps=1),
     yoshida.MotiveShape: lambda: yoshida.MotiveShape(
