@@ -5,7 +5,9 @@ files it reads (name -> text), the exit code, stdout, stderr and the messages
 of the warnings it raised, and for a `check ... --db` run the text of the
 relation database it wrote. An argv entry "@name" stands for the file `name`
 in the run's own empty directory, and that directory is written as "@" in the
-outputs, so a record does not depend on where it runs.
+outputs, so a record does not depend on where it runs. The file holds one
+record per request, its lines sorted, so where a source yields a request does
+not matter and a regenerated diff shows exactly the records that changed.
 
 `tests/test_golden_cli.py` replays every record and wants each byte back.
 Regenerate the corpus only on purpose, and list every record that changed:
@@ -243,23 +245,20 @@ def _infinity_type(rng):
             "infinity-type", "--type", json.dumps(t), "--round-trip"]
 
 
-def _malformed(part=0):
-    """Every input of test_malformed_input_exits_2_with_one_line before
-    PINNED (part 0), from PINNED to LISTS (1), from LISTS to LATE_MALFORMED
-    (2) or from LATE_MALFORMED on (3), each with the files it reads."""
-    from tests.golden.malformed import (FILES, LATE_MALFORMED, LISTS,
-                                        MALFORMED, PINNED)
+def _malformed():
+    """Every input of test_malformed_input_exits_2_with_one_line and of
+    test_rejected_input_exits_1_with_one_line, each with the files it
+    reads."""
+    from tests.golden.malformed import FILES, MALFORMED, REJECTED
 
-    bounds = (0, PINNED, LISTS, LATE_MALFORMED, None)
-    for argv in list(MALFORMED.values())[bounds[part]:bounds[part + 1]]:
+    for argv in [*MALFORMED.values(), *REJECTED.values()]:
         used = {a[1:]: FILES[a[1:]] for a in argv
                 if a.startswith("@") and a[1:] in FILES}
         yield argv, used or None, None
 
 
 def _defaults():
-    """A builtin with every flag but --n left at its default; appended after
-    the malformed inputs, so the records before it keep their lines."""
+    """A builtin with every flag but --n left at its default."""
     yield ["check", "main1", "--n", "4"]
     yield ["--json", "check", "main1", "--n", "4"]
 
@@ -299,22 +298,6 @@ def _empty_controls():
     yield ["check", "main2", "--n", "2", "--nprime", "2", "--corrupt"]
 
 
-def _pinned():
-    """Error lines that no earlier record reaches: the malformed inputs
-    from PINNED to LISTS, the requests that exit 1 with one error line
-    before LATE_REJECTED, the malformed inputs from LISTS to
-    LATE_MALFORMED, the rejected requests from LATE_REJECTED on, then the
-    malformed inputs from LATE_MALFORMED on."""
-    from tests.golden.malformed import LATE_REJECTED, REJECTED
-
-    rejected = list(REJECTED.values())
-    yield from _malformed(1)
-    yield from rejected[:LATE_REJECTED]
-    yield from _malformed(2)
-    yield from rejected[LATE_REJECTED:]
-    yield from _malformed(3)
-
-
 def _residual_replays():
     """DB replays that leave a residual, so the replay decodes the nonzero
     sums of the records it kept: the version-2 file of tests/smoke.py that
@@ -332,7 +315,7 @@ def _residual_replays():
 
 
 def _payload_rejections():
-    """Payload rejections that no earlier record reaches, each exiting 1 with
+    """Payload rejections that no other record reaches, each exiting 1 with
     one error line: a --pi of rank 0, which checked_kappa rejects, and a
     --pi of odd rank and odd w, which InfinityType rejects."""
     sigma = '{"n":2,"kappa":[4],"w":0}'
@@ -385,19 +368,45 @@ def _failed_save():
 
 
 def requests():
-    """(argv, files, db) of every run in the corpus, in a fixed order."""
+    """(argv, files, db) of every run in the corpus. The sources that take
+    rng draw from one seed in this order, so moving one changes the requests
+    it draws."""
     rng = random.Random(20261018)
     sources = [_critical(rng), _builtins(), _main1_grid(rng),
                _corollary_main(), _main2(), _motivic_dual_indices(),
                _scripts(), _asai(rng), _classify(rng), _deligne(),
                _infinity_type(rng), _malformed(), _defaults(), _main1_db(),
-               _main1_rank_one(), _empty_controls(), _pinned(),
-               _residual_replays(), _payload_rejections(),
-               _non_object_payloads(), _large_deligne(), _shared_label(),
-               _failed_save()]
+               _main1_rank_one(), _empty_controls(), _residual_replays(),
+               _payload_rejections(), _non_object_payloads(),
+               _large_deligne(), _shared_label(), _failed_save()]
     for source in sources:
         for req in source:
             yield req if isinstance(req, tuple) else (req, None, None)
+
+
+def line(record) -> str:
+    """The corpus line of record, without its newline."""
+    return json.dumps(record, sort_keys=True)
+
+
+def records() -> list:
+    """The records of the corpus, in its sorted order."""
+    with open(CORPUS) as fh:
+        return [json.loads(text) for text in fh]
+
+
+def db_replays(corpus):
+    """(record, DB text, script text) of each `check --db F --script S`
+    record, --json and --verbose aside, that holds its DB file F; an S of
+    "@name" is read from the record's file name."""
+    for r in corpus:
+        argv = [a for a in r["argv"] if a not in ("--json", "--verbose")]
+        files = r.get("files", {})
+        if (len(argv) == 5 and argv[:2] == ["check", "--db"]
+                and argv[3] == "--script" and argv[2][1:] in files):
+            script = argv[4]
+            yield (r, files[argv[2][1:]],
+                   files[script[1:]] if script.startswith("@") else script)
 
 
 def main():
@@ -405,9 +414,10 @@ def main():
     for path in (root, os.path.join(root, "src")):
         if path not in sys.path:
             sys.path.insert(0, path)
+    lines = {line(run(argv, files, db)) + "\n"
+             for argv, files, db in requests()}
     with open(CORPUS, "w") as fh:
-        for argv, files, db in requests():
-            fh.write(json.dumps(run(argv, files, db), sort_keys=True) + "\n")
+        fh.writelines(sorted(lines))
 
 
 if __name__ == "__main__":

@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 from periodcalc import period_algebra as pa
 from periodcalc.formal import RelationDB, check_script
 from tests import dbcheck, oracles
-from tests.golden.make_cli_corpus import CORPUS, run
+from tests.golden.make_cli_corpus import db_replays, records, run
 from tests.golden.malformed import MALFORMED_DB
 
-with open(CORPUS) as fh:
-    RECORDS = [json.loads(line) for line in fh]
+RECORDS = records()
 
 
 def _library_residual(tmp_path, db_text, script):
@@ -159,39 +158,28 @@ def test_the_reader_and_the_library_reject_the_same_damaged_files(case):
     assert got == want
 
 
-def _replays():
-    """(record, DB text, script text) of each golden `check --db F --script
-    S` request whose DB file the record holds."""
-    for r in RECORDS:
-        argv = [a for a in r["argv"] if a not in ("--json", "--verbose")]
-        if len(argv) != 5 or argv[:2] != ["check", "--db"] or \
-                argv[3] != "--script" or argv[2][1:] not in r.get("files", {}):
-            continue
-        script = argv[4]
-        if script.startswith("@"):
-            script = r["files"][script[1:]]
-        yield r, r["files"][argv[2][1:]], script
-
-
 def test_the_reader_rejects_exactly_the_db_replays_the_cli_exits_2_on(
         tmp_path):
     rejected = set()
-    for record, db_text, script in _replays():
+    for record, db_text, script in db_replays(RECORDS):
         try:
             residual = dbcheck.check(db_text, script)
         except ValueError:
             assert record["code"] == 2, record["argv"]
-            rejected.add(record["argv"][2][1:-len(".json")])
+            rejected.add(db_text)
             continue
         assert record["code"] != 2, record["argv"]
         assert residual == _library_residual(tmp_path, db_text,
                                              json.loads(script))
-    assert set(MALFORMED_DB) <= rejected
+    assert {case for case, text in MALFORMED_DB.items()
+            if text not in rejected} == set()
 
 
 def test_the_reader_runs_without_periodcalc(tmp_path):
-    record = next(r for r in RECORDS if "db" in r and r["code"] == 1
-                  and r["argv"][0] == "--json")
+    # a corrupted main1 step, which saves its relations and exits 1
+    record = next(r for r in RECORDS if r["argv"] == [
+        "--json", "check", "main1", "--n", "2", "--w", "1", "--m", "3/2",
+        "--corrupt", "--db", "@db.json"])
     (tmp_path / "db.json").write_text(record["db"])
     (tmp_path / "steps.json").write_text(json.dumps(_steps(record["argv"])))
     (tmp_path / "bad.json").write_text(MALFORMED_DB["db-bw-sign-2"])

@@ -24,12 +24,9 @@ from periodcalc.formal import (ATOM_I, ATOM_TWO_PI_I, FormalPeriod,
                                relation_from_json, relation_to_json)
 from periodcalc.infinity_types import InfinityType, as_fraction, json_int
 from tests import dbcheck, oracles, smoke
-from tests.golden.make_cli_corpus import CORPUS
+from tests.golden import make_cli_corpus
 from tests.golden.malformed import MALFORMED_DB
 from tests.oracles import Relation, atom_power, atom_to_json
-
-with open(CORPUS) as fh:
-    GOLDEN = [json.loads(line) for line in fh]
 
 atoms = st.one_of(
     st.builds(PeriodAtom, st.just("BW"),
@@ -1757,14 +1754,9 @@ def _golden_replays():
     of each malformed --db file, and of the hand-written version-2 files of
     tests/smoke.py: a table that lists I twice, whose exponents cancel once
     merged and taken mod 2, and a name repeated with another body."""
-    for r in GOLDEN:
-        argv = [a for a in r["argv"] if a not in ("--json", "--verbose")]
-        files = r.get("files", {})
-        if (len(argv) == 5 and argv[:2] == ["check", "--db"]
-                and argv[3] == "--script" and argv[2][1:] in files):
-            script = argv[4]
-            yield (files[argv[2][1:]],
-                   files[script[1:]] if script.startswith("@") else script)
+    golden = make_cli_corpus.records()
+    for _, text, script in make_cli_corpus.db_replays(golden):
+        yield text, script
     for text in MALFORMED_DB.values():
         yield text, '[{"relation": "r", "exponent": 1}]'
     for name in ("twice_i.json", "two_bodies.json"):

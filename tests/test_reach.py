@@ -19,7 +19,7 @@ import sys
 import types
 
 import periodcalc
-from tests.golden.make_cli_corpus import CORPUS, run
+from tests.golden.make_cli_corpus import records, run
 
 TRACER = "tracer target"
 HELPER = "helper of a tracer target"
@@ -99,8 +99,7 @@ def never_entered():
             with open(path, encoding="utf-8") as fh:
                 _functions(compile(fh.read(), path, "exec"),
                            f"{name[:-3]}.", path, functions)
-    with open(CORPUS) as fh:
-        records = [json.loads(line) for line in fh]
+    corpus = records()
     entered = set()
 
     def profile(frame, event, arg):
@@ -110,7 +109,7 @@ def never_entered():
 
     sys.setprofile(profile)
     try:
-        for want in records:
+        for want in corpus:
             run(want["argv"], want.get("files"),
                 "db.json" if "db" in want else None)
     finally:
