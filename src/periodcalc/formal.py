@@ -124,9 +124,6 @@ class FormalPeriod:
     def of(cls, *pairs) -> "FormalPeriod":
         return cls(pairs)
 
-    def exponent(self, atom: PeriodAtom) -> int:
-        return self._exp.get(atom, 0)
-
     def atoms(self):
         return sorted(self._exp, key=PeriodAtom._key)
 

@@ -368,9 +368,10 @@ def _failed_save():
 
 
 def requests():
-    """(argv, files, db) of every run in the corpus. The sources that take
-    rng draw from one seed in this order, so moving one changes the requests
-    it draws."""
+    """(argv, files, db) of every run in the corpus, each request (argv,
+    files) once. The sources that take rng draw from one seed in this order,
+    so moving one, or dropping an entry from one, changes the requests it
+    draws; a request that a second source yields again is skipped here."""
     rng = random.Random(20261018)
     sources = [_critical(rng), _builtins(), _main1_grid(rng),
                _corollary_main(), _main2(), _motivic_dual_indices(),
@@ -379,9 +380,14 @@ def requests():
                _main1_rank_one(), _empty_controls(), _residual_replays(),
                _payload_rejections(), _non_object_payloads(),
                _large_deligne(), _shared_label(), _failed_save()]
+    seen = set()
     for source in sources:
         for req in source:
-            yield req if isinstance(req, tuple) else (req, None, None)
+            req = req if isinstance(req, tuple) else (req, None, None)
+            key = json.dumps([req[0], req[1] or None])
+            if key not in seen:
+                seen.add(key)
+                yield req
 
 
 def line(record) -> str:

@@ -4,8 +4,9 @@ Each computes an answer a second way, apart from the fast path it checks:
 on the multiset of Weil-group constituents (Hom-dimensions, determinants,
 epsilon classes), on their restriction to C^x, or on the Gamma factors of a
 pair's tensor parameter (the brute-force lattice scan, one pass over the
-factors, and Raghuram's even-rank interval); the record view of a
-result's written steps (Relation, relations); the relation DB records as
+factors, and Raghuram's even-rank interval); the library's written step
+with its sides composed from checked periods (written_step, checked, and
+corrupted, the one negative-control writer); the relation DB records as
 dicts and their checked decoding, and a DB file loaded by decoding every
 side, its script replayed by the group operations; the Yoshida relations as
 products of checked periods, built through the general calculus of
@@ -249,55 +250,66 @@ def raghuram_interval(pi, sigma) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the record view of a written step (name, (citation, lhs, rhs), exponent),
-# its sides FormalPeriods: what the oracle builders compose and what the
-# tests read a builtin's steps through
+# the written step (name, (citation, lhs, rhs), exponent) that the library
+# writes, its sides reduced exponent dicts: the oracle builders compose each
+# side as a period with the checked FormalPeriod.of, * and **, and write the
+# step that holds the period's dict
 
-Relation = namedtuple("Relation", "name citation lhs rhs")
+def written_step(name: str, citation: str, lhs: FormalPeriod,
+                 rhs: FormalPeriod, e: int = 1) -> tuple:
+    """The step lhs = rhs to the power e."""
+    return name, (citation, lhs._exp, rhs._exp), e
 
 
-def relations(res) -> tuple:
-    """The (Relation, exponent) steps of a CheckResult, each side wrapping
-    its step's own dict, so key orders and atom identities read as
-    written."""
-    p = FormalPeriod._of_exp
-    return tuple([(Relation(name, citation, p(lhs), p(rhs)), e)
-                  for name, (citation, lhs, rhs), e in res.steps])
+def checked(step, e: int = None) -> tuple:
+    """step with both sides rebuilt by the checked constructor, to the
+    power e, or to its own power if e is None."""
+    name, (citation, lhs, rhs), k = step
+    return written_step(name, citation, FormalPeriod(lhs.items()),
+                        FormalPeriod(rhs.items()), k if e is None else e)
+
+
+def corrupted(step, factor: FormalPeriod) -> tuple:
+    """Negative control: step with factor multiplied into its rhs."""
+    name, (citation, lhs, rhs), e = step
+    return (name + "[corrupted]",
+            (citation, lhs, (FormalPeriod(rhs.items()) * factor)._exp), e)
 
 
 # ---------------------------------------------------------------------------
 # the relation DB layouts as dicts. Version 1, which RelationDB.load still
-# reads, holds json.dumps(relation_to_json(r), sort_keys=True) for each
-# relation; RelationDB.save writes version 2 (db_to_json below), line for line
+# reads, holds json.dumps(relation_to_json(step), sort_keys=True) for each
+# step; RelationDB.save writes version 2 (db_to_json below), line for line
 
 def atom_to_json(atom) -> dict:
     return {"kind": atom.kind, "payload": list(atom.payload)}
 
 
-def period_to_json(p: FormalPeriod) -> list:
-    return [[atom_to_json(a), e] for a, e in p.items()]
+def period_to_json(side: dict) -> list:
+    return [[atom_to_json(a), e] for a, e in sorted(side.items())]
 
 
-def relation_to_json(r: Relation) -> dict:
-    return {"name": r.name, "citation": r.citation,
-            "lhs": period_to_json(r.lhs), "rhs": period_to_json(r.rhs)}
+def relation_to_json(step) -> dict:
+    name, (citation, lhs, rhs), _ = step
+    return {"name": name, "citation": citation,
+            "lhs": period_to_json(lhs), "rhs": period_to_json(rhs)}
 
 
-def db_to_json(relations) -> dict:
+def db_to_json(steps) -> dict:
     """The version-2 layout: each distinct atom and citation once, numbered
-    in order of first use over the relations sorted by name, each side of a
-    relation as [atom index, exponent] pairs in its period's own order."""
+    in order of first use over the steps sorted by name, each side of a
+    step as [atom index, exponent] pairs in its dict's own order."""
     atoms, citations = {}, {}
 
-    def side(p):
-        return [[atoms.setdefault(a, len(atoms)), e]
-                for a, e in p._exp.items()]
+    def side(exp):
+        return [[atoms.setdefault(a, len(atoms)), e] for a, e in exp.items()]
 
     # a dict display evaluates its values in order: lhs numbers before rhs
-    records = [{"name": r.name,
-                "citation": citations.setdefault(r.citation, len(citations)),
-                "lhs": side(r.lhs), "rhs": side(r.rhs)}
-               for r in sorted(relations, key=lambda r: r.name)]
+    records = [{"name": name,
+                "citation": citations.setdefault(citation, len(citations)),
+                "lhs": side(lhs), "rhs": side(rhs)}
+               for name, (citation, lhs, rhs), _ in sorted(
+                   steps, key=lambda step: step[0])]
     return {"atoms": [atom_to_json(a) for a in atoms],
             "citations": list(citations), "relations": records, "version": 2}
 
@@ -339,9 +351,9 @@ def atom_from_json(data: dict):
 # of a version-2 file
 
 def load_db(path: str) -> dict:
-    """{name: Relation} of a version-1 or version-2 file, every record
-    decoded by relation_from_json; the errors, and their order, are those of
-    RelationDB.load."""
+    """{name: step} of a version-1 or version-2 file, every record decoded
+    by relation_from_json and checked; the errors, and their order, are
+    those of RelationDB.load."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -368,10 +380,10 @@ def load_db(path: str) -> dict:
             raise ValueError(f"malformed atom record: {exc!r}") from exc
     db = {}
     for entry in entries:
-        rel = relation(formal.relation_from_json(entry, atoms, citations))
-        if db.setdefault(rel.name, rel) != rel:
-            raise ValueError(f"relation {rel.name!r} already present")
-        db[rel.name] = rel  # an equal body read later replaces the first
+        step = checked(formal.relation_from_json(entry, atoms, citations))
+        if db.setdefault(step[0], step) != step:
+            raise ValueError(f"relation {step[0]!r} already present")
+        db[step[0]] = step  # an equal body read later replaces the first
     return db
 
 
@@ -388,8 +400,9 @@ def check_script(db: dict, script) -> FormalPeriod:
                              f"and an int 'exponent', got {entry!r}")
         if entry["relation"] not in db:
             raise KeyError(f"unknown relation: {entry['relation']!r}")
-        rel = db[entry["relation"]]
-        residual = residual * (rel.lhs * rel.rhs ** -1) ** entry["exponent"]
+        _, (_, lhs, rhs), _ = db[entry["relation"]]
+        quotient = FormalPeriod(lhs.items()) * FormalPeriod(rhs.items()) ** -1
+        residual = residual * quotient ** entry["exponent"]
     return residual
 
 
@@ -465,7 +478,7 @@ def monomial_atoms(m, M) -> FormalPeriod:
     return FormalPeriod.of(*pairs)
 
 
-def tensor_deligne(M, N, sign: int) -> Relation:
+def tensor_deligne(M, N, sign: int) -> tuple:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if M.n != N.n + 1:
@@ -487,40 +500,41 @@ def tensor_deligne(M, N, sign: int) -> Relation:
     lhs = atom_power(PeriodAtom("DC", (label, sign)))
     rhs = (atom_power(PeriodAtom("Delta", (N.label,)))
            * monomial_atoms(fm, M) * monomial_atoms(fn, N))
-    return Relation(f"tensor-deligne[{label},{sign:+d}]",
-                    "balanced tensor Deligne-period factorization", lhs, rhs)
+    return written_step(f"tensor-deligne[{label},{sign:+d}]",
+                        "balanced tensor Deligne-period factorization",
+                        lhs, rhs)
 
 
-def tate_twist_relation(m, M, t: int) -> Relation:
+def tate_twist_relation(m, M, t: int) -> tuple:
     tag = monomial_type(m)
     exp = t * (tag.kplus * M.dplus + tag.kminus * M.dminus)
     base = m if t % 2 == 0 else dual_monomial(m)
     lhs = monomial_atoms(m, tate_twist_motive(M, t))
     rhs = atom_power(ATOM_TWO_PI_I, exp) * monomial_atoms(base, M)
-    return Relation(f"tate-twist[{M.label},{t}]",
-                    "Tate twist of fundamental periods", lhs, rhs)
+    return written_step(f"tate-twist[{M.label},{t}]",
+                        "Tate twist of fundamental periods", lhs, rhs)
 
 
-def dual_relation(m, M) -> Relation:
+def dual_relation(m, M) -> tuple:
     tag = monomial_type(m)
     lhs = monomial_atoms(dual_monomial(m), dual_motive(M))
     rhs = (atom_power(PeriodAtom("Delta", (M.label,)),
                       -(tag.kplus + tag.kminus))
            * monomial_atoms(m, M))
     exps = ",".join(map(str, (m.m0, *m.mi, m.mplus, m.mminus)))
-    return Relation(f"dual[{M.label},{exps}]",
-                    "duality of fundamental periods", lhs, rhs)
+    return written_step(f"dual[{M.label},{exps}]",
+                        "duality of fundamental periods", lhs, rhs)
 
 
-def delta_tensor(M, N) -> Relation:
+def delta_tensor(M, N) -> tuple:
     lhs = atom_power(PeriodAtom("Delta", (y.tensor_label(M, N),)))
     rhs = FormalPeriod.of((PeriodAtom("Delta", (M.label,)), N.n),
                           (PeriodAtom("Delta", (N.label,)), M.n))
-    return Relation(f"delta-tensor[{y.tensor_label(M, N)}]",
-                    "determinant period of a tensor product", lhs, rhs)
+    return written_step(f"delta-tensor[{y.tensor_label(M, N)}]",
+                        "determinant period of a tensor product", lhs, rhs)
 
 
-def rank2_tensor_expansion(M, N, i: int, sign: int) -> Relation:
+def rank2_tensor_expansion(M, N, i: int, sign: int) -> tuple:
     if M.label == N.label:  # N has rank 2 and M does not
         raise ValueError(f"M and N share the label {M.label!r}")
     r = M.n // 2
@@ -532,9 +546,10 @@ def rank2_tensor_expansion(M, N, i: int, sign: int) -> Relation:
         pairs.append((PeriodAtom("DC", (N.label,
                                         sign * (M.dplus - M.dminus))), 1))
     lhs = atom_power(PeriodAtom("DC", (y.tensor_label(M, N), sign)))
-    return Relation(f"rank2-expansion[{y.tensor_label(M, N)},{i},{sign:+d}]",
-                    "rank-2 auxiliary tensor expansion of c^{+-}",
-                    lhs, FormalPeriod.of(*pairs))
+    return written_step(
+        f"rank2-expansion[{y.tensor_label(M, N)},{i},{sign:+d}]",
+        "rank-2 auxiliary tensor expansion of c^{+-}", lhs,
+        FormalPeriod.of(*pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +578,7 @@ def motive_from_infinity(t, label: str):
 
 
 # ---------------------------------------------------------------------------
-# the main1 relations as products of periods built by FormalPeriod.atom, *
+# the main1 relations as products of periods built by FormalPeriod.of, *
 # and **, each side's factors in the order in which check_main1_step writes
 # the side's atoms; each critical point is tested against a fresh
 # critical_set
@@ -627,7 +642,7 @@ def global_dual(rep):
                         twist(rep.inf, 0, -rep.inf.w), rep.omega ** -1)
 
 
-def rel_raghuram(m, pi, sigma) -> Relation:
+def rel_raghuram(m, pi, sigma, e: int = 1) -> tuple:
     if not is_balanced(pi.inf, sigma.inf):
         raise ValueError("pair is not balanced")
     m = as_fraction(m)
@@ -639,12 +654,12 @@ def rel_raghuram(m, pi, sigma) -> Relation:
            * atom_power(PeriodAtom("BW", (pi.label, eps)))
            * atom_power(PeriodAtom("BW", (sigma.label, eps_prime)))
            * sigma.omega)
-    return Relation(f"raghuram[m={m},{pair}]",
-                    "critical-value factorization over a balanced pair",
-                    lhs, rhs)
+    return written_step(f"raghuram[m={m},{pair}]",
+                        "critical-value factorization over a balanced pair",
+                        lhs, rhs, e)
 
 
-def rel_duality_ratio(m0, pi, sigma) -> Relation:
+def rel_duality_ratio(m0, pi, sigma, e: int = 1) -> tuple:
     m0 = as_fraction(m0)
     _require_critical(m0, pi, sigma)
     parity = pair_epsilon_class(pi.inf, sigma.inf)
@@ -655,11 +670,11 @@ def rel_duality_ratio(m0, pi, sigma) -> Relation:
            * atom_power(PeriodAtom("LVal", (1 - m0, dual_pair)))
            * pi.omega ** sigma.inf.n
            * sigma.omega ** pi.inf.n)
-    return Relation(f"duality-ratio[m0={m0},{pair}]",
-                    "functional-equation ratio under duality", lhs, rhs)
+    return written_step(f"duality-ratio[m0={m0},{pair}]",
+                        "functional-equation ratio under duality", lhs, rhs, e)
 
 
-def rel_arch_iparity(m1, m2, pi, sigma) -> Relation:
+def rel_arch_iparity(m1, m2, pi, sigma, e: int = 1) -> tuple:
     m1, m2 = as_fraction(m1), as_fraction(m2)
     center = Fraction(-pi.inf.w - sigma.inf.w, 2)
     if m1 == center or m2 == center:
@@ -673,22 +688,24 @@ def rel_arch_iparity(m1, m2, pi, sigma) -> Relation:
     lhs = atom_power(PeriodAtom("ArchZ", (m1, pair)))
     rhs = (atom_power(PeriodAtom("ArchZ", (m2, pair)))
            * atom_power(ATOM_I, exp.numerator))
-    return Relation(f"arch-iparity[{m1},{m2},{pair}]",
-                    "i-power comparison of archimedean periods", lhs, rhs)
+    return written_step(f"arch-iparity[{m1},{m2},{pair}]",
+                        "i-power comparison of archimedean periods", lhs, rhs,
+                        e)
 
 
-def rel_twist(m, pi, sigma, w1: int, w2: int, twisted_label: str) -> Relation:
+def rel_twist(m, pi, sigma, w1: int, w2: int, twisted_label: str,
+              e: int = 1) -> tuple:
     m = as_fraction(m)
     _require_critical(m + w1 + w2 + Fraction(1, 2), pi, sigma)
     pair = pair_label(pi, sigma)
     lhs = atom_power(PeriodAtom("ArchZ", (m, twisted_label)))
     rhs = atom_power(PeriodAtom("ArchZ", (m + w1 + w2, pair)))
-    return Relation(f"arch-twist[{m},{twisted_label}]",
-                    "archimedean period comparison under |.|-twists",
-                    lhs, rhs)
+    return written_step(f"arch-twist[{m},{twisted_label}]",
+                        "archimedean period comparison under |.|-twists",
+                        lhs, rhs, e)
 
 
-def rel_main1(pi, eps: int) -> Relation:
+def rel_main1(pi, eps: int, e: int = 1) -> tuple:
     if not is_regular(pi.inf):
         warnings.warn(f"regularity hypotheses unmet for {pi.label}",
                       stacklevel=2)
@@ -696,8 +713,8 @@ def rel_main1(pi, eps: int) -> Relation:
     lhs = atom_power(PeriodAtom("BW", (pi.label, eps)))
     rhs = (atom_power(PeriodAtom("BW", (dual_label(pi.label), eps)))
            * pi.omega ** (n - 1))
-    return Relation(f"main1[{pi.label},{eps:+d}]",
-                    "period relation under duality", lhs, rhs)
+    return written_step(f"main1[{pi.label},{eps:+d}]",
+                        "period relation under duality", lhs, rhs, e)
 
 
 def main1_pair(n: int, w: int, delta: int, m: int):
@@ -742,47 +759,29 @@ def functional_equation_gammas(pair, s0) -> tuple:
 
 def main1_steps(n: int, w: int, delta: int, m: int,
                 corrupt: bool = False) -> list:
-    """The (relation, exponent) steps of check_main1_step for an input it
-    accepts at rank n >= 2, built in the step's order, so that a failed
-    guard raises as the step's own does.  Its rel_main1 still tests
-    regularity and warns, which the step's pair never trips."""
+    """The written steps of check_main1_step for an input it accepts at
+    rank n >= 2, built in the step's order, so that a failed guard raises
+    as the step's own does.  Its rel_main1 still tests regularity and
+    warns, which the step's pair never trips."""
     pi, sigma = main1_pair(n, w, delta, m)
     pi_d, sigma_d = global_dual(pi), global_dual(sigma)
     eps, eps_prime = raghuram_signs(m, pi, sigma)
-    steps = [(rel_raghuram(m, pi, sigma), 1),
-             (rel_raghuram(-m, pi_d, sigma_d), -1),
-             (rel_duality_ratio(m + Fraction(1, 2), pi, sigma), -1),
-             (rel_twist(-m, pi, sigma, -w, -delta,
-                        pair_label(pi_d, sigma_d)), -1),
-             (rel_arch_iparity(m, -m - w - delta, pi, sigma), 1),
-             (rel_main1(sigma, eps_prime), 1)]
-    target = rel_main1(pi, eps)
+    steps = [rel_raghuram(m, pi, sigma),
+             rel_raghuram(-m, pi_d, sigma_d, -1),
+             rel_duality_ratio(m + Fraction(1, 2), pi, sigma, -1),
+             rel_twist(-m, pi, sigma, -w, -delta, pair_label(pi_d, sigma_d),
+                       -1),
+             rel_arch_iparity(m, -m - w - delta, pi, sigma),
+             rel_main1(sigma, eps_prime), rel_main1(pi, eps)]
     if corrupt:
-        target = Relation(target.name + "[corrupted]", target.citation,
-                          target.lhs, target.rhs * pi.omega ** -1)
-    return steps + [(target, 1)]
+        steps[-1] = corrupted(steps[-1], pi.omega ** -1)
+    return steps
 
 
 # ---------------------------------------------------------------------------
-def bodies(steps) -> list:
-    """(relation, exponent) steps as a builtin writes them, (name, body,
-    exponent) with the body (citation, lhs, rhs) that a RelationDB holds,
-    which is what formal.derived and formal.replay take."""
-    return [(rel.name, (rel.citation, rel.lhs._exp, rel.rhs._exp), e)
-            for rel, e in steps]
-
-
 def atom_power(atom, e: int = 1) -> FormalPeriod:
     """The period atom^e, built by the checked FormalPeriod.of."""
     return FormalPeriod.of((atom, e))
-
-
-def relation(step) -> Relation:
-    """The Relation of a written step (name, (citation, lhs, rhs), e), its
-    sides built by the checked constructor; the exponent is dropped."""
-    name, (citation, lhs, rhs), _ = step
-    return Relation(name, citation, FormalPeriod(lhs.items()),
-                    FormalPeriod(rhs.items()))
 
 
 def is_written_step(step) -> bool:
@@ -804,14 +803,8 @@ def is_written_step(step) -> bool:
 # the corollary-main and main2 derivations composed from checked products,
 # with the corollary's Pi built in full
 
-def corrupted(rel: Relation, factor: FormalPeriod) -> Relation:
-    """Negative control: rel with one atom power multiplied into its rhs."""
-    return Relation(rel.name + "[corrupted]", rel.citation, rel.lhs,
-                    rel.rhs * factor)
-
-
 def rel_rs_twist(pi, eta: FormalPeriod, eta_delta: int, eta_u: int,
-                 eps: int, twisted_label: str) -> Relation:
+                 eps: int, twisted_label: str, e: int = 1) -> tuple:
     """p(Pi (x) eta, eps) = G(eta)^{n(2n-1)} p(Pi, eps * eps(eta_inf))."""
     rank = pi.inf.n
     if rank % 2:
@@ -820,30 +813,31 @@ def rel_rs_twist(pi, eta: FormalPeriod, eta_delta: int, eta_u: int,
     lhs = atom_power(PeriodAtom("BW", (twisted_label, eps)))
     rhs = (eta ** (n * (2 * n - 1)) * atom_power(PeriodAtom(
         "BW", (pi.label, eps * character_sign(eta_delta, eta_u)))))
-    return Relation(f"rs-twist[{twisted_label},{eps:+d}]",
-                    "character twist of Betti-Whittaker periods", lhs, rhs)
+    return written_step(f"rs-twist[{twisted_label},{eps:+d}]",
+                        "character twist of Betti-Whittaker periods", lhs,
+                        rhs, e)
 
 
-def rel_corollary_main(label: str, gexp: FormalPeriod) -> Relation:
+def rel_corollary_main(label: str, gexp: FormalPeriod, e: int = 1) -> tuple:
     """p(Pi, +) = G(chi^n omega_Pi^{-1}) p(Pi, -), with gexp the Gauss class
     of chi^n omega_Pi^{-1}."""
-    return Relation(f"corollary-main[{label}]",
-                    "sign change of Betti-Whittaker periods",
-                    atom_power(PeriodAtom("BW", (label, 1))),
-                    gexp * atom_power(PeriodAtom("BW", (label, -1))))
+    return written_step(f"corollary-main[{label}]",
+                        "sign change of Betti-Whittaker periods",
+                        atom_power(PeriodAtom("BW", (label, 1))),
+                        gexp * atom_power(PeriodAtom("BW", (label, -1))), e)
 
 
-def rel_quadratic(g: FormalPeriod) -> Relation:
+def rel_quadratic(g: FormalPeriod, e: int = 1) -> tuple:
     """G(chi) class is 2-torsion for a quadratic character chi."""
-    char = "*".join(f"{a.payload[0]}^{e}" for a, e in g.items()) or "1"
-    return Relation(f"central-character-quadratic[{char}]",
-                    "Gauss sum of a quadratic character is algebraic",
-                    g ** 2, FormalPeriod())
+    char = "*".join(f"{a.payload[0]}^{k}" for a, k in g.items()) or "1"
+    return written_step(f"central-character-quadratic[{char}]",
+                        "Gauss sum of a quadratic character is algebraic",
+                        g ** 2, FormalPeriod(), e)
 
 
 def corollary_main_steps(n: int, orthogonal: bool = True, chi_expr=None,
                          corrupt: bool = False) -> list:
-    """The (relation, exponent) steps of check_corollary_main, composed with
+    """The written steps of check_corollary_main, composed with
     the checked * and ** over its chi-orthogonal Pi of rank 2n built in
     full (kappa_j = 8 + 6j, w = 0); rel_main1 warns if that Pi is not
     regular.  chi_expr None is the default chi."""
@@ -855,12 +849,12 @@ def corollary_main_steps(n: int, orthogonal: bool = True, chi_expr=None,
     q_b = rel_rs_twist(pi, chi ** -1, 1 if orthogonal else 0, 0, 1,
                        twisted_label=dual_label(pi.label))
     gexp = chi ** n * pi.omega ** -1
-    target = rel_corollary_main(pi.label, gexp)
+    target = rel_corollary_main(pi.label, gexp, -1)
     if corrupt:
         target = corrupted(target, chi)
-    steps = [(q_a, 1), (q_b, 1), (target, -1)]
+    steps = [q_a, q_b, target]
     if not gexp.is_trivial:
-        steps.append((rel_quadratic(gexp), -n))
+        steps.append(rel_quadratic(gexp, -n))
     return steps
 
 
@@ -874,26 +868,26 @@ def main2_steps(n: int, nprime: int, include_i_power: bool = True,
     rel_period = (atom_power(ATOM_I, ipow)
                   * atom_power(PeriodAtom("BW", ("Pi", eps_num)))
                   * atom_power(PeriodAtom("BW", ("Pi", -eps_num)), -1))
-    q_hr = Relation(f"harder-raghuram[{pair},m0={m0}]",
-                    "successive critical values against relative periods",
-                    atom_power(PeriodAtom("LVal", (m0, pair))),
-                    atom_power(PeriodAtom("LVal", (m0 + 1, pair)))
-                    * rel_period ** nprime)
+    q_hr = written_step(f"harder-raghuram[{pair},m0={m0}]",
+                        "successive critical values against relative "
+                        "periods",
+                        atom_power(PeriodAtom("LVal", (m0, pair))),
+                        atom_power(PeriodAtom("LVal", (m0 + 1, pair)))
+                        * rel_period ** nprime)
     chi, omega = gauss_fp({"chi": 1}), gauss_fp({"omega_Pi": 1})
     gexp = chi ** n * omega ** -1
-    q_c = rel_corollary_main("Pi", gexp)
     target_rhs = (atom_power(ATOM_I, ipow * nprime)
                   * gexp ** nprime
                   * atom_power(PeriodAtom("LVal", (m0 + 1, pair))))
-    target = Relation(f"theorem-main2[{pair}]",
-                      "ratio of successive critical values",
-                      atom_power(PeriodAtom("LVal", (m0, pair))),
-                      target_rhs)
+    target = written_step(f"theorem-main2[{pair}]",
+                          "ratio of successive critical values",
+                          atom_power(PeriodAtom("LVal", (m0, pair))),
+                          target_rhs, -1)
     if corrupt:
         target = corrupted(target, chi)
-    steps = [(q_hr, 1), (target, -1), (q_c, eps_num * nprime)]
+    steps = [q_hr, target, rel_corollary_main("Pi", gexp, eps_num * nprime)]
     if eps_num == -1:
-        steps.append((rel_quadratic(gexp), -nprime))
+        steps.append(rel_quadratic(gexp, -nprime))
     return steps, (ipow * nprime) % 2
 
 
@@ -902,9 +896,9 @@ def main2_steps(n: int, nprime: int, include_i_power: bool = True,
 # motive N and its dual built in full for each Hodge gap
 
 def motivic_dual_steps(n: int, i: int = None, corrupt: bool = False) -> list:
-    """The (relation, exponent) steps of check_motivic_dual, each gap's
-    relations built by y.rank2_tensor_expansion, y.delta_tensor and
-    y.dual_relation on a checked MotiveShape N, for an input it accepts."""
+    """The written steps of check_motivic_dual, each gap's relations built
+    by y.rank2_tensor_expansion, y.delta_tensor and y.dual_relation on a
+    checked MotiveShape N, for an input it accepts."""
     r = n // 2
     kappa = tuple(4 * (r - j) + 5 for j in range(r))
     dplus = r + n % 2
@@ -917,28 +911,28 @@ def motivic_dual_steps(n: int, i: int = None, corrupt: bool = False) -> list:
     for idx in [i] if i is not None else range(1, r):
         N = y.MotiveShape(f"N{idx}", 2, 0, (kappa[idx] + 2,), 1, 1)
         mn = y.tensor_label(M, N)
-        q3 = Relation(f"deligne-dual[{mn}]",
-                      "duality of c^{+-} for the tensor product",
-                      atom_power(PeriodAtom("DC", (dual_label(mn), -1))),
-                      FormalPeriod.of((PeriodAtom("Delta", (mn,)), -1),
-                                      (PeriodAtom("DC", (mn, 1)), 1)))
-        q_delta = relation(y.delta_tensor(M, N))
+        q3 = written_step(f"deligne-dual[{mn}]",
+                          "duality of c^{+-} for the tensor product",
+                          atom_power(PeriodAtom("DC", (dual_label(mn), -1))),
+                          FormalPeriod.of((PeriodAtom("Delta", (mn,)), -1),
+                                          (PeriodAtom("DC", (mn, 1)), 1)))
+        q_delta = checked(y.delta_tensor(M, N), -1)
         if corrupt:
-            q_delta = Relation(q_delta.name + "[corrupted]", q_delta.citation,
-                               q_delta.lhs, q_delta.rhs * atom_power(
-                                   PeriodAtom("Delta", (N.label,)), -1))
-        target = Relation(f"motivic-dual[{M.label},{idx}]",
-                          "duality of the middle fundamental periods",
-                          atom_power(PeriodAtom("DCi", (Md.label, idx))),
-                          FormalPeriod.of(
-                              (PeriodAtom("Delta", (M.label,)), -2),
-                              (PeriodAtom("DCi", (M.label, idx)), 1)))
-        steps += [(relation(y.rank2_tensor_expansion(M, N, idx, 1)), 1),
-                  (relation(y.rank2_tensor_expansion(Md, dual_motive(N), idx,
-                                                     -1)), -1),
-                  (q3, 1), (q_delta, -1),
-                  (relation(y.dual_relation(fdet, N)), -idx),
-                  (relation(y.dual_relation(fp, N)), -(r - idx) - n % 2),
-                  (relation(y.dual_relation(fm, N)), -(r - idx)),
-                  (target, -1)]
+            q_delta = corrupted(q_delta, atom_power(
+                PeriodAtom("Delta", (N.label,)), -1))
+        target = written_step(f"motivic-dual[{M.label},{idx}]",
+                              "duality of the middle fundamental periods",
+                              atom_power(PeriodAtom("DCi", (Md.label, idx))),
+                              FormalPeriod.of(
+                                  (PeriodAtom("Delta", (M.label,)), -2),
+                                  (PeriodAtom("DCi", (M.label, idx)), 1)),
+                              -1)
+        steps += [checked(y.rank2_tensor_expansion(M, N, idx, 1)),
+                  checked(y.rank2_tensor_expansion(Md, dual_motive(N), idx,
+                                                   -1), -1),
+                  q3, q_delta,
+                  checked(y.dual_relation(fdet, N), -idx),
+                  checked(y.dual_relation(fp, N), -(r - idx) - n % 2),
+                  checked(y.dual_relation(fm, N), -(r - idx)),
+                  target]
     return steps

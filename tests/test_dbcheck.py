@@ -130,10 +130,9 @@ def damaged_files(draw):
     """The DB text and script of a small derivation, its file in version 1
     or 2 with one node replaced."""
     res = draw(st.sampled_from(_SMALL))
-    relations = list({rel.name: rel
-                      for rel, _ in oracles.relations(res)}.values())
-    data = (oracles.db_to_json(relations) if draw(st.booleans()) else
-            {"relations": [oracles.relation_to_json(r) for r in relations]})
+    steps = list({step[0]: step for step in res.steps}.values())
+    data = (oracles.db_to_json(steps) if draw(st.booleans()) else
+            {"relations": [oracles.relation_to_json(s) for s in steps]})
     *path, last = draw(st.sampled_from(list(_nodes(data))))
     node = data
     for key in path:

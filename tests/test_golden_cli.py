@@ -6,7 +6,7 @@ for the record format and for when to regenerate it.
 
 import json
 
-from tests.golden.make_cli_corpus import line, records, run
+from tests.golden.make_cli_corpus import line, records, requests, run
 from tests.golden.malformed import MALFORMED, REJECTED
 
 
@@ -16,8 +16,10 @@ def test_golden_corpus_replays_byte_identically():
     # sorted with no line twice, and no request (argv, files) twice
     lines = [line(r) for r in corpus]
     assert lines == sorted(set(lines))
-    requests = {json.dumps([r["argv"], r.get("files")]) for r in corpus}
-    assert len(requests) == len(corpus)
+    asked = {json.dumps([r["argv"], r.get("files")]) for r in corpus}
+    assert len(asked) == len(corpus)
+    # the generator runs each request once
+    assert len(list(requests())) == len(corpus)
     changed = []
     for lineno, want in enumerate(corpus, 1):
         got = run(want["argv"], want.get("files"),

@@ -26,7 +26,7 @@ from periodcalc.infinity_types import InfinityType, as_fraction, json_int
 from tests import dbcheck, oracles, smoke
 from tests.golden import make_cli_corpus
 from tests.golden.malformed import MALFORMED_DB
-from tests.oracles import Relation, atom_power, atom_to_json
+from tests.oracles import atom_power, atom_to_json, written_step
 
 atoms = st.one_of(
     st.builds(PeriodAtom, st.just("BW"),
@@ -104,9 +104,9 @@ all_atoms = st.one_of(
 )
 atom_pairs = st.lists(st.tuples(all_atoms, st.integers(-3, 3)), max_size=8)
 all_periods = atom_pairs.map(FormalPeriod)
-steps = st.lists(st.tuples(
-    st.builds(Relation, st.just("r"), st.just("c"), all_periods, all_periods),
-    st.integers(-3, 3)), max_size=5)
+steps = st.lists(st.builds(written_step, st.just("r"), st.just("c"),
+                           all_periods, all_periods, st.integers(-3, 3)),
+                 max_size=5)
 
 
 def _mul_oracle(a, b):
@@ -119,8 +119,8 @@ def _pow_oracle(p, k):
 
 def _replay_oracle(steps):
     return FormalPeriod((atom, sign * e * k)
-                        for rel, e in steps
-                        for sign, side in ((1, rel.lhs), (-1, rel.rhs))
+                        for _, (_, lhs, rhs), e in steps
+                        for sign, side in ((1, lhs), (-1, rhs))
                         for atom, k in side.items())
 
 
@@ -133,7 +133,7 @@ def _same(fast, oracle, *operands):
     its exponent dict with no operand."""
     assert fast == oracle
     assert all(type(e) is int and e for e in fast._exp.values())
-    assert fast.exponent(ATOM_I) in (0, 1)
+    assert fast._exp.get(ATOM_I, 0) in (0, 1)
     assert all(fast._exp is not p._exp for p in operands)
 
 
@@ -148,8 +148,9 @@ def test_mul_and_pow_match_the_checked_constructor(a, b, k):
 @settings(max_examples=200, deadline=None)
 @given(steps)
 def test_replay_matches_the_checked_constructor(steps):
-    _same(formal.replay(oracles.bodies(steps)), _replay_oracle(steps),
-          *(p for rel, _ in steps for p in (rel.lhs, rel.rhs)))
+    _same(formal.replay(steps), _replay_oracle(steps),
+          *(FormalPeriod._of_exp(side) for _, body, _ in steps
+            for side in body[1:]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,11 +169,12 @@ def test_atom_matches_the_checked_constructor(atom, e):
 
 @pytest.mark.parametrize("e", [0.5, 1.9, 2.7, True, Fraction(2), "1", None])
 def test_an_exponent_that_is_not_an_int_is_rejected(e):
-    rel = Relation("r", "c", atom_power(ATOM_TWO_PI_I), FormalPeriod())
+    step = written_step("r", "c", atom_power(ATOM_TWO_PI_I), FormalPeriod(),
+                        e)
     for make in (lambda: FormalPeriod([(ATOM_TWO_PI_I, e)]),
                  lambda: atom_power(ATOM_TWO_PI_I, e),
                  lambda: atom_power(ATOM_TWO_PI_I) ** e,
-                 lambda: formal.replay(oracles.bodies([(rel, e)]))):
+                 lambda: formal.replay([step])):
         with pytest.raises(TypeError, match="expected an integer, got "):
             make()
 
@@ -248,10 +250,10 @@ def test_rel_duality_ratio_i_parity_matches_epsilon_class():
     for n, w, delta in [(2, 0, 0), (2, 1, 2), (3, 0, 1), (4, 1, 0),
                         (5, 2, -1), (6, -1, 2), (7, 0, 3)]:
         res = pa.check_main1_step(n, w, delta, 1)
-        rel, = (r for r, _ in oracles.relations(res)
-                if r.name.startswith("duality-ratio"))
+        rhs, = (rhs for name, (_, _, rhs), _ in res.steps
+                if name.startswith("duality-ratio"))
         expected = ((w + delta) * n * (n - 1) // 2) % 2
-        assert rel.rhs.exponent(ATOM_I) == expected, (n, w, delta)
+        assert rhs.get(ATOM_I, 0) == expected, (n, w, delta)
 
 
 def test_rel_rs_twist_rejects_odd_rank():
@@ -263,31 +265,25 @@ def test_rel_rs_twist_rejects_odd_rank():
 
 
 def test_rel_rs_twist_trivial_character_is_identity():
-    rel = oracles.rel_rs_twist(PI4, gauss_fp({}), 0, 0, 1,
-                               twisted_label="Pi")
-    assert formal.replay(oracles.bodies([(rel, 1)])).is_trivial
+    step = oracles.rel_rs_twist(PI4, gauss_fp({}), 0, 0, 1,
+                                twisted_label="Pi")
+    assert formal.replay([step]).is_trivial
 
 
 def test_rel_rs_twist_sign_flip():
-    rel = oracles.rel_rs_twist(PI4, gauss_fp({"chi": -1}), 1, 0, 1,
-                               twisted_label="Pi^v")
-    assert rel.rhs.exponent(PeriodAtom("BW", ("Pi", -1))) == 1
+    _, (_, _, rhs), _ = oracles.rel_rs_twist(PI4, gauss_fp({"chi": -1}), 1,
+                                             0, 1, twisted_label="Pi^v")
+    assert rhs[PeriodAtom("BW", ("Pi", -1))] == 1
     # (n/2)(n-1) = 6
-    assert rel.rhs.exponent(PeriodAtom("Gauss", ("chi",))) == -2 * 3
+    assert rhs[PeriodAtom("Gauss", ("chi",))] == -2 * 3
 
 
 def test_rel_main1_rank_one_trivial_gauss():
     pi1 = oracles.GlobalRep("P", InfinityType(1, (), 0),
                             gauss_fp({"omega": 1}))
-    rel = oracles.rel_main1(pi1, 1)
-    assert rel.rhs.exponent(PeriodAtom("Gauss", ("omega",))) == 0
-    assert rel == _main1_of(pi1, 1)
-
-
-def _step_relation(step) -> Relation:
-    """The relation of one written step, as oracles.relations reads it."""
-    ((rel, _),) = oracles.relations(formal.derived([step]))
-    return rel
+    step = oracles.rel_main1(pi1, 1)
+    assert PeriodAtom("Gauss", ("omega",)) not in step[1][2]
+    assert step == _main1_of(pi1, 1)
 
 
 def _register(db, steps):
@@ -295,25 +291,21 @@ def _register(db, steps):
     formal.derived(steps).register(db)
 
 
-def _add(db, *relations):
-    """Hold each relation in db as the body of a written step."""
-    _register(db, oracles.bodies([(rel, 1) for rel in relations]))
-
-
-def _held(db, name) -> Relation:
-    """The relation that db holds under name."""
-    return _step_relation((name, db._body(name), 1))
+def _times_i(step):
+    """step with its lhs multiplied by I: another body under its name."""
+    name, (citation, lhs, rhs), e = step
+    lhs = FormalPeriod(lhs.items()) * atom_power(ATOM_I)
+    return name, (citation, lhs._exp, rhs), e
 
 
 def _main1_of(rep, eps):
-    """The main1 writer's relation for rep, whose Gauss class is one atom to
-    the first power."""
+    """The main1 writer's step for rep, whose Gauss class is one atom to the
+    first power."""
     ((gauss, k),) = rep.omega._exp.items()
     assert k == 1
-    return _step_relation(pa._main1(
-        PeriodAtom("BW", (rep.label, eps)),
-        PeriodAtom("BW", (formal.dual_label(rep.label), eps)), gauss,
-        rep.inf.n - 1, 1))
+    return pa._main1(PeriodAtom("BW", (rep.label, eps)),
+                     PeriodAtom("BW", (formal.dual_label(rep.label), eps)),
+                     gauss, rep.inf.n - 1, 1)
 
 
 @pytest.mark.parametrize("inf", [
@@ -328,18 +320,18 @@ def test_rel_main1_trusts_its_caller_on_irregular_types(inf):
     assert not oracles.is_regular(inf)
     new, warned = _built(_main1_of, pi, 1)
     want, want_warned = _built(oracles.rel_main1, pi, 1)
-    assert new == want and _sides([(new, 1)]) == _sides([(want, 1)])
+    assert new == want and _sides([new]) == _sides([want])
     assert warned == []
     assert want_warned == ["regularity hypotheses unmet for P"]
 
 
 def test_quadratic_relation():
     g = gauss_fp({"omega": -1, "chi": 1})
-    rel = oracles.rel_quadratic(g)
-    assert rel.lhs == gauss_fp({"chi": 2, "omega": -2})
-    assert rel.name == "central-character-quadratic[chi^1*omega^-1]"
-    assert _sides([(_step_relation(pa._quadratic(g._exp, 1)), 1)]) == _sides(
-        [(rel, 1)])
+    step = oracles.rel_quadratic(g)
+    name, (_, lhs, _), _ = step
+    assert lhs == gauss_fp({"chi": 2, "omega": -2})._exp
+    assert name == "central-character-quadratic[chi^1*omega^-1]"
+    assert _sides([pa._quadratic(g._exp, 1)]) == _sides([step])
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +460,9 @@ def _built(fn, *args):
 def _sides(steps) -> list:
     """Each step's name, citation and exponent with the (atom, exponent)
     items of its two sides in dict order, the order the version-2 DB
-    writes; FormalPeriod equality ignores it."""
-    return [(rel.name, rel.citation, list(rel.lhs._exp.items()),
-             list(rel.rhs._exp.items()), e) for rel, e in steps]
+    writes; dict equality ignores it."""
+    return [(name, citation, list(lhs.items()), list(rhs.items()), e)
+            for name, (citation, lhs, rhs), e in steps]
 
 
 @st.composite
@@ -510,10 +502,9 @@ def test_main1_relations_match_the_oracle_builders(n, w, delta_half, m,
         assert new[1] == want[1] == []
         assert new[0][0] is ValueError and not isinstance(want[0], list)
         return
-    got = oracles.relations(new[0])
-    assert (list(got), new[1]) == want, (n, w, delta, m)
-    assert _sides(got) == _sides(want[0]), (n, w, delta, m)
-    assert new[0].residual == formal.replay(oracles.bodies(want[0]))
+    assert new[1] == want[1], (n, w, delta, m)
+    assert _sides(new[0].steps) == _sides(want[0]), (n, w, delta, m)
+    assert new[0].residual == formal.replay(want[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -526,8 +517,7 @@ def test_rel_main1_matches_the_oracle_under_drawn_labels(pair, eps):
     for rep in pair:
         new = _built(_main1_of, rep, eps)
         assert new == _built(oracles.rel_main1, rep, eps)
-        assert (_sides([(new[0], 1)])
-                == _sides([(oracles.rel_main1(rep, eps), 1)]))
+        assert _sides([new[0]]) == _sides([oracles.rel_main1(rep, eps)])
 
 
 _PI_PLUS = PeriodAtom("BW", ("Pi", 1))
@@ -566,8 +556,8 @@ def test_a_main1_step_builds_each_atom_once():
             res = pa.check_main1_step(n, w, delta, m, corrupt=corrupt)
         except ValueError:
             continue
-        held = [a for rel, _ in oracles.relations(res)
-                for side in (rel.lhs, rel.rhs) for a in side._exp]
+        held = [a for _, (_, lhs, rhs), _ in res.steps
+                for a in chain(lhs, rhs)]
         assert len(set(map(id, held))) == len(set(held)), (n, w, delta, m)
         checked += 1
     assert checked == 112
@@ -583,10 +573,8 @@ def test_main1_steps_match_the_oracle_over_a_grid():
         except ValueError:
             continue
         steps = oracles.main1_steps(n, w, delta, m, corrupt)
-        got = oracles.relations(res)
-        assert list(got) == steps, (n, w, delta, m, corrupt)
-        assert _sides(got) == _sides(steps)
-        assert res.residual == formal.replay(oracles.bodies(steps))
+        assert _sides(res.steps) == _sides(steps), (n, w, delta, m, corrupt)
+        assert res.residual == formal.replay(steps)
         checked += 1
     assert checked == 7020
 
@@ -633,9 +621,9 @@ def _step_signs(res) -> tuple:
     """(eps, eps', class) as a main1 step wrote them: the signs of its
     main1[Pi] and main1[Sigma] lhs atoms, and the I exponent of its
     duality ratio."""
-    rels = [rel for rel, _ in oracles.relations(res)]
-    (bw_pi,), (bw_sigma,) = rels[6].lhs._exp, rels[5].lhs._exp
-    return bw_pi.payload[1], bw_sigma.payload[1], rels[2].rhs.exponent(ATOM_I)
+    bodies = [body for _, body, _ in res.steps]
+    (bw_pi,), (bw_sigma,) = bodies[6][1], bodies[5][1]
+    return bw_pi.payload[1], bw_sigma.payload[1], bodies[2][2].get(ATOM_I, 0)
 
 
 def test_main1_step_signs_and_class_match_the_oracle_pair():
@@ -691,8 +679,8 @@ def test_the_functional_equation_drops_the_two_pi_power_of_arch_iparity():
         assert k == (m - m2) * n * (n - 1) // 2, (n, w, delta, m)
         assert all(a.denominator == 1 and a > 0 for a in args), (n, w,
                                                                  delta, m)
-        iparity = oracles.relations(res)[4][0]
-        assert iparity.rhs.exponent(ATOM_I) == k % 2, (n, w, delta, m)
+        _, (_, _, rhs), _ = res.steps[4]
+        assert rhs.get(ATOM_I, 0) == k % 2, (n, w, delta, m)
         checked += 1
     # one central point at each even rank up to 32, and odd w is rejected
     # at odd rank
@@ -773,7 +761,7 @@ def test_corollary_branches():
 
 def test_main2_even_nprime_is_identity():
     res = pa.check_theorem_main2(3, 2)
-    assert res.is_ok and res.i_parity == 0 and not oracles.relations(res)
+    assert res.is_ok and res.i_parity == 0 and not res.steps
 
 
 def test_main2_i_parity_and_toggle():
@@ -794,9 +782,8 @@ CHI_EXPRS = (None, {"chi": 1}, {"eta": 1}, {"omega_Pi": 1}, {"chi": 2},
 
 def _same_replay(res, steps, i_parity=0):
     """res has the oracle's steps, side key orders, residual and parity."""
-    assert list(oracles.relations(res)) == steps
-    assert _sides(oracles.relations(res)) == _sides(steps)
-    assert res.residual == formal.replay(oracles.bodies(steps))
+    assert _sides(res.steps) == _sides(steps)
+    assert res.residual == formal.replay(steps)
     assert res.i_parity == i_parity
 
 
@@ -832,11 +819,9 @@ def test_an_empty_chi_expr_is_the_trivial_character():
         empty = pa.check_corollary_main(n, orthogonal, {})
         zero = pa.check_corollary_main(n, orthogonal, {"chi": 0})
         default = pa.check_corollary_main(n, orthogonal)
-        assert (_sides(oracles.relations(empty))
-                == _sides(oracles.relations(zero)))
+        assert _sides(empty.steps) == _sides(zero.steps)
         assert empty.residual == zero.residual
-        assert (_sides(oracles.relations(default))
-                != _sides(oracles.relations(empty)))
+        assert _sides(default.steps) != _sides(empty.steps)
 
 
 @pytest.mark.parametrize("nprime", [2, 3])
@@ -902,21 +887,21 @@ VERDICT_ONLY = {
 @pytest.mark.parametrize("builtin", VERDICT_ONLY)
 def test_a_verdict_only_call_builds_no_relation(builtin):
     # a caller that reads the verdict and the script builds no Relation, as
-    # formal defines none; the record view of the steps still gives the
-    # oracle's steps, side key orders and residual
+    # neither formal nor the oracles define one; the steps are the oracle's,
+    # with its side key orders and residual
     check, args, oracle = VERDICT_ONLY[builtin]
     assert "Relation" not in vars(formal)
+    assert not hasattr(oracles, "Relation")
     for corrupt in (False, True):
         res = check(*args, corrupt=corrupt)
         assert res.is_ok is not corrupt
         assert (res.offending_atom() is None) is not corrupt
         script = res.to_script()
         steps = oracle(*args, corrupt)
-        assert list(oracles.relations(res)) == steps
-        assert _sides(oracles.relations(res)) == _sides(steps)
-        assert res.residual == formal.replay(oracles.bodies(steps))
-        assert script == [{"relation": rel.name, "exponent": e}
-                          for rel, e in steps]
+        assert _sides(res.steps) == _sides(steps)
+        assert res.residual == formal.replay(steps)
+        assert script == [{"relation": name, "exponent": e}
+                          for name, _, e in steps]
 
 
 def test_motivic_dual_per_index():
@@ -939,8 +924,8 @@ def test_motivic_dual_matches_the_yoshida_builders():
             for corrupt in (False, True):
                 res = pa.check_motivic_dual(n, i=i, corrupt=corrupt)
                 steps = oracles.motivic_dual_steps(n, i, corrupt)
-                assert _sides(oracles.relations(res)) == _sides(steps), (n, i)
-                want = formal.replay(oracles.bodies(steps))
+                assert _sides(res.steps) == _sides(steps), (n, i)
+                want = formal.replay(steps)
                 assert (list(res.residual._exp.items())
                         == list(want._exp.items())), (n, i, corrupt)
                 checked += 1
@@ -952,8 +937,8 @@ def test_a_motivic_dual_derivation_builds_each_atom_once():
     for n, i, corrupt in product((4, 5, 9, 64, 255, 256), (None, 1),
                                  (False, True)):
         res = pa.check_motivic_dual(n, i=i, corrupt=corrupt)
-        held = [a for rel, _ in oracles.relations(res)
-                for side in (rel.lhs, rel.rhs) for a in side._exp]
+        held = [a for _, (_, lhs, rhs), _ in res.steps
+                for a in chain(lhs, rhs)]
         assert len(set(map(id, held))) == len(set(held)), (n, i, corrupt)
         # 11 atoms in each gap, and delta(M): 127 gaps at n = 256
         gaps = (n // 2 - 1) if i is None else 1
@@ -1089,7 +1074,7 @@ def test_a_db_in_the_indented_layout_still_replays(tmp_path, derive, corrupt):
     db, path = _saved(tmp_path, res)
     new = formal.check_script(formal.RelationDB.load(str(path)),
                               res.to_script())
-    data = {"relations": [oracles.relation_to_json(_held(db, n))
+    data = {"relations": [oracles.relation_to_json((n, db._body(n), 1))
                           for n in db.names()]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
@@ -1223,45 +1208,44 @@ def test_every_builtin_writes_reduced_steps():
             assert oracles.is_written_step(step), step
 
 
-# a relation with a non-trivial quotient, for the DB and script tests
+# a step with a non-trivial quotient, for the DB and script tests
 QUAD = oracles.rel_quadratic(gauss_fp({"chi": 1}))
 
 
 def test_register_rejects_a_name_collision():
     # two written steps under one name with different bodies
-    other = Relation(QUAD.name, "different", FormalPeriod(),
-                     gauss_fp({"chi": 1}))
-    res = formal.derived(oracles.bodies([(QUAD, 1), (other, 1)]))
+    other = written_step(QUAD[0], "different", FormalPeriod(),
+                         gauss_fp({"chi": 1}))
+    res = formal.derived([QUAD, other])
     with pytest.raises(ValueError, match="already present"):
         res.register(formal.RelationDB())
 
 
 def test_the_collision_rule_holds_against_bodies_and_kept_records(tmp_path):
-    # under a taken name an equal body is accepted, from a relation's body
-    # or a builtin's step, and any other body is refused, whether the name
-    # holds a registered body, one written from a relation or a record that
-    # load kept
+    # under a taken name an equal body is accepted, from the oracle's step
+    # or a builtin's, and any other body is refused, whether the name holds
+    # a registered body, one the oracle wrote or a record that load kept
     res = pa.check_corollary_main(3)
-    rel = oracles.relations(res)[0][0]
-    others = [rel._replace(citation="different"),
-              rel._replace(lhs=rel.lhs * atom_power(ATOM_I)),
-              rel._replace(rhs=FormalPeriod())]
+    steps = oracles.corollary_main_steps(3)
+    name, (citation, lhs, rhs), e = step = steps[0]
+    others = [(name, ("different", lhs, rhs), e), _times_i(step),
+              (name, (citation, lhs, {}), e)]
     path = str(tmp_path / "relations.json")
-    added = formal.RelationDB()
-    _add(added, *(r for r, _ in oracles.relations(res)))
+    written = formal.RelationDB()
+    _register(written, steps)
     registered = formal.RelationDB()
     res.register(registered)
     registered.save(path)
-    for db in added, registered, formal.RelationDB.load(path):
-        before = [_held(db, n) for n in db.names()]
+    for db in written, registered, formal.RelationDB.load(path):
+        before = [db._body(n) for n in db.names()]
         res.register(db)
-        _add(db, rel)
+        _register(db, [step])
         for other in others:
             with pytest.raises(ValueError,
-                               match=f"^relation {re.escape(repr(rel.name))}"
+                               match=f"^relation {re.escape(repr(name))}"
                                      " already present$"):
-                _add(db, other)
-        assert [_held(db, n) for n in db.names()] == before
+                _register(db, [other])
+        assert [db._body(n) for n in db.names()] == before
 
 
 def _write_db(res, path):
@@ -1320,15 +1304,15 @@ def test_a_db_round_trip_builds_no_relation(builtin, tmp_path):
     # and the same bytes; so do a load and replay of the derivation as a
     # version-1 file, and of its version-2 file with a second copy of a
     # record, which the int pass does not keep since its name is taken; a
-    # DB filled from the record view saves those bytes and holds equal
+    # DB filled from the oracle's steps saves those bytes and holds equal
     # bodies
-    check, args, _ = VERDICT_ONLY[builtin]
+    check, args, oracle = VERDICT_ONLY[builtin]
     path, again = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     v1, copied = str(tmp_path / "v1.json"), str(tmp_path / "copied.json")
     assert "Relation" not in vars(formal)
     for corrupt in (False, True):
         res = check(*args, corrupt=corrupt)
-        _write_v1(v1, [rel for rel, _ in oracles.relations(res)], {}, None)
+        _write_v1(v1, res.steps, {}, None)
         _write_db(res, copied)
         data = json.loads(_read(copied))
         data["relations"].append(data["relations"][0])
@@ -1346,15 +1330,15 @@ def test_a_db_round_trip_builds_no_relation(builtin, tmp_path):
         assert replayed == in_memory == res.residual
         assert fallback == [res.residual] * 2
         assert _read(again) == _read(path)
-        added = formal.RelationDB()
-        _add(added, *(rel for rel, _ in oracles.relations(res)))
-        added.save(again)
+        written = formal.RelationDB()
+        _register(written, oracle(*args, corrupt))
+        written.save(again)
         assert _read(again) == _read(path)
-        assert added.names() == db.names() == loaded.names()
+        assert written.names() == db.names() == loaded.names()
         for name in db.names():
-            assert added._body(name) == db._body(name) == loaded._body(name)
-            assert _sides([(_held(added, name), 1)]) == _sides(
-                [(_held(db, name), 1)])
+            assert written._body(name) == db._body(name) == loaded._body(name)
+            assert _sides([(name, written._body(name), 1)]) == _sides(
+                [(name, db._body(name), 1)])
 
 
 @pytest.mark.parametrize("data", [{"kind": "BW", "payload": ["Pi"]},
@@ -1383,14 +1367,14 @@ any_atoms = st.one_of(
     st.just(ATOM_I), st.just(ATOM_TWO_PI_I),
 )
 any_periods = st.lists(st.tuples(any_atoms, big), max_size=6).map(FormalPeriod)
-any_relations = st.lists(st.builds(Relation, texts, texts, any_periods,
-                                   any_periods),
-                         max_size=5, unique_by=lambda r: r.name)
+any_steps = st.lists(st.builds(written_step, texts, texts, any_periods,
+                               any_periods),
+                     max_size=5, unique_by=itemgetter(0))
 
 
-def _save_text(relations) -> str:
+def _save_text(steps) -> str:
     db = formal.RelationDB()
-    _add(db, *relations)
+    _register(db, steps)
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "relations.json")
         db.save(path)
@@ -1403,15 +1387,15 @@ def _save_text(relations) -> str:
 
 
 @settings(max_examples=100, deadline=None)
-@given(any_relations)
-def test_saved_text_is_json_dumps_of_the_oracle_layout(relations):
-    data = oracles.db_to_json(relations)
+@given(any_steps)
+def test_saved_text_is_json_dumps_of_the_oracle_layout(steps):
+    data = oracles.db_to_json(steps)
     atoms, body = ([json.dumps(x, sort_keys=True) for x in data[key]]
                    for key in ("atoms", "relations"))
     want = ('{"atoms": [\n' + ",\n".join(atoms) + '\n], "citations": '
             + json.dumps(data["citations"]) + ', "relations": [\n'
             + ",\n".join(body) + '\n], "version": 2}\n')
-    text = _save_text(relations)
+    text = _save_text(steps)
     assert text.split("\n") == want.split("\n")
     assert json.loads(text) == data
 
@@ -1421,27 +1405,27 @@ def test_saved_text_is_json_dumps_of_the_oracle_layout(relations):
 V1_LAYOUTS = [({}, None), ({"version": 1}, None), ({}, 2)]
 
 
-def _write_v1(path, relations, fields, indent):
-    data = {"relations": [oracles.relation_to_json(r) for r in relations],
+def _write_v1(path, steps, fields, indent):
+    data = {"relations": [oracles.relation_to_json(s) for s in steps],
             **fields}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=indent, sort_keys=True)
 
 
 @settings(max_examples=100, deadline=None)
-@given(any_relations, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
-def test_v1_and_v2_files_load_to_the_same_db(relations, exponents):
+@given(any_steps, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_v1_and_v2_files_load_to_the_same_db(steps, exponents):
     db = formal.RelationDB()
-    _add(db, *relations)
-    script = [{"relation": r.name, "exponent": e}
-              for r, e in zip(relations, exponents)]
+    _register(db, steps)
+    script = [{"relation": name, "exponent": e}
+              for (name, _, _), e in zip(steps, exponents)]
     in_memory = formal.check_script(db, script)
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "relations.json")
         db.save(path)
         v2 = formal.RelationDB.load(path)
         for fields, indent in V1_LAYOUTS:
-            _write_v1(path, relations, fields, indent)
+            _write_v1(path, steps, fields, indent)
             v1 = formal.RelationDB.load(path)
             assert v1.names() == v2.names() == db.names()
             assert all(v1._body(n) == v2._body(n) == db._body(n)
@@ -1451,9 +1435,9 @@ def test_v1_and_v2_files_load_to_the_same_db(relations, exponents):
 
 
 @settings(max_examples=100, deadline=None)
-@given(any_relations)
-def test_saving_a_loaded_db_writes_the_same_bytes(relations):
-    text = _save_text(relations)
+@given(any_steps)
+def test_saving_a_loaded_db_writes_the_same_bytes(steps):
+    text = _save_text(steps)
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "relations.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -1509,7 +1493,7 @@ def test_a_malformed_version_2_file_is_rejected(tmp_path, data, message):
     path = tmp_path / "relations.json"
     path.write_text(json.dumps(_v2()))
     db = formal.RelationDB.load(str(path))
-    assert _held(db, "r").lhs == atom_power(ATOM_TWO_PI_I)
+    assert db._body("r")[1] == {ATOM_TWO_PI_I: 1}
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=re.escape(message)):
         formal.RelationDB.load(str(path))
@@ -1630,8 +1614,8 @@ def _read(path) -> str:
 def test_a_version_2_file_replays_on_its_index_tables_as_the_oracle(case):
     data, script = case
     text = json.dumps(data)
-    new = Relation("new", "c", atom_power(ATOM_TWO_PI_I, 2),
-                   atom_power(ATOM_I))
+    new = written_step("new", "c", atom_power(ATOM_TWO_PI_I, 2),
+                       atom_power(ATOM_I))
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "relations.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -1651,14 +1635,15 @@ def test_a_version_2_file_replays_on_its_index_tables_as_the_oracle(case):
             return
         db = formal.RelationDB.load(path)
         assert db.names() == sorted(ref)
-        assert all(_held(db, name) == rel for name, rel in ref.items())
+        assert all((name, db._body(name), 1) == step
+                   for name, step in ref.items())
         # a body held after load: a new name beside the kept records, an
         # equal body accepted and another one refused
-        _add(db, new)
-        for name, rel in list(ref.items())[:1]:
-            _add(db, rel)
+        _register(db, [new])
+        for step in list(ref.values())[:1]:
+            _register(db, [step])
             with pytest.raises(ValueError, match="already present"):
-                _add(db, rel._replace(lhs=rel.lhs * atom_power(ATOM_I)))
+                _register(db, [_times_i(step)])
         ref["new"] = new
         steps = script + [{"relation": "new", "exponent": 3}]
         assert (_replayed(lambda _: db, formal.check_script, path, steps)
@@ -1668,7 +1653,7 @@ def test_a_version_2_file_replays_on_its_index_tables_as_the_oracle(case):
         formal.RelationDB.load(path).save(path)
         saved = _read(path)
         built = formal.RelationDB()
-        _add(built, *(rel for name, rel in ref.items() if name != "new"))
+        _register(built, [s for name, s in ref.items() if name != "new"])
         built.save(path)
         assert saved == _read(path)
 
@@ -1780,8 +1765,7 @@ def test_every_golden_and_malformed_db_file_replays_as_the_oracle(tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(any_atoms)
 def test_each_constructed_atom_round_trips_through_the_db(atom):
-    rel = Relation("r", "c", atom_power(atom, 3), FormalPeriod())
-    _save_text([rel])
+    _save_text([written_step("r", "c", atom_power(atom, 3), FormalPeriod())])
     assert period_from_json([[atom_to_json(atom), 1]]).atoms() == [atom]
 
 
@@ -1842,9 +1826,8 @@ def test_any_period_atom_replays_alike_in_memory_and_from_the_db(drawn, k):
             pairs.append((PeriodAtom(kind, tuple(payload)), e))
         except (TypeError, ValueError):
             continue
-    rel = Relation("r", "c", FormalPeriod(pairs[::2]),
-                   FormalPeriod(pairs[1::2]))
-    steps = oracles.bodies([(rel, k)])
+    steps = [written_step("r", "c", FormalPeriod(pairs[::2]),
+                          FormalPeriod(pairs[1::2]), k)]
     res = formal.derived(steps)
     assert res.residual == formal.replay(steps)
     db = formal.RelationDB()
@@ -1885,28 +1868,27 @@ def test_the_decoder_matches_the_checked_path(data):
 
 def test_script_rejects_bindings():
     db = formal.RelationDB()
-    _add(db, QUAD)
+    _register(db, [QUAD])
     with pytest.raises(ValueError):
-        formal.check_script(db, [{"relation": QUAD.name,
+        formal.check_script(db, [{"relation": QUAD[0],
                                   "bindings": {"x": 1}}])
 
 
 def test_relation_serialization_round_trip():
-    rel = oracles.rel_main1(PI4, -1)
+    step = name, (citation, lhs, rhs), _ = oracles.rel_main1(PI4, -1)
     atoms, citations = {}, {}
-    text = relation_to_json(rel.name, (rel.citation, rel.lhs._exp,
-                                       rel.rhs._exp), atoms, citations)
-    assert list(citations) == [rel.citation]
-    assert list(atoms) == [*rel.lhs._exp, *rel.rhs._exp]
+    text = relation_to_json(name, (citation, lhs, rhs), atoms, citations)
+    assert list(citations) == [citation]
+    assert list(atoms) == [*lhs, *rhs]
     assert (relation_from_json(json.loads(text), list(atoms), list(citations))
-            == (rel.name, (rel.citation, rel.lhs._exp, rel.rhs._exp), 1))
+            == step)
 
 
 def test_duplicate_relation_names_need_replace():
     db = formal.RelationDB()
-    _add(db, QUAD)
-    _add(db, oracles.rel_quadratic(gauss_fp({"chi": 1})))  # identical: fine
-    other = Relation(QUAD.name, "different", FormalPeriod(),
-                     gauss_fp({"chi": 1}))
+    _register(db, [QUAD])
+    _register(db, [oracles.rel_quadratic(gauss_fp({"chi": 1}))])  # identical
+    other = written_step(QUAD[0], "different", FormalPeriod(),
+                         gauss_fp({"chi": 1}))
     with pytest.raises(ValueError):
-        _add(db, other)
+        _register(db, [other])

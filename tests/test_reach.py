@@ -38,7 +38,6 @@ NOT_ENTERED = {
     "formal.FormalPeriod.__mul__": TRACER,
     "formal.FormalPeriod.__pow__": TRACER,
     "formal.FormalPeriod.of": TRACER,
-    "formal.FormalPeriod.exponent": VALUE,
     "formal.FormalPeriod.atoms": VALUE,
     "formal.FormalPeriod.__eq__": VALUE,
     "formal.FormalPeriod.__hash__": VALUE,
